@@ -31,6 +31,7 @@ participant has to couple with the rest of the work group"):
   sync-comparable speed — the "batching adds no latency" claim.
 """
 
+import gc
 import selectors
 import socket
 import struct
@@ -83,7 +84,7 @@ def lifecycle_inbound(n_instances, events=EVENTS_PER_STUDENT):
     Phase 1: everyone joins (the server answers each REGISTER with an
     ack and broadcasts the roster to everyone already present).
     Phase 2: the teacher couples selectively with every student (each
-    COUPLE fans a COUPLE_UPDATE out to the whole population).
+    COUPLE sends a COUPLE_UPDATE to the new group's two instances).
     Phase 3: every student commits *events* edits under the floor
     protocol (lock request -> grant, event -> broadcast to the group).
     """
@@ -279,6 +280,7 @@ def run_delivery(backend, schedule, ids, rounds=DELIVERY_ROUNDS):
     try:
         assert wait_until(lambda: len(transport.connections()) >= len(ids))
         driver = socket.create_connection((host, port))
+        gc.collect()  # same collector phase for both hosts (see run_lifecycle)
         started = time.perf_counter()
         driver.sendall(
             encode(Message(kind=kinds.COMMAND, sender="driver", payload={}))
@@ -353,6 +355,12 @@ def run_lifecycle(backend, n_instances, events=EVENTS_PER_STUDENT):
         drainer = threading.Thread(target=drain, daemon=True)
         drainer.start()
         base = stats.messages
+        # Start every measured run from the same collector phase: one
+        # full (gen-2) collection costs 20-75 ms under pytest's heap, as
+        # long as the whole 64-instance lifecycle, and where it falls
+        # depends on the allocations of the runs before it, not on the
+        # host under test.
+        gc.collect()
         started = time.perf_counter()
         # Join storm: every REGISTER in flight at once.
         for instance_id, sock in socks.items():

@@ -102,8 +102,10 @@ class TestFigure4:
         assert processed > 0
 
     def test_registration_cost(self, benchmark):
-        """Cost of joining a session grows with the couple table shipped to
-        the newcomer (the replica bootstrap)."""
+        """Cost of joining a session grows with the roster shipped to the
+        newcomer and announced to everyone present.  The couple table is
+        no part of it: a newcomer is a member of no group, so its replica
+        bootstrap is empty."""
 
         def join_after(links):
             session, trees = build_group(links + 1)
@@ -121,7 +123,7 @@ class TestFigure4:
         )
         emit_table(
             "fig4_registration",
-            "Figure 4: join cost vs existing couple links",
+            "Figure 4: join cost vs population (existing star links + 1)",
             ["existing links", "join bytes"],
             [[n, b] for n, b in sizes],
         )

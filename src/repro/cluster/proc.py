@@ -482,7 +482,6 @@ class ProcCluster(ShardedCosoftCluster):
             "--admin-users", ",".join(self.admin_users),
             "--history-depth", str(self.history_depth),
             "--floor-lease", str(self.floor_lease),
-            "--couple-scope", self.couple_scope,
             "--snapshot-every", str(self.snapshot_every),
             # Disjoint per-spawn msg_id space: ids minted inside this
             # worker can never collide with another worker's (or the

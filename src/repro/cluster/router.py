@@ -26,8 +26,9 @@ single server.  Internally it:
   (docs/CLUSTER.md), and the buffer is replayed on the new home.
 
 The router keeps a mirror of the cluster-wide couple table, maintained
-from the shards' own COUPLE_UPDATE broadcasts (exactly like a client
-replica), so it can compute transitive closures without asking a shard.
+from every COUPLE_UPDATE the shards emit (like a client replica, but of
+the whole relation), so it can compute transitive closures without asking
+a shard.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.obs import tracing as obs_tracing
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import AccessControl
 from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import RoutingStats, broadcast, validate_couple_scope
+from repro.server.routing import RoutingStats, broadcast
 from repro.server.server import CosoftServer
 
 
@@ -134,7 +135,6 @@ class ShardedCosoftCluster:
         ack_release: bool = True,
         history_depth: int = 100,
         floor_lease: float = 30.0,
-        couple_scope: str = "all",
         persistence: Optional[Any] = None,
         codec: object = "json",
         placement: str = "hash",
@@ -147,9 +147,6 @@ class ShardedCosoftCluster:
         #: The codec the router accounts inter-shard bytes with (the
         #: router↔shard hop is in-process, so the codec only prices it).
         self.codec: Codec = get_codec(codec)
-        #: COUPLE_UPDATE delivery policy, enforced inside each shard (the
-        #: router's own broadcasts — INSTANCE_LIST — stay population-wide).
-        self.couple_scope = validate_couple_scope(couple_scope)
         #: Router-level delivery decisions (shards keep their own).
         self.routing = RoutingStats()
         self.shard_ids: Tuple[str, ...] = tuple(
@@ -187,7 +184,7 @@ class ShardedCosoftCluster:
         #: Router-owned registration records (shards hold replicas).
         self.registry = Registry()
         #: Mirror of the cluster-wide couple table, fed by the shards'
-        #: COUPLE_UPDATE broadcasts (the same mechanism client replicas use).
+        #: COUPLE_UPDATEs (the same mechanism client replicas use).
         self.mirror = CoupleTable()
         #: Sticky home assignment: coupled (or migrated) object -> shard.
         self._home: Dict[GlobalId, str] = {}
@@ -237,7 +234,6 @@ class ShardedCosoftCluster:
             admin_users=self.admin_users,
             floor_lease=self.floor_lease,
             ack_release=self.ack_release,
-            couple_scope=self.couple_scope,
             persistence=(
                 self.persistence_config.for_shard(shard_id).build()
                 if self.persistence_config is not None
@@ -404,7 +400,7 @@ class ShardedCosoftCluster:
                 kinds.REGISTER_ACK,
                 SERVER_ID,
                 roster=self.registry.roster(),
-                couples=self.mirror.to_wire(),
+                couples=self.mirror.to_wire_for(record.instance_id),
                 server_time=self.clock.now(),
             )
         )
@@ -697,8 +693,10 @@ class ShardedCosoftCluster:
     def _absorb_couple_update(self, shard_id: str, payload: Mapping[str, Any]) -> None:
         """Track shard-committed couple changes in the router's mirror.
 
-        The same update arrives once per addressee (reply + broadcasts);
-        the mirror operations are idempotent, exactly as on clients.
+        The same update arrives once per addressee (reply + group cast),
+        a merging add in per-side variants that each carry only the other
+        side's links; the mirror operations are idempotent, exactly as on
+        clients, and the mirror — owned by no instance — forgets nothing.
         """
         link = coupling.apply_couple_update(self.mirror, payload)
         if link is None:

@@ -306,7 +306,6 @@ def build_worker(
     ack_release: bool = True,
     history_depth: int = 100,
     floor_lease: float = 30.0,
-    couple_scope: str = "all",
     snapshot_every: int = 500,
     observability: bool = False,
 ) -> ShardEndpoint:
@@ -330,7 +329,6 @@ def build_worker(
         ack_release=ack_release,
         history_depth=history_depth,
         floor_lease=floor_lease,
-        couple_scope=couple_scope,
     )
     if persistence.log.last_seq > 0:
         server = recover_server(persistence, **server_kwargs)
@@ -363,7 +361,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--no-ack-release", action="store_true")
     parser.add_argument("--history-depth", type=int, default=100)
     parser.add_argument("--floor-lease", type=float, default=30.0)
-    parser.add_argument("--couple-scope", default="all")
     parser.add_argument("--snapshot-every", type=int, default=500)
     parser.add_argument(
         "--observability", action="store_true",
@@ -397,7 +394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ack_release=not args.no_ack_release,
         history_depth=args.history_depth,
         floor_lease=args.floor_lease,
-        couple_scope=args.couple_scope,
         snapshot_every=args.snapshot_every,
         observability=observability,
     )

@@ -133,7 +133,8 @@ class ApplicationInstance:
         self.delta_sync = delta_sync
 
         self._roots: Dict[str, UIObject] = {}
-        #: Local replica of the server's couple table (§3.2).
+        #: Local replica of the server's couple table, restricted to the
+        #: groups this instance's own objects belong to (§3.2).
         self.replica = CoupleTable()
         self.roster: Dict[str, RegistrationRecord] = {}
         self.semantics = SemanticHookRegistry()
@@ -838,7 +839,9 @@ class ApplicationInstance:
 
     def _dispatch_message(self, message: Message) -> None:
         if message.kind == kinds.COUPLE_UPDATE:
-            coupling.apply_couple_update(self.replica, message.payload)
+            coupling.apply_couple_update(
+                self.replica, message.payload, self.instance_id
+            )
         elif message.kind == kinds.INSTANCE_LIST:
             self._apply_roster(message.payload.get("roster", []))
         elif message.kind == kinds.EVENT_BROADCAST:
@@ -1038,10 +1041,16 @@ class ApplicationInstance:
     # ------------------------------------------------------------------
 
     def _apply_roster(self, roster: Any) -> None:
-        self.roster = {
-            str(entry["instance_id"]): RegistrationRecord.from_wire(dict(entry))
-            for entry in roster or []
-        }
+        """Adopt a full roster, parsing only the entries that changed."""
+        known = self.roster
+        records: Dict[str, RegistrationRecord] = {}
+        for entry in roster or []:
+            instance_id = str(entry["instance_id"])
+            record = known.get(instance_id)
+            if record is None or record.to_wire() != entry:
+                record = RegistrationRecord.from_wire(dict(entry))
+            records[instance_id] = record
+        self.roster = records
 
     def _resolve_local(self, ref: WidgetRef) -> UIObject:
         if isinstance(ref, UIObject):

@@ -13,9 +13,10 @@ added to the source, thus computing the complete transitive closure"
 (§3.2) — i.e. a couple *group* is the connected component of the link
 graph, treating links as bidirectional for closure purposes.
 
-This table is used twice: authoritatively on the server, and replicated in
-every application instance (updated by COUPLE_UPDATE broadcasts) so each
-client can compute CO(o) locally.
+This table is used twice: authoritatively on the server, and as each
+application instance's replica of the groups its own objects belong to
+(updated and pruned by :func:`repro.core.coupling.apply_couple_update`)
+so each client can compute CO(o) of its objects locally.
 
 The closure is maintained *incrementally*: a union–find forest merges
 components in near-constant time on :meth:`add_link`, links are indexed by
@@ -415,11 +416,27 @@ class CoupleTable:
         """The instance ids holding any member of *obj*'s couple group."""
         return frozenset(self.audience_of(obj))
 
+    def group_has_instance(self, obj: GlobalId, instance_id: str) -> bool:
+        """Whether *instance_id* holds a member of *obj*'s couple group.
+
+        Walks the smaller of the group and the instance's coupled
+        objects, and builds no index: a replica asks this after every
+        update, when the cached ones have just been invalidated.
+        """
+        if obj not in self._parent:
+            return obj[0] == instance_id
+        root = self._find(obj)
+        own = self._by_instance.get(instance_id, ())
+        members = self._members[root]
+        if len(own) <= len(members):
+            return any(self._find(held) == root for held in own)
+        return any(member[0] == instance_id for member in members)
+
     def links_of_group(self, obj: GlobalId) -> List[CoupleLink]:
         """Every link inside *obj*'s couple group (deduplicated).
 
-        Sent with interest-scoped "add" updates so instances that just
-        joined a group learn its pre-existing internal links.
+        What an instance joining the group has never seen: sent to the
+        other side of a merging "add" update.
         """
         if obj not in self._parent:
             return []
@@ -437,6 +454,11 @@ class CoupleTable:
         """All coupled objects belonging to one application instance."""
         return set(self._by_instance.get(instance_id, ()))
 
-    def to_wire(self) -> List[Dict[str, object]]:
-        """Wire form of all links (sent to newly registered instances)."""
-        return [link.to_wire() for link in self._links]
+    def to_wire_for(self, instance_id: str) -> List[Dict[str, object]]:
+        """Wire form of *instance_id*'s share of the table — the links of
+        every group holding one of its objects, i.e. what its replica
+        holds (sent to newly registered instances)."""
+        roots = {self._find(obj) for obj in self._by_instance.get(instance_id, ())}
+        return [
+            link.to_wire() for root in roots for link in self.links_of_group(root)
+        ]

@@ -8,15 +8,18 @@ module is the single place where "who receives this message" is decided —
 :class:`~repro.cluster.router.ShardedCosoftCluster` both delegate here, so
 the interest index cannot drift between the two.
 
-Two delivery modes:
+Two delivery modes, chosen by what the message is about, never by a knob:
 
-* **full broadcast** — roster changes (INSTANCE_LIST) and, by default,
-  COUPLE_UPDATE keep the paper's replicate-everywhere semantics: every
-  registered instance gets a copy.
-* **interest cast** — the caller passes the *audience* (instance ids
-  derived from the couple table's per-component audience index,
+* **full broadcast** — roster changes (INSTANCE_LIST) concern the whole
+  population: every registered instance gets a copy.
+* **interest cast** — everything about a couple group (COUPLE_UPDATE,
+  EVENT_BROADCAST) goes to the *audience* the caller passes (instance
+  ids from the couple table's per-component audience index,
   :meth:`CoupleTable.audience_of`); only registered audience members get
-  a copy and the suppressed remainder is counted.
+  a copy and the suppressed remainder is counted.  "In a group of
+  coupled objects, the coupling information is replicated for each
+  object" (§3.2): replication is owed inside the group, so a couple or
+  decouple costs messages per member, not per registered instance.
 
 :class:`RoutingStats` records both so benchmarks and the monitor can show
 delivered-vs-suppressed message counts per event.
@@ -29,28 +32,15 @@ from typing import Any, Callable, Collection, Dict, Iterable, Mapping, Optional,
 from repro.net.message import Message
 from repro.net.transport import SERVER_ID
 
-#: Accepted values for the ``couple_scope`` server/session knob:
-#: ``"all"`` broadcasts COUPLE_UPDATE to the whole population (the
-#: paper's literal replication), ``"group"`` restricts it to the affected
-#: couple group's audience.
-COUPLE_SCOPES = ("all", "group")
-
-
-def validate_couple_scope(scope: str) -> str:
-    if scope not in COUPLE_SCOPES:
-        raise ValueError(
-            f"couple_scope must be one of {COUPLE_SCOPES}, got {scope!r}"
-        )
-    return scope
-
 
 class RoutingStats:
     """Counters for the routing layer's delivery decisions.
 
     ``broadcasts``/``broadcast_messages`` count full-population sends;
     ``interest_casts``/``interest_messages`` count audience-scoped sends;
-    ``suppressed_messages`` is how many copies a full broadcast would have
-    added on top of the scoped delivery — the routing layer's savings.
+    ``suppressed_messages`` is, summed over interest casts, the registered
+    population (net of the excluded requester) minus the audience that got
+    a copy — what population-wide delivery would have sent on top.
     ``events``/``event_receivers`` track EVENT_BROADCAST fan-out.
     """
 
@@ -125,6 +115,7 @@ def broadcast(
     sender: str = SERVER_ID,
     exclude: Tuple[str, ...] = (),
     audience: Optional[Iterable[str]] = None,
+    payload_for: Optional[Mapping[str, Mapping[str, Any]]] = None,
     stats: Optional[RoutingStats] = None,
 ) -> int:
     """Deliver *payload* to *registered* instances, optionally scoped.
@@ -132,7 +123,9 @@ def broadcast(
     With ``audience=None`` every registered instance outside *exclude*
     gets a copy (full broadcast).  With an *audience*, only registered
     audience members get one, and the difference to the full population is
-    recorded as suppressed traffic.  Returns the number of messages sent.
+    recorded as suppressed traffic.  Recipients named in *payload_for*
+    get that payload instead of *payload* (a couple merge tells each side
+    something different).  Returns the number of messages sent.
     """
     if audience is None:
         recipients = [i for i in registered if i not in exclude]
@@ -147,9 +140,8 @@ def broadcast(
             if i in membership and i not in exclude
         )
     for instance_id in recipients:
-        send(
-            Message(kind=kind, sender=sender, to=instance_id, payload=payload)
-        )
+        body = payload_for.get(instance_id, payload) if payload_for else payload
+        send(Message(kind=kind, sender=sender, to=instance_id, payload=body))
     if stats is not None:
         if audience is None:
             stats.broadcasts += 1

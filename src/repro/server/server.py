@@ -14,8 +14,9 @@ TCP.
 Responsibilities per the paper:
 
 * registration records (join/leave, roster broadcast);
-* the couple table with transitive-closure groups, replicated to every
-  instance via COUPLE_UPDATE broadcasts (§3.2);
+* the couple table with transitive-closure groups, replicated inside
+  each group: a COUPLE_UPDATE reaches the instances holding a member of
+  the affected group (§3.2);
 * the floor-control lock table serializing events per couple group (§3.2);
 * relaying and broadcasting UI events for multiple execution (§3.2);
 * mediating synchronization by state — CopyFrom/CopyTo/RemoteCopy (§3.1);
@@ -55,11 +56,7 @@ from repro.server.permissions import (
     PermissionRule,
 )
 from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import (
-    RoutingStats,
-    broadcast,
-    validate_couple_scope,
-)
+from repro.server.routing import RoutingStats, broadcast
 
 # SERVER_ID historically lived here; it is now defined once in
 # ``repro.net.transport`` (the wire layer also needs it) and re-exported
@@ -91,7 +88,6 @@ class CosoftServer:
         admin_users: Tuple[str, ...] = (),
         floor_lease: float = 30.0,
         ack_release: bool = True,
-        couple_scope: str = "all",
         persistence: Optional[Any] = None,
     ):
         self.clock: Clock = clock if clock is not None else SimClock()
@@ -110,10 +106,6 @@ class CosoftServer:
         #: kept only for the ablation benchmark, which shows that mode
         #: diverges under contention.
         self.ack_release = ack_release
-        #: COUPLE_UPDATE delivery policy: ``"all"`` replicates coupling
-        #: info to the whole population (paper-literal), ``"group"``
-        #: restricts it to the affected couple group's audience.
-        self.couple_scope = validate_couple_scope(couple_scope)
         #: Delivery decisions of the interest-aware routing layer.
         self.routing = RoutingStats()
         #: token-keyed record of what each granted floor currently locks.
@@ -207,6 +199,7 @@ class CosoftServer:
         *,
         exclude: Tuple[str, ...] = (),
         audience: Optional[Iterable[str]] = None,
+        payload_for: Optional[Mapping[str, Mapping[str, Any]]] = None,
     ) -> int:
         """Send *payload* to every registered instance except *exclude*.
 
@@ -221,19 +214,40 @@ class CosoftServer:
             payload,
             exclude=exclude,
             audience=audience,
+            payload_for=payload_for,
             stats=self.routing,
         )
 
-    def _couple_audience(self, obj: GlobalId) -> Optional[Iterable[str]]:
-        """The COUPLE_UPDATE audience for *obj* under the current scope.
+    def _cast_couple_update(
+        self,
+        request: Message,
+        update: Mapping[str, Any],
+        audience: Iterable[str],
+        payload_for: Mapping[str, Mapping[str, Any]],
+    ) -> None:
+        """Correlated reply to the requester, interest cast to the rest.
 
-        ``None`` (scope "all") means full broadcast.  Must be computed
-        *before* removals: the pre-removal component is who must learn
-        about a decouple.
+        *audience* is the instances holding a member of the affected
+        group — for removals the *pre-removal* group, since whoever is
+        split off must learn about the split.  The requester always gets
+        its reply, member or not (a third-party ``remote_couple``).
         """
-        if self.couple_scope == "all":
-            return None
-        return self.couples.group_instances(obj)
+        self._send(
+            Message(
+                kind=kinds.COUPLE_UPDATE,
+                sender=SERVER_ID,
+                to=request.sender,
+                payload=payload_for.get(request.sender, update),
+                reply_to=request.msg_id,
+            )
+        )
+        self._broadcast(
+            kinds.COUPLE_UPDATE,
+            update,
+            exclude=(request.sender,),
+            audience=audience,
+            payload_for=payload_for,
+        )
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -385,14 +399,14 @@ class CosoftServer:
         # A returning instance starts a fresh history: lift the tombstone
         # :meth:`HistoryStore.forget_instance` left at its termination.
         self.history.revive_instance(record.instance_id)
-        # Ack carries the roster and the full couple table, initializing the
-        # newcomer's local replica of the coupling information (§3.2).
+        # Ack carries the roster and the newcomer's share of the couple
+        # table, initializing its local replica of the coupling info (§3.2).
         self._send(
             message.reply(
                 kinds.REGISTER_ACK,
                 SERVER_ID,
                 roster=self.registry.roster(),
-                couples=self.couples.to_wire(),
+                couples=self.couples.to_wire_for(record.instance_id),
                 server_time=self.clock.now(),
             )
         )
@@ -407,13 +421,9 @@ class CosoftServer:
         self._require_registered(instance_id)
         # "The decoupling algorithm is applied automatically when ... an
         # application instance terminates" (§3.2).
-        unregister_audience: Optional[set] = None
-        if self.couple_scope != "all":
-            unregister_audience = set()
-            for coupled in self.couples.objects_of_instance(instance_id):
-                unregister_audience.update(
-                    self.couples.group_instances(coupled)
-                )
+        unregister_audience: set = set()
+        for coupled in self.couples.objects_of_instance(instance_id):
+            unregister_audience.update(self.couples.group_instances(coupled))
         removed = self.couples.remove_instance(instance_id)
         self.locks.release_instance(instance_id)
         self.history.forget_instance(instance_id)
@@ -487,64 +497,63 @@ class CosoftServer:
                 )
                 return
         link = CoupleLink(source=source, target=target, creator=message.sender)
-        added = self.couples.add_link(link)
+        couples = self.couples
+        # A link between two groups merges them.  A side's instances have
+        # never seen the other side's links: while the two are still
+        # apart, note the joiners of each side (the other side's
+        # instances that are not on it already) and, only where there are
+        # any, the links they have to be told.
+        told: List[Tuple[frozenset, List[CoupleLink]]] = []
+        if target not in couples.group_of(source):
+            near = couples.group_instances(source)
+            far = couples.group_instances(target)
+            told = [
+                (joiners, couples.links_of_group(end))
+                for joiners, end in ((far - near, source), (near - far, target))
+                if joiners
+            ]
+        added = couples.add_link(link)
         update = {
             "action": "add",
             "link": link.to_wire(),
-            "group": [gid_to_wire(g) for g in sorted(self.couples.group_of(source))],
+            "group": [gid_to_wire(g) for g in sorted(couples.group_of(source))],
             "already_existed": not added,
         }
-        audience = self._couple_audience(source)
-        if audience is not None:
-            # Interest-scoped delivery: instances joining the merged group
-            # have never seen its pre-existing internal links — ship them
-            # along so every member's replica converges on the same group.
-            update["links"] = [
-                l.to_wire() for l in self.couples.links_of_group(source)
-            ]
-        # Direct reply to the requester (correlated), broadcast to the rest.
-        self._send(message.reply(kinds.COUPLE_UPDATE, SERVER_ID, **update))
-        self._broadcast(
-            kinds.COUPLE_UPDATE,
-            update,
-            exclude=(message.sender,),
-            audience=audience,
+        # Joiners get the other side's history; an instance on both sides
+        # knows it all.  At most two extra payloads, each serialised once.
+        joined: Dict[str, Dict[str, Any]] = {}
+        for joiners, history in told:
+            if history:
+                extended = dict(update, links=[l.to_wire() for l in history])
+                joined.update(dict.fromkeys(joiners, extended))
+        self._cast_couple_update(
+            message, update, couples.group_instances(source), joined
         )
 
     def _on_decouple(self, message: Message) -> None:
         payload = message.payload
         self._require_registered(message.sender)
-        audience: Optional[set] = None
+        # Pre-removal groups: who must learn about the split.
+        audience: set = set()
         if "object" in payload:
             # Subtree decouple: widget destroyed or whole object withdrawn.
             obj = gid_from_wire(payload["object"])
-            if self.couple_scope != "all":
-                audience = set()
-                for coupled in self.couples.objects_of_instance(obj[0]):
-                    if coupled[1] == obj[1] or coupled[1].startswith(
-                        obj[1].rstrip("/") + "/"
-                    ):
-                        audience.update(self.couples.group_instances(coupled))
+            prefix = obj[1].rstrip("/") + "/"
+            for coupled in self.couples.objects_of_instance(obj[0]):
+                if coupled[1] == obj[1] or coupled[1].startswith(prefix):
+                    audience.update(self.couples.group_instances(coupled))
             removed = self.couples.remove_subtree(obj[0], obj[1])
             if not removed and payload.get("strict", False):
                 raise NoSuchCoupleError(f"no couple links under {obj}")
         else:
             source = gid_from_wire(payload["source"])
             target = gid_from_wire(payload["target"])
-            if self.couple_scope != "all":
-                # Pre-removal component: who must learn about the split.
-                audience = set(self.couples.group_instances(source))
-                audience.update(self.couples.group_instances(target))
+            audience.update(self.couples.group_instances(source))
+            audience.update(self.couples.group_instances(target))
             removed = self.couples.remove_link(source, target)
         for link in removed:
             update = {"action": "remove", "link": link.to_wire(), "cause": "decouple"}
-            self._send(message.reply(kinds.COUPLE_UPDATE, SERVER_ID, **update))
-            self._broadcast(
-                kinds.COUPLE_UPDATE,
-                update,
-                exclude=(message.sender,),
-                audience=audience,
-            )
+            self._cast_couple_update(message, update, audience, {})
         if not removed:
             # Nothing to remove: still confirm so the requester unblocks.
             self._send(

@@ -38,6 +38,10 @@ All knobs live on :class:`SessionConfig`; keyword arguments to
     session = Session(backend="aio", max_batch=128, backpressure="block")
     session = Session(config=SessionConfig(backend="memory", loss_rate=0.01))
 
+Who hears a couple or decouple is not among them: every deployment
+delivers a COUPLE_UPDATE to the affected couple group only
+(:mod:`repro.server.routing`, docs/PERF.md §1).
+
 The pre-redesign entry points — ``LocalSession``, ``TcpSession``,
 ``ClusterSession`` — remain as thin deprecated aliases and will be
 removed in a future release.
@@ -175,10 +179,6 @@ class SessionConfig:
     default_allow: bool = True
     admin_users: Tuple[str, ...] = ()
     ack_release: bool = True
-    #: COUPLE_UPDATE delivery: "all" replicates coupling info to every
-    #: registered instance (the paper's literal semantics), "group"
-    #: scopes it to the affected couple group (docs/PERF.md).
-    couple_scope: str = "all"
     #: Incremental CopyTo: send only attributes changed since the last
     #: acknowledged transfer to the same target (docs/PERF.md).
     delta_sync: bool = True
@@ -292,7 +292,6 @@ def _build_server(
                 default_allow=config.default_allow,
                 admin_users=config.admin_users,
                 ack_release=config.ack_release,
-                couple_scope=config.couple_scope,
                 # Workers spawn before configure_observability runs, so
                 # the session's setting must ride in the spawn env/flags.
                 observability=_observability_enabled(config.observability),
@@ -305,7 +304,6 @@ def _build_server(
             default_allow=config.default_allow,
             admin_users=config.admin_users,
             ack_release=config.ack_release,
-            couple_scope=config.couple_scope,
             persistence=persist_config,
             codec=config.codec,
         )
@@ -317,7 +315,6 @@ def _build_server(
         access=AccessControl(default_allow=config.default_allow),
         admin_users=config.admin_users,
         ack_release=config.ack_release,
-        couple_scope=config.couple_scope,
         persistence=(
             persist_config.build() if persist_config is not None else None
         ),

@@ -189,6 +189,11 @@ class TestProcCluster:
                 assert handle.state == "ready"
                 assert handle.process.poll() is None
                 assert os.path.isdir(os.path.join(str(tmp_path), shard_id))
+                # Group-scoped COUPLE_UPDATE delivery is the worker's only
+                # behaviour: nothing about it rides in the spawn line.
+                args = handle.process.args
+                assert args[1:3] == ["-m", "repro.cluster.worker"]
+                assert not [a for a in args if "scope" in a]
             status = cluster.cluster_status()
             assert set(status["processes"]) == {"shard-0", "shard-1"}
         finally:

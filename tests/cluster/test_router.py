@@ -189,6 +189,59 @@ class TestRoutingAndMigration:
         assert len(cluster.shards[loser].couples) == 0
         session.close()
 
+    def test_mirror_equals_union_of_shard_tables_after_group_merge(self):
+        """Two multi-member groups homed on different shards merge: one
+        migrates, the winner shard tells each side only the other side's
+        links, and the router's mirror — fed by every addressee's copy —
+        still equals the union of the shard tables, as does the replica
+        of every member."""
+        session = ClusterSession(shards=2)
+        cluster = session.cluster
+        gid = lambda iid: (iid, "/ui/f")
+        names = [chr(ord("a") + i) for i in range(16)]
+        home = {n: cluster.shard_of(gid(n)) for n in names}
+        left = [n for n in names if home[n] == cluster.shard_ids[0]][:3]
+        right = [n for n in names if home[n] == cluster.shard_ids[1]][:2]
+        instances, trees = {}, {}
+        for name in left + right + ["bystander"]:
+            instances[name] = session.create_instance(name, user=name)
+            trees[name] = instances[name].add_root(Shell("ui"))
+            TextField("f", parent=trees[name])
+
+        def couple(a, b):
+            instances[a].couple(trees[a].find("/ui/f"), gid(b))
+            session.pump()
+
+        def shard_union():
+            return {
+                link
+                for shard in cluster.shards.values()
+                for link in shard.couples.links()
+            }
+
+        couple(left[0], left[1])
+        couple(left[1], left[2])
+        couple(right[0], right[1])
+        assert cluster.migrations == 0
+        couple(left[2], right[0])
+        assert cluster.migrations == 1
+        assert len({cluster.shard_of(gid(n)) for n in left + right}) == 1
+        assert len(shard_union()) == 4
+        assert set(cluster.mirror.links()) == shard_union()
+        for name in left + right:
+            assert set(instances[name].replica.links()) == shard_union(), name
+        assert len(instances["bystander"].replica) == 0
+
+        # Splitting again keeps mirror, shards and replicas in step.
+        instances[left[2]].decouple(trees[left[2]].find("/ui/f"), gid(right[0]))
+        session.pump()
+        assert set(cluster.mirror.links()) == shard_union()
+        for name in right:
+            assert len(instances[name].replica) == 1, name
+        for name in left:
+            assert len(instances[name].replica) == 2, name
+        session.close()
+
     def test_same_shard_couple_does_not_migrate(self):
         session = ClusterSession(shards=2)
         cluster = session.cluster

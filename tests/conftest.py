@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -65,6 +66,20 @@ def make_demo_tree(root_name: str = "app") -> Shell:
     Canvas("canvas", parent=board, width=30, height=8)
     Scale("zoom", parent=board, maximum=10)
     return shell
+
+
+def settle(session, predicate, timeout=30.0):
+    """Quiesce *session*, then test *predicate*: one pump on the memory
+    backend, a poll until *timeout* on the socket ones."""
+    if session.backend == "memory":
+        session.pump()
+        return predicate()
+    end = time.monotonic() + timeout
+    while time.monotonic() < end:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
 
 @pytest.fixture

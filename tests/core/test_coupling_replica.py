@@ -11,6 +11,7 @@ from repro.server.couples import CoupleLink, CoupleTable, global_id
 
 A = global_id("a", "/ui/x")
 B = global_id("b", "/ui/x")
+C = global_id("c", "/ui/x")
 
 
 def update(action, link):
@@ -49,6 +50,53 @@ class TestApplyCoupleUpdate:
         with pytest.raises(ValueError):
             apply_couple_update(table, update("teleport", link))
 
+    def test_joiner_history_absorbed(self):
+        table = CoupleTable()
+        payload = update("add", CoupleLink(source=C, target=A))
+        payload["links"] = [CoupleLink(source=A, target=B).to_wire()]
+        apply_couple_update(table, payload, "c")
+        assert table.group_of(C) == {A, B, C}
+
+
+class TestForgetRule:
+    """An owned replica keeps only groups holding one of its objects."""
+
+    def test_group_without_own_object_is_forgotten(self):
+        table = CoupleTable()
+        ab = CoupleLink(source=A, target=B)
+        bc = CoupleLink(source=B, target=C)
+        apply_couple_update(table, update("add", ab), "a")
+        apply_couple_update(table, update("add", bc), "a")
+        apply_couple_update(table, update("remove", ab), "a")
+        # a left; the b-c remainder is no longer a's business.
+        assert table.links() == []
+        # The removal a will never hear about cannot leave a phantom.
+        apply_couple_update(table, update("add", ab), "a")
+        assert table.group_of(A) == {A, B}
+
+    def test_third_party_reply_leaves_nothing(self):
+        table = CoupleTable()
+        link = CoupleLink(source=A, target=B)
+        assert apply_couple_update(table, update("add", link), "c") == link
+        assert table.links() == []
+
+    def test_own_groups_survive(self):
+        table = CoupleTable()
+        other = CoupleLink(source=global_id("a", "/ui/y"), target=C)
+        apply_couple_update(table, update("add", other), "a")
+        apply_couple_update(
+            table, update("add", CoupleLink(source=A, target=B)), "a"
+        )
+        apply_couple_update(
+            table, update("remove", CoupleLink(source=A, target=B)), "a"
+        )
+        assert table.links() == [other]
+
+    def test_mirror_without_owner_keeps_everything(self):
+        table = CoupleTable()
+        apply_couple_update(table, update("add", CoupleLink(source=A, target=B)))
+        assert len(table) == 1
+
 
 class TestBootstrap:
     def test_bootstrap_from_wire_dump(self):
@@ -58,7 +106,7 @@ class TestBootstrap:
             CoupleLink(source=global_id("a", "/ui/y"), target=B)
         )
         replica = CoupleTable()
-        assert bootstrap_replica(replica, source.to_wire()) == 2
+        assert bootstrap_replica(replica, source.to_wire_for("a")) == 2
         assert replica.group_of(A) == source.group_of(A)
 
     def test_bootstrap_empty(self):

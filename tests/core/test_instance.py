@@ -26,9 +26,13 @@ class TestLifecycle:
         b.add_root(make_demo_tree())
         a.couple(a.widget("/app/form/name"), ("b", "/app/form/name"))
         session.pump()
-        # A third instance registering late receives the existing links.
+        # The dump is scoped like every later update: a third instance
+        # registering late holds no member of the a-b group, so its
+        # replica starts (and stays) empty.
         c = session.create_instance("c", user="u3")
-        assert len(c.replica) == 1
+        session.pump()
+        assert len(c.replica) == 0
+        assert len(a.replica) == len(b.replica) == 1
 
     def test_invalid_instance_id(self):
         from repro.core.instance import ApplicationInstance

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import LocalSession, Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField
 
-from conftest import make_demo_tree
+from conftest import make_demo_tree, settle
 
 
 @pytest.fixture
@@ -164,3 +164,41 @@ class TestHeterogeneousTreeShapes:
         other.find("/different/entry").commit("upstream")
         session.pump()
         assert ta.find(FIELD).value == "upstream"
+
+
+class TestScopedReplica:
+    """A COUPLE_UPDATE reaches the affected group only, so a replica must
+    forget a group the moment it leaves it (docs/PERF.md §1)."""
+
+    @pytest.mark.parametrize("backend", ["memory", "aio"])
+    def test_no_phantom_member_after_leaving_and_rejoining(self, backend):
+        """a leaves the a-b-c chain, b-c splits without a hearing of it,
+        a re-couples to b: a's CO must be the server's {b}, not {b, c}."""
+        with Session(backend=backend) as session:
+            instances, fields = {}, {}
+            for name in ("a", "b", "c"):
+                instances[name] = session.create_instance(name, user=name)
+                fields[name] = instances[name].add_root(TextField("field"))
+            a, b, c = (instances[n] for n in "abc")
+
+            def gid(name):
+                return instances[name].gid(fields[name])
+
+            def settled(predicate):
+                return settle(session, predicate, timeout=10.0)
+
+            a.couple(fields["a"], gid("b"))
+            b.couple(fields["b"], gid("c"))
+            assert settled(lambda: len(a.coupled_objects(fields["a"])) == 2)
+            a.decouple(fields["a"], gid("b"))
+            b.decouple(fields["b"], gid("c"))
+            assert settled(lambda: not c.is_coupled(fields["c"]))
+            assert len(a.replica) == 0
+            a.couple(fields["a"], gid("b"))
+            assert settled(lambda: b.is_coupled(fields["b"]))
+
+            assert a.coupled_objects(fields["a"]) == (gid("b"),)
+            assert session.server.couples.group_of(gid("a")) == {
+                gid("a"), gid("b"),
+            }
+            assert not c.is_coupled(fields["c"])

@@ -3,36 +3,24 @@
 The optimizations cut *traffic*, never *meaning*: the same deterministic
 workload — coupling churn, multi-writer coupled edits, repeated CopyTo
 transfers — must land on the identical final UI state and per-replica
-event order whether routing is scope-"all" broadcast or interest-scoped,
-delta sync on or off, across memory/tcp/aio backends and 1/2/4 shards.
+event order with delta sync on or off, across memory/tcp/aio backends and
+1/2/4 shards.  The reference is what the pre-scoping server produced when
+it still broadcast every COUPLE_UPDATE to the whole population
+(:data:`REFERENCE`, recorded before that mode was deleted).
 """
-
-import time
 
 import pytest
 
 from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 
-from conftest import make_demo_tree
+from conftest import make_demo_tree, settle
 
 FIELD = "/app/form/name"
 ZOOM = "/app/board/zoom"
 ROOT = "/app"
 
 N_INSTANCES = 4
-
-
-def settle(session, predicate, timeout=30.0):
-    if session.backend == "memory":
-        session.pump()
-        return predicate()
-    end = time.monotonic() + timeout
-    while time.monotonic() < end:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
 
 
 def ui_snapshot(trees):
@@ -127,9 +115,38 @@ def run_on(backend, shards, **knobs):
     return result, stats
 
 
-#: The pre-change semantics: full broadcast, no delta encoding.
-def reference():
-    return run_on("memory", 0, couple_scope="all", delta_sync=False)
+def _final_tree(name, flag, zoom):
+    return {
+        "/app": {"title": "demo"},
+        "/app/board": {"title": ""},
+        "/app/board/canvas": {"strokes": []},
+        "/app/board/zoom": {"label": "", "value": zoom},
+        "/app/form": {"title": ""},
+        "/app/form/flag": {"label": "Flag", "set": flag},
+        "/app/form/mode": {
+            "entries": ["eq", "like"], "label": "", "selection": "eq",
+        },
+        "/app/form/name": {"value": name},
+        "/app/form/ok": {"label": "OK"},
+    }
+
+
+_EDITS = [("", "alpha"), ("", "bravo"), ("", "charlie"), ("", "post-churn")]
+
+#: ``(ui_snapshot, field_event_order)`` of :func:`run_workload` as recorded
+#: from ``Session(backend="memory", couple_scope="all", delta_sync=False)``
+#: at the last commit that had population-wide COUPLE_UPDATE broadcast.
+#: Pinned, not recomputed: "same behaviour as the old default" must stay
+#: asserted now that the old default cannot be run any more.
+REFERENCE = (
+    {
+        "i0": _final_tree("post-churn", True, 9),
+        "i1": _final_tree("charlie", False, 0),
+        "i2": _final_tree("post-churn", False, 5),
+        "i3": _final_tree("post-churn", True, 9),
+    },
+    {"i0": _EDITS, "i1": _EDITS[:3], "i2": _EDITS, "i3": []},
+)
 
 
 @pytest.mark.parametrize(
@@ -137,19 +154,13 @@ def reference():
 )
 class TestScopedRoutingParity:
     def test_memory_scoped_matches_broadcast_reference(self, shards):
-        ref, _ = reference()
-        scoped, stats = run_on(
-            "memory", shards, couple_scope="group", delta_sync=True
-        )
-        assert scoped == ref
+        scoped, stats = run_on("memory", shards, delta_sync=True)
+        assert scoped == REFERENCE
         assert stats["routing"]["suppressed_messages"] > 0
 
     def test_memory_scoped_no_delta_matches_too(self, shards):
-        ref, _ = reference()
-        scoped, _ = run_on(
-            "memory", shards, couple_scope="group", delta_sync=False
-        )
-        assert scoped == ref
+        scoped, _ = run_on("memory", shards, delta_sync=False)
+        assert scoped == REFERENCE
 
 
 class TestCrossBackendParity:
@@ -159,14 +170,11 @@ class TestCrossBackendParity:
         ids=["tcp-1shard", "tcp-2shard", "aio-1shard", "aio-4shard"],
     )
     def test_socket_backends_match_reference(self, backend, shards):
-        ref, _ = reference()
-        result, _ = run_on(
-            backend, shards, couple_scope="group", delta_sync=True
-        )
-        assert result == ref
+        result, _ = run_on(backend, shards, delta_sync=True)
+        assert result == REFERENCE
 
     def test_reference_is_nontrivial(self):
-        (snapshot, order), _ = reference()
+        snapshot, order = REFERENCE
         assert snapshot["i2"]["/app/form/name"]["value"] == "post-churn"
         assert snapshot["i1"]["/app/form/name"]["value"] == "charlie"
         assert snapshot["i3"]["/app/board/zoom"]["value"] == 9

@@ -114,7 +114,7 @@ class TestClosureProperties:
     def test_wire_roundtrip_preserves_groups(self, ops):
         table, _ = apply_script(ops)
         rebuilt = CoupleTable()
-        for entry in table.to_wire():
-            rebuilt.add_link(CoupleLink.from_wire(entry))
+        for link in table.links():
+            rebuilt.add_link(CoupleLink.from_wire(link.to_wire()))
         for link in table.links():
             assert rebuilt.group_of(link.source) == table.group_of(link.source)

@@ -14,7 +14,9 @@ from repro.server.couples import (
 A1 = global_id("a", "/app/x")
 A2 = global_id("a", "/app/y")
 B1 = global_id("b", "/app/x")
+B2 = global_id("b", "/app/y")
 C1 = global_id("c", "/app/x")
+C2 = global_id("c", "/app/y")
 
 
 def link(source, target, creator="a"):
@@ -197,9 +199,54 @@ class TestBulkRemoval:
         table = CoupleTable()
         table.add_link(link(A1, B1))
         table.add_link(link(A2, C1))
-        wired = table.to_wire()
+        wired = table.to_wire_for("a")  # a holds a member of every group
         assert len(wired) == 2
         rebuilt = CoupleTable()
         for entry in wired:
             rebuilt.add_link(CoupleLink.from_wire(entry))
         assert rebuilt.group_of(A1) == table.group_of(A1)
+
+    def test_to_wire_for_is_the_instances_share(self):
+        table = CoupleTable()
+        table.add_link(link(A1, B1))
+        table.add_link(link(B1, C1))
+        table.add_link(link(A2, B2))
+        table.add_link(link(B2, C2))
+        table.add_link(link(C2, C1))
+
+        def share(instance_id):
+            return {
+                CoupleLink.from_wire(entry)
+                for entry in table.to_wire_for(instance_id)
+            }
+
+        assert share("a") == set(table.links())
+        assert len(table.to_wire_for("a")) == 5  # one merged group, once
+        assert share("ghost") == set()
+        table.remove_link(C2, C1)
+        table.remove_link(A2, B2)
+        assert share("a") == {link(A1, B1), link(B1, C1)}
+        assert share("b") == set(table.links())
+
+    def test_group_has_instance(self):
+        table = CoupleTable()
+        table.add_link(link(A1, B1))
+        table.add_link(link(B2, C2))
+        table.add_link(link(C1, A2))
+        assert table.group_has_instance(B1, "a")
+        assert not table.group_has_instance(B2, "a")
+        assert table.group_has_instance(A2, "c")
+        assert not table.group_has_instance(A1, "ghost")
+        # An uncoupled object is a group of its own.
+        free = ("b", "/ui/free")
+        assert table.group_has_instance(free, "b")
+        assert not table.group_has_instance(free, "a")
+        # Either walk (group members, the instance's objects) agrees:
+        # a and b now hold more objects than the small groups have members.
+        table.add_link(link(B1, B2))
+        table.add_link(link(("a", "/app/z"), ("b", "/app/z")))
+        for instance_id in "abc":
+            for obj in (A1, A2, B1, B2, C1, C2, ("b", "/app/z")):
+                assert table.group_has_instance(obj, instance_id) == (
+                    instance_id in table.group_instances(obj)
+                )

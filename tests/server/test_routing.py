@@ -1,22 +1,15 @@
 """Tests for the interest-aware routing layer (docs/PERF.md).
 
-Covers the shared broadcast helper, the RoutingStats counters, the
-``couple_scope`` server knob (scoped COUPLE_UPDATE delivery with
-merged-group link reconciliation) and the RESYNC_REQUEST forward path.
+Covers the shared broadcast helper, the RoutingStats counters,
+group-scoped COUPLE_UPDATE delivery (each side of a merge hears the
+other side's links) and the RESYNC_REQUEST forward path.
 """
-
-import pytest
 
 from repro.net import kinds
 from repro.net.clock import SimClock
 from repro.net.message import Message
 from repro.server.couples import gid_to_wire, global_id
-from repro.server.routing import (
-    COUPLE_SCOPES,
-    RoutingStats,
-    broadcast,
-    validate_couple_scope,
-)
+from repro.server.routing import RoutingStats, broadcast
 from repro.server.server import SERVER_ID, CosoftServer
 
 
@@ -74,19 +67,22 @@ def couple(srv, sender, source, target):
     )
 
 
+def decouple(srv, sender, source, target):
+    srv.handle_message(
+        Message(
+            kind=kinds.DECOUPLE,
+            sender=sender,
+            payload={
+                "source": gid_to_wire(source),
+                "target": gid_to_wire(target),
+            },
+        )
+    )
+
+
 A = global_id("a", "/app/x")
 B = global_id("b", "/app/x")
 C = global_id("c", "/app/x")
-
-
-class TestValidateScope:
-    def test_accepts_known_scopes(self):
-        for scope in COUPLE_SCOPES:
-            assert validate_couple_scope(scope) == scope
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            validate_couple_scope("galaxy")
 
 
 class TestRoutingStats:
@@ -165,10 +161,22 @@ class TestBroadcastHelper:
         # Population net of exclude is 2; one delivered, one suppressed.
         assert stats.suppressed_messages == 1
 
+    def test_payload_for_overrides_per_recipient(self):
+        sent, send = self.collect()
+        stats = RoutingStats()
+        broadcast(
+            send, ["a", "b", "c"], kinds.COUPLE_UPDATE, {"n": 0},
+            audience={"a", "b"}, payload_for={"b": {"n": 1}, "c": {"n": 2}},
+            stats=stats,
+        )
+        assert [(m.to, m.payload["n"]) for m in sent] == [("a", 0), ("b", 1)]
+        assert stats.interest_casts == 1
+        assert stats.suppressed_messages == 1
+
 
 class TestCoupleScopeGroup:
     def test_scoped_update_reaches_only_group_audience(self):
-        srv, transport = make_server(couple_scope="group")
+        srv, transport = make_server()
         for instance in ("a", "b", "c", "d"):
             register(srv, transport, instance)
         couple(srv, "a", A, B)
@@ -178,20 +186,88 @@ class TestCoupleScopeGroup:
         assert sorted(updates) == ["a", "b"]
         assert srv.routing.suppressed_messages >= 2
 
-    def test_default_scope_broadcasts_to_all(self):
+    def test_update_never_reaches_instances_outside_the_group(self):
+        """Group-only delivery is the server's one behaviour: a bystander
+        hears neither the couple nor the decouple, and both are counted
+        as suppressed copies (population minus audience)."""
         srv, transport = make_server()
         for instance in ("a", "b", "c", "d"):
             register(srv, transport, instance)
         couple(srv, "a", A, B)
-        updates = [
-            m.to for m in transport.take() if m.kind == kinds.COUPLE_UPDATE
+        decouple(srv, "a", A, B)
+        updates = [m for m in transport.take() if m.kind == kinds.COUPLE_UPDATE]
+        assert [(m.to, m.payload["action"]) for m in updates] == [
+            ("a", "add"), ("b", "add"), ("a", "remove"), ("b", "remove"),
         ]
-        assert sorted(updates) == ["a", "b", "c", "d"]
-        assert srv.routing.suppressed_messages == 0
+        # Per cast: 3 instances net of the requester, 1 in the audience.
+        assert srv.routing.suppressed_messages == 4
+
+    def test_third_party_requester_gets_reply_without_membership(self):
+        srv, transport = make_server()
+        for instance in ("a", "b", "c"):
+            register(srv, transport, instance)
+        srv.handle_message(
+            Message(
+                kind=kinds.REMOTE_COUPLE,
+                sender="c",
+                payload={"source": gid_to_wire(A), "target": gid_to_wire(B)},
+            )
+        )
+        updates = [m for m in transport.take() if m.kind == kinds.COUPLE_UPDATE]
+        assert sorted(m.to for m in updates) == ["a", "b", "c"]
+        reply = [m for m in updates if m.to == "c"][0]
+        assert reply.reply_to is not None
+        assert "links" not in reply.payload
+
+    def test_merge_sends_each_side_only_the_other_sides_links(self):
+        """Groups of 3 (a, b, both) and 2 (c, both) merge: each side gets
+        exactly the other side's pre-merge links, the instance on both
+        sides gets none, and there are three distinct payload objects."""
+        srv, transport = make_server()
+        for instance in ("a", "b", "c", "both"):
+            register(srv, transport, instance)
+        left_both = global_id("both", "/app/left")
+        right_both = global_id("both", "/app/right")
+        couple(srv, "a", A, B)
+        couple(srv, "a", A, left_both)
+        couple(srv, "c", C, right_both)
+        transport.take()
+        couple(srv, "b", B, C)
+        updates = {
+            m.to: m for m in transport.take() if m.kind == kinds.COUPLE_UPDATE
+        }
+        assert sorted(updates) == ["a", "b", "both", "c"]
+
+        def history(instance):
+            return {
+                (tuple(l["source"]), tuple(l["target"]))
+                for l in updates[instance].payload.get("links", ())
+            }
+
+        left = {(A, B), (A, left_both)}
+        right = {(C, right_both)}
+        assert history("a") == history("b") == right
+        assert history("c") == left
+        assert "links" not in updates["both"].payload
+        assert updates["a"].payload is updates["b"].payload
+        assert len({id(m.payload) for m in updates.values()}) == 3
+        assert updates["b"].reply_to is not None
+
+    def test_link_inside_one_group_carries_no_history(self):
+        srv, transport = make_server()
+        for instance in ("a", "b", "c"):
+            register(srv, transport, instance)
+        couple(srv, "a", A, B)
+        couple(srv, "b", B, C)
+        transport.take()
+        couple(srv, "c", C, A)
+        updates = [m for m in transport.take() if m.kind == kinds.COUPLE_UPDATE]
+        assert sorted(m.to for m in updates) == ["a", "b", "c"]
+        assert all("links" not in m.payload for m in updates)
 
     def test_scoped_add_carries_merged_group_links(self):
         """A joiner must learn the group's pre-existing internal links."""
-        srv, transport = make_server(couple_scope="group")
+        srv, transport = make_server()
         for instance in ("a", "b", "c"):
             register(srv, transport, instance)
         couple(srv, "a", A, B)
@@ -206,26 +282,19 @@ class TestCoupleScopeGroup:
         endpoints = {
             (tuple(l["source"]), tuple(l["target"])) for l in wired
         }
-        assert (tuple(A), tuple(B)) in endpoints
+        assert endpoints == {(tuple(A), tuple(B))}
+        # The members it joins already hold those links.
+        assert all("links" not in m.payload for m in updates if m.to != "c")
 
     def test_decouple_audience_computed_before_removal(self):
         """Departing members still hear about the link removal."""
-        srv, transport = make_server(couple_scope="group")
+        srv, transport = make_server()
         for instance in ("a", "b", "c"):
             register(srv, transport, instance)
         couple(srv, "a", A, B)
         couple(srv, "b", B, C)
         transport.take()
-        srv.handle_message(
-            Message(
-                kind=kinds.DECOUPLE,
-                sender="a",
-                payload={
-                    "source": gid_to_wire(A),
-                    "target": gid_to_wire(B),
-                },
-            )
-        )
+        decouple(srv, "a", A, B)
         removals = [
             m.to
             for m in transport.take()
@@ -236,7 +305,7 @@ class TestCoupleScopeGroup:
         assert sorted(set(removals)) == ["a", "b", "c"]
 
     def test_stats_expose_routing_and_closure(self):
-        srv, transport = make_server(couple_scope="group")
+        srv, transport = make_server()
         register(srv, transport, "a")
         register(srv, transport, "b")
         couple(srv, "a", A, B)

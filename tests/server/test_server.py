@@ -118,14 +118,15 @@ class TestRegistration:
 
 
 class TestCoupling:
-    def test_couple_broadcasts_to_all(self, server):
+    def test_couple_reaches_the_group_only(self, server):
         srv, transport = server
         for inst in ("a", "b", "c"):
             register(srv, transport, inst)
         couple(srv, "a", A_OBJ, B_OBJ)
         out = transport.take()
         updates = [m for m in out if m.kind == kinds.COUPLE_UPDATE]
-        assert {m.to for m in updates} == {"a", "b", "c"}
+        # "c" holds no member of the group: not its business (§3.2).
+        assert sorted(m.to for m in updates) == ["a", "b"]
         # The requester's copy is a correlated reply.
         requester_copy = [m for m in updates if m.to == "a"][0]
         assert requester_copy.reply_to is not None
