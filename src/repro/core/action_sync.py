@@ -229,7 +229,7 @@ def apply_remote_event(
             endpoint=instance.instance_id,
         )
         trace = (trace[0], span.span_id)
-    event = Event.from_wire(dict(payload["event"]))
+    event = Event.from_wire(payload["event"])
     if not instance.accept_remote_event(event):
         # Duplicate delivery (at-least-once transport): the event was
         # already executed here.  Still acknowledge, so a floor waiting on

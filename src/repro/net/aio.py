@@ -853,8 +853,8 @@ class AioClientTransport(TcpTransportBase):
     application threads synchronize through ``guard``/``drive``, and the
     wire format is the shared length-prefixed codec.  :meth:`send` may be
     called from any thread, including the loop thread itself (a handler
-    answering a broadcast): frames are always handed to the loop and
-    written there, never from the caller.
+    answering a broadcast): frames are always queued on the loop and
+    written there in queueing order, never inline from the caller.
 
     Must be constructed from outside the loop thread (the constructor
     blocks on the connection being established).
@@ -886,6 +886,7 @@ class AioClientTransport(TcpTransportBase):
             self._loop_thread = None
 
         async def _bootstrap() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+            self._loop_tid = threading.get_ident()
             reader, writer = await asyncio.open_connection(host, port)
             sock = writer.get_extra_info("socket")
             if sock is not None:
@@ -905,8 +906,18 @@ class AioClientTransport(TcpTransportBase):
                 f"client transport {self._local_id!r} is closed"
             )
         frame = self._codec.encode(message)
+        # A handler answering on the loop thread (EVENT_ACK, STATE_REPLY,
+        # COMMAND_REPLY) needs no self-pipe wake-up: the loop is awake, it
+        # is running us.  Both calls append to the same ready queue, so
+        # the frame keeps its place behind whatever an application thread
+        # queued earlier; writing inline would overtake those frames.
+        schedule = (
+            self._loop.call_soon
+            if threading.get_ident() == self._loop_tid
+            else self._loop.call_soon_threadsafe
+        )
         try:
-            self._loop.call_soon_threadsafe(self._write_frame, frame)
+            schedule(self._write_frame, frame)
         except RuntimeError as exc:  # loop shut down underneath us
             raise DeliveryError(f"send to server failed: {exc}") from exc
         self.stats.record(message, len(frame), "server")

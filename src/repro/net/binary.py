@@ -29,10 +29,8 @@ Two memos keep the hot path cheap in *CPU*, not just bytes:
   around the same payload dict, so the payload encodes once per fan-out;
 * the decoder interns decoded payloads by their exact encoded bytes —
   the N in-process receivers of one broadcast share a single decoded
-  dict instead of re-parsing N identical bodies.  Payload containers are
-  already shared across messages on the encode side (see
-  ``repro.net.message._JSON_MEMO``), so handlers treating payloads as
-  immutable is an established invariant, not a new constraint.
+  dict instead of re-parsing N identical bodies.  Both rely on the
+  read-only payload contract stated on :class:`repro.net.message.Message`.
 
 Round-trip semantics are JSON's: tuples decode as lists, non-string map
 keys are stringified exactly like ``json.dumps`` would, int/float/bool/

@@ -225,7 +225,14 @@ class Message:
         The instance id of the sending endpoint (``"server"`` for the
         central controller).
     payload:
-        Kind-specific JSON-safe data.
+        Kind-specific JSON-safe data.  **Read-only for whoever is handed
+        the message**: handlers treat payloads as immutable.  One payload
+        container is shared by every ``Message`` of a fan-out (so it is
+        validated and serialized once), reaches in-process receivers by
+        reference, and is interned by the binary decoder — a handler that
+        wrote into it would edit what the next receiver reads.  Copy what
+        you need to change (``tests/integration/test_payload_readonly.py``
+        holds every handler to this).
     to:
         Addressee instance id; empty string means "to the server" for
         client messages, and is never empty for server messages.

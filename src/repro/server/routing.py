@@ -12,17 +12,26 @@ Two delivery modes, chosen by what the message is about, never by a knob:
 
 * **full broadcast** — roster changes (INSTANCE_LIST) concern the whole
   population: every registered instance gets a copy.
-* **interest cast** — everything about a couple group (COUPLE_UPDATE,
-  EVENT_BROADCAST) goes to the *audience* the caller passes (instance
-  ids from the couple table's per-component audience index,
-  :meth:`CoupleTable.audience_of`); only registered audience members get
-  a copy and the suppressed remainder is counted.  "In a group of
-  coupled objects, the coupling information is replicated for each
-  object" (§3.2): replication is owed inside the group, so a couple or
-  decouple costs messages per member, not per registered instance.
+* **interest cast** — a change to a couple group (COUPLE_UPDATE) goes to
+  the *audience* the caller passes (instance ids from the couple table's
+  per-component audience index, :meth:`CoupleTable.audience_of`); only
+  registered audience members get a copy and the suppressed remainder is
+  counted.  "In a group of coupled objects, the coupling information is
+  replicated for each object" (§3.2): replication is owed inside the
+  group, so a couple or decouple costs messages per member, not per
+  registered instance.
 
-:class:`RoutingStats` records both so benchmarks and the monitor can show
-delivered-vs-suppressed message counts per event.
+The §3.2 event fan-out (EVENT_BROADCAST) is scoped by the same audience
+index but does not go through :func:`broadcast`: it lives in
+:meth:`CosoftServer._on_event <repro.server.server.CosoftServer._on_event>`,
+which already holds the receivers in order with their target lists and
+must stamp each message with the fan-out's trace context.  It follows the
+same payload rule — what does not depend on the receiver sits in one
+shared payload dict, so it serializes once (docs/PERF.md §6) — and is
+counted by :meth:`RoutingStats.record_event`.
+
+:class:`RoutingStats` records all three so benchmarks and the monitor can
+show delivered-vs-suppressed message counts per event.
 """
 
 from __future__ import annotations

@@ -594,11 +594,11 @@ class CosoftServer:
         source = gid_from_wire(payload["source"])
         token = int(payload.get("token", 0))
         owner = LockOwner(message.sender, token)
-        group = self.couples.group_of(source)
-        granted, conflicts = self.locks.acquire_all(sorted(group), owner)
+        group = sorted(self.couples.group_of(source))
+        granted, conflicts = self.locks.acquire_all(group, owner)
         if granted:
             key = (owner.instance_id, owner.token)
-            self._floors[key] = tuple(sorted(group))
+            self._floors[key] = tuple(group)
             self._floor_granted_at[key] = self.clock.now()
             active = self._active_span
             if active is not None:
@@ -616,7 +616,7 @@ class CosoftServer:
                 kinds.LOCK_REPLY,
                 SERVER_ID,
                 granted=granted,
-                group=[gid_to_wire(g) for g in sorted(group)],
+                group=[gid_to_wire(g) for g in group],
                 conflicts=[gid_to_wire(c) for c in conflicts],
             )
         )
@@ -681,17 +681,29 @@ class CosoftServer:
                 receivers=len(receivers),
             )
             bcast_trace = (active.trace_id, bcast_span.span_id)
+        # Only the target list depends on the receiver, so receivers with
+        # equal lists share one payload dict: ``Message`` and the codecs
+        # memoize by payload identity, and the event is validated and
+        # serialized once per distinct list instead of once per receiver.
+        # ``to``, ``msg_id`` and ``trace`` live on the Message.
+        owner_wire = owner.to_wire()
+        payloads: Dict[Tuple[str, ...], Dict[str, Any]] = {}
         for instance_id in receivers:
+            targets = targets_by_instance[instance_id]
+            same_targets = tuple(targets)
+            shared = payloads.get(same_targets)
+            if shared is None:
+                shared = payloads[same_targets] = {
+                    "event": event_wire,
+                    "targets": targets,
+                    "owner": owner_wire,
+                }
             self._send(
                 Message(
                     kind=kinds.EVENT_BROADCAST,
                     sender=SERVER_ID,
                     to=instance_id,
-                    payload={
-                        "event": event_wire,
-                        "targets": targets_by_instance[instance_id],
-                        "owner": [owner.instance_id, owner.token],
-                    },
+                    payload=shared,
                     trace=bcast_trace,
                 )
             )

@@ -120,15 +120,20 @@ class Event:
         Used during multiple execution: the server broadcasts the original
         event and each receiving instance re-executes it on its own coupled
         object, whose pathname generally differs.
+
+        ``params`` is copied but not validated again: this event passed
+        ``__post_init__`` already, and the clone differs from it only in
+        two strings.
         """
-        return Event(
-            type=self.type,
-            source_path=source_path,
-            params=dict(self.params),
-            user=self.user,
-            instance_id=instance_id,
-            seq=self.seq,
-        )
+        clone = object.__new__(Event)
+        put = object.__setattr__
+        put(clone, "type", self.type)
+        put(clone, "source_path", source_path)
+        put(clone, "params", dict(self.params))
+        put(clone, "user", self.user)
+        put(clone, "instance_id", instance_id)
+        put(clone, "seq", self.seq)
+        return clone
 
 
 Callback = Callable[["object", Event], None]

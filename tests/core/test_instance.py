@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import NotRegisteredError, PathError, ServerError
+from repro.net import kinds
+from repro.net.message import Message
 from repro.server.permissions import PermissionRule
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Form, Shell, TextField
@@ -147,6 +149,47 @@ class TestLocalVsCoupledEvents:
         tree.find("/app/form/name").commit("twice")
         session.pump()
         assert other.find("/mirror/copy").value == "twice"
+
+
+class TestMalformedBroadcast:
+    """The receiver validates a broadcast event once, in
+    ``Event.from_wire``; what fails there is counted, never raised."""
+
+    @pytest.mark.parametrize(
+        "event_wire",
+        [
+            {
+                "type": VALUE_CHANGED,
+                "source_path": "/app/form/name",
+                "params": {1: "non-string key"},
+                "instance_id": "a",
+                "seq": 10_000,
+            },
+            {"source_path": "/app/form/name", "params": {"value": "x"}},
+        ],
+        ids=["non-string-param-key", "missing-type"],
+    )
+    def test_counted_and_receiver_stays_alive(self, coupled_pair, event_wire):
+        session, a, b, tree_a, tree_b = coupled_pair
+        b.handle_message(
+            Message(
+                kind=kinds.EVENT_BROADCAST,
+                sender="server",
+                to="b",
+                payload={
+                    "event": event_wire,
+                    "targets": ["/app/form/name"],
+                    "owner": ["a", 1],
+                },
+            )
+        )
+        assert b.stats["malformed_messages"] == 1
+        assert b.stats["events_remote"] == 0
+        assert tree_b.find("/app/form/name").value == ""
+        tree_a.find("/app/form/name").commit("still alive")
+        session.pump()
+        assert tree_b.find("/app/form/name").value == "still alive"
+        assert b.stats["malformed_messages"] == 1
 
 
 class TestCoupleApi:

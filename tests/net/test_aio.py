@@ -2,9 +2,11 @@
 
 The sans-I/O cores (:class:`SendQueue`, :class:`RetryPolicy`) are driven
 with explicit fake times; the socket-level tests run a real
-:class:`AioHostTransport` against the plain :class:`TcpClientTransport`.
+:class:`AioHostTransport` against the plain :class:`TcpClientTransport`,
+and :class:`AioClientTransport` against that host.
 """
 
+import queue
 import threading
 import time
 
@@ -12,7 +14,13 @@ import pytest
 
 from repro.errors import TransportClosedError
 from repro.net import kinds
-from repro.net.aio import AioHostTransport, BatchConfig, RetryPolicy, SendQueue
+from repro.net.aio import (
+    AioClientTransport,
+    AioHostTransport,
+    BatchConfig,
+    RetryPolicy,
+    SendQueue,
+)
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
@@ -479,3 +487,74 @@ class TestAioHostTransport:
             assert transport.stats.retries >= 1
         finally:
             client.close()
+
+
+# ---------------------------------------------------------------------------
+# AioClientTransport: sends from the loop thread vs. application threads
+# ---------------------------------------------------------------------------
+
+
+class TestAioClientTransport:
+    ROUNDS = 3
+
+    @pytest.fixture
+    def wired(self, aio_host):
+        """A client on its own loop whose handler can be swapped per test."""
+        host, inbox = aio_host
+        _, port = host.address
+        handlers = [lambda message: None]
+        client = AioClientTransport(
+            "c1", lambda message: handlers[0](message), "127.0.0.1", port
+        )
+        try:
+            client.send(msg(sender="c1", to="", tag="hello"))
+            assert wait_until(lambda: len(inbox.received) == 1)
+            yield host, inbox, client, handlers
+        finally:
+            client.close()
+
+    def test_handler_sends_keep_fifo_with_application_sends(self, wired):
+        """A frame the handler sends queues behind what an application
+        thread queued before it — it never overtakes (a STATE_REPLY ahead
+        of the EVENT queued earlier would make the requester apply the
+        event twice)."""
+        host, inbox, client, handlers = wired
+        to_app, from_app = queue.Queue(), queue.Queue()
+
+        def handler(message):
+            # Runs on the loop thread, which therefore cannot drain its
+            # ready queue: every frame below is still queued when the
+            # handler returns, in the order the sends happened.
+            for i in range(self.ROUNDS):
+                to_app.put(i)
+                assert from_app.get(timeout=5.0) == i
+                client.send(msg(sender="c1", to="", tag=f"h{i}"))
+
+        handlers[0] = handler
+        host.send(msg(to="c1", go=True))
+        for i in range(self.ROUNDS):
+            assert to_app.get(timeout=5.0) == i
+            client.send(msg(sender="c1", to="", tag=f"a{i}"))
+            from_app.put(i)
+        expected = ["hello"] + [f"{who}{i}" for i in range(self.ROUNDS) for who in "ah"]
+        assert wait_until(lambda: len(inbox.received) == len(expected))
+        assert [m.payload["tag"] for m in inbox.received] == expected
+
+    def test_handler_sends_skip_the_self_pipe(self, wired, monkeypatch):
+        """Only a send from another thread has a sleeping loop to wake."""
+        host, inbox, client, handlers = wired
+        wakeups = []
+        write_to_self = client._loop._write_to_self
+
+        def spy():
+            wakeups.append(threading.get_ident())
+            write_to_self()
+
+        monkeypatch.setattr(client._loop, "_write_to_self", spy)
+        handlers[0] = lambda message: client.send(msg(sender="c1", to="", tag="ack"))
+        for _ in range(self.ROUNDS):
+            host.send(msg(to="c1", go=True))
+        assert wait_until(lambda: len(inbox.received) == 1 + self.ROUNDS)
+        assert wakeups == []
+        client.send(msg(sender="c1", to="", tag="app"))
+        assert wakeups == [threading.get_ident()]

@@ -6,9 +6,12 @@ be asserted message by message, without a network.
 
 import pytest
 
-from repro.net import kinds
+from repro.net import binary, kinds
+from repro.net import message as message_module
 from repro.net.clock import SimClock
+from repro.net.memory import MemoryNetwork
 from repro.net.message import Message
+from repro.obs import Observability
 from repro.server.couples import gid_to_wire, global_id
 from repro.server.permissions import AccessControl, PermissionRule
 from repro.server.server import SERVER_ID, CosoftServer
@@ -350,6 +353,135 @@ class TestEventBroadcast:
         transport.take()
         self._send_event(srv, token=1, release=False)
         assert len(srv.locks) == 3
+
+
+class TestEventFanoutSharing:
+    """One §3.2 action pays receiver-independent costs once: receivers
+    with equal target lists share one payload dict, which the Message
+    constructor and both codecs memoize by identity."""
+
+    SENDER = "s"
+    RECEIVERS = tuple(f"r{i}" for i in range(8))
+    EVENT_WIRE = {
+        "type": "value_changed",
+        "source_path": "/app/x",
+        "params": {"value": "v"},
+        "user": "alice",
+        "instance_id": "s",
+        "seq": 1,
+    }
+
+    def _couple_all(self, srv, members):
+        """Couple s:/app/x with every ``instance -> paths`` of *members*."""
+        source = global_id(self.SENDER, "/app/x")
+        for instance_id in (self.SENDER, *members):
+            srv.handle_message(
+                Message(
+                    kind=kinds.REGISTER,
+                    sender=instance_id,
+                    payload={"user": instance_id, "app_type": ""},
+                )
+            )
+        for instance_id, paths in members.items():
+            for path in paths:
+                couple(srv, self.SENDER, source, global_id(instance_id, path))
+
+    def _fire(self, srv, *, lock=True, trace=None):
+        if lock:
+            srv.handle_message(
+                Message(
+                    kind=kinds.LOCK_REQUEST,
+                    sender=self.SENDER,
+                    payload={
+                        "source": gid_to_wire(global_id(self.SENDER, "/app/x")),
+                        "token": 7,
+                    },
+                )
+            )
+        srv.handle_message(
+            Message(
+                kind=kinds.EVENT,
+                sender=self.SENDER,
+                payload={"event": dict(self.EVENT_WIRE), "token": 7},
+                trace=trace,
+            )
+        )
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_equal_target_lists_serialize_once(self, server, monkeypatch, traced):
+        srv, transport = server
+        if traced:
+            srv.configure_observability(Observability())
+        self._couple_all(srv, {r: ["/app/x"] for r in self.RECEIVERS})
+        transport.take()
+        dumped = []
+        real_dumps = message_module._dumps
+
+        def spy(value):
+            dumped.append(value)
+            return real_dumps(value)
+
+        monkeypatch.setattr(message_module, "_dumps", spy)
+        self._fire(srv, trace=("t1", "s1") if traced else None)
+        broadcasts = [m for m in transport.take() if m.kind == kinds.EVENT_BROADCAST]
+        assert sum("targets" in value for value in dumped) == 1
+        # What depends on the receiver lives on the Message, not the payload.
+        assert [m.to for m in broadcasts] == list(self.RECEIVERS)
+        assert len({m.msg_id for m in broadcasts}) == len(self.RECEIVERS)
+        for m in broadcasts:
+            assert m.payload == {
+                "event": self.EVENT_WIRE,
+                "targets": ["/app/x"],
+                "owner": [self.SENDER, 7],
+            }
+        traces = {m.trace for m in broadcasts}
+        assert len(traces) == 1
+        if traced:
+            (trace,) = traces
+            assert trace[0] == "t1"
+        else:
+            assert traces == {None}
+
+    @pytest.mark.parametrize("lock", [True, False])
+    def test_each_receiver_gets_exactly_its_own_targets(self, server, lock):
+        srv, transport = server
+        members = {
+            "one": ["/app/x"],
+            "two": ["/app/x", "/app/y"],
+            "other": ["/app/x", "/app/z"],
+            "twin": ["/app/x", "/app/y"],
+        }
+        self._couple_all(srv, members)
+        transport.take()
+        self._fire(srv, lock=lock)
+        by_receiver = {
+            m.to: m.payload for m in transport.take() if m.kind == kinds.EVENT_BROADCAST
+        }
+        assert {to: p["targets"] for to, p in by_receiver.items()} == members
+        assert by_receiver["two"] is by_receiver["twin"]
+        distinct = {id(p) for p in by_receiver.values()}
+        assert len(distinct) == 3
+
+    def test_binary_codec_encodes_the_payload_once(self, monkeypatch):
+        """Same count on the ``_ENC_MEMO`` path: the memory network prices
+        every message by encoding it with the deployment's codec."""
+        network = MemoryNetwork(codec="binary")
+        srv = CosoftServer(clock=network.clock)
+        srv.bind(network.attach(SERVER_ID, srv.handle_message))
+        inboxes = {r: [] for r in (self.SENDER, *self.RECEIVERS)}
+        for instance_id, inbox in inboxes.items():
+            network.attach(instance_id, inbox.append)
+        self._couple_all(srv, {r: ["/app/x"] for r in self.RECEIVERS})
+        network.pump()
+        memo = {}
+        monkeypatch.setattr(binary, "_ENC_MEMO", memo)
+        self._fire(srv)
+        network.pump()
+        encoded = [value for value, _ in memo.values() if "targets" in value]
+        assert len(encoded) == 1
+        for r in self.RECEIVERS:
+            (broadcast,) = [m for m in inboxes[r] if m.kind == kinds.EVENT_BROADCAST]
+            assert broadcast.payload is encoded[0]
 
 
 class TestStateMediation:

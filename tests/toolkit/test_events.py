@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.toolkit import events as events_module
 from repro.toolkit.events import (
     ACTIVATE,
     FINE_GRAINED_EVENTS,
@@ -59,6 +60,43 @@ class TestEvent:
         assert moved.params == {"value": 1}
         assert moved.user == "u"
         assert moved.seq == event.seq  # same logical event
+
+    def test_retargeted_copies_params_without_validating_again(self, monkeypatch):
+        event = Event(
+            type=VALUE_CHANGED,
+            source_path="/a/x",
+            params={"value": [1, 2]},
+            user="u",
+            instance_id="i1",
+        )
+        walks = []
+        monkeypatch.setattr(
+            events_module, "json_safe", lambda value: walks.append(value) or True
+        )
+        moved = event.retargeted("/b/y", "i2")
+        assert walks == []  # the source event passed the check already
+        assert moved == Event(
+            type=VALUE_CHANGED,
+            source_path="/b/y",
+            params={"value": [1, 2]},
+            user="u",
+            instance_id="i2",
+            seq=event.seq,
+        )
+        assert walks == [{"value": [1, 2]}]  # ...which Event(...) still makes
+        moved.params["value"] = "changed"
+        assert event.params == {"value": [1, 2]}
+        with pytest.raises(AttributeError):
+            moved.type = "other"  # a clone is as frozen as any event
+
+    def test_from_wire_rejects_non_json_params(self):
+        wire = Event(type=ACTIVATE, source_path="/a").to_wire()
+        with pytest.raises(ValueError):
+            Event.from_wire({**wire, "params": {1: "non-string key"}})
+        with pytest.raises(ValueError):
+            Event.from_wire({**wire, "params": {"x": object()}})
+        with pytest.raises(KeyError):
+            Event.from_wire({"source_path": "/a"})
 
     def test_events_are_immutable(self):
         event = Event(type=ACTIVATE, source_path="/a")
