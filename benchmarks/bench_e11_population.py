@@ -101,11 +101,11 @@ class TestPopulationRelaxation:
             ["users", "global msgs/event", "pairs msgs/event", "ratio"],
             rows,
         )
-        # Shape: global fan-out grows linearly with N (3 + 2(N-1));
-        # selective pairs stay constant (3 + 2).
+        # Shape: global fan-out grows linearly with N (2 + 2(N-1));
+        # selective pairs stay constant (2 + 2).
         for n, global_cost, pairs_cost, ratio in rows:
-            assert global_cost == pytest.approx(3 + 2 * (n - 1), abs=0.5)
-            assert pairs_cost == pytest.approx(5, abs=0.5)
+            assert global_cost == pytest.approx(2 + 2 * (n - 1), abs=0.5)
+            assert pairs_cost == pytest.approx(4, abs=0.5)
         ratios = [row[3] for row in rows]
         assert ratios == sorted(ratios)  # the gap widens with N
         assert ratios[-1] > 4

@@ -77,10 +77,10 @@ class TestFigure4:
              "replica links"],
             rows,
         )
-        # Shape: per-event messages = lock req + reply + event + (N-1)
-        # broadcasts + (N-1) acks -> linear in group size.
+        # Shape: per-event messages = lock request (it carries the event)
+        # + reply + (N-1) broadcasts + (N-1) acks -> linear in group size.
         for r in results:
-            assert r["msgs_per_event"] == pytest.approx(3 + 2 * (r["group"] - 1))
+            assert r["msgs_per_event"] == pytest.approx(2 + 2 * (r["group"] - 1))
         # Shape: the replicated coupling info holds all N-1 star links.
         for r in results:
             assert r["replica_links"] == r["group"] - 1
@@ -96,7 +96,7 @@ class TestFigure4:
             session.pump()
 
         benchmark(one_event)
-        processed = session.server.processed["event"]
+        processed = session.server.processed["lock_request"]
         benchmark.extra_info["events_processed"] = processed
         session.close()
         assert processed > 0

@@ -6,7 +6,8 @@ behaves across network regimes — from same-switch (0.1 ms) to WAN-like
 
 * coupled-event *sync* latency is a fixed small number of hops, so it
   scales linearly with one-way latency (no hidden round-trip blowup);
-* floor acquisition adds exactly one round trip before the event ships;
+* floor acquisition adds no hop of its own: the floor request carries
+  the event, and the server broadcasts under the floor it grants;
 * byte-heavy operations (direct display coupling, result sharing) are the
   ones that react to the per-byte term — the indirect-coupling and
   high-level-event designs keep payloads small precisely so that latency,
@@ -70,10 +71,9 @@ class TestLatencySensitivity:
         # (sync / latency) is the same across three orders of magnitude.
         ratios = [per_event / lat for lat, per_event in results]
         assert max(ratios) - min(ratios) < 0.5
-        # Exactly: lock-req + lock-reply + event + broadcast + ack, with
-        # the ack overlapping the next event's lock round trip: 5 hops
-        # on the first event, amortizing toward 5 per event.
-        assert 3 <= ratios[-1] <= 7
+        # Exactly: lock request (carrying the event) + broadcast + ack —
+        # the lock reply travels beside the broadcast: 3 hops per event.
+        assert 2 <= ratios[-1] <= 4
 
     def test_bandwidth_sensitivity(self, benchmark):
         """Per-byte cost hits payload-heavy ops, not high-level events."""

@@ -4,8 +4,8 @@ The paper's architecture (Figure 4) funnels every couple, lock and event
 through one central server.  Floor control and event serialization are
 scoped *per couple group* (the transitive closure ``CO(o)``, §3.2), so
 groups shard cleanly: each group lives on exactly one
-:class:`~repro.server.server.CosoftServer` shard and the hot path (lock →
-event → acks) never crosses shards.
+:class:`~repro.server.server.CosoftServer` shard and the hot path (lock
+request carrying the event → acks) never crosses shards.
 
 :class:`ShardedCosoftCluster` is itself a **sans-I/O state machine** with
 the same ``handle_message`` contract as ``CosoftServer`` — bind it to a
@@ -550,8 +550,12 @@ class ShardedCosoftCluster:
         if kind == kinds.LOCK_REQUEST:
             source = gid_from_wire(payload["source"])
             shard_id = self._home_of(source)
-            token = int(payload.get("token", 0))
-            self._lock_routes[(message.sender, token)] = shard_id
+            if "event" not in payload:
+                # A bare floor comes back as an EVENT or an UNLOCK.  A
+                # request that carries its event never does: the shard
+                # releases that floor itself, after the acks.
+                token = int(payload.get("token", 0))
+                self._lock_routes[(message.sender, token)] = shard_id
             return shard_id
         if kind == kinds.UNLOCK:
             token = int(payload.get("token", 0))

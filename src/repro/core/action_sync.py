@@ -14,17 +14,28 @@ This module implements the paper's algorithm verbatim (client side):
 The server performs the all-or-nothing group acquisition atomically (see
 :meth:`repro.server.locks.LockTable.acquire_all`, which mirrors the
 pseudo-code's per-object loop with undo), grants or denies the floor, and
-after the event broadcast releases the group.
+on a grant broadcasts the event under that floor and releases the group
+once every receiver acknowledged.
 
-On the initiating instance the flow is:
+The pseudo-code only requires that the lock on ``CO(o)`` is held before
+anything executes, so one action is **one** client->server message: the
+floor request carries the event.  On the initiating instance the flow is:
 
 1. the widget applies its built-in feedback immediately (the user sees the
    local echo, as in any direct-manipulation UI);
-2. the floor is requested for ``CO(o)``;
-3. denied -> the feedback is rolled back and no callbacks run;
-4. granted -> local callbacks execute, the event is sent to the server,
-   which broadcasts it to every other instance owning coupled objects and
-   releases the floor.
+2. the floor is requested for ``CO(o)`` with the event packed into the
+   LOCK_REQUEST; the instance blocks on the LOCK_REPLY;
+3. denied -> nothing was broadcast; the feedback is rolled back and no
+   callbacks run;
+4. granted -> the server has already broadcast the event to every other
+   instance owning coupled objects (it releases the floor after their
+   acks); local callbacks execute, then the event is re-executed on the
+   group's other local members.  A remote replica's callbacks may
+   therefore run before the source's own — legal, the floor is held;
+5. no reply within ``lock_timeout`` -> rolled back like a denial, but the
+   server may still grant: the event is kept, and a grant that arrives
+   late is re-applied on the source (:func:`apply_late_reply`) so it
+   ends where every replica ended.
 
 Receiving instances execute :func:`apply_remote_event`: each local coupled
 object is disabled (floor-locked), the event is re-executed on it —
@@ -71,13 +82,19 @@ def request_floor(
     timeout: float,
     *,
     trace: Optional[Tuple[str, str]] = None,
+    event: Optional[Event] = None,
 ) -> Optional[FloorGrant]:
     """Ask the server to lock the couple group of *source*.
 
+    With *event* the request carries it: a grant then means the server
+    has broadcast the event under the floor and will release the floor
+    after the receivers' acks.  Without, the floor is the caller's until
+    :func:`release_floor` (``acquire_floor()``).
+
     Returns the grant, or ``None`` when the floor was denied or the request
-    timed out (a timeout is treated as a denial: the caller rolls back, the
-    server's floor record — if the grant raced the timeout — is reclaimed
-    by the eventual unlock of a later floor or by instance cleanup).
+    timed out.  A timeout is treated as a denial — the caller rolls back —
+    but the instance keeps *event* with the abandoned request, in case
+    the grant only raced the timeout (:func:`apply_late_reply`).
 
     *trace* is the caller's span context; the blocking round trip is
     recorded as a ``client.lock_wait`` span and the context travels on
@@ -94,13 +111,16 @@ def request_floor(
             endpoint=instance.instance_id,
         )
         trace = (trace[0], span.span_id)
+    payload = {"source": gid_to_wire(source), "token": token}
+    if event is not None:
+        payload["event"] = event.to_wire()
     request = Message(
         kind=kinds.LOCK_REQUEST,
         sender=instance.instance_id,
-        payload={"source": gid_to_wire(source), "token": token},
+        payload=payload,
         trace=trace,
     )
-    reply = instance.request(request, timeout=timeout)
+    reply = instance.request(request, timeout=timeout, late=event)
     if span is not None:
         granted = bool(
             reply is not None
@@ -157,7 +177,9 @@ def run_multiple_execution(
             source=widget.pathname,
         )
         trace = (root.trace_id, root.span_id)
-    grant = request_floor(instance, source, timeout, trace=trace)
+    # One message: the request carries the event, and the server
+    # broadcasts it under the floor it grants.
+    grant = request_floor(instance, source, timeout, trace=trace, event=event)
     if grant is None:
         # "undo syntactic built-in feedback of the event e" (§3.2)
         undo.rollback()
@@ -174,20 +196,6 @@ def run_multiple_execution(
     try:
         # Execute callbacks on the source object (feedback already echoed).
         widget.run_callbacks(event)
-        # Ship the event; the server broadcasts it to every other owning
-        # instance and releases the floor afterwards.
-        instance.send(
-            Message(
-                kind=kinds.EVENT,
-                sender=instance.instance_id,
-                payload={
-                    "event": event.to_wire(),
-                    "token": grant.token,
-                    "release": True,
-                },
-                trace=trace,
-            )
-        )
         # The group may include other local objects (two objects coupled
         # "within the same application instance", §3.3) — the server's
         # broadcast deliberately skips the sending instance, so re-execute
@@ -201,6 +209,25 @@ def run_multiple_execution(
     if root is not None:
         obs.spans.finish(root, outcome="executed")
     return ExecutionResult(executed=True, group=grant.group)
+
+
+def apply_late_reply(instance: Any, event: Event, reply: Message) -> int:
+    """Settle a floor request the source gave up on (``lock_timeout``).
+
+    The source rolled *event* back, but a late ``granted`` LOCK_REPLY
+    means the server broadcast it: every replica executed it, so the
+    source re-executes it too, as a remote event, on each of its own
+    members of the group (the source object included).  A late denial
+    means nothing happened anywhere.  Returns the objects executed on.
+    """
+    if reply.kind != kinds.LOCK_REPLY or not reply.payload.get("granted", False):
+        return 0
+    group = [gid_from_wire(g) for g in reply.payload.get("group", ())]
+    members = _local_widgets(instance, group)
+    for member in members:
+        _reexecute_locked(member, event)
+    instance.stats["late_grants"] += 1
+    return len(members)
 
 
 def apply_remote_event(
@@ -243,12 +270,8 @@ def apply_remote_event(
         widget = instance.find_widget(path)
         if widget is None or widget.destroyed:
             continue
-        widget.floor_lock()
-        try:
-            _reexecute(widget, event)
-            executed += 1
-        finally:
-            widget.floor_unlock()
+        _reexecute_locked(widget, event)
+        executed += 1
     instance.stats["events_remote"] += executed
     instance.trace_remote_event(event)
     # Confirm completion so the server can release the floor — the group
@@ -286,8 +309,17 @@ def _reexecute(widget: UIObject, event: Event) -> None:
     widget.run_callbacks(local_event)
 
 
+def _reexecute_locked(widget: UIObject, event: Event) -> None:
+    """:func:`_reexecute` with *widget* disabled (floor-locked) meanwhile."""
+    widget.floor_lock()
+    try:
+        _reexecute(widget, event)
+    finally:
+        widget.floor_unlock()
+
+
 def _local_widgets(
-    instance: Any, group: Sequence[GlobalId], *, exclude: str
+    instance: Any, group: Sequence[GlobalId], *, exclude: Optional[str] = None
 ) -> List[UIObject]:
     """The group members owned by *instance*, resolved to live widgets."""
     members: List[UIObject] = []

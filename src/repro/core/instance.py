@@ -154,8 +154,11 @@ class ApplicationInstance:
         self._transport: Optional[Transport] = None
         self._replies: Dict[int, Message] = {}
         #: msg_ids whose request timed out: a late reply is dropped instead
-        #: of accumulating forever in ``_replies``.
-        self._abandoned: set = set()
+        #: of accumulating forever in ``_replies``.  A floor request that
+        #: carried an event maps to that event — the server may have
+        #: granted and broadcast it after all
+        #: (:func:`action_sync.apply_late_reply`); anything else to None.
+        self._abandoned: Dict[int, Optional[Event]] = {}
         #: highest event seq executed per originating instance (dedup of
         #: at-least-once broadcast deliveries).
         self._last_event_seq: Dict[str, int] = {}
@@ -743,12 +746,17 @@ class ApplicationInstance:
         self._transport.send(message)
 
     def request(
-        self, message: Message, timeout: Optional[float] = None
+        self,
+        message: Message,
+        timeout: Optional[float] = None,
+        *,
+        late: Optional[Event] = None,
     ) -> Optional[Message]:
         """Send *message* and block for its correlated reply.
 
         Returns ``None`` on timeout.  An ERROR reply raises
-        :class:`ServerError`.
+        :class:`ServerError`.  *late* is the event a floor request
+        carries: kept past a timeout, for the reply that may still come.
         """
         self._require_connected()
         assert self._transport is not None
@@ -760,7 +768,7 @@ class ApplicationInstance:
         )
         if not arrived:
             self.stats["request_timeouts"] += 1
-            self._abandoned.add(msg_id)
+            self._abandoned[msg_id] = late
             return None
         reply = self._replies.pop(msg_id)
         if reply.kind == kinds.ERROR:
@@ -826,13 +834,16 @@ class ApplicationInstance:
         swallowed — one bad message must not wedge the event loop.
         """
         self.stats[f"rx_{message.kind}"] += 1
+        late = None
         if message.reply_to is not None:
             if message.reply_to in self._abandoned:
-                self._abandoned.discard(message.reply_to)
+                late = self._abandoned.pop(message.reply_to)
                 self.stats["late_replies"] += 1
             else:
                 self._replies[message.reply_to] = message
         try:
+            if late is not None:
+                action_sync.apply_late_reply(self, late, message)
             self._dispatch_message(message)
         except self._MALFORMED:
             self.stats["malformed_messages"] += 1
@@ -1003,7 +1014,7 @@ class ApplicationInstance:
         push = Message(
             kind=kinds.PUSH_STATE, sender=self.instance_id, payload=push_payload
         )
-        self._abandoned.add(push.msg_id)
+        self._abandoned[push.msg_id] = None
         self.send(push)
         if commit is not None:
             # Optimistic: if this push is also lost, the receiver's next

@@ -1,9 +1,10 @@
 """Causal tracing: spans over the multiple-execution message path.
 
 A *trace* follows one user action through the deployment: the client
-emits an event (root span), waits for the floor, the server receives the
-EVENT, fans it out to the coupled audience, and each remote instance
-re-executes it (paper §3.2, Figure 4).  Each hop records a :class:`Span`
+emits an event (root span) and waits for the floor; the server takes the
+LOCK_REQUEST that carries the event, grants the floor, fans the event
+out to the coupled audience, and each remote instance re-executes it
+(paper §3.2, Figure 4).  Each hop records a :class:`Span`
 — ``(trace_id, span_id, parent_id, name, endpoint, start, end, attrs)``
 — into a bounded ring buffer, so end-to-end synchronization latency
 decomposes into queue / lock / route / apply segments.
@@ -32,9 +33,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 #: Canonical span names, in causal order along the §3.2 path.
 CLIENT_EMIT = "client.emit"          # root: user action enters the toolkit
 CLIENT_LOCK_WAIT = "client.lock_wait"  # blocking floor-request round trip
-SERVER_LOCK = "server.lock_wait"     # server handles LOCK_REQUEST
+SERVER_LOCK = "server.lock_wait"     # server handles LOCK_REQUEST (+ event)
 SERVER_FLOOR = "server.floor_held"   # grant .. release of the floor
-SERVER_RECEIVE = "server.receive"    # server handles the EVENT
+SERVER_RECEIVE = "server.receive"    # server handles a two-message EVENT
 SERVER_BROADCAST = "server.broadcast"  # fan-out to the coupled audience
 CLUSTER_ROUTE = "cluster.route"      # front-end router -> owning shard
 CLUSTER_FORWARD = "cluster.forward"  # supervisor -> worker process hop
@@ -289,11 +290,13 @@ class SpanRecorder:
 
 
 #: Latency histogram segments derived from span names, for
-#: :func:`observe_latencies`.
+#: :func:`observe_latencies`.  ``queue`` is the server handling the
+#: message that carries an action: the LOCK_REQUEST, or the EVENT of a
+#: two-message client.
 _SEGMENT_OF = {
     CLIENT_EMIT: "e2e",
     CLIENT_LOCK_WAIT: "lock",
-    SERVER_LOCK: "lock_server",
+    SERVER_LOCK: "queue",
     SERVER_FLOOR: "floor_held",
     SERVER_RECEIVE: "queue",
     SERVER_BROADCAST: "route",

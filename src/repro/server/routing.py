@@ -23,7 +23,7 @@ Two delivery modes, chosen by what the message is about, never by a knob:
 
 The §3.2 event fan-out (EVENT_BROADCAST) is scoped by the same audience
 index but does not go through :func:`broadcast`: it lives in
-:meth:`CosoftServer._on_event <repro.server.server.CosoftServer._on_event>`,
+:meth:`CosoftServer._broadcast_event <repro.server.server.CosoftServer._broadcast_event>`,
 which already holds the receivers in order with their target lists and
 must stamp each message with the fan-out's trace context.  It follows the
 same payload rule — what does not depend on the receiver sits in one

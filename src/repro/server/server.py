@@ -76,6 +76,20 @@ class _PendingRoute:
     mode: str = "strict"
 
 
+def _event_wire(raw: Any) -> Dict[str, Any]:
+    """The event a client shipped, checked for what every receiver's
+    ``Event.from_wire`` needs — a receiver that cannot parse it never
+    acknowledges, and the floor would wait out its lease."""
+    event_wire = dict(raw)
+    if not isinstance(event_wire["type"], str):
+        raise ValueError("event type must be a string")
+    if not isinstance(event_wire["source_path"], str):
+        raise ValueError("event source_path must be a string")
+    if not isinstance(event_wire.get("params", {}), Mapping):
+        raise ValueError("event params must be a mapping")
+    return event_wire
+
+
 class CosoftServer:
     """The central controller of the fully replicated COSOFT architecture."""
 
@@ -328,8 +342,8 @@ class CosoftServer:
         ERROR reply and counted, never raised.
 
         A message carrying trace context opens a receive span for the
-        duration of its handler; :meth:`_on_event` hangs the broadcast
-        span off it (see :mod:`repro.obs.tracing`).
+        duration of its handler; :meth:`_broadcast_event` hangs the
+        broadcast span off it (see :mod:`repro.obs.tracing`).
         """
         self.processed[message.kind] += 1
         obs = self.obs
@@ -588,11 +602,19 @@ class CosoftServer:
             self._release_floor(key)
 
     def _on_lock_request(self, message: Message) -> None:
+        """Grant or deny the floor on ``CO(source)``.
+
+        A request that carries an ``event`` is a whole action: on a grant
+        the event is broadcast under the floor just taken, on a denial
+        nothing else happens.  The event is checked before any lock is
+        taken, so a malformed one cannot strand a floor.
+        """
         payload = message.payload
         self._require_registered(message.sender)
         self._expire_stale_floors()
         source = gid_from_wire(payload["source"])
         token = int(payload.get("token", 0))
+        event_wire = _event_wire(payload["event"]) if "event" in payload else None
         owner = LockOwner(message.sender, token)
         group = sorted(self.couples.group_of(source))
         granted, conflicts = self.locks.acquire_all(group, owner)
@@ -620,6 +642,8 @@ class CosoftServer:
                 conflicts=[gid_to_wire(c) for c in conflicts],
             )
         )
+        if granted and event_wire is not None:
+            self._broadcast_event(owner, source, event_wire)
 
     def _on_unlock(self, message: Message) -> None:
         payload = message.payload
@@ -637,17 +661,38 @@ class CosoftServer:
     # ------------------------------------------------------------------
 
     def _on_event(self, message: Message) -> None:
+        """The two-message form: an EVENT under a floor granted earlier
+        (or under none).  Current clients pack the event into the
+        LOCK_REQUEST instead; both end in :meth:`_broadcast_event`."""
         payload = message.payload
         self._require_registered(message.sender)
-        event_wire = dict(payload["event"])
-        token = int(payload.get("token", 0))
-        release = bool(payload.get("release", True))
+        event_wire = _event_wire(payload["event"])
         source: GlobalId = (
             str(event_wire.get("instance_id", message.sender)),
-            str(event_wire.get("source_path", "")),
+            event_wire["source_path"],
         )
-        owner = LockOwner(message.sender, token)
-        locked = self._floors.get((owner.instance_id, owner.token))
+        self._broadcast_event(
+            LockOwner(message.sender, int(payload.get("token", 0))),
+            source,
+            event_wire,
+            release=bool(payload.get("release", True)),
+        )
+
+    def _broadcast_event(
+        self,
+        owner: LockOwner,
+        source: GlobalId,
+        event_wire: Dict[str, Any],
+        *,
+        release: bool = True,
+    ) -> None:
+        """Fan *owner*'s event out to the other instances of ``CO(source)``.
+
+        Under *owner*'s floor the targets are the locked group; with
+        *release* the floor goes once every receiver acknowledged.
+        """
+        key = (owner.instance_id, owner.token)
+        locked = self._floors.get(key)
         # Group the coupled objects by owning instance and broadcast one
         # message per instance, listing the local target pathnames.
         targets_by_instance: Dict[str, List[str]] = {}
@@ -661,11 +706,10 @@ class CosoftServer:
                 paths = [p for p in audience[instance_id] if (instance_id, p) != source]
                 if paths:
                     targets_by_instance[instance_id] = paths
-        key = (owner.instance_id, owner.token)
         receivers = [
             instance_id
             for instance_id in targets_by_instance
-            if instance_id in self.registry and instance_id != message.sender
+            if instance_id in self.registry and instance_id != owner.instance_id
         ]
         active = self._active_span
         bcast_span = None

@@ -1,12 +1,16 @@
 """Behavioral tests for the ShardedCosoftCluster front-end router."""
 
+import time
+
+import pytest
 
 from repro.cluster import ShardedCosoftCluster
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import TrafficStats, Transport
-from repro.session import ClusterSession
+from repro.session import ClusterSession, Session
 from repro.toolkit.widgets import Shell, TextField
+
 
 
 class Outbox(Transport):
@@ -280,12 +284,18 @@ class TestRoutingAndMigration:
         session.pump()
         assert tb.find("/ui/f").value == "2"
         home = cluster.shard_of(("a", "/ui/f"))
-        with_events = [
-            shard_id
-            for shard_id in cluster.shard_ids
-            if cluster.shards[shard_id].processed[kinds.EVENT]
-        ]
-        assert with_events == [home]
+        # An action is one LOCK_REQUEST (it carries the event) plus the
+        # receiver's ack; both reach the owning shard and no other.
+        for kind in (kinds.LOCK_REQUEST, kinds.EVENT_ACK):
+            counts = {
+                shard_id: cluster.shards[shard_id].processed[kind]
+                for shard_id in cluster.shard_ids
+                if cluster.shards[shard_id].processed[kind]
+            }
+            assert counts == {home: 3}, kind
+        assert not any(
+            shard.processed[kinds.EVENT] for shard in cluster.shards.values()
+        )
         session.close()
 
     def test_decouple_returns_group_to_ring_placement(self):
@@ -304,6 +314,64 @@ class TestRoutingAndMigration:
         assert len(cluster.mirror) == 0
         assert all(len(s.couples) == 0 for s in cluster.shards.values())
         session.close()
+
+
+class TestRouteTables:
+    """The router's per-floor routing entries live exactly as long as the
+    floor: an action's LOCK_REQUEST carries its event, nothing ever comes
+    back for that token, so it must leave no ``_lock_routes`` entry."""
+
+    @pytest.mark.parametrize("processes", [False, True], ids=["memory", "proc"])
+    def test_no_route_entry_outlives_its_action(self, processes, tmp_path):
+        knobs = (
+            dict(backend="aio", processes=True, persistence=str(tmp_path))
+            if processes
+            else dict(backend="memory")
+        )
+        with Session(shards=2, **knobs) as session:
+            cluster = session.cluster
+            fields = {}
+            for name in ("a", "b"):
+                tree = session.create_instance(name, user=name).add_root(Shell("ui"))
+                fields[name] = TextField("f", parent=tree)
+
+            def settled(predicate):
+                # The router drops a floor's ack route as it forwards the
+                # last ack, ahead of whatever it handles next.
+                if not processes:
+                    session.pump()
+                end = time.monotonic() + 30.0
+                while not predicate() or cluster._floor_routes:
+                    if time.monotonic() > end:
+                        return False
+                    time.sleep(0.005)
+                return True
+
+            session.instances["a"].couple(fields["a"], ("b", "/ui/f"))
+            assert settled(lambda: session.instances["b"].is_coupled("/ui/f"))
+            for i in range(50):
+                writer, reader = ("a", "b") if i % 2 == 0 else ("b", "a")
+                fields[writer].commit(f"v{i}")
+                assert not session.instances[writer].last_execution.lock_denied
+                assert settled(lambda: fields[reader].value == f"v{i}"), i
+            assert cluster._lock_routes == {}
+            assert cluster._floor_routes == {}
+            assert cluster._floor_expected == {}
+
+    def test_bare_floor_keeps_its_unlock_route(self):
+        """``acquire_floor()`` sends no event; its UNLOCK must still find
+        the shard that granted it."""
+        with ClusterSession(shards=2) as session:
+            a = session.create_instance("a", user="u1")
+            tree = a.add_root(Shell("ui"))
+            TextField("f", parent=tree)
+            grant = a.acquire_floor("/ui/f")
+            assert grant is not None
+            assert list(session.cluster._lock_routes) == [("a", grant.token)]
+            a.release_floor(grant)
+            session.pump()
+            assert session.cluster._lock_routes == {}
+            assert all(len(s.locks) == 0 for s in session.cluster.shards.values())
 
 
 class TestFreezeBuffer:

@@ -7,7 +7,11 @@ import time
 
 import pytest
 
+from repro.core import action_sync
+from repro.net import kinds
+from repro.net.message import Message
 from repro.session import Session
+from repro.toolkit.events import Event
 from repro.toolkit import (
     Canvas,
     Form,
@@ -68,18 +72,74 @@ def make_demo_tree(root_name: str = "app") -> Shell:
     return shell
 
 
+def floor_free(session):
+    """No floor is held anywhere in *session*'s deployment."""
+    cluster = session.cluster
+    servers = cluster.shards.values() if cluster is not None else [session.server]
+    return not any(len(server.locks) for server in servers)
+
+
 def settle(session, predicate, timeout=30.0):
     """Quiesce *session*, then test *predicate*: one pump on the memory
-    backend, a poll until *timeout* on the socket ones."""
+    backend, a poll until *timeout* on the socket ones.
+
+    On sockets the poll also waits for the floor: replicas show an
+    action's value before the source's ``commit()`` even returns, while
+    the acks that release its floor are still in flight — and the next
+    writer is rightly denied until they land.
+    """
     if session.backend == "memory":
         session.pump()
         return predicate()
     end = time.monotonic() + timeout
     while time.monotonic() < end:
-        if predicate():
+        if predicate() and floor_free(session):
             return True
         time.sleep(0.01)
-    return predicate()
+    return predicate() and floor_free(session)
+
+
+def two_message_fire(instance, widget, event_type, user="", **params):
+    """``widget.fire(...)`` the way clients spoke before the floor request
+    carried the event: LOCK_REQUEST, wait for the grant, then EVENT.
+
+    The servers still take this form (older clients in a mixed fleet);
+    tests drive it by hand, as the interop peer and as the oracle the
+    one-message form is compared with.  Returns whether the floor was
+    granted.
+    """
+    event = Event(
+        type=event_type,
+        source_path=widget.pathname,
+        params=params,
+        user=user,
+        instance_id=instance.instance_id,
+    )
+    with instance.transport.guard():
+        instance.trace.record(event)
+        undo = widget.apply_feedback(event)
+        if not instance.replica.is_coupled(instance.gid(widget)):
+            widget.run_callbacks(event)  # uncoupled: stays local, as ever
+            return True
+        grant = action_sync.request_floor(
+            instance, instance.gid(widget), instance.lock_timeout
+        )
+        if grant is None:
+            undo.rollback()
+            return False
+        widget.run_callbacks(event)
+        instance.send(
+            Message(
+                kind=kinds.EVENT,
+                sender=instance.instance_id,
+                payload={
+                    "event": event.to_wire(),
+                    "token": grant.token,
+                    "release": True,
+                },
+            )
+        )
+        return True
 
 
 @pytest.fixture

@@ -36,7 +36,9 @@ class StubInstance:
     def send(self, message: Message) -> None:
         self.sent.append(message)
 
-    def request(self, message: Message, timeout=None) -> Optional[Message]:
+    def request(
+        self, message: Message, timeout=None, *, late=None
+    ) -> Optional[Message]:
         self.sent.append(message)
         if message.kind == kinds.LOCK_REQUEST and self._grant is not None:
             return message.reply(kinds.LOCK_REPLY, "server", **self._grant)
@@ -122,10 +124,12 @@ class TestRunMultipleExecution:
         )
         assert result.executed
         assert calls == [1]
-        event_msgs = [m for m in inst.sent if m.kind == kinds.EVENT]
-        assert len(event_msgs) == 1
-        assert event_msgs[0].payload["token"] == 1
-        assert event_msgs[0].payload["release"] is True
+        # One message per action: the floor request carries the event.
+        assert [m.kind for m in inst.sent] == [kinds.LOCK_REQUEST]
+        request = inst.sent[0]
+        assert request.payload["token"] == 1
+        assert request.payload["source"] == ["stub", "/app/flag"]
+        assert request.payload["event"] == event.to_wire()
 
     def test_local_group_members_reexecuted_and_unlocked(self):
         inst = StubInstance(

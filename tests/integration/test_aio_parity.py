@@ -9,33 +9,18 @@ and losses into the simulated network and asserts the idempotent-dedup
 and recovery paths land on the same final state as a clean run.
 """
 
-import time
-
 import pytest
 
 from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 
-from conftest import make_demo_tree
+from conftest import make_demo_tree, settle
 
 FIELD = "/app/form/name"
 ZOOM = "/app/board/zoom"
 FLAG = "/app/form/flag"
 
 N_INSTANCES = 4
-
-
-def settle(session, predicate, timeout=10.0):
-    """Drive *session* until *predicate* holds (pump or wall-clock wait)."""
-    if session.backend == "memory":
-        session.pump()
-        return predicate()
-    end = time.monotonic() + timeout
-    while time.monotonic() < end:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
 
 
 def ui_snapshot(trees):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import LocalSession, Session
 
 from conftest import make_demo_tree
 
@@ -27,6 +27,65 @@ class TestLossyNetwork:
             assert a.last_execution.lock_denied
             assert ta.find(FIELD).value == ""  # rolled back
             session.network.heal("server")
+        finally:
+            session.close()
+
+    def test_late_grant_is_reapplied_on_the_source(self):
+        """The LOCK_REPLY misses ``lock_timeout`` but the request — which
+        carried the event — was granted: the server broadcast it, so the
+        source, having rolled back, re-executes it when the grant limps
+        in and ends where the replica ended."""
+        # 40 ms a hop: the request lands at 40 ms, its reply at 80 ms,
+        # the timeout fires at 50 ms (simulated clock, deterministic).
+        session = Session(backend="memory", base_latency=0.04)
+        try:
+            a = session.create_instance("a", user="u1", lock_timeout=0.05)
+            b = session.create_instance("b", user="u2")
+            ta = a.add_root(make_demo_tree())
+            tb = b.add_root(make_demo_tree())
+            a.couple(ta.find(FIELD), ("b", FIELD))
+            session.pump()
+            calls = []
+            ta.find(FIELD).add_callback(
+                "value_changed", lambda w, e: calls.append(e.params["value"])
+            )
+            ta.find(FIELD).commit("late")
+            assert a.last_execution.lock_denied
+            assert ta.find(FIELD).value == ""  # rolled back at the timeout
+            assert calls == []
+            assert len(session.server.locks) > 0  # granted all the same
+            session.pump()
+            assert ta.find(FIELD).value == tb.find(FIELD).value == "late"
+            assert calls == ["late"]
+            assert a.stats["late_grants"] == 1
+            assert a.stats["late_replies"] == 1
+            assert not a._abandoned
+            assert len(session.server.locks) == 0  # acks released the floor
+            assert session.server._floors == {}
+        finally:
+            session.close()
+
+    def test_late_denial_changes_nothing(self):
+        session = Session(backend="memory", base_latency=0.04)
+        try:
+            a = session.create_instance("a", user="u1", lock_timeout=0.05)
+            b = session.create_instance("b", user="u2")
+            ta = a.add_root(make_demo_tree())
+            tb = b.add_root(make_demo_tree())
+            a.couple(ta.find(FIELD), ("b", FIELD))
+            session.pump()
+            held = b.acquire_floor(FIELD)
+            assert held is not None
+            ta.find(FIELD).commit("refused")
+            assert a.last_execution.lock_denied
+            session.pump()
+            assert ta.find(FIELD).value == tb.find(FIELD).value == ""
+            assert a.stats["late_replies"] == 1
+            assert a.stats["late_grants"] == 0
+            assert not a._abandoned
+            b.release_floor(held)
+            session.pump()
+            assert len(session.server.locks) == 0
         finally:
             session.close()
 

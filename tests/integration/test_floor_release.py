@@ -36,11 +36,13 @@ class TestAckBasedRelease:
     def test_floor_held_until_receiver_acks(self, duo):
         session, a, b, ta, tb = duo
         ta.find(FIELD).commit("first")
-        # The EVENT reached the server only after we pump; step the network
-        # just far enough that the broadcast is in flight but unprocessed.
+        # The floor request carried the event, so the server granted and
+        # broadcast before commit() returned; step the network no further
+        # than that: the broadcast is in flight but unprocessed.
         session.network.pump_until(
-            lambda: session.server.processed[kinds.EVENT] == 1
+            lambda: session.server.processed[kinds.LOCK_REQUEST] == 1
         )
+        assert session.server.processed[kinds.EVENT] == 0
         assert len(session.server.locks) > 0  # floor still held
         session.pump()  # broadcast delivered, ack returned
         assert len(session.server.locks) == 0

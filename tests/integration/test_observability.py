@@ -2,9 +2,9 @@
 
 Criteria (ISSUE 5): a Prometheus-text dump covering the routing /
 traffic / lock / compat families, and at least one complete multi-hop
-span tree — client emit → server receive → lock wait → broadcast →
-remote apply — with per-segment durations, on both the memory and aio
-backends.
+span tree — client emit → lock wait → server lock wait → broadcast →
+remote apply → ack — with per-segment durations, on both the memory and
+aio backends.
 """
 
 import time
@@ -15,6 +15,7 @@ from repro.obs.tracing import (
     CLIENT_EMIT,
     CLIENT_LOCK_WAIT,
     REMOTE_APPLY,
+    SERVER_ACK,
     SERVER_BROADCAST,
     SERVER_FLOOR,
     SERVER_LOCK,
@@ -93,30 +94,35 @@ def test_complete_multi_hop_span_tree(backend):
             CLIENT_LOCK_WAIT,
             SERVER_LOCK,
             SERVER_FLOOR,
-            SERVER_RECEIVE,
             SERVER_BROADCAST,
             REMOTE_APPLY,
+            SERVER_ACK,
         ):
             assert name in by_name, f"missing hop {name} ({backend})"
             assert all(s.finished for s in by_name[name])
             assert all(s.duration >= 0 for s in by_name[name])
+        # The floor request carries the event: no separate EVENT hop.
+        assert SERVER_RECEIVE not in by_name
         # Causal chain: every hop of one trace links back to the root.
         root = by_name[CLIENT_EMIT][0]
         trace = {s.span_id: s for s in spans if s.trace_id == root.trace_id}
-        apply_span = next(
-            s for s in trace.values() if s.name == REMOTE_APPLY
-        )
+        ack_span = next(s for s in trace.values() if s.name == SERVER_ACK)
         hops = []
-        cursor = apply_span
+        cursor = ack_span
         while cursor is not None:
             hops.append(cursor.name)
             cursor = trace.get(cursor.parent_id)
         assert hops == [
+            SERVER_ACK,
             REMOTE_APPLY,
             SERVER_BROADCAST,
-            SERVER_RECEIVE,
+            SERVER_LOCK,
+            CLIENT_LOCK_WAIT,
             CLIENT_EMIT,
         ]
+        # The floor hangs off the same server hop as the broadcast.
+        floor_span = next(s for s in trace.values() if s.name == SERVER_FLOOR)
+        assert trace[floor_span.parent_id].name == SERVER_LOCK
         # Per-segment durations decompose the root latency.
         dump = sess.span_dump()
         assert "client.emit" in dump and "ms" in dump

@@ -5,15 +5,18 @@ one fan-out hands the *same* payload dict to every receiver (the server
 shares it so it serializes once; docs/PERF.md §6).  A handler that wrote
 into a payload would therefore edit what the next receiver is about to
 read.  This test delivers the canonical workload — coupling churn,
-coupled edits, CopyTo — plus CopyFrom, RemoteCopy, undo and a command
-round trip through a checking ``recv``: every payload is deep-copied
+coupled edits, CopyTo — plus CopyFrom, RemoteCopy, undo, a command
+round trip and one two-message ``EVENT`` through a checking ``recv``: every payload is deep-copied
 before its handler runs and compared after.
 """
 
 import copy
 
+from repro.net import kinds
 from repro.net.memory import MemoryTransport
+from repro.net.message import Message
 from repro.session import Session
+from repro.toolkit.events import VALUE_CHANGED, Event
 
 from test_routing_parity import FIELD, ROOT, run_workload
 
@@ -43,11 +46,24 @@ def test_no_handler_mutates_a_delivered_payload(monkeypatch):
         i0.send_command("double", 1)
         i0.find_widget(FIELD).commit("last")
         session.pump()
+        # Clients pack the event into the LOCK_REQUEST; the server still
+        # takes a bare EVENT (older clients), so hold that handler too.
+        legacy = Event(
+            type=VALUE_CHANGED, source_path=FIELD, params={"value": "legacy"},
+            user="u0", instance_id="i0",
+        )
+        i0.send(
+            Message(
+                kind=kinds.EVENT, sender="i0", payload={"event": legacy.to_wire()}
+            )
+        )
+        session.pump()
 
     assert mutated == []
     # The workload reached every handler family the contract covers.
     assert {
         "couple_update",
+        "lock_request",
         "event",
         "event_broadcast",
         "event_ack",

@@ -73,6 +73,53 @@ class TestServerMalformed:
         assert len(srv.registry) == 2
 
 
+class TestMalformedEventInLockRequest:
+    """A LOCK_REQUEST that carries an event is granted and broadcast in
+    one step, so its event is checked before any lock is taken: a bad
+    one must not leave a floor nobody will ever release."""
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            "not-a-dict",
+            42,
+            {"source_path": "/x"},                          # no type
+            {"type": "value_changed"},                      # no source_path
+            {"type": 7, "source_path": "/x"},
+            {"type": "value_changed", "source_path": "/x", "params": [1, 2]},
+        ],
+    )
+    def test_rejected_before_any_lock_is_taken(self, server, event):
+        srv, transport = server
+        request = Message(
+            kind=kinds.LOCK_REQUEST,
+            sender="a",
+            payload={"source": ["a", "/x"], "token": 1, "event": event},
+        )
+        srv.handle_message(request)
+        (reply,) = transport.sent
+        assert reply.kind == kinds.ERROR and reply.reply_to == request.msg_id
+        assert srv.processed["__rejected__"] == 1
+        assert len(srv.locks) == 0
+        assert srv._floors == {} and srv._pending_acks == {}
+        # The server still serves the next, well-formed request.
+        transport.sent.clear()
+        srv.handle_message(
+            Message(
+                kind=kinds.LOCK_REQUEST,
+                sender="a",
+                payload={
+                    "source": ["a", "/x"],
+                    "token": 2,
+                    "event": {"type": "value_changed", "source_path": "/x"},
+                },
+            )
+        )
+        (reply,) = transport.sent
+        assert reply.kind == kinds.LOCK_REPLY and reply.payload["granted"]
+        assert len(srv.locks) == 0  # nobody to wait for: released at once
+
+
 class TestClientMalformed:
     def test_garbage_broadcast_counted_not_fatal(self):
         session = LocalSession()

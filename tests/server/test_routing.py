@@ -325,7 +325,7 @@ class TestEventInterestRouting:
                         "seq": seq,
                         "source_path": source[1],
                         "instance_id": source[0],
-                        "kind": "value-changed",
+                        "type": "value-changed",
                         "params": {"value": "v"},
                         "user": source[0],
                     },

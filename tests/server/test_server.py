@@ -4,17 +4,25 @@ A fake transport collects everything the server sends, so each handler can
 be asserted message by message, without a network.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.net import binary, kinds
 from repro.net import message as message_module
 from repro.net.clock import SimClock
+from repro.net.codec import encode
 from repro.net.memory import MemoryNetwork
 from repro.net.message import Message
 from repro.obs import Observability
 from repro.server.couples import gid_to_wire, global_id
 from repro.server.permissions import AccessControl, PermissionRule
 from repro.server.server import SERVER_ID, CosoftServer
+from repro.session import Session
+from repro.toolkit.events import VALUE_CHANGED
+from repro.toolkit.widgets import TextField
+
+from conftest import floor_free, settle, two_message_fire
 
 
 class FakeTransport:
@@ -353,6 +361,125 @@ class TestEventBroadcast:
         transport.take()
         self._send_event(srv, token=1, release=False)
         assert len(srv.locks) == 3
+
+
+class TestTwoMessageInterop:
+    """Clients pack the event into the LOCK_REQUEST; a client that still
+    sends LOCK_REQUEST, then EVENT is served by the same fan-out."""
+
+    EVENT_WIRE = {
+        "type": "value_changed",
+        "source_path": "/app/x",
+        "params": {"value": "v"},
+        "user": "alice",
+        "instance_id": "a",
+        "seq": 1,
+    }
+
+    def _broadcast_frames(self, *requests):
+        """EVENT_BROADCAST frames a fresh 3-member group emits for *requests*."""
+        srv = CosoftServer(clock=SimClock())
+        transport = FakeTransport()
+        srv.bind(transport)
+        for inst in ("a", "b", "c"):
+            register(srv, transport, inst)
+        couple(srv, "a", A_OBJ, B_OBJ)
+        couple(srv, "a", A_OBJ, C_OBJ)
+        transport.take()
+        for kind, payload in requests:
+            srv.handle_message(Message(kind=kind, sender="a", payload=payload))
+        out = transport.take()
+        assert [m.kind for m in out if m.kind != kinds.EVENT_BROADCAST] == [
+            kinds.LOCK_REPLY
+        ]
+        assert len(srv.locks) == 3 and srv._pending_acks == {("a", 1): {"b", "c"}}
+        for receiver in ("b", "c"):
+            srv.handle_message(
+                Message(
+                    kind=kinds.EVENT_ACK, sender=receiver,
+                    payload={"owner": ["a", 1]},
+                )
+            )
+        assert len(srv.locks) == 0 and srv._floors == {}
+        # msg_id is a process-wide counter; everything else is the frame.
+        return [
+            (m.to, encode(dataclasses.replace(m, msg_id=0)))
+            for m in out
+            if m.kind == kinds.EVENT_BROADCAST
+        ]
+
+    def test_broadcast_frames_are_byte_identical(self):
+        source = gid_to_wire(A_OBJ)
+        two = self._broadcast_frames(
+            (kinds.LOCK_REQUEST, {"source": source, "token": 1}),
+            (kinds.EVENT, {"event": dict(self.EVENT_WIRE), "token": 1,
+                           "release": True}),
+        )
+        one = self._broadcast_frames(
+            (kinds.LOCK_REQUEST,
+             {"source": source, "token": 1, "event": dict(self.EVENT_WIRE)}),
+        )
+        assert [to for to, _ in one] == ["b", "c"]
+        assert one == two
+
+    def test_denied_request_broadcasts_nothing(self, server):
+        srv, transport = server
+        register(srv, transport, "a")
+        register(srv, transport, "b")
+        couple(srv, "a", A_OBJ, B_OBJ)
+        srv.handle_message(
+            Message(
+                kind=kinds.LOCK_REQUEST, sender="b",
+                payload={"source": gid_to_wire(B_OBJ), "token": 9},
+            )
+        )
+        transport.take()
+        srv.handle_message(
+            Message(
+                kind=kinds.LOCK_REQUEST, sender="a",
+                payload={
+                    "source": gid_to_wire(A_OBJ), "token": 1,
+                    "event": dict(self.EVENT_WIRE),
+                },
+            )
+        )
+        (reply,) = transport.take()
+        assert reply.kind == kinds.LOCK_REPLY and not reply.payload["granted"]
+        assert srv.routing.events == 0
+        assert list(srv._floors) == [("b", 9)]
+
+    @pytest.mark.parametrize("backend", ["memory", "tcp", "aio"])
+    def test_mixed_fleet_in_one_couple_group(self, backend):
+        """``new`` commits through the library, ``old`` by hand in two
+        messages: each re-executes the other's events, in order, and
+        every floor is released."""
+        with Session(backend=backend) as session:
+            new = session.create_instance("new", user="n")
+            old = session.create_instance("old", user="o")
+            f_new = new.add_root(TextField("f"))
+            f_old = old.add_root(TextField("f"))
+            new.couple(f_new, old.gid(f_old))
+            assert settle(session, lambda: old.is_coupled(f_old))
+            for i in range(3):
+                f_new.commit(f"new-{i}", user="n")
+                assert not new.last_execution.lock_denied
+                assert settle(session, lambda: f_old.value == f"new-{i}")
+                assert two_message_fire(
+                    old, f_old, VALUE_CHANGED, user="o", value=f"old-{i}"
+                )
+                assert settle(session, lambda: f_new.value == f"old-{i}")
+            expected = [
+                (who, f"{who}-{i}") for i in range(3) for who in ("new", "old")
+            ]
+            for instance in (new, old):
+                assert [
+                    (e.instance_id, e.params["value"])
+                    for e in instance.trace.events(VALUE_CHANGED)
+                ] == expected
+            assert floor_free(session)
+            assert session.server._floors == {}
+            assert session.server.processed[kinds.EVENT] == 3
+            assert session.server.processed[kinds.LOCK_REQUEST] == 6
 
 
 class TestEventFanoutSharing:
