@@ -15,6 +15,13 @@ protocol-transparent: :class:`CosoftServer` and
 number of instances share one event loop instead of running a reader
 thread each.
 
+Both sides put every socket on the loop as one
+:class:`_SocketConnection`, an :class:`asyncio.BufferedProtocol`: the
+transport ``recv_into``s a receive buffer shared by the whole loop
+thread, and the read callback decodes and dispatches inline — no
+``bytes`` per read (a stream reader's transport allocates 256 KiB for
+each), no reader task, no second trip through the ready queue.
+
 Three disciplines are layered on the outbound path (docs/RUNTIME.md):
 
 **Batching (Nagle-style).**  Outbound messages are coalesced *per
@@ -49,11 +56,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import socket
 import threading
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import DeliveryError, TransportClosedError
 from repro.net.codec import Codec, StreamDecoder, get_codec
@@ -74,10 +80,12 @@ BACKPRESSURE_POLICIES = ("drop", "block", "disconnect")
 
 _log = get_logger("net.aio")
 
-#: Kernel write-buffer size past which the inline end-of-burst flush
-#: defers to a writer task (which awaits ``drain()``), so a slow
-#: consumer backs pressure up into the bounded send queue instead of an
-#: unbounded transport buffer.
+#: Transport write-buffer size (``get_write_buffer_size()``: bytes the
+#: kernel has not taken yet) past which the inline end-of-burst flush
+#: defers to a writer task, which awaits
+#: :meth:`_SocketConnection.drain` — the transport's ``pause_writing`` /
+#: ``resume_writing`` — so a slow consumer backs pressure up into the
+#: bounded send queue instead of an unbounded transport buffer.
 _INLINE_BUFFER_LIMIT = 1 << 16
 
 
@@ -256,20 +264,107 @@ class SendQueue:
         return len(self._items) <= self.config.max_queue // 2
 
 
-class _Conn:
-    """One accepted client connection."""
+#: Size of a loop thread's receive buffer: the most one ``recv_into``
+#: can return (a larger frame simply takes several reads).
+_RECV_BUFFER_SIZE = 1 << 16
 
-    __slots__ = ("peer_id", "reader", "writer")
+_loop_local = threading.local()
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer_id: Optional[str] = None,
-    ):
-        self.reader = reader
-        self.writer = writer
-        self.peer_id = peer_id
+
+def _receive_view() -> memoryview:
+    """The calling loop thread's receive buffer (created on first use).
+
+    One buffer serves every connection a loop thread services: asyncio
+    calls ``get_buffer`` and ``buffer_updated`` back to back on that
+    thread, and :meth:`StreamDecoder.feed` copies what it keeps, so
+    nothing outlives the callback that could be overwritten by the next
+    connection's read.  (A buffer per connection costs 64 KiB of touched
+    memory each — 8 MiB at 64 instances, docs/PERF.md §8.)
+    """
+    view = getattr(_loop_local, "view", None)
+    if view is None:
+        view = _loop_local.view = memoryview(bytearray(_RECV_BUFFER_SIZE))
+    return view
+
+
+class _SocketConnection(asyncio.BufferedProtocol):
+    """One socket on the loop, host or client side.
+
+    The selector transport ``recv_into``s the loop thread's shared
+    buffer and calls :meth:`buffer_updated`, which decodes and hands
+    every completed message to the owning transport's ``_dispatch``
+    inline — no intermediate ``bytes``, no reader task.  An exception
+    out of the decoder or the endpoint handler makes asyncio log it
+    (``asyncio`` logger, with traceback), close this connection only
+    and report it through :meth:`connection_lost`.
+    """
+
+    def __init__(self, owner: Union[AioHostTransport, AioClientTransport]):
+        self._owner = owner
+        self.transport: Optional[asyncio.Transport] = None
+        #: Set by the host from the first message the peer sends.
+        self.peer_id: Optional[str] = None
+        #: Codec of the peer's last frame, as last seen by the host.
+        self.codec_name: Optional[str] = None
+        self.decoder = StreamDecoder()
+        # asyncio calls its protocol factories on the loop thread.
+        self._view = _receive_view()
+        self._write_paused = False
+        self._drain_waiter: Optional[asyncio.Future] = None
+
+    # Protocol callbacks (loop thread) ------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self._owner._connection_made(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        messages = self.decoder.feed(self._view[:nbytes])
+        if messages:
+            self._owner._dispatch(self, messages)
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._wake_drain(None)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._wake_drain(ConnectionResetError("connection lost"))
+        self._owner._connection_lost(self, exc)
+
+    # Write-side flow control ---------------------------------------------
+
+    async def drain(self) -> None:
+        """Wait until the transport's write buffer is back under its
+        high-water mark (``pause_writing`` .. ``resume_writing``).
+
+        At most one task waits per connection: the destination's writer
+        task.  Raises :class:`ConnectionResetError` when the connection
+        is closing or goes away while waiting.
+        """
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        if not self._write_paused:
+            return
+        self._drain_waiter = asyncio.get_running_loop().create_future()
+        try:
+            await self._drain_waiter
+        finally:
+            self._drain_waiter = None
+
+    def _wake_drain(self, exc: Optional[Exception]) -> None:
+        waiter = self._drain_waiter
+        if waiter is None or waiter.done():
+            return
+        if exc is None:
+            waiter.set_result(None)
+        else:
+            waiter.set_exception(exc)
 
 
 class AioHostTransport(Transport):
@@ -323,13 +418,23 @@ class AioHostTransport(Transport):
         self._cond = threading.Condition(threading.RLock())
         self._closed = False
 
-        self._conns: Dict[str, _Conn] = {}
+        #: Every accepted socket, identified or not (loop-thread only):
+        #: what ``close()`` closes and policy ``block`` pauses.
+        self._accepted: Set[_SocketConnection] = set()
+        #: The accepted connections that have sent a first message, by
+        #: its sender id — the ones the endpoint can address.
+        self._conns: Dict[str, _SocketConnection] = {}
+        #: Policy ``block``: reading is paused on every accepted
+        #: connection while some destination queue is past its bound.
+        self._reads_paused = False
+        #: Connections that ended with an error rather than EOF: socket
+        #: errors, undecodable frames, a raising endpoint handler.
+        self.connection_errors = 0
         self._queues: Dict[str, SendQueue] = {}
         #: Wakes a writer sleeping out its coalescing window when the
         #: queue reaches a full batch early (loop-thread only).
         self._flush_events: Dict[str, asyncio.Event] = {}
         self._writer_tasks: Dict[str, asyncio.Task] = {}
-        self._reader_tasks: set = set()
         #: Destinations touched since the last inline flush, drained by
         #: one scheduled ``_flush_dirty`` per loop burst (loop-thread
         #: only).  Writer tasks are the fallback for the slow paths:
@@ -352,15 +457,13 @@ class AioHostTransport(Transport):
             self._loop = loop
             self._loop_thread = None
 
-        # Created on the loop; events must be born there.
-        async def _bootstrap() -> Tuple[asyncio.AbstractServer, asyncio.Event]:
+        async def _bootstrap() -> asyncio.AbstractServer:
             self._loop_tid = threading.get_ident()
-            server = await asyncio.start_server(self._serve_connection, host, port)
-            gate = asyncio.Event()
-            gate.set()
-            return server, gate
+            return await self._loop.create_server(
+                lambda: _SocketConnection(self), host, port
+            )
 
-        self._server, self._read_gate = asyncio.run_coroutine_threadsafe(
+        self._server = asyncio.run_coroutine_threadsafe(
             _bootstrap(), self._loop
         ).result(timeout=10.0)
         self.address = self._server.sockets[0].getsockname()
@@ -432,12 +535,8 @@ class AioHostTransport(Transport):
         def _shutdown() -> None:
             for task in list(self._writer_tasks.values()):
                 task.cancel()
-            for task in list(self._reader_tasks):
-                task.cancel()
-            for conn in list(self._conns.values()):
-                with contextlib.suppress(Exception):
-                    conn.writer.close()
-            self._conns.clear()
+            for conn in list(self._accepted):
+                conn.transport.close()
             self._server.close()
             if self._owns_loop:
                 self._loop.call_soon(self._loop.stop)
@@ -457,45 +556,49 @@ class AioHostTransport(Transport):
     def _now(self) -> float:
         return self._loop.time()
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def _connection_made(self, conn: _SocketConnection) -> None:
+        self._accepted.add(conn)
+        if self._closed:
+            conn.transport.close()
+        elif self._reads_paused:
+            # Accepted while gated: start paused.  Scheduled rather than
+            # done here: the transport adds its reader right after this
+            # callback, and not every supported Python lets a pause made
+            # inside it win.
+            self._loop.call_soon(self._pause_if_gated, conn)
+
+    def _pause_if_gated(self, conn: _SocketConnection) -> None:
+        if self._reads_paused:
+            conn.transport.pause_reading()
+
+    def _dispatch(self, conn: _SocketConnection, messages: List[Message]) -> None:
+        """Hand one read's worth of decoded messages to the endpoint.
+
+        The whole chunk is dispatched under one guard acquisition: same
+        serialization as per-message recv(), without paying the lock
+        round-trip per message.
+        """
+        with self._cond:
+            if self._closed:
+                return
+            if conn.peer_id is None:
+                conn.peer_id = messages[0].sender
+                self._conns[conn.peer_id] = conn
+                self._kick_writer(conn.peer_id)
+            if conn.decoder.last_codec != conn.codec_name:
+                # Negotiation: answer the peer in its own codec.
+                conn.codec_name = conn.decoder.last_codec
+                self._peer_codecs[conn.peer_id] = get_codec(conn.codec_name)
+            for message in messages:
+                self._handler(message)
+            self._cond.notify_all()
+
+    def _connection_lost(
+        self, conn: _SocketConnection, exc: Optional[Exception]
     ) -> None:
-        conn = _Conn(reader, writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.add(task)
-        decoder = StreamDecoder()
-        codec_name: Optional[str] = None
-        try:
-            while not self._closed:
-                # Backpressure policy "block": stop reading while any
-                # destination queue is past its bound.
-                if not self._read_gate.is_set():
-                    await self._read_gate.wait()
-                data = await reader.read(65536)
-                if not data:
-                    break
-                messages = decoder.feed(data)
-                if not messages:
-                    continue
-                # Dispatch the whole chunk under one guard acquisition:
-                # same serialization as per-message recv(), without
-                # paying the lock round-trip per message.
-                with self._cond:
-                    if self._closed:
-                        break
-                    if conn.peer_id is None:
-                        conn.peer_id = messages[0].sender
-                        self._conns[conn.peer_id] = conn
-                        self._kick_writer(conn.peer_id)
-                    if decoder.last_codec != codec_name:
-                        # Negotiation: answer the peer in its own codec.
-                        codec_name = decoder.last_codec
-                        self._peer_codecs[conn.peer_id] = get_codec(codec_name)
-                    for message in messages:
-                        self._handler(message)
-                    self._cond.notify_all()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
+        self._accepted.discard(conn)
+        if exc is not None:
+            self.connection_errors += 1
             log_event(
                 _log,
                 logging.WARNING,
@@ -503,19 +606,20 @@ class AioHostTransport(Transport):
                 peer=conn.peer_id,
                 error=type(exc).__name__,
             )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._reader_tasks.discard(task)
-            if conn.peer_id is not None and self._conns.get(conn.peer_id) is conn:
-                del self._conns[conn.peer_id]
-                self._peer_codecs.pop(conn.peer_id, None)
-                log_event(
-                    _log, logging.DEBUG, "connection_closed", peer=conn.peer_id
-                )
-            with contextlib.suppress(Exception):
-                writer.close()
+        if conn.peer_id is not None and self._conns.get(conn.peer_id) is conn:
+            del self._conns[conn.peer_id]
+            self._peer_codecs.pop(conn.peer_id, None)
+            log_event(_log, logging.DEBUG, "connection_closed", peer=conn.peer_id)
+
+    def _set_reads_paused(self, paused: bool) -> None:
+        """Policy ``block``: stop (or resume) reading on every accepted
+        connection — intake throttling without ever blocking a handler."""
+        self._reads_paused = paused
+        for conn in self._accepted:
+            if paused:
+                conn.transport.pause_reading()
+            else:
+                conn.transport.resume_reading()
 
     def _enqueue(self, message: Message) -> None:
         """Loop-thread only: queue one message and poke the writer."""
@@ -622,16 +726,13 @@ class AioHostTransport(Transport):
                 self.config.max_delay <= 0
                 or len(queue) >= self.config.max_batch
             ):
-                if (
-                    conn.writer.transport.get_write_buffer_size()
-                    > _INLINE_BUFFER_LIMIT
-                ):
+                if conn.transport.get_write_buffer_size() > _INLINE_BUFFER_LIMIT:
                     self._kick_writer(dest)  # drain under backpressure
                     break
                 items = queue.pop_batch()
                 payload, sizes = self._encode_payload(dest, items)
                 try:
-                    conn.writer.write(payload)
+                    conn.transport.write(payload)
                 except (ConnectionError, OSError) as exc:
                     queue.requeue_front(items)
                     self._kick_writer(dest)
@@ -648,8 +749,8 @@ class AioHostTransport(Transport):
             else:
                 if len(queue):
                     self._kick_writer(dest)  # deadline remainder
-            if not self._read_gate.is_set() and queue.below_resume_level():
-                self._read_gate.set()
+            if self._reads_paused and queue.below_resume_level():
+                self._set_reads_paused(False)
 
     def _on_overflow(self, queue: SendQueue, message: Message) -> None:
         policy = self.config.backpressure
@@ -669,7 +770,8 @@ class AioHostTransport(Transport):
         elif policy == "block":
             # Keep the message, throttle intake until the queue drains.
             queue.force_push(message, self._now())
-            self._read_gate.clear()
+            if not self._reads_paused:
+                self._set_reads_paused(True)
             self._kick_writer(queue.destination)
             log_event(
                 _log,
@@ -690,8 +792,7 @@ class AioHostTransport(Transport):
                 dropped_count += 1
             conn = self._conns.pop(queue.destination, None)
             if conn is not None:
-                with contextlib.suppress(Exception):
-                    conn.writer.close()
+                conn.transport.close()
             log_event(
                 _log,
                 logging.WARNING,
@@ -716,7 +817,7 @@ class AioHostTransport(Transport):
         """Drain one destination's queue: batch, write, retry, drop.
 
         The task exits when the queue empties; the next enqueue spawns a
-        fresh one.  ``await writer.drain()`` propagates the kernel's TCP
+        fresh one.  ``await conn.drain()`` propagates the kernel's TCP
         backpressure up into the queue bound.
         """
         try:
@@ -752,8 +853,8 @@ class AioHostTransport(Transport):
                 items = queue.pop_batch()
                 payload, sizes = self._encode_payload(dest, items)
                 try:
-                    conn.writer.write(payload)
-                    await conn.writer.drain()
+                    conn.transport.write(payload)
+                    await conn.drain()
                 except (ConnectionError, OSError) as exc:
                     # The write may have partially left: retrying can
                     # duplicate delivery, which idempotent msg ids make
@@ -772,8 +873,8 @@ class AioHostTransport(Transport):
                     continue
                 queue.attempts = 0
                 self._record_flush(dest, items, payload, sizes)
-                if not self._read_gate.is_set() and queue.below_resume_level():
-                    self._read_gate.set()
+                if self._reads_paused and queue.below_resume_level():
+                    self._set_reads_paused(False)
         except asyncio.CancelledError:
             pass
         finally:
@@ -800,8 +901,8 @@ class AioHostTransport(Transport):
                     reason=DROP_UNDELIVERABLE,
                 )
                 dropped += 1
-            if not self._read_gate.is_set():
-                self._read_gate.set()
+            if self._reads_paused:
+                self._set_reads_paused(False)
             log_event(
                 _log,
                 logging.WARNING,
@@ -885,20 +986,17 @@ class AioClientTransport(TcpTransportBase):
             self._loop = loop
             self._loop_thread = None
 
-        async def _bootstrap() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        # asyncio sets TCP_NODELAY on every socket transport it creates.
+        async def _bootstrap() -> _SocketConnection:
             self._loop_tid = threading.get_ident()
-            reader, writer = await asyncio.open_connection(host, port)
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return reader, writer
+            _, conn = await self._loop.create_connection(
+                lambda: _SocketConnection(self), host, port
+            )
+            return conn
 
-        self._stream_reader, self._writer = asyncio.run_coroutine_threadsafe(
+        self._conn = asyncio.run_coroutine_threadsafe(
             _bootstrap(), self._loop
         ).result(connect_timeout)
-        self._reader_future = asyncio.run_coroutine_threadsafe(
-            self._read_loop(), self._loop
-        )
 
     def send(self, message: Message) -> None:
         if self._closed:
@@ -930,8 +1028,7 @@ class AioClientTransport(TcpTransportBase):
             self._cond.notify_all()
 
         def _shutdown() -> None:
-            with contextlib.suppress(Exception):
-                self._writer.close()
+            self._conn.transport.close()
             if self._owns_loop:
                 self._loop.call_soon(self._loop.stop)
 
@@ -947,39 +1044,33 @@ class AioClientTransport(TcpTransportBase):
         if self._closed:
             return
         with contextlib.suppress(ConnectionError, OSError):
-            self._writer.write(frame)
+            self._conn.transport.write(frame)
 
-    async def _read_loop(self) -> None:
-        decoder = StreamDecoder()
-        try:
-            while not self._closed:
-                data = await self._stream_reader.read(65536)
-                if not data:
-                    break
-                messages = decoder.feed(data)
-                if not messages:
-                    continue
-                # One guard acquisition per chunk (same dispatch shape as
-                # the host side): the instance handler never sees
-                # concurrent calls, and application threads waiting in
-                # ``drive`` wake once per burst.
-                with self._cond:
-                    if self._closed:
-                        break
-                    for message in messages:
-                        self._handler(message)
-                    self._cond.notify_all()
-        except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            if not self._closed:
-                log_event(
-                    _log,
-                    logging.WARNING,
-                    "client_connection_lost",
-                    local_id=self._local_id,
-                    error=type(exc).__name__,
-                )
-        except asyncio.CancelledError:
-            pass
-        finally:
-            with self._cond:
-                self._cond.notify_all()
+    def _connection_made(self, conn: _SocketConnection) -> None:
+        """Nothing to register: the constructor is handed the connection."""
+
+    def _dispatch(self, conn: _SocketConnection, messages: List[Message]) -> None:
+        # One guard acquisition per chunk (same dispatch shape as the
+        # host side): the instance handler never sees concurrent calls,
+        # and application threads waiting in ``drive`` wake once per
+        # burst.
+        with self._cond:
+            if self._closed:
+                return
+            for message in messages:
+                self._handler(message)
+            self._cond.notify_all()
+
+    def _connection_lost(
+        self, conn: _SocketConnection, exc: Optional[Exception]
+    ) -> None:
+        if exc is not None and not self._closed:
+            log_event(
+                _log,
+                logging.WARNING,
+                "client_connection_lost",
+                local_id=self._local_id,
+                error=type(exc).__name__,
+            )
+        with self._cond:
+            self._cond.notify_all()

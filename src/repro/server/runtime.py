@@ -58,7 +58,10 @@ class EventLoopThread:
     def _main(self) -> None:
         asyncio.set_event_loop(self.loop)
         self.loop.run_forever()
-        # Drain cancellations scheduled during shutdown, then close.
+        # Run what shutdown scheduled, then close: cancelled tasks unwind,
+        # and every transport closed on the way out gets its
+        # connection_lost callback, which is what releases its socket —
+        # with no task pending there would otherwise be no pass to run it.
         pending = asyncio.all_tasks(self.loop)
         for task in pending:
             task.cancel()
@@ -66,6 +69,7 @@ class EventLoopThread:
             self.loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True)
             )
+        self.loop.run_until_complete(asyncio.sleep(0))
         self.loop.close()
 
     def run(self, coro: Awaitable[T], timeout: float = 10.0) -> T:
@@ -160,6 +164,7 @@ class AsyncServerRuntime:
         snapshot: Dict[str, Any] = {
             "traffic": transport.stats.snapshot(),
             "connections": len(transport.connections()),
+            "connection_errors": transport.connection_errors,
             "backpressure": self.config.backpressure,
             "max_batch": self.config.max_batch,
             "max_delay": self.config.max_delay,

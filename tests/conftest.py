@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 
@@ -27,6 +28,39 @@ from repro.toolkit import (
 #: Backend the shared ``session`` fixture builds; CI overrides this to
 #: run the whole suite against the asyncio runtime (REPRO_BACKEND=aio).
 SESSION_BACKEND = os.environ.get("REPRO_BACKEND", "memory")
+
+
+class _RecordList(logging.Handler):
+    def __init__(self, level):
+        super().__init__(level)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def loop_errors(request):
+    """Fail a test during which the ``asyncio`` logger recorded an ERROR.
+
+    The aio transports decode and dispatch inside protocol callbacks; a
+    bug there does not kill a task or raise into the test, the loop logs
+    it ("Fatal error: protocol.buffer_updated() call failed.") and
+    silently drops that connection.  A test that provokes such an error
+    on purpose carries ``@pytest.mark.expects_loop_error`` and gets the
+    records as this fixture's value.
+    """
+    handler = _RecordList(logging.ERROR)
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    yield handler.records
+    logger.removeHandler(handler)
+    expected = request.node.get_closest_marker("expects_loop_error")
+    if handler.records and expected is None:
+        pytest.fail(
+            "the asyncio logger recorded an error during this test:\n"
+            + "\n".join(record.getMessage() for record in handler.records)
+        )
 
 
 @pytest.fixture

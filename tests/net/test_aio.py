@@ -6,21 +6,29 @@ with explicit fake times; the socket-level tests run a real
 and :class:`AioClientTransport` against that host.
 """
 
+import gc
+import logging
 import queue
+import socket
+import struct
 import threading
 import time
+import tracemalloc
+import warnings
 
 import pytest
 
 from repro.errors import TransportClosedError
 from repro.net import kinds
 from repro.net.aio import (
+    _RECV_BUFFER_SIZE,
     AioClientTransport,
     AioHostTransport,
     BatchConfig,
     RetryPolicy,
     SendQueue,
 )
+from repro.net.codec import HEADER_SIZE, MAX_FRAME_SIZE, decode_body, encode
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
@@ -28,6 +36,11 @@ from repro.net.transport import (
     DROP_DISCONNECTED,
     DROP_UNDELIVERABLE,
 )
+from repro.server.runtime import AsyncServerRuntime, EventLoopThread
+from repro.session import Session
+from repro.toolkit import Shell, TextField
+
+from conftest import settle
 
 
 def msg(sender="server", to="c1", **payload):
@@ -51,6 +64,34 @@ class Collector:
     def __call__(self, message):
         self.received.append(message)
         self.event.set()
+
+    def payloads(self, sender):
+        return [m.payload for m in self.received if m.sender == sender]
+
+
+def read_exactly(sock, size):
+    data = b""
+    while len(data) < size:
+        chunk = sock.recv(size - len(data))
+        assert chunk, "peer closed mid-frame"
+        data += chunk
+    return data
+
+
+def read_frame(sock, timeout=5.0):
+    """Block for one whole frame on a raw socket and decode it."""
+    sock.settimeout(timeout)
+    (length,) = struct.unpack(">I", read_exactly(sock, HEADER_SIZE))
+    return decode_body(read_exactly(sock, length))
+
+
+def reads_eof(sock, timeout=5.0):
+    """The peer closed: the next read on *sock* returns no bytes."""
+    sock.settimeout(timeout)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -422,27 +463,68 @@ class TestAioHostTransport:
             BatchConfig(
                 max_queue=2,
                 backpressure="block",
-                retry_initial=0.02,
+                retry_initial=0.5,  # 0.5 s + 1 s of backoff: the gated window
                 retry_backoff=2.0,
                 retry_limit=3,
             )
         ],
         indirect=True,
     )
-    def test_backpressure_block_policy_gates_reads_then_recovers(self, aio_host):
-        """``block`` pauses intake, keeps the messages, and reopens the
-        gate once the stuck batch is dropped as undeliverable."""
-        transport, _ = aio_host
-        for i in range(5):
-            transport.send(msg(to="ghost", seq=i))
-        # Intake gate closes while the queue is past its bound...
-        assert wait_until(lambda: not transport._read_gate.is_set())
-        assert wait_until(lambda: transport.pending("ghost") >= 3)
-        # ...and reopens once retries exhaust and the batch is dropped.
-        assert wait_until(
-            lambda: transport.stats.drops_by_reason[DROP_UNDELIVERABLE] >= 1
-        )
-        assert wait_until(lambda: transport._read_gate.is_set())
+    def test_backpressure_block_policy_gates_reads_then_recovers(
+        self, aio_host, caplog
+    ):
+        """``block`` keeps the overflowing messages and stops intake — on
+        the live connection and on one accepted meanwhile — until the
+        stuck batch is dropped as undeliverable; then everything that
+        waited in the kernel is dispatched, in order."""
+        transport, inbox = aio_host
+        caplog.set_level(logging.INFO, logger="repro.net.aio")
+        live = socket.create_connection(transport.address)
+        late = None
+        try:
+            live.sendall(encode(msg(sender="live", to="", seq=-1)))
+            assert wait_until(lambda: len(inbox.received) == 1)
+            for i in range(5):
+                transport.send(msg(to="ghost", seq=i))
+            assert wait_until(lambda: "event=read_gate_closed" in caplog.text)
+            assert "destination=ghost" in caplog.text
+            # Past the bound, and kept.
+            assert wait_until(lambda: transport.pending("ghost") == 5)
+
+            for i in range(10):
+                live.sendall(encode(msg(sender="live", to="", seq=i)))
+            late = socket.create_connection(transport.address)
+            late.sendall(encode(msg(sender="late", to="", seq=0)))
+            time.sleep(0.2)
+            assert len(inbox.received) == 1  # nothing was read
+            assert not transport.stats.drops_by_reason[DROP_UNDELIVERABLE]
+
+            assert wait_until(
+                lambda: transport.stats.drops_by_reason[DROP_UNDELIVERABLE] == 5
+            )
+            assert wait_until(lambda: len(inbox.received) == 12)
+            assert inbox.payloads("live") == [{"seq": i} for i in range(-1, 10)]
+            assert inbox.payloads("late") == [{"seq": 0}]
+        finally:
+            live.close()
+            if late is not None:
+                late.close()
+
+    @pytest.mark.parametrize("sent", [0, 10], ids=["silent", "mid-frame"])
+    def test_close_reaches_connections_that_never_identified(self, sent):
+        """An accepted socket that has not completed a first message is in
+        nobody's routing table; ``close()`` closes it all the same."""
+        transport = AioHostTransport(Collector(), port=0)
+        sock = socket.create_connection(transport.address)
+        try:
+            sock.sendall(encode(msg(sender="c1", to="", hello=True))[:sent])
+            assert wait_until(lambda: len(transport._accepted) == 1)
+            assert transport.connections() == ()
+            transport.close()
+            assert reads_eof(sock)
+        finally:
+            sock.close()
+            transport.close()
 
     @pytest.mark.parametrize(
         "aio_host",
@@ -558,3 +640,264 @@ class TestAioClientTransport:
         assert wakeups == []
         client.send(msg(sender="c1", to="", tag="app"))
         assert wakeups == [threading.get_ident()]
+
+
+# ---------------------------------------------------------------------------
+# The read path: what a connection does with the bytes it is handed, on
+# the host side (accepted connections) and the client side alike
+# ---------------------------------------------------------------------------
+
+
+class ReadSide:
+    """Two raw sockets writing into two aio connections serviced by one
+    loop thread: two accepted connections of one :class:`AioHostTransport`
+    (``side == "host"``), or two :class:`AioClientTransport` sharing a
+    loop (``side == "client"``).  Writer *i* speaks as ``w<i>``; every
+    message lands in one :class:`Collector`, except that the handler
+    raises on a payload carrying ``boom``."""
+
+    def __init__(self, side):
+        self.side = side
+        self.inbox = Collector()
+        self.writers = []
+        self._closers = []
+        if side == "host":
+            host = AioHostTransport(self._handle, port=0)
+            self._closers.append(host.close)
+            #: The transport that dispatches what writer *i* sends.
+            self.transports = [host, host]
+            self.loop_thread = host._loop_thread
+            for _ in range(2):
+                self.writers.append(socket.create_connection(host.address))
+        else:
+            listener = socket.socket()
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.settimeout(5.0)
+            self._closers.append(listener.close)
+            runner = EventLoopThread("read-side-clients")
+            self._closers.append(runner.stop)
+            self.loop_thread = runner._thread
+            self.transports = []
+            for i in range(2):
+                client = AioClientTransport(
+                    f"c{i}", self._handle, *listener.getsockname(), loop=runner.loop
+                )
+                self._closers.append(client.close)
+                self.transports.append(client)
+                self.writers.append(listener.accept()[0])
+        for writer in self.writers:
+            writer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def _handle(self, message):
+        if message.payload.get("boom"):
+            raise RuntimeError("handler blew up")
+        self.inbox(message)
+
+    def frame(self, i, **payload):
+        return encode(msg(sender=f"w{i}", to="", **payload))
+
+    def identify(self):
+        """Each writer sends one whole message (the host binds its id)."""
+        for i, writer in enumerate(self.writers):
+            writer.sendall(self.frame(i, hello=True))
+        assert wait_until(lambda: len(self.inbox.received) == len(self.writers))
+
+    def answer(self, i, **payload):
+        """Send from the transport under test back to writer *i*."""
+        if self.side == "host":
+            self.transports[i].send(msg(to=f"w{i}", **payload))
+        else:
+            self.transports[i].send(msg(sender=f"c{i}", to="", **payload))
+
+    def close(self):
+        for writer in self.writers:
+            writer.close()
+        for closer in reversed(self._closers):
+            closer()
+
+
+@pytest.fixture(params=["host", "client"])
+def read_side(request):
+    side = ReadSide(request.param)
+    yield side
+    side.close()
+
+
+class TestReadPath:
+    def test_frame_larger_than_the_receive_buffer(self, read_side):
+        blob = "x" * (3 * _RECV_BUFFER_SIZE + 17)
+        read_side.writers[0].sendall(read_side.frame(0, blob=blob))
+        assert wait_until(lambda: len(read_side.inbox.received) == 1)
+        assert read_side.inbox.received[0].payload == {"blob": blob}
+
+    def test_frame_split_across_two_writes_decodes_once(self, read_side):
+        writer = read_side.writers[0]
+        frame = read_side.frame(0, text="split me")
+        cuts = [1, 2, 3, HEADER_SIZE, HEADER_SIZE + (len(frame) - HEADER_SIZE) // 2]
+        for count, cut in enumerate(cuts, start=1):
+            writer.sendall(frame[:cut])
+            time.sleep(0.02)  # let the first part be read by itself
+            assert len(read_side.inbox.received) == count - 1
+            writer.sendall(frame[cut:])
+            assert wait_until(lambda: len(read_side.inbox.received) == count)
+        time.sleep(0.05)
+        assert read_side.inbox.payloads("w0") == [{"text": "split me"}] * len(cuts)
+
+    def test_small_frames_in_one_write_dispatch_as_one_burst(
+        self, read_side, monkeypatch
+    ):
+        """20 frames, one write, well under one buffer: one read, so one
+        guard acquisition and one wake-up of the threads in ``drive``."""
+        read_side.identify()
+        cond = read_side.transports[0]._cond
+        wakeups = []
+        notify_all = cond.notify_all
+        monkeypatch.setattr(
+            cond, "notify_all", lambda: (wakeups.append(1), notify_all())
+        )
+        burst = b"".join(read_side.frame(0, seq=i) for i in range(20))
+        assert len(burst) < _RECV_BUFFER_SIZE // 8
+        read_side.writers[0].sendall(burst)
+        assert wait_until(lambda: len(read_side.inbox.payloads("w0")) == 21)
+        assert read_side.inbox.payloads("w0")[1:] == [{"seq": i} for i in range(20)]
+        assert len(wakeups) == 1
+
+    def test_interleaved_partial_frames_decode_independently(self, read_side):
+        """Both connections read through the loop thread's one receive
+        buffer; whatever a connection has of an unfinished frame must
+        be its own copy, or the other connection's read overwrites it."""
+        first, second = read_side.writers
+        frames = [
+            read_side.frame(0, text="a" * 300, n=1),
+            read_side.frame(1, text="b" * 300, n=2),
+        ]
+        pieces = 7
+        step = -(-max(map(len, frames)) // pieces)
+        for offset in range(0, step * pieces, step):
+            first.sendall(frames[0][offset : offset + step])
+            second.sendall(frames[1][offset : offset + step])
+            time.sleep(0.01)
+        assert wait_until(lambda: len(read_side.inbox.received) == 2)
+        assert read_side.inbox.payloads("w0") == [{"text": "a" * 300, "n": 1}]
+        assert read_side.inbox.payloads("w1") == [{"text": "b" * 300, "n": 2}]
+
+    @pytest.mark.expects_loop_error
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            ("oversize header", "CodecError"),
+            ("garbage body", "CodecError"),
+            ("handler raises", "RuntimeError"),
+        ],
+    )
+    def test_fault_closes_that_connection_only_and_says_why(
+        self, read_side, fault, error, caplog, loop_errors
+    ):
+        caplog.set_level(logging.DEBUG, logger="repro.net.aio")
+        bad, good = read_side.writers
+        read_side.identify()
+        if fault == "oversize header":
+            bad.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
+        elif fault == "garbage body":
+            bad.sendall(struct.pack(">I", 7) + b"\x00garbage"[:7])
+        else:
+            bad.sendall(read_side.frame(0, boom=True))
+
+        assert reads_eof(bad)  # that connection is gone ...
+        if read_side.side == "host":
+            host = read_side.transports[0]
+            assert wait_until(lambda: "event=connection_closed peer=w0" in caplog.text)
+            assert f"event=connection_error peer=w0 error={error}" in caplog.text
+            assert host.connections() == ("w1",)
+            assert list(host._peer_codecs) == ["w1"]
+            assert host.connection_errors == 1
+        else:
+            assert wait_until(
+                lambda: f"event=client_connection_lost local_id=c0 error={error}"
+                in caplog.text
+            )
+        assert "buffer_updated() call failed" in loop_errors[0].getMessage()
+        assert loop_errors[0].exc_info[0].__name__ == error
+
+        # ... and the other one keeps round-tripping on a living loop.
+        good.sendall(read_side.frame(1, ping=1))
+        assert wait_until(lambda: {"ping": 1} in read_side.inbox.payloads("w1"))
+        read_side.answer(1, pong=1)
+        assert read_frame(good).payload == {"pong": 1}
+        assert read_side.loop_thread.is_alive()
+        assert len(loop_errors) == 1
+
+
+def test_runtime_stats_show_connection_errors():
+    class Endpoint:
+        def bind(self, transport):
+            pass
+
+        def handle_message(self, message):
+            pass
+
+    with AsyncServerRuntime(Endpoint()) as runtime:
+        assert runtime.stats()["connection_errors"] == 0
+        with socket.create_connection(runtime.address) as sock:
+            sock.sendall(encode(msg(sender="c1", to="")))
+            assert wait_until(lambda: runtime.stats()["connections"] == 1)
+            # Reset by the peer with unread bytes pending: a socket
+            # error, not a protocol one — counted, and nothing for the
+            # asyncio logger to report.
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        assert wait_until(lambda: runtime.stats()["connection_errors"] == 1)
+        assert runtime.stats()["connections"] == 0
+
+
+# ---------------------------------------------------------------------------
+# A whole aio session: allocation per read, sockets after close
+# ---------------------------------------------------------------------------
+
+
+def coupled_fields(session):
+    fields = []
+    for name in ("a", "b"):
+        instance = session.create_instance(name, user=name)
+        tree = instance.add_root(Shell("app"))
+        fields.append(TextField("name", parent=tree))
+    session.instances["a"].couple(fields[0], ("b", "/app/name"))
+    session.pump()
+    return fields
+
+
+def test_reads_allocate_no_large_buffer():
+    """Every read lands in the loop thread's reused buffer: 50 coupled
+    commits never hold more than a few KiB beyond what they keep (a
+    stream reader's transport allocated 256 KiB per read)."""
+    with Session(backend="aio") as session:
+        source, replica = coupled_fields(session)
+        tracemalloc.start()
+        try:
+            source.commit("warm")
+            assert settle(session, lambda: replica.value == "warm")
+            tracemalloc.reset_peak()
+            for i in range(50):
+                source.commit(f"v{i}")
+                assert settle(session, lambda: replica.value == f"v{i}")
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - current < 128 * 1024
+
+
+def test_session_close_releases_every_socket():
+    """No reader task is pending when the loop stops, so the runtime runs
+    the closing transports' ``connection_lost`` itself; none is left for
+    the garbage collector to close."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with Session(backend="aio") as session:
+            source, replica = coupled_fields(session)
+            source.commit("x")
+            assert settle(session, lambda: replica.value == "x")
+        gc.collect()
+    messages = [str(warning.message) for warning in caught]
+    assert [text for text in messages if "unclosed transport" in text] == []
