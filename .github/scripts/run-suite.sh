@@ -31,11 +31,11 @@ case "$suite" in
     python -m pytest "benchmarks/bench_micro_components.py::TestObservabilityOverhead" -x -q
     ;;
   persistence)
-    # Recovery chaos: the integration suite with event-sourced
-    # persistence on for every Session, the persistence
-    # unit/property/recovery suites, and the overhead gate that pins
-    # journaling to zero added wire traffic.
-    REPRO_PERSISTENCE=1 python -m pytest tests/integration -x -q
+    # Recovery chaos: the integration suite and the roster-delta
+    # property with event-sourced persistence on for every Session, the
+    # persistence unit/property/recovery suites, and the overhead gate
+    # that pins journaling to zero added wire traffic.
+    REPRO_PERSISTENCE=1 python -m pytest tests/integration tests/property/test_property_roster.py -x -q
     python -m pytest tests/persist tests/property/test_property_persistence.py tests/integration/test_kill_recover.py -x -q
     python -m pytest "benchmarks/bench_micro_components.py::TestPersistenceOverhead" -x -q
     ;;

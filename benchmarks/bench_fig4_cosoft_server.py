@@ -102,10 +102,11 @@ class TestFigure4:
         assert processed > 0
 
     def test_registration_cost(self, benchmark):
-        """Cost of joining a session grows with the roster shipped to the
-        newcomer and announced to everyone present.  The couple table is
-        no part of it: a newcomer is a member of no group, so its replica
-        bootstrap is empty."""
+        """Cost of joining a session grows linearly with the population:
+        the full roster shipped to the newcomer, once, in its ack, and one
+        small delta (the new record and a version) to everyone present.
+        The couple table is no part of it: a newcomer is a member of no
+        group, so its replica bootstrap is empty."""
 
         def join_after(links):
             session, trees = build_group(links + 1)

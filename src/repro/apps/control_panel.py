@@ -143,14 +143,14 @@ class CouplingControlPanel:
 
     def refresh_roster(self) -> List[str]:
         """Re-read the registered instances from the local roster copy."""
+        # One copy first: the receive thread applies roster deltas to the
+        # instance's dict in place.
+        roster = dict(self.instance.roster)
         self._participants = sorted(
-            iid
-            for iid in self.instance.roster
-            if iid != self.instance.instance_id
+            iid for iid in roster if iid != self.instance.instance_id
         )
         rows = [
-            f"{iid}  ({self.instance.roster[iid].user}, "
-            f"{self.instance.roster[iid].app_type or 'app'})"
+            f"{iid}  ({roster[iid].user}, {roster[iid].app_type or 'app'})"
             for iid in self._participants
         ]
         self.roster_list.set("items", rows)

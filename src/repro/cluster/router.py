@@ -56,7 +56,7 @@ from repro.obs import tracing as obs_tracing
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import AccessControl
 from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import RoutingStats, broadcast
+from repro.server.routing import RoutingStats, answer_roster_resync, broadcast
 from repro.server.server import CosoftServer
 
 
@@ -368,6 +368,12 @@ class ShardedCosoftCluster:
             self._on_cluster_status(message)
         elif kind == kinds.CLUSTER_RESHARD:
             self._on_cluster_reshard(message)
+        elif kind == kinds.RESYNC_REQUEST and "roster" in message.payload:
+            # A gap in the registration deltas, not in an object's state:
+            # the router owns the registry, so no shard hears of it.
+            answer_roster_resync(
+                self._emit, self.registry, message, self.processed
+            )
         elif kind in self._ROUTED:
             shard_id = self._route(message)
             if shard_id is not None:
@@ -399,14 +405,14 @@ class ShardedCosoftCluster:
             message.reply(
                 kinds.REGISTER_ACK,
                 SERVER_ID,
-                roster=self.registry.roster(),
+                **self.registry.full_roster(),
                 couples=self.mirror.to_wire_for(record.instance_id),
                 server_time=self.clock.now(),
             )
         )
         self._broadcast(
             kinds.INSTANCE_LIST,
-            {"roster": self.registry.roster(), "joined": record.instance_id},
+            self.registry.joined_delta(record),
             exclude=(record.instance_id,),
         )
 
@@ -432,8 +438,7 @@ class ShardedCosoftCluster:
         }
         self.registry.remove(instance_id)
         self._broadcast(
-            kinds.INSTANCE_LIST,
-            {"roster": self.registry.roster(), "left": instance_id},
+            kinds.INSTANCE_LIST, self.registry.left_delta(instance_id)
         )
 
     def _on_permission_set(self, message: Message) -> None:
@@ -863,7 +868,8 @@ class ShardedCosoftCluster:
                 kind=kinds.SHARD_SYNC,
                 sender=ROUTER_ID,
                 payload={
-                    "records": [r.to_wire() for r in self.registry.records()],
+                    "records": self.registry.roster(),
+                    "version": self.registry.version,
                     "access": self.acl_mirror.export_state(),
                 },
             ),

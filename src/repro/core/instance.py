@@ -51,7 +51,7 @@ from repro.net.transport import Transport
 from repro.obs import NULL_OBS
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import PermissionRule
-from repro.server.registry import RegistrationRecord
+from repro.server.registry import RegistrationRecord, record_from_delta
 from repro.toolkit.builder import to_spec
 from repro.toolkit.events import Event, EventTrace
 from repro.toolkit.tree import (
@@ -136,7 +136,17 @@ class ApplicationInstance:
         #: Local replica of the server's couple table, restricted to the
         #: groups this instance's own objects belong to (§3.2).
         self.replica = CoupleTable()
+        #: Replica of the server's registration records: the full roster
+        #: from REGISTER_ACK, then one delta per join or leave, applied
+        #: in version order (:meth:`_on_instance_list`) to this dict in
+        #: place — on a socket transport by the receive thread, so a
+        #: reader on another thread copies it first (``dict(roster)``).
         self.roster: Dict[str, RegistrationRecord] = {}
+        #: The registry version :attr:`roster` reflects.
+        self.roster_version = 0
+        #: When the roster resync in flight stops counting as in flight
+        #: (transport time), or None: at most one is outstanding.
+        self._roster_resync_until: Optional[float] = None
         self.semantics = SemanticHookRegistry()
         self.commands = CommandRegistry()
         self.trace = (
@@ -246,8 +256,8 @@ class ApplicationInstance:
         )
         if reply is None:
             raise ServerError("registration timed out")
+        # The ack's roster was adopted on arrival (_dispatch_message).
         self.registered = True
-        self._apply_roster(reply.payload.get("roster", []))
         coupling.bootstrap_replica(self.replica, reply.payload.get("couples"))
 
     def unregister(self) -> None:
@@ -854,7 +864,7 @@ class ApplicationInstance:
                 self.replica, message.payload, self.instance_id
             )
         elif message.kind == kinds.INSTANCE_LIST:
-            self._apply_roster(message.payload.get("roster", []))
+            self._on_instance_list(message.payload)
         elif message.kind == kinds.EVENT_BROADCAST:
             action_sync.apply_remote_event(
                 self, message.payload, trace=message.trace
@@ -867,6 +877,10 @@ class ApplicationInstance:
             self._on_resync_request(message)
         elif message.kind == kinds.COMMAND:
             self._on_command(message)
+        elif message.kind == kinds.REGISTER_ACK:
+            # Adopted here, not in register(): in order with the deltas
+            # that follow the ack on the connection.
+            self._adopt_roster(message.payload)
 
     def _on_fetch_state(self, message: Message) -> None:
         """Owner side of CopyFrom/RemoteCopy: serialize the asked object."""
@@ -1051,17 +1065,64 @@ class ApplicationInstance:
     # Internals
     # ------------------------------------------------------------------
 
-    def _apply_roster(self, roster: Any) -> None:
-        """Adopt a full roster, parsing only the entries that changed."""
-        known = self.roster
-        records: Dict[str, RegistrationRecord] = {}
-        for entry in roster or []:
-            instance_id = str(entry["instance_id"])
-            record = known.get(instance_id)
-            if record is None or record.to_wire() != entry:
-                record = RegistrationRecord.from_wire(dict(entry))
-            records[instance_id] = record
-        self.roster = records
+    def _on_instance_list(self, payload: Mapping[str, Any]) -> None:
+        """Apply one roster message by its version.
+
+        A delta is the next change (``known + 1``: apply), one already
+        reflected (``<= known``: a duplicate delivery, counted), or
+        proof that changes were missed (anything later: ask for the full
+        roster).  A full roster — the answer — is adopted unless older
+        than what is held.
+        """
+        version = int(payload["version"])
+        known = self.roster_version
+        if "roster" in payload:
+            if version < known:
+                self.stats["roster_duplicates"] += 1
+            else:
+                self._adopt_roster(payload)
+        elif version <= known:
+            self.stats["roster_duplicates"] += 1
+        elif version > known + 1:
+            self._request_roster_resync()
+        else:
+            if "joined" in payload:
+                record = record_from_delta(payload)
+                self.roster[record.instance_id] = record
+            else:
+                self.roster.pop(str(payload["left"]), None)
+            self.roster_version = version
+
+    def _adopt_roster(self, payload: Mapping[str, Any]) -> None:
+        """Replace the replica with a full roster and its version."""
+        records = map(RegistrationRecord.from_wire, payload["roster"])
+        self.roster = {record.instance_id: record for record in records}
+        self.roster_version = int(payload["version"])
+        self._roster_resync_until = None
+
+    def _request_roster_resync(self) -> None:
+        """Ask whoever owns the registry for the full roster, once.
+
+        However many deltas arrive past the gap, one request is
+        outstanding; like any request it is given ``request_timeout``
+        (it or its answer may be lost), after which the next delta that
+        still shows a gap asks again.
+        """
+        transport = self._transport
+        if transport is None or transport.closed or not self.registered:
+            return
+        now = transport.now()
+        if self._roster_resync_until is not None and now < self._roster_resync_until:
+            return
+        self._roster_resync_until = now + self.request_timeout
+        self.stats["roster_resyncs"] += 1
+        self.send(
+            Message(
+                kind=kinds.RESYNC_REQUEST,
+                sender=self.instance_id,
+                payload={"roster": self.roster_version},
+            )
+        )
 
     def _resolve_local(self, ref: WidgetRef) -> UIObject:
         if isinstance(ref, UIObject):

@@ -372,6 +372,9 @@ class MemoryTransport(Transport):
     def drive(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool:
         return self._network.pump_until(predicate, timeout=timeout)
 
+    def now(self) -> float:
+        return self._network.clock.now()
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True

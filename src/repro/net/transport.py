@@ -33,13 +33,16 @@ Blocking request/reply interactions (CopyFrom, lock acquisition, …) are
 expressed through :meth:`Transport.drive`: "make progress until *predicate*
 becomes true or *timeout* elapses".  On the memory network this pumps the
 event queue (no real waiting); on TCP it waits on a condition variable fed
-by the receive thread.
+by the receive thread.  :meth:`Transport.now` reads the clock those
+timeouts run on, for a request sent from inside a handler, which cannot
+block (the roster resync of :class:`~repro.core.instance.ApplicationInstance`).
 """
 
 from __future__ import annotations
 
 import abc
 import contextlib
+import time
 from collections import Counter
 from typing import Callable, Dict, Optional, Protocol, runtime_checkable
 
@@ -323,8 +326,9 @@ class Transport(abc.ABC):
     """One endpoint's handle onto a network.
 
     The four-method contract — :meth:`send`, :meth:`recv`, :meth:`close`,
-    :attr:`stats` — is what every transport implements; :meth:`drive` and
-    :meth:`guard` have sensible defaults for single-threaded transports.
+    :attr:`stats` — is what every transport implements; :meth:`drive`,
+    :meth:`guard` and :meth:`now` have sensible defaults for
+    single-threaded and real-time transports.
     """
 
     def guard(self):
@@ -366,6 +370,15 @@ class Transport(abc.ABC):
         happens.
         """
 
+    def now(self) -> float:
+        """The time :meth:`drive` measures its *timeout* on, in seconds.
+
+        Monotonic wall time by default; simulated time on a simulated
+        network.  For endpoints that must time out a request they cannot
+        block on (one sent from inside a message handler).
+        """
+        return time.monotonic()
+
     @abc.abstractmethod
     def close(self) -> None:
         """Detach this endpoint; further sends raise."""
@@ -399,6 +412,8 @@ class TransportLike(Protocol):
     def recv(self, message: Message) -> None: ...
 
     def drive(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool: ...
+
+    def now(self) -> float: ...
 
     def close(self) -> None: ...
 

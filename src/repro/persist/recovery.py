@@ -200,8 +200,8 @@ def rebuild_router_state(cluster: Any) -> None:
     One authoritative pass instead of trusting replay side effects: the
     mirror couple table and sticky home pins come from each shard's
     couple/lock/floor/history holdings, the floor-ack routes from each
-    shard's pending-ack sets, and the roster from the shard replicas
-    (every shard holds the full registry).
+    shard's pending-ack sets, and the roster with its version from the
+    shard replicas (every shard holds the full registry).
     """
     from repro.server.couples import CoupleTable
 
@@ -229,10 +229,10 @@ def rebuild_router_state(cluster: Any) -> None:
                 cluster._floor_routes[key] = shard_id
                 cluster._floor_expected[key] = len(pending)
     for shard in cluster.shards.values():
-        for record in shard.registry.records():
-            if record.instance_id not in cluster.registry:
-                cluster.registry.add(record)
-        break   # every shard replicates the full roster; one suffices
+        # Every shard replicates the full roster and its version; one
+        # suffices.
+        cluster.registry.restore(shard.registry.records(), shard.registry.version)
+        break
     # Drop pins that merely restate the ring assignment — the live
     # router only pins what moved away from (or beyond) its ring home.
     for gid in [g for g, home in cluster._home.items()]:

@@ -76,6 +76,7 @@ def capture_state(server: Any) -> Dict[str, Any]:
             (r.to_wire() for r in server.registry.records()),
             key=lambda r: r["instance_id"],
         ),
+        "registry_version": server.registry.version,
         "couples": links,
         "locks": locks,
         "floors": floors,
@@ -90,10 +91,12 @@ def restore_state(server: Any, state: Dict[str, Any]) -> None:
     from repro.server.locks import LockOwner
     from repro.server.registry import RegistrationRecord
 
-    for record_wire in state.get("registry", ()):
-        record = RegistrationRecord.from_wire(dict(record_wire))
-        if record.instance_id not in server.registry:
-            server.registry.add(record)
+    # The version is restored, never re-counted from the records: clients
+    # that outlive the crash hold it, and the next delta must be theirs + 1.
+    server.registry.restore(
+        map(RegistrationRecord.from_wire, state.get("registry", ())),
+        int(state.get("registry_version", 0)),
+    )
     for link_wire in state.get("couples", ()):
         server.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
     server.locks.install(

@@ -8,7 +8,7 @@ name, etc." (§2.2, COSOFT architecture).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import AlreadyRegisteredError, NotRegisteredError
 
@@ -43,11 +43,32 @@ class RegistrationRecord:
         )
 
 
+def record_from_delta(payload: Mapping[str, object]) -> RegistrationRecord:
+    """The record a :meth:`Registry.joined_delta` payload announces."""
+    return RegistrationRecord.from_wire(
+        {**payload["record"], "instance_id": payload["joined"]}
+    )
+
+
 class Registry:
-    """The server's table of registered application instances."""
+    """The server's table of registered application instances.
+
+    Clients hold the table as an event-sourced replica: the full roster
+    once (:meth:`full_roster`, in REGISTER_ACK or as a resync answer),
+    then one :meth:`joined_delta` / :meth:`left_delta` per change.
+    :attr:`version` numbers the changes so a replica can tell a
+    duplicate (``<=`` what it holds) from the next change (``+ 1``) from
+    a gap (anything later).
+    """
 
     def __init__(self) -> None:
         self._records: Dict[str, RegistrationRecord] = {}
+        #: Count of changes ever made, bumped by :meth:`add` and
+        #: :meth:`remove`.  Registry state like the records: recovery
+        #: puts it back with :meth:`restore`, because surviving clients
+        #: hold the number and would drop a restarted chain as
+        #: duplicates.
+        self.version = 0
 
     def add(self, record: RegistrationRecord) -> None:
         if record.instance_id in self._records:
@@ -55,12 +76,28 @@ class Registry:
                 f"instance {record.instance_id!r} is already registered"
             )
         self._records[record.instance_id] = record
+        self.version += 1
 
     def remove(self, instance_id: str) -> RegistrationRecord:
         try:
-            return self._records.pop(instance_id)
+            record = self._records.pop(instance_id)
         except KeyError:
             raise NotRegisteredError(instance_id) from None
+        self.version += 1
+        return record
+
+    def restore(
+        self, records: Iterable[RegistrationRecord], version: int
+    ) -> None:
+        """Install recovered *records* and resume the chain at *version*.
+
+        Not a sequence of :meth:`add` calls: the version a snapshot, a
+        shard bootstrap or a surviving shard recorded is the one clients
+        hold.  Records already present are kept.
+        """
+        for record in records:
+            self._records.setdefault(record.instance_id, record)
+        self.version = version
 
     def get(self, instance_id: str) -> RegistrationRecord:
         try:
@@ -89,5 +126,24 @@ class Registry:
         return [r for r in self._records.values() if r.app_type == app_type]
 
     def roster(self) -> List[Dict[str, object]]:
-        """Wire form of all records, for INSTANCE_LIST broadcasts."""
+        """Wire form of all records."""
         return [r.to_wire() for r in self._records.values()]
+
+    # Roster messages.  Each stamps the current version, so build the
+    # delta right after the change it announces.
+
+    def full_roster(self) -> Dict[str, object]:
+        """Every record: what a joiner or a replica with a gap is owed."""
+        return {"roster": self.roster(), "version": self.version}
+
+    def joined_delta(self, record: RegistrationRecord) -> Dict[str, object]:
+        fields = record.to_wire()
+        # Said once: ``joined`` is the id (:func:`record_from_delta`).
+        return {
+            "joined": fields.pop("instance_id"),
+            "record": fields,
+            "version": self.version,
+        }
+
+    def left_delta(self, instance_id: str) -> Dict[str, object]:
+        return {"left": instance_id, "version": self.version}

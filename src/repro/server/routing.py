@@ -11,7 +11,10 @@ the interest index cannot drift between the two.
 Two delivery modes, chosen by what the message is about, never by a knob:
 
 * **full broadcast** — roster changes (INSTANCE_LIST) concern the whole
-  population: every registered instance gets a copy.
+  population: every registered instance gets a copy of the one-record
+  delta.  The full roster goes only to whoever is owed it: the joiner,
+  in its REGISTER_ACK, and a replica that saw a version gap
+  (:func:`answer_roster_resync`).
 * **interest cast** — a change to a couple group (COUPLE_UPDATE) goes to
   the *audience* the caller passes (instance ids from the couple table's
   per-component audience index, :meth:`CoupleTable.audience_of`); only
@@ -36,10 +39,19 @@ show delivered-vs-suppressed message counts per event.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Collection, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import SERVER_ID
+from repro.server.registry import Registry
+
+#: Key of a server's ``processed`` counter for roster resyncs asked of
+#: it.  They arrive as RESYNC_REQUEST, whose per-kind count otherwise
+#: means continuity losses of delta state sync; monitors tell the two
+#: apart with this.
+ROSTER_RESYNCS = "__roster_resyncs__"
 
 
 class RoutingStats:
@@ -163,3 +175,26 @@ def broadcast(
             )
             stats.suppressed_messages += max(0, population - len(recipients))
     return len(recipients)
+
+
+def answer_roster_resync(
+    send: Callable[[Message], None],
+    registry: Registry,
+    request: Message,
+    processed: Counter[str],
+) -> None:
+    """Send the full roster to a replica that reported a version gap.
+
+    Called by whichever node owns *registry* — the server, or the router
+    of a cluster, which never forwards the request to a shard.
+    """
+    processed[ROSTER_RESYNCS] += 1
+    registry.get(request.sender)  # NotRegisteredError -> ERROR reply
+    send(
+        Message(
+            kind=kinds.INSTANCE_LIST,
+            sender=SERVER_ID,
+            to=request.sender,
+            payload=registry.full_roster(),
+        )
+    )

@@ -13,7 +13,7 @@ TCP.
 
 Responsibilities per the paper:
 
-* registration records (join/leave, roster broadcast);
+* registration records (join/leave, one roster delta per change);
 * the couple table with transitive-closure groups, replicated inside
   each group: a COUPLE_UPDATE reaches the instances holding a member of
   the affected group (§3.2);
@@ -56,7 +56,7 @@ from repro.server.permissions import (
     PermissionRule,
 )
 from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import RoutingStats, broadcast
+from repro.server.routing import RoutingStats, answer_roster_resync, broadcast
 
 # SERVER_ID historically lived here; it is now defined once in
 # ``repro.net.transport`` (the wire layer also needs it) and re-exported
@@ -413,20 +413,21 @@ class CosoftServer:
         # A returning instance starts a fresh history: lift the tombstone
         # :meth:`HistoryStore.forget_instance` left at its termination.
         self.history.revive_instance(record.instance_id)
-        # Ack carries the roster and the newcomer's share of the couple
-        # table, initializing its local replica of the coupling info (§3.2).
+        # Ack carries the full roster, once, and the newcomer's share of
+        # the couple table, initializing its local replica of the coupling
+        # info (§3.2).  Everyone else learns the one new record.
         self._send(
             message.reply(
                 kinds.REGISTER_ACK,
                 SERVER_ID,
-                roster=self.registry.roster(),
+                **self.registry.full_roster(),
                 couples=self.couples.to_wire_for(record.instance_id),
                 server_time=self.clock.now(),
             )
         )
         self._broadcast(
             kinds.INSTANCE_LIST,
-            {"roster": self.registry.roster(), "joined": record.instance_id},
+            self.registry.joined_delta(record),
             exclude=(record.instance_id,),
         )
 
@@ -480,8 +481,7 @@ class CosoftServer:
                 audience=unregister_audience,
             )
         self._broadcast(
-            kinds.INSTANCE_LIST,
-            {"roster": self.registry.roster(), "left": instance_id},
+            kinds.INSTANCE_LIST, self.registry.left_delta(instance_id)
         )
 
     # ------------------------------------------------------------------
@@ -530,7 +530,6 @@ class CosoftServer:
         update = {
             "action": "add",
             "link": link.to_wire(),
-            "group": [gid_to_wire(g) for g in sorted(couples.group_of(source))],
             "already_existed": not added,
         }
         # Joiners get the other side's history; an instance on both sides
@@ -540,6 +539,13 @@ class CosoftServer:
             if history:
                 extended = dict(update, links=[l.to_wire() for l in history])
                 joined.update(dict.fromkeys(joiners, extended))
+        # The closure goes to the requester alone: replicas compute it
+        # from the links, but a third-party requester holds no replica
+        # of this group.
+        joined[message.sender] = dict(
+            joined.get(message.sender, update),
+            group=[gid_to_wire(g) for g in sorted(couples.group_of(source))],
+        )
         self._cast_couple_update(
             message, update, couples.group_instances(source), joined
         )
@@ -901,8 +907,15 @@ class CosoftServer:
 
         One-way: the owner answers with a fresh full-snapshot PUSH_STATE
         through the normal CopyTo path (docs/PERF.md, resync fallback).
+        A request that names the roster instead of an object is a gap in
+        the registration deltas, which this node answers itself.
         """
         payload = message.payload
+        if "roster" in payload:
+            answer_roster_resync(
+                self._send, self.registry, message, self.processed
+            )
+            return
         self._require_registered(message.sender)
         obj = gid_from_wire(payload["object"])
         target = gid_from_wire(payload["target"])
@@ -1201,11 +1214,13 @@ class CosoftServer:
         """
         self._require_router(message)
         payload = message.payload
-        for record_wire in payload.get("records", ()):
-            record = RegistrationRecord.from_wire(dict(record_wire))
-            if record.instance_id in self.registry:
-                continue
-            self.registry.add(record)
+        records = map(RegistrationRecord.from_wire, payload.get("records", ()))
+        fresh = [r for r in records if r.instance_id not in self.registry]
+        # The router's version, not one counted from here: every shard
+        # replicates the registry, version included, so that the router
+        # can be rebuilt from any of them (persist/recovery.py).
+        self.registry.restore(fresh, int(payload["version"]))
+        for record in fresh:
             self.history.revive_instance(record.instance_id)
         access = payload.get("access")
         if access:

@@ -18,6 +18,7 @@ from typing import Any, Dict, List
 
 from repro.cluster.router import ShardedCosoftCluster
 from repro.net import kinds
+from repro.server.routing import ROSTER_RESYNCS
 from repro.server.server import CosoftServer
 
 
@@ -27,10 +28,15 @@ def _delta_sync_counters(processed: Dict[str, int]) -> Dict[str, int]:
     ``push_state`` counts every state transfer (full or delta);
     ``resync_requests`` counts continuity losses — a receiver whose
     baseline didn't match asked the owner for a fresh full snapshot.
+    Roster gaps travel as RESYNC_REQUEST too and are a different event
+    (a registration delta went missing, no object state did): they are
+    taken out of that count and reported as ``roster_resyncs``.
     """
+    roster_resyncs = processed.get(ROSTER_RESYNCS, 0)
     return {
         "push_state": processed.get(kinds.PUSH_STATE, 0),
-        "resync_requests": processed.get(kinds.RESYNC_REQUEST, 0),
+        "resync_requests": processed.get(kinds.RESYNC_REQUEST, 0) - roster_resyncs,
+        "roster_resyncs": roster_resyncs,
     }
 
 
@@ -141,7 +147,8 @@ def format_dashboard(server: CosoftServer, *, width: int = 72) -> str:
     delta = snap["delta_sync"]
     lines.append(
         f" Delta sync: {delta['push_state']} state pushes, "
-        f"{delta['resync_requests']} resyncs (continuity losses)"
+        f"{delta['resync_requests']} resyncs (continuity losses)   "
+        f"roster resyncs: {delta['roster_resyncs']}"
     )
     lines.append(thin)
     if snap["histories"]:
@@ -241,7 +248,8 @@ def format_cluster_dashboard(
         f"broadcast {snap['routing']['broadcast_messages']} "
         f"suppressed {snap['routing']['suppressed_messages']}",
         f" Delta sync: {snap['delta_sync']['push_state']} pushes, "
-        f"{snap['delta_sync']['resync_requests']} resyncs",
+        f"{snap['delta_sync']['resync_requests']} resyncs   "
+        f"roster resyncs: {snap['delta_sync']['roster_resyncs']}",
         thin,
     ]
     for shard_id in sorted(snap["per_shard"]):

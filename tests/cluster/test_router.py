@@ -78,6 +78,7 @@ class TestRegistration:
         assert acks[0].to == "x"
         assert acks[0].payload["couples"] == []
         assert [r["instance_id"] for r in acks[0].payload["roster"]] == ["x"]
+        assert acks[0].payload["version"] == 1
 
     def test_roster_broadcast_excludes_the_joiner(self):
         cluster, outbox = make_cluster(shards=2)
@@ -86,6 +87,11 @@ class TestRegistration:
         updates = outbox.of_kind(kinds.INSTANCE_LIST)
         assert [m.to for m in updates] == ["x"]
         assert updates[0].payload["joined"] == "y"
+        # One record and the version it made, not the roster; the shards
+        # count the same version for the router to be rebuilt from.
+        assert sorted(updates[0].payload) == ["joined", "record", "version"]
+        assert updates[0].payload["version"] == cluster.registry.version == 2
+        assert all(s.registry.version == 2 for s in cluster.shards.values())
 
     def test_duplicate_register_rejected(self):
         cluster, outbox = make_cluster()
@@ -113,6 +119,7 @@ class TestUnregister:
             if m.payload.get("left") == "x"
         ]
         assert [m.to for m in leaves] == ["y"]
+        assert leaves[0].payload == {"left": "x", "version": 3}
 
     def test_unknown_unregister_rejected(self):
         cluster, outbox = make_cluster()

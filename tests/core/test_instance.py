@@ -9,17 +9,42 @@ from repro.server.permissions import PermissionRule
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Form, Shell, TextField
 
-from conftest import make_demo_tree
+from conftest import make_demo_tree, settle
 
 
 class TestLifecycle:
     def test_register_populates_roster(self, pair):
         session, a, b = pair
-        session.pump()
-        assert set(a.roster) == {"a", "b"} or set(a.roster) == {"a"}
-        session.pump()
-        # After pumping the roster broadcast, both see each other.
-        assert "b" in a.roster or "a" in b.roster
+        registry = session.server.registry
+        # a got the roster of one in its ack and b's record as a delta;
+        # b got both in its ack.
+        assert settle(session, lambda: a.roster_version == registry.version)
+        assert set(a.roster) == set(b.roster) == {"a", "b"}
+        assert a.roster == b.roster == {
+            record.instance_id: record for record in registry.records()
+        }
+        assert a.roster_version == b.roster_version == registry.version == 2
+        assert a.stats["roster_resyncs"] == b.stats["roster_resyncs"] == 0
+
+    def test_leave_removes_the_record(self, pair):
+        session, a, b = pair
+        b.unregister()
+        assert settle(session, lambda: a.roster_version == 3)
+        assert set(a.roster) == {"a"}
+        assert session.server.registry.version == 3
+
+    def test_reregistering_replaces_the_record(self, pair):
+        session, a, b = pair
+        b.unregister()
+        b.user = "barbara"
+        b.register()
+        registry = session.server.registry
+        assert settle(session, lambda: a.roster_version == registry.version)
+        assert a.roster["b"].user == "barbara"
+        assert a.roster["b"] == b.roster["b"] == registry.get("b")
+        # Leave and join again are two changes; b starts over from its ack.
+        assert a.roster_version == b.roster_version == registry.version == 4
+        assert a.stats["roster_resyncs"] == 0
 
     def test_register_bootstraps_couple_replica(self, session):
         a = session.create_instance("a", user="u1")

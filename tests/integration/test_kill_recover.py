@@ -137,3 +137,52 @@ class TestLateJoin:
             payload["entries"]
         )
         session.close()
+
+
+class TestRosterVersion:
+    """A recovered registry continues the version chain its clients hold:
+    the first delta after recovery is theirs + 1, so it applies — not a
+    duplicate to drop, not a gap to resync."""
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["server", "cluster-2"])
+    def test_next_join_applies_on_a_surviving_client(self, tmp_path, shards):
+        from repro.core.instance import ApplicationInstance
+        from repro.net.transport import SERVER_ID
+
+        # Snapshots so frequent that recovery starts from one: the
+        # version has to come out of it, there is no join left to replay.
+        config = PersistenceConfig(directory=str(tmp_path), snapshot_every=1)
+        session = Session(shards=shards, persistence=config)
+        a = session.create_instance("a", user="alice")
+        b = session.create_instance("b", user="bob")
+        session.create_instance("c", user="carol")
+        b.unregister()
+        session.pump()
+        dead = session.server
+        assert (len(dead.registry), dead.registry.version) == (2, 4)
+        assert a.roster_version == 4
+        # Kill: no close, no final sync; rebuild from the journal alone
+        # and put the survivor's network endpoint in the dead one's place.
+        if shards:
+            recovered = recover_cluster(config, shards=shards)
+            journals = [s.persistence for s in recovered.shards.values()]
+        else:
+            cold = config.build()
+            recovered = recover_server(cold)
+            journals = [cold]
+        try:
+            assert recovered.registry.version == 4
+            network = session.network
+            network.detach(SERVER_ID)
+            recovered.bind(network.attach(SERVER_ID, recovered.handle_message))
+            d = ApplicationInstance("d", user="dora").connect(network)
+            d.register()
+            network.pump()
+            assert set(a.roster) == set(d.roster) == {"a", "c", "d"}
+            assert a.roster_version == d.roster_version == 5
+            assert a.stats["roster_resyncs"] == 0
+            assert a.stats["roster_duplicates"] == 0
+        finally:
+            for journal in journals:
+                journal.close()
+            session.close()

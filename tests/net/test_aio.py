@@ -29,6 +29,7 @@ from repro.net.aio import (
     SendQueue,
 )
 from repro.net.codec import HEADER_SIZE, MAX_FRAME_SIZE, decode_body, encode
+from repro.net import message as message_module
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
@@ -874,6 +875,11 @@ def test_reads_allocate_no_large_buffer():
     stream reader's transport allocated 256 KiB per read)."""
     with Session(backend="aio") as session:
         source, replica = coupled_fields(session)
+        # The payload memo pins what it holds and drops all 512 entries
+        # when full.  These commits add 408: starting it empty keeps that
+        # drop — hundreds of KiB released at once, whenever earlier tests
+        # left it part-filled — out of the measurement.
+        message_module._JSON_MEMO.clear()
         tracemalloc.start()
         try:
             source.commit("warm")

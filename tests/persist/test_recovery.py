@@ -18,6 +18,7 @@ from persist_helpers import (
     lock,
     make_server,
     register,
+    unregister,
 )
 from repro.server.couples import global_id
 
@@ -51,6 +52,30 @@ class TestRecoverServer:
         assert server_fingerprint(recovered) == expected
         # Only the suffix replayed; the prefix came from the snapshot.
         assert persist.replayed_ops == persist.log.last_seq - snap_seq
+
+    def test_registry_version_survives_snapshot_and_suffix(self):
+        """The next join after recovery is the dead server's version + 1,
+        whether the version came out of a snapshot or out of replay."""
+        persist = memory_config().build()
+        live, _ = make_server(persistence=persist)
+        for name in ("a", "b", "c"):
+            register(live, name)
+        unregister(live, "b")
+        persist.snapshot(live)  # two records, version 4
+        register(live, "d")
+        unregister(live, "a")
+        assert live.registry.version == 6
+        recovered = recover_server(persist)
+        assert recovered.registry.version == 6
+        transport = FakeTransport()
+        recovered.bind(transport)
+        register(recovered, "e")
+        deltas = [
+            m.payload for m in transport.take()
+            if m.kind == kinds.INSTANCE_LIST
+        ]
+        assert sorted(m["version"] for m in deltas) == [7, 7]
+        assert {m["joined"] for m in deltas} == {"e"}
 
     def test_clock_derived_state_reproduces(self):
         persist = memory_config().build()
@@ -151,6 +176,41 @@ class TestRecoverCluster:
             assert server_fingerprint(shard) == expected[sid]
         assert len(recovered.registry) == 3
         assert len(recovered.mirror) == 1
+
+    def test_router_registry_version_is_restored_from_the_shards(self, tmp_path):
+        from repro.cluster.router import ShardedCosoftCluster
+
+        config = PersistenceConfig(directory=str(tmp_path), snapshot_every=3)
+        cluster = ShardedCosoftCluster(shards=2, persistence=config)
+        transport = self._drive(cluster)
+        cluster.clock.advance(0.01)
+        cluster.handle_message(Message(kind=kinds.UNREGISTER, sender="c"))
+        assert (len(cluster.registry), cluster.registry.version) == (2, 4)
+        for persist in (s.persistence for s in cluster.shards.values()):
+            assert persist.snapshots_taken > 0
+            persist.close()
+        recovered = recover_cluster(config, shards=2)
+        try:
+            # Two records would re-count to 2; clients hold 4.
+            assert recovered.registry.version == 4
+            assert all(
+                shard.registry.version == 4
+                for shard in recovered.shards.values()
+            )
+            recovered.bind(transport)
+            transport.take()
+            recovered.clock.advance(0.01)
+            recovered.handle_message(
+                Message(kind=kinds.REGISTER, sender="d", payload={"user": "dora"})
+            )
+            deltas = [
+                m.payload for m in transport.take()
+                if m.kind == kinds.INSTANCE_LIST
+            ]
+            assert [(m["joined"], m["version"]) for m in deltas] == [("d", 5)] * 2
+        finally:
+            for shard in recovered.shards.values():
+                shard.persistence.close()
 
     def test_router_books_rebuilt(self, tmp_path):
         from repro.cluster.router import ShardedCosoftCluster

@@ -43,6 +43,23 @@ class TestCaptureRestore:
         # Tombstones travel too: "c" unregistered, its history stays dead.
         assert dst.history.forgotten_instances() == ["c"]
 
+    def test_registry_version_is_restored_not_recounted(self):
+        src, _ = make_server()
+        drive_workload(src)  # three joins and a leave
+        assert (len(src.registry), src.registry.version) == (2, 4)
+        dst, _ = make_server()
+        restore_state(dst, capture_state(src))
+        # Two restored records, yet the chain clients hold goes on at 4.
+        assert dst.registry.version == 4
+
+    def test_registry_version_is_part_of_the_fingerprint(self):
+        src, _ = make_server()
+        drive_workload(src)
+        state = capture_state(src)
+        assert state_fingerprint(state) != state_fingerprint(
+            dict(state, registry_version=state["registry_version"] + 1)
+        )
+
     def test_fingerprint_ignores_volatile_counters(self):
         src, _ = make_server()
         drive_workload(src)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AlreadyRegisteredError, NotRegisteredError
-from repro.server.registry import RegistrationRecord, Registry
+from repro.server.registry import RegistrationRecord, Registry, record_from_delta
 
 
 def record(instance_id="i1", user="alice", app_type="editor"):
@@ -65,6 +65,40 @@ class TestRegistry:
         entry = reg.roster()[0]
         rebuilt = RegistrationRecord.from_wire(entry)
         assert rebuilt == record()
+
+    def test_every_change_bumps_the_version(self):
+        reg = Registry()
+        assert reg.version == 0
+        reg.add(record("i1"))
+        reg.add(record("i2"))
+        with pytest.raises(AlreadyRegisteredError):
+            reg.add(record("i2"))
+        reg.remove("i1")
+        with pytest.raises(NotRegisteredError):
+            reg.remove("i1")
+        assert reg.version == 3  # refused changes are not changes
+
+    def test_roster_messages_stamp_the_version(self):
+        reg = Registry()
+        reg.add(record("i1", "alice"))
+        assert reg.full_roster() == {"roster": reg.roster(), "version": 1}
+        reg.add(record("i2", "bob"))
+        joined = reg.joined_delta(reg.get("i2"))
+        assert joined["joined"] == "i2" and joined["version"] == 2
+        assert "instance_id" not in joined["record"]  # said once
+        assert record_from_delta(joined) == reg.get("i2")
+        reg.remove("i1")
+        assert reg.left_delta("i1") == {"left": "i1", "version": 3}
+
+    def test_restore_resumes_the_chain(self):
+        reg = Registry()
+        reg.add(record("i1", "kept"))
+        reg.restore([record("i1", "ignored"), record("i2")], 9)
+        assert reg.instance_ids() == ("i1", "i2")
+        assert reg.get("i1").user == "kept"
+        assert reg.version == 9
+        reg.add(record("i3"))
+        assert reg.version == 10
 
     def test_instance_ids_order(self):
         reg = Registry()

@@ -218,11 +218,15 @@ class TestCoupleScopeGroup:
         reply = [m for m in updates if m.to == "c"][0]
         assert reply.reply_to is not None
         assert "links" not in reply.payload
+        # c holds no replica of the group: its reply alone names the closure.
+        assert sorted(map(tuple, reply.payload["group"])) == sorted([A, B])
+        assert all("group" not in m.payload for m in updates if m.to != "c")
 
     def test_merge_sends_each_side_only_the_other_sides_links(self):
         """Groups of 3 (a, b, both) and 2 (c, both) merge: each side gets
         exactly the other side's pre-merge links, the instance on both
-        sides gets none, and there are three distinct payload objects."""
+        sides gets none, and there are three distinct payload objects
+        plus the requester's reply, the only copy with the closure."""
         srv, transport = make_server()
         for instance in ("a", "b", "c", "both"):
             register(srv, transport, instance)
@@ -249,9 +253,12 @@ class TestCoupleScopeGroup:
         assert history("a") == history("b") == right
         assert history("c") == left
         assert "links" not in updates["both"].payload
-        assert updates["a"].payload is updates["b"].payload
-        assert len({id(m.payload) for m in updates.values()}) == 3
+        assert len({id(m.payload) for m in updates.values()}) == 4
         assert updates["b"].reply_to is not None
+        reply = dict(updates["b"].payload)
+        assert len(reply.pop("group")) == 5
+        assert reply == updates["a"].payload
+        assert all("group" not in updates[i].payload for i in ("a", "both", "c"))
 
     def test_link_inside_one_group_carries_no_history(self):
         srv, transport = make_server()

@@ -89,15 +89,30 @@ class TestRegistration:
         assert out[0].kind == kinds.REGISTER_ACK
         assert out[0].to == "a"
         assert out[0].payload["roster"][0]["user"] == "alice"
+        assert out[0].payload["version"] == 1
         assert out[0].payload["couples"] == []
 
     def test_second_register_broadcasts_roster(self, server):
         srv, transport = server
         register(srv, transport, "a")
-        out = register(srv, transport, "b")
+        out = register(srv, transport, "b", user="bob")
         kinds_to = [(m.kind, m.to) for m in out]
         assert (kinds.REGISTER_ACK, "b") in kinds_to
         assert (kinds.INSTANCE_LIST, "a") in kinds_to
+        # The joiner is owed the whole roster; a is told the one record.
+        ack, delta = out
+        assert [r["instance_id"] for r in ack.payload["roster"]] == ["a", "b"]
+        assert ack.payload["version"] == 2
+        assert delta.payload == {
+            "joined": "b",
+            "record": {
+                "user": "bob",
+                "host": "localhost",
+                "app_type": "",
+                "registered_at": srv.registry.get("b").registered_at,
+            },
+            "version": 2,
+        }
 
     def test_double_register_errors(self, server):
         srv, transport = server
@@ -118,7 +133,9 @@ class TestRegistration:
             m.kind == kinds.COUPLE_UPDATE and m.payload["action"] == "remove"
             for m in out
         )
-        assert any(m.kind == kinds.INSTANCE_LIST for m in out)
+        assert [m.payload for m in out if m.kind == kinds.INSTANCE_LIST] == [
+            {"left": "a", "version": 3}
+        ]
         assert len(srv.registry) == 1
         assert len(srv.couples) == 0
 
@@ -145,6 +162,9 @@ class TestCoupling:
         assert sorted(tuple(g) for g in group) == sorted(
             [tuple(gid_to_wire(A_OBJ)), tuple(gid_to_wire(B_OBJ))]
         )
+        # Only there: b computes the closure from the link.
+        peer_copy = [m for m in updates if m.to == "b"][0]
+        assert "group" not in peer_copy.payload
 
     def test_couple_to_unregistered_instance_errors(self, server):
         srv, transport = server

@@ -43,6 +43,25 @@ class TestSnapshot:
         session, *_ = busy_session
         json.dumps(snapshot(session.server))  # must not raise
 
+    def test_roster_resyncs_are_not_counted_as_continuity_losses(
+        self, busy_session
+    ):
+        from repro.net import kinds
+        from repro.net.message import Message
+
+        session, a, b, _ = busy_session
+        for payload in (
+            {"roster": 0},
+            {"object": ["b", FIELD], "target": ["a", FIELD]},
+        ):
+            session.server.handle_message(
+                Message(kind=kinds.RESYNC_REQUEST, sender="a", payload=payload)
+            )
+        counters = snapshot(session.server)["delta_sync"]
+        assert counters["resync_requests"] == 1
+        assert counters["roster_resyncs"] == 1
+        assert "roster resyncs: 1" in format_dashboard(session.server)
+
     def test_lock_stats(self, busy_session):
         session, a, b, grant = busy_session
         snap = snapshot(session.server)
