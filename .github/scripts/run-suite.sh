@@ -46,15 +46,6 @@ case "$suite" in
     REPRO_CODEC=binary python -m pytest -x -q
     python -m pytest "benchmarks/bench_micro_components.py::TestCodecFrameSize" -x -q
     ;;
-  wire-batching)
-    # The same suite with batch-envelope wire framing on for every
-    # Session — alone and combined with the binary codec — plus the
-    # batch-encode fast-path gate and the 64-destination flood gate.
-    REPRO_WIRE_BATCHING=1 python -m pytest -x -q
-    REPRO_WIRE_BATCHING=1 REPRO_CODEC=binary python -m pytest tests/net tests/integration -x -q
-    python -m pytest "benchmarks/bench_micro_components.py::TestBatchEncodeGate" -x -q
-    python -m pytest "benchmarks/bench_routing_delta.py::TestWireBatchingFlood" -x -q
-    ;;
   *)
     echo "run-suite.sh: unknown suite '$suite'" >&2
     exit 2

@@ -446,67 +446,3 @@ class TestBinaryCodecThroughput:
 
         out = benchmark(decode_all)
         assert len(out) == len(frames)
-
-
-class TestBatchEncodeGate:
-    """Gate: batch-envelope encode must beat per-message framing.
-
-    Encoding a flush as one batch envelope skips the per-message frame
-    cache, the per-message header pack and the per-frame ``bytes`` copy;
-    the envelope's member loop shares every encoder table across the
-    batch.  On the E11 wire mix (cache-cold, the worst case for the
-    envelope) the batch path must cost <= ``MAX_RATIO`` of the
-    per-message path, per message.
-    """
-
-    #: Committed floor; measured ~0.60 on the reference machine
-    #: (benchmarks/results/wire_batching_encode.txt).
-    MAX_RATIO = 0.70
-    ROUNDS = 300
-
-    def _cost(self, encode_mix, mix):
-        import time as _time
-
-        def once():
-            for m in mix:
-                object.__setattr__(m, "_frames", None)
-            started = _time.perf_counter()
-            encode_mix(mix)
-            return _time.perf_counter() - started
-
-        return min(once() for _ in range(self.ROUNDS)) / len(mix)
-
-    def test_binary_batch_encode_beats_per_message(self, benchmark):
-        from repro.net.binary import BINARY_CODEC
-        from repro.net.codec import JSON_CODEC
-
-        from _common import emit_table
-
-        def measure():
-            mix = e11_message_mix()
-            rows = []
-            for codec in (BINARY_CODEC, JSON_CODEC):
-                per_message = self._cost(
-                    lambda ms, c=codec: [c.encode(m) for m in ms], mix
-                )
-                batch = self._cost(
-                    lambda ms, c=codec: c.encode_batch(ms), mix
-                )
-                rows.append(
-                    (codec.name, per_message * 1e6, batch * 1e6,
-                     batch / per_message)
-                )
-            return rows
-
-        rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-        emit_table(
-            "wire_batching_encode",
-            "Batch-envelope vs per-message encode (E11 mix, cache-cold)",
-            ["codec", "per-msg us/msg", "batch us/msg", "ratio"],
-            rows,
-        )
-        binary_ratio = rows[0][3]
-        assert binary_ratio <= self.MAX_RATIO, (
-            f"binary batch encode is {binary_ratio:.2f}x the per-message "
-            f"path per message; the envelope promises <= {self.MAX_RATIO}x"
-        )

@@ -331,9 +331,8 @@ class ProcCluster(ShardedCosoftCluster):
     directory:
         Root directory for per-shard journals, portfiles and worker
         logs.  Required — crash recovery needs a durable op log.
-    link_codec / link_wire_batching:
-        Wire settings for the router<->worker links (default: the
-        negotiated binary codec, no batching).
+    link_codec:
+        Wire codec of the router<->worker links (default: binary).
     heartbeat_interval / liveness_timeout:
         Monitor cadence and the silence threshold past which a worker is
         declared dead and restarted (``0`` disables the silence check).
@@ -353,7 +352,6 @@ class ProcCluster(ShardedCosoftCluster):
         *,
         directory: str,
         link_codec: str = "binary",
-        link_wire_batching: bool = False,
         heartbeat_interval: float = 0.5,
         liveness_timeout: float = 5.0,
         start_timeout: float = 30.0,
@@ -370,7 +368,6 @@ class ProcCluster(ShardedCosoftCluster):
         kwargs.pop("persistence", None)
         self.directory = directory
         self.link_codec = link_codec
-        self.link_wire_batching = link_wire_batching
         self.heartbeat_interval = heartbeat_interval
         self.liveness_timeout = liveness_timeout
         self.start_timeout = start_timeout
@@ -488,8 +485,6 @@ class ProcCluster(ShardedCosoftCluster):
             # router's) correlation ids.
             "--msg-id-base", str(self._spawn_count * 10**12),
         ]
-        if self.link_wire_batching:
-            cmd.append("--wire-batching")
         if not self.default_allow:
             cmd.append("--no-default-allow")
         if not self.ack_release:

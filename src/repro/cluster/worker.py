@@ -355,7 +355,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--portfile", required=True,
                         help="file to write the bound port into once ready")
     parser.add_argument("--codec", default="binary")
-    parser.add_argument("--wire-batching", action="store_true")
     parser.add_argument("--no-default-allow", action="store_true")
     parser.add_argument("--admin-users", default="")
     parser.add_argument("--no-ack-release", action="store_true")
@@ -399,12 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     from repro.server.runtime import AsyncServerRuntime
 
-    runtime = AsyncServerRuntime(
-        endpoint,
-        port=0,
-        codec=args.codec,
-        wire_batching=args.wire_batching,
-    )
+    runtime = AsyncServerRuntime(endpoint, port=0, codec=args.codec)
     done = threading.Event()
 
     def _shutdown(*_sig: object) -> None:

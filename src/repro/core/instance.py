@@ -106,7 +106,6 @@ class ApplicationInstance:
         lock_timeout: float = 5.0,
         request_timeout: float = 5.0,
         replica_fast_path: bool = True,
-        delta_sync: bool = True,
         observability=None,
         trace_maxlen: Optional[int] = None,
     ):
@@ -127,10 +126,6 @@ class ApplicationInstance:
         #: server — kept for the ablation benchmark quantifying what the
         #: replica buys.
         self.replica_fast_path = replica_fast_path
-        #: Ship only changed attributes on repeat CopyTo transfers to the
-        #: same target (full snapshots remain the fallback for first
-        #: contact, MERGE/FLEXIBLE modes and continuity loss).
-        self.delta_sync = delta_sync
 
         self._roots: Dict[str, UIObject] = {}
         #: Local replica of the server's couple table, restricted to the
@@ -461,11 +456,10 @@ class ApplicationInstance:
         indicates a scenario in which one person lets another person see
         his or her work" (§3.1).
 
-        With :attr:`delta_sync`, repeat STRICT pushes to the same target
-        ship only the attributes written since the last acknowledged
-        transfer (no structure, no unchanged state); the receiver detects
-        continuity loss via sequence/fingerprint checks and requests a
-        full resync.
+        Repeat STRICT pushes to the same target ship only the attributes
+        written since the last acknowledged transfer (no structure, no
+        unchanged state); the receiver detects continuity loss via
+        sequence/fingerprint checks and requests a full resync.
         """
         widget = self._resolve_local(local)
         key = (widget.pathname, target)
@@ -501,7 +495,7 @@ class ApplicationInstance:
         the transfer is outside the delta protocol entirely).
         """
         key = (widget.pathname, target)
-        if not self.delta_sync or mode != STRICT or predefined is not None:
+        if mode != STRICT or predefined is not None:
             # MERGE/FLEXIBLE rewrite structure, predefined mappings bypass
             # the cached-mapping path: full snapshot, and invalidate any
             # delta continuity with this target.

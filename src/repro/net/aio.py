@@ -2,15 +2,14 @@
 
 This module replaces the blocking thread-per-connection TCP loop on the
 *server* side with a single-threaded :mod:`asyncio` protocol speaking the
-same length-prefixed codec (:mod:`repro.net.codec`).  By default batched
-frames are just concatenated frames, which any client's
-:class:`~repro.net.codec.StreamDecoder` already handles; with
-``wire_batching`` on, each flush instead leaves as **one batch-envelope
-frame** (:meth:`Codec.encode_batch`), which the same decoder splits
-transparently — either way the change is wire-compatible and
-protocol-transparent: :class:`CosoftServer` and
-:class:`ShardedCosoftCluster` run under it unchanged, and the plain
-:class:`~repro.net.tcp.TcpClientTransport` interoperates freely.
+same length-prefixed codec (:mod:`repro.net.codec`).  A flush is
+everything queued for one destination when the loop burst ends, written
+as concatenated per-message frames in one ``write()`` — which any
+client's :class:`~repro.net.codec.StreamDecoder` already handles, so the
+runtime is wire-compatible and protocol-transparent:
+:class:`CosoftServer` and :class:`ShardedCosoftCluster` run under it
+unchanged, and the plain :class:`~repro.net.tcp.TcpClientTransport`
+interoperates freely.
 :class:`AioClientTransport` is the loop-serviced client counterpart: any
 number of instances share one event loop instead of running a reader
 thread each.
@@ -59,7 +58,18 @@ import logging
 import threading
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import (
+    Awaitable,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.errors import DeliveryError, TransportClosedError
 from repro.net.codec import Codec, StreamDecoder, get_codec
@@ -79,6 +89,8 @@ from repro.net.transport import (
 BACKPRESSURE_POLICIES = ("drop", "block", "disconnect")
 
 _log = get_logger("net.aio")
+
+T = TypeVar("T")
 
 #: Transport write-buffer size (``get_write_buffer_size()``: bytes the
 #: kernel has not taken yet) past which the inline end-of-burst flush
@@ -182,10 +194,10 @@ class SendQueue:
     """One destination's bounded outbound queue (sans-I/O).
 
     Holds ``(message, enqueued_at)`` pairs — encoding happens at flush
-    time, where the whole batch is in hand and can leave as one batch
-    envelope — and answers the flush-trigger questions — *is a full
-    batch ready?*, *has the deadline passed?* — against an explicit
-    ``now`` so a fake clock can drive it.
+    time, in the codec the peer spoke last — and answers the
+    flush-trigger questions — *is a full batch ready?*, *has the
+    deadline passed?* — against an explicit ``now`` so a fake clock can
+    drive it.
     """
 
     #: push() outcomes.
@@ -262,6 +274,52 @@ class SendQueue:
     def below_resume_level(self) -> bool:
         """True once a blocked queue has drained enough to resume intake."""
         return len(self._items) <= self.config.max_queue // 2
+
+
+class EventLoopThread:
+    """A dedicated thread running one asyncio event loop forever.
+
+    The loop is the single point of serialization of whatever is put on
+    it: connection handling, message dispatch and batched writes are all
+    callbacks on it.  Application threads talk to it through :meth:`run`
+    / :meth:`call_soon`.  Whoever creates one owns it: :meth:`stop`
+    ends the thread, which closes the loop and with it every socket
+    closed on the way out.
+    """
+
+    def __init__(self, name: str = "repro-aio-runtime"):
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
+        self._thread.start()
+
+    def _main(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        self.loop.run_forever()
+        # Run what shutdown scheduled, then close: cancelled tasks unwind,
+        # and every transport closed on the way out gets its
+        # connection_lost callback, which is what releases its socket —
+        # with no task pending there would otherwise be no pass to run it.
+        pending = asyncio.all_tasks(self.loop)
+        for task in pending:
+            task.cancel()
+        if pending:
+            self.loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+        self.loop.run_until_complete(asyncio.sleep(0))
+        self.loop.close()
+
+    def run(self, coro: Awaitable[T], timeout: float = 10.0) -> T:
+        """Run *coro* on the loop and block for its result."""
+        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
+
+    def call_soon(self, callback, *args) -> None:
+        self.loop.call_soon_threadsafe(callback, *args)
+
+    def stop(self, timeout: float = 5.0) -> None:
+        if self.loop.is_running():
+            self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=timeout)
 
 
 #: Size of a loop thread's receive buffer: the most one ``recv_into``
@@ -385,12 +443,8 @@ class AioHostTransport(Transport):
     loop:
         A running event loop to join (the
         :class:`~repro.server.runtime.AsyncServerRuntime` passes its
-        own); ``None`` starts a private loop thread.
-    wire_batching:
-        When true, every multi-message flush leaves as one batch
-        envelope (:meth:`Codec.encode_batch`) instead of concatenated
-        per-message frames — one header and one length check amortized
-        over the batch.  Defaults off for byte-exact compatibility.
+        own); ``None`` starts a private :class:`EventLoopThread`, which
+        :meth:`close` stops.
     """
 
     def __init__(
@@ -403,12 +457,10 @@ class AioHostTransport(Transport):
         config: Optional[BatchConfig] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
         codec: object = "json",
-        wire_batching: bool = False,
     ):
         self._local_id = local_id
         self._handler = handler
         self._codec: Codec = get_codec(codec)
-        self._wire_batching = bool(wire_batching)
         #: Per-peer codec negotiation: each peer is answered in the codec
         #: of its own frames (detected by its connection's StreamDecoder).
         self._peer_codecs: Dict[str, Codec] = {}
@@ -446,16 +498,10 @@ class AioHostTransport(Transport):
         #: check on the send hot path (set from the loop at bootstrap).
         self._loop_tid: Optional[int] = None
 
-        self._owns_loop = loop is None
-        if loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread = threading.Thread(
-                target=self._loop.run_forever, name="aio-host-loop", daemon=True
-            )
-            self._loop_thread.start()
-        else:
-            self._loop = loop
-            self._loop_thread = None
+        #: The loop thread this transport started and therefore stops
+        #: (None when it joined a caller's loop).
+        self._own_loop = EventLoopThread("aio-host-loop") if loop is None else None
+        self._loop = loop if loop is not None else self._own_loop.loop
 
         async def _bootstrap() -> asyncio.AbstractServer:
             self._loop_tid = threading.get_ident()
@@ -463,9 +509,14 @@ class AioHostTransport(Transport):
                 lambda: _SocketConnection(self), host, port
             )
 
-        self._server = asyncio.run_coroutine_threadsafe(
-            _bootstrap(), self._loop
-        ).result(timeout=10.0)
+        try:
+            self._server = asyncio.run_coroutine_threadsafe(
+                _bootstrap(), self._loop
+            ).result(timeout=10.0)
+        except BaseException:
+            if self._own_loop is not None:
+                self._own_loop.stop()
+            raise
         self.address = self._server.sockets[0].getsockname()
 
     # ------------------------------------------------------------------
@@ -538,13 +589,11 @@ class AioHostTransport(Transport):
             for conn in list(self._accepted):
                 conn.transport.close()
             self._server.close()
-            if self._owns_loop:
-                self._loop.call_soon(self._loop.stop)
 
         if self._loop.is_running():
             self._loop.call_soon_threadsafe(_shutdown)
-            if self._owns_loop and self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
+        if self._own_loop is not None:
+            self._own_loop.stop()
 
     # ------------------------------------------------------------------
     # Event-loop internals
@@ -650,39 +699,19 @@ class AioHostTransport(Transport):
         codec = self._peer_codecs.get(dest)
         return codec if codec is not None else self._codec
 
-    def _encode_payload(
+    def _encode_frames(
         self, dest: str, items: List[Tuple[Message, float]]
-    ) -> Tuple[bytes, Optional[List[int]]]:
-        """One popped batch as wire bytes (loop-thread only).
-
-        Returns ``(payload, sizes)``: per-message frame sizes when the
-        batch leaves as concatenated frames, or ``None`` when it leaves
-        as one batch envelope (whose shared header bytes have no exact
-        per-message attribution).
-        """
+    ) -> List[bytes]:
+        """One popped batch as per-message frames (loop-thread only)."""
         codec = self._codec_for(dest)
-        if self._wire_batching and len(items) > 1:
-            batch = getattr(codec, "encode_batch", None)
-            if batch is not None:
-                return batch([message for message, _ in items]), None
-        frames = [codec.encode(message) for message, _ in items]
-        return b"".join(frames), [len(frame) for frame in frames]
+        return [codec.encode(message) for message, _ in items]
 
     def _record_flush(
-        self,
-        dest: str,
-        items: List[Tuple[Message, float]],
-        payload: bytes,
-        sizes: Optional[List[int]],
+        self, dest: str, items: List[Tuple[Message, float]], frames: List[bytes]
     ) -> None:
         """Account one successfully written batch in :attr:`stats`."""
-        if sizes is None:
-            messages = [message for message, _ in items]
-            self._stats.record_many(messages, len(payload), dest)
-            self._stats.record_envelope(len(messages), len(payload))
-        else:
-            for (message, _), size in zip(items, sizes):
-                self._stats.record(message, size, dest)
+        for (message, _), frame in zip(items, frames):
+            self._stats.record(message, len(frame), dest)
         self._stats.record_batch(len(items))
 
     def _drop_size(self, dest: str, message: Message) -> int:
@@ -730,9 +759,9 @@ class AioHostTransport(Transport):
                     self._kick_writer(dest)  # drain under backpressure
                     break
                 items = queue.pop_batch()
-                payload, sizes = self._encode_payload(dest, items)
+                frames = self._encode_frames(dest, items)
                 try:
-                    conn.transport.write(payload)
+                    conn.transport.write(b"".join(frames))
                 except (ConnectionError, OSError) as exc:
                     queue.requeue_front(items)
                     self._kick_writer(dest)
@@ -745,7 +774,7 @@ class AioHostTransport(Transport):
                         error=type(exc).__name__,
                     )
                     break
-                self._record_flush(dest, items, payload, sizes)
+                self._record_flush(dest, items, frames)
             else:
                 if len(queue):
                     self._kick_writer(dest)  # deadline remainder
@@ -851,9 +880,9 @@ class AioHostTransport(Transport):
                         continue  # dropped everything; queue may refill
                     continue
                 items = queue.pop_batch()
-                payload, sizes = self._encode_payload(dest, items)
+                frames = self._encode_frames(dest, items)
                 try:
-                    conn.transport.write(payload)
+                    conn.transport.write(b"".join(frames))
                     await conn.drain()
                 except (ConnectionError, OSError) as exc:
                     # The write may have partially left: retrying can
@@ -872,7 +901,7 @@ class AioHostTransport(Transport):
                         continue
                     continue
                 queue.attempts = 0
-                self._record_flush(dest, items, payload, sizes)
+                self._record_flush(dest, items, frames)
                 if self._reads_paused and queue.below_resume_level():
                     self._set_reads_paused(False)
         except asyncio.CancelledError:
@@ -973,18 +1002,12 @@ class AioClientTransport(TcpTransportBase):
         codec: object = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
-        self._owns_loop = loop is None
-        if loop is None:
-            self._loop = asyncio.new_event_loop()
-            self._loop_thread: Optional[threading.Thread] = threading.Thread(
-                target=self._loop.run_forever,
-                name=f"aio-client-{local_id}",
-                daemon=True,
-            )
-            self._loop_thread.start()
-        else:
-            self._loop = loop
-            self._loop_thread = None
+        #: The loop thread this transport started and therefore stops
+        #: (None when it joined a caller's loop).
+        self._own_loop = (
+            EventLoopThread(f"aio-client-{local_id}") if loop is None else None
+        )
+        self._loop = loop if loop is not None else self._own_loop.loop
 
         # asyncio sets TCP_NODELAY on every socket transport it creates.
         async def _bootstrap() -> _SocketConnection:
@@ -994,9 +1017,14 @@ class AioClientTransport(TcpTransportBase):
             )
             return conn
 
-        self._conn = asyncio.run_coroutine_threadsafe(
-            _bootstrap(), self._loop
-        ).result(connect_timeout)
+        try:
+            self._conn = asyncio.run_coroutine_threadsafe(
+                _bootstrap(), self._loop
+            ).result(connect_timeout)
+        except BaseException:
+            if self._own_loop is not None:
+                self._own_loop.stop()
+            raise
 
     def send(self, message: Message) -> None:
         if self._closed:
@@ -1027,16 +1055,11 @@ class AioClientTransport(TcpTransportBase):
             self._closed = True
             self._cond.notify_all()
 
-        def _shutdown() -> None:
-            self._conn.transport.close()
-            if self._owns_loop:
-                self._loop.call_soon(self._loop.stop)
-
         if self._loop.is_running():
             with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(_shutdown)
-            if self._owns_loop and self._loop_thread is not None:
-                self._loop_thread.join(timeout=5.0)
+                self._loop.call_soon_threadsafe(self._conn.transport.close)
+        if self._own_loop is not None:
+            self._own_loop.stop()
 
     # Loop internals ----------------------------------------------------
 

@@ -45,12 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError
 from repro.net import message as _message
-from repro.net.codec import (
-    ENVELOPE_MAGIC,
-    ENVELOPE_VERSION,
-    HEADER_SIZE,
-    MAX_FRAME_SIZE,
-)
+from repro.net.codec import HEADER_SIZE, MAX_FRAME_SIZE, envelope_frame
 from repro.net.message import ALL_KINDS, Message
 
 #: First body byte of every binary frame.  0xB5 is a UTF-8 continuation
@@ -494,9 +489,8 @@ _INLINE_PREFIX: Tuple[bytes, ...] = tuple(
 def _encode_body(out: bytearray, message: Message) -> None:
     """Append *message*'s binary body (no length header) to *out*.
 
-    Shared by :meth:`BinaryCodec.encode` (one body per frame) and
-    :meth:`BinaryCodec.encode_batch` (many bodies per envelope, one
-    output buffer).
+    The one body writer: :meth:`BinaryCodec.encode` frames it, and
+    :meth:`BinaryCodec.encode_batch` puts several in an envelope.
     """
     reply_to = message.reply_to
     trace = message.trace
@@ -560,129 +554,25 @@ class BinaryCodec:
     def encode_batch(self, messages: Sequence[Message]) -> bytes:
         """One batch-envelope frame holding every message's binary body.
 
-        The member loop is a flattened copy of :func:`_encode_body`:
-        every shared table (string cache, sized-map memo, prefix table)
-        is hoisted into locals, each body streams straight into the one
-        output buffer behind a fixed-width member-length slot (no
-        scratch-buffer copy), and long strings — too big for the global
-        string cache — are memoized for the envelope's lifetime, so a
-        fan-out's repeated trace ids encode once.  Already-encoded
-        messages splice their cached frame body without re-encoding.
-        A single-message batch degenerates to the plain per-message
-        frame.
+        The format's reference producer (no transport calls it).
+        Already-encoded messages splice their cached frame body.  A
+        single-message batch degenerates to the plain per-message frame.
         """
         if not messages:
             raise CodecError("encode_batch needs at least one message")
         if len(messages) == 1:
             return self.encode(messages[0])
-        out = bytearray(HEADER_SIZE)
-        out.append(ENVELOPE_MAGIC)
-        out.append(ENVELOPE_VERSION)
-        _uvarint(out, len(messages))
-        str_cache = _STR_CACHE
-        enc_memo = _ENC_MEMO
-        prefixes = _BODY_PREFIX
-        long_cache: Dict[str, bytes] = {}
+        bodies = []
         for message in messages:
             frames = message._frames
-            if frames is not None:
-                cached = frames.get("binary")
-                if cached is not None:
-                    member_len = len(cached) - HEADER_SIZE
-                    if member_len > 0x3FFF:
-                        _uvarint(out, member_len)
-                    else:
-                        # Same two-byte form as the cold path below, so
-                        # envelope bytes are cache-state independent.
-                        out.append((member_len & 0x7F) | 0x80)
-                        out.append(member_len >> 7)
-                    out += memoryview(cached)[HEADER_SIZE:]
-                    continue
-            # Reserve a two-byte member length up front: a varint with a
-            # redundant continuation bit decodes identically, and the
-            # fixed width lets the body stream into ``out`` directly and
-            # the length backpatch in place.
-            len_pos = len(out)
-            out += b"\x00\x00"
-            reply_to = message.reply_to
-            trace = message.trace
-            flags = 0
-            if reply_to is not None:
-                flags |= _FLAG_REPLY_TO
-            if trace is not None:
-                flags |= _FLAG_TRACE
-            kind = message.kind
-            prefix = prefixes.get((kind, flags))
-            if prefix is not None:
-                out += prefix
+            cached = frames.get("binary") if frames is not None else None
+            if cached is not None:
+                bodies.append(memoryview(cached)[HEADER_SIZE:])
             else:
-                out += _INLINE_PREFIX[flags]
-                _enc_str(out, kind)
-            z = message.msg_id
-            z = (z << 1) if z >= 0 else ((-z << 1) - 1)
-            while z > 0x7F:
-                out.append((z & 0x7F) | 0x80)
-                z >>= 7
-            out.append(z)
-            if reply_to is not None:
-                z = (reply_to << 1) if reply_to >= 0 else ((-reply_to << 1) - 1)
-                while z > 0x7F:
-                    out.append((z & 0x7F) | 0x80)
-                    z >>= 7
-                out.append(z)
-            value = message.sender
-            enc = str_cache.get(value)
-            if enc is not None:
-                out += enc
-            else:
-                _enc_str(out, value)
-            value = message.to
-            enc = str_cache.get(value)
-            if enc is not None:
-                out += enc
-            else:
-                _enc_str(out, value)
-            if trace is not None:
-                for value in trace:
-                    enc = long_cache.get(value)
-                    if enc is None:
-                        tmp = bytearray()
-                        _enc_str(tmp, value)
-                        enc = bytes(tmp)
-                        long_cache[value] = enc
-                    out += enc
-            payload = message.payload
-            entry = enc_memo.get(id(payload))
-            if entry is not None and entry[0] is payload:
-                out += entry[1]
-            else:
-                try:
-                    _enc_value(
-                        out,
-                        payload if type(payload) is dict else dict(payload),
-                    )
-                except CodecError as exc:
-                    raise CodecError(
-                        f"cannot encode payload of {kind!r} message: {exc}"
-                    ) from exc
-            member_len = len(out) - len_pos - 2
-            if member_len > 0x3FFF:
-                # Rare giant member: its length needs a wider varint, so
-                # rewrite the slot properly.
-                body = bytes(out[len_pos + 2 :])
-                del out[len_pos:]
-                _uvarint(out, member_len)
-                out += body
-            else:
-                out[len_pos] = (member_len & 0x7F) | 0x80
-                out[len_pos + 1] = member_len >> 7
-        body_len = len(out) - HEADER_SIZE
-        if body_len > MAX_FRAME_SIZE:
-            raise CodecError(
-                f"batch of {body_len} bytes exceeds MAX_FRAME_SIZE"
-            )
-        _HEADER.pack_into(out, 0, body_len)
-        return bytes(out)
+                body = bytearray()
+                _encode_body(body, message)
+                bodies.append(body)
+        return envelope_frame(bodies)
 
     def decode_body(self, body: bytes) -> Message:
         if len(body) < 4 or body[0] != MAGIC:

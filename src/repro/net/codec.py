@@ -25,16 +25,15 @@ mixed fleets and rolling upgrades need no handshake round-trip.
 
 A third discriminator byte, :data:`ENVELOPE_MAGIC`, opens a **batch
 envelope**: one frame carrying several message bodies (count plus sized
-bodies), produced by :meth:`Codec.encode_batch` when the wire-batching
-knob is on (``SessionConfig(wire_batching=True)`` /
-``REPRO_WIRE_BATCHING``).  Envelopes exist because the flush path's unit
-of work is the batch: one frame header, one length check and one socket
-write amortize over every coalesced message, and the binary codec's
-string/payload memos stay hot across the whole batch.  The decoder
-splits envelopes transparently — each member body is a standard codec
-body, dispatched by its own first byte — so envelope senders, legacy
-per-message senders and mixed-codec fleets keep interoperating on one
-port with no handshake (docs/PROTOCOL.md).
+bodies).  It is an *input* format: the decoder splits envelopes
+transparently — each member body is a standard codec body, dispatched
+by its own first byte — so a peer that sends them, per-message senders
+and mixed-codec fleets interoperate on one port with no handshake.  No
+transport of this package emits one (a flush to one destination holds
+one message on every measured workload, docs/PERF.md §10);
+``JsonCodec.encode_batch`` / ``BinaryCodec.encode_batch`` remain as the
+format's reference producer for the decoder and interop tests
+(docs/PROTOCOL.md).
 
 Third-party codecs implement the :class:`Codec` protocol and register
 with :func:`register_codec`; transports resolve names through
@@ -83,15 +82,6 @@ ENVELOPE_MAGIC = 0xB6
 #: Batch-envelope layout version (bumped on incompatible change).
 ENVELOPE_VERSION = 1
 
-#: Environment knob turning batch envelopes on for every Session.
-WIRE_BATCHING_ENV = "REPRO_WIRE_BATCHING"
-
-
-def default_wire_batching() -> bool:
-    """Default for ``SessionConfig.wire_batching``: the environment knob."""
-    value = os.environ.get(WIRE_BATCHING_ENV, "").strip().lower()
-    return value in ("1", "true", "yes", "on")
-
 
 def _write_uvarint(out: bytearray, n: int) -> None:
     while n > 0x7F:
@@ -115,6 +105,23 @@ def _read_uvarint(body, pos: int) -> "Tuple[int, int]":
         shift += 7
 
 
+def envelope_frame(bodies: Sequence) -> bytes:
+    """Frame already-encoded member *bodies* as one batch envelope:
+    magic, version, count, then each body behind its uvarint length."""
+    out = bytearray(HEADER_SIZE)
+    out.append(ENVELOPE_MAGIC)
+    out.append(ENVELOPE_VERSION)
+    _write_uvarint(out, len(bodies))
+    for body in bodies:
+        _write_uvarint(out, len(body))
+        out += body
+    body_len = len(out) - HEADER_SIZE
+    if body_len > MAX_FRAME_SIZE:
+        raise CodecError(f"batch of {body_len} bytes exceeds MAX_FRAME_SIZE")
+    _HEADER.pack_into(out, 0, body_len)
+    return bytes(out)
+
+
 @runtime_checkable
 class Codec(Protocol):
     """The contract a wire codec implements.
@@ -130,15 +137,6 @@ class Codec(Protocol):
 
     def encode(self, message: Message) -> bytes:
         """Serialize *message* into one complete length-prefixed frame."""
-        ...
-
-    def encode_batch(self, messages: Sequence[Message]) -> bytes:
-        """Serialize *messages* into one batch-envelope frame.
-
-        The in-tree codecs implement this; transports fall back to
-        concatenated per-message frames for third-party codecs that
-        predate it (see :func:`encode_batch_for`).
-        """
         ...
 
     def decode_body(self, body: bytes) -> Message:
@@ -185,46 +183,26 @@ class JsonCodec:
     def encode_batch(self, messages: Sequence[Message]) -> bytes:
         """One batch-envelope frame holding every message's JSON body.
 
-        A single-message batch degenerates to the plain per-message
-        frame — the envelope only pays for itself once it amortizes.
+        The format's reference producer (no transport calls it).
+        Already-encoded messages splice their cached frame body.  A
+        single-message batch degenerates to the plain per-message frame.
         """
         if not messages:
             raise CodecError("encode_batch needs at least one message")
         if len(messages) == 1:
             return self.encode(messages[0])
-        out = bytearray(HEADER_SIZE)
-        out.append(ENVELOPE_MAGIC)
-        out.append(ENVELOPE_VERSION)
-        _write_uvarint(out, len(messages))
-        append = out.append
+        bodies = []
         for message in messages:
             frames = message._frames
             cached = frames.get("json") if frames is not None else None
             if cached is not None:
-                body = memoryview(cached)[HEADER_SIZE:]
-            else:
-                try:
-                    body = message.wire_body().encode("utf-8")
-                except (TypeError, ValueError) as exc:
-                    raise CodecError(f"cannot encode message: {exc}") from exc
-            # Minimal uvarint, inlined: one or two appends covers every
-            # realistic member; the helper handles the giant tail.
-            blen = len(body)
-            if blen < 0x80:
-                append(blen)
-            elif blen < 0x4000:
-                append((blen & 0x7F) | 0x80)
-                append(blen >> 7)
-            else:
-                _write_uvarint(out, blen)
-            out += body
-        body_len = len(out) - HEADER_SIZE
-        if body_len > MAX_FRAME_SIZE:
-            raise CodecError(
-                f"batch of {body_len} bytes exceeds MAX_FRAME_SIZE"
-            )
-        _HEADER.pack_into(out, 0, body_len)
-        return bytes(out)
+                bodies.append(memoryview(cached)[HEADER_SIZE:])
+                continue
+            try:
+                bodies.append(message.wire_body().encode("utf-8"))
+            except (TypeError, ValueError) as exc:
+                raise CodecError(f"cannot encode message: {exc}") from exc
+        return envelope_frame(bodies)
 
     def decode_body(self, body: bytes) -> Message:
         if isinstance(body, memoryview):  # envelope members arrive as views
@@ -374,19 +352,6 @@ def _decode_envelope(body, out: List[Message]) -> Optional[Codec]:
     if pos != size:
         raise CodecError("trailing bytes after batch envelope")
     return last
-
-
-def encode_batch_for(codec: Codec, messages: Sequence[Message]) -> bytes:
-    """*messages* as one envelope frame under *codec*.
-
-    Falls back to concatenated per-message frames when the codec predates
-    :meth:`Codec.encode_batch` (third-party codecs keep working, they
-    just do not benefit).
-    """
-    batch = getattr(codec, "encode_batch", None)
-    if batch is not None:
-        return batch(messages)
-    return b"".join(codec.encode(m) for m in messages)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import DeliveryError, TransportClosedError
 from repro.net.clock import SimClock
-from repro.net.codec import HEADER_SIZE, Codec, get_codec
+from repro.net.codec import Codec, get_codec
 from repro.net.message import Message
 from repro.net.transport import (
     DROP_DETACHED,
@@ -65,15 +65,9 @@ class MemoryNetwork:
         The wire codec (name or instance) the simulation accounts bytes
         with.  No frames cross a real wire here, but byte counts and the
         ``per_byte_latency`` model honour the codec's frame sizes, so a
-        ``codec="binary"`` deployment simulates its real wire cost.
-    wire_batching:
-        When true, bytes are priced as if every message travelled inside
-        a batch envelope (docs/PROTOCOL.md): each message costs its
-        frame *body* plus the envelope's per-member varint length
-        prefix, and the 4-byte frame header plus the 3-byte envelope
-        head — shared across a whole flush — amortize to zero.  This
-        mirrors what the socket transports put on the wire with
-        ``wire_batching=True``, so simulated byte accounting matches.
+        ``codec="binary"`` deployment simulates its real wire cost: every
+        message is priced at its full per-message frame, which is what
+        the socket transports write.
     """
 
     def __init__(
@@ -87,7 +81,6 @@ class MemoryNetwork:
         duplicate_rate: float = 0.0,
         seed: int = 0,
         codec: object = "json",
-        wire_batching: bool = False,
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -97,7 +90,6 @@ class MemoryNetwork:
             raise ValueError("latencies must be non-negative")
         self.clock = clock if clock is not None else SimClock()
         self.codec: Codec = get_codec(codec)
-        self.wire_batching = bool(wire_batching)
         self.base_latency = base_latency
         self.per_byte_latency = per_byte_latency
         self.jitter = jitter
@@ -150,29 +142,10 @@ class MemoryNetwork:
     # Sending and pumping
     # ------------------------------------------------------------------
 
-    def _priced_size(self, message: Message) -> int:
-        """Bytes *message* costs under the active wire pricing model.
-
-        Per-message frames cost their full frame; with wire batching on,
-        a message costs its marginal share of an envelope: the frame
-        body plus the member's varint length prefix (the shared frame
-        header and envelope head amortize to zero across a flush).
-        """
-        size = self.codec.wire_size(message)
-        if not self.wire_batching:
-            return size
-        body = size - HEADER_SIZE
-        prefix = 1
-        n = body >> 7
-        while n:
-            prefix += 1
-            n >>= 7
-        return body + prefix
-
     def submit(self, message: Message) -> None:
         """Schedule *message* for delivery (called by transport handles)."""
         receiver = resolve_destination(message)
-        size = self._priced_size(message)
+        size = self.codec.wire_size(message)
         if message.sender in self._partitioned or receiver in self._partitioned:
             self.stats.record_drop(message, size, reason=DROP_PARTITION)
             return
@@ -238,7 +211,7 @@ class MemoryNetwork:
             self.clock.advance_to(max(self.clock.now(), deliver_at))
             if receiver in self._partitioned:
                 self.stats.record_drop(
-                    message, self._priced_size(message), reason=DROP_PARTITION
+                    message, self.codec.wire_size(message), reason=DROP_PARTITION
                 )
                 continue
             transport = self._transports.get(receiver)
@@ -246,7 +219,7 @@ class MemoryNetwork:
                 # Receiver detached (instance terminated): drop silently,
                 # like a closed socket.
                 self.stats.record_drop(
-                    message, self._priced_size(message), reason=DROP_DETACHED
+                    message, self.codec.wire_size(message), reason=DROP_DETACHED
                 )
                 continue
             transport.recv(message)
@@ -294,7 +267,7 @@ class MemoryNetwork:
                     DROP_PARTITION if receiver in self._partitioned else DROP_DETACHED
                 )
                 self.stats.record_drop(
-                    message, self._priced_size(message), reason=reason
+                    message, self.codec.wire_size(message), reason=reason
                 )
                 continue
             transport.recv(message)

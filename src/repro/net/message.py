@@ -266,10 +266,10 @@ class Message:
     #: can never replay on a connection negotiated to another (a JSON
     #: frame must not answer a binary peer).  ``None`` until the first
     #: encode; codecs create the dict lazily.  Contract: each entry is
-    #: one **complete frame** (4-byte length header + body) whose body is
-    #: self-describing, because ``encode_batch`` splices the body —
-    #: ``frame[HEADER_SIZE:]`` — directly into a batch envelope without
-    #: re-encoding (docs/PROTOCOL.md).
+    #: one **complete frame** (4-byte length header + body) — exactly
+    #: the bytes a transport writes — whose body is self-describing: the
+    #: codecs' reference batch-envelope producer splices
+    #: ``frame[HEADER_SIZE:]`` into an envelope as is (docs/PROTOCOL.md).
     _frames: Optional[Dict[str, bytes]] = field(
         init=False, repr=False, compare=False, default=None
     )

@@ -24,17 +24,12 @@ import logging
 import socket
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import DeliveryError, TransportClosedError
-from repro.net.codec import Codec, StreamDecoder, encode_batch_for, get_codec
+from repro.net.codec import Codec, StreamDecoder, get_codec
 from repro.net.message import Message
-from repro.net.transport import (
-    DROP_DETACHED,
-    MessageHandler,
-    TrafficStats,
-    Transport,
-)
+from repro.net.transport import MessageHandler, TrafficStats, Transport
 from repro.obs.log import get_logger, log_event
 
 _log = get_logger("net.tcp")
@@ -114,14 +109,9 @@ class TcpHostTransport(TcpTransportBase):
 
     A connection is associated with an instance id on the first message it
     sends (normally REGISTER); from then on the server can address that
-    instance by id.
-
-    With ``wire_batching`` on, the sends a handler burst produces while
-    one inbound chunk is dispatched are coalesced per destination and
-    flushed as batch envelopes (one ``sendall`` per destination) instead
-    of one ``sendall`` per message.  A send that fails during that
-    deferred flush is dropped and attributed in :attr:`stats` rather
-    than raised (the handler that produced it has already returned).
+    instance by id.  Every :meth:`send` is one ``sendall`` of one
+    per-message frame, from the calling thread, and raises
+    :class:`~repro.errors.DeliveryError` when it cannot be written.
     """
 
     def __init__(
@@ -133,14 +123,8 @@ class TcpHostTransport(TcpTransportBase):
         local_id: str = "server",
         backlog: int = 32,
         codec: object = "json",
-        wire_batching: bool = False,
     ):
         super().__init__(local_id, handler, codec=codec)
-        self._wire_batching = bool(wire_batching)
-        #: While a reader thread dispatches a chunk under wire batching,
-        #: host sends land here instead of going straight to a socket
-        #: (guarded by ``self._cond``; None means "no burst active").
-        self._burst: Optional[List[Message]] = None
         #: Per-peer codec negotiation: each peer is answered in the codec
         #: of its own frames (auto-detected by the StreamDecoder), so a
         #: mixed fleet of JSON and binary clients shares one server.
@@ -162,9 +146,6 @@ class TcpHostTransport(TcpTransportBase):
             raise TransportClosedError("host transport is closed")
         target = message.to
         with self._cond:
-            if self._burst is not None:
-                self._burst.append(message)
-                return
             sock = self._conns.get(target)
             codec = self._peer_codecs.get(target)
         if sock is None:
@@ -197,78 +178,6 @@ class TcpHostTransport(TcpTransportBase):
         """Peer ids with a live connection (same shape as the aio host)."""
         with self._cond:
             return tuple(self._conns)
-
-    @contextlib.contextmanager
-    def _burst_sends(self) -> Iterator[None]:
-        """Coalesce every host send issued inside the block (wire
-        batching only; a plain no-op otherwise).
-
-        The first thread through arms the buffer and owns the flush;
-        concurrent reader threads just dispatch — their sends land in
-        the owner's buffer and leave with its flush.
-        """
-        if not self._wire_batching:
-            yield
-            return
-        with self._cond:
-            owner = self._burst is None
-            if owner:
-                self._burst = []
-        try:
-            yield
-        finally:
-            if owner:
-                with self._cond:
-                    pending, self._burst = self._burst, None
-                if pending:
-                    # Flush outside the lock: sendall may block, and the
-                    # handlers that produced these messages already ran.
-                    self._flush_burst(pending)
-
-    def _flush_burst(self, pending: List[Message]) -> None:
-        """Write one coalesced burst: one envelope per destination."""
-        by_dest: Dict[str, List[Message]] = {}
-        for message in pending:
-            by_dest.setdefault(message.to, []).append(message)
-        for dest, messages in by_dest.items():
-            with self._cond:
-                sock = self._conns.get(dest)
-                codec = self._peer_codecs.get(dest)
-            if codec is None:
-                codec = self._codec
-            if sock is None:
-                self._drop_burst(dest, messages, codec, "no connection")
-                continue
-            payload = encode_batch_for(codec, messages)
-            try:
-                sock.sendall(payload)
-            except OSError as exc:
-                self._drop_burst(dest, messages, codec, type(exc).__name__)
-                continue
-            if len(messages) > 1:
-                self._stats.record_many(messages, len(payload), dest)
-                self._stats.record_envelope(len(messages), len(payload))
-            else:
-                self._stats.record(messages[0], len(payload), dest)
-            self._stats.record_batch(len(messages))
-
-    def _drop_burst(
-        self, dest: str, messages: List[Message], codec: Codec, why: str
-    ) -> None:
-        """Account a burst that could not be written (the producing
-        handlers have returned, so there is nobody left to raise to)."""
-        for message in messages:
-            self._stats.record_drop(
-                message, codec.wire_size(message), reason=DROP_DETACHED
-            )
-        log_event(
-            _log,
-            logging.WARNING,
-            "burst_flush_failed",
-            destination=dest,
-            dropped=len(messages),
-            error=why,
-        )
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -304,9 +213,8 @@ class TcpHostTransport(TcpTransportBase):
                     codec_name = decoder.last_codec
                     with self._cond:
                         self._peer_codecs[peer_id] = get_codec(codec_name)
-                with self._burst_sends():
-                    for message in messages:
-                        self.recv(message)
+                for message in messages:
+                    self.recv(message)
         except OSError as exc:
             if not self._closed:
                 log_event(

@@ -97,17 +97,6 @@ class TrafficStats:
         self.batched_messages = 0
         #: Per-hop delivery retries (see docs/RUNTIME.md).
         self.retries = 0
-        #: Batch-envelope frames written (wire batching on; see
-        #: docs/PROTOCOL.md).
-        self.envelopes = 0
-        #: Messages those envelopes carried.
-        self.envelope_messages = 0
-        #: Total envelope frame bytes (header + members).
-        self.envelope_bytes = 0
-        # Live histogram children, wired by register_into when an obs
-        # registry is attached (None keeps record_envelope at two adds).
-        self._fill_hist = None
-        self._bytes_hist = None
 
     def record(self, message: Message, size: int, receiver: str) -> None:
         self.messages += 1
@@ -115,31 +104,6 @@ class TrafficStats:
         self.by_kind[message.kind] += 1
         self.bytes_by_kind[message.kind] += size
         self.by_link[(message.sender, receiver)] += 1
-
-    def record_many(
-        self, messages, total_bytes: int, receiver: str
-    ) -> None:
-        """Account a batch that left as *total_bytes* on the wire.
-
-        The vectorized counterpart of per-message :meth:`record` for
-        envelope flushes, where the shared frame bytes have no exact
-        per-message split: bytes are apportioned evenly across the batch
-        (the remainder goes to the first message's kind), so the totals
-        are conserved exactly.
-        """
-        n = len(messages)
-        if not n:
-            return
-        self.messages += n
-        self.bytes += total_bytes
-        kinds = Counter(m.kind for m in messages)
-        self.by_kind.update(kinds)
-        base, extra = divmod(total_bytes, n)
-        for kind, count in kinds.items():
-            self.bytes_by_kind[kind] += base * count
-        if extra:
-            self.bytes_by_kind[messages[0].kind] += extra
-        self.by_link.update((m.sender, receiver) for m in messages)
 
     def record_drop(
         self,
@@ -159,15 +123,6 @@ class TrafficStats:
         """Count one outbound flush carrying *n_messages* messages."""
         self.batches += 1
         self.batched_messages += n_messages
-
-    def record_envelope(self, n_messages: int, n_bytes: int) -> None:
-        """Count one batch-envelope frame of *n_messages* / *n_bytes*."""
-        self.envelopes += 1
-        self.envelope_messages += n_messages
-        self.envelope_bytes += n_bytes
-        if self._fill_hist is not None:
-            self._fill_hist.observe(n_messages)
-            self._bytes_hist.observe(n_bytes)
 
     def record_retry(self, attempts: int = 1) -> None:
         self.retries += attempts
@@ -190,9 +145,6 @@ class TrafficStats:
         self.batches += other.batches
         self.batched_messages += other.batched_messages
         self.retries += other.retries
-        self.envelopes += other.envelopes
-        self.envelope_messages += other.envelope_messages
-        self.envelope_bytes += other.envelope_bytes
         return self
 
     def snapshot(self) -> Dict[str, object]:
@@ -210,9 +162,6 @@ class TrafficStats:
             "batches": self.batches,
             "batched_messages": self.batched_messages,
             "retries": self.retries,
-            "envelopes": self.envelopes,
-            "envelope_messages": self.envelope_messages,
-            "envelope_bytes": self.envelope_bytes,
         }
 
     def register_into(self, registry, **labels: str) -> None:
@@ -224,29 +173,9 @@ class TrafficStats:
         work to :meth:`record` on the hot path.  *labels* distinguish
         several transports in one deployment (e.g. ``shard="shard-0"``).
         """
-        from repro.obs.metrics import Sample, log_buckets
+        from repro.obs.metrics import Sample
 
         base = tuple(sorted(labels.items()))
-
-        # Envelope fill/size distributions are push-time observations, so
-        # they get live histogram children (cheap no-ops while wire
-        # batching is off — record_envelope is simply never called).
-        # Call sites label transports differently (transport=..., or
-        # shard=... in a cluster); a histogram family needs one label
-        # schema, so the caller's labels collapse into a single origin.
-        origin = ",".join(f"{k}:{v}" for k, v in base) or "default"
-        self._fill_hist = registry.histogram(
-            "repro_net_envelope_fill",
-            "Messages per batch-envelope frame",
-            labelnames=("origin",),
-            buckets=log_buckets(start=1.0, factor=2.0, count=9),
-        ).labels(origin)
-        self._bytes_hist = registry.histogram(
-            "repro_net_envelope_bytes",
-            "Bytes per batch-envelope frame",
-            labelnames=("origin",),
-            buckets=log_buckets(start=64.0, factor=4.0, count=10),
-        ).labels(origin)
 
         def collect():
             yield Sample(
@@ -268,20 +197,6 @@ class TrafficStats:
             yield Sample(
                 "repro_traffic_retries_total", "counter",
                 "Per-hop delivery retries", base, self.retries,
-            )
-            yield Sample(
-                "repro_net_envelopes_total", "counter",
-                "Batch-envelope frames written", base, self.envelopes,
-            )
-            yield Sample(
-                "repro_net_envelope_messages_total", "counter",
-                "Messages carried inside batch envelopes", base,
-                self.envelope_messages,
-            )
-            yield Sample(
-                "repro_net_envelope_bytes_total", "counter",
-                "Batch-envelope frame bytes written", base,
-                self.envelope_bytes,
             )
             for kind, n in sorted(self.by_kind.items()):
                 yield Sample(
@@ -311,9 +226,6 @@ class TrafficStats:
         self.batches = 0
         self.batched_messages = 0
         self.retries = 0
-        self.envelopes = 0
-        self.envelope_messages = 0
-        self.envelope_bytes = 0
 
     def __repr__(self) -> str:
         return (

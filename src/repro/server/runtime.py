@@ -30,59 +30,16 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import threading
-from typing import Any, Awaitable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Dict, Optional, Tuple
 
-from repro.net.aio import AioHostTransport, BatchConfig
+from repro.net.aio import AioHostTransport, BatchConfig, EventLoopThread
 from repro.obs.log import get_logger, log_event
 
-T = TypeVar("T")
+# EventLoopThread is defined in ``repro.net.aio`` (the transports start
+# one for a private loop) and re-exported for its existing importers.
+__all__ = ["AsyncServerRuntime", "EventLoopThread"]
 
 _log = get_logger("server.runtime")
-
-
-class EventLoopThread:
-    """A dedicated thread running one asyncio event loop forever.
-
-    The loop is the runtime's single point of serialization: connection
-    handling, message dispatch and batched writes are all callbacks on
-    it.  Application threads talk to it through :meth:`run` /
-    :meth:`call_soon`.
-    """
-
-    def __init__(self, name: str = "repro-aio-runtime"):
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._main, name=name, daemon=True)
-        self._thread.start()
-
-    def _main(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-        # Run what shutdown scheduled, then close: cancelled tasks unwind,
-        # and every transport closed on the way out gets its
-        # connection_lost callback, which is what releases its socket —
-        # with no task pending there would otherwise be no pass to run it.
-        pending = asyncio.all_tasks(self.loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self.loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        self.loop.run_until_complete(asyncio.sleep(0))
-        self.loop.close()
-
-    def run(self, coro: Awaitable[T], timeout: float = 10.0) -> T:
-        """Run *coro* on the loop and block for its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
-
-    def call_soon(self, callback, *args) -> None:
-        self.loop.call_soon_threadsafe(callback, *args)
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self.loop.is_running():
-            self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=timeout)
 
 
 class AsyncServerRuntime:
@@ -101,10 +58,6 @@ class AsyncServerRuntime:
         The outbound wire codec (name or instance) for peers that have
         not yet negotiated one; inbound frames are auto-detected and
         each peer is answered in its own codec (docs/PROTOCOL.md).
-    wire_batching:
-        When true, multi-message flushes leave as batch envelopes
-        (:meth:`~repro.net.codec.Codec.encode_batch`) instead of
-        concatenated per-message frames (docs/PROTOCOL.md).
     """
 
     def __init__(
@@ -115,7 +68,6 @@ class AsyncServerRuntime:
         *,
         config: Optional[BatchConfig] = None,
         codec: object = "json",
-        wire_batching: bool = False,
     ):
         self.endpoint = endpoint
         self.config = config if config is not None else BatchConfig()
@@ -127,7 +79,6 @@ class AsyncServerRuntime:
             config=self.config,
             loop=self._loop_thread.loop,
             codec=codec,
-            wire_batching=wire_batching,
         )
         endpoint.bind(self.transport)
         self._closed = False

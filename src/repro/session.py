@@ -62,7 +62,7 @@ from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.net.aio import BatchConfig
 from repro.net.clock import SimClock
-from repro.net.codec import default_codec_name, default_wire_batching, get_codec
+from repro.net.codec import default_codec_name, get_codec
 from repro.net.memory import MemoryNetwork
 from repro.net.registry import BACKENDS, get_communicator
 from repro.net.tcp import TcpHostTransport
@@ -166,22 +166,11 @@ class SessionConfig:
     #: interoperate.  Defaults honour the ``REPRO_CODEC`` environment
     #: variable.
     codec: object = field(default_factory=default_codec_name)
-    #: Batch-envelope wire path (docs/PROTOCOL.md): when true, every
-    #: multi-message flush on the socket backends leaves as one batch
-    #: envelope instead of concatenated per-message frames, and the
-    #: memory backend prices bytes accordingly.  Decoding is always
-    #: transparent, so sessions with different settings interoperate.
-    #: Defaults honour the ``REPRO_WIRE_BATCHING`` environment variable;
-    #: off keeps the wire byte-identical to previous releases.
-    wire_batching: bool = field(default_factory=default_wire_batching)
 
     # Central endpoint ------------------------------------------------
     default_allow: bool = True
     admin_users: Tuple[str, ...] = ()
     ack_release: bool = True
-    #: Incremental CopyTo: send only attributes changed since the last
-    #: acknowledged transfer to the same target (docs/PERF.md).
-    delta_sync: bool = True
     correspondences: Optional[CorrespondenceRegistry] = None
     vnodes: int = 64
     #: Observability: ``None``/``False`` (disabled, the default), ``True``
@@ -286,7 +275,6 @@ def _build_server(
                 config.shards,
                 directory=directory,
                 link_codec=get_codec(config.codec).name,
-                link_wire_batching=config.wire_batching,
                 snapshot_every=snapshot_every,
                 vnodes=config.vnodes,
                 default_allow=config.default_allow,
@@ -451,7 +439,6 @@ class _MemoryBackend(_BackendBase):
             duplicate_rate=config.duplicate_rate,
             seed=config.seed,
             codec=config.codec,
-            wire_batching=config.wire_batching,
         )
         self.server, self._persist_ephemeral = _build_server(
             config, clock=self.clock
@@ -471,7 +458,6 @@ class _MemoryBackend(_BackendBase):
         lock_timeout: float = 5.0,
         request_timeout: float = 5.0,
         replica_fast_path: bool = True,
-        delta_sync: Optional[bool] = None,
     ) -> ApplicationInstance:
         instance = ApplicationInstance(
             instance_id,
@@ -481,9 +467,6 @@ class _MemoryBackend(_BackendBase):
             lock_timeout=lock_timeout,
             request_timeout=request_timeout,
             replica_fast_path=replica_fast_path,
-            delta_sync=(
-                self.config.delta_sync if delta_sync is None else delta_sync
-            ),
             observability=self.obs,
             trace_maxlen=self.config.trace_maxlen,
         ).connect(self.network)
@@ -526,7 +509,6 @@ class _SocketBackendBase(_BackendBase):
         lock_timeout: float = 5.0,
         request_timeout: float = 5.0,
         replica_fast_path: bool = True,
-        delta_sync: Optional[bool] = None,
     ) -> ApplicationInstance:
         instance = self._connect(
             ApplicationInstance(
@@ -537,9 +519,6 @@ class _SocketBackendBase(_BackendBase):
                 lock_timeout=lock_timeout,
                 request_timeout=request_timeout,
                 replica_fast_path=replica_fast_path,
-                delta_sync=(
-                    self.config.delta_sync if delta_sync is None else delta_sync
-                ),
                 observability=self.obs,
                 trace_maxlen=self.config.trace_maxlen,
             )
@@ -605,7 +584,6 @@ class _TcpBackend(_SocketBackendBase):
             host=config.host,
             port=config.port,
             codec=config.codec,
-            wire_batching=config.wire_batching,
         )
         self.server.bind(self._host_transport)
         self.host, self.port = self._host_transport.address
@@ -634,7 +612,6 @@ class _AioBackend(_SocketBackendBase):
             config.port,
             config=config.batch,
             codec=config.codec,
-            wire_batching=config.wire_batching,
         )
         self.host, self.port = self.runtime.address
         self.instances: Dict[str, ApplicationInstance] = {}

@@ -10,7 +10,7 @@ the Prometheus ``/metrics`` endpoint (``SessionConfig(metrics_port=...)``
                                                      # cluster to watch
 
 Each frame shows per-shard liveness (up / restarts / heartbeat age),
-message throughput (msgs/s between frames), envelope fill, journal fsync
+message throughput (msgs/s between frames), journal fsync
 latency and the p50/p99 sync-latency decomposition from the histogram
 buckets.  On a multi-process cluster every scrape transparently
 delta-pulls the workers, so the numbers cover the whole fleet.
@@ -209,9 +209,7 @@ def render_frame(
     lines.append(header)
     lines.append(
         f"shards {up}/{len(shard_ids)} up   restarts {restarts:.0f}   "
-        f"msgs {total_msgs:,.0f}   msgs/s {_fmt_rate(rate)}   "
-        f"envelope-fill "
-        f"{parsed.value('repro_net_envelope_fill', default=0.0):.2f}"
+        f"msgs {total_msgs:,.0f}   msgs/s {_fmt_rate(rate)}"
     )
     if shard_ids:
         lines.append("")

@@ -151,23 +151,6 @@ class TestDeltaProtocol:
         assert a.stats["delta_pushes"] == 0
         assert "a" not in {k[0] for k in b._delta_in}
 
-    def test_disabled_knob_always_sends_full(self):
-        with Session(backend="memory", delta_sync=False) as session:
-            a = session.create_instance("a", user="alice")
-            b = session.create_instance("b", user="bob")
-            tree_a = a.add_root(make_tree())
-            tree_b = b.add_root(make_tree())
-            session.pump()
-            tree_a.find("field").set("value", "x")
-            a.copy_to(PATH, ("b", PATH))
-            tree_a.find("field").set("value", "y")
-            a.copy_to(PATH, ("b", PATH))
-            session.pump()
-            assert a.stats["delta_pushes"] == 0
-            assert a.stats["full_pushes"] == 0  # outside the protocol
-            assert b.stats["deltas_applied"] == 0
-            assert tree_b.find("field").value == "y"
-
     def test_history_still_pushed_for_deltas(self, duo):
         """Delta application still records the overwritten state, so the
         server's historical UI states (undo) keep working."""

@@ -3,10 +3,10 @@
 The optimizations cut *traffic*, never *meaning*: the same deterministic
 workload — coupling churn, multi-writer coupled edits, repeated CopyTo
 transfers — must land on the identical final UI state and per-replica
-event order with delta sync on or off, across memory/tcp/aio backends and
-1/2/4 shards.  The reference is what the pre-scoping server produced when
-it still broadcast every COUPLE_UPDATE to the whole population
-(:data:`REFERENCE`, recorded before that mode was deleted).
+event order across memory/tcp/aio backends and 1/2/4 shards.  The
+reference is what the server produced when it still broadcast every
+COUPLE_UPDATE to the whole population and shipped every CopyTo as a full
+snapshot (:data:`REFERENCE`, recorded before those modes were deleted).
 """
 
 import pytest
@@ -92,7 +92,7 @@ def run_workload(session):
     )
 
     # Repeated CopyTo i0 -> i3: exercises full-then-delta on every
-    # backend (a no-op under delta_sync=False).
+    # backend.
     trees["i0"].find("/app/form/flag").set_value(True)
     instances["i0"].copy_to(ROOT, ("i3", ROOT))
     trees["i0"].find("/app/board/zoom").set_value(9)
@@ -108,8 +108,8 @@ def run_workload(session):
     return snapshot, order
 
 
-def run_on(backend, shards, **knobs):
-    with Session(backend=backend, shards=shards, **knobs) as session:
+def run_on(backend, shards):
+    with Session(backend=backend, shards=shards) as session:
         result = run_workload(session)
         stats = session.server.stats()
     return result, stats
@@ -135,9 +135,10 @@ _EDITS = [("", "alpha"), ("", "bravo"), ("", "charlie"), ("", "post-churn")]
 
 #: ``(ui_snapshot, field_event_order)`` of :func:`run_workload` as recorded
 #: from ``Session(backend="memory", couple_scope="all", delta_sync=False)``
-#: at the last commit that had population-wide COUPLE_UPDATE broadcast.
-#: Pinned, not recomputed: "same behaviour as the old default" must stay
-#: asserted now that the old default cannot be run any more.
+#: at the last commit that had population-wide COUPLE_UPDATE broadcast
+#: (both knobs are gone since).  Pinned, not recomputed: "same behaviour
+#: as the old default" must stay asserted now that the old default
+#: cannot be run any more.
 REFERENCE = (
     {
         "i0": _final_tree("post-churn", True, 9),
@@ -154,13 +155,9 @@ REFERENCE = (
 )
 class TestScopedRoutingParity:
     def test_memory_scoped_matches_broadcast_reference(self, shards):
-        scoped, stats = run_on("memory", shards, delta_sync=True)
+        scoped, stats = run_on("memory", shards)
         assert scoped == REFERENCE
         assert stats["routing"]["suppressed_messages"] > 0
-
-    def test_memory_scoped_no_delta_matches_too(self, shards):
-        scoped, _ = run_on("memory", shards, delta_sync=False)
-        assert scoped == REFERENCE
 
 
 class TestCrossBackendParity:
@@ -170,7 +167,7 @@ class TestCrossBackendParity:
         ids=["tcp-1shard", "tcp-2shard", "aio-1shard", "aio-4shard"],
     )
     def test_socket_backends_match_reference(self, backend, shards):
-        result, _ = run_on(backend, shards, delta_sync=True)
+        result, _ = run_on(backend, shards)
         assert result == REFERENCE
 
     def test_reference_is_nontrivial(self):

@@ -1,15 +1,17 @@
-"""Thread-safety of the coupling runtime over TCP.
+"""Thread-safety of the coupling runtime over sockets.
 
 Over TCP, each instance's inbound messages arrive on a reader thread while
 the application fires events from its own thread; the transport's guard
-serializes them.  These tests hammer that boundary.
+serializes them.  These tests hammer that boundary — and, for both socket
+hosts, the order in which concurrent senders' messages reach one peer.
 """
 
 import threading
 import time
 
+import pytest
 
-from repro.session import TcpSession
+from repro.session import Session, TcpSession
 from repro.toolkit.widgets import Canvas, Shell, TextField
 
 FIELD = "/ui/field"
@@ -117,3 +119,53 @@ class TestTcpConcurrency:
             t1.join(15.0); t2.join(15.0)
             assert not t1.is_alive() and not t2.is_alive()
             assert results == [6] * 10
+
+
+class TestConcurrentJoins:
+    """Per-destination FIFO under concurrent senders, on both socket hosts.
+
+    Every join makes the server tell each registered peer one roster
+    delta, numbered by registry version; 32 clients registering at once
+    make 32 reader threads (tcp) or one loop burst after another (aio)
+    write to the same destinations.  A host that let two of those writes
+    swap would show up as a version gap (a roster resync) or a stale
+    delta at some instance.
+    """
+
+    N = 32
+
+    @pytest.mark.parametrize("backend", ["tcp", "aio"])
+    def test_every_delta_arrives_once_and_in_order(self, backend):
+        n = self.N
+        with Session(backend=backend) as session:
+            joined, errors = {}, []
+
+            def join(index):
+                try:
+                    joined[index] = session.create_instance(
+                        f"i{index:02d}", user=f"u{index:02d}"
+                    )
+                except Exception as exc:  # surfaced by the assert below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=join, args=(index,)) for index in range(n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert wait_until(
+                lambda: all(inst.roster_version == n for inst in joined.values())
+            )
+            for inst in joined.values():
+                assert len(inst.roster) == n
+                assert inst.stats["roster_resyncs"] == 0
+                assert inst.stats["roster_duplicates"] == 0
+            # One REGISTER_ACK per join and one delta per (join, earlier
+            # peer) pair; a resync or a retry would add to it.
+            expected = n + n * (n - 1) // 2
+            assert expected == 528
+            assert wait_until(lambda: session.traffic()["messages"] == expected)

@@ -8,6 +8,7 @@ and :class:`AioClientTransport` against that host.
 
 import gc
 import logging
+import os
 import queue
 import socket
 import struct
@@ -365,42 +366,6 @@ class TestAioHostTransport:
         finally:
             client.close()
 
-    def test_wire_batching_flushes_as_envelope(self):
-        """With wire_batching on, a coalesced burst leaves as one batch
-        envelope — counted in the envelope stats — and the legacy client
-        decodes it transparently, order intact."""
-        inbox = Collector()
-        transport = AioHostTransport(
-            inbox,
-            port=0,
-            config=BatchConfig(max_batch=100, max_delay=0.05),
-            wire_batching=True,
-        )
-        client_inbox = Collector()
-        client = None
-        try:
-            _, port = transport.address
-            client = TcpClientTransport("c1", client_inbox, "127.0.0.1", port)
-            client.send(msg(sender="c1", to="", hello=True))
-            assert wait_until(lambda: "c1" in transport.connections())
-            for i in range(5):
-                transport.send(msg(to="c1", seq=i))
-            assert wait_until(lambda: len(client_inbox.received) == 5)
-            assert [m.payload["seq"] for m in client_inbox.received] == list(
-                range(5)
-            )
-            stats = transport.stats
-            assert stats.envelopes >= 1
-            assert stats.envelope_messages >= 2
-            assert stats.envelope_bytes > 0
-            # Byte accounting is conserved: per-kind totals still sum to
-            # the envelope payload bytes actually written.
-            assert sum(stats.bytes_by_kind.values()) == stats.bytes
-        finally:
-            if client is not None:
-                client.close()
-            transport.close()
-
     @pytest.mark.parametrize(
         "aio_host",
         [
@@ -667,7 +632,7 @@ class ReadSide:
             self._closers.append(host.close)
             #: The transport that dispatches what writer *i* sends.
             self.transports = [host, host]
-            self.loop_thread = host._loop_thread
+            self.loop_thread = host._own_loop._thread
             for _ in range(2):
                 self.writers.append(socket.create_connection(host.address))
         else:
@@ -907,3 +872,52 @@ def test_session_close_releases_every_socket():
         gc.collect()
     messages = [str(warning.message) for warning in caught]
     assert [text for text in messages if "unclosed transport" in text] == []
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+def test_private_loop_transports_close_what_they_opened():
+    """A ``loop=None`` host or client owns its loop thread (every
+    ``ProcCluster`` shard link is one): ``close()`` runs the closing
+    sockets' ``connection_lost``, ends the thread and closes the loop —
+    nothing is left open for the garbage collector to find and warn
+    about."""
+
+    def open_fds():
+        return set(os.listdir("/proc/self/fd"))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        before = open_fds()
+        inbox = Collector()
+        host = AioHostTransport(inbox, port=0)
+        client = AioClientTransport(
+            "c1", lambda message: None, "127.0.0.1", host.address[1]
+        )
+        client.send(msg(sender="c1", to="", hello=True))
+        assert wait_until(lambda: len(inbox.received) == 1)
+        # Two loops (selector + self-pipe pair each), the listener and
+        # both ends of the connection: the check below is not vacuous.
+        assert len(open_fds() - before) >= 7
+        client.close()
+        host.close()
+        # Right after close(), before any collection:
+        assert host._loop.is_closed() and client._loop.is_closed()
+        assert open_fds() - before == set()
+        del host, client
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_failed_connect_stops_the_private_loop():
+    """A ``loop=None`` client that cannot connect has no owner to close
+    it later, so the constructor stops the loop thread it started."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    listener.close()  # nobody listens here any more
+    with pytest.raises(OSError):
+        AioClientTransport("refused", lambda message: None, "127.0.0.1", port)
+    names = [thread.name for thread in threading.enumerate()]
+    assert "aio-client-refused" not in names

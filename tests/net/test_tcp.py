@@ -144,79 +144,3 @@ class TestTcpTransport:
             assert client.stats.bytes > 0
         finally:
             client.close()
-
-
-class TestWireBatchingBurst:
-    """With ``wire_batching`` on, replies emitted while dispatching one
-    inbound read coalesce into a single batch-envelope write."""
-
-    def test_handler_replies_leave_as_one_envelope(self):
-        transport = None
-
-        def fan_out(message):
-            # Every handler send during this read lands in the burst
-            # buffer and flushes once the dispatch loop finishes.
-            for i in range(4):
-                transport.send(
-                    Message(
-                        kind=kinds.COMMAND,
-                        sender="server",
-                        to=message.sender,
-                        payload={"seq": i},
-                    )
-                )
-
-        transport = TcpHostTransport(fan_out, port=0, wire_batching=True)
-        client_inbox = Collector()
-        client = None
-        try:
-            _, port = transport.address
-            client = TcpClientTransport("c1", client_inbox, "127.0.0.1", port)
-            client.send(msg("c1", ping=True))
-            deadline = time.monotonic() + 5.0
-            while len(client_inbox.received) < 4 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert [m.payload["seq"] for m in client_inbox.received] == [
-                0, 1, 2, 3,
-            ]
-            stats = transport.stats
-            assert stats.envelopes == 1
-            assert stats.envelope_messages == 4
-            assert stats.batches == 1
-            assert stats.batched_messages == 4
-            assert sum(stats.bytes_by_kind.values()) == stats.bytes
-        finally:
-            if client is not None:
-                client.close()
-            transport.close()
-
-    def test_off_by_default_sends_plain_frames(self):
-        transport = None
-
-        def echo_twice(message):
-            for i in range(2):
-                transport.send(
-                    Message(
-                        kind=kinds.COMMAND,
-                        sender="server",
-                        to=message.sender,
-                        payload={"seq": i},
-                    )
-                )
-
-        transport = TcpHostTransport(echo_twice, port=0)
-        client_inbox = Collector()
-        client = None
-        try:
-            _, port = transport.address
-            client = TcpClientTransport("c1", client_inbox, "127.0.0.1", port)
-            client.send(msg("c1", ping=True))
-            deadline = time.monotonic() + 5.0
-            while len(client_inbox.received) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert len(client_inbox.received) == 2
-            assert transport.stats.envelopes == 0
-        finally:
-            if client is not None:
-                client.close()
-            transport.close()

@@ -1,12 +1,14 @@
-"""Batch-envelope wire path: encode_batch, envelope framing, decoding.
+"""Batch envelopes as decoder input: framing, splitting, errors.
 
-The batch envelope (docs/PROTOCOL.md) makes the *batch* the unit of wire
-work: one frame carries many self-describing codec bodies behind the
-0xB6 discriminator.  These tests pin the format's invariants — exact
-round-trip equivalence with per-message frames, transparent
-:class:`StreamDecoder` splitting under arbitrary fragmentation (byte by
-byte, mid-envelope), mixed envelope/legacy streams on one connection —
-and the error surface for truncated or alien envelopes.
+A batch envelope (docs/PROTOCOL.md) is one frame carrying many
+self-describing codec bodies behind the 0xB6 discriminator.  No
+transport emits it; every decoder accepts it, and the codecs'
+``encode_batch`` is the reference producer these tests feed it from.
+They pin the format's invariants — exact round-trip equivalence with
+per-message frames, transparent :class:`StreamDecoder` splitting under
+arbitrary fragmentation (byte by byte, mid-envelope), mixed
+envelope/legacy streams on one connection — and the error surface for
+truncated or alien envelopes.
 """
 
 import pytest
@@ -24,7 +26,6 @@ from repro.net.codec import (
     decode,
     decode_batch,
     encode_batch,
-    encode_batch_for,
 )
 from repro.net.message import ALL_KINDS, Message
 
@@ -111,18 +112,34 @@ class TestEnvelopeFormat:
         cold = codec.encode_batch([fresh(m) for m in messages])
         assert warm == cold
 
-    def test_encode_batch_for_falls_back_to_frames(self):
-        class LegacyCodec:
-            name = "legacy"
-
-            def encode(self, message):
-                return JSON_CODEC.encode(fresh(message))
-
+    @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
+    def test_cold_and_cached_members_decode_alike(self, codec):
+        """One envelope may mix spliced (already encoded) and freshly
+        written members; both decode to the messages that went in."""
         messages = batch()
-        payload = encode_batch_for(LegacyCodec(), messages)
-        assert payload == b"".join(
-            JSON_CODEC.encode(fresh(m)) for m in messages
-        )
+        for m in messages[::2]:
+            codec.encode(m)  # every other member is a cache hit
+        assert any(m._frames is None for m in messages)
+        decoded = decode_batch(codec.encode_batch(messages))
+        assert [m.to_wire() for m in decoded] == [
+            m.to_wire() for m in messages
+        ]
+
+    def test_padded_member_lengths_decode(self):
+        """Earlier builds' binary emitter wrote every member length as a
+        fixed two-byte varint (redundant continuation bit on short
+        members); a mixed fleet still sends those."""
+        messages = batch()
+        body = bytearray((ENVELOPE_MAGIC, ENVELOPE_VERSION, len(messages)))
+        for m in messages:
+            member = BINARY_CODEC.encode(m)[HEADER_SIZE:]
+            assert len(member) < 0x80
+            body += bytes(((len(member) & 0x7F) | 0x80, len(member) >> 7))
+            body += member
+        frame = len(body).to_bytes(HEADER_SIZE, "big") + bytes(body)
+        assert [m.to_wire() for m in decode_batch(frame)] == [
+            m.to_wire() for m in messages
+        ]
 
     def test_module_level_encode_batch_is_json(self):
         messages = batch()

@@ -26,8 +26,6 @@ repro_cluster_shard_heartbeat_age_seconds{shard="shard-0"} 0.25
 repro_cluster_shard_heartbeat_age_seconds{shard="shard-1"} 7.5
 # TYPE repro_traffic_messages_total counter
 repro_traffic_messages_total{transport="aio"} 1200
-# TYPE repro_net_envelope_fill gauge
-repro_net_envelope_fill 0.42
 # TYPE repro_server_processed_total counter
 repro_server_processed_total{kind="event",shard="shard-0"} 90
 repro_server_processed_total{kind="register",shard="shard-0"} 10
@@ -99,7 +97,6 @@ class TestRenderFrame:
         assert "shards 1/2 up" in frame
         assert "restarts 2" in frame
         assert "msgs 1,200" in frame
-        assert "envelope-fill 0.42" in frame
         lines = frame.splitlines()
         (row0,) = [ln for ln in lines if ln.startswith("shard-0")]
         (row1,) = [ln for ln in lines if ln.startswith("shard-1")]
