@@ -23,11 +23,11 @@ check works on wire payloads without materializing widgets.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import IncompatibleObjectsError
+from repro.toolkit.builder import spec_fingerprint
 from repro.toolkit.widgets.registry import widget_class
 
 # Matching strategies
@@ -97,27 +97,6 @@ class CorrespondenceRegistry:
 
 #: Process-wide default registry; instances may carry their own.
 DEFAULT_CORRESPONDENCES = CorrespondenceRegistry()
-
-
-def spec_fingerprint(spec: Mapping[str, Any]) -> str:
-    """A stable fingerprint of a builder spec's *structure*.
-
-    Covers exactly what the structural matchers look at — widget types,
-    component names and nesting — and deliberately ignores state values,
-    so two transfers of the same (possibly mutated) object hash alike.
-    Used as the memoization key for mapping results and as the cheap
-    "did the structure change since last transfer?" test of the delta
-    sync protocol.
-    """
-
-    def canon(node: Mapping[str, Any]) -> Tuple:
-        return (
-            node.get("type", ""),
-            node.get("name", ""),
-            tuple(canon(child) for child in node.get("children", ())),
-        )
-
-    return hashlib.sha1(repr(canon(spec)).encode("utf-8")).hexdigest()
 
 
 class MappingCache:
@@ -193,19 +172,24 @@ DEFAULT_MAPPING_CACHE = MappingCache()
 
 
 def mapping_cache_key(
-    spec_a: Mapping[str, Any],
-    spec_b: Mapping[str, Any],
+    source_spec: Mapping[str, Any],
+    target_fingerprint: str,
     strategy: str,
     correspondences: Optional["CorrespondenceRegistry"] = None,
     predefined: Optional[ComponentMapping] = None,
 ) -> Tuple:
-    """The memoization key for a structural-mapping computation."""
+    """The memoization key for a structural-mapping computation.
+
+    *source_spec* is what arrived from outside and is hashed here;
+    the local side's fingerprint is already known from its shape record
+    (:func:`repro.toolkit.builder.shape`).
+    """
     registry = (
         correspondences if correspondences is not None else DEFAULT_CORRESPONDENCES
     )
     return (
-        spec_fingerprint(spec_a),
-        spec_fingerprint(spec_b),
+        spec_fingerprint(source_spec),
+        target_fingerprint,
         strategy,
         registry.epoch,
         tuple(sorted(predefined.items())) if predefined is not None else None,
@@ -635,7 +619,7 @@ def _index_by_path(
 def translate_state(
     source_state: Mapping[str, Mapping[str, Any]],
     source_spec: Mapping[str, Any],
-    target_spec: Mapping[str, Any],
+    target_types: Mapping[str, str],
     mapping: ComponentMapping,
     correspondences: Optional[CorrespondenceRegistry] = None,
 ) -> Dict[str, Dict[str, Any]]:
@@ -643,17 +627,18 @@ def translate_state(
 
     *source_state* maps source relative paths to relevant-attribute dicts;
     the result maps *target* relative paths to attribute dicts with names
-    translated through the per-type attribute correspondences.
+    translated through the per-type attribute correspondences.  The
+    target side is given as its relative path -> type name index, which
+    the local object's shape record already holds (``shape(w).types``).
     """
     index_a = _index_by_path(source_spec)
-    index_b = _index_by_path(target_spec)
     translated: Dict[str, Dict[str, Any]] = {}
     for rel_a, values in source_state.items():
         rel_b = mapping.get(rel_a)
-        if rel_b is None or rel_a not in index_a or rel_b not in index_b:
+        if rel_b is None or rel_a not in index_a or rel_b not in target_types:
             continue
         attr_map = attribute_mapping(
-            index_a[rel_a]["type"], index_b[rel_b]["type"], correspondences
+            index_a[rel_a]["type"], target_types[rel_b], correspondences
         )
         if attr_map is None:
             continue

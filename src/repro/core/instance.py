@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import Counter
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core import action_sync, coupling, state_sync
 from repro.core.action_sync import ExecutionResult, FloorGrant
@@ -31,7 +31,6 @@ from repro.core.commands import CommandRegistry
 from repro.core.compat import (
     ComponentMapping,
     CorrespondenceRegistry,
-    spec_fingerprint,
     translate_state,
 )
 from repro.core.semantic import SemanticHookRegistry
@@ -52,7 +51,7 @@ from repro.obs import NULL_OBS
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import PermissionRule
 from repro.server.registry import RegistrationRecord, record_from_delta
-from repro.toolkit.builder import to_spec
+from repro.toolkit.builder import shape, to_spec
 from repro.toolkit.events import Event, EventTrace
 from repro.toolkit.tree import (
     apply_subtree_state,
@@ -171,7 +170,8 @@ class ApplicationInstance:
         #: *acknowledged* transfer (seq, state-clock baseline, structure and
         #: semantic fingerprints).  Entries are dropped on any failed or
         #: non-STRICT transfer so the next push falls back to a full
-        #: snapshot.
+        #: snapshot, and — like the receiver's — when the local widget is
+        #: destroyed or the remote instance leaves the roster.
         self._delta_out: Dict[Tuple[str, GlobalId], Dict[str, Any]] = {}
         #: Delta sync receiver cache: (source gid, local pathname) -> the
         #: last applied transfer (seq, fingerprints, source spec and the
@@ -511,7 +511,7 @@ class ApplicationInstance:
         # snapshot and the read are shipped now and again in the next
         # delta — at-least-once per attribute, never lost.
         baseline = state_clock()
-        fp = spec_fingerprint(to_spec(widget, full_state=False))
+        fp = shape(widget).fingerprint
         stored = self.semantics.store_subtree(widget)
         sem_fp = _blob_fingerprint(stored) if stored else None
         entry = self._delta_out.get(key)
@@ -805,11 +805,13 @@ class ApplicationInstance:
         """Runtime hook from the toolkit: auto-decouple destroyed objects.
 
         "The decoupling algorithm is applied automatically when a UI object
-        is destroyed" (§3.2).
+        is destroyed" (§3.2).  Delta continuity with the object ends
+        here too; every destroyed descendant gets its own call.
         """
+        gid = self.gid(widget)
+        self._drop_delta_entries(lambda local, _remote: local == gid[1])
         if not self.registered or self._transport is None:
             return
-        gid = self.gid(widget)
         if not coupling.subtree_is_coupled(self.replica, *gid):
             return
         self.send(
@@ -930,7 +932,7 @@ class ApplicationInstance:
             self._delta_in[(source, target[1])] = {
                 "seq": int(sync["seq"]),
                 "fp": sync.get("fp"),
-                "local_fp": spec_fingerprint(to_spec(widget, full_state=False)),
+                "local_fp": shape(widget).fingerprint,
                 "spec": payload.get("structure"),
                 "mapping": report.mapping,
             }
@@ -956,12 +958,12 @@ class ApplicationInstance:
         source = gid_from_wire(payload["source"])
         key = (source, target[1])
         entry = self._delta_in.get(key)
-        target_spec = to_spec(widget, full_state=False)
+        local = shape(widget)
         if (
             entry is None
             or entry["seq"] != sync.get("base")
             or entry["fp"] != sync.get("fp")
-            or entry["local_fp"] != spec_fingerprint(target_spec)
+            or entry["local_fp"] != local.fingerprint
         ):
             self._delta_in.pop(key, None)
             self.stats["delta_resyncs"] += 1
@@ -973,7 +975,7 @@ class ApplicationInstance:
             state = translate_state(
                 state,
                 entry["spec"],
-                target_spec,
+                local.types,
                 entry["mapping"],
                 self.correspondences,
             )
@@ -1084,7 +1086,9 @@ class ApplicationInstance:
                 record = record_from_delta(payload)
                 self.roster[record.instance_id] = record
             else:
-                self.roster.pop(str(payload["left"]), None)
+                left = str(payload["left"])
+                self.roster.pop(left, None)
+                self._drop_delta_entries(lambda _local, remote: remote[0] == left)
             self.roster_version = version
 
     def _adopt_roster(self, payload: Mapping[str, Any]) -> None:
@@ -1093,6 +1097,23 @@ class ApplicationInstance:
         self.roster = {record.instance_id: record for record in records}
         self.roster_version = int(payload["version"])
         self._roster_resync_until = None
+        roster = self.roster
+        self._drop_delta_entries(lambda _local, remote: remote[0] not in roster)
+
+    def _drop_delta_entries(self, gone: Callable[[str, GlobalId], bool]) -> None:
+        """Forget delta continuity for every pair ``gone(local pathname,
+        remote gid)`` holds for: the widget was destroyed or the peer left.
+
+        Nothing on the other end needs telling — a later transfer under
+        the same names starts with a full snapshot (sender) or asks for
+        one (receiver).
+        """
+        # Keys are (local, remote) on the sender side, (remote, local) on
+        # the receiver's.  list(): the other thread may insert meanwhile.
+        for cache, local_at in ((self._delta_out, 0), (self._delta_in, 1)):
+            for key in list(cache):
+                if gone(key[local_at], key[1 - local_at]):
+                    cache.pop(key, None)
 
     def _request_roster_resync(self) -> None:
         """Ask whoever owns the registry for the full roster, once.

@@ -27,7 +27,7 @@ from repro.core import compat
 from repro.core.merging import MergeReport, destructive_merge, flexible_match
 from repro.core.semantic import SemanticHookRegistry
 from repro.errors import IncompatibleObjectsError
-from repro.toolkit.builder import to_spec
+from repro.toolkit.builder import Shape, shape, to_spec
 from repro.toolkit.tree import apply_subtree_state, subtree_state
 from repro.toolkit.widget import UIObject
 
@@ -110,15 +110,16 @@ def apply_state_payload(
             # relative paths (homogeneous fast path).
             report.applied_paths = apply_subtree_state(widget, source_state)
         else:
+            local = shape(widget)
             mapping = _resolve_mapping(
-                source_spec, widget, strategy, correspondences, predefined
+                source_spec, local, strategy, correspondences, predefined
             )
             report.mapping_size = len(mapping)
             report.mapping = dict(mapping)
             translated = compat.translate_state(
                 source_state,
                 source_spec,
-                to_spec(widget, full_state=False),
+                local.types,
                 mapping,
                 correspondences,
             )
@@ -147,22 +148,21 @@ def apply_state_payload(
 
 def _resolve_mapping(
     source_spec: Mapping[str, Any],
-    widget: UIObject,
+    local: Shape,
     strategy: str,
     correspondences: Optional[compat.CorrespondenceRegistry],
     predefined: Optional[compat.ComponentMapping],
     cache: Optional[compat.MappingCache] = None,
 ) -> compat.ComponentMapping:
-    target_spec = to_spec(widget, full_state=False)
     mapping_cache = cache if cache is not None else compat.DEFAULT_MAPPING_CACHE
     key = compat.mapping_cache_key(
-        source_spec, target_spec, strategy, correspondences, predefined
+        source_spec, local.fingerprint, strategy, correspondences, predefined
     )
     cached = mapping_cache.lookup(key)
     if cached is not None:
         return cached
     mapping = _compute_mapping(
-        source_spec, target_spec, strategy, correspondences, predefined
+        source_spec, local.skeleton, strategy, correspondences, predefined
     )
     mapping_cache.store(key, mapping)
     return mapping

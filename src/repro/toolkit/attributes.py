@@ -193,6 +193,15 @@ class AttributeSet:
             if attribute.name in self._by_name:
                 raise ValueError(f"duplicate attribute {attribute.name!r}")
             self._by_name[attribute.name] = attribute
+        # The set never changes after this point, so what the per-widget
+        # hot paths ask for on every call is derived once.
+        self._names = tuple(self._by_name)
+        self._relevant_names = tuple(
+            a.name for a in self._by_name.values() if a.relevant
+        )
+        self._declared_defaults = {
+            name: attr.default for name, attr in self._by_name.items()
+        }
 
     def extended(self, attributes: Iterable[Attribute]) -> "AttributeSet":
         """Return a new set with *attributes* added (overriding same names)."""
@@ -202,11 +211,11 @@ class AttributeSet:
         return AttributeSet(merged.values())
 
     def names(self) -> Tuple[str, ...]:
-        return tuple(self._by_name)
+        return self._names
 
     def relevant_names(self) -> Tuple[str, ...]:
         """Names of the attributes shared when objects are coupled."""
-        return tuple(a.name for a in self._by_name.values() if a.relevant)
+        return self._relevant_names
 
     def get(self, name: str, widget_type: str = "<unknown>") -> Attribute:
         try:
@@ -217,6 +226,19 @@ class AttributeSet:
     def defaults(self) -> Dict[str, Any]:
         """A fresh name -> default-value mapping for a new widget."""
         return {name: attr.fresh_default() for name, attr in self._by_name.items()}
+
+    def non_default(self, state: Mapping[str, Any]) -> Dict[str, Any]:
+        """The entries of *state* that differ from the declared defaults.
+
+        Compares against each :attr:`Attribute.default` itself — nothing
+        is copied, because nothing here can mutate it.
+        """
+        declared = self._declared_defaults
+        return {
+            name: value
+            for name, value in state.items()
+            if declared.get(name) != value
+        }
 
     def __contains__(self, name: object) -> bool:
         return name in self._by_name

@@ -15,11 +15,19 @@ A spec is a plain dict::
         "state": {"title": "Query"},          # optional attribute overrides
         "children": [ {...}, ... ],            # optional
     }
+
+What a spec says about *structure* — ``type``, ``name``, ``children`` —
+is also kept per widget as a cached value: :func:`shape` returns the
+:class:`Shape` record of a subtree, rebuilt only after a structural change
+(the invalidation rule and why it is safe across threads are in
+:mod:`repro.toolkit.widget`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+import hashlib
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import BuilderError
 from repro.toolkit.widget import UIObject
@@ -95,12 +103,7 @@ def to_spec(widget: UIObject, *, full_state: bool = False) -> Dict[str, Any]:
     if full_state:
         state = widget.state()
     else:
-        defaults = cls.ATTRIBUTES.defaults()
-        state = {
-            name: value
-            for name, value in widget.state().items()
-            if defaults.get(name) != value
-        }
+        state = cls.ATTRIBUTES.non_default(widget.state())
     spec: Dict[str, Any] = {"type": cls.TYPE_NAME, "name": widget.name}
     if state:
         spec["state"] = state
@@ -110,6 +113,89 @@ def to_spec(widget: UIObject, *, full_state: bool = False) -> Dict[str, Any]:
     if children:
         spec["children"] = children
     return spec
+
+
+def spec_fingerprint(spec: Mapping[str, Any]) -> str:
+    """A stable fingerprint of a builder spec's *structure*.
+
+    Covers exactly what the structural matchers look at — widget types,
+    component names and nesting — and deliberately ignores state values,
+    so two transfers of the same (possibly mutated) object hash alike.
+    Used as the memoization key for mapping results and as the cheap
+    "did the structure change since last transfer?" test of the delta
+    sync protocol.
+    """
+
+    def canon(node: Mapping[str, Any]) -> Tuple:
+        return (
+            node.get("type", ""),
+            node.get("name", ""),
+            tuple(canon(child) for child in node.get("children", ())),
+        )
+
+    return hashlib.sha1(repr(canon(spec)).encode("utf-8")).hexdigest()
+
+
+class Shape(NamedTuple):
+    """Everything about a widget subtree that depends on structure alone.
+
+    Immutable throughout, so one record serves every reader on every
+    thread until the structure changes.
+    """
+
+    #: The widget's structure stamp this record was built under.
+    stamp: object
+    #: ``to_spec(widget)`` minus ``state``: read-only mappings, children
+    #: in a tuple.  Local use only — a spec that travels carries state.
+    skeleton: Mapping[str, Any]
+    #: :func:`spec_fingerprint` of the skeleton — and so of the full
+    #: ``to_spec`` result, of which it reads nothing the skeleton lacks.
+    fingerprint: str
+    #: relative path -> ``TYPE_NAME`` for the whole subtree.
+    types: Mapping[str, str]
+    #: ``(relative path, widget)`` for the whole subtree, pre-order.
+    widgets: Tuple[Tuple[str, UIObject], ...]
+
+
+def shape(widget: UIObject) -> Shape:
+    """The :class:`Shape` of *widget*'s subtree, from its cache when valid."""
+    cached = widget._shape
+    stamp = widget._structure_stamp
+    if cached is not None and cached.stamp is stamp:
+        return cached
+    types: Dict[str, str] = {}
+    widgets: List[Tuple[str, UIObject]] = []
+    skeleton = _skeleton(widget, "", types, widgets)
+    record = Shape(
+        stamp,
+        skeleton,
+        spec_fingerprint(skeleton),
+        MappingProxyType(types),
+        tuple(widgets),
+    )
+    # Stored under the stamp read *before* the walk: if the structure
+    # changed meanwhile, the widget's stamp has moved on and this record
+    # is never served.
+    widget._shape = record
+    return record
+
+
+def _skeleton(
+    widget: UIObject,
+    rel: str,
+    types: Dict[str, str],
+    widgets: List[Tuple[str, UIObject]],
+) -> Mapping[str, Any]:
+    types[rel] = widget.TYPE_NAME
+    widgets.append((rel, widget))
+    node: Dict[str, Any] = {"type": widget.TYPE_NAME, "name": widget.name}
+    children = tuple(
+        _skeleton(child, f"{rel}/{child.name}" if rel else child.name, types, widgets)
+        for child in widget.children
+    )
+    if children:
+        node["children"] = children
+    return MappingProxyType(node)
 
 
 def clone(widget: UIObject, name: Optional[str] = None,

@@ -10,6 +10,14 @@ those operations a single vocabulary:
 * **subtree state** — a mapping of relative path -> relevant attribute dict;
 * **structure signature** — a hashable shape summary used by the flexible
   matching heuristics.
+
+The subtree walks here (:func:`subtree_widgets` and the state functions on
+top of it) read the path list of the root's cached shape record
+(:func:`repro.toolkit.builder.shape`): relative paths are derived once per
+structural change, not once per widget per transfer.  ``add_child`` /
+``remove_child`` invalidate the record of the node and of every ancestor;
+:mod:`repro.toolkit.widget` says why a walk racing such a change on
+another thread cannot leave a stale list behind.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import PathError
+from repro.toolkit.builder import shape
 from repro.toolkit.widget import PATH_SEPARATOR, UIObject
 
 
@@ -60,8 +69,7 @@ def subtree_widgets(root: UIObject) -> Iterator[Tuple[str, UIObject]]:
 
     The root itself is yielded with relative path ``""``.
     """
-    for widget in root.walk():
-        yield relative_path(root, widget), widget
+    return iter(shape(root).widgets)
 
 
 def subtree_state(root: UIObject, *, relevant_only: bool = True) -> Dict[str, Dict[str, Any]]:

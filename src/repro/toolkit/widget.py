@@ -13,6 +13,23 @@ Terminology follows the paper (§3):
   primitive UI objects — in this toolkit simply a widget with children.
 * The **state** of a UI object is the set of attribute-value pairs.
 
+**Structure is a cached value.**  What a subtree looks like without its
+state — types, names, nesting — changes in exactly two places,
+:meth:`UIObject.add_child` and :meth:`UIObject.remove_child` (``destroy``,
+the builder and both merge modes go through them), and a widget's name
+never changes.  Everything derived from structure alone (the skeleton
+spec, its fingerprint, the relative-path indexes) is therefore kept per
+widget in one record, :func:`repro.toolkit.builder.shape`, and both
+mutators end by giving the node and every ancestor a fresh *structure
+stamp*.  A record is valid only while the stamp it was built under is
+still its widget's stamp.  The order makes that safe across threads (a
+record built on the aio loop thread while the application thread edits
+the tree): a mutation changes ``_children`` first and stamps afterwards,
+a builder reads the stamp first and walks afterwards — so a walk that
+missed a change carries a stamp the change has since replaced, and a
+stamp is a new object each time, never a counter two threads could leave
+at the same value.
+
 Every widget owns a :class:`~repro.toolkit.events.CallbackRegistry`.  When a
 high-level event fires on a widget that belongs to an
 :class:`~repro.core.instance.ApplicationInstance`, the event is routed
@@ -26,7 +43,7 @@ applications".
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     DestroyedWidgetError,
@@ -43,6 +60,9 @@ from repro.toolkit.events import (
     CallbackRegistry,
     Event,
 )
+
+if TYPE_CHECKING:
+    from repro.toolkit.builder import Shape
 
 PATH_SEPARATOR = "/"
 
@@ -210,12 +230,17 @@ class UIObject:
             raise ValueError(
                 f"widget name must be non-empty and contain no '/': {name!r}"
             )
-        self.name = name
+        self._name = name
         self._state: _VersionedState = _VersionedState(
             type(self).ATTRIBUTES.defaults()
         )
         self._parent: Optional[UIObject] = None
         self._children: Dict[str, UIObject] = {}
+        #: Replaced whenever this subtree's structure changes; the cached
+        #: shape record (``repro.toolkit.builder.shape``) is valid only
+        #: while it carries this very object (see the module docstring).
+        self._structure_stamp: object = object()
+        self._shape: Optional["Shape"] = None
         self._callbacks = CallbackRegistry()
         self._destroyed = False
         #: Set by the floor-control lock protocol; independent of the
@@ -232,6 +257,12 @@ class UIObject:
     # ------------------------------------------------------------------
     # Identity and tree structure
     # ------------------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """Unique among siblings, and fixed for life: the parent's child
+        table and every cached shape record are keyed on it."""
+        return self._name
 
     @property
     def parent(self) -> Optional["UIObject"]:
@@ -256,7 +287,7 @@ class UIObject:
         parts: List[str] = []
         node: Optional[UIObject] = self
         while node is not None:
-            parts.append(node.name)
+            parts.append(node._name)
             node = node._parent
         return PATH_SEPARATOR + PATH_SEPARATOR.join(reversed(parts))
 
@@ -298,6 +329,7 @@ class UIObject:
             )
         self._children[child.name] = child
         child._parent = self
+        self._structure_changed()
         self._local_event(CHILD_ADDED, child=child.name)
         return child
 
@@ -307,7 +339,21 @@ class UIObject:
             raise PathError(child.name)
         del self._children[child.name]
         child._parent = None
+        self._structure_changed()
         self._local_event(CHILD_REMOVED, child=child.name)
+
+    def _structure_changed(self) -> None:
+        """Invalidate the shape records of this node and every ancestor.
+
+        Called *after* ``_children`` was modified (module docstring).  The
+        stale record is dropped as well, so it stops pinning a removed
+        subtree's widgets.
+        """
+        node: Optional[UIObject] = self
+        while node is not None:
+            node._shape = None
+            node._structure_stamp = object()
+            node = node._parent
 
     def child(self, name: str) -> "UIObject":
         """Return the direct child called *name*."""

@@ -106,6 +106,15 @@ def make_demo_tree(root_name: str = "app") -> Shell:
     return shell
 
 
+def strip_state(spec):
+    """A ``to_spec`` result as a shape record's skeleton spells it: no
+    state, children in a tuple."""
+    bare = {"type": spec["type"], "name": spec["name"]}
+    if "children" in spec:
+        bare["children"] = tuple(strip_state(child) for child in spec["children"])
+    return bare
+
+
 def floor_free(session):
     """No floor is held anywhere in *session*'s deployment."""
     cluster = session.cluster

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import compat
 from repro.errors import IncompatibleObjectsError
-from repro.toolkit.builder import to_spec
+from repro.toolkit.builder import shape, to_spec
 from repro.toolkit.widgets import Form, Label, Shell, TextField
 
 
@@ -251,7 +251,7 @@ class TestTranslateState:
         translated = compat.translate_state(
             subtree_state(source_root),
             source_spec,
-            target_spec,
+            shape(target_root).types,
             mapping,
             corr,
         )
@@ -259,8 +259,7 @@ class TestTranslateState:
 
     def test_missing_mapping_entries_skipped(self):
         a = spec("form", "f")
-        b = spec("form", "g")
         out = compat.translate_state(
-            {"ghost": {"value": 1}}, a, b, {"": ""}
+            {"ghost": {"value": 1}}, a, {"": "form"}, {"": ""}
         )
         assert out == {}

@@ -8,7 +8,7 @@ from repro.core.compat import (
     mapping_cache_key,
     spec_fingerprint,
 )
-from repro.toolkit.builder import to_spec
+from repro.toolkit.builder import shape, to_spec
 from repro.toolkit.widgets import Form, Shell, TextField
 
 
@@ -40,6 +40,11 @@ class TestSpecFingerprint:
     def test_stable_across_serialization(self):
         spec = to_spec(make_tree())
         assert spec_fingerprint(spec) == spec_fingerprint(dict(spec))
+
+    def test_one_function_under_both_names(self):
+        from repro.toolkit import builder
+
+        assert compat.spec_fingerprint is builder.spec_fingerprint
 
 
 class TestMappingCache:
@@ -73,26 +78,40 @@ class TestMappingCache:
 
 
 class TestCacheKey:
+    @staticmethod
+    def spec_and_fingerprint():
+        """A received spec and the local side's already-known fingerprint."""
+        tree = make_tree()
+        return to_spec(tree), shape(tree).fingerprint
+
     def test_epoch_invalidates_on_declare(self):
         registry = CorrespondenceRegistry()
-        spec = to_spec(make_tree())
-        before = mapping_cache_key(spec, spec, "auto", registry)
+        spec, fp = self.spec_and_fingerprint()
+        before = mapping_cache_key(spec, fp, "auto", registry)
         registry.declare(
             "label", "textfield", {"text": "value", "visible": "visible"}
         )
-        after = mapping_cache_key(spec, spec, "auto", registry)
+        after = mapping_cache_key(spec, fp, "auto", registry)
         assert before != after
 
     def test_predefined_mapping_part_of_key(self):
-        spec = to_spec(make_tree())
-        plain = mapping_cache_key(spec, spec, "auto", None)
-        predefined = mapping_cache_key(spec, spec, "auto", None, {"": ""})
+        spec, fp = self.spec_and_fingerprint()
+        plain = mapping_cache_key(spec, fp, "auto", None)
+        predefined = mapping_cache_key(spec, fp, "auto", None, {"": ""})
         assert plain != predefined
 
     def test_strategy_part_of_key(self):
-        spec = to_spec(make_tree())
-        assert mapping_cache_key(spec, spec, "auto", None) != mapping_cache_key(
-            spec, spec, "exhaustive", None
+        spec, fp = self.spec_and_fingerprint()
+        assert mapping_cache_key(spec, fp, "auto", None) != mapping_cache_key(
+            spec, fp, "exhaustive", None
+        )
+
+    def test_local_fingerprint_part_of_key(self):
+        spec, fp = self.spec_and_fingerprint()
+        other = Shell("app")
+        TextField("only", parent=other)
+        assert mapping_cache_key(spec, fp, "auto", None) != mapping_cache_key(
+            spec, shape(other).fingerprint, "auto", None
         )
 
 

@@ -9,7 +9,7 @@ recovery path.
 import pytest
 
 from repro.session import Session
-from repro.toolkit.widgets import Scale, Shell, TextField, ToggleButton
+from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField, ToggleButton
 
 PATH = "/app"
 
@@ -93,6 +93,28 @@ class TestDeltaProtocol:
         assert a.stats["delta_pushes"] == 0
         assert tree_b.find("extra").value == "new"
 
+    def test_nested_structure_change_falls_back_to_full(self, duo):
+        """The change is a grandchild two levels below the transferred
+        root: the root's fingerprint must still move."""
+        session, a, b, tree_a, tree_b = duo
+        for tree in (tree_a, tree_b):
+            Form("inner", parent=Form("outer", parent=tree))
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        tree_a.find("field").set("value", "still a delta")
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert (a.stats["full_pushes"], a.stats["delta_pushes"]) == (1, 1)
+
+        TextField("deep", parent=tree_a.find("outer/inner"))
+        TextField("deep", parent=tree_b.find("outer/inner"))
+        tree_a.find("outer/inner/deep").set("value", "new")
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert (a.stats["full_pushes"], a.stats["delta_pushes"]) == (2, 1)
+        assert b.stats["delta_resyncs"] == 0
+        assert tree_b.find("outer/inner/deep").value == "new"
+
     def test_receiver_continuity_loss_triggers_resync(self, duo):
         session, a, b, tree_a, tree_b = duo
         tree_a.find("field").set("value", "v1")
@@ -124,6 +146,44 @@ class TestDeltaProtocol:
         session.pump()
         assert b.stats["delta_resyncs"] == 1
         assert tree_b.find("field2").value == "after"
+
+    def test_receiver_nested_structure_change_triggers_resync(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        for tree in (tree_a, tree_b):
+            TextField("deep", parent=Form("inner", parent=Form("outer", parent=tree)))
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        # Two levels below the transferred root, on the receiver only:
+        # same shape under another name, so the resync still matches.
+        tree_b.find("outer/inner/deep").destroy()
+        TextField("deep2", parent=tree_b.find("outer/inner"))
+        tree_a.find("outer/inner/deep").set("value", "after")
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert b.stats["delta_resyncs"] == 1
+        assert a.stats["resync_pushes"] == 1
+        assert tree_b.find("outer/inner/deep2").value == "after"
+
+    def test_merge_that_rebuilt_a_child_is_followed_by_a_full_push(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        tree_b.find("field").destroy()
+        Label("field", parent=tree_b)  # conflicts with a's textfield
+        a.copy_to(PATH, ("b", PATH), mode="merge")
+        session.pump()
+        assert tree_b.find("field").TYPE_NAME == "textfield"  # rebuilt
+        tree_a.find("field").set("value", "strict again")
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert (a.stats["full_pushes"], a.stats["delta_pushes"]) == (1, 0)
+        assert tree_b.find("field").value == "strict again"
+        # The baseline the full push left describes the rebuilt tree:
+        # the next delta applies without a resync.
+        tree_a.find("zoom").set("value", 5)
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert a.stats["delta_pushes"] == 1
+        assert (b.stats["deltas_applied"], b.stats["delta_resyncs"]) == (1, 0)
+        assert tree_b.find("zoom").value == 5
 
     def test_merge_mode_invalidates_delta_chain(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -175,6 +235,78 @@ class TestDeltaProtocol:
         session.pump()
         assert not a._delta_out
         assert not a._delta_in
+
+    def test_destroyed_widget_drops_its_entries_on_both_sides(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        for tree in (tree_a, tree_b):
+            TextField("text", parent=Form("form", parent=tree))
+        a.copy_to("/app/form", ("b", "/app/form"))
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert set(a._delta_out) == {
+            ("/app/form", ("b", "/app/form")),
+            (PATH, ("b", PATH)),
+        }
+        tree_a.find("form").destroy()
+        assert set(a._delta_out) == {(PATH, ("b", PATH))}
+        tree_b.find("form").destroy()
+        assert set(b._delta_in) == {(("a", PATH), PATH)}
+
+    def test_destroy_drops_entries_of_an_unregistered_instance_too(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        b.registered = False  # the hook's not-coupled early return
+        tree_b.destroy()
+        assert not b._delta_in
+
+    def test_recreated_widget_starts_with_a_full_push(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        for tree in (tree_a, tree_b):
+            TextField("text", parent=Form("form", parent=tree))
+        a.copy_to("/app/form", ("b", "/app/form"))
+        session.pump()
+        tree_a.find("form").destroy()
+        TextField("text", parent=Form("form", parent=tree_a), value="reborn")
+        a.copy_to("/app/form", ("b", "/app/form"))
+        session.pump()
+        assert (a.stats["full_pushes"], a.stats["delta_pushes"]) == (2, 0)
+        assert b.stats["delta_resyncs"] == 0
+        assert tree_b.find("form/text").value == "reborn"
+
+    def test_departed_instance_drops_entries_naming_it(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        c = session.create_instance("c", user="carol")
+        c.add_root(make_tree())
+        a.copy_to(PATH, ("b", PATH))
+        a.copy_to(PATH, ("c", PATH))
+        b.copy_to(PATH, ("a", PATH))
+        session.pump()
+        assert (("a", PATH), PATH) in b._delta_in
+        a.unregister()
+        session.pump()
+        assert "a" not in b.roster
+        # b held an entry per direction; c's stays with b's untouched.
+        assert not b._delta_in and not b._delta_out
+        assert not c._delta_in
+        c.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert set(c._delta_out) == {(PATH, ("b", PATH))}
+        assert set(b._delta_in) == {(("c", PATH), PATH)}
+
+    def test_adopted_roster_drops_entries_of_the_missing(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        a.copy_to(PATH, ("b", PATH))
+        b.copy_to(PATH, ("a", PATH))
+        session.pump()
+        registry = session.server.registry
+        without_a = registry.full_roster()
+        without_a["roster"] = [
+            record for record in without_a["roster"] if record["instance_id"] != "a"
+        ]
+        b._adopt_roster(without_a)
+        assert not b._delta_in and not b._delta_out
+        assert a._delta_in and a._delta_out  # a's roster still has b
 
 
 class TestDeltaPayloadShape:

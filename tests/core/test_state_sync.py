@@ -185,3 +185,100 @@ class TestSemanticsOnApply:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             state_sync.apply_state_payload(Shell("x"), {}, mode="telepathy")
+
+
+class TestStructureDerivedOncePerChange:
+    """What a steady-state transfer derives from structure (docs/PERF.md
+    §11): with both forms' shape records warm, only what goes on or comes
+    off the wire is walked or hashed."""
+
+    FIELDS = 25
+
+    def make_form(self):
+        form = Form("form")
+        for index in range(self.FIELDS):
+            TextField(f"f{index:02d}", parent=form)
+        return form
+
+    @staticmethod
+    def count_calls(monkeypatch, function, modules):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, function.__name__, counted)
+        return calls
+
+    def test_copy_to_and_copy_from_counts(self, monkeypatch):
+        from repro.core import instance
+        from repro.session import Session
+        from repro.toolkit import builder
+
+        session = Session(backend="memory")
+        try:
+            a = session.create_instance("a", user="alice")
+            b = session.create_instance("b", user="bob")
+            form_a = a.add_root(self.make_form())
+            form_b = b.add_root(self.make_form())
+            target = b.gid(form_b)
+            a.copy_to(form_a, target)
+            a.copy_from(form_a, target)
+            session.pump()
+
+            # Top-level walks only: the recursion inside to_spec goes
+            # through builder's own global, which stays unwrapped.
+            walks = self.count_calls(
+                monkeypatch, builder.to_spec, [instance, state_sync]
+            )
+            hashes = self.count_calls(
+                monkeypatch, builder.spec_fingerprint, [builder, compat]
+            )
+
+            form_a.find("f07").set("value", "edited")
+            a.copy_to(form_a, target)
+            session.pump()
+            assert a.stats["delta_pushes"] == 1 and b.stats["deltas_applied"] == 1
+            assert (len(walks), len(hashes)) == (0, 0)
+
+            form_b.find("f11").set("value", "theirs")
+            a.copy_from(form_a, target)
+            session.pump()
+            assert form_a.find("f11").value == "theirs"
+            # The STATE_REPLY's wire `structure`, and its hash on arrival.
+            assert (len(walks), len(hashes)) == (1, 1)
+        finally:
+            session.close()
+
+    def test_wire_fingerprints_are_the_parent_commits_strings(self):
+        """`sync.fp` / `local_fp` come from the shape record now; mixed
+        fleets compare them with ones hashed from a full spec."""
+        from repro.core.compat import spec_fingerprint
+        from repro.session import Session
+        from repro.toolkit.builder import to_spec
+
+        session = Session(backend="memory")
+        try:
+            a = session.create_instance("a", user="alice")
+            b = session.create_instance("b", user="bob")
+            form_a = a.add_root(self.make_form())
+            form_b = b.add_root(Shell("other"))
+            Form("inner", parent=form_b)
+            for index in range(self.FIELDS):
+                TextField(f"g{index:02d}", parent=form_b.find("inner"))
+            payload, _commit = a._build_push_payload(
+                form_a, b.gid("/other/inner"), state_sync.STRICT, None
+            )
+            assert payload["sync"]["fp"] == spec_fingerprint(to_spec(form_a))
+            assert payload["structure"] == to_spec(form_a)
+            a.copy_to(form_a, b.gid("/other/inner"))
+            session.pump()
+            entry = b._delta_in[(("a", "/form"), "/other/inner")]
+            assert entry["fp"] == spec_fingerprint(to_spec(form_a))
+            assert entry["local_fp"] == spec_fingerprint(
+                to_spec(form_b.find("inner"))
+            )
+        finally:
+            session.close()
