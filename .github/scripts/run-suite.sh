@@ -17,9 +17,9 @@ case "$suite" in
     ;;
   aio)
     # The same suite with every Session running on the asyncio server
-    # runtime (batching, backpressure, per-hop retry) instead of the
-    # simulated in-memory network — proves the backend is a drop-in for
-    # the whole protocol surface.
+    # runtime (end-of-burst flush, backpressure, per-hop retry) instead
+    # of the simulated in-memory network — proves the backend is a
+    # drop-in for the whole protocol surface.
     REPRO_BACKEND=aio python -m pytest -x -q
     ;;
   observability)

@@ -5,8 +5,9 @@ whose shards are not in-process ``CosoftServer`` objects but **subprocess
 handles** — each shard runs ``python -m repro.cluster.worker`` in its own
 process, hosting the server behind an
 :class:`~repro.server.runtime.AsyncServerRuntime` with its own journal,
-and the router talks to it over an ordinary aio link (binary codec and
-wire batching apply to the shard hop like any other connection).
+and the router talks to it over an ordinary aio link (codec negotiation
+and the end-of-burst flush apply to the shard hop like any other
+connection).
 
 Threading model
 ---------------

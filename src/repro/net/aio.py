@@ -1,4 +1,4 @@
-"""Asyncio server transport: batching, backpressure and per-hop retry.
+"""Asyncio server transport: end-of-burst flush, backpressure, per-hop retry.
 
 This module replaces the blocking thread-per-connection TCP loop on the
 *server* side with a single-threaded :mod:`asyncio` protocol speaking the
@@ -23,11 +23,11 @@ each), no reader task, no second trip through the ready queue.
 
 Three disciplines are layered on the outbound path (docs/RUNTIME.md):
 
-**Batching (Nagle-style).**  Outbound messages are coalesced *per
-destination* into one write.  A batch flushes when it reaches
-``max_batch`` messages, or when ``max_delay`` elapses after the first
-enqueue (``max_delay=0`` flushes at the end of the current event-loop
-burst — one write per destination per inbound chunk, adding no latency).
+**One flush rule.**  Outbound messages queue *per destination* and leave
+when the current event-loop burst ends: everything a handler burst
+produced for one destination goes out in one ``write()`` (at most
+:data:`_MAX_FRAMES_PER_WRITE` frames each), adding no latency.  Nothing
+waits for a timer (docs/PERF.md §12).
 
 **Backpressure.**  Every destination has a bounded send queue
 (``max_queue`` messages).  A slow consumer overflows it; the
@@ -45,9 +45,9 @@ every message carries an idempotent ``msg_id`` and event broadcasts carry
 per-origin sequence numbers the instances deduplicate on
 (:meth:`ApplicationInstance.accept_remote_event`).
 
-The batching and retry cores (:class:`SendQueue`, :class:`RetryPolicy`)
-are **sans-I/O** and take explicit ``now`` arguments, so unit tests drive
-them with a fake clock and never open a socket.
+The queue and retry cores (:class:`SendQueue`, :class:`RetryPolicy`)
+are **sans-I/O** and read no clock, so unit tests drive them without
+opening a socket.
 """
 
 from __future__ import annotations
@@ -100,6 +100,11 @@ T = TypeVar("T")
 #: bounded send queue instead of an unbounded transport buffer.
 _INLINE_BUFFER_LIMIT = 1 << 16
 
+#: Most frames joined into one ``write()``: a longer queue leaves in
+#: several consecutive writes of this many (``TrafficStats.batches``
+#: counts each).
+_MAX_FRAMES_PER_WRITE = 64
+
 
 @dataclass(frozen=True)
 class BatchConfig:
@@ -107,13 +112,6 @@ class BatchConfig:
 
     Attributes
     ----------
-    max_batch:
-        Flush a destination's queue once it holds this many messages.
-    max_delay:
-        Seconds after the first enqueue before a partial batch flushes.
-        ``0`` means "end of the current event-loop burst": everything a
-        handler burst produced for one destination leaves in one write,
-        with no added latency.
     max_queue:
         Bound of the per-destination send queue, in messages.
     backpressure:
@@ -128,8 +126,6 @@ class BatchConfig:
         Upper bound on one backoff delay, seconds.
     """
 
-    max_batch: int = 64
-    max_delay: float = 0.0
     max_queue: int = 1024
     backpressure: str = "drop"
     retry_initial: float = 0.05
@@ -138,12 +134,8 @@ class BatchConfig:
     retry_max_delay: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.max_delay < 0:
-            raise ValueError("max_delay must be non-negative")
         if self.backpressure not in BACKPRESSURE_POLICIES:
             raise ValueError(
                 f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
@@ -193,80 +185,51 @@ class RetryPolicy:
 class SendQueue:
     """One destination's bounded outbound queue (sans-I/O).
 
-    Holds ``(message, enqueued_at)`` pairs — encoding happens at flush
-    time, in the codec the peer spoke last — and answers the
-    flush-trigger questions — *is a full batch ready?*, *has the
-    deadline passed?* — against an explicit ``now`` so a fake clock can
-    drive it.
+    Holds :class:`Message` objects — encoding happens at flush time, in
+    the codec the peer spoke last.
     """
 
     #: push() outcomes.
     QUEUED = "queued"
-    FLUSH = "flush"        # queue reached max_batch: flush immediately
     OVERFLOW = "overflow"  # queue is full: apply the backpressure policy
 
     def __init__(self, destination: str, config: BatchConfig):
         self.destination = destination
         self.config = config
-        self._items: List[Tuple[Message, float]] = []
+        self._items: List[Message] = []
         #: Failed delivery attempts for the batch currently at the head.
         self.attempts = 0
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, message: Message, now: float) -> str:
-        """Append one message; returns the flush decision."""
+    def push(self, message: Message) -> str:
+        """Append one message unless the queue is at its bound."""
         if len(self._items) >= self.config.max_queue:
             return self.OVERFLOW
-        self._items.append((message, now))
-        if len(self._items) >= self.config.max_batch:
-            return self.FLUSH
+        self._items.append(message)
         return self.QUEUED
 
-    def force_push(self, message: Message, now: float) -> None:
+    def force_push(self, message: Message) -> None:
         """Append past the bound (the ``block`` policy keeps the message
         and throttles intake instead of discarding)."""
-        self._items.append((message, now))
+        self._items.append(message)
 
-    def deadline(self) -> Optional[float]:
-        """When the pending partial batch must flush (None when empty).
-
-        Computed from the oldest *remaining* item's enqueue time: after
-        a partial pop the tail gets its own full coalescing window
-        instead of inheriting the popped head's (stale) one.
-        """
-        if not self._items:
-            return None
-        return self._items[0][1] + self.config.max_delay
-
-    def due(self, now: float) -> bool:
-        """True when the queue should flush: full batch or deadline hit."""
-        if not self._items:
-            return False
-        if len(self._items) >= self.config.max_batch:
-            return True
-        deadline = self.deadline()
-        return deadline is not None and now >= deadline
-
-    def pop_batch(
-        self, max_messages: Optional[int] = None
-    ) -> List[Tuple[Message, float]]:
-        """Remove and return up to *max_messages* (message, enqueued_at)
-        pairs; the caller encodes them (:meth:`requeue_front` restores
-        them verbatim on a failed write)."""
-        limit = max_messages if max_messages is not None else self.config.max_batch
-        taken = self._items[:limit]
-        del self._items[:limit]
+    def pop_batch(self, max_messages: int = _MAX_FRAMES_PER_WRITE) -> List[Message]:
+        """Remove and return up to *max_messages* messages from the head;
+        the caller encodes them (:meth:`requeue_front` restores them
+        verbatim on a failed write)."""
+        taken = self._items[:max_messages]
+        del self._items[:max_messages]
         return taken
 
-    def requeue_front(self, items: List[Tuple[Message, float]]) -> None:
+    def requeue_front(self, items: List[Message]) -> None:
         """Put a failed batch back at the head, preserving FIFO order."""
         self._items[:0] = items
 
     def drain_all(self) -> List[Message]:
         """Empty the queue, returning the abandoned messages."""
-        out = [message for message, _ in self._items]
+        out = list(self._items)
         self._items.clear()
         self.attempts = 0
         return out
@@ -427,7 +390,7 @@ class _SocketConnection(asyncio.BufferedProtocol):
 
 class AioHostTransport(Transport):
     """The server's asyncio transport: one event loop, zero per-connection
-    threads, batched writes.
+    threads, one write per destination per loop burst.
 
     Parameters
     ----------
@@ -438,8 +401,7 @@ class AioHostTransport(Transport):
     host / port:
         Listen address; port 0 picks a free port (see :attr:`address`).
     config:
-        The :class:`BatchConfig` governing batching, backpressure and
-        retry.
+        The :class:`BatchConfig` governing backpressure and retry.
     loop:
         A running event loop to join (the
         :class:`~repro.server.runtime.AsyncServerRuntime` passes its
@@ -483,15 +445,12 @@ class AioHostTransport(Transport):
         #: errors, undecodable frames, a raising endpoint handler.
         self.connection_errors = 0
         self._queues: Dict[str, SendQueue] = {}
-        #: Wakes a writer sleeping out its coalescing window when the
-        #: queue reaches a full batch early (loop-thread only).
-        self._flush_events: Dict[str, asyncio.Event] = {}
         self._writer_tasks: Dict[str, asyncio.Task] = {}
         #: Destinations touched since the last inline flush, drained by
         #: one scheduled ``_flush_dirty`` per loop burst (loop-thread
         #: only).  Writer tasks are the fallback for the slow paths:
-        #: missing connection, retry backoff, coalescing deadline, or a
-        #: kernel write buffer past :data:`_INLINE_BUFFER_LIMIT`.
+        #: missing connection, retry backoff, or a kernel write buffer
+        #: past :data:`_INLINE_BUFFER_LIMIT`.
         self._dirty: set = set()
         self._flush_scheduled = False
         #: Identity of the loop thread, for a cheap "am I on the loop?"
@@ -550,7 +509,7 @@ class AioHostTransport(Transport):
             self._cond.notify_all()
 
     def send(self, message: Message) -> None:
-        """Queue *message* for its destination's next batch.
+        """Queue *message* for its destination's next flush.
 
         Never blocks and never raises for an unreachable destination —
         delivery is attempted with per-hop retry and accounted in
@@ -601,9 +560,6 @@ class AioHostTransport(Transport):
 
     def _on_loop(self) -> bool:
         return threading.get_ident() == self._loop_tid
-
-    def _now(self) -> float:
-        return self._loop.time()
 
     def _connection_made(self, conn: _SocketConnection) -> None:
         self._accepted.add(conn)
@@ -679,17 +635,9 @@ class AioHostTransport(Transport):
         if queue is None:
             queue = SendQueue(dest, self.config)
             self._queues[dest] = queue
-        # Burst mode never consults the coalescing deadline, so skip the
-        # clock read on the hot path.
-        now = self._now() if self.config.max_delay > 0 else 0.0
-        outcome = queue.push(message, now)
-        if outcome == SendQueue.OVERFLOW:
+        if queue.push(message) == SendQueue.OVERFLOW:
             self._on_overflow(queue, message)
             return
-        if outcome == SendQueue.FLUSH:
-            event = self._flush_events.get(dest)
-            if event is not None:
-                event.set()
         self._dirty.add(dest)
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -698,21 +646,6 @@ class AioHostTransport(Transport):
     def _codec_for(self, dest: str) -> Codec:
         codec = self._peer_codecs.get(dest)
         return codec if codec is not None else self._codec
-
-    def _encode_frames(
-        self, dest: str, items: List[Tuple[Message, float]]
-    ) -> List[bytes]:
-        """One popped batch as per-message frames (loop-thread only)."""
-        codec = self._codec_for(dest)
-        return [codec.encode(message) for message, _ in items]
-
-    def _record_flush(
-        self, dest: str, items: List[Tuple[Message, float]], frames: List[bytes]
-    ) -> None:
-        """Account one successfully written batch in :attr:`stats`."""
-        for (message, _), frame in zip(items, frames):
-            self._stats.record(message, len(frame), dest)
-        self._stats.record_batch(len(items))
 
     def _drop_size(self, dest: str, message: Message) -> int:
         """Byte accounting for a message dropped before any write (cold
@@ -728,9 +661,9 @@ class AioHostTransport(Transport):
         each destination's accumulation is written with a plain
         non-blocking ``write()`` — no per-destination task spawn, no
         extra scheduler hops.  Destinations that need to wait (no
-        connection yet, retry backoff in progress, a coalescing window
-        still open, or a swollen kernel write buffer) are handed to a
-        writer task instead, which is where all sleeping happens.
+        connection yet, retry backoff in progress, a failed write or a
+        swollen kernel write buffer) are handed to a writer task
+        instead, which is where all sleeping happens.
         """
         self._flush_scheduled = False
         dirty, self._dirty = self._dirty, set()
@@ -738,48 +671,60 @@ class AioHostTransport(Transport):
             queue = self._queues.get(dest)
             if queue is None or not len(queue):
                 continue
-            if queue.attempts:
-                self._kick_writer(dest)
-                continue
-            if (
-                self.config.max_delay > 0
-                and len(queue) < self.config.max_batch
-            ):
-                self._kick_writer(dest)  # wait out the deadline
-                continue
             conn = self._conns.get(dest)
-            if conn is None:
-                self._kick_writer(dest)  # park in retry backoff
-                continue
-            while len(queue) and (
-                self.config.max_delay <= 0
-                or len(queue) >= self.config.max_batch
-            ):
-                if conn.transport.get_write_buffer_size() > _INLINE_BUFFER_LIMIT:
-                    self._kick_writer(dest)  # drain under backpressure
-                    break
-                items = queue.pop_batch()
-                frames = self._encode_frames(dest, items)
-                try:
-                    conn.transport.write(b"".join(frames))
-                except (ConnectionError, OSError) as exc:
-                    queue.requeue_front(items)
-                    self._kick_writer(dest)
-                    log_event(
-                        _log,
-                        logging.INFO,
-                        "write_failed",
-                        destination=dest,
-                        batch=len(items),
-                        error=type(exc).__name__,
-                    )
-                    break
-                self._record_flush(dest, items, frames)
-            else:
-                if len(queue):
-                    self._kick_writer(dest)  # deadline remainder
-            if self._reads_paused and queue.below_resume_level():
-                self._set_reads_paused(False)
+            if conn is not None and not queue.attempts:
+                self._write_queued(queue, conn)
+            if len(queue):
+                self._kick_writer(dest)  # what is left has to wait
+
+    def _write_queued(self, queue: SendQueue, conn: _SocketConnection) -> bool:
+        """The one host write routine (loop-thread only): move *queue* to
+        *conn*, at most :data:`_MAX_FRAMES_PER_WRITE` frames per
+        ``write()``, until it is empty or the transport's write buffer is
+        past :data:`_INLINE_BUFFER_LIMIT`.
+
+        Never waits.  Returns False when a write failed — the batch is
+        back at the head of the queue and the caller owes a backoff.
+        """
+        written = True
+        dest = queue.destination
+        codec = self._codec_for(dest)
+        while (
+            len(queue)
+            and conn.transport.get_write_buffer_size() <= _INLINE_BUFFER_LIMIT
+        ):
+            items = queue.pop_batch()
+            frames = [codec.encode(message) for message in items]
+            try:
+                conn.transport.write(b"".join(frames))
+            except (ConnectionError, OSError) as exc:
+                # The write may have partially left: retrying can
+                # duplicate delivery, which idempotent msg ids make safe.
+                queue.requeue_front(items)
+                log_event(
+                    _log,
+                    logging.INFO,
+                    "write_failed",
+                    destination=dest,
+                    batch=len(items),
+                    error=type(exc).__name__,
+                )
+                written = False
+                break
+            queue.attempts = 0
+            for message, frame in zip(items, frames):
+                self._stats.record(message, len(frame), dest)
+            self._stats.record_batch(len(items))
+        if self._reads_paused:
+            self._reopen_reads_if_drained()
+        return written
+
+    def _reopen_reads_if_drained(self) -> None:
+        """Policy ``block``, gate closed: resume intake once *no*
+        destination's queue is above its resume level — a healthy peer's
+        flush must not reopen the gate a stuck one closed."""
+        if all(queue.below_resume_level() for queue in self._queues.values()):
+            self._set_reads_paused(False)
 
     def _on_overflow(self, queue: SendQueue, message: Message) -> None:
         policy = self.config.backpressure
@@ -798,7 +743,7 @@ class AioHostTransport(Transport):
             )
         elif policy == "block":
             # Keep the message, throttle intake until the queue drains.
-            queue.force_push(message, self._now())
+            queue.force_push(message)
             if not self._reads_paused:
                 self._set_reads_paused(True)
             self._kick_writer(queue.destination)
@@ -843,7 +788,8 @@ class AioHostTransport(Transport):
         )
 
     async def _writer_loop(self, dest: str, queue: SendQueue) -> None:
-        """Drain one destination's queue: batch, write, retry, drop.
+        """Drain one destination's queue through everything that has to
+        sleep: no connection yet, retry backoff, a swollen write buffer.
 
         The task exits when the queue empties; the next enqueue spawns a
         fresh one.  ``await conn.drain()`` propagates the kernel's TCP
@@ -851,59 +797,18 @@ class AioHostTransport(Transport):
         """
         try:
             while len(queue) and not self._closed:
-                if (
-                    self.config.max_delay > 0
-                    and len(queue) < self.config.max_batch
-                ):
-                    # Nagle-style deadline: wait out the coalescing window
-                    # (or until a full batch accumulates).
-                    deadline = queue.deadline()
-                    remaining = (
-                        deadline - self._now() if deadline is not None else 0
-                    )
-                    if remaining > 0:
-                        # Sleep out the window, but let a full batch cut
-                        # it short (a push to max_batch sets the event).
-                        event = self._flush_events.setdefault(
-                            dest, asyncio.Event()
-                        )
-                        event.clear()
-                        with contextlib.suppress(asyncio.TimeoutError):
-                            await asyncio.wait_for(event.wait(), remaining)
-                else:
-                    # Burst mode: yield once so the handler burst that is
-                    # currently running can finish filling the queue.
-                    await asyncio.sleep(0)
+                # Yield once so the handler burst that is currently
+                # running can finish filling the queue.
+                await asyncio.sleep(0)
                 conn = self._conns.get(dest)
-                if conn is None:
-                    if not await self._backoff_or_drop(queue):
-                        continue  # dropped everything; queue may refill
-                    continue
-                items = queue.pop_batch()
-                frames = self._encode_frames(dest, items)
-                try:
-                    conn.transport.write(b"".join(frames))
-                    await conn.drain()
-                except (ConnectionError, OSError) as exc:
-                    # The write may have partially left: retrying can
-                    # duplicate delivery, which idempotent msg ids make
-                    # safe.  Put the batch back and back off.
-                    log_event(
-                        _log,
-                        logging.INFO,
-                        "write_failed",
-                        destination=dest,
-                        batch=len(items),
-                        error=type(exc).__name__,
-                    )
-                    queue.requeue_front(items)
-                    if not await self._backoff_or_drop(queue):
-                        continue
-                    continue
-                queue.attempts = 0
-                self._record_flush(dest, items, frames)
-                if self._reads_paused and queue.below_resume_level():
-                    self._set_reads_paused(False)
+                written = False
+                if conn is not None:
+                    # drain() raises when the connection is going away.
+                    with contextlib.suppress(ConnectionError, OSError):
+                        await conn.drain()
+                        written = self._write_queued(queue, conn)
+                if not written:
+                    await self._backoff_or_drop(queue)
         except asyncio.CancelledError:
             pass
         finally:
@@ -913,12 +818,10 @@ class AioHostTransport(Transport):
             if not self._closed and len(queue):
                 self._kick_writer(dest)
 
-    async def _backoff_or_drop(self, queue: SendQueue) -> bool:
-        """Handle one failed delivery attempt for *queue*'s head batch.
-
-        Returns True when the batch was dropped (budget exhausted); False
-        when a backoff was slept and delivery should be retried.
-        """
+    async def _backoff_or_drop(self, queue: SendQueue) -> None:
+        """Handle one failed delivery attempt for *queue*'s head batch:
+        sleep out the next backoff, or drop the whole queue once the
+        attempt budget is exhausted."""
         queue.attempts += 1
         delay = self._retry.delay(queue.attempts)
         if delay is None:
@@ -931,7 +834,7 @@ class AioHostTransport(Transport):
                 )
                 dropped += 1
             if self._reads_paused:
-                self._set_reads_paused(False)
+                self._reopen_reads_if_drained()
             log_event(
                 _log,
                 logging.WARNING,
@@ -940,7 +843,7 @@ class AioHostTransport(Transport):
                 dropped=dropped,
                 attempts=queue.attempts,
             )
-            return True
+            return
         self._stats.record_retry()
         log_event(
             _log,
@@ -951,7 +854,6 @@ class AioHostTransport(Transport):
             delay=delay,
         )
         await asyncio.sleep(delay)
-        return False
 
     # ------------------------------------------------------------------
     # Introspection

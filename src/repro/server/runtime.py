@@ -6,8 +6,8 @@ host pays for that serialization with lock contention across all its
 reader threads.  :class:`AsyncServerRuntime` keeps the serialization —
 the endpoint's ``handle_message`` only ever runs on the event-loop
 thread — but drops the threads: one loop accepts, reads, dispatches and
-writes for every connection, with outbound batching, bounded send queues
-and per-hop retry supplied by
+writes for every connection, with the end-of-burst flush, bounded send
+queues and per-hop retry supplied by
 :class:`~repro.net.aio.AioHostTransport` (see docs/RUNTIME.md).
 
 The runtime is **protocol-transparent**: any endpoint with the
@@ -53,7 +53,7 @@ class AsyncServerRuntime:
     host / port:
         Listen address; port 0 picks a free port.
     config:
-        Batching / backpressure / retry knobs (:class:`BatchConfig`).
+        Backpressure / retry knobs (:class:`BatchConfig`).
     codec:
         The outbound wire codec (name or instance) for peers that have
         not yet negotiated one; inbound frames are auto-detected and
@@ -110,15 +110,13 @@ class AsyncServerRuntime:
         return self._closed
 
     def stats(self) -> Dict[str, Any]:
-        """Runtime-level counters: traffic, batching, queues, endpoint."""
+        """Runtime-level counters: traffic, connections, endpoint."""
         transport = self.transport
         snapshot: Dict[str, Any] = {
             "traffic": transport.stats.snapshot(),
             "connections": len(transport.connections()),
             "connection_errors": transport.connection_errors,
             "backpressure": self.config.backpressure,
-            "max_batch": self.config.max_batch,
-            "max_delay": self.config.max_delay,
         }
         endpoint_stats = getattr(self.endpoint, "stats", None)
         if callable(endpoint_stats):

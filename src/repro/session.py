@@ -20,9 +20,10 @@ Backends
     implementation shape).
 ``"aio"``
     The asyncio server runtime (:mod:`repro.server.runtime`): one event
-    loop, outbound batching, bounded send queues with backpressure, and
-    per-hop retry — see docs/RUNTIME.md.  Session-created instances join
-    the runtime's loop through :class:`~repro.net.aio.AioClientTransport`
+    loop, one write per destination per loop burst, bounded send queues
+    with backpressure, and per-hop retry — see docs/RUNTIME.md.
+    Session-created instances join the runtime's loop through
+    :class:`~repro.net.aio.AioClientTransport`
     (no reader thread per instance); the wire protocol is identical and
     plain TCP clients interoperate.
 
@@ -35,7 +36,7 @@ the same endpoint.
 All knobs live on :class:`SessionConfig`; keyword arguments to
 :class:`Session` are conveniences that build one::
 
-    session = Session(backend="aio", max_batch=128, backpressure="block")
+    session = Session(backend="aio", max_queue=256, backpressure="block")
     session = Session(config=SessionConfig(backend="memory", loss_rate=0.01))
 
 Who hears a couple or decouple is not among them: every deployment
@@ -54,7 +55,7 @@ import shutil
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cluster import ShardedCosoftCluster
@@ -86,16 +87,7 @@ ServerLike = Union[CosoftServer, ShardedCosoftCluster]
 # entry-point group (docs/COMMUNICATORS.md).
 
 #: BatchConfig field names accepted as Session(...) keyword conveniences.
-_BATCH_FIELDS = (
-    "max_batch",
-    "max_delay",
-    "max_queue",
-    "backpressure",
-    "retry_initial",
-    "retry_backoff",
-    "retry_limit",
-    "retry_max_delay",
-)
+_BATCH_FIELDS = tuple(f.name for f in fields(BatchConfig))
 
 
 def _default_observability() -> Union[bool, None]:
@@ -600,8 +592,8 @@ class _TcpBackend(_SocketBackendBase):
 
 
 class _AioBackend(_SocketBackendBase):
-    """A deployment under the asyncio server runtime (batching,
-    backpressure, per-hop retry — docs/RUNTIME.md)."""
+    """A deployment under the asyncio server runtime (end-of-burst
+    flush, backpressure, per-hop retry — docs/RUNTIME.md)."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -664,7 +656,7 @@ class Session:
     **knobs:
         Any :class:`SessionConfig` field (``shards``, ``loss_rate``,
         ``ack_release``, …) or :class:`~repro.net.aio.BatchConfig` field
-        (``max_batch``, ``backpressure``, …).
+        (``max_queue``, ``backpressure``, …).
     """
 
     def __init__(

@@ -1,11 +1,13 @@
-"""Tests for the asyncio host transport: batching, backpressure, retry.
+"""Tests for the asyncio host transport: flush, backpressure, retry.
 
 The sans-I/O cores (:class:`SendQueue`, :class:`RetryPolicy`) are driven
-with explicit fake times; the socket-level tests run a real
+directly; the socket-level tests run a real
 :class:`AioHostTransport` against the plain :class:`TcpClientTransport`,
 and :class:`AioClientTransport` against that host.
 """
 
+import ast
+import dataclasses
 import gc
 import logging
 import os
@@ -16,12 +18,14 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.errors import TransportClosedError
 from repro.net import kinds
 from repro.net.aio import (
+    _MAX_FRAMES_PER_WRITE,
     _RECV_BUFFER_SIZE,
     AioClientTransport,
     AioHostTransport,
@@ -104,23 +108,36 @@ def reads_eof(sock, timeout=5.0):
 class TestBatchConfig:
     def test_defaults_are_valid(self):
         config = BatchConfig()
-        assert config.max_batch >= 1
+        assert config.max_queue >= 1
         assert config.backpressure == "drop"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_batch": 0},
             {"max_queue": 0},
-            {"max_delay": -0.1},
             {"backpressure": "explode"},
             {"retry_limit": 0},
             {"retry_backoff": 0.5},
         ],
+        ids=["max_queue", "backpressure", "retry_limit", "retry_backoff"],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             BatchConfig(**kwargs)
+
+    def test_runtime_doc_table_lists_every_field_with_its_default(self):
+        """docs/RUNTIME.md's Configuration table is the fields of
+        ``BatchConfig``, in order, with their defaults."""
+        doc = Path(__file__).parents[2] / "docs" / "RUNTIME.md"
+        section = doc.read_text().split("\n## Configuration\n")[1]
+        table = section[section.index("\n|") :].split("\n\n")[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in table.strip().splitlines()[2:]  # header, rule
+        ]
+        assert [(name, ast.literal_eval(default)) for name, default, _ in rows] == [
+            (field.name, field.default) for field in dataclasses.fields(BatchConfig)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +178,12 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# SendQueue (sans-I/O, fake clock)
+# SendQueue (sans-I/O)
 # ---------------------------------------------------------------------------
+
+
+def seqs(messages):
+    return [m.payload["seq"] for m in messages]
 
 
 class TestSendQueue:
@@ -170,94 +191,37 @@ class TestSendQueue:
         return SendQueue("c1", BatchConfig(**kwargs))
 
     def test_push_outcomes(self):
-        queue = self.make(max_batch=3, max_queue=4)
-        assert queue.push(msg(), now=0.0) == SendQueue.QUEUED
-        assert queue.push(msg(), now=0.0) == SendQueue.QUEUED
-        assert queue.push(msg(), now=0.0) == SendQueue.FLUSH
-        assert queue.push(msg(), now=0.0) == SendQueue.FLUSH
-        assert queue.push(msg(), now=0.0) == SendQueue.OVERFLOW
+        queue = self.make(max_queue=4)
+        for _ in range(4):
+            assert queue.push(msg()) == SendQueue.QUEUED
+        assert queue.push(msg()) == SendQueue.OVERFLOW
         assert len(queue) == 4  # the overflowing message was not kept
 
-    def test_deadline_tracks_first_enqueue(self):
-        queue = self.make(max_batch=100, max_delay=0.5)
-        assert queue.deadline() is None
-        queue.push(msg(), now=10.0)
-        queue.push(msg(), now=10.4)  # later pushes don't move it
-        assert queue.deadline() == pytest.approx(10.5)
-        assert not queue.due(now=10.49)
-        assert queue.due(now=10.5)
-
-    def test_deadline_recomputed_after_partial_pop(self):
-        """A partial pop must not leave the tail with the popped head's
-        (stale, already-elapsed) deadline — the oldest *remaining* item
-        anchors the coalescing window."""
-        queue = self.make(max_batch=100, max_queue=10, max_delay=1.0)
-        queue.push(msg(seq=0), now=0.0)
-        queue.push(msg(seq=1), now=0.5)
-        queue.push(msg(seq=2), now=0.8)
-        assert queue.deadline() == pytest.approx(1.0)
-        items = queue.pop_batch(max_messages=1)
-        assert [m.payload["seq"] for m, _ in items] == [0]
-        # seq=1 (enqueued at 0.5) is now the oldest remaining item.
-        assert queue.deadline() == pytest.approx(1.5)
-        assert not queue.due(now=1.2)
-        assert queue.due(now=1.5)
-        queue.pop_batch(max_messages=1)
-        assert queue.deadline() == pytest.approx(1.8)
-
-    def test_due_on_full_batch_regardless_of_deadline(self):
-        queue = self.make(max_batch=2, max_delay=999.0)
-        queue.push(msg(), now=0.0)
-        assert not queue.due(now=0.0)
-        queue.push(msg(), now=0.0)
-        assert queue.due(now=0.0)
-
-    def test_pop_batch_returns_enqueue_pairs(self):
-        queue = self.make(max_batch=10, max_delay=0.5)
-        messages = [msg(seq=i) for i in range(3)]
-        for i, m in enumerate(messages):
-            queue.push(m, now=float(i))
-        items = queue.pop_batch()
-        assert [m.payload["seq"] for m, _ in items] == [0, 1, 2]
-        assert [at for _, at in items] == [0.0, 1.0, 2.0]
-        assert len(queue) == 0
-        assert queue.deadline() is None
-
     def test_pop_batch_respects_max_batch(self):
-        queue = self.make(max_batch=2, max_queue=10)
-        for _ in range(5):
-            queue.push(msg(), now=0.0)
-        items = queue.pop_batch()
-        assert len(items) == 2
-        assert len(queue) == 3
+        """A pop takes the requested number from the head — by default
+        one write's worth of frames — and leaves the rest queued."""
+        queue = self.make()
+        for i in range(_MAX_FRAMES_PER_WRITE + 6):
+            queue.push(msg(seq=i))
+        assert seqs(queue.pop_batch()) == list(range(_MAX_FRAMES_PER_WRITE))
+        assert len(queue.pop_batch(max_messages=2)) == 2
+        assert len(queue.pop_batch()) == 4
+        assert queue.pop_batch() == []
 
     def test_requeue_front_preserves_fifo(self):
-        queue = self.make(max_batch=2, max_queue=10)
-        messages = [msg(seq=i) for i in range(4)]
-        for m in messages:
-            queue.push(m, now=0.0)
-        items = queue.pop_batch()  # seq 0, 1
+        queue = self.make(max_queue=10)
+        for i in range(4):
+            queue.push(msg(seq=i))
+        items = queue.pop_batch(max_messages=2)
+        assert all(isinstance(m, Message) for m in items)
         queue.requeue_front(items)
-        items2 = queue.pop_batch()
-        assert [m.payload["seq"] for m, _ in items2] == [0, 1]
-        items3 = queue.pop_batch()
-        assert [m.payload["seq"] for m, _ in items3] == [2, 3]
-
-    def test_requeue_front_restores_deadline(self):
-        """Requeued items bring their original enqueue times back, so a
-        failed write doesn't grant the batch a fresh coalescing window."""
-        queue = self.make(max_batch=2, max_queue=10, max_delay=1.0)
-        queue.push(msg(seq=0), now=5.0)
-        queue.push(msg(seq=1), now=5.2)
-        items = queue.pop_batch()
-        assert queue.deadline() is None
-        queue.requeue_front(items)
-        assert queue.deadline() == pytest.approx(6.0)
+        assert seqs(queue.pop_batch(max_messages=2)) == [0, 1]
+        assert seqs(queue.pop_batch(max_messages=2)) == [2, 3]
 
     def test_drain_all_resets(self):
-        queue = self.make(max_batch=2, max_queue=10)
+        queue = self.make(max_queue=10)
         for _ in range(3):
-            queue.push(msg(), now=0.0)
+            queue.push(msg())
         queue.attempts = 2
         drained = queue.drain_all()
         assert len(drained) == 3
@@ -266,16 +230,16 @@ class TestSendQueue:
         assert queue.attempts == 0
 
     def test_force_push_exceeds_bound(self):
-        queue = self.make(max_queue=1, max_batch=10)
-        queue.push(msg(), now=0.0)
-        assert queue.push(msg(), now=0.0) == SendQueue.OVERFLOW
-        queue.force_push(msg(), now=0.0)
+        queue = self.make(max_queue=1)
+        queue.push(msg())
+        assert queue.push(msg()) == SendQueue.OVERFLOW
+        queue.force_push(msg())
         assert len(queue) == 2
 
     def test_below_resume_level(self):
-        queue = self.make(max_queue=4, max_batch=100)
+        queue = self.make(max_queue=4)
         for _ in range(4):
-            queue.push(msg(), now=0.0)
+            queue.push(msg())
         assert not queue.below_resume_level()
         queue.pop_batch(max_messages=2)
         assert queue.below_resume_level()
@@ -317,54 +281,32 @@ class TestAioHostTransport:
         with pytest.raises(TransportClosedError):
             transport.send(msg())
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [BatchConfig(max_batch=100, max_delay=0.05)],
-        indirect=True,
-    )
-    def test_deadline_flush_coalesces_burst(self, aio_host):
-        """Messages sent within the window leave as one batched write."""
-        transport, _ = aio_host
-        _, port = transport.address
-        client_inbox = Collector()
-        client = TcpClientTransport("c1", client_inbox, "127.0.0.1", port)
-        try:
-            client.send(msg(sender="c1", to="", hello=True))
-            assert wait_until(lambda: "c1" in transport.connections())
-            for i in range(5):
-                transport.send(msg(to="c1", seq=i))
-            assert wait_until(lambda: len(client_inbox.received) == 5)
-            # FIFO order survives batching.
-            assert [m.payload["seq"] for m in client_inbox.received] == list(
-                range(5)
-            )
-            # Accounting lands after the write is drained, a beat after
-            # the client can observe delivery — wait for it.
-            stats = transport.stats
-            assert wait_until(lambda: stats.batched_messages == 5)
-            assert stats.batches < 5  # coalesced, not one write per message
-        finally:
-            client.close()
+    @pytest.mark.parametrize("count, writes", [(5, 1), (150, 3)])
+    def test_handler_burst_leaves_in_writes_of_64_frames(self, count, writes):
+        """Everything one loop callback queues for a destination is
+        flushed together when the burst ends: one ``write()``, or
+        consecutive ones of 64 frames (150 = 64 + 64 + 22)."""
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [BatchConfig(max_batch=2, max_delay=60.0)],
-        indirect=True,
-    )
-    def test_full_batch_flushes_before_deadline(self, aio_host):
-        """max_batch fires immediately even with a huge coalescing delay."""
-        transport, _ = aio_host
-        _, port = transport.address
+        def handler(message):
+            for i in range(message.payload.get("burst", 0)):
+                transport.send(msg(to="c1", seq=i))
+
+        transport = AioHostTransport(handler, port=0)
         client_inbox = Collector()
-        client = TcpClientTransport("c1", client_inbox, "127.0.0.1", port)
+        client = TcpClientTransport("c1", client_inbox, *transport.address)
         try:
-            client.send(msg(sender="c1", to="", hello=True))
-            assert wait_until(lambda: "c1" in transport.connections())
-            transport.send(msg(to="c1", seq=0))
-            transport.send(msg(to="c1", seq=1))
-            assert wait_until(lambda: len(client_inbox.received) == 2, timeout=5.0)
+            client.send(msg(sender="c1", to="", burst=count))
+            assert wait_until(lambda: len(client_inbox.received) == count)
+            # FIFO order survives the chunking.
+            assert seqs(client_inbox.received) == list(range(count))
+            # A write is accounted right after it is made, a beat after
+            # the client can observe delivery — wait for the last one.
+            stats = transport.stats
+            assert wait_until(lambda: stats.batched_messages == count)
+            assert stats.batches == writes
         finally:
             client.close()
+            transport.close()
 
     @pytest.mark.parametrize(
         "aio_host",
@@ -416,8 +358,10 @@ class TestAioHostTransport:
             assert wait_until(lambda: "slow" not in transport.connections())
             for i in range(8):
                 transport.send(msg(to="slow", seq=i))
+            # Messages 4 and 8 overflow the bound of 3, each evicting
+            # itself and the three queued before it.
             assert wait_until(
-                lambda: transport.stats.drops_by_reason[DROP_DISCONNECTED] >= 4
+                lambda: transport.stats.drops_by_reason[DROP_DISCONNECTED] == 8
             )
             assert transport.pending("slow") == 0  # queue drained on evict
         finally:
@@ -475,6 +419,38 @@ class TestAioHostTransport:
             live.close()
             if late is not None:
                 late.close()
+
+    @pytest.mark.parametrize(
+        "aio_host",
+        [BatchConfig(max_queue=2, backpressure="block", retry_initial=5.0)],
+        indirect=True,
+    )
+    def test_backpressure_block_gate_stays_closed_for_healthy_peers_flush(
+        self, aio_host
+    ):
+        """The gate a stuck destination closed is not reopened by a flush
+        to a healthy one: in a fan-out the healthy destinations of the
+        same burst would otherwise undo ``block`` every time."""
+        transport, inbox = aio_host
+        live = socket.create_connection(transport.address)
+        try:
+            live.sendall(encode(msg(sender="live", to="", seq=-1)))
+            assert wait_until(lambda: len(inbox.received) == 1)
+            for i in range(5):
+                transport.send(msg(to="ghost", seq=i))
+            assert wait_until(lambda: transport._reads_paused)
+            assert wait_until(lambda: transport.pending("ghost") == 5)
+            for i in range(3):
+                live.sendall(encode(msg(sender="live", to="", seq=i)))
+
+            transport.send(msg(to="live", pong=True))
+            assert read_frame(live).payload == {"pong": True}
+            time.sleep(0.2)
+            assert transport._reads_paused
+            assert len(inbox.received) == 1  # the 3 frames wait in the kernel
+            assert transport.pending("ghost") == 5
+        finally:
+            live.close()
 
     @pytest.mark.parametrize("sent", [0, 10], ids=["silent", "mid-frame"])
     def test_close_reaches_connections_that_never_identified(self, sent):

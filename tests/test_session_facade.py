@@ -62,8 +62,8 @@ class TestSessionConstruction:
             Session(config=SessionConfig(), seed=3)
 
     def test_batch_knobs_fold_into_batch_config(self):
-        with Session(max_batch=7, backpressure="block") as session:
-            assert session.config.batch.max_batch == 7
+        with Session(max_queue=7, backpressure="block") as session:
+            assert session.config.batch.max_queue == 7
             assert session.config.batch.backpressure == "block"
 
     def test_unknown_knob_raises(self):
@@ -102,7 +102,7 @@ class TestAioBackend:
     def test_runtime_accessible(self):
         with Session(backend="aio") as session:
             assert session.runtime.transport is not None
-            assert session.runtime.config.max_batch == session.config.batch.max_batch
+            assert session.runtime.config.max_queue == session.config.batch.max_queue
 
     def test_sharded_aio(self):
         with Session(backend="aio", shards=2) as session:
