@@ -33,70 +33,40 @@ a shard.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core import coupling
-from repro.errors import AlreadyRegisteredError, ReproError
+from repro.errors import ReproError
 from repro.net import kinds
 from repro.net.clock import Clock, SimClock
 from repro.net.codec import Codec, get_codec
 from repro.net.message import Message
-from repro.net.transport import (
-    ROUTER_ID,
-    SERVER_ID,
-    TrafficStats,
-    Transport,
-    resolve_destination,
-)
+from repro.net.transport import ROUTER_ID, SERVER_ID, TrafficStats, Transport
 from repro.cluster.hashring import HashRing
+from repro.cluster.link import LocalShardLink, ShardLink
 from repro.obs import NULL_OBS
 from repro.obs import tracing as obs_tracing
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import AccessControl
-from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import RoutingStats, answer_roster_resync, broadcast
+from repro.server.registry import Registry
+from repro.server.routing import (
+    RoutingStats,
+    announce_left,
+    answer_roster_resync,
+    register_instance,
+)
 from repro.server.server import CosoftServer
-
-
-class _ShardTransport(Transport):
-    """A shard's outbound handle: hands every send back to the router.
-
-    Owns the shard's :class:`TrafficStats`, so the cluster path reports
-    per-hop traffic through the same object a single server does.
-    """
-
-    def __init__(self, cluster: "ShardedCosoftCluster", shard_id: str):
-        self._cluster = cluster
-        self._shard_id = shard_id
-        self._closed = False
-        self._stats = TrafficStats()
-
-    @property
-    def local_id(self) -> str:
-        return SERVER_ID
-
-    @property
-    def stats(self) -> TrafficStats:
-        return self._stats
-
-    def send(self, message: Message) -> None:
-        self._cluster._on_shard_send(self._shard_id, message)
-
-    def recv(self, message: Message) -> None:
-        self._cluster.shards[self._shard_id].handle_message(message)
-
-    def drive(self, predicate, timeout: float = 5.0) -> bool:
-        # Shards are passive state machines; they never block on replies.
-        return bool(predicate())
-
-    def close(self) -> None:
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 #: Shard replies the router suppresses because it answers the client itself.
@@ -121,6 +91,9 @@ class ShardedCosoftCluster:
         deployment would achieve (see :meth:`modeled_makespan`).
     default_allow / admin_users / ack_release / history_depth / floor_lease:
         Forwarded to every shard, mirroring ``CosoftServer``.
+    link_factory:
+        ``shard_id -> ShardLink``: where a shard lives.  Default: a
+        ``CosoftServer`` in this process (:meth:`_local_link`).
     """
 
     def __init__(
@@ -138,6 +111,7 @@ class ShardedCosoftCluster:
         persistence: Optional[Any] = None,
         codec: object = "json",
         placement: str = "hash",
+        link_factory: Optional[Callable[[str], ShardLink]] = None,
     ):
         if shards <= 0:
             raise ValueError("a cluster needs at least one shard")
@@ -163,10 +137,13 @@ class ShardedCosoftCluster:
         self.history_depth = history_depth
         self.floor_lease = floor_lease
         self.ring = HashRing(self.shard_ids, vnodes=vnodes)
+        self._link_factory = link_factory or self._local_link
+        self._links: Dict[str, ShardLink] = {}
+        #: ``link.shard`` per shard: the ``CosoftServer`` in-process.
         self.shards: Dict[str, CosoftServer] = {}
-        #: Per-shard traffic accounting lives on each shard's transport —
-        #: the same ``TrafficStats`` object a single server reports — and
-        #: is aggregated with :meth:`TrafficStats.merge`.
+        #: Each link's ``TrafficStats`` — the same object a single
+        #: server's transport reports — aggregated with
+        #: :meth:`TrafficStats.merge`.
         self._shard_stats: Dict[str, TrafficStats] = {}
         #: Per-shard journals (docs/PERSISTENCE.md): each shard gets its
         #: own op log + snapshot store under a shard-named subdirectory,
@@ -201,7 +178,6 @@ class ShardedCosoftCluster:
         self._migration_buffer: List[Message] = []
         #: Replies shards address to the router (migration control).
         self._captured: Dict[int, Message] = {}
-        self._suppress: Optional[FrozenSet[str]] = None
         #: Modeled per-shard busy horizon (see ``service_time``).
         self.service_time = service_time
         self._busy_until: Dict[str, float] = {}
@@ -220,38 +196,31 @@ class ShardedCosoftCluster:
     # Shard lifecycle
     # ------------------------------------------------------------------
 
-    def _create_shard(self, shard_id: str) -> None:
-        """Build one shard and wire it into the routing tables.
-
-        The override point for deployments that host shards elsewhere —
-        the multi-process cluster replaces the in-process server with a
-        subprocess handle (:mod:`repro.cluster.proc`).
-        """
-        shard = CosoftServer(
-            clock=self.clock,
-            access=AccessControl(default_allow=self.default_allow),
-            history_depth=self.history_depth,
-            admin_users=self.admin_users,
-            floor_lease=self.floor_lease,
-            ack_release=self.ack_release,
-            persistence=(
-                self.persistence_config.for_shard(shard_id).build()
-                if self.persistence_config is not None
-                else None
+    def _local_link(self, shard_id: str) -> ShardLink:
+        """The default link: a ``CosoftServer`` in this process."""
+        return LocalShardLink(
+            CosoftServer(
+                clock=self.clock,
+                access=AccessControl(default_allow=self.default_allow),
+                history_depth=self.history_depth,
+                admin_users=self.admin_users,
+                floor_lease=self.floor_lease,
+                ack_release=self.ack_release,
+                persistence=(
+                    self.persistence_config.for_shard(shard_id).build()
+                    if self.persistence_config is not None
+                    else None
+                ),
             ),
+            self.codec,
         )
-        transport = _ShardTransport(self, shard_id)
-        shard.bind(transport)
-        self.shards[shard_id] = shard
-        self._shard_stats[shard_id] = transport.stats
 
-    def _retire_shard(self, shard_id: str) -> None:
-        """Drop a shard that no longer owns any state (see remove_shard)."""
-        shard = self.shards.pop(shard_id)
-        self._shard_stats.pop(shard_id, None)
-        persist = getattr(shard, "persistence", None)
-        if persist is not None:
-            persist.close()
+    def _create_shard(self, shard_id: str) -> None:
+        """Obtain one shard's link and wire it into the routing tables."""
+        link = self._link_factory(shard_id)
+        self._links[shard_id] = link
+        self.shards[shard_id] = link.shard
+        self._shard_stats[shard_id] = link.traffic
 
     # ------------------------------------------------------------------
     # Wiring (same contract as CosoftServer)
@@ -271,35 +240,20 @@ class ShardedCosoftCluster:
         self.obs = obs
         if obs.enabled and obs.registry.enabled:
             self.routing.register_into(obs.registry, endpoint="router")
-            for shard_id, stats in self._shard_stats.items():
-                stats.register_into(obs.registry, shard=shard_id)
-        for shard_id, shard in self.shards.items():
-            shard.configure_observability(obs, shard=shard_id)
+        for shard_id in self._links:
+            self._observe_shard(shard_id)
+
+    def _observe_shard(self, shard_id: str) -> None:
+        obs = self.obs
+        link = self._links[shard_id]
+        if obs.enabled and obs.registry.enabled:
+            link.traffic.register_into(obs.registry, shard=shard_id)
+        link.configure_observability(obs, shard=shard_id)
 
     def _emit(self, message: Message) -> None:
         if self._transport is None:
             raise ReproError("cluster has no transport bound")
         self._transport.send(message)
-
-    def _broadcast(
-        self,
-        kind: str,
-        payload: Mapping[str, Any],
-        *,
-        exclude: Tuple[str, ...] = (),
-        audience: Optional[Iterable[str]] = None,
-    ) -> int:
-        # Same delivery helper the single server uses — the interest
-        # routing policy cannot drift between the two front ends.
-        return broadcast(
-            self._emit,
-            self.registry.instance_ids(),
-            kind,
-            payload,
-            exclude=exclude,
-            audience=audience,
-            stats=self.routing,
-        )
 
     # ------------------------------------------------------------------
     # Inbound dispatch
@@ -377,7 +331,15 @@ class ShardedCosoftCluster:
         elif kind in self._ROUTED:
             shard_id = self._route(message)
             if shard_id is not None:
-                self._forward(shard_id, message)
+                try:
+                    self._forward(shard_id, message)
+                except ReproError:
+                    if kind == kinds.LOCK_REQUEST:
+                        # The requester gets an ERROR, so it will never
+                        # send the EVENT or UNLOCK this route waits for.
+                        token = int(message.payload.get("token", 0))
+                        self._lock_routes.pop((message.sender, token), None)
+                    raise
         else:
             self._emit(message.error_reply(SERVER_ID, "unsupported message kind"))
 
@@ -386,34 +348,13 @@ class ShardedCosoftCluster:
     # ------------------------------------------------------------------
 
     def _on_register(self, message: Message) -> None:
-        payload = dict(message.payload)
-        if message.sender in self.registry:
-            raise AlreadyRegisteredError(
-                f"instance {message.sender!r} is already registered"
-            )
-        record = RegistrationRecord(
-            instance_id=message.sender,
-            user=str(payload.get("user", "")),
-            host=str(payload.get("host", "localhost")),
-            app_type=str(payload.get("app_type", "")),
-            registered_at=self.clock.now(),
-        )
-        self.registry.add(record)
-        for shard_id in self.shard_ids:
-            self._forward(shard_id, message, suppress=_REGISTER_SUPPRESS)
-        self._emit(
-            message.reply(
-                kinds.REGISTER_ACK,
-                SERVER_ID,
-                **self.registry.full_roster(),
-                couples=self.mirror.to_wire_for(record.instance_id),
-                server_time=self.clock.now(),
-            )
-        )
-        self._broadcast(
-            kinds.INSTANCE_LIST,
-            self.registry.joined_delta(record),
-            exclude=(record.instance_id,),
+        def fan_out(_record) -> None:
+            for shard_id in self.shard_ids:
+                self._forward(shard_id, message, suppress=_REGISTER_SUPPRESS)
+
+        register_instance(
+            self._emit, self.registry, self.mirror, message, self.clock,
+            self.routing, admitted=fan_out,
         )
 
     def _on_unregister(self, message: Message) -> None:
@@ -437,9 +378,7 @@ class ShardedCosoftCluster:
             if route[1] != instance_id
         }
         self.registry.remove(instance_id)
-        self._broadcast(
-            kinds.INSTANCE_LIST, self.registry.left_delta(instance_id)
-        )
+        announce_left(self._emit, self.registry, instance_id, self.routing)
 
     def _on_permission_set(self, message: Message) -> None:
         # Every shard enforces ACLs, so the rule lands everywhere; only the
@@ -635,57 +574,24 @@ class ShardedCosoftCluster:
         message: Message,
         suppress: Optional[FrozenSet[str]] = None,
     ) -> None:
-        self._shard_stats[shard_id].record(
-            message, self.codec.wire_size(message), shard_id
-        )
+        link = self._links[shard_id]
+        link.traffic.record(message, self.codec.wire_size(message), shard_id)
         self._model_service(shard_id)
-        obs = self.obs
-        if obs.tracing and message.trace is not None:
-            # One routing hop per traced message, regardless of shard
-            # count — parity tests rely on the trees being identical for
-            # 1, 2 or 4 shards.  Re-stamp so the shard's receive span
-            # nests under the routing hop.
-            span = obs.spans.start(
-                obs_tracing.CLUSTER_ROUTE,
-                trace_id=message.trace[0],
-                parent_id=message.trace[1],
-                endpoint=ROUTER_ID,
-                shard=shard_id,
-                kind=message.kind,
-            )
-            message = dataclasses.replace(
-                message, trace=(message.trace[0], span.span_id)
-            )
-            try:
-                self._call_shard(shard_id, message, suppress=suppress)
-            finally:
-                obs.spans.finish(span)
-            return
-        self._call_shard(shard_id, message, suppress=suppress)
-
-    def _call_shard(
-        self,
-        shard_id: str,
-        message: Message,
-        suppress: Optional[FrozenSet[str]] = None,
-    ) -> None:
-        previous = self._suppress
-        self._suppress = suppress
-        try:
-            self.shards[shard_id].handle_message(message)
-        finally:
-            self._suppress = previous
+        # One routing hop per traced message, regardless of shard count
+        # — parity tests rely on the trees being identical for 1, 2 or
+        # 4 shards; the shard's receive span nests under it.
+        with obs_tracing.hop(
+            self.obs, obs_tracing.CLUSTER_ROUTE, message,
+            endpoint=ROUTER_ID, shard=shard_id, kind=message.kind,
+        ) as message:
+            for out in link.call(message, suppress):
+                self._on_shard_send(shard_id, out)
 
     def _on_shard_send(self, shard_id: str, message: Message) -> None:
-        """Every shard-emitted message funnels through here."""
-        self._shard_stats[shard_id].record(
-            message, self.codec.wire_size(message), resolve_destination(message)
-        )
+        """Every message a shard link returns funnels through here."""
         if message.to == ROUTER_ID:
             if message.reply_to is not None:
                 self._captured[message.reply_to] = message
-            return
-        if self._suppress is not None and message.kind in self._suppress:
             return
         if message.kind == kinds.COUPLE_UPDATE:
             self._absorb_couple_update(shard_id, message.payload)
@@ -760,9 +666,7 @@ class ShardedCosoftCluster:
             # IMPORT on the target); stamp the new routing epoch so
             # their next snapshots record which era they belong to.
             for shard_id in (from_shard, to_shard):
-                persist = getattr(self.shards[shard_id], "persistence", None)
-                if persist is not None:
-                    persist.epoch = self.migrations
+                self._links[shard_id].mark_epoch(self.migrations)
         finally:
             self._frozen.difference_update(moving)
             self._drain_buffer()
@@ -911,17 +815,7 @@ class ShardedCosoftCluster:
         if shard_id in self.shards:
             raise ValueError(f"shard {shard_id!r} already exists")
         self._create_shard(shard_id)
-        obs = self.obs
-        if obs.enabled:
-            configure = getattr(
-                self.shards[shard_id], "configure_observability", None
-            )
-            if configure is not None:
-                configure(obs, shard=shard_id)
-            if obs.registry.enabled:
-                self._shard_stats[shard_id].register_into(
-                    obs.registry, shard=shard_id
-                )
+        self._observe_shard(shard_id)
         self._bootstrap_shard(shard_id)
         new_ring = HashRing(self.shard_ids + (shard_id,), vnodes=self.vnodes)
         moves: List[Tuple[List[GlobalId], str, str]] = []
@@ -985,7 +879,9 @@ class ShardedCosoftCluster:
             for msg_id, route in self._pending_routes.items()
             if route[0] != shard_id
         }
-        self._retire_shard(shard_id)
+        del self.shards[shard_id]
+        del self._shard_stats[shard_id]
+        self._links.pop(shard_id).close()
         self.last_reshard = {
             "action": "remove",
             "shard": shard_id,
@@ -999,7 +895,7 @@ class ShardedCosoftCluster:
 
     def cluster_status(self) -> Dict[str, Any]:
         """The CLUSTER_STATUS_REPLY payload (also handy for tests)."""
-        return {
+        status: Dict[str, Any] = {
             "shards": list(self.shard_ids),
             "placement": self.placement,
             "loads": self.shard_loads(),
@@ -1008,6 +904,14 @@ class ShardedCosoftCluster:
             "couple_groups": len(self.mirror.groups()),
             "homes": len(self._home),
         }
+        processes = {
+            shard_id: facts
+            for shard_id, link in self._links.items()
+            if (facts := link.status())
+        }
+        if processes:
+            status["processes"] = processes
+        return status
 
     def _on_cluster_status(self, message: Message) -> None:
         self._emit(
@@ -1077,26 +981,9 @@ class ShardedCosoftCluster:
 
     def stats(self) -> Dict[str, Any]:
         """Operational counters, cluster-wide and per shard."""
-        per_shard = {
-            shard_id: {
-                "messages": self._shard_stats[shard_id].messages,
-                "couple_links": len(shard.couples),
-                "couple_groups": len(shard.couples.groups()),
-                "locks_held": len(shard.locks),
-                "history_entries": len(shard.history),
-                "processed": dict(shard.processed),
-                "persistence": (
-                    shard.persistence.stats()
-                    if shard.persistence is not None
-                    else None
-                ),
-            }
-            for shard_id, shard in self.shards.items()
-        }
-        routing = RoutingStats()
-        routing.merge(self.routing)
-        for shard in self.shards.values():
-            routing.merge(shard.routing)
+        routing = Counter(self.routing.snapshot())
+        for link in self._links.values():
+            routing.update(link.routing_snapshot())
         return {
             "shards": len(self.shards),
             "migrations": self.migrations,
@@ -1105,6 +992,9 @@ class ShardedCosoftCluster:
             "couple_groups": len(self.mirror.groups()),
             "homes": len(self._home),
             "processed": dict(self.processed),
-            "routing": routing.snapshot(),
-            "per_shard": per_shard,
+            "routing": dict(routing),
+            "per_shard": {
+                shard_id: {"messages": link.traffic.messages, **link.stats()}
+                for shard_id, link in self._links.items()
+            },
         }

@@ -29,7 +29,6 @@ sequence numbers, idempotent state installs).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import os
 import signal
@@ -37,9 +36,10 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional
 
+from repro.cluster.link import LocalShardLink
 from repro.net import kinds
 from repro.net.message import Message
-from repro.net.transport import ROUTER_ID, TrafficStats, Transport
+from repro.net.transport import ROUTER_ID
 from repro.obs import NULL_OBS, Observability
 from repro.obs import tracing as obs_tracing
 from repro.obs.remote import SampleDiffer
@@ -49,44 +49,6 @@ from repro.server.permissions import AccessControl
 from repro.server.server import CosoftServer
 
 __all__ = ["ShardEndpoint", "build_worker", "main"]
-
-
-class _CollectingTransport(Transport):
-    """The shard server's outbound handle inside a worker.
-
-    Everything the server emits during one forwarded dispatch is
-    collected (post-suppression) so the endpoint can journal it with the
-    operation and ship it uplink in the acknowledgement.
-    """
-
-    def __init__(self, endpoint: "ShardEndpoint"):
-        self._endpoint = endpoint
-        self._stats = TrafficStats()
-        self._closed = False
-
-    @property
-    def local_id(self) -> str:
-        return "server"
-
-    @property
-    def stats(self) -> TrafficStats:
-        return self._stats
-
-    def send(self, message: Message) -> None:
-        self._endpoint._collect(message)
-
-    def recv(self, message: Message) -> None:
-        self._endpoint.server.handle_message(message)
-
-    def drive(self, predicate, timeout: float = 5.0) -> bool:
-        return bool(predicate())
-
-    def close(self) -> None:
-        self._closed = True
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
 
 class _JournalWithDelivery:
@@ -111,7 +73,7 @@ class _JournalWithDelivery:
             server,
             message,
             did=endpoint._current_did,
-            outs=list(endpoint._outs or ()),
+            outs=[out.to_wire() for out in endpoint.link.collected],
         )
 
     def __getattr__(self, name: str) -> Any:
@@ -132,6 +94,9 @@ class ShardEndpoint:
     ):
         self.server = server
         self.shard_id = shard_id
+        #: Runs one message on the server and collects its filtered
+        #: outputs — the same link the in-process router uses.
+        self.link = LocalShardLink(server)
         self.obs = obs
         #: Delta cache answering OBS pulls: repeated scrapes ship only
         #: samples whose values changed since the last pull.
@@ -143,9 +108,6 @@ class ShardEndpoint:
         self.max_did = 0
         self._last_outs: Dict[int, List[Dict[str, Any]]] = {}
         self._current_did: Optional[int] = None
-        self._outs: Optional[List[Dict[str, Any]]] = None
-        self._suppress: Optional[frozenset] = None
-        server.bind(_CollectingTransport(self))
         if server.persistence is not None:
             self._scan_journal(server.persistence)
             server.persistence = _JournalWithDelivery(
@@ -199,22 +161,6 @@ class ShardEndpoint:
             )
         )
 
-    def _collect(self, message: Message) -> None:
-        outs = self._outs
-        if outs is None:
-            return  # send outside a forwarded dispatch: nowhere to go
-        # Same precedence as the embedded router: router-addressed
-        # control replies always pass; suppressed kinds are dropped here
-        # so duplicate fan-out replies never cross the wire at all.
-        suppress = self._suppress
-        if (
-            message.to != ROUTER_ID
-            and suppress
-            and message.kind in suppress
-        ):
-            return
-        outs.append(message.to_wire())
-
     def _on_obs_pull(self, message: Message) -> None:
         """Answer a supervisor scrape with this worker's telemetry delta.
 
@@ -256,34 +202,25 @@ class ShardEndpoint:
             self._send_uplink(did, self._last_outs.get(did, []))
             return
         suppress_wire = payload.get("suppress") or ()
-        inner = Message.from_wire(payload["msg"])
-        obs = self.obs
-        span = None
-        if obs.tracing and inner.trace is not None:
+        self._current_did = did
+        try:
             # The worker half of the cross-process hop: the supervisor's
             # cluster.forward span id rides in on the inner message, and
-            # re-stamping makes server.receive nest under worker.apply.
-            span = obs.spans.start(
-                obs_tracing.WORKER_APPLY,
-                trace_id=inner.trace[0],
-                parent_id=inner.trace[1],
-                endpoint=self.shard_id,
-                did=did,
-            )
-            inner = dataclasses.replace(
-                inner, trace=(inner.trace[0], span.span_id)
-            )
-        self._current_did = did
-        self._outs = []
-        self._suppress = frozenset(suppress_wire) if suppress_wire else None
-        try:
-            self.server.handle_message(inner)
+            # server.receive nests under worker.apply.
+            with obs_tracing.hop(
+                self.obs, obs_tracing.WORKER_APPLY,
+                Message.from_wire(payload["msg"]),
+                endpoint=self.shard_id, did=did,
+            ) as inner:
+                outs = [
+                    out.to_wire()
+                    for out in self.link.call(
+                        inner,
+                        frozenset(suppress_wire) if suppress_wire else None,
+                    )
+                ]
         finally:
-            outs, self._outs = self._outs, None
             self._current_did = None
-            self._suppress = None
-            if span is not None:
-                obs.spans.finish(span)
         self.max_did = did
         # Dispatch is serial per shard, so only the newest delivery can
         # ever be re-asked for; keeping one entry bounds memory.

@@ -24,6 +24,8 @@ frames byte-identical to an uninstrumented run.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 import time
 from collections import deque
@@ -287,6 +289,28 @@ class SpanRecorder:
 
     def __iter__(self):
         return iter(list(self._spans))
+
+
+@contextlib.contextmanager
+def hop(obs, name: str, message, **attrs: Any):
+    """Run a block as one forwarding hop of *message*'s trace.
+
+    Yields the message to pass on: re-stamped, so whoever handles it
+    next parents its spans under this hop's — or *message* itself when
+    tracing is off or it carries no trace context.
+    """
+    if not (obs.tracing and message.trace is not None):
+        yield message
+        return
+    span = obs.spans.start(
+        name, trace_id=message.trace[0], parent_id=message.trace[1], **attrs
+    )
+    try:
+        yield dataclasses.replace(
+            message, trace=(message.trace[0], span.span_id)
+        )
+    finally:
+        obs.spans.finish(span)
 
 
 #: Latency histogram segments derived from span names, for

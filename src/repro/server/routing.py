@@ -45,7 +45,7 @@ from typing import Any, Callable, Collection, Dict, Iterable, Mapping, Optional,
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import SERVER_ID
-from repro.server.registry import Registry
+from repro.server.registry import RegistrationRecord, Registry
 
 #: Key of a server's ``processed`` counter for roster resyncs asked of
 #: it.  They arrive as RESYNC_REQUEST, whose per-kind count otherwise
@@ -175,6 +175,69 @@ def broadcast(
             )
             stats.suppressed_messages += max(0, population - len(recipients))
     return len(recipients)
+
+
+def register_instance(
+    send: Callable[[Message], None],
+    registry: Registry,
+    couples: Any,
+    request: Message,
+    clock: Any,
+    stats: RoutingStats,
+    admitted: Callable[[RegistrationRecord], None],
+) -> None:
+    """Handle a REGISTER for whichever node owns *registry*.
+
+    The server, or the router of a cluster; *admitted* runs between the
+    roster change and the replies (history revival there, shard fan-out
+    here).  A second REGISTER raises ``AlreadyRegisteredError``.  The
+    ack carries the full roster, once, and the newcomer's share of the
+    couple table *couples*, initializing its local replica of the
+    coupling info (§3.2); everyone else learns the one new record.
+    """
+    payload = request.payload
+    record = RegistrationRecord(
+        instance_id=request.sender,
+        user=str(payload.get("user", "")),
+        host=str(payload.get("host", "localhost")),
+        app_type=str(payload.get("app_type", "")),
+        registered_at=clock.now(),
+    )
+    registry.add(record)
+    admitted(record)
+    send(
+        request.reply(
+            kinds.REGISTER_ACK,
+            SERVER_ID,
+            **registry.full_roster(),
+            couples=couples.to_wire_for(record.instance_id),
+            server_time=clock.now(),
+        )
+    )
+    broadcast(
+        send,
+        registry.instance_ids(),
+        kinds.INSTANCE_LIST,
+        registry.joined_delta(record),
+        exclude=(record.instance_id,),
+        stats=stats,
+    )
+
+
+def announce_left(
+    send: Callable[[Message], None],
+    registry: Registry,
+    instance_id: str,
+    stats: RoutingStats,
+) -> None:
+    """Tell everyone still in *registry* that *instance_id* is gone."""
+    broadcast(
+        send,
+        registry.instance_ids(),
+        kinds.INSTANCE_LIST,
+        registry.left_delta(instance_id),
+        stats=stats,
+    )
 
 
 def answer_roster_resync(

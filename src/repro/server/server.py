@@ -56,7 +56,13 @@ from repro.server.permissions import (
     PermissionRule,
 )
 from repro.server.registry import RegistrationRecord, Registry
-from repro.server.routing import RoutingStats, answer_roster_resync, broadcast
+from repro.server.routing import (
+    RoutingStats,
+    announce_left,
+    answer_roster_resync,
+    broadcast,
+    register_instance,
+)
 
 # SERVER_ID historically lived here; it is now defined once in
 # ``repro.net.transport`` (the wire layer also needs it) and re-exported
@@ -401,34 +407,14 @@ class CosoftServer:
         return self.registry.get(instance_id).user
 
     def _on_register(self, message: Message) -> None:
-        payload = dict(message.payload)
-        record = RegistrationRecord(
-            instance_id=message.sender,
-            user=str(payload.get("user", "")),
-            host=str(payload.get("host", "localhost")),
-            app_type=str(payload.get("app_type", "")),
-            registered_at=self.clock.now(),
-        )
-        self.registry.add(record)
-        # A returning instance starts a fresh history: lift the tombstone
-        # :meth:`HistoryStore.forget_instance` left at its termination.
-        self.history.revive_instance(record.instance_id)
-        # Ack carries the full roster, once, and the newcomer's share of
-        # the couple table, initializing its local replica of the coupling
-        # info (§3.2).  Everyone else learns the one new record.
-        self._send(
-            message.reply(
-                kinds.REGISTER_ACK,
-                SERVER_ID,
-                **self.registry.full_roster(),
-                couples=self.couples.to_wire_for(record.instance_id),
-                server_time=self.clock.now(),
-            )
-        )
-        self._broadcast(
-            kinds.INSTANCE_LIST,
-            self.registry.joined_delta(record),
-            exclude=(record.instance_id,),
+        register_instance(
+            self._send, self.registry, self.couples, message, self.clock,
+            self.routing,
+            # A returning instance starts a fresh history: lift the
+            # tombstone :meth:`HistoryStore.forget_instance` left.
+            admitted=lambda record: self.history.revive_instance(
+                record.instance_id
+            ),
         )
 
     def _on_unregister(self, message: Message) -> None:
@@ -480,9 +466,7 @@ class CosoftServer:
                 {"action": "remove", "link": link.to_wire(), "cause": "unregister"},
                 audience=unregister_audience,
             )
-        self._broadcast(
-            kinds.INSTANCE_LIST, self.registry.left_delta(instance_id)
-        )
+        announce_left(self._send, self.registry, instance_id, self.routing)
 
     # ------------------------------------------------------------------
     # Couple links

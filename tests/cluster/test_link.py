@@ -1,0 +1,233 @@
+"""The ``ShardLink`` seam: the contract, and what it makes testable.
+
+``LocalShardLink`` is exercised directly (the suppress rule has one
+implementation, so it gets one test), a scripted link that fails shows
+how the router leaves its tables, and the two expiry paths of the
+subprocess link — ``call_timeout`` and ``liveness_timeout`` — run
+against stubs, without workers and without sleeping.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro.cluster import ShardedCosoftCluster
+from repro.cluster.link import LocalShardLink
+from repro.cluster.supervisor import ProcShardHandle, ShardSupervisor
+from repro.errors import ReproError
+from repro.net import kinds
+from repro.net.codec import get_codec
+from repro.net.message import Message
+from repro.net.transport import ROUTER_ID
+from repro.server.server import CosoftServer
+
+
+def register(instance_id):
+    return Message(
+        kind=kinds.REGISTER, sender=instance_id, payload={"user": instance_id}
+    )
+
+
+def lock_request(instance_id, token):
+    return Message(
+        kind=kinds.LOCK_REQUEST,
+        sender=instance_id,
+        payload={"source": [instance_id, "/ui/f"], "token": token},
+    )
+
+
+class TestLocalShardLink:
+    def test_call_returns_the_outputs_in_emit_order(self):
+        link = LocalShardLink(CosoftServer())
+        link.call(register("a"))
+        outs = link.call(register("b"))
+        assert [(o.kind, o.to) for o in outs] == [
+            (kinds.REGISTER_ACK, "b"),
+            (kinds.INSTANCE_LIST, "a"),
+        ]
+
+    def test_suppress_filters_everything_but_router_control(self):
+        link = LocalShardLink(CosoftServer())
+        link.call(register("a"))
+        suppress = frozenset(
+            {
+                kinds.REGISTER_ACK,
+                kinds.INSTANCE_LIST,
+                kinds.SHARD_INVENTORY_REPLY,
+            }
+        )
+        assert link.call(register("b"), suppress) == []
+        assert "b" in link.shard.registry  # filtered, not skipped
+        # The suppress set lasts one call.
+        assert kinds.REGISTER_ACK in [o.kind for o in link.call(register("c"))]
+        # A reply addressed to the router passes whatever its kind.
+        survey = Message(kind=kinds.SHARD_INVENTORY, sender=ROUTER_ID, payload={})
+        (reply,) = link.call(survey, suppress)
+        assert reply.kind == kinds.SHARD_INVENTORY_REPLY
+        assert reply.to == ROUTER_ID
+
+    def test_traffic_counts_sends_before_the_filter(self):
+        link = LocalShardLink(CosoftServer(), get_codec("json"))
+        link.call(register("a"))
+        before = link.traffic.messages
+        assert link.call(register("b"), frozenset({kinds.INSTANCE_LIST})) != []
+        assert link.traffic.messages == before + 2  # ack + suppressed cast
+        assert link.traffic.bytes > 0
+
+    def test_without_a_codec_nothing_is_priced(self):
+        link = LocalShardLink(CosoftServer())
+        link.call(register("a"))
+        assert link.traffic.messages == 0
+
+    def test_sends_outside_a_call_go_nowhere(self):
+        link = LocalShardLink(CosoftServer())
+        link.shard.handle_message(register("a"))
+        assert "a" in link.shard.registry
+        assert link.collected == []
+        assert link.call(register("b"))[0].kind == kinds.REGISTER_ACK
+
+
+class ScriptedLink(LocalShardLink):
+    """A local shard whose calls fail on the kinds in ``failing`` — the
+    shape of a ``call_timeout`` expiry on a subprocess link."""
+
+    def __init__(self):
+        super().__init__(CosoftServer(), get_codec("json"))
+        self.failing = set()
+
+    def call(self, message, suppress=None):
+        if message.kind in self.failing:
+            raise ReproError("shard did not acknowledge delivery 1 within 0s")
+        return super().call(message, suppress)
+
+
+class TestFailingLink:
+    def test_failed_call_answers_once_and_leaves_no_route(self):
+        links = {}
+
+        def factory(shard_id):
+            links[shard_id] = ScriptedLink()
+            return links[shard_id]
+
+        cluster = ShardedCosoftCluster(1, link_factory=factory)
+        sent = []
+        cluster.bind(type("Outbox", (), {"send": lambda self, m: sent.append(m)})())
+        cluster.handle_message(register("a"))
+        del sent[:]
+
+        links["shard-0"].failing = {kinds.LOCK_REQUEST}
+        request = lock_request("a", token=7)
+        cluster.handle_message(request)
+        (error,) = sent
+        assert error.kind == kinds.ERROR
+        assert (error.to, error.reply_to) == ("a", request.msg_id)
+        assert "did not acknowledge" in error.payload["reason"]
+        assert cluster._lock_routes == {}
+        assert cluster._floor_routes == {}
+        assert cluster._pending_routes == {}
+        assert cluster.processed["__rejected__"] == 1
+
+        # The shard is served again as soon as its link answers.
+        links["shard-0"].failing = set()
+        del sent[:]
+        cluster.handle_message(lock_request("a", token=8))
+        (reply,) = sent
+        assert reply.kind == kinds.LOCK_REPLY
+        assert reply.payload["granted"] is True
+        assert list(cluster._lock_routes) == [("a", 8)]
+
+
+class TestCallTimeout:
+    def test_expiry_raises_and_leaves_nothing_pending(self, tmp_path):
+        handle = ProcShardHandle("shard-0", str(tmp_path), call_timeout=0.05)
+        with pytest.raises(ReproError, match="did not acknowledge delivery 1"):
+            handle.call(register("a"))
+        assert handle.pending == {}
+        # The id is spent: a late ack for it is a stale duplicate.
+        handle.deliver(1, [])
+        assert handle._acked == {}
+        with pytest.raises(ReproError, match="delivery 2"):
+            handle.call(register("a"))
+
+
+class TestSendFailures:
+    def test_refused_send_is_counted_not_raised(self, tmp_path):
+        class DeadLink:
+            def send(self, message):
+                raise OSError("connection reset")
+
+        handle = ProcShardHandle("shard-0", str(tmp_path))
+        handle.link = DeadLink()
+        handle.send_control(kinds.SHARD_PING)
+        assert handle.send_failures == 1
+        assert handle.status()["send_failures"] == 1
+
+
+class _SilentProcess:
+    """A worker that is alive and never answers."""
+
+    pid = 4242
+    stdin = None
+    returncode = None
+    killed = 0
+
+    def poll(self):
+        return self.returncode
+
+    def kill(self):
+        self.killed += 1
+        self.returncode = -9
+
+    terminate = kill
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+
+class TestLivenessTimeout:
+    def test_silent_worker_is_declared_dead_and_restarted_once(self, tmp_path):
+        now = [100.0]
+        # Never ``watch()``ed: the test drives every tick itself.
+        supervisor = ShardSupervisor(
+            str(tmp_path), liveness_timeout=5.0, clock=lambda: now[0]
+        )
+        spawned = []
+
+        def respawn(handle):
+            spawned.append(handle.shard_id)
+            handle.process = _SilentProcess()
+            handle.state = "ready"
+            handle.last_seen = supervisor._clock()
+
+        supervisor._spawn = respawn
+        try:
+            handle = ProcShardHandle(
+                "shard-0", str(tmp_path / "shard-0"), lock=supervisor._lock
+            )
+            os.makedirs(handle.directory)
+            stuck = handle.process = _SilentProcess()
+            handle.state = "ready"
+            handle.last_seen = now[0]
+            supervisor.handles["shard-0"] = handle
+
+            now[0] += 5.0  # at the threshold: not past it yet
+            supervisor.tick()
+            assert (stuck.killed, handle.restarts, spawned) == (0, 0, [])
+
+            now[0] += 0.001
+            supervisor.tick()
+            assert stuck.killed == 1
+            assert handle.restarts == 1
+            assert spawned == ["shard-0"]
+            with open(os.path.join(handle.directory, "flight-1.json")) as fh:
+                dump = json.load(fh)
+            assert dump["reason"] == "liveness_timeout"
+            assert dump["heartbeat_age_seconds"] == pytest.approx(5.001)
+            assert dump["send_failures"] == 0
+
+            # The replacement was heard from at its spawn: no second verdict.
+            supervisor.tick()
+            assert handle.restarts == 1
+        finally:
+            supervisor.close()

@@ -196,6 +196,7 @@ class TestProcCluster:
                 assert not [a for a in args if "scope" in a]
             status = cluster.cluster_status()
             assert set(status["processes"]) == {"shard-0", "shard-1"}
+            assert status["processes"]["shard-0"]["send_failures"] == 0
         finally:
             cluster.close()
 
@@ -204,6 +205,71 @@ class TestProcCluster:
         process = cluster.shards["shard-0"].process
         cluster.close()
         assert process.wait(timeout=10) is not None
+
+    def test_closed_cluster_refuses_at_once(self, tmp_path):
+        from repro.errors import ReproError
+
+        cluster = ProcCluster(
+            1, directory=str(tmp_path), call_timeout=1, start_timeout=8
+        )
+        cluster.close()
+        for marshalled in (cluster.add_shard, lambda: cluster.remove_shard("x")):
+            began = time.monotonic()
+            with pytest.raises(ReproError, match="cluster is closed"):
+                marshalled()
+            assert time.monotonic() - began < 1.0
+        # Nobody drains the queue any more: dropped and counted.
+        cluster.handle_message(
+            Message(kind=kinds.REGISTER, sender="a", payload={"user": "a"})
+        )
+        assert cluster.processed["__closed__"] == 1
+        assert cluster._queue.empty()
+        assert not cluster._router_thread.is_alive()
+        cluster.close()  # idempotent
+
+    def test_router_thread_counts_and_survives_a_dispatch_error(
+        self, tmp_path, caplog
+    ):
+        class Outbox:
+            broken = True
+
+            def __init__(self):
+                self.sent = []
+
+            def send(self, message):
+                if self.broken:
+                    raise RuntimeError("host transport fell over")
+                self.sent.append(message)
+
+        cluster = ProcCluster(1, directory=str(tmp_path))
+        outbox = Outbox()
+        cluster.bind(outbox)
+        try:
+            with caplog.at_level("ERROR", logger="repro.cluster.proc"):
+                cluster.handle_message(
+                    Message(kind=kinds.REGISTER, sender="a", payload={"user": "a"})
+                )
+                deadline = time.monotonic() + 10
+                while (
+                    time.monotonic() < deadline
+                    and not cluster.processed["__router_errors__"]
+                ):
+                    time.sleep(0.02)
+            assert cluster.processed["__router_errors__"] == 1
+            (record,) = caplog.records
+            assert "event=router_dispatch_failed" in record.getMessage()
+            assert "kind=register" in record.getMessage()
+            # The thread is still there for the next message.
+            outbox.broken = False
+            cluster.handle_message(
+                Message(kind=kinds.REGISTER, sender="b", payload={"user": "b"})
+            )
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and not outbox.sent:
+                time.sleep(0.02)
+            assert outbox.sent[0].kind == kinds.REGISTER_ACK
+        finally:
+            cluster.close()
 
     def test_kill_is_detected_and_worker_restarts_with_state(self, tmp_path):
         cluster = ProcCluster(
