@@ -51,7 +51,7 @@ from repro.obs import NULL_OBS
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import PermissionRule
 from repro.server.registry import RegistrationRecord, record_from_delta
-from repro.toolkit.builder import shape, to_spec
+from repro.toolkit.builder import shape
 from repro.toolkit.events import Event, EventTrace
 from repro.toolkit.tree import (
     apply_subtree_state,
@@ -167,16 +167,22 @@ class ApplicationInstance:
         #: at-least-once broadcast deliveries).
         self._last_event_seq: Dict[str, int] = {}
         #: Delta sync sender cache: (local pathname, target gid) -> the last
-        #: *acknowledged* transfer (seq, state-clock baseline, structure and
-        #: semantic fingerprints).  Entries are dropped on any failed or
-        #: non-STRICT transfer so the next push falls back to a full
-        #: snapshot, and — like the receiver's — when the local widget is
-        #: destroyed or the remote instance leaves the roster.
+        #: transfer sent at that target — a push, once acknowledged, or the
+        #: reply to a fetch that named it (seq, state-clock baseline,
+        #: structure and semantic fingerprints).  Entries are dropped on
+        #: any failed or non-STRICT push so the next transfer falls back to
+        #: a full snapshot, and — like the receiver's — when the local
+        #: widget is destroyed or the remote instance leaves the roster.
         self._delta_out: Dict[Tuple[str, GlobalId], Dict[str, Any]] = {}
         #: Delta sync receiver cache: (source gid, local pathname) -> the
-        #: last applied transfer (seq, fingerprints, source spec and the
-        #: resolved component mapping for translating deltas).
+        #: last applied transfer (seq, fingerprints, source spec, the
+        #: resolved component mapping for translating deltas, and the
+        #: state clock after the apply: what was written here since).
         self._delta_in: Dict[Tuple[GlobalId, str], Dict[str, Any]] = {}
+        #: Sequence numbers of the transfers this instance sends under
+        #: the delta protocol: never reused, so an entry that survived a
+        #: lost full snapshot cannot match the chain started after it.
+        self._transfer_seqs = itertools.count(1)
         self._tokens = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -418,29 +424,54 @@ class ApplicationInstance:
         "With the active synchronization (implemented as a function
         CopyFrom) ... an application actively requests the state of UI
         objects in other instances, and updates its own state" (§3.1).
+
+        Returns once the state is applied, or raises.  Repeat STRICT
+        fetches of one source are answered with a delta, exactly as
+        :meth:`copy_to`'s repeat pushes are (one stream per pair of
+        objects, whichever end starts a transfer).
         """
         widget = self._resolve_local(local)
-        reply = self.request(
-            Message(
-                kind=kinds.FETCH_STATE,
-                sender=self.instance_id,
-                payload={"object": gid_to_wire(source)},
+        # A STRICT fetch rides the delta protocol: the request says where
+        # the last transfer from *source* left this object, and the owner
+        # answers with what it wrote since — or with everything, when
+        # either end's record of that transfer is gone or stale.  A delta
+        # is translated along the mapping cached at first contact, so a
+        # caller who names a mapping or a matcher gets a full transfer.
+        in_protocol = (
+            mode == STRICT and predefined is None and strategy == state_sync.AUTO
+        )
+        # (seq, fp) of the last transfer applied here; (0, None): none.
+        known: Tuple[int, Optional[str]] = (0, None)
+        entry = self._delta_in.get((source, widget.pathname))
+        if entry is not None and entry["local_fp"] == shape(widget).fingerprint:
+            known = (entry["seq"], entry["fp"])
+        for _attempt in range(2):
+            request: Dict[str, Any] = {"object": gid_to_wire(source)}
+            if in_protocol:
+                request["sync"] = {
+                    "target": gid_to_wire(self.gid(widget)),
+                    "seq": known[0],
+                    "fp": known[1],
+                }
+            reply = self.request(
+                Message(
+                    kind=kinds.FETCH_STATE, sender=self.instance_id, payload=request
+                )
             )
-        )
-        if reply is None:
-            raise ServerError("copy_from timed out")
-        report = state_sync.apply_state_payload(
-            widget,
-            reply.payload,
-            mode=mode,
-            strategy=strategy,
-            semantics=self.semantics,
-            correspondences=self.correspondences,
-            predefined=predefined,
-        )
-        self._push_history(widget, report.old_state, reason="copy_from")
-        self.stats["states_applied"] += 1
-        return report
+            if reply is None:
+                raise ServerError("copy_from timed out")
+            report = self._apply_transfer(
+                widget,
+                reply.payload,
+                "copy_from",
+                mode=mode,
+                strategy=strategy,
+                predefined=predefined,
+            )
+            if report is not None:
+                return report
+            known = (0, None)  # continuity lost: once more, for a full snapshot
+        raise ServerError("copy_from: the owner answered seq 0 with a delta")
 
     def copy_to(
         self,
@@ -487,23 +518,29 @@ class ApplicationInstance:
         target: GlobalId,
         mode: str,
         predefined: Optional[ComponentMapping],
+        *,
+        counted_as: str = "pushes",
     ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-        """Build a PUSH_STATE payload, delta-encoded when safe.
+        """Build the payload of a transfer at *target*, delta-encoded when
+        safe: a PUSH_STATE, or the STATE_REPLY to a fetch that named it.
 
         Returns ``(payload, commit)`` where *commit* is the sender-cache
         entry to install once the transfer is acknowledged (``None`` when
         the transfer is outside the delta protocol entirely).
         """
         key = (widget.pathname, target)
+        addressing = {
+            "target": gid_to_wire(target),
+            "mode": mode,
+            "source": gid_to_wire(self.gid(widget)),
+        }
         if mode != STRICT or predefined is not None:
             # MERGE/FLEXIBLE rewrite structure, predefined mappings bypass
             # the cached-mapping path: full snapshot, and invalidate any
             # delta continuity with this target.
             self._delta_out.pop(key, None)
             payload = state_sync.build_state_payload(widget, self.semantics)
-            payload["target"] = gid_to_wire(target)
-            payload["mode"] = mode
-            payload["source"] = gid_to_wire(self.gid(widget))
+            payload.update(addressing)
             if predefined is not None:
                 payload["predefined"] = dict(predefined)
             return payload, None
@@ -512,34 +549,31 @@ class ApplicationInstance:
         # delta — at-least-once per attribute, never lost.
         baseline = state_clock()
         fp = shape(widget).fingerprint
-        stored = self.semantics.store_subtree(widget)
-        sem_fp = _blob_fingerprint(stored) if stored else None
         entry = self._delta_out.get(key)
-        payload: Dict[str, Any] = {
-            "target": gid_to_wire(target),
-            "mode": mode,
-            "source": gid_to_wire(self.gid(widget)),
-        }
-        if entry is not None and entry["fp"] == fp:
-            seq = entry["seq"] + 1
-            payload["state"] = subtree_state_since(widget, entry["baseline"])
+        delta = entry is not None and entry["fp"] == fp
+        payload = state_sync.build_state_payload(
+            widget,
+            self.semantics,
+            include_structure=not delta,
+            since=entry["baseline"] if delta else None,
+        )
+        payload.update(addressing)
+        stored = payload.get("semantic")
+        sem_fp = _blob_fingerprint(stored) if stored else None
+        seq = next(self._transfer_seqs)
+        if delta:
             payload["sync"] = {
                 "delta": True,
                 "seq": seq,
                 "base": entry["seq"],
                 "fp": fp,
             }
-            if stored and sem_fp != entry.get("sem_fp"):
-                payload["semantic"] = stored
-            self.stats["delta_pushes"] += 1
+            if stored and sem_fp == entry.get("sem_fp"):
+                del payload["semantic"]
+            self.stats[f"delta_{counted_as}"] += 1
         else:
-            seq = 1
-            payload["state"] = subtree_state(widget, relevant_only=True)
-            payload["structure"] = to_spec(widget, full_state=False)
             payload["sync"] = {"delta": False, "seq": seq, "fp": fp}
-            if stored:
-                payload["semantic"] = stored
-            self.stats["full_pushes"] += 1
+            self.stats[f"full_{counted_as}"] += 1
         commit = {"seq": seq, "baseline": baseline, "fp": fp, "sem_fp": sem_fp}
         return payload, commit
 
@@ -879,7 +913,15 @@ class ApplicationInstance:
             self._adopt_roster(message.payload)
 
     def _on_fetch_state(self, message: Message) -> None:
-        """Owner side of CopyFrom/RemoteCopy: serialize the asked object."""
+        """Owner side of CopyFrom/RemoteCopy: serialize the asked object.
+
+        A fetch with a ``sync`` block is a push its target asked for:
+        the reply is what :meth:`_build_push_payload` builds for that
+        target.  A block with a ``seq`` (CopyFrom) says where the
+        requester stands, and a delta is only sent from exactly there;
+        without one (RemoteCopy) this end's own entry decides, as for a
+        push, and the target's continuity check is the safety net.
+        """
         obj = gid_from_wire(message.payload["object"])
         widget = self.find_widget(obj[1])
         if widget is None or widget.destroyed:
@@ -889,7 +931,26 @@ class ApplicationInstance:
                 )
             )
             return
-        payload = state_sync.build_state_payload(widget, self.semantics)
+        sync = message.payload.get("sync")
+        if sync is None:
+            payload = state_sync.build_state_payload(widget, self.semantics)
+        else:
+            target = gid_from_wire(sync["target"])
+            key = (widget.pathname, target)
+            entry = self._delta_out.get(key)
+            if (
+                "seq" in sync
+                and entry is not None
+                and (entry["seq"], entry["fp"]) != (sync["seq"], sync.get("fp"))
+            ):
+                self._delta_out.pop(key, None)
+            payload, commit = self._build_push_payload(
+                widget, target, STRICT, None, counted_as="fetches"
+            )
+            # Optimistic, as in _on_resync_request: a lost reply leaves
+            # the requester behind this entry, which its next fetch says
+            # (``seq``) or its continuity check finds.
+            self._delta_out[key] = commit
         payload["object"] = gid_to_wire(obj)
         self.send(
             Message(
@@ -908,84 +969,127 @@ class ApplicationInstance:
         if widget is None or widget.destroyed:
             self.stats["push_state_misses"] += 1
             return
-        sync = payload.get("sync")
-        if sync and sync.get("delta"):
-            self._apply_push_delta(widget, target, payload, dict(sync))
-            return
         predefined = payload.get("predefined")
         try:
-            report = state_sync.apply_state_payload(
+            report = self._apply_transfer(
                 widget,
                 payload,
+                "push_state",
                 mode=str(payload.get("mode", STRICT)),
-                semantics=self.semantics,
-                correspondences=self.correspondences,
                 predefined=dict(predefined) if predefined else None,
             )
         except ReproError:
             self.stats["push_state_failures"] += 1
             return
-        if sync is not None and "source" in payload:
-            # Full snapshot under the delta protocol: (re)establish the
-            # continuity baseline for this sender/target pair.
-            source = gid_from_wire(payload["source"])
-            self._delta_in[(source, target[1])] = {
-                "seq": int(sync["seq"]),
-                "fp": sync.get("fp"),
-                "local_fp": shape(widget).fingerprint,
-                "spec": payload.get("structure"),
-                "mapping": report.mapping,
-            }
-        self._push_history(widget, report.old_state, reason="push_state")
+        if report is None:
+            self._request_resync(gid_from_wire(payload["source"]), target)
+
+    def _apply_transfer(
+        self,
+        widget: UIObject,
+        payload: Mapping[str, Any],
+        reason: str,
+        *,
+        mode: str = STRICT,
+        strategy: str = state_sync.AUTO,
+        predefined: Optional[ComponentMapping] = None,
+    ) -> Optional[ApplyReport]:
+        """Apply one state transfer onto *widget* — a PUSH_STATE or the
+        STATE_REPLY of a fetch; the delta protocol is the same in both.
+
+        Returns the report, or ``None`` for a delta whose continuity is
+        lost: nothing was applied and the caller asks for a full
+        snapshot its own way (push: RESYNC_REQUEST; fetch: once more).
+        An incompatible pair raises, for the caller to report.
+        """
+        sync = payload.get("sync")
+        if sync and sync.get("delta"):
+            report = self._apply_push_delta(widget, payload, sync)
+            if report is None:
+                return None
+        else:
+            report = state_sync.apply_state_payload(
+                widget,
+                payload,
+                mode=mode,
+                strategy=strategy,
+                semantics=self.semantics,
+                correspondences=self.correspondences,
+                predefined=predefined,
+            )
+            if sync is not None and "source" in payload:
+                # Full snapshot under the delta protocol: (re)establish
+                # the continuity baseline for this sender/target pair.
+                source = gid_from_wire(payload["source"])
+                self._delta_in[(source, widget.pathname)] = {
+                    "seq": int(sync["seq"]),
+                    "fp": sync.get("fp"),
+                    "local_fp": shape(widget).fingerprint,
+                    "spec": payload.get("structure"),
+                    "mapping": report.mapping,
+                    "clock": state_clock(),
+                }
+        self._push_history(widget, report.old_state, reason=reason)
         self.stats["states_applied"] += 1
+        return report
 
     def _apply_push_delta(
         self,
         widget: UIObject,
-        target: GlobalId,
         payload: Mapping[str, Any],
-        sync: Dict[str, Any],
-    ) -> None:
-        """Apply a delta PUSH_STATE, or request a resync on continuity loss.
+        sync: Mapping[str, Any],
+    ) -> Optional[ApplyReport]:
+        """Apply a delta transfer, or return ``None`` on continuity loss.
 
         Continuity holds when the delta's base sequence matches the last
-        applied transfer and neither side's structure changed (sender
-        fingerprint carried in the payload, ours recomputed locally).
-        A broken chain — dropped transfer, structural change, restarted
-        receiver — triggers a RESYNC_REQUEST routed to the sender, which
-        answers with a fresh full snapshot.
+        applied transfer, neither side's structure changed (sender
+        fingerprint carried in the payload, ours recomputed locally),
+        and the delta overwrites everything written *here* since that
+        transfer (``clock``) — the sender ships what it wrote, so an
+        edit of ours it does not return would otherwise stand, where a
+        full transfer makes the two ends equal.  A broken chain —
+        dropped transfer, structural change, restarted receiver, local
+        edit — drops the entry; the caller gets a full snapshot instead.
         """
-        source = gid_from_wire(payload["source"])
-        key = (source, target[1])
+        key = (gid_from_wire(payload["source"]), widget.pathname)
         entry = self._delta_in.get(key)
         local = shape(widget)
-        if (
-            entry is None
-            or entry["seq"] != sync.get("base")
-            or entry["fp"] != sync.get("fp")
-            or entry["local_fp"] != local.fingerprint
-        ):
+        intact = (
+            entry is not None
+            and entry["seq"] == sync.get("base")
+            and entry["fp"] == sync.get("fp")
+            and entry["local_fp"] == local.fingerprint
+        )
+        if intact:
+            state: Mapping[str, Mapping[str, Any]] = payload.get("state", {})
+            mapping = entry.get("mapping")
+            if mapping is not None and entry.get("spec") is not None:
+                state = translate_state(
+                    state, entry["spec"], local.types, mapping, self.correspondences
+                )
+            intact = all(
+                name in state.get(rel, ())
+                for rel, written in subtree_state_since(widget, entry["clock"]).items()
+                for name in written
+            )
+        if not intact:
             self._delta_in.pop(key, None)
             self.stats["delta_resyncs"] += 1
-            self._request_resync(source, target)
-            return
-        old_state = subtree_state(widget, relevant_only=True)
-        state: Mapping[str, Mapping[str, Any]] = payload.get("state", {})
-        if entry.get("mapping") is not None and entry.get("spec") is not None:
-            state = translate_state(
-                state,
-                entry["spec"],
-                local.types,
-                entry["mapping"],
-                self.correspondences,
-            )
-        apply_subtree_state(widget, state)
+            return None
+        translated = {"state": state}
         if "semantic" in payload:
-            self.semantics.load_subtree(widget, dict(payload["semantic"]))
+            translated["semantic"] = payload["semantic"]
+        # Structure-less: applied by identical relative paths.
+        report = state_sync.apply_state_payload(
+            widget, translated, semantics=self.semantics
+        )
+        if mapping is not None:
+            report.mapping = dict(mapping)
+            report.mapping_size = len(mapping)
         entry["seq"] = int(sync["seq"])
-        self._push_history(widget, old_state, reason="push_state")
-        self.stats["states_applied"] += 1
+        entry["clock"] = state_clock()
         self.stats["deltas_applied"] += 1
+        return report
 
     def _request_resync(self, source: GlobalId, target: GlobalId) -> None:
         """Ask the server to have *source*'s owner re-push a full snapshot."""

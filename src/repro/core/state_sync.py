@@ -28,7 +28,11 @@ from repro.core.merging import MergeReport, destructive_merge, flexible_match
 from repro.core.semantic import SemanticHookRegistry
 from repro.errors import IncompatibleObjectsError
 from repro.toolkit.builder import Shape, shape, to_spec
-from repro.toolkit.tree import apply_subtree_state, subtree_state
+from repro.toolkit.tree import (
+    apply_subtree_state,
+    subtree_state,
+    subtree_state_since,
+)
 from repro.toolkit.widget import UIObject
 
 STRICT = "strict"
@@ -47,14 +51,22 @@ def build_state_payload(
     semantics: Optional[SemanticHookRegistry] = None,
     *,
     include_structure: bool = True,
+    since: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Serialize *widget*'s subtree for a state transfer.
 
     Invoked in the dominating instance; runs the store hooks (§3.1
-    "Synchronizing semantic state").
+    "Synchronizing semantic state").  *since* — a
+    :func:`~repro.toolkit.widget.state_clock` value — restricts ``state``
+    to the relevant attributes written after it: the body of a delta
+    transfer.
     """
     payload: Dict[str, Any] = {
-        "state": subtree_state(widget, relevant_only=True),
+        "state": (
+            subtree_state(widget, relevant_only=True)
+            if since is None
+            else subtree_state_since(widget, since)
+        ),
     }
     if include_structure:
         payload["structure"] = to_spec(widget, full_state=False)

@@ -771,13 +771,19 @@ class CosoftServer:
     # ------------------------------------------------------------------
 
     def _forward_fetch(
-        self, message: Message, obj: GlobalId, route: _PendingRoute
+        self,
+        obj: GlobalId,
+        route: _PendingRoute,
+        sync: Optional[Mapping[str, Any]] = None,
     ) -> None:
+        """Ask *obj*'s owner for its state.  With *sync* the reply is a
+        transfer under the delta protocol at the object the block names
+        (docs/PROTOCOL.md, "State transfer"); without, a full payload."""
+        payload: Dict[str, Any] = {"object": gid_to_wire(obj)}
+        if sync is not None:
+            payload["sync"] = sync
         forward = Message(
-            kind=kinds.FETCH_STATE,
-            sender=SERVER_ID,
-            to=obj[0],
-            payload={"object": gid_to_wire(obj)},
+            kind=kinds.FETCH_STATE, sender=SERVER_ID, to=obj[0], payload=payload
         )
         route.forward_to = obj[0]
         self._pending[forward.msg_id] = route
@@ -803,14 +809,19 @@ class CosoftServer:
                 )
             )
             return
+        sync = payload.get("sync")
+        if sync is not None and gid_from_wire(sync["target"])[0] != message.sender:
+            # The owner keeps a continuity entry per target it is asked
+            # about; only the target itself may start or advance one.
+            raise ValueError("a fetch's sync block names the requester's own object")
         self._forward_fetch(
-            message,
             obj,
             _PendingRoute(
                 requester=message.sender,
                 requester_msg_id=message.msg_id,
                 purpose="copy_from",
             ),
+            sync,
         )
 
     def _on_state_reply(self, message: Message) -> None:
@@ -952,16 +963,24 @@ class CosoftServer:
                     )
                 )
                 return
+        mode = str(payload.get("mode", "strict"))
+        # A strict RemoteCopy is a CopyTo a third party triggered: the
+        # owner builds the push (delta when it can) and the target's
+        # continuity check guards it.  Its recovery path is the owner's
+        # own full push, so it is only taken where that push may land.
+        as_push = mode == "strict" and self.access.check(
+            self._user_of(source[0]), target, WRITE
+        )
         self._forward_fetch(
-            message,
             source,
             _PendingRoute(
                 requester=message.sender,
                 requester_msg_id=message.msg_id,
                 purpose="remote_copy",
                 target=target,
-                mode=str(payload.get("mode", "strict")),
+                mode=mode,
             ),
+            {"target": gid_to_wire(target)} if as_push else None,
         )
 
     # ------------------------------------------------------------------

@@ -6,9 +6,18 @@ sequence numbers and structure fingerprints, with RESYNC_REQUEST as the
 recovery path.
 """
 
+import contextlib
+import json
+
 import pytest
 
+from conftest import settle
+from repro.core.state_sync import build_state_payload
+from repro.errors import ServerError
+from repro.net import kinds
+from repro.server.couples import gid_to_wire
 from repro.session import Session
+from repro.toolkit.tree import subtree_state
 from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField, ToggleButton
 
 PATH = "/app"
@@ -22,22 +31,58 @@ def make_tree():
     return root
 
 
-@pytest.fixture
-def duo():
-    session = Session(backend="memory")
-    a = session.create_instance("a", user="alice")
-    b = session.create_instance("b", user="bob")
-    tree_a = a.add_root(make_tree())
-    tree_b = b.add_root(make_tree())
-    session.pump()
-    yield session, a, b, tree_a, tree_b
-    session.close()
-
-
 def assert_synced(tree_a, tree_b):
     assert tree_b.find("field").value == tree_a.find("field").value
     assert tree_b.find("zoom").value == tree_a.find("zoom").value
     assert tree_b.find("flag").get("set") == tree_a.find("flag").get("set")
+
+
+@contextlib.contextmanager
+def deployment(backend, names="ab", **instance_options):
+    """Registered instances, one ``make_tree()`` each, on *backend*."""
+    session = Session(backend=backend)
+    try:
+        instances = [
+            session.create_instance(name, user=f"user-{name}", **instance_options)
+            for name in names
+        ]
+        trees = [instance.add_root(make_tree()) for instance in instances]
+        session.pump()
+        yield (session, *instances, *trees)
+    finally:
+        session.close()
+
+
+@pytest.fixture
+def duo():
+    with deployment("memory") as parts:
+        yield parts
+
+
+def tap(instance, drop=lambda message: False):
+    """Record what *instance*'s handlers send (replies, resync pushes —
+    not its blocking requests); messages *drop* holds for go nowhere."""
+    sent = []
+    send = instance.send
+
+    def tapped(message):
+        sent.append(message)
+        if not drop(message):
+            send(message)
+
+    instance.send = tapped
+    return sent
+
+
+def replies(sent):
+    return [m.payload for m in sent if m.kind == kinds.STATE_REPLY]
+
+
+def rename_field(tree):
+    """Another structure (and fingerprint) of the same shape: a full
+    transfer still matches it, a cached mapping does not."""
+    tree.find("field").destroy()
+    TextField("field2", parent=tree)
 
 
 class TestDeltaProtocol:
@@ -69,16 +114,38 @@ class TestDeltaProtocol:
     def test_delta_applies_only_changed_attributes(self, duo):
         session, a, b, tree_a, tree_b = duo
         tree_a.find("field").set("value", "keep")
+        tree_a.find("zoom").set("value", 7)
         a.copy_to(PATH, ("b", PATH))
         session.pump()
-        # A local-only edit on the receiver that the sender never touches
-        # again must survive the next delta (it is not in the payload).
-        tree_b.find("zoom").set("value", 77)
+        attributes = (("field", "value"), ("zoom", "value"), ("flag", "set"))
+
+        def stamps():
+            return [tree_b.find(n).attribute_version(attr) for n, attr in attributes]
+
+        before = stamps()
         tree_a.find("flag").set("set", True)
         a.copy_to(PATH, ("b", PATH))
         session.pump()
+        assert b.stats["deltas_applied"] == 1
         assert tree_b.find("flag").get("set") is True
-        assert tree_b.find("zoom").value == 77  # untouched by the delta
+        # Only the attribute in the payload was written on the receiver.
+        after = stamps()
+        assert after[:2] == before[:2] and after[2] > before[2]
+
+    def test_same_value_recommit_on_the_target_costs_one_full_transfer(self, duo):
+        """The coverage check's one false positive (docs/PERF.md §3):
+        built-in feedback stamps the clock even for the value already
+        there, so the delta is refused — a cost, never a divergence."""
+        session, a, b, tree_a, tree_b = duo
+        tree_a.find("field").commit("same")
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        tree_b.find("field").commit("same")
+        tree_a.find("zoom").set("value", 3)
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        assert (b.stats["delta_resyncs"], a.stats["resync_pushes"]) == (1, 1)
+        assert_synced(tree_a, tree_b)
 
     def test_structure_change_falls_back_to_full(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -338,3 +405,300 @@ class TestDeltaPayloadShape:
         entry = a._delta_out[(tree_a.pathname, ("b", PATH))]
         assert entry["seq"] == 3
         assert b._delta_in[(("a", PATH), PATH)]["seq"] == 3
+
+
+@pytest.fixture(params=["memory", "aio"])
+def backend(request):
+    return request.param
+
+
+class TestDeltaFetch:
+    """CopyFrom and RemoteCopy under the delta protocol: the STATE_REPLY
+    (RemoteCopy: the PUSH_STATE made from it) is the push its target
+    asked for — docs/PROTOCOL.md, "State transfer"."""
+
+    def test_first_fetch_is_full_then_delta_with_the_edited_field(self, backend):
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            sent = tap(b)
+            tree_b.find("field").set("value", "one")
+            first = a.copy_from(PATH, ("b", PATH))
+            assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (1, 0)
+            assert "structure" in replies(sent)[0]
+            assert replies(sent)[0]["sync"]["delta"] is False
+            assert_synced(tree_b, tree_a)
+
+            tree_b.find("zoom").set("value", 42)
+            before = subtree_state(tree_a, relevant_only=True)
+            second = a.copy_from(PATH, ("b", PATH))
+            assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (1, 1)
+            assert (a.stats["deltas_applied"], a.stats["delta_resyncs"]) == (1, 0)
+            reply = replies(sent)[1]
+            assert "structure" not in reply
+            assert reply["state"] == {"zoom": {"value": 42}}
+            assert reply["sync"]["base"] == replies(sent)[0]["sync"]["seq"]
+            assert_synced(tree_b, tree_a)
+            # The delta path fills the report like the full one.
+            assert second.applied_paths == ["zoom"]
+            assert second.old_state == before
+            assert second.mapping == first.mapping
+            assert second.mapping_size == first.mapping_size == 4
+            assert b.stats["full_pushes"] + b.stats["delta_pushes"] == 0
+
+    def test_history_reason_stays_copy_from_on_a_delta(self, backend):
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            a.copy_from(PATH, ("b", PATH))
+            tree_b.find("field").set("value", "theirs")
+            a.copy_from(PATH, ("b", PATH))
+            assert a.stats["deltas_applied"] == 1
+            assert settle(
+                session, lambda: session.server.processed["history_push"] == 2
+            )
+            history = session.server.history
+            assert history.depth(("a", PATH)) == (2, 0)
+            assert history.peek(("a", PATH)).reason == "copy_from"
+
+    @pytest.mark.parametrize(
+        "lost", ["owner_entry", "owner_rejoined", "requester_rejoined"]
+    )
+    def test_a_lost_entry_costs_one_full_round_trip(self, backend, lost):
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            a.copy_from(PATH, ("b", PATH))
+            if lost == "owner_entry":
+                b._delta_out.clear()
+            else:
+                gone = b if lost == "owner_rejoined" else a
+                gone.unregister()
+                session.pump()
+                gone.register()
+                session.pump()
+                assert not b._delta_out
+            tree_b.find("field").set("value", "after")
+            round_trips = a.stats["rx_state_reply"]
+            a.copy_from(PATH, ("b", PATH))
+            assert a.stats["rx_state_reply"] == round_trips + 1
+            assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (2, 0)
+            assert a.stats["delta_resyncs"] == 0
+            assert_synced(tree_b, tree_a)
+
+    @pytest.mark.parametrize("side", ["owner", "requester"])
+    def test_a_structural_change_on_either_side_is_answered_in_full(
+        self, backend, side
+    ):
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            a.copy_from(PATH, ("b", PATH))
+            rename_field(tree_b if side == "owner" else tree_a)
+            tree_b.find("zoom").set("value", 9)
+            round_trips = a.stats["rx_state_reply"]
+            a.copy_from(PATH, ("b", PATH))
+            assert a.stats["rx_state_reply"] == round_trips + 1
+            assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (2, 0)
+            assert tree_a.find("zoom").value == 9
+            # The new baseline describes the new structure: delta again.
+            tree_b.find("zoom").set("value", 10)
+            a.copy_from(PATH, ("b", PATH))
+            assert (b.stats["delta_fetches"], a.stats["delta_resyncs"]) == (1, 0)
+            assert tree_a.find("zoom").value == 10
+
+    def test_dropped_replies_then_the_next_fetch_converges(self, backend):
+        with deployment(backend, request_timeout=0.5) as (
+            session, a, b, tree_a, tree_b,
+        ):
+            a.copy_from(PATH, ("b", PATH))
+            dropping = [True]
+            tap(b, lambda m: dropping[0] and m.kind == kinds.STATE_REPLY)
+            # Two in a row: the second lost reply is a *full* one, whose
+            # sequence number must not collide with the entry the
+            # requester still holds from the first transfer.
+            for value in ("lost", "lost again"):
+                tree_b.find("field").set("value", value)
+                with pytest.raises(ServerError, match="timed out"):
+                    a.copy_from(PATH, ("b", PATH))
+            assert tree_a.find("field").value == ""
+            dropping[0] = False
+            tree_b.find("zoom").set("value", 3)
+            a.copy_from(PATH, ("b", PATH))
+            assert_synced(tree_b, tree_a)
+            assert b.stats["full_fetches"] == 3
+            tree_b.find("flag").set("set", True)
+            a.copy_from(PATH, ("b", PATH))
+            assert (b.stats["delta_fetches"], a.stats["deltas_applied"]) == (2, 1)
+            assert_synced(tree_b, tree_a)
+
+    def test_requester_side_edit_between_two_fetches_is_overwritten(self, backend):
+        """CopyFrom "updates its own state" (§3.1): the delta returns
+        what the owner wrote, not what the requester wrote, so the call
+        fetches once more — and still returns applied."""
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            tree_b.find("field").set("value", "one")
+            a.copy_from(PATH, ("b", PATH))
+            tree_a.find("zoom").set("value", 77)
+            tree_b.find("field").set("value", "two")
+            report = a.copy_from(PATH, ("b", PATH))
+            assert a.stats["delta_resyncs"] == 1
+            assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (2, 1)
+            assert tree_a.find("zoom").value == 0
+            assert "zoom" in report.applied_paths
+            assert_synced(tree_b, tree_a)
+            # An edit the delta does return costs nothing.
+            tree_a.find("field").set("value", "mine")
+            tree_b.find("field").set("value", "three")
+            a.copy_from(PATH, ("b", PATH))
+            assert (a.stats["delta_resyncs"], a.stats["deltas_applied"]) == (1, 1)
+            assert_synced(tree_b, tree_a)
+
+    def test_target_side_edit_does_not_survive_a_delta_push(self, backend):
+        """§3.1 CopyTo shows the target the sender's work: an edit made
+        on the target that the delta does not overwrite is a continuity
+        loss like any other, and the full snapshot makes both ends equal."""
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            tree_a.find("field").set("value", "one")
+            a.copy_to(PATH, ("b", PATH))
+            assert settle(session, lambda: tree_b.find("field").value == "one")
+            tree_b.find("zoom").set("value", 77)
+            a.copy_to(PATH, ("b", PATH))
+            assert settle(session, lambda: tree_b.find("zoom").value == 0)
+            assert (b.stats["delta_resyncs"], a.stats["resync_pushes"]) == (1, 1)
+            assert_synced(tree_a, tree_b)
+            # An edit the delta does return costs nothing.
+            tree_b.find("field").set("value", "theirs")
+            tree_a.find("field").set("value", "two")
+            a.copy_to(PATH, ("b", PATH))
+            assert settle(session, lambda: tree_b.find("field").value == "two")
+            assert (b.stats["delta_resyncs"], b.stats["deltas_applied"]) == (1, 1)
+
+    def test_remote_copy_twice_is_a_delta_and_a_changed_target_resyncs(
+        self, backend
+    ):
+        with deployment(backend, "abc") as (session, a, b, c, tree_a, tree_b, _):
+            tree_a.find("field").set("value", "one")
+            c.remote_copy(("a", PATH), ("b", PATH))
+            assert settle(session, lambda: tree_b.find("field").value == "one")
+            assert (a.stats["full_fetches"], b.stats["deltas_applied"]) == (1, 0)
+            assert (("a", PATH), PATH) in b._delta_in
+
+            tree_a.find("zoom").set("value", 5)
+            c.remote_copy(("a", PATH), ("b", PATH))
+            assert settle(session, lambda: tree_b.find("zoom").value == 5)
+            assert (a.stats["delta_fetches"], b.stats["deltas_applied"]) == (1, 1)
+
+            rename_field(tree_b)
+            tree_a.find("field").set("value", "two")
+            c.remote_copy(("a", PATH), ("b", PATH))
+            assert settle(session, lambda: tree_b.find("field2").value == "two")
+            assert (b.stats["delta_resyncs"], a.stats["resync_pushes"]) == (1, 1)
+            # The resync is the owner's own push, and continues the stream.
+            tree_a.find("zoom").set("value", 6)
+            a.copy_to(PATH, ("b", PATH))
+            assert settle(session, lambda: tree_b.find("zoom").value == 6)
+            assert (a.stats["delta_pushes"], b.stats["deltas_applied"]) == (1, 2)
+
+    def test_remote_copy_is_full_where_the_owner_may_not_push_itself(self, backend):
+        """A lost delta is recovered by the owner's own PUSH_STATE; where
+        the server would refuse that, RemoteCopy stays a full transfer."""
+        from repro.server.permissions import WRITE, PermissionRule
+
+        with deployment(backend, "abc") as (session, a, b, c, tree_a, tree_b, _):
+            session.server.access.add(
+                PermissionRule("user-a", "b", "/", WRITE, allow=False)
+            )
+            for value in ("one", "two"):
+                tree_a.find("field").set("value", value)
+                c.remote_copy(("a", PATH), ("b", PATH))
+                assert settle(session, lambda: tree_b.find("field").value == value)
+            assert a.stats["full_fetches"] + a.stats["delta_fetches"] == 0
+            assert not a._delta_out and not b._delta_in
+
+    def test_a_fetch_without_the_block_gets_the_full_payload(self, backend):
+        """Mixed fleet, old requester: ``fetch_state()`` is one."""
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            tree_b.find("field").set("value", "inspect me")
+            a.copy_from(PATH, ("b", PATH))  # an entry exists; it must not matter
+            payload = a.fetch_state(("b", PATH))
+            expected = build_state_payload(tree_b, b.semantics)
+            expected["object"] = gid_to_wire(("b", PATH))
+            assert payload == json.loads(json.dumps(expected))
+            assert list(b._delta_out) == [(PATH, ("a", PATH))]
+            assert b.stats["full_fetches"] == 1
+
+    def test_a_reply_without_the_block_is_applied_as_before(self, backend):
+        """Mixed fleet, old server or owner: the block is not forwarded,
+        the owner answers in full, and no continuity is established."""
+        with deployment(backend) as (session, a, b, tree_a, tree_b):
+            forward = session.server._forward_fetch
+            session.server._forward_fetch = lambda obj, route, sync=None: forward(
+                obj, route
+            )
+            for value in ("one", "two"):
+                tree_b.find("field").set("value", value)
+                report = a.copy_from(PATH, ("b", PATH))
+                assert "field" in report.applied_paths
+                assert_synced(tree_b, tree_a)
+            assert not a._delta_in and not b._delta_out
+            assert b.stats["full_fetches"] + b.stats["delta_fetches"] == 0
+
+    def test_a_block_naming_someone_elses_object_is_refused(self, backend):
+        with deployment(backend, "abc") as (session, a, b, c, *_):
+            from repro.net.message import Message
+
+            with pytest.raises(ServerError, match="sync block"):
+                c.request(
+                    Message(
+                        kind=kinds.FETCH_STATE,
+                        sender="c",
+                        payload={
+                            "object": gid_to_wire(("b", PATH)),
+                            "sync": {"target": gid_to_wire(("a", PATH)), "seq": 0},
+                        },
+                    )
+                )
+            assert not b._delta_out
+
+
+class TestFetchCreatedEntries:
+    """Owner-side ``_delta_out`` entries are created by whoever fetches;
+    they end with what they describe, like the ones pushes create."""
+
+    def test_a_hundred_fetches_leave_one_entry(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        for index in range(100):
+            tree_b.find("zoom").set("value", index % 100)
+            a.copy_from(PATH, ("b", PATH))
+        assert list(b._delta_out) == [(PATH, ("a", PATH))]
+        assert list(a._delta_in) == [(("b", PATH), PATH)]
+        assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (1, 99)
+
+    def test_destroyed_widget_drops_its_fetch_created_entries(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        for tree in (tree_a, tree_b):
+            TextField("text", parent=Form("form", parent=tree))
+        a.copy_from("/app/form", ("b", "/app/form"))
+        a.copy_from(PATH, ("b", PATH))
+        assert set(b._delta_out) == {
+            ("/app/form", ("a", "/app/form")),
+            (PATH, ("a", PATH)),
+        }
+        tree_b.find("form").destroy()
+        assert set(b._delta_out) == {(PATH, ("a", PATH))}
+        tree_a.find("form").destroy()
+        assert set(a._delta_in) == {(("b", PATH), PATH)}
+
+    def test_departed_requester_drops_the_entries_it_created(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        c = session.create_instance("c", user="carol")
+        c.add_root(make_tree())
+        a.copy_from(PATH, ("b", PATH))
+        c.copy_from(PATH, ("b", PATH))
+        assert set(b._delta_out) == {(PATH, ("a", PATH)), (PATH, ("c", PATH))}
+        a.unregister()
+        session.pump()
+        assert set(b._delta_out) == {(PATH, ("c", PATH))}
+
+    def test_adopted_roster_drops_fetch_created_entries_of_the_missing(self, duo):
+        session, a, b, tree_a, tree_b = duo
+        a.copy_from(PATH, ("b", PATH))
+        without_a = session.server.registry.full_roster()
+        without_a["roster"] = [
+            record for record in without_a["roster"] if record["instance_id"] != "a"
+        ]
+        b._adopt_roster(without_a)
+        assert not b._delta_out

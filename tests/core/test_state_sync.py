@@ -213,7 +213,6 @@ class TestStructureDerivedOncePerChange:
         return calls
 
     def test_copy_to_and_copy_from_counts(self, monkeypatch):
-        from repro.core import instance
         from repro.session import Session
         from repro.toolkit import builder
 
@@ -230,9 +229,7 @@ class TestStructureDerivedOncePerChange:
 
             # Top-level walks only: the recursion inside to_spec goes
             # through builder's own global, which stays unwrapped.
-            walks = self.count_calls(
-                monkeypatch, builder.to_spec, [instance, state_sync]
-            )
+            walks = self.count_calls(monkeypatch, builder.to_spec, [state_sync])
             hashes = self.count_calls(
                 monkeypatch, builder.spec_fingerprint, [builder, compat]
             )
@@ -247,7 +244,14 @@ class TestStructureDerivedOncePerChange:
             a.copy_from(form_a, target)
             session.pump()
             assert form_a.find("f11").value == "theirs"
-            # The STATE_REPLY's wire `structure`, and its hash on arrival.
+            # The reply is a delta too: no `structure` on the wire, so
+            # nothing to walk at the owner or to hash on arrival.
+            assert b.stats["delta_fetches"] == 1 and a.stats["deltas_applied"] == 1
+            assert (len(walks), len(hashes)) == (0, 0)
+
+            # Outside the delta protocol the STATE_REPLY still carries
+            # `structure`: one walk, and its hash on arrival.
+            a.copy_from(form_a, target, strategy=compat.EXHAUSTIVE)
             assert (len(walks), len(hashes)) == (1, 1)
         finally:
             session.close()
