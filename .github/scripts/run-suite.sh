@@ -12,8 +12,11 @@ suite="${1:?usage: run-suite.sh <suite>}"
 
 case "$suite" in
   default)
-    # The whole suite on the simulated in-memory network.
+    # The whole suite on the simulated in-memory network, plus the
+    # frame-size gate that pins binary frames to <= 70% of JSON on the
+    # E11 message mix.
     python -m pytest -x -q
+    python -m pytest "benchmarks/bench_micro_components.py::TestCodecFrameSize" -x -q
     ;;
   aio)
     # The same suite with every Session running on the asyncio server
@@ -38,13 +41,6 @@ case "$suite" in
     REPRO_PERSISTENCE=1 python -m pytest tests/integration tests/property/test_property_roster.py -x -q
     python -m pytest tests/persist tests/property/test_property_persistence.py tests/integration/test_kill_recover.py -x -q
     python -m pytest "benchmarks/bench_micro_components.py::TestPersistenceOverhead" -x -q
-    ;;
-  binary-codec)
-    # The same suite with every Session speaking the compact binary
-    # wire codec, plus the frame-size gate that pins binary frames to
-    # <= 70% of JSON on the E11 message mix.
-    REPRO_CODEC=binary python -m pytest -x -q
-    python -m pytest "benchmarks/bench_micro_components.py::TestCodecFrameSize" -x -q
     ;;
   *)
     echo "run-suite.sh: unknown suite '$suite'" >&2

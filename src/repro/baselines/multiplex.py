@@ -111,15 +111,12 @@ class MultiplexHarness(ArchitectureHarness):
                 "action_id": data["action_id"],
             },
         }
-        for user in range(self.n_users):
-            self.network.submit(
-                Message(
-                    kind=kinds.COMMAND,
-                    sender=CENTRAL,
-                    to=_display_id(user),
-                    payload=update,
-                )
-            )
+        first = Message(
+            kind=kinds.COMMAND, sender=CENTRAL, to=_display_id(0), payload=update
+        )
+        self.network.submit(first)
+        for user in range(1, self.n_users):
+            self.network.submit(first.addressed(_display_id(user)))
 
     # ------------------------------------------------------------------
     # Displays: apply the multiplexed output.

@@ -126,15 +126,12 @@ class UIReplicatedHarness(ArchitectureHarness):
                 "origin": data["user"],
             },
         }
-        for user in range(self.n_users):
-            self.network.submit(
-                Message(
-                    kind=kinds.COMMAND,
-                    sender=CENTRAL,
-                    to=_ui_id(user),
-                    payload=update,
-                )
-            )
+        first = Message(
+            kind=kinds.COMMAND, sender=CENTRAL, to=_ui_id(0), payload=update
+        )
+        self.network.submit(first)
+        for user in range(1, self.n_users):
+            self.network.submit(first.addressed(_ui_id(user)))
 
     # ------------------------------------------------------------------
     # UI replicas: install the semantic results.

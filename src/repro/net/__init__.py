@@ -22,8 +22,6 @@ from repro.net.codec import (
     codec_names,
     decode,
     decode_batch,
-    default_codec,
-    default_codec_name,
     encode,
     encode_batch,
     get_codec,
@@ -71,8 +69,6 @@ __all__ = [
     "communicator_names",
     "decode",
     "decode_batch",
-    "default_codec",
-    "default_codec_name",
     "encode",
     "encode_batch",
     "get_codec",

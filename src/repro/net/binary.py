@@ -22,11 +22,11 @@ document can start with, so binary and JSON frames coexist on one
 connection and negotiation is pure auto-detection (see
 :mod:`repro.net.codec`).
 
-Two memos keep the hot path cheap in *CPU*, not just bytes:
+Two things keep the hot path cheap in *CPU*, not just bytes:
 
-* the encoder caches the payload's encoded bytes by payload-container
-  identity — a server broadcast builds one ``Message`` per receiver
-  around the same payload dict, so the payload encodes once per fan-out;
+* the payload's encoded bytes live on the message (``Message._encoded``),
+  in a holder the messages of one fan-out share by reference
+  (``Message.addressed``), so the payload encodes once per fan-out;
 * the decoder interns decoded payloads by their exact encoded bytes —
   the N in-process receivers of one broadcast share a single decoded
   dict instead of re-parsing N identical bodies.  Both rely on the
@@ -44,9 +44,8 @@ import struct
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError
-from repro.net import message as _message
 from repro.net.codec import HEADER_SIZE, MAX_FRAME_SIZE, envelope_frame
-from repro.net.message import ALL_KINDS, Message
+from repro.net.message import Message
 
 #: First body byte of every binary frame.  0xB5 is a UTF-8 continuation
 #: byte: no JSON (UTF-8) body can begin with it.
@@ -175,11 +174,11 @@ _INTERN_IDS: Dict[str, int] = {s: i for i, s in enumerate(INTERN_TABLE)}
 #   0xC7        map, varint pair count
 #   0xC8        interned string, varint table index
 #   0xC9        sized map: varint byte length, then the map encoding —
-#               the length prefix lets both sides memoize nested dicts
+#               the length prefix lets the decoder memoize nested dicts
 #               by their exact bytes (fan-out frames differ only in
 #               their envelope and per-receiver fields, so the shared
-#               ``event`` sub-map encodes and decodes once per fan-out,
-#               not once per frame)
+#               ``event`` sub-map decodes once per fan-out, not once
+#               per frame); a whole payload is one splice-able blob
 #   0xE0..0xFF  negative fixint -32..-1
 
 _NIL = 0xC0
@@ -276,14 +275,7 @@ def _enc_value(out: bytearray, value: Any) -> None:
         out.append(_FLOAT)
         out += _FLOAT64.pack(value)
     elif t is dict:
-        # Dicts ship as sized maps and hit the encode memo: a
-        # broadcast's per-receiver payloads differ (``targets``), but
-        # they share the ``event`` dict — its bytes are built once per
-        # fan-out and replayed into every frame.
-        entry = _ENC_MEMO.get(id(value))
-        if entry is not None and entry[0] is value:
-            out += entry[1]
-            return
+        # Dicts ship as sized maps (see the tag table).
         sub = bytearray()
         n = len(value)
         if n <= 15:
@@ -294,13 +286,9 @@ def _enc_value(out: bytearray, value: Any) -> None:
         for key, item in value.items():
             _enc_str(sub, key if type(key) is str else _key_str(key))
             _enc_value(sub, item)
-        head = bytearray((_SIZED_MAP,))
-        _uvarint(head, len(sub))
-        blob = bytes(head + sub)
-        if len(_ENC_MEMO) >= _ENC_MEMO_MAX:
-            _ENC_MEMO.clear()
-        _ENC_MEMO[id(value)] = (value, blob)
-        out += blob
+        out.append(_SIZED_MAP)
+        _uvarint(out, len(sub))
+        out += sub
     elif t is list or t is tuple:
         n = len(value)
         if n <= 15:
@@ -453,15 +441,8 @@ def _dec_value(body, pos: int) -> Tuple[Any, int]:
 
 
 # ---------------------------------------------------------------------------
-# Payload memos (hot-path CPU, see module docstring)
+# Decoder memos (hot-path CPU, see module docstring)
 # ---------------------------------------------------------------------------
-
-#: Encoder memo: dict-container identity -> (dict, encoded bytes).  The
-#: strong reference pins the container so its id cannot be recycled
-#: (same pattern as ``repro.net.message._JSON_MEMO``).  Holds nested
-#: dicts as well as whole payloads — see the sized-map tag.
-_ENC_MEMO: Dict[int, Tuple[Any, bytes]] = {}
-_ENC_MEMO_MAX = 4096
 
 #: Decoder memo: exact encoded bytes -> the decoded (shared) dict.
 _DEC_MEMO: Dict[bytes, Dict[str, Any]] = {}
@@ -514,15 +495,27 @@ def _encode_body(out: bytearray, message: Message) -> None:
     if trace is not None:
         _enc_str(out, trace[0])
         _enc_str(out, trace[1])
+    # The payload is one tagged value (a sized map); its byte length is
+    # self-describing, so no separate length field.
+    encoded = message._encoded
+    blob = encoded.get("binary")
+    if blob is None:
+        blob = encoded["binary"] = _payload_blob(message)
+    out += blob
+
+
+def _payload_blob(message: Message) -> bytes:
+    """*message*'s payload as one sized map — built once per fan-out: the
+    caller keeps it in ``message._encoded``, which derived messages share."""
     payload = message.payload
+    out = bytearray()
     try:
-        # The payload is one tagged value (a sized map); its byte
-        # length is self-describing, so no separate length field.
         _enc_value(out, payload if type(payload) is dict else dict(payload))
     except CodecError as exc:
         raise CodecError(
-            f"cannot encode payload of {kind!r} message: {exc}"
+            f"cannot encode payload of {message.kind!r} message: {exc}"
         ) from exc
+    return bytes(out)
 
 
 class BinaryCodec:
@@ -587,8 +580,6 @@ class BinaryCodec:
         pos = 4
         if kind_id == KIND_INLINE:
             kind, pos = _dec_value(body, pos)
-            if type(kind) is not str:
-                raise CodecError("inline kind is not a string")
         else:
             try:
                 kind = KIND_TABLE[kind_id]
@@ -602,34 +593,25 @@ class BinaryCodec:
             reply_to = _unzigzag(n)
         sender, pos = _dec_value(body, pos)
         to, pos = _dec_value(body, pos)
-        if type(sender) is not str or type(to) is not str:
-            raise CodecError("sender/to are not strings")
-        trace: Optional[Tuple[str, str]] = None
+        trace = None
         if flags & _FLAG_TRACE:
             t0, pos = _dec_value(body, pos)
             t1, pos = _dec_value(body, pos)
-            if type(t0) is not str or type(t1) is not str:
-                raise CodecError("trace context is not a string pair")
             trace = (t0, t1)
         payload, end = _dec_value(body, pos)
         if end != len(body):
             raise CodecError("trailing bytes after payload")
-        if type(payload) is not dict:
-            raise CodecError("binary payload is not a map")
-        # Mark the container JSON-safe so Message.__post_init__ skips
-        # re-validation — the decode proved it (same contract as
-        # Message.from_wire).
-        _message._remember(payload, None)
-        if kind not in ALL_KINDS:
-            raise CodecError(f"unknown message kind {kind!r}")
-        return Message(
-            kind=kind,
-            sender=sender,
-            to=to,
-            payload=payload,
-            msg_id=msg_id,
-            reply_to=reply_to,
-            trace=trace,
+        # Kind and field types are checked by the one decode constructor.
+        return Message.from_wire(
+            {
+                "kind": kind,
+                "sender": sender,
+                "to": to,
+                "payload": payload,
+                "msg_id": msg_id,
+                "reply_to": reply_to,
+                "trace": trace,
+            }
         )
 
     def wire_size(self, message: Message) -> int:

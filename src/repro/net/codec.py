@@ -4,7 +4,7 @@ contract, and the codec registry.
 Every frame on every transport is a 4-byte big-endian length header
 followed by one message *body*.  Two body encodings ship with the
 package, selected per :class:`~repro.session.Session` via
-``SessionConfig(codec=...)`` / ``REPRO_CODEC`` (docs/PROTOCOL.md):
+``SessionConfig(codec=...)`` (docs/PROTOCOL.md):
 
 ``"json"``
     A UTF-8 JSON document — the debugging-friendly fallback and the
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import struct
 from typing import (
     Dict,
@@ -68,9 +67,6 @@ HEADER_SIZE = _HEADER.size
 
 #: Upper bound on one frame; protects the decoder from corrupt headers.
 MAX_FRAME_SIZE = 16 * 1024 * 1024
-
-#: Environment knob naming the codec every Session defaults to.
-CODEC_ENV = "REPRO_CODEC"
 
 #: First body byte of a batch envelope (several message bodies in one
 #: frame).  Like the binary magic it is a UTF-8 continuation byte, so no
@@ -266,17 +262,6 @@ def get_codec(name) -> Codec:
 def codec_names() -> tuple:
     """Every resolvable codec name (registered plus lazy built-ins)."""
     return tuple(sorted(set(_CODECS) | set(_LAZY_CODECS)))
-
-
-def default_codec_name() -> str:
-    """The codec name Sessions default to: ``REPRO_CODEC`` or ``json``."""
-    value = os.environ.get(CODEC_ENV, "").strip().lower()
-    return value if value else "json"
-
-
-def default_codec() -> Codec:
-    """The resolved default codec (see :func:`default_codec_name`)."""
-    return get_codec(default_codec_name())
 
 
 JSON_CODEC = JsonCodec()

@@ -171,27 +171,8 @@ def _next_msg_id() -> int:
     return next(_msg_counter)
 
 
-# Validating a payload and serializing it are the same walk, so the
-# constructor does both at once: one ``json.dumps`` (C speed) proves the
-# payload serializable *and* yields the exact bytes :func:`repro.net.codec.encode`
-# will splice into the frame.  The memo shares that work across the
-# fan-out case — a server broadcast constructs one Message per receiver
-# around the same payload container — keyed by identity, with a strong
-# reference pinning the object so its id cannot be recycled.  Entries
-# hold ``(payload, json_or_None)``; ``None`` marks a container that is
-# known JSON-safe (it came off the wire) but not serialized yet.
-_JSON_MEMO: "Dict[int, Any]" = {}
-_JSON_MEMO_MAX = 512
-
-
 def _dumps(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"), sort_keys=True)
-
-
-def _remember(payload: Any, body: Optional[str]) -> None:
-    if len(_JSON_MEMO) >= _JSON_MEMO_MAX:
-        _JSON_MEMO.clear()
-    _JSON_MEMO[id(payload)] = (payload, body)
 
 
 #: Kinds are fixed ASCII identifiers — their JSON form needs no escaping.
@@ -217,6 +198,20 @@ def _wire_id(value: str) -> str:
 class Message:
     """One protocol message.
 
+    Two ways to get one, chosen by who calls.  **Built from parts**,
+    ``Message(kind=..., payload=...)`` validates: the kind is known, the
+    payload's keys are strings, and one ``json.dumps`` proves the payload
+    serializable *and* yields the text the JSON codec splices into the
+    frame.  **Derived or decoded** — :meth:`addressed` / :meth:`with_trace`
+    from a message that passed that check, :meth:`from_wire` from a decode
+    that proved the payload JSON-safe — wraps the payload without walking
+    it again.
+
+    A fan-out is one message re-addressed: build the first copy, derive
+    the rest.  That is all "shared" means — the copies hold the **same
+    payload object** and the same holder of its per-codec encodings, so
+    the payload is validated and serialized once per fan-out.
+
     Attributes
     ----------
     kind:
@@ -227,12 +222,12 @@ class Message:
     payload:
         Kind-specific JSON-safe data.  **Read-only for whoever is handed
         the message**: handlers treat payloads as immutable.  One payload
-        container is shared by every ``Message`` of a fan-out (so it is
-        validated and serialized once), reaches in-process receivers by
-        reference, and is interned by the binary decoder — a handler that
-        wrote into it would edit what the next receiver reads.  Copy what
-        you need to change (``tests/integration/test_payload_readonly.py``
-        holds every handler to this).
+        container is shared by every ``Message`` of a fan-out, reaches
+        in-process receivers by reference, and is interned by the binary
+        decoder — a handler that wrote into it would edit what the next
+        receiver reads.  Copy what you need to change
+        (``tests/integration/test_payload_readonly.py`` holds every
+        handler to this).
     to:
         Addressee instance id; empty string means "to the server" for
         client messages, and is never empty for server messages.
@@ -255,9 +250,11 @@ class Message:
     msg_id: int = field(default_factory=_next_msg_id)
     reply_to: Optional[int] = None
     trace: Optional[Tuple[str, str]] = None
-    #: Payload pre-serialized at validation time; ``None`` until the
-    #: first (lazy) serialization for wire-deserialized messages.
-    _payload_json: Optional[str] = field(
+    #: The payload's encodings **keyed by codec name** (JSON ``str``, set
+    #: when built from parts; binary sized-map ``bytes``), else filled in
+    #: by the first encode that needs one.  Derived messages hold the same
+    #: dict by reference: it is what a fan-out shares besides the payload.
+    _encoded: Dict[str, Any] = field(
         init=False, repr=False, compare=False, default=None
     )
     #: Wire frames cached by the codecs, **keyed by codec name** — a
@@ -279,21 +276,18 @@ class Message:
             raise CodecError(f"unknown message kind {self.kind!r}")
         trace = self.trace
         if trace is not None and type(trace) is not tuple:
-            # Normalize list-form wire data so equality/hashing work.
+            # Normalize list-form data so equality/hashing work.
             object.__setattr__(self, "trace", tuple(trace))
         payload = self.payload
         if type(payload) is not dict:
             payload = dict(payload)
-        entry = _JSON_MEMO.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            object.__setattr__(self, "_payload_json", entry[1])
-            return
         for key in payload:
             if not isinstance(key, str):
                 raise CodecError(
                     f"payload of {self.kind!r} message has non-string "
                     f"key {key!r}"
                 )
+        # Validating and serializing are the same walk: one C-speed dump.
         try:
             body = _dumps(payload)
         except (TypeError, ValueError) as exc:
@@ -301,20 +295,41 @@ class Message:
                 f"payload of {self.kind!r} message is not "
                 f"JSON-serializable: {exc}"
             ) from exc
-        object.__setattr__(self, "_payload_json", body)
-        _remember(payload, body)
+        object.__setattr__(self, "_encoded", {"json": body})
+
+    def _derive(self, **envelope: Any) -> "Message":
+        """A new envelope around this message's payload and its encodings;
+        ``__post_init__`` is skipped — nothing it checks has changed."""
+        message = object.__new__(Message)
+        message.__dict__.update(self.__dict__, _frames=None, **envelope)
+        return message
+
+    def addressed(
+        self, to: str, *, trace: Optional[Tuple[str, str]] = None
+    ) -> "Message":
+        """The same message for someone else.
+
+        A new envelope (fresh ``msg_id``, its own ``to`` and ``trace``)
+        around this message's payload object and its already-built
+        encodings: nothing is validated or serialized again.
+        """
+        return self._derive(to=to, msg_id=_next_msg_id(), trace=trace)
+
+    def with_trace(self, trace: Tuple[str, str]) -> "Message":
+        """This message — same ``msg_id`` — under another trace context."""
+        return self._derive(trace=trace)
 
     def wire_body(self) -> str:
         """The frame body: JSON identical to ``dumps(self.to_wire())``.
 
-        Splices the payload serialization cached at construction between
-        cheaply-dumped scalar fields, preserving the codec's sorted-key,
-        compact-separator format byte for byte.
+        Splices the payload serialization between cheaply-dumped scalar
+        fields, preserving the codec's sorted-key, compact-separator
+        format byte for byte.
         """
-        payload_json = self._payload_json
-        if payload_json is None:  # wire-deserialized; serialize lazily
-            payload_json = _dumps(dict(self.payload))
-            object.__setattr__(self, "_payload_json", payload_json)
+        encoded = self._encoded
+        payload_json = encoded.get("json")
+        if payload_json is None:  # decoded; serialize on first use
+            payload_json = encoded["json"] = _dumps(self.payload)
         reply_to = self.reply_to
         trace = self.trace
         # "to" < "trace" in the sorted key order, so the optional trace
@@ -371,24 +386,49 @@ class Message:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "Message":
+        """The decoders' constructor, for every codec.
+
+        *data* came out of a decode, which proves the payload JSON-safe —
+        it is wrapped as is, not walked or copied (``to_wire`` hands out
+        copies anyway).  The envelope fields are whatever the peer wrote:
+        their types are checked here.
+        """
         try:
-            payload = data.get("payload")
-            if type(payload) is not dict:
-                payload = dict(payload) if payload else {}
-            # Deserialized wire data is JSON-safe by construction; skip
-            # re-serializing it in ``__post_init__``.  No defensive copy:
-            # on the decode path the dict is fresh out of ``json.loads``
-            # (and ``to_wire`` hands out copies anyway).
-            _remember(payload, None)
-            trace = data.get("trace")
-            return cls(
-                kind=data["kind"],
-                sender=data["sender"],
-                to=data.get("to", ""),
-                payload=payload,
-                msg_id=int(data["msg_id"]),
-                reply_to=data.get("reply_to"),
-                trace=tuple(trace) if trace else None,
+            kind, sender, msg_id = data["kind"], data["sender"], data["msg_id"]
+        except (KeyError, TypeError) as exc:
+            raise CodecError(f"malformed wire message: {exc!r}") from exc
+        to = data.get("to", "")
+        reply_to = data.get("reply_to")
+        payload = data.get("payload", {})
+        if (
+            type(kind) is not str
+            or type(sender) is not str
+            or type(to) is not str
+            or type(msg_id) is not int
+            or (reply_to is not None and type(reply_to) is not int)
+            or type(payload) is not dict
+        ):
+            raise CodecError(
+                f"malformed envelope: kind={kind!r} sender={sender!r} to={to!r} "
+                f"msg_id={msg_id!r} reply_to={reply_to!r} payload={payload!r:.40}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CodecError(f"malformed wire message: {exc}") from exc
+        if kind not in ALL_KINDS:
+            raise CodecError(f"unknown message kind {kind!r}")
+        trace = data.get("trace")
+        if trace is not None:
+            if type(trace) not in (list, tuple) or [*map(type, trace)] != [str, str]:
+                raise CodecError(f"trace context {trace!r} is not two strings")
+            trace = tuple(trace)
+        message = object.__new__(cls)
+        message.__dict__.update(
+            kind=kind,
+            sender=sender,
+            payload=payload,
+            to=to,
+            msg_id=msg_id,
+            reply_to=reply_to,
+            trace=trace,
+            _encoded={},
+            _frames=None,
+        )
+        return message

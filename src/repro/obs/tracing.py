@@ -25,7 +25,6 @@ frames byte-identical to an uninstrumented run.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import time
 from collections import deque
@@ -306,9 +305,7 @@ def hop(obs, name: str, message, **attrs: Any):
         name, trace_id=message.trace[0], parent_id=message.trace[1], **attrs
     )
     try:
-        yield dataclasses.replace(
-            message, trace=(message.trace[0], span.span_id)
-        )
+        yield message.with_trace((message.trace[0], span.span_id))
     finally:
         obs.spans.finish(span)
 

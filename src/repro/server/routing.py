@@ -30,8 +30,9 @@ index but does not go through :func:`broadcast`: it lives in
 which already holds the receivers in order with their target lists and
 must stamp each message with the fan-out's trace context.  It follows the
 same payload rule — what does not depend on the receiver sits in one
-shared payload dict, so it serializes once (docs/PERF.md §6) — and is
-counted by :meth:`RoutingStats.record_event`.
+payload: the first message is built around it, the rest are that message
+re-addressed, so it serializes once (docs/PERF.md §6) — and is counted
+by :meth:`RoutingStats.record_event`.
 
 :class:`RoutingStats` records all three so benchmarks and the monitor can
 show delivered-vs-suppressed message counts per event.
@@ -160,9 +161,18 @@ def broadcast(
             for i in set(audience)
             if i in membership and i not in exclude
         )
+    first = None  # everyone not in *payload_for* gets this one, re-addressed
     for instance_id in recipients:
-        body = payload_for.get(instance_id, payload) if payload_for else payload
-        send(Message(kind=kind, sender=sender, to=instance_id, payload=body))
+        if payload_for and instance_id in payload_for:
+            body = payload_for[instance_id]
+            message = Message(kind=kind, sender=sender, to=instance_id, payload=body)
+        elif first is None:
+            message = first = Message(
+                kind=kind, sender=sender, to=instance_id, payload=payload
+            )
+        else:
+            message = first.addressed(instance_id)
+        send(message)
     if stats is not None:
         if audience is None:
             stats.broadcasts += 1

@@ -715,32 +715,30 @@ class CosoftServer:
                 receivers=len(receivers),
             )
             bcast_trace = (active.trace_id, bcast_span.span_id)
-        # Only the target list depends on the receiver, so receivers with
-        # equal lists share one payload dict: ``Message`` and the codecs
-        # memoize by payload identity, and the event is validated and
-        # serialized once per distinct list instead of once per receiver.
-        # ``to``, ``msg_id`` and ``trace`` live on the Message.
+        # Only the target list depends on the receiver: receivers with
+        # equal lists get one message re-addressed, so its payload is
+        # validated and serialized once per distinct list.
         owner_wire = owner.to_wire()
-        payloads: Dict[Tuple[str, ...], Dict[str, Any]] = {}
+        firsts: Dict[Tuple[str, ...], Message] = {}
         for instance_id in receivers:
             targets = targets_by_instance[instance_id]
             same_targets = tuple(targets)
-            shared = payloads.get(same_targets)
-            if shared is None:
-                shared = payloads[same_targets] = {
-                    "event": event_wire,
-                    "targets": targets,
-                    "owner": owner_wire,
-                }
-            self._send(
-                Message(
+            first = firsts.get(same_targets)
+            if first is None:
+                message = firsts[same_targets] = Message(
                     kind=kinds.EVENT_BROADCAST,
                     sender=SERVER_ID,
                     to=instance_id,
-                    payload=shared,
+                    payload={
+                        "event": event_wire,
+                        "targets": targets,
+                        "owner": owner_wire,
+                    },
                     trace=bcast_trace,
                 )
-            )
+            else:
+                message = first.addressed(instance_id, trace=bcast_trace)
+            self._send(message)
         if bcast_span is not None:
             self.obs.spans.finish(bcast_span)
         self.routing.record_event(len(receivers))
@@ -1037,6 +1035,7 @@ class CosoftServer:
             ]
         payload["origin"] = message.sender
         payload["origin_msg_id"] = message.msg_id
+        first = None  # one command, re-addressed to each further target
         for target in targets:
             if target not in self.registry:
                 self._send(
@@ -1044,15 +1043,13 @@ class CosoftServer:
                         SERVER_ID, f"instance {target!r} is not registered"
                     )
                 )
-                continue
-            self._send(
-                Message(
-                    kind=kinds.COMMAND,
-                    sender=SERVER_ID,
-                    to=target,
-                    payload=payload,
+            elif first is None:
+                first = Message(
+                    kind=kinds.COMMAND, sender=SERVER_ID, to=target, payload=payload
                 )
-            )
+                self._send(first)
+            else:
+                self._send(first.addressed(target))
 
     def _on_command_reply(self, message: Message) -> None:
         payload = dict(message.payload)

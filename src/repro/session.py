@@ -63,7 +63,7 @@ from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.net.aio import BatchConfig
 from repro.net.clock import SimClock
-from repro.net.codec import default_codec_name, get_codec
+from repro.net.codec import get_codec
 from repro.net.memory import MemoryNetwork
 from repro.net.registry import BACKENDS, get_communicator
 from repro.net.tcp import TcpHostTransport
@@ -155,9 +155,8 @@ class SessionConfig:
     #: envelope, interned names, varint lengths — docs/PROTOCOL.md), any
     #: registered codec name, or a ready :class:`~repro.net.codec.Codec`.
     #: Codecs negotiate per connection, so sessions with different codecs
-    #: interoperate.  Defaults honour the ``REPRO_CODEC`` environment
-    #: variable.
-    codec: object = field(default_factory=default_codec_name)
+    #: interoperate.
+    codec: object = "json"
 
     # Central endpoint ------------------------------------------------
     default_allow: bool = True

@@ -34,7 +34,6 @@ from repro.net.aio import (
     SendQueue,
 )
 from repro.net.codec import HEADER_SIZE, MAX_FRAME_SIZE, decode_body, encode
-from repro.net import message as message_module
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
@@ -730,6 +729,7 @@ class TestReadPath:
         [
             ("oversize header", "CodecError"),
             ("garbage body", "CodecError"),
+            ("wrong-typed envelope", "CodecError"),
             ("handler raises", "RuntimeError"),
         ],
     )
@@ -743,6 +743,11 @@ class TestReadPath:
             bad.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
         elif fault == "garbage body":
             bad.sendall(struct.pack(">I", 7) + b"\x00garbage"[:7])
+        elif fault == "wrong-typed envelope":
+            # Stops at the decoder: a handler never sees ``reply_to == [1]``.
+            frame = read_side.frame(0, ok=1)
+            body = frame[HEADER_SIZE:].replace(b'"reply_to":null', b'"reply_to":[1]')
+            bad.sendall(struct.pack(">I", len(body)) + body)
         else:
             bad.sendall(read_side.frame(0, boom=True))
 
@@ -816,11 +821,6 @@ def test_reads_allocate_no_large_buffer():
     stream reader's transport allocated 256 KiB per read)."""
     with Session(backend="aio") as session:
         source, replica = coupled_fields(session)
-        # The payload memo pins what it holds and drops all 512 entries
-        # when full.  These commits add 408: starting it empty keeps that
-        # drop — hundreds of KiB released at once, whenever earlier tests
-        # left it part-filled — out of the measurement.
-        message_module._JSON_MEMO.clear()
         tracemalloc.start()
         try:
             source.commit("warm")

@@ -151,14 +151,22 @@ class TestCaching:
         assert BINARY_CODEC.encode(m) is bin_frame
         assert JSON_CODEC.encode(m) is json_frame
 
-    def test_fanout_shares_payload_encoding(self):
+    def test_fanout_shares_payload_encoding(self, monkeypatch):
+        built = []
+        real_blob = binary._payload_blob
+
+        def spy(message):
+            built.append(message.payload)
+            return real_blob(message)
+
+        monkeypatch.setattr(binary, "_payload_blob", spy)
         payload = {"object": "/a", "seq": 1}
         a = Message(kind="event_broadcast", sender="server", to="a", payload=payload)
-        b = Message(kind="event_broadcast", sender="server", to="b", payload=payload)
+        b = a.addressed("b")
         BINARY_CODEC.encode(a)
-        entry = binary._ENC_MEMO.get(id(payload))
-        assert entry is not None and entry[0] is payload
-        BINARY_CODEC.encode(b)  # hits the memo; smoke-checked via decode
+        assert len(built) == 1 and built[0] is payload
+        BINARY_CODEC.encode(b)  # splices a's blob; smoke-checked via decode
+        assert len(built) == 1
         assert decode(BINARY_CODEC.encode(b)).payload == payload
 
     def test_decode_interns_identical_payload_bytes(self):

@@ -504,8 +504,8 @@ class TestTwoMessageInterop:
 
 class TestEventFanoutSharing:
     """One §3.2 action pays receiver-independent costs once: receivers
-    with equal target lists share one payload dict, which the Message
-    constructor and both codecs memoize by identity."""
+    with equal target lists get one message re-addressed, so they share
+    one payload dict and its per-codec encodings."""
 
     SENDER = "s"
     RECEIVERS = tuple(f"r{i}" for i in range(8))
@@ -610,7 +610,7 @@ class TestEventFanoutSharing:
         assert len(distinct) == 3
 
     def test_binary_codec_encodes_the_payload_once(self, monkeypatch):
-        """Same count on the ``_ENC_MEMO`` path: the memory network prices
+        """Same count for the binary blob: the memory network prices
         every message by encoding it with the deployment's codec."""
         network = MemoryNetwork(codec="binary")
         srv = CosoftServer(clock=network.clock)
@@ -620,11 +620,17 @@ class TestEventFanoutSharing:
             network.attach(instance_id, inbox.append)
         self._couple_all(srv, {r: ["/app/x"] for r in self.RECEIVERS})
         network.pump()
-        memo = {}
-        monkeypatch.setattr(binary, "_ENC_MEMO", memo)
+        encoded = []
+        real_blob = binary._payload_blob
+
+        def spy(message):
+            encoded.append(message.payload)
+            return real_blob(message)
+
+        monkeypatch.setattr(binary, "_payload_blob", spy)
         self._fire(srv)
         network.pump()
-        encoded = [value for value, _ in memo.values() if "targets" in value]
+        encoded = [value for value in encoded if "targets" in value]
         assert len(encoded) == 1
         for r in self.RECEIVERS:
             (broadcast,) = [m for m in inboxes[r] if m.kind == kinds.EVENT_BROADCAST]
