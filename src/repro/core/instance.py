@@ -494,7 +494,10 @@ class ApplicationInstance:
         """
         widget = self._resolve_local(local)
         key = (widget.pathname, target)
-        payload, commit = self._build_push_payload(widget, target, mode, predefined)
+        base = self._delta_out.get(key)
+        payload, commit = self._build_push_payload(
+            widget, target, mode, predefined, base
+        )
         try:
             reply = self.request(
                 Message(
@@ -510,7 +513,11 @@ class ApplicationInstance:
             self._delta_out.pop(key, None)
             raise ServerError("copy_to timed out")
         if commit is not None:
-            self._delta_out[key] = commit
+            with self._transport.guard():
+                # The target may have rejected this push, and the loop
+                # thread already answered its resync: keep that entry.
+                if self._delta_out.get(key) is base:
+                    self._delta_out[key] = commit
 
     def _build_push_payload(
         self,
@@ -518,11 +525,14 @@ class ApplicationInstance:
         target: GlobalId,
         mode: str,
         predefined: Optional[ComponentMapping],
+        entry: Optional[Dict[str, Any]],
         *,
         counted_as: str = "pushes",
     ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
         """Build the payload of a transfer at *target*, delta-encoded when
         safe: a PUSH_STATE, or the STATE_REPLY to a fetch that named it.
+        *entry* is the sender-cache entry to continue from (``None``: a
+        full snapshot).
 
         Returns ``(payload, commit)`` where *commit* is the sender-cache
         entry to install once the transfer is acknowledged (``None`` when
@@ -549,7 +559,6 @@ class ApplicationInstance:
         # delta — at-least-once per attribute, never lost.
         baseline = state_clock()
         fp = shape(widget).fingerprint
-        entry = self._delta_out.get(key)
         delta = entry is not None and entry["fp"] == fp
         payload = state_sync.build_state_payload(
             widget,
@@ -944,8 +953,9 @@ class ApplicationInstance:
                 and (entry["seq"], entry["fp"]) != (sync["seq"], sync.get("fp"))
             ):
                 self._delta_out.pop(key, None)
+                entry = None
             payload, commit = self._build_push_payload(
-                widget, target, STRICT, None, counted_as="fetches"
+                widget, target, STRICT, None, entry, counted_as="fetches"
             )
             # Optimistic, as in _on_resync_request: a lost reply leaves
             # the requester behind this entry, which its next fetch says
@@ -1123,7 +1133,7 @@ class ApplicationInstance:
             return
         self._delta_out.pop((widget.pathname, target), None)
         push_payload, commit = self._build_push_payload(
-            widget, target, STRICT, None
+            widget, target, STRICT, None, None
         )
         push = Message(
             kind=kinds.PUSH_STATE, sender=self.instance_id, payload=push_payload

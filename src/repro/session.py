@@ -43,24 +43,26 @@ Who hears a couple or decouple is not among them: every deployment
 delivers a COUPLE_UPDATE to the affected couple group only
 (:mod:`repro.server.routing`, docs/PERF.md §1).
 
-The pre-redesign entry points — ``LocalSession``, ``TcpSession``,
-``ClusterSession`` — remain as thin deprecated aliases and will be
-removed in a future release.
+:class:`Session` is the only constructor.  What one backend has and
+another lacks is a named attribute — ``network`` and ``clock``
+(memory), ``host`` and ``port`` (tcp, aio), ``runtime`` (aio) — which
+raises :class:`AttributeError` naming the backend where it has none.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cluster import ShardedCosoftCluster
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
+from repro.errors import NetworkError
 from repro.net.aio import BatchConfig
 from repro.net.clock import SimClock
 from repro.net.codec import get_codec
@@ -80,6 +82,8 @@ from repro.server.server import SERVER_ID, CosoftServer
 
 #: Either kind of central endpoint a session can front.
 ServerLike = Union[CosoftServer, ShardedCosoftCluster]
+
+_log = logging.getLogger(__name__)
 
 # ``BACKENDS`` (re-exported from :mod:`repro.net.registry`) is a *live*
 # view of the communicator registry: the built-in trio plus anything
@@ -372,8 +376,8 @@ class _BackendBase:
         for persist in self._persistences():
             try:
                 persist.close()
-            except Exception:
-                pass
+            except OSError:
+                _log.warning("closing a journal failed", exc_info=True)
         if self._persist_ephemeral is not None:
             shutil.rmtree(self._persist_ephemeral, ignore_errors=True)
             self._persist_ephemeral = None
@@ -389,14 +393,17 @@ class _BackendBase:
         if self._metrics_http is not None:
             try:
                 self._metrics_http.close()
-            except Exception:
-                pass
+            except OSError:
+                _log.warning("closing the /metrics endpoint failed", exc_info=True)
             self._metrics_http = None
         for instance in list(self.instances.values()):
+            # A dead peer's UNREGISTER cannot be sent; the close goes on.
             try:
                 instance.close()
-            except Exception:
-                pass
+            except (NetworkError, OSError):
+                _log.warning(
+                    "closing instance %r failed", instance.instance_id, exc_info=True
+                )
         self.instances.clear()
 
     # Subclass responsibilities ---------------------------------------
@@ -744,6 +751,49 @@ class Session:
         return self._impl.traffic()
 
     # ------------------------------------------------------------------
+    # Backend-specific attributes: each raises AttributeError naming the
+    # backend on a deployment that has none.
+    # ------------------------------------------------------------------
+
+    def _backend_attribute(self, name: str) -> Any:
+        try:
+            return getattr(self._impl, name)
+        except AttributeError:
+            raise AttributeError(
+                f"Session (backend={self.backend!r}) has no attribute {name!r}"
+            ) from None
+
+    @property
+    def network(self) -> MemoryNetwork:
+        """The simulated network (memory backend)."""
+        return self._backend_attribute("network")
+
+    @property
+    def clock(self) -> SimClock:
+        """The simulated clock (memory backend)."""
+        return self._backend_attribute("clock")
+
+    @property
+    def host(self) -> str:
+        """The address the central endpoint listens on (tcp, aio)."""
+        return self._backend_attribute("host")
+
+    @property
+    def port(self) -> int:
+        """The bound port of the central endpoint (tcp, aio)."""
+        return self._backend_attribute("port")
+
+    @property
+    def runtime(self) -> AsyncServerRuntime:
+        """The asyncio server runtime (aio backend)."""
+        return self._backend_attribute("runtime")
+
+    @property
+    def metrics_address(self) -> Optional[Tuple[str, int]]:
+        """Bound ``(host, port)`` of the /metrics endpoint, if serving."""
+        return self._backend_attribute("metrics_address")
+
+    # ------------------------------------------------------------------
     # Observability (see docs/OBSERVABILITY.md)
     # ------------------------------------------------------------------
 
@@ -794,65 +844,8 @@ class Session:
             f"instances={len(self.instances)})"
         )
 
-    # Backend-specific attributes (``network``, ``clock``, ``host``,
-    # ``port``, ``runtime``, …) fall through to the implementation.
-    def __getattr__(self, name: str):
-        impl = self.__dict__.get("_impl")
-        if impl is None:
-            raise AttributeError(name)
-        try:
-            return getattr(impl, name)
-        except AttributeError:
-            raise AttributeError(
-                f"{type(self).__name__} (backend={self.backend!r}) has no "
-                f"attribute {name!r}"
-            ) from None
-
-
-# ---------------------------------------------------------------------------
-# Deprecated aliases (pre-redesign entry points)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    # FutureWarning (visible by default, unlike DeprecationWarning): the
-    # aliases are in their final release cycle before removal.
-    warnings.warn(
-        f"{old} is deprecated and will be removed; use {new}",
-        FutureWarning,
-        stacklevel=3,
-    )
-
-
-class LocalSession(Session):
-    """Deprecated alias for ``Session(backend="memory")``."""
-
-    def __init__(self, **kwargs: object):
-        _deprecated("LocalSession", 'Session(backend="memory")')
-        super().__init__(backend="memory", **kwargs)  # type: ignore[arg-type]
-
-
-class ClusterSession(Session):
-    """Deprecated alias for ``Session(backend="memory", shards=N)``."""
-
-    def __init__(self, shards: int = 2, **kwargs: object):
-        _deprecated("ClusterSession", 'Session(backend="memory", shards=N)')
-        if shards <= 0:
-            raise ValueError("ClusterSession needs at least one shard")
-        super().__init__(backend="memory", shards=shards, **kwargs)  # type: ignore[arg-type]
-
-
-class TcpSession(Session):
-    """Deprecated alias for ``Session(backend="tcp")``."""
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, shards: int = 0):
-        _deprecated("TcpSession", 'Session(backend="tcp")')
-        super().__init__(backend="tcp", host=host, port=port, shards=shards)
-
 
 #: The supported public surface of this module (README "Public API").
-#: The deprecated aliases stay importable until their announced removal
-#: but are deliberately not part of it.
 __all__ = [
     "BACKENDS",
     "ServerLike",

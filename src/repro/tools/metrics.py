@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.session import Session
 from repro.toolkit import Form, Shell, TextField
 
-FORMATS = ("prom", "json", "spans", "dashboard")
+FORMATS = ("prom", "json", "spans")
 
 
 def build_workload_tree(root_name: str = "app") -> Shell:
@@ -68,18 +68,6 @@ def render(sess: Session, fmt: str) -> str:
         return sess.metrics_json(include_spans=True)
     if fmt == "spans":
         return sess.span_dump()
-    if fmt == "dashboard":
-        from repro.tools.monitor import (
-            format_cluster_dashboard,
-            format_dashboard,
-            format_observability,
-        )
-
-        if sess.config.shards > 0:
-            head = format_cluster_dashboard(sess.server)
-        else:
-            head = format_dashboard(sess.server)
-        return head + "\n" + format_observability(sess.obs)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
@@ -111,8 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=FORMATS,
         default="prom",
         dest="fmt",
-        help="output renderer: Prometheus text, JSON, span trees, "
-        "or the monitor dashboard (default: prom)",
+        help="output renderer: Prometheus text, JSON or span trees (default: prom)",
     )
     args = parser.parse_args(argv)
     sess = run_workload(args.backend, shards=args.shards, events=args.events)

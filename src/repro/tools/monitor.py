@@ -169,36 +169,6 @@ def format_dashboard(server: CosoftServer, *, width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def format_observability(obs: Any, *, width: int = 72) -> str:
-    """Render a :class:`repro.obs.Observability` as a dashboard section.
-
-    Appends the metric families (Prometheus text exposition) and the span
-    ring-buffer statistics beneath the state dashboard; pair with
-    :func:`format_dashboard` for a complete operator view::
-
-        print(format_dashboard(server))
-        print(format_observability(session.obs))
-    """
-    bar = "=" * width
-    lines: List[str] = [bar, " Observability", bar]
-    if not obs.enabled:
-        lines.append(" disabled (enable with SessionConfig(observability=True))")
-        lines.append(bar)
-        return "\n".join(lines)
-    stats = obs.spans.stats()
-    lines.append(
-        f" Spans: {stats['spans']} recorded ({stats['open']} open, "
-        f"{stats['evicted']} evicted, ring size {stats['maxlen']}), "
-        f"{stats['traces']} traces"
-    )
-    text = obs.metrics_text().rstrip()
-    if text:
-        lines.append("-" * width)
-        lines.extend(" " + line for line in text.splitlines())
-    lines.append(bar)
-    return "\n".join(lines)
-
-
 def cluster_snapshot(cluster: ShardedCosoftCluster) -> Dict[str, Any]:
     """A structured view of a sharded cluster: router plus every shard."""
     traffic = cluster.shard_traffic()

@@ -4,12 +4,12 @@ import pytest
 
 from repro.apps.minidb import sample_publications
 from repro.apps.tori import QUERY_ATTRIBUTES, VIEWS, ToriApplication
-from repro.session import LocalSession
+from repro.session import Session
 
 
 @pytest.fixture
 def solo():
-    session = LocalSession()
+    session = Session()
     inst = session.create_instance("tori-1", user="alice", app_type="tori")
     app = ToriApplication(inst, sample_publications(300))
     yield session, app
@@ -18,7 +18,7 @@ def solo():
 
 @pytest.fixture
 def duo():
-    session = LocalSession()
+    session = Session()
     a = ToriApplication(
         session.create_instance("tori-a", user="alice", app_type="tori"),
         sample_publications(300),
@@ -176,7 +176,7 @@ class TestCooperative:
 
     def test_different_databases_same_query(self):
         """'Queries can be sent to different databases' (§4)."""
-        session = LocalSession()
+        session = Session()
         try:
             a = ToriApplication(
                 session.create_instance("tori-a", user="u1"),

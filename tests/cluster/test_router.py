@@ -8,7 +8,7 @@ from repro.cluster import ShardedCosoftCluster
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import TrafficStats, Transport
-from repro.session import ClusterSession, Session
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
@@ -154,7 +154,7 @@ class TestUnsupportedKind:
 
 class TestPermissions:
     def test_rule_lands_on_every_shard_with_one_reply(self):
-        session = ClusterSession(shards=3)
+        session = Session(shards=3)
         a = session.create_instance("a", user="u1")
         from repro.server.permissions import PermissionRule
 
@@ -172,7 +172,7 @@ class TestPermissions:
 
 class TestRoutingAndMigration:
     def test_cross_shard_couple_migrates_the_smaller_group(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         # Pick two instance ids whose objects hash to different shards so
         # the couple below is guaranteed to cross them.
@@ -206,7 +206,7 @@ class TestRoutingAndMigration:
         links, and the router's mirror — fed by every addressee's copy —
         still equals the union of the shard tables, as does the replica
         of every member."""
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         gid = lambda iid: (iid, "/ui/f")
         names = [chr(ord("a") + i) for i in range(16)]
@@ -254,7 +254,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_same_shard_couple_does_not_migrate(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         gid = lambda iid: (iid, "/ui/f")
         candidates = [chr(ord("a") + i) for i in range(10)]
@@ -275,7 +275,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_events_flow_through_the_owning_shard_only(self):
-        session = ClusterSession(shards=4)
+        session = Session(shards=4)
         cluster = session.cluster
         a = session.create_instance("a", user="u1")
         b = session.create_instance("b", user="u2")
@@ -306,7 +306,7 @@ class TestRoutingAndMigration:
         session.close()
 
     def test_decouple_returns_group_to_ring_placement(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         a = session.create_instance("a", user="u1")
         b = session.create_instance("b", user="u2")
@@ -368,7 +368,7 @@ class TestRouteTables:
     def test_bare_floor_keeps_its_unlock_route(self):
         """``acquire_floor()`` sends no event; its UNLOCK must still find
         the shard that granted it."""
-        with ClusterSession(shards=2) as session:
+        with Session(shards=2) as session:
             a = session.create_instance("a", user="u1")
             tree = a.add_root(Shell("ui"))
             TextField("f", parent=tree)
@@ -421,7 +421,7 @@ class TestFreezeBuffer:
 
 class TestStats:
     def test_shard_traffic_merges_per_shard_transports(self):
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         cluster = session.cluster
         session.create_instance("a", user="u1")
         session.create_instance("b", user="u2")
@@ -462,7 +462,7 @@ class TestStats:
         def makespan(shards):
             # Service must dwarf the simulated network latency so queueing
             # (not message timing) dominates the modeled busy periods.
-            session = ClusterSession(shards=shards, service_time=1.0)
+            session = Session(shards=shards, service_time=1.0)
             cluster = session.cluster
             instances = {}
             for i in range(8):

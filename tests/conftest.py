@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import logging
 import os
 import time
@@ -10,6 +12,7 @@ import pytest
 
 from repro.core import action_sync
 from repro.net import kinds
+from repro.net.memory import MemoryTransport
 from repro.net.message import Message
 from repro.session import Session
 from repro.toolkit.events import Event
@@ -116,10 +119,55 @@ def strip_state(spec):
 
 
 def floor_free(session):
-    """No floor is held anywhere in *session*'s deployment."""
+    """No floor is held anywhere in *session*'s deployment.
+
+    A shard worker process's table is read from its latest heartbeat.
+    """
     cluster = session.cluster
     servers = cluster.shards.values() if cluster is not None else [session.server]
-    return not any(len(server.locks) for server in servers)
+    return not any(
+        server.remote_stats.get("locks_held", 0)
+        if hasattr(server, "remote_stats")
+        else len(server.locks)
+        for server in servers
+    )
+
+
+@contextlib.contextmanager
+def guarded_payloads():
+    """Check that no handler writes into a payload it is handed.
+
+    On the memory backend a message reaches its receiver by reference,
+    and one fan-out hands the *same* payload to every receiver, so a
+    handler that wrote into it would edit what the next receiver is
+    about to read.  Inside the block every payload a memory endpoint
+    receives is deep-copied before its handler runs and compared after.
+    Yields the list of delivered kinds; fails on exit if any payload
+    changed.
+    """
+    delivered, mutated = [], []
+    real_recv = MemoryTransport.recv
+
+    def checking_recv(self, message):
+        before = copy.deepcopy(message.payload)
+        real_recv(self, message)
+        delivered.append(message.kind)
+        if message.payload != before:
+            mutated.append((self.local_id, message.kind, before, message.payload))
+
+    MemoryTransport.recv = checking_recv
+    try:
+        yield delivered
+    finally:
+        MemoryTransport.recv = real_recv
+    assert mutated == [], mutated
+
+
+@pytest.fixture
+def payload_guard():
+    """:func:`guarded_payloads` around one test."""
+    with guarded_payloads() as delivered:
+        yield delivered
 
 
 def settle(session, predicate, timeout=30.0):

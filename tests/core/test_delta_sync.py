@@ -102,6 +102,30 @@ class TestDeltaProtocol:
         assert b.stats["deltas_applied"] == 1
         assert_synced(tree_a, tree_b)
 
+    def test_a_resync_entry_outlives_the_push_it_replaced(self, duo):
+        """On sockets the loop thread can answer the resync a rejected
+        push provoked before ``copy_to`` records that push.  The resync's
+        entry is the newer one and must stay: the next push is a delta
+        from it, not a second continuity loss."""
+        session, a, b, tree_a, tree_b = duo
+        a.copy_to(PATH, ("b", PATH))
+        session.pump()
+        request = a.request
+
+        def request_then_drain(message, *args, **kwargs):
+            reply = request(message, *args, **kwargs)
+            session.pump()  # the resync round trip lands first
+            return reply
+
+        a.request = request_then_drain
+        tree_b.find("zoom").set("value", 77)  # the next delta is rejected
+        a.copy_to(PATH, ("b", PATH))
+        assert (b.stats["delta_resyncs"], a.stats["resync_pushes"]) == (1, 1)
+        tree_a.find("field").set("value", "two")
+        a.copy_to(PATH, ("b", PATH))
+        assert (b.stats["delta_resyncs"], b.stats["deltas_applied"]) == (1, 1)
+        assert_synced(tree_a, tree_b)
+
     def test_idle_delta_is_empty_and_harmless(self, duo):
         session, a, b, tree_a, tree_b = duo
         tree_a.find("zoom").set("value", 42)
@@ -381,15 +405,14 @@ class TestDeltaPayloadShape:
         session, a, b, tree_a, tree_b = duo
         tree_a.find("field").set("value", "seed")
         payload_full, commit = a._build_push_payload(
-            tree_a, ("b", PATH), "strict", None
+            tree_a, ("b", PATH), "strict", None, None
         )
         assert "structure" in payload_full
         assert payload_full["sync"]["delta"] is False
-        a._delta_out[(tree_a.pathname, ("b", PATH))] = commit
 
         tree_a.find("zoom").set("value", 9)
         payload_delta, _ = a._build_push_payload(
-            tree_a, ("b", PATH), "strict", None
+            tree_a, ("b", PATH), "strict", None, commit
         )
         assert "structure" not in payload_delta
         assert payload_delta["sync"]["delta"] is True

@@ -8,7 +8,7 @@ from repro.core.compat import (
     infer_correspondence,
 )
 from repro.errors import IncompatibleObjectsError
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Label, Shell, TextField
 
 
@@ -63,7 +63,7 @@ class TestInference:
         """A cross-type copy works with zero manual declarations."""
         registry = CorrespondenceRegistry()
         declare_inferred("label", "textfield", registry)
-        session = LocalSession(correspondences=registry)
+        session = Session(correspondences=registry)
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")

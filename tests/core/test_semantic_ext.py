@@ -3,13 +3,13 @@
 import pytest
 
 from repro.core.semantic_ext import DocumentModel, ListModel, ValueModel
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Form, ListBox, Shell, TextArea, TextField
 
 
 @pytest.fixture
 def pair():
-    session = LocalSession()
+    session = Session()
     a = session.create_instance("a", user="alice")
     b = session.create_instance("b", user="bob")
     yield session, a, b

@@ -273,7 +273,7 @@ class TestStructureDerivedOncePerChange:
             for index in range(self.FIELDS):
                 TextField(f"g{index:02d}", parent=form_b.find("inner"))
             payload, _commit = a._build_push_payload(
-                form_a, b.gid("/other/inner"), state_sync.STRICT, None
+                form_a, b.gid("/other/inner"), state_sync.STRICT, None, None
             )
             assert payload["sync"]["fp"] == spec_fingerprint(to_spec(form_a))
             assert payload["structure"] == to_spec(form_a)

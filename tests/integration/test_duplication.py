@@ -10,7 +10,7 @@ import pytest
 
 from repro.net import kinds
 from repro.net.message import Message
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.events import Event
 from repro.toolkit.widgets import Canvas, Shell, TextField, ToggleButton
 
@@ -29,7 +29,7 @@ def build_tree():
 
 @pytest.fixture
 def duo():
-    session = LocalSession(duplicate_rate=0.0)
+    session = Session(duplicate_rate=0.0)
     a = session.create_instance("a", user="u1")
     b = session.create_instance("b", user="u2")
     ta = a.add_root(build_tree())
@@ -87,7 +87,7 @@ class TestExplicitDuplicates:
 
 class TestDuplicatingNetwork:
     def test_convergence_under_random_duplication(self):
-        session = LocalSession(duplicate_rate=0.3, seed=11)
+        session = Session(duplicate_rate=0.3, seed=11)
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")

@@ -10,7 +10,7 @@ instances are refused until the acks drain.
 import pytest
 
 from repro.net import kinds
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField, ToggleButton
 
 from conftest import make_demo_tree
@@ -21,7 +21,7 @@ FLAG = "/app/form/flag"
 
 @pytest.fixture
 def duo():
-    session = LocalSession()
+    session = Session()
     a = session.create_instance("a", user="u1")
     b = session.create_instance("b", user="u2")
     ta = a.add_root(make_demo_tree())
@@ -87,7 +87,7 @@ class TestAckBasedRelease:
         assert len(session.server.locks) == 0
 
     def test_lease_expiry_reclaims_stuck_floor(self):
-        session = LocalSession()
+        session = Session()
         try:
             session.server.floor_lease = 1.0
             a = session.create_instance("a", user="u1", lock_timeout=0.05)

@@ -1,41 +1,22 @@
 """Handlers treat the payloads they are handed as read-only.
 
-On the memory backend a message reaches its receiver by reference, and
-one fan-out hands the *same* payload dict to every receiver (the server
-shares it so it serializes once; docs/PERF.md §6).  A handler that wrote
-into a payload would therefore edit what the next receiver is about to
-read.  This test delivers the canonical workload — coupling churn,
-coupled edits, CopyTo — plus CopyFrom, RemoteCopy, undo, a command
-round trip and one two-message ``EVENT`` through a checking ``recv``: every payload is deep-copied
-before its handler runs and compared after.
+The churn workload (tests/harness.py) plus CopyFrom, RemoteCopy, undo,
+a command round trip and one two-message ``EVENT`` run under
+``conftest.payload_guard``, so every handler family the contract covers
+is reached with a checking ``recv``.
 """
 
-import copy
-
 from repro.net import kinds
-from repro.net.memory import MemoryTransport
 from repro.net.message import Message
 from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED, Event
 
-from test_routing_parity import FIELD, ROOT, run_workload
+from harness import FIELD, ROOT, churn
 
 
-def test_no_handler_mutates_a_delivered_payload(monkeypatch):
-    delivered = []
-    mutated = []
-    real_recv = MemoryTransport.recv
-
-    def checking_recv(self, message):
-        before = copy.deepcopy(message.payload)
-        real_recv(self, message)
-        delivered.append(message.kind)
-        if message.payload != before:
-            mutated.append((self.local_id, message.kind, before, message.payload))
-
-    monkeypatch.setattr(MemoryTransport, "recv", checking_recv)
+def test_no_handler_mutates_a_delivered_payload(payload_guard):
     with Session(backend="memory") as session:
-        run_workload(session)
+        churn(session)
         instances = session.instances
         i0, i1, i3 = instances["i0"], instances["i1"], instances["i3"]
         i1.copy_from(ROOT, ("i0", ROOT))
@@ -59,7 +40,6 @@ def test_no_handler_mutates_a_delivered_payload(monkeypatch):
         )
         session.pump()
 
-    assert mutated == []
     # The workload reached every handler family the contract covers.
     assert {
         "couple_update",
@@ -74,4 +54,4 @@ def test_no_handler_mutates_a_delivered_payload(monkeypatch):
         "undo_request",
         "command",
         "command_reply",
-    } <= set(delivered)
+    } <= set(payload_guard)

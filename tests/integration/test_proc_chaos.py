@@ -1,13 +1,14 @@
-"""Chaos gate for the multi-process cluster (ISSUE acceptance scenario).
+"""Chaos gate for the multi-process cluster.
 
 A ``Session(backend="aio", shards=4, processes=True)`` runs each shard
 as a real OS process with its own fsync'd journal.  The gate: ``kill
--9`` one shard mid-workload, let the supervisor restart it from the
-journal, finish the workload, and the final UI state must match the
-single-process parity baseline byte for byte — the exactly-once
-delivery protocol (delivery ids + journaled outputs) makes the crash
-invisible to clients.  A second gate resizes the ring under load and
-asserts zero lost and zero reordered events.
+-9`` one shard in the middle of the strokes workload
+(tests/harness.py), let the supervisor restart it from the journal,
+finish the workload, and the final UI state must equal the workload's
+reference — the exactly-once delivery protocol (delivery ids +
+journaled outputs) makes the crash invisible to clients.  A second gate
+resizes the ring under load and asserts zero lost and zero reordered
+events.
 
 CI runs this file in the ``tests-cluster-proc`` job and uploads the
 per-shard journals and ``worker.log`` files as artifacts on failure —
@@ -19,16 +20,10 @@ import time
 import pytest
 
 from repro.session import Session
-from repro.toolkit.widgets import Canvas, Shell, TextField
+
+from harness import board_tree, conform
 
 pytestmark = pytest.mark.proc_chaos
-
-
-def build_tree(root="ui"):
-    shell = Shell(root)
-    Canvas("board", parent=shell, width=20, height=10)
-    TextField("title", parent=shell)
-    return shell
 
 
 def wait_for_restart(cluster, shard_id, min_restarts=1, timeout=30.0):
@@ -42,64 +37,6 @@ def wait_for_restart(cluster, shard_id, min_restarts=1, timeout=30.0):
         f"{shard_id} never came back: state={handle.state!r} "
         f"restarts={handle.restarts}"
     )
-
-
-def run_scenario(make_session, *, mid_workload=None):
-    """Two coupled users draw and type in a fixed interleaving.
-
-    ``mid_workload(session)`` runs between the two halves — the chaos
-    hook.  Returns the observable per-instance state.
-    """
-    session = make_session()
-    try:
-        a = session.create_instance("a", user="amy")
-        b = session.create_instance("b", user="ben")
-        ta = a.add_root(build_tree())
-        tb = b.add_root(build_tree())
-        a.couple(ta.find("/ui/board"), ("b", "/ui/board"))
-        a.couple(ta.find("/ui/title"), ("b", "/ui/title"))
-        session.pump()
-
-        board = {"a": ta.find("/ui/board"), "b": tb.find("/ui/board")}
-        title = {"a": ta.find("/ui/title"), "b": tb.find("/ui/title")}
-        for i in range(3):
-            board["a"].draw_stroke([(i, 0), (i, 1)], color="red", user="amy")
-            session.pump()
-            board["b"].draw_stroke([(0, i), (1, i)], color="blue", user="ben")
-            session.pump()
-
-        if mid_workload is not None:
-            mid_workload(session)
-
-        for i in range(3):
-            board["a"].draw_stroke(
-                [(i, 5), (i, 6)], color="green", user="amy"
-            )
-            session.pump()
-            title["b"].commit(f"round-{i}")
-            session.pump()
-
-        try:
-            session.pump(timeout=5.0)  # long settle on socket backends
-        except TypeError:
-            session.pump()  # the memory backend drains synchronously
-        return {
-            iid: {"strokes": board[iid].strokes, "title": title[iid].value}
-            for iid in ("a", "b")
-        }
-    finally:
-        session.close()
-
-
-BASELINE = None
-
-
-def baseline():
-    """Single-process parity baseline (memory backend, same scenario)."""
-    global BASELINE
-    if BASELINE is None:
-        BASELINE = run_scenario(lambda: Session(backend="memory"))
-    return BASELINE
 
 
 class TestKillNineMidWorkload:
@@ -117,20 +54,14 @@ class TestKillNineMidWorkload:
             killed["shard"] = victim
             wait_for_restart(cluster, victim)
 
-        result = run_scenario(
-            lambda: Session(
-                backend="aio",
-                shards=4,
-                processes=True,
-                persistence=str(tmp_path),
-            ),
+        conform(
+            "strokes",
+            "aio-2-processes",
             mid_workload=chaos,
+            shards=4,
+            persistence=str(tmp_path),
         )
         assert killed["pid"] > 0
-        expected = baseline()
-        for iid in ("a", "b"):
-            assert result[iid]["title"] == expected[iid]["title"]
-            assert result[iid]["strokes"] == expected[iid]["strokes"]
 
     def test_restarted_worker_reports_journal_high_water_mark(
         self, tmp_path
@@ -140,7 +71,7 @@ class TestKillNineMidWorkload:
             persistence=str(tmp_path),
         ) as session:
             a = session.create_instance("a", user="amy")
-            ta = a.add_root(build_tree())
+            ta = a.add_root(board_tree())
             ta.find("/ui/title").commit("before-crash")
             session.pump()
             cluster = session.cluster
@@ -173,18 +104,13 @@ class TestLiveReshardUnderLoad:
                     assert cluster.shard_of(tuple(gid)) == new_id
             reshard.update(new=new_id, moved=len(moved), old=old_ids)
 
-        result = run_scenario(
-            lambda: Session(
-                backend="aio", shards=2, processes=True,
-                persistence=str(tmp_path),
-            ),
+        conform(
+            "strokes",
+            "aio-2-processes",
             mid_workload=resize,
+            persistence=str(tmp_path),
         )
         assert reshard["new"] == "shard-2"
-        expected = baseline()
-        for iid in ("a", "b"):
-            assert result[iid]["strokes"] == expected[iid]["strokes"]
-            assert result[iid]["title"] == expected[iid]["title"]
 
     def test_remove_shard_drains_live_workers(self, tmp_path):
         with Session(
@@ -193,8 +119,8 @@ class TestLiveReshardUnderLoad:
         ) as session:
             a = session.create_instance("a", user="amy")
             b = session.create_instance("b", user="ben")
-            ta = a.add_root(build_tree())
-            tb = b.add_root(build_tree())
+            ta = a.add_root(board_tree())
+            tb = b.add_root(board_tree())
             a.couple(ta.find("/ui/title"), ("b", "/ui/title"))
             session.pump()
             cluster = session.cluster
@@ -223,8 +149,8 @@ class TestFlightRecorder:
         ) as session:
             a = session.create_instance("a", user="amy")
             b = session.create_instance("b", user="ben")
-            ta = a.add_root(build_tree())
-            b.add_root(build_tree())
+            ta = a.add_root(board_tree())
+            b.add_root(board_tree())
             # Coupled traffic takes the traced multiple-execution path,
             # so the victim worker records worker.apply/server.* spans.
             a.couple(ta.find("/ui/title"), ("b", "/ui/title"))

@@ -8,10 +8,10 @@ with ``shard=<id>`` labels and one ``span_dump()`` shows the complete
 cross-process causal trees.  The parity gate: the multi-process span
 tree equals the single-process tree modulo the two new hop segments
 (``cluster.forward``, ``worker.apply``) introduced by the process
-boundary.
+boundary; the workload is the conformance harness's keystrokes
+(tests/harness.py).
 """
 
-import time
 import urllib.request
 
 import pytest
@@ -19,56 +19,24 @@ import pytest
 from repro.obs.tracing import CLUSTER_FORWARD, WORKER_APPLY
 from repro.session import Session
 
-from conftest import make_demo_tree
+from harness import REFERENCES, keystrokes
 
 pytestmark = pytest.mark.proc_chaos
 
-FIELD = "/app/form/name"
-N_EDITS = 2
 SHARDS = 4
 
 
-def settle_spans(sess, timeout=30.0):
-    """Pump (and, for clusters, re-scrape) until every span is finished.
-
-    Remote spans arrive via the export-time refresher, so the loop calls
-    ``obs.refresh()`` each iteration — open worker spans re-ship once
-    finished and the merged buffer converges.
-    """
-    end = time.monotonic() + timeout
-    while time.monotonic() < end:
-        sess.pump()
-        sess.obs.refresh()
-        stats = sess.obs.spans.stats()
-        if stats["spans"] and stats["open"] == 0:
-            return True
-        time.sleep(0.02)
-    return False
-
-
-def run_workload(make_session):
-    """One coupled field, N_EDITS single-keystroke edits."""
-    sess = make_session()
-    try:
-        a = sess.create_instance("a", user="alice")
-        b = sess.create_instance("b", user="bob")
-        ta, tb = make_demo_tree(), make_demo_tree()
-        a.add_root(ta)
-        b.add_root(tb)
-        a.couple(ta.find(FIELD), ("b", FIELD))
-        sess.pump()
-        field = ta.find(FIELD)
-        for n in range(N_EDITS):
-            field.type_text(str(n))
-            assert settle_spans(sess), "spans did not settle"
-        recorder = sess.obs.spans
-        trees = [
-            recorder.canonical_tree(trace_id)
-            for trace_id in recorder.trace_ids()
-        ]
-        return trees, sess.metrics_text()
-    finally:
-        sess.close()
+def observed_keystrokes(tmp_path):
+    """The harness's keystrokes workload on a multi-process cluster:
+    ``(result, metrics text)``."""
+    with Session(
+        backend="aio",
+        shards=SHARDS,
+        processes=True,
+        observability=True,
+        persistence=str(tmp_path),
+    ) as sess:
+        return keystrokes(sess), sess.metrics_text()
 
 
 def splice_cluster_hops(tree):
@@ -90,12 +58,7 @@ def splice_cluster_hops(tree):
 
 class TestClusterWideScrape:
     def test_metrics_cover_every_worker_with_shard_labels(self, tmp_path):
-        _, text = run_workload(
-            lambda: Session(
-                backend="aio", shards=SHARDS, processes=True,
-                observability=True, persistence=str(tmp_path),
-            )
-        )
+        _, text = observed_keystrokes(tmp_path)
         for n in range(SHARDS):
             shard = f"shard-{n}"
             # Supervisor-side liveness gauge...
@@ -112,12 +75,7 @@ class TestClusterWideScrape:
             )
 
     def test_merged_latency_histogram_has_cluster_segments(self, tmp_path):
-        _, text = run_workload(
-            lambda: Session(
-                backend="aio", shards=SHARDS, processes=True,
-                observability=True, persistence=str(tmp_path),
-            )
-        )
+        _, text = observed_keystrokes(tmp_path)
         for segment in ("e2e", "forward", "worker_apply"):
             assert (
                 f'repro_sync_latency_seconds_count{{segment="{segment}"}}'
@@ -129,18 +87,10 @@ class TestCrossProcessTraceParity:
     def test_proc_tree_matches_single_process_modulo_cluster_hops(
         self, tmp_path
     ):
-        reference, _ = run_workload(
-            lambda: Session(
-                backend="memory", shards=SHARDS, observability=True
-            )
-        )
-        proc_trees, _ = run_workload(
-            lambda: Session(
-                backend="aio", shards=SHARDS, processes=True,
-                observability=True, persistence=str(tmp_path),
-            )
-        )
-        assert len(proc_trees) == len(reference) == N_EDITS
+        ui, reference = REFERENCES["keystrokes"]
+        (proc_ui, proc_trees), _ = observed_keystrokes(tmp_path)
+        assert proc_ui == ui
+        assert len(proc_trees) == len(reference)
         # The raw multi-process tree really does carry the new hops...
         flat = str(proc_trees[0])
         assert CLUSTER_FORWARD in flat and WORKER_APPLY in flat

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.session import Session, TcpSession
+from repro.session import Session
 from repro.toolkit.widgets import Canvas, Shell, TextField
 
 FIELD = "/ui/field"
@@ -36,7 +36,7 @@ def wait_until(predicate, timeout=10.0):
 
 class TestTcpConcurrency:
     def test_two_threads_firing_concurrently_converge_as_sets(self):
-        with TcpSession() as session:
+        with Session(backend="tcp") as session:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
             ta = a.add_root(build_tree())
@@ -77,7 +77,7 @@ class TestTcpConcurrency:
             assert strokes_a == strokes_b
 
     def test_single_writer_many_events_under_reader_thread(self):
-        with TcpSession() as session:
+        with Session(backend="tcp") as session:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
             ta = a.add_root(build_tree())
@@ -90,7 +90,7 @@ class TestTcpConcurrency:
             assert a.stats["lock_denials"] == 0
 
     def test_bidirectional_commands_during_events(self):
-        with TcpSession() as session:
+        with Session(backend="tcp") as session:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
             ta = a.add_root(build_tree())

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.session import TcpSession
+from repro.session import Session
 
 from conftest import make_demo_tree
 
@@ -13,7 +13,7 @@ FIELD = "/app/form/name"
 
 @pytest.fixture
 def tcp():
-    with TcpSession() as session:
+    with Session(backend="tcp") as session:
         yield session
 
 

@@ -9,6 +9,8 @@ from repro.persist import (
     recover_server,
 )
 from repro.persist.snapshot import server_fingerprint
+from repro.session import Session
+from repro.toolkit.widgets import Shell
 
 from persist_helpers import (
     FakeTransport,
@@ -257,6 +259,30 @@ class TestCatchup:
         # No state transfer was involved, only the log suffix.
         assert live.processed[kinds.PUSH_STATE] == 0
         assert "snapshot" not in payload or payload["snapshot"] is None
+
+    def test_cluster_routes_a_catchup_to_the_shard_it_names(self):
+        with Session(shards=2, persistence=True) as session:
+            a = session.create_instance("a", user="alice")
+            session.create_instance("b", user="bob")
+            a.add_root(Shell("app"))
+            session.pump()
+            replies = []
+            standby = session.network.attach("standby", replies.append)
+            for payload in ({"after_seq": 0, "shard": "shard-1"}, {"shard": "nope"}):
+                standby.send(
+                    Message(
+                        kind=kinds.CATCHUP_REQUEST, sender="standby", payload=payload
+                    )
+                )
+            session.pump()
+            journal = session.persistence["shard-1"]
+            assert [m.kind for m in replies] == [kinds.CATCHUP_REPLY, kinds.ERROR]
+            assert replies[0].payload["last_seq"] == journal.log.last_seq > 0
+            assert "unknown shard 'nope'" in replies[1].payload["reason"]
+            # A fresh server replays the suffix into shard-1's exact state.
+            standby_server, _ = make_server(persistence=memory_config().build())
+            report = apply_catchup(standby_server, replies[0].payload)
+            assert report["fingerprint_ok"] is True
 
     def test_catchup_is_incremental(self):
         persist = memory_config().build()

@@ -18,7 +18,7 @@ from repro.net import kinds
 from repro.net.codec import StreamDecoder, encode
 from repro.net.message import ALL_KINDS, Message
 from repro.server.server import SERVER_ID, CosoftServer
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
@@ -101,7 +101,7 @@ class TestServerFuzz:
     @given(batch=st.lists(messages, min_size=1, max_size=10))
     @settings(max_examples=80, deadline=None)
     def test_client_survives_garbage(self, batch):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -167,7 +167,7 @@ class TestWrongTypedEnvelope:
         keep serving what follows."""
         server = CosoftServer()
         server.bind(SinkTransport())
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")

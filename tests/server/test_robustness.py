@@ -5,7 +5,7 @@ import pytest
 from repro.net import kinds
 from repro.net.message import Message
 from repro.server.server import SERVER_ID, CosoftServer
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.widgets import Shell, TextField
 
 
@@ -122,7 +122,7 @@ class TestMalformedEventInLockRequest:
 
 class TestClientMalformed:
     def test_garbage_broadcast_counted_not_fatal(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             tree = a.add_root(Shell("ui"))
@@ -152,7 +152,7 @@ class TestClientMalformed:
     def test_late_reply_after_timeout_is_dropped(self):
         """A reply arriving after its request timed out must not pile up
         in the pending-replies table."""
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             a.request_timeout = 0.01
@@ -183,7 +183,7 @@ class TestClientMalformed:
     def test_malformed_reply_still_unblocks_requester(self):
         """Even a garbage-shaped reply must release a blocked request()
         (the reply is stashed before payload parsing)."""
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             request = Message(

@@ -1,17 +1,11 @@
-"""Tests for the unified Session facade and the deprecated aliases."""
+"""Tests for the unified Session facade."""
 
 import time
 
 import pytest
 
 from repro.net.aio import BatchConfig
-from repro.session import (
-    ClusterSession,
-    LocalSession,
-    Session,
-    SessionConfig,
-    TcpSession,
-)
+from repro.session import Session, SessionConfig
 
 
 def wait_until(predicate, timeout=5.0):
@@ -74,11 +68,35 @@ class TestSessionConstruction:
         with Session() as session:
             assert session.network is session._impl.network
             assert session.clock is session._impl.clock
+            assert session.metrics_address is None
+        with Session(backend="tcp") as session:
+            assert (session.host, session.port) == session._impl._host_transport.address
 
     def test_getattr_error_names_backend(self):
         with Session() as session:
             with pytest.raises(AttributeError, match="memory"):
                 session.runtime  # an aio-only attribute
+            with pytest.raises(AttributeError, match="'port'"):
+                session.port
+        with Session(backend="tcp") as session:
+            with pytest.raises(AttributeError, match="tcp.*'network'"):
+                session.network
+            # Only the named attributes reach the backend.
+            with pytest.raises(AttributeError):
+                session._host_transport
+
+    def test_persistence_names_every_journal(self):
+        with Session(persistence=False) as session:
+            assert session.persistence is None
+        with Session(persistence=True) as session:
+            assert session.persistence is session.server.persistence
+            assert session.persistence is not None
+        with Session(shards=2, persistence=True) as session:
+            shards = session.cluster.shards
+            assert session.persistence == {
+                shard_id: shard.persistence for shard_id, shard in shards.items()
+            }
+            assert len(session.persistence) == 2
 
     def test_repr(self):
         with Session(shards=2) as session:
@@ -123,48 +141,3 @@ class TestTrafficShapeParity:
             aio_session.pump()
             aio_keys = set(aio_session.traffic())
         assert memory_keys == aio_keys
-
-
-class TestDeprecatedAliases:
-    def test_local_session_warns_and_works(self):
-        with pytest.warns(FutureWarning, match="LocalSession"):
-            session = LocalSession(seed=3)
-        try:
-            assert session.backend == "memory"
-            assert session.config.seed == 3
-            a = session.create_instance("a", user="u1")
-            session.pump()
-            assert "a" in a.roster
-        finally:
-            session.close()
-
-    def test_cluster_session_warns_and_builds_cluster(self):
-        with pytest.warns(FutureWarning, match="ClusterSession"):
-            session = ClusterSession(shards=3)
-        try:
-            assert session.cluster is not None
-            assert len(session.cluster.shards) == 3
-        finally:
-            session.close()
-
-    def test_cluster_session_rejects_zero_shards(self):
-        with pytest.warns(FutureWarning):
-            with pytest.raises(ValueError):
-                ClusterSession(shards=0)
-
-    def test_tcp_session_warns_and_keeps_signature(self):
-        with pytest.warns(FutureWarning, match="TcpSession"):
-            session = TcpSession("127.0.0.1", 0)
-        try:
-            assert session.backend == "tcp"
-            assert session.port != 0
-        finally:
-            session.close()
-
-    def test_aliases_are_sessions(self):
-        with pytest.warns(FutureWarning):
-            session = LocalSession()
-        try:
-            assert isinstance(session, Session)
-        finally:
-            session.close()

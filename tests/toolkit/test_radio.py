@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import Session
 from repro.toolkit.events import SELECTION_CHANGED
 from repro.toolkit.widgets import RadioButton, RadioGroup, Shell
 
@@ -81,7 +81,7 @@ class TestUndoSemantics:
         assert group.selection == "admin"
 
     def test_denied_coupled_selection_rolls_back_cleanly(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")
@@ -107,7 +107,7 @@ class TestUndoSemantics:
             session.close()
 
     def test_coupled_groups_converge(self):
-        session = LocalSession()
+        session = Session()
         try:
             a = session.create_instance("a", user="u1")
             b = session.create_instance("b", user="u2")

@@ -177,6 +177,25 @@ class TestAttributes:
         assert field.get("value") == "init"
         assert field.get("width") == 9
 
+    def test_every_dict_write_path_is_stamped(self):
+        """Delta sync ships what ``changed_since`` reports, so a write
+        through any dict method of the state must move its stamp."""
+        field = TextField("t")
+        state = field._state
+        baseline = field.attribute_version("value")
+        state.update(value="u")
+        assert field.changed_since(baseline) == {"value": "u"}
+        baseline = field.attribute_version("value")
+        state.setdefault("extra", 1)
+        assert field.changed_since(baseline) == {"extra": 1}
+        assert state.setdefault("extra", 2) == 1
+        assert field.changed_since(baseline) == {"extra": 1}
+        state.pop("extra")
+        del state["width"]
+        assert "extra" not in state.versions and "width" not in state.versions
+        state.clear()
+        assert state.versions == {}
+
 
 class TestInteractivityAndLocking:
     def test_interactive_by_default(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import Session
 from repro.tools.monitor import format_dashboard, snapshot
 
 from conftest import make_demo_tree
@@ -14,7 +14,7 @@ FIELD = "/app/form/name"
 
 @pytest.fixture
 def busy_session():
-    session = LocalSession()
+    session = Session()
     a = session.create_instance("a", user="alice", app_type="editor")
     b = session.create_instance("b", user="bob", app_type="editor")
     ta = a.add_root(make_demo_tree())
@@ -77,7 +77,7 @@ class TestDashboard:
             assert fragment in text
 
     def test_empty_server_renders(self):
-        session = LocalSession()
+        session = Session()
         text = format_dashboard(session.server)
         assert "Floors held: none" in text
         assert "Historical UI states: none" in text
@@ -87,9 +87,7 @@ class TestDashboard:
 class TestClusterMonitor:
     @pytest.fixture
     def cluster_session(self):
-        from repro.session import ClusterSession
-
-        session = ClusterSession(shards=2)
+        session = Session(shards=2)
         a = session.create_instance("a", user="alice")
         b = session.create_instance("b", user="bob")
         ta = a.add_root(make_demo_tree())

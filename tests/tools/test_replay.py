@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.session import LocalSession
+from repro.session import Session
 from repro.tools.replay import SessionRecorder, loads, replay, replay_locally
 from repro.toolkit.builder import build
 from repro.toolkit.tree import subtree_state
@@ -15,7 +15,7 @@ FLAG = "/app/form/flag"
 
 @pytest.fixture
 def pair():
-    session = LocalSession()
+    session = Session()
     a = session.create_instance("a", user="alice")
     b = session.create_instance("b", user="bob")
     ta = a.add_root(make_demo_tree())
