@@ -40,7 +40,15 @@ floor request carries the event.  On the initiating instance the flow is:
 Receiving instances execute :func:`apply_remote_event`: each local coupled
 object is disabled (floor-locked), the event is re-executed on it —
 "simulate the feedback of e; execute callbacks of the event e on object O'"
-— and the object is re-enabled.
+— and the object is re-enabled.  The receiver acknowledges however the
+processing ended, so the floor is released.
+
+What is validated where on the receive path: the server's ``_event_wire``
+checks the shipped event **once per action**, before any lock is taken;
+:meth:`Event.from_wire` builds it **once per delivery** (one ``params``
+copy, checked JSON-safe).  Nothing after that re-derives it: re-execution
+takes no undo (:meth:`UIObject.reexecute`, only the source rolls back),
+and the EVENT_ACK is one fixed shape (:meth:`Message.event_ack`).
 """
 
 from __future__ import annotations
@@ -190,8 +198,8 @@ def run_multiple_execution(
 
     # Disable the locally owned members of the group while the floor is
     # held ("Actions on locked objects are disabled").
-    local_members = _local_widgets(instance, grant.group, exclude=widget.pathname)
-    for member in local_members:
+    local_members = _local_widgets(instance, grant.group, exclude=source[1])
+    for _path, member in local_members:
         member.floor_lock()
     try:
         # Execute callbacks on the source object (feedback already echoed).
@@ -200,10 +208,10 @@ def run_multiple_execution(
         # "within the same application instance", §3.3) — the server's
         # broadcast deliberately skips the sending instance, so re-execute
         # on local members here.
-        for member in local_members:
-            _reexecute(member, event)
+        for path, member in local_members:
+            member.reexecute(event.retargeted(path, instance.instance_id))
     finally:
-        for member in local_members:
+        for _path, member in local_members:
             member.floor_unlock()
     instance.stats["events_coupled"] += 1
     if root is not None:
@@ -224,8 +232,8 @@ def apply_late_reply(instance: Any, event: Event, reply: Message) -> int:
         return 0
     group = [gid_from_wire(g) for g in reply.payload.get("group", ())]
     members = _local_widgets(instance, group)
-    for member in members:
-        _reexecute_locked(member, event)
+    for path, member in members:
+        _reexecute_locked(instance, member, path, event)
     instance.stats["late_grants"] += 1
     return len(members)
 
@@ -256,77 +264,57 @@ def apply_remote_event(
             endpoint=instance.instance_id,
         )
         trace = (trace[0], span.span_id)
-    event = Event.from_wire(payload["event"])
-    if not instance.accept_remote_event(event):
-        # Duplicate delivery (at-least-once transport): the event was
-        # already executed here.  Still acknowledge, so a floor waiting on
-        # this receiver can never wedge on a duplicate.
-        _ack(instance, payload, trace=trace)
-        if span is not None:
-            obs.spans.finish(span, duplicate=True)
-        return 0
     executed = 0
-    for path in payload.get("targets", ()):
-        widget = instance.find_widget(path)
-        if widget is None or widget.destroyed:
-            continue
-        _reexecute_locked(widget, event)
-        executed += 1
-    instance.stats["events_remote"] += executed
-    instance.trace_remote_event(event)
-    # Confirm completion so the server can release the floor — the group
-    # stays locked "until the processing of this event is completed".
-    _ack(instance, payload, trace=trace)
+    try:
+        event = Event.from_wire(payload["event"])
+        # A duplicate delivery (at-least-once transport) was already
+        # executed here: it is only acknowledged.
+        fresh = instance.accept_remote_event(event)
+        if fresh:
+            for path in payload.get("targets", ()):
+                widget = instance.find_widget(path)
+                if widget is None or widget.destroyed:
+                    continue
+                _reexecute_locked(instance, widget, path, event)
+                executed += 1
+            instance.stats["events_remote"] += executed
+            instance.trace_remote_event(event)
+    finally:
+        # The group stays locked "until the processing of this event is
+        # completed": confirm completion however it ended — executed, a
+        # duplicate, or a callback that raised — so a floor waiting on
+        # this receiver never waits out its lease.
+        owner = payload.get("owner")
+        if owner is not None:
+            instance.send(Message.event_ack(instance.instance_id, owner, trace=trace))
     if span is not None:
-        obs.spans.finish(span, executed=executed)
+        if fresh:
+            obs.spans.finish(span, executed=executed)
+        else:
+            obs.spans.finish(span, duplicate=True)
     return executed
 
 
-def _ack(
-    instance: Any,
-    payload: Mapping[str, Any],
-    *,
-    trace: Optional[Tuple[str, str]] = None,
-) -> None:
-    owner = payload.get("owner")
-    if owner is not None:
-        instance.send(
-            Message(
-                kind=kinds.EVENT_ACK,
-                sender=instance.instance_id,
-                payload={"owner": [str(owner[0]), int(owner[1])]},
-                trace=trace,
-            )
-        )
-
-
-def _reexecute(widget: UIObject, event: Event) -> None:
-    """Simulate feedback and run callbacks of *event* on a coupled object."""
-    local_event = event.retargeted(
-        widget.pathname, getattr(widget.runtime, "instance_id", "")
-    )
-    widget.apply_feedback(local_event)
-    widget.run_callbacks(local_event)
-
-
-def _reexecute_locked(widget: UIObject, event: Event) -> None:
-    """:func:`_reexecute` with *widget* disabled (floor-locked) meanwhile."""
+def _reexecute_locked(instance: Any, widget: UIObject, path: str, event: Event) -> None:
+    """Re-execute *event* on *widget*, which *instance* owns at *path*,
+    with the widget disabled (floor-locked) meanwhile."""
     widget.floor_lock()
     try:
-        _reexecute(widget, event)
+        widget.reexecute(event.retargeted(path, instance.instance_id))
     finally:
         widget.floor_unlock()
 
 
 def _local_widgets(
     instance: Any, group: Sequence[GlobalId], *, exclude: Optional[str] = None
-) -> List[UIObject]:
-    """The group members owned by *instance*, resolved to live widgets."""
-    members: List[UIObject] = []
-    for gid in group:
-        if gid[0] != instance.instance_id or gid[1] == exclude:
+) -> List[Tuple[str, UIObject]]:
+    """The group members owned by *instance*, resolved to live widgets:
+    ``(pathname, widget)`` pairs."""
+    members: List[Tuple[str, UIObject]] = []
+    for owner, path in group:
+        if owner != instance.instance_id or path == exclude:
             continue
-        widget = instance.find_widget(gid[1])
+        widget = instance.find_widget(path)
         if widget is not None and not widget.destroyed:
-            members.append(widget)
+            members.append((path, widget))
     return members

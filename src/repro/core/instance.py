@@ -58,7 +58,7 @@ from repro.toolkit.tree import (
     subtree_state,
     subtree_state_since,
 )
-from repro.toolkit.widget import UIObject, state_clock
+from repro.toolkit.widget import PATH_SEPARATOR, UIObject, state_clock
 
 WidgetRef = Union[UIObject, str]
 
@@ -305,17 +305,15 @@ class ApplicationInstance:
         return tuple(self._roots.values())
 
     def find_widget(self, pathname: str) -> Optional[UIObject]:
-        """Resolve an absolute pathname to a live widget, or ``None``."""
-        parts = [p for p in pathname.split("/") if p]
-        if not parts:
-            return None
-        root = self._roots.get(parts[0])
-        if root is None:
-            return None
-        try:
-            return root.find(pathname)
-        except PathError:
-            return None
+        """Resolve an absolute pathname to a live widget, or ``None``.
+        Every broadcast target goes through here: split once, then walked."""
+        parts = [p for p in pathname.split(PATH_SEPARATOR) if p]
+        node = self._roots.get(parts[0]) if parts else None
+        for part in parts[1:]:
+            if node is None:
+                break
+            node = node._children.get(part)
+        return node
 
     def widget(self, pathname: str) -> UIObject:
         """Like :meth:`find_widget` but raising :class:`PathError`."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CodecError
 
@@ -171,8 +171,9 @@ def _next_msg_id() -> int:
     return next(_msg_counter)
 
 
-def _dumps(value: Any) -> str:
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+#: ``json.dumps`` with non-default options builds an encoder per call;
+#: the payload format is fixed, so one encoder serves every message.
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 #: Kinds are fixed ASCII identifiers — their JSON form needs no escaping.
@@ -296,6 +297,39 @@ class Message:
                 f"JSON-serializable: {exc}"
             ) from exc
         object.__setattr__(self, "_encoded", {"json": body})
+
+    @classmethod
+    def event_ack(
+        cls,
+        sender: str,
+        owner: Sequence[Any],
+        *,
+        trace: Optional[Tuple[str, str]] = None,
+    ) -> "Message":
+        """The :data:`EVENT_ACK` a receiver sends for floor *owner*.
+
+        Byte-identical to ``Message(kind=EVENT_ACK, sender=sender,
+        payload={"owner": [owner_id, token]}, trace=trace)``, but the
+        payload has one fixed shape: its two fields are type-checked and
+        its JSON is spliced, the way :meth:`wire_body` splices the
+        envelope, instead of walked by a general ``json.dumps``.
+        """
+        if type(owner) not in (list, tuple) or [*map(type, owner)] != [str, int]:
+            raise CodecError(f"floor owner {owner!r} is not [str, int]")
+        owner_id, token = owner
+        message = object.__new__(cls)
+        message.__dict__.update(
+            kind=EVENT_ACK,
+            sender=sender,
+            payload={"owner": [owner_id, token]},
+            to="",
+            msg_id=_next_msg_id(),
+            reply_to=None,
+            trace=trace,
+            _encoded={"json": f'{{"owner":[{_wire_id(owner_id)},{token:d}]}}'},
+            _frames=None,
+        )
+        return message
 
     def _derive(self, **envelope: Any) -> "Message":
         """A new envelope around this message's payload and its encodings;

@@ -104,15 +104,27 @@ class Event:
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "Event":
-        """Deserialize an event received from the server."""
-        return cls(
-            type=payload["type"],
-            source_path=payload["source_path"],
-            params=dict(payload.get("params", {})),
-            user=payload.get("user", ""),
-            instance_id=payload.get("instance_id", ""),
-            seq=payload.get("seq", 0),
-        )
+        """Deserialize an event received from the server.
+
+        Built in one pass, like :meth:`retargeted`: ``params`` is copied
+        once (the wire payload is shared by every receiver of a fan-out)
+        and ``__post_init__``'s check runs on that copy.  Fields are set
+        one by one, not through ``__dict__``: receivers keep these events
+        in their trace, and a materialized ``__dict__`` costs ~200 bytes
+        per event.
+        """
+        params = dict(payload.get("params", {}))
+        if not json_safe(params):
+            raise ValueError(f"event params must be JSON-serializable, got {params!r}")
+        event = object.__new__(cls)
+        put = object.__setattr__
+        put(event, "type", payload["type"])
+        put(event, "source_path", payload["source_path"])
+        put(event, "params", params)
+        put(event, "user", payload.get("user", ""))
+        put(event, "instance_id", payload.get("instance_id", ""))
+        put(event, "seq", payload.get("seq", 0))
+        return event
 
     def retargeted(self, source_path: str, instance_id: str) -> "Event":
         """A copy of this event as if it occurred on another object.

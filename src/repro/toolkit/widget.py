@@ -552,12 +552,25 @@ class UIObject:
         self._check_alive()
         return self._callbacks.invoke(self, event)
 
+    def reexecute(self, event: Event) -> None:
+        """Re-execute *event* from another member of the couple group:
+        built-in feedback, then callbacks (§3.2).  No undo is taken —
+        only the source rolls its feedback back, on a denied floor."""
+        self._builtin_feedback(event)
+        self.run_callbacks(event)
+
     def apply_feedback(self, event: Event) -> UndoRecord:
         """Apply only the *syntactic built-in feedback* of *event*.
 
         The base implementation delegates to :meth:`_builtin_feedback`,
         snapshotting every attribute the widget type declares it may touch
         for this event type, so the change can be rolled back.
+
+        Contract for widget types: the feedback itself lives in
+        :meth:`_builtin_feedback` alone.  :meth:`reexecute` calls that
+        hook directly, so an override of ``apply_feedback`` may change
+        how the undo is taken (as ``RadioGroup`` and ``Canvas`` do) but
+        must not add feedback of its own.
         """
         touched = self._feedback_attributes(event)
         saved = {name: self._state[name] for name in touched if name in self._state}

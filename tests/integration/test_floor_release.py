@@ -11,6 +11,7 @@ import pytest
 
 from repro.net import kinds
 from repro.session import Session
+from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField, ToggleButton
 
 from conftest import make_demo_tree
@@ -113,6 +114,66 @@ class TestAckBasedRelease:
             assert tb.find(FIELD).value == "recovered"
         finally:
             session.close()
+
+    def test_lost_ack_floor_expires_exactly_at_its_lease(self, duo, monkeypatch):
+        """One EVENT_ACK is lost: the floor is held for ``floor_lease`` and
+        not a tick longer, measured on the session's simulated clock."""
+        session, a, b, ta, tb = duo
+        submit = session.network.submit
+        lost = []
+
+        def lose_first_ack(message):
+            if message.kind == kinds.EVENT_ACK and not lost:
+                lost.append(message)
+                return
+            submit(message)
+
+        monkeypatch.setattr(session.network, "submit", lose_first_ack)
+        ta.find(FIELD).commit("stranded")
+        session.pump()
+        assert len(lost) == 1
+        assert len(session.server.locks) > 0
+        (granted_at,) = session.server._floor_granted_at.values()
+        lease = session.server.floor_lease
+        # b's LOCK_REQUEST reaches the server one link latency after it
+        # leaves: send it so the server sees the floor at lease -/+ eps.
+        latency = session.network.base_latency
+        eps = 0.01
+        session.clock.advance_to(granted_at + lease - eps - latency)
+        tb.find(FIELD).commit("too early")
+        assert b.last_execution.lock_denied
+        assert tb.find(FIELD).value == "stranded"
+        session.clock.advance_to(granted_at + lease + eps - latency)
+        tb.find(FIELD).commit("after the lease")
+        assert not b.last_execution.lock_denied
+        session.pump()
+        assert len(session.server.locks) == 0
+        assert session.server._pending_acks == {}
+        assert ta.find(FIELD).value == "after the lease"
+
+    def test_raising_receiver_callback_releases_the_floor(self, duo):
+        """A receiver whose callback raises still acknowledges: the floor
+        goes as soon as processing ended, not after ``floor_lease``."""
+        session, a, b, ta, tb = duo
+
+        def broken(widget, event):
+            raise ValueError("application bug in a callback")
+
+        tb.find(FIELD).add_callback(VALUE_CHANGED, broken)
+        ta.find(FIELD).commit("x")
+        session.pump()
+        assert b.stats["malformed_messages"] == 1
+        assert tb.find(FIELD).value == "x"  # feedback ran before the raise
+        assert not tb.find(FIELD).floor_locked
+        assert len(session.server.locks) == 0
+        assert session.server._pending_acks == {}
+        # b takes the floor at once: no clock advance, no lease to wait out.
+        tb.find(FIELD).remove_callback(VALUE_CHANGED, broken)
+        tb.find(FIELD).commit("y")
+        assert not b.last_execution.lock_denied
+        session.pump()
+        assert ta.find(FIELD).value == "y"
+        assert len(session.server.locks) == 0
 
 
 class TestSameInstanceExecution:
