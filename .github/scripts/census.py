@@ -1,26 +1,39 @@
 #!/usr/bin/env python3
-"""Call census of ``src/``: which functions does anything run?
+"""Line census of ``src/``: which lines, and so which functions, does
+anything run?
 
 Runs tier-1 (``python -m pytest -q``), ``benchmarks/ledger/run.py
 --self-test`` and every ``examples/*.py`` with a ``sitecustomize`` on
-``PYTHONPATH`` that records each code object entered
-(``sys.setprofile`` plus ``threading.setprofile``), so loop threads and
+``PYTHONPATH`` that line-traces every frame of ``src/``
+(``sys.settrace`` plus ``threading.settrace``), so loop threads and
 shard worker subprocesses are counted too.  Each process writes what it
-saw to its own file every half second as well as at exit: workers end
-in ``os._exit`` or a signal, where ``atexit`` never runs.  Then every
-code object compiled from ``src/`` is looked up by (file, first line,
-qualified name), and the functions nothing called are listed.
+saw to its own file every half second, at exit and in ``os._exit``
+(where workers end, and ``atexit`` never runs); a process killed by a
+signal keeps only its last half-second dump.  A dump holds
+the ``src/`` lines executed and the code objects entered; the table of
+named functions nothing called is derived from the second.
+
+With pytest arguments after ``--`` only ``python -m pytest ARGS`` runs
+(how one environment's test selection is measured on its own).
+``--versus`` lists the lines the dumps executed that other dumps did
+not.  The two sets may come from different trees (a parent commit's
+checkout and a change's): each side's lines are carried over by a line
+diff of the two files, and a line the other tree no longer has is
+listed as gone.
 
 Standard library only.  Usage, from the repository root::
 
     python .github/scripts/census.py                 # run, then report
     python .github/scripts/census.py --dumps DIR     # keep the dumps in DIR
-    python .github/scripts/census.py --dumps DIR --report-only
+    python .github/scripts/census.py --dumps DIR -- tests/integration
+    python .github/scripts/census.py --report-only --dumps A --dumps B \\
+        --versus C                                   # union of A, B minus C
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import glob
 import json
 import os
@@ -29,12 +42,13 @@ import sys
 import tempfile
 import textwrap
 import types
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 SRC = os.path.join(ROOT, "src")
 
-Key = Tuple[str, int, str]
+Key = Tuple[str, int, str]  # (path under src/, first line, qualified name)
+Lines = Dict[str, Set[int]]  # path under src/ -> executed line numbers
 
 SITECUSTOMIZE = textwrap.dedent(
     """
@@ -42,68 +56,105 @@ SITECUSTOMIZE = textwrap.dedent(
 
     _src = os.environ["REPRO_CENSUS_SRC"]
     _out = os.environ["REPRO_CENSUS_DIR"]
-    _seen = set()
-    _add = _seen.add
+    _lines = set()
+    _codes = set()
+    _add_line = _lines.add
 
 
-    def _key(c):
-        return c.co_filename, c.co_firstlineno, getattr(c, "co_qualname", c.co_name)
+    def _line(frame, event, arg):
+        if event == "line":
+            _add_line((frame.f_code.co_filename, frame.f_lineno))
+        return _line
 
 
-    def _profile(frame, event, arg):
-        if event == "call":
-            _add(frame.f_code)
+    def _call(frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(_src):
+            return None
+        _codes.add(code)
+        return _line
+
+
+    def _rel(path):
+        return os.path.relpath(path, _src)
 
 
     def _dump():
-        rows = sorted({_key(c) for c in list(_seen) if c.co_filename.startswith(_src)})
-        path = os.path.join(_out, "%d.json" % os.getpid())
-        with open(path + ".tmp", "w") as fh:
-            json.dump(rows, fh)
-        os.replace(path + ".tmp", path)
+        # One writer at a time (the dump thread races the atexit dump),
+        # so the file left behind is the last and fullest snapshot.
+        with _writing:
+            lines = {}
+            for path, line in list(_lines):
+                lines.setdefault(_rel(path), []).append(line)
+            codes = sorted(
+                (_rel(c.co_filename), c.co_firstlineno, c.co_qualname)
+                for c in list(_codes)
+            )
+            path = os.path.join(_out, "%d.json" % os.getpid())
+            with open(path + ".tmp", "w") as fh:
+                json.dump({"src": _src, "lines": lines, "codes": codes}, fh)
+            os.replace(path + ".tmp", path)
 
 
     def _dump_while_alive():
         last = -1
         while True:
             time.sleep(0.5)
-            if len(_seen) != last:
-                last = len(_seen)
+            if len(_lines) != last:
+                last = len(_lines)
                 _dump()
 
 
     def _start():
+        global _writing
+        _writing = threading.Lock()  # a forked child may inherit it held
         threading.Thread(
             target=_dump_while_alive, name="census-dump", daemon=True
         ).start()
 
 
-    sys.setprofile(_profile)
-    threading.setprofile(_profile)
+    _exit = os._exit
+
+
+    def _dump_then_exit(status):
+        _dump()
+        _exit(status)
+
+
+    sys.settrace(_call)
+    threading.settrace(_call)
     atexit.register(_dump)
+    os._exit = _dump_then_exit
     os.register_at_fork(after_in_child=_start)
     _start()
     """
 )
 
 
-def run_everything(dumps: str) -> Dict[str, int]:
-    """Run tier-1, the ledger self-test and the examples under the
-    census, each one's output in ``<dumps>/<name>.log``; returns each
-    command's exit status."""
+def run(dumps: str, pytest_args: List[str]) -> Dict[str, int]:
+    """Run under the census, each command's output in
+    ``<dumps>/<name>.log``: tier-1, the ledger self-test and the
+    examples, or only ``pytest *pytest_args*`` when any are given.
+    Returns each command's exit status."""
     site = tempfile.mkdtemp(prefix="census-site-")
     with open(os.path.join(site, "sitecustomize.py"), "w") as fh:
         fh.write(SITECUSTOMIZE)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([site, SRC])
-    env["REPRO_CENSUS_SRC"] = SRC
+    env["REPRO_CENSUS_SRC"] = SRC + os.sep
     env["REPRO_CENSUS_DIR"] = dumps
-    commands = {
-        "tier-1": [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-        "ledger-self-test": [sys.executable, "benchmarks/ledger/run.py", "--self-test"],
-    }
-    for script in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
-        commands[os.path.basename(script)] = [sys.executable, script]
+    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    if pytest_args:
+        commands = {"pytest": pytest + pytest_args}
+    else:
+        commands = {
+            "tier-1": pytest,
+            "ledger-self-test": [
+                sys.executable, "benchmarks/ledger/run.py", "--self-test"
+            ],
+        }
+        for script in sorted(glob.glob(os.path.join(ROOT, "examples", "*.py"))):
+            commands[os.path.basename(script)] = [sys.executable, script]
     status = {}
     for name, command in commands.items():
         print(f"census: {name}", file=sys.stderr, flush=True)
@@ -114,12 +165,23 @@ def run_everything(dumps: str) -> Dict[str, int]:
     return status
 
 
-def called(dumps: str) -> Set[Key]:
-    seen: Set[Key] = set()
-    for path in glob.glob(os.path.join(dumps, "*.json")):
-        with open(path) as fh:
-            seen.update((f, int(line), name) for f, line, name in json.load(fh))
-    return seen
+def load(dirs: List[str]) -> Tuple[str, Lines, Set[Key]]:
+    """The union of every dump in *dirs*: ``(src root, lines, codes)``.
+    All dumps must come from one tree."""
+    roots: Set[str] = set()
+    lines: Lines = {}
+    codes: Set[Key] = set()
+    for directory in dirs:
+        for path in glob.glob(os.path.join(directory, "*.json")):
+            with open(path) as fh:
+                dump = json.load(fh)
+            roots.add(dump["src"])
+            for rel, numbers in dump["lines"].items():
+                lines.setdefault(rel, set()).update(numbers)
+            codes.update((rel, int(line), name) for rel, line, name in dump["codes"])
+    if len(roots) != 1:
+        raise SystemExit(f"census: {dirs} hold dumps of {len(roots)} trees")
+    return roots.pop(), lines, codes
 
 
 def code_objects(code: types.CodeType) -> Iterator[types.CodeType]:
@@ -136,20 +198,20 @@ def last_line(code: types.CodeType) -> int:
     )
 
 
-def census(seen: Set[Key]) -> Tuple[int, int, List[Tuple[Key, int]]]:
+def census(src: str, codes: Set[Key]) -> Tuple[int, int, List[Tuple[Key, int]]]:
     """(code objects, called, never-called named functions with sizes)."""
     total = hit = 0
     missed: List[Tuple[Key, int]] = []
-    for path in sorted(glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True)):
+    for path in sorted(glob.glob(os.path.join(src, "**", "*.py"), recursive=True)):
+        rel = os.path.relpath(path, src)
         with open(path) as fh:
             module = compile(fh.read(), path, "exec")
         for code in code_objects(module):
             if code.co_name == "<module>":
                 continue
             total += 1
-            name = getattr(code, "co_qualname", code.co_name)
-            key = (path, code.co_firstlineno, name)
-            if key in seen:
+            key = (rel, code.co_firstlineno, code.co_qualname)
+            if key in codes:
                 hit += 1
             elif not code.co_name.startswith("<"):
                 size = last_line(code) - code.co_firstlineno + 1
@@ -157,26 +219,86 @@ def census(seen: Set[Key]) -> Tuple[int, int, List[Tuple[Key, int]]]:
     return total, hit, missed
 
 
-def main(argv: List[str] | None = None) -> int:
+def source(src: str, rel: str) -> List[str]:
+    try:
+        with open(os.path.join(src, rel)) as fh:
+            return fh.read().splitlines()
+    except FileNotFoundError:
+        return []
+
+
+def carry(lines: Set[int], old: List[str], new: List[str]) -> Set[int]:
+    """*lines* of the file *old*, renumbered as the file *new*; a line
+    *new* does not have is dropped."""
+    if old == new:
+        return set(lines)
+    moved: Set[int] = set()
+    matcher = difflib.SequenceMatcher(None, old, new, autojunk=False)
+    for a, b, size in matcher.get_matching_blocks():
+        moved.update(line - a + b for line in lines if a < line <= a + size)
+    return moved
+
+
+def versus(
+    src: str, lines: Lines, other_src: str, other: Lines
+) -> Tuple[List[Tuple[str, int]], List[Tuple[str, int]]]:
+    """Lines of *lines* that *other* did not execute, as
+    ``(executed elsewhere, gone from the other tree)``."""
+    missing: List[Tuple[str, int]] = []
+    gone: List[Tuple[str, int]] = []
+    for rel in sorted(lines):
+        mine, theirs = source(src, rel), source(other_src, rel)
+        kept = carry(set(range(1, len(theirs) + 1)), theirs, mine)
+        ran = carry(other.get(rel, set()), theirs, mine)
+        for line in sorted(lines[rel] - ran):
+            (missing if line in kept else gone).append((rel, line))
+    return missing, gone
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dumps", help="directory for the per-process dumps")
+    parser.add_argument(
+        "--dumps", action="append", default=[],
+        help="directory for the per-process dumps; repeat with "
+             "--report-only to report the union of several runs",
+    )
     parser.add_argument(
         "--report-only", action="store_true",
-        help="read the dumps of an earlier run instead of running again",
+        help="read the dumps of earlier runs instead of running again",
     )
+    parser.add_argument(
+        "--versus", action="append", default=[],
+        help="dumps of another run (repeatable): list the lines --dumps "
+             "executed that these did not",
+    )
+    parser.add_argument("pytest_args", nargs="*", help="after --: pytest only")
     args = parser.parse_args(argv)
-    dumps = args.dumps or tempfile.mkdtemp(prefix="census-dumps-")
-    os.makedirs(dumps, exist_ok=True)
+    if not args.dumps:
+        args.dumps = [tempfile.mkdtemp(prefix="census-dumps-")]
     if not args.report_only:
-        for name, code in run_everything(dumps).items():
+        if len(args.dumps) != 1:
+            parser.error("a run writes into one --dumps directory")
+        (dumps,) = args.dumps
+        os.makedirs(dumps, exist_ok=True)
+        for name, code in run(dumps, args.pytest_args).items():
             print(f"{name}: exit {code}")
-    total, hit, missed = census(called(dumps))
+    src, lines, codes = load(args.dumps)
+    total, hit, missed = census(src, codes)
+    print(f"{sum(map(len, lines.values()))} src/ lines executed")
     print(
         f"{total} code objects, {hit} called; {len(missed)} named functions "
         f"({sum(size for _, size in missed)} lines) never called"
     )
-    for (path, line, name), size in missed:
-        print(f"{os.path.relpath(path, ROOT)}:{line}\t{name}\t{size}")
+    for (rel, line, name), size in missed:
+        print(f"src/{rel}:{line}\t{name}\t{size}")
+    if args.versus:
+        other_src, other, _ = load(args.versus)
+        missing, gone = versus(src, lines, other_src, other)
+        print(f"{len(missing)} lines not executed by --versus, {len(gone)} gone:")
+        for label, rows in (("missing", missing), ("gone", gone)):
+            for rel, line in rows:
+                text = source(src, rel)[line - 1].strip()
+                print(f"{label}\tsrc/{rel}:{line}\t{text}")
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.instance import ApplicationInstance
+from repro.errors import ReproError
 from repro.server.couples import GlobalId
 from repro.toolkit.builder import build
 from repro.toolkit.events import ACTIVATE, SELECTION_CHANGED
@@ -200,7 +201,7 @@ class CouplingControlPanel:
                 "__list_roots__", None, targets=[instance_id], want_reply=True
             )
             return [str(r) for r in roots or []]
-        except Exception:
+        except ReproError:  # no reply in time, or an ERROR reply
             return []
 
     def select_objects(self, paths: List[str]) -> None:

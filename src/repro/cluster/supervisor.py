@@ -527,11 +527,6 @@ class ShardSupervisor:
         if self.observability:
             cmd.append("--observability")
         env = dict(os.environ)
-        # The session's observability setting is authoritative for the
-        # fleet: workers must not inherit a stray REPRO_OBSERVABILITY
-        # from the supervisor's environment when the session disabled it
-        # (nor miss it when enabled — respawns included).
-        env["REPRO_OBSERVABILITY"] = "1" if self.observability else "0"
         src_root = os.path.dirname(
             os.path.dirname(os.path.abspath(repro.__file__))
         )

@@ -300,9 +300,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--snapshot-every", type=int, default=500)
     parser.add_argument(
         "--observability", action="store_true",
-        help="run a live metrics registry + span recorder in this worker "
-             "(the supervisor also sets REPRO_OBSERVABILITY in the spawn "
-             "env, which this flag defaults from)",
+        help="run a live metrics registry + span recorder in this worker",
     )
     parser.add_argument(
         "--msg-id-base", type=int, default=0,
@@ -319,9 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.net import message as message_mod
 
         message_mod._msg_counter = itertools.count(args.msg_id_base + 1)
-    observability = args.observability or os.environ.get(
-        "REPRO_OBSERVABILITY", ""
-    ) not in ("", "0")
     endpoint = build_worker(
         shard_id=args.shard_id,
         directory=args.dir,
@@ -331,7 +326,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         history_depth=args.history_depth,
         floor_lease=args.floor_lease,
         snapshot_every=args.snapshot_every,
-        observability=observability,
+        observability=args.observability,
     )
     from repro.server.runtime import AsyncServerRuntime
 
@@ -351,8 +346,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             while sys.stdin.buffer.read(4096):
                 pass
-        except Exception:
-            pass
+        except (OSError, ValueError):
+            pass  # a broken or closed pipe is the same EOF
         done.set()
 
     threading.Thread(target=_watch_stdin, daemon=True).start()

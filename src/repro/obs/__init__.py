@@ -13,9 +13,7 @@ deployment:
 Disabled is the default and costs nothing on the hot path: every
 instrumented site holds :data:`NULL_OBS` (``enabled=False`` plus a
 no-op registry), so the check is one attribute load.  Enable via
-``SessionConfig(observability=True)``, an :class:`ObservabilityConfig`,
-or the ``REPRO_OBSERVABILITY=1`` environment variable (which is how CI
-runs the whole tier-1 suite instrumented).
+``SessionConfig(observability=True)`` or an :class:`ObservabilityConfig`.
 """
 
 from __future__ import annotations
@@ -110,15 +108,13 @@ class Observability:
         self._refreshers.append(refresher)
 
     def refresh(self) -> None:
-        """Run registered refreshers; errors are swallowed (a dead worker
-        must not break a scrape — its last cached samples still render).
-        Newly finished spans (local and freshly ingested remote ones)
-        fold into the latency histograms, incrementally."""
+        """Run registered refreshers, then fold newly finished spans
+        (local and freshly ingested remote ones) into the latency
+        histograms, incrementally.  A refresher handles its own sources'
+        failures (a dead worker must not break a scrape); anything else
+        it raises propagates."""
         for refresher in self._refreshers:
-            try:
-                refresher()
-            except Exception:
-                pass
+            refresher()
         if self.tracing and self.registry.enabled:
             self.observe_span_latencies()
 

@@ -52,7 +52,6 @@ raises :class:`AttributeError` naming the backend where it has none.
 from __future__ import annotations
 
 import logging
-import os
 import shutil
 import tempfile
 import time
@@ -92,33 +91,6 @@ _log = logging.getLogger(__name__)
 
 #: BatchConfig field names accepted as Session(...) keyword conveniences.
 _BATCH_FIELDS = tuple(f.name for f in fields(BatchConfig))
-
-
-def _default_observability() -> Union[bool, None]:
-    """Default for ``SessionConfig.observability``: the environment knob.
-
-    ``REPRO_OBSERVABILITY=1`` enables the full layer for every Session
-    built without an explicit setting — how CI runs the whole tier-1
-    suite instrumented without touching any test.
-    """
-    value = os.environ.get("REPRO_OBSERVABILITY", "").strip().lower()
-    return value in ("1", "true", "yes", "on") or None
-
-
-def _default_persistence() -> Union[None, bool, str]:
-    """Default for ``SessionConfig.persistence``: the environment knob.
-
-    ``REPRO_PERSISTENCE=1`` journals every Session into an ephemeral
-    directory (removed at close) — how CI runs the integration suite as
-    a recovery-chaos pass without touching any test.  A path value
-    journals into that directory and keeps it.
-    """
-    value = os.environ.get("REPRO_PERSISTENCE", "").strip()
-    if not value or value.lower() in ("0", "false", "no", "off"):
-        return None
-    if value.lower() in ("1", "true", "yes", "on"):
-        return True
-    return value
 
 
 def _resolve_persistence(
@@ -171,10 +143,7 @@ class SessionConfig:
     #: Observability: ``None``/``False`` (disabled, the default), ``True``
     #: (enabled with defaults), an :class:`ObservabilityConfig`, or a
     #: ready :class:`Observability` instance to share across sessions.
-    #: Defaults honour the ``REPRO_OBSERVABILITY`` environment variable.
-    observability: Union[None, bool, ObservabilityConfig, Observability] = (
-        field(default_factory=_default_observability)
-    )
+    observability: Union[None, bool, ObservabilityConfig, Observability] = None
     #: Serve this deployment's metrics over HTTP (docs/OBSERVABILITY.md):
     #: ``None`` (off, the default) or a port for a stdlib ``/metrics``
     #: endpoint (``0`` binds an ephemeral port — read it back from
@@ -185,10 +154,7 @@ class SessionConfig:
     #: (off, the default — frames and hot paths stay byte-identical),
     #: ``True`` (journal into an ephemeral directory removed at close), a
     #: directory path, or a ready :class:`~repro.persist.PersistenceConfig`.
-    #: Defaults honour the ``REPRO_PERSISTENCE`` environment variable.
-    persistence: Union[None, bool, str, PersistenceConfig] = (
-        field(default_factory=_default_persistence)
-    )
+    persistence: Union[None, bool, str, PersistenceConfig] = None
     #: Ring-buffer capacity of each instance's :class:`EventTrace`
     #: (``None`` keeps the class default of 100 000 events).
     trace_maxlen: Optional[int] = None

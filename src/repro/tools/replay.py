@@ -22,6 +22,7 @@ import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.core.instance import ApplicationInstance
+from repro.errors import PathError
 from repro.toolkit.events import Event
 from repro.toolkit.widget import UIObject
 
@@ -104,7 +105,7 @@ def replay_locally(
         event = Event.from_wire(dict(entry))
         try:
             widget = root.find(event.source_path)
-        except Exception:
+        except PathError:
             if strict:
                 raise
             continue

@@ -7,6 +7,7 @@ from repro.apps.control_panel import (
     CouplingControlPanel,
     enable_panel_introspection,
 )
+from repro.net import kinds
 from repro.session import Session
 
 
@@ -80,6 +81,30 @@ class TestObjectDiscovery:
         panel.refresh_roster()
         paths = panel.select_participant("mute")
         assert paths == []
+
+    def test_participant_that_never_answers_yields_empty(self, classroom, monkeypatch):
+        """The command to ws-0 is lost: the request runs out on the
+        simulated clock and the panel lists nothing."""
+        session, _, _, panel = classroom
+        submit = session.network.submit
+
+        def lose_commands_to_ws0(message):
+            if not (message.kind == kinds.COMMAND and message.to == "ws-0"):
+                submit(message)
+
+        monkeypatch.setattr(session.network, "submit", lose_commands_to_ws0)
+        assert panel._discover_roots("ws-0") == []
+        assert panel.instance.stats["request_timeouts"] == 1
+
+    def test_a_failure_other_than_no_answer_propagates(self, classroom, monkeypatch):
+        _, _, _, panel = classroom
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("application bug")
+
+        monkeypatch.setattr(panel.instance, "send_command", broken)
+        with pytest.raises(RuntimeError, match="application bug"):
+            panel._discover_roots("ws-0")
 
 
 class TestCoupleDecouple:

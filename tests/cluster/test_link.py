@@ -9,6 +9,7 @@ against stubs, without workers and without sleeping.
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -150,6 +151,13 @@ class TestCallTimeout:
         with pytest.raises(ReproError, match="delivery 2"):
             handle.call(register("a"))
 
+    def test_an_aborted_handle_fails_a_call_at_once(self, tmp_path):
+        handle = ProcShardHandle("shard-0", str(tmp_path), call_timeout=60.0)
+        handle.abort()
+        with pytest.raises(ReproError, match="shutting down"):
+            handle.call(register("a"))
+        assert handle.pending == {}
+
 
 class TestSendFailures:
     def test_refused_send_is_counted_not_raised(self, tmp_path):
@@ -162,6 +170,39 @@ class TestSendFailures:
         handle.send_control(kinds.SHARD_PING)
         assert handle.send_failures == 1
         assert handle.status()["send_failures"] == 1
+
+
+class TestRestartPlumbing:
+    def test_unacknowledged_deliveries_are_resent_in_id_order(self, tmp_path):
+        """What a replacement worker is sent: every delivery its
+        predecessor never acknowledged, oldest first."""
+        sent = []
+
+        class Link:
+            def send(self, message):
+                sent.append(message)
+
+        handle = ProcShardHandle("shard-0", str(tmp_path))
+        first, second = register("a"), register("b")
+        handle.pending = {2: second, 1: first}
+        handle.link = Link()
+        handle.resend_pending()
+        assert sent == [first, second]
+
+    def test_a_worker_deaf_to_sigterm_is_killed(self, tmp_path):
+        class Stubborn(_SilentProcess):
+            def terminate(self):
+                pass  # ignores SIGTERM
+
+            def wait(self, timeout=None):
+                if self.returncode is None:
+                    raise subprocess.TimeoutExpired("worker", timeout)
+                return self.returncode
+
+        handle = ProcShardHandle("shard-0", str(tmp_path))
+        process = handle.process = Stubborn()
+        handle.terminate()
+        assert process.killed == 1 and process.returncode == -9
 
 
 class _SilentProcess:
@@ -229,5 +270,23 @@ class TestLivenessTimeout:
             # The replacement was heard from at its spawn: no second verdict.
             supervisor.tick()
             assert handle.restarts == 1
+        finally:
+            supervisor.close()
+
+    def test_a_retired_worker_is_dropped_not_restarted(self, tmp_path):
+        """A shard the router closed between two ticks is forgotten by
+        the next one: no verdict, no restart."""
+        supervisor = ShardSupervisor(str(tmp_path))  # never watch()ed
+        supervisor._spawn = lambda handle: pytest.fail("restarted a retired shard")
+        try:
+            handle = ProcShardHandle("shard-0", str(tmp_path / "shard-0"))
+            handle.process = _SilentProcess()
+            handle.process.returncode = 0  # exited, as a closed worker does
+            supervisor.handles["shard-0"] = handle
+            handle.close()
+            assert handle.state == "retired"
+            supervisor.tick()
+            assert supervisor.handles == {}
+            assert handle.restarts == 0
         finally:
             supervisor.close()

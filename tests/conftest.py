@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import copy
 import logging
-import os
 import time
 
 import pytest
@@ -26,11 +25,6 @@ from repro.toolkit import (
     TextField,
     ToggleButton,
 )
-
-
-#: Backend the shared ``session`` fixture builds; CI overrides this to
-#: run the whole suite against the asyncio runtime (REPRO_BACKEND=aio).
-SESSION_BACKEND = os.environ.get("REPRO_BACKEND", "memory")
 
 
 class _RecordList(logging.Handler):
@@ -68,8 +62,10 @@ def loop_errors(request):
 
 @pytest.fixture
 def session():
-    """A fresh deployment (server + network) on the configured backend."""
-    sess = Session(backend=SESSION_BACKEND)
+    """A fresh deployment (server + simulated network).  A test that
+    needs another deployment builds it with ``Session(...)`` or runs a
+    ``tests/harness.py`` cell."""
+    sess = Session()
     yield sess
     sess.close()
 

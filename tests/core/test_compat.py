@@ -162,6 +162,22 @@ class TestStructuralCompatibility:
         assert not heuristic.compatible
         assert exhaustive.compatible
 
+    def test_exhaustive_takes_back_a_child_match_the_rest_cannot_follow(self):
+        # A label corresponds to a textfield and to a scale; a textfield
+        # and a scale do not correspond.  x->p is tried first and matches,
+        # leaves y only q, and is taken back for x->q, y->p.
+        registry = compat.CorrespondenceRegistry()
+        registry.declare("label", "textfield", {"text": "value"})
+        registry.declare("label", "scale", {"text": "value"})
+        a = spec("form", "f", [spec("label", "x"), spec("textfield", "y")])
+        b = spec("form", "g", [spec("textfield", "p"), spec("scale", "q")])
+        result = compat.structurally_compatible(
+            a, b, strategy=compat.EXHAUSTIVE, correspondences=registry
+        )
+        assert result.compatible
+        assert result.mapping == {"": "", "x": "q", "y": "p"}
+        assert result.stats.backtracks == 2
+
     def test_node_budget_enforced(self):
         def wide(name, fanout, depth):
             if depth == 0:

@@ -114,3 +114,28 @@ class TestDuplicatingNetwork:
 
         with pytest.raises(ValueError):
             MemoryNetwork(duplicate_rate=1.0)
+
+
+def test_a_duplicate_state_reply_is_dropped(monkeypatch):
+    """The owner's STATE_REPLY reaches the server twice: the first settles
+    the CopyFrom, the second finds no pending route and is dropped."""
+    with Session() as session:
+        a = session.create_instance("a", user="u1")
+        b = session.create_instance("b", user="u2")
+        ta = a.add_root(build_tree())
+        tb = b.add_root(build_tree())
+        tb.find(FIELD).commit("copied")
+        session.pump()
+        submit = session.network.submit
+
+        def twice(message):
+            submit(message)
+            if message.kind == kinds.STATE_REPLY and message.sender == "b":
+                submit(message)
+
+        monkeypatch.setattr(session.network, "submit", twice)
+        a.copy_from(FIELD, ("b", FIELD))
+        session.pump()
+        assert ta.find(FIELD).value == "copied"
+        assert session.server.processed[kinds.STATE_REPLY] == 2
+        assert a.stats[f"rx_{kinds.STATE_REPLY}"] == 1

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.net import kinds
 from repro.obs.tracing import (
     CLIENT_EMIT,
     CLIENT_LOCK_WAIT,
@@ -131,10 +132,7 @@ def test_complete_multi_hop_span_tree(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_disabled_by_default_records_nothing(backend, monkeypatch):
-    # Neutralize the CI override: this test asserts the out-of-the-box
-    # default, which is observability off.
-    monkeypatch.delenv("REPRO_OBSERVABILITY", raising=False)
+def test_disabled_by_default_records_nothing(backend):
     sess = Session(backend)
     try:
         a = sess.create_instance("a", user="alice")
@@ -185,3 +183,78 @@ def test_sharded_cluster_adds_route_hops():
         assert 'shard="shard-0"' in text
     finally:
         sess.close()
+
+
+def observed_pair():
+    sess = Session(observability=True)
+    a = sess.create_instance("a", user="alice")
+    b = sess.create_instance("b", user="bob")
+    ta, tb = a.add_root(make_demo_tree()), b.add_root(make_demo_tree())
+    a.couple(ta.find(FIELD), ("b", FIELD))
+    sess.pump()
+    return sess, b, ta, tb
+
+
+def test_a_denied_floor_finishes_its_root_span_as_lock_denied():
+    """Contention, observed: b fires while a's acks are outstanding."""
+    sess, b, ta, tb = observed_pair()
+    with sess:
+        ta.find(FIELD).commit("holder")
+        tb.find(FIELD).commit("contender")
+        assert b.last_execution.lock_denied
+        sess.pump()
+        outcomes = {
+            span.endpoint: span.attrs["outcome"]
+            for span in sess.obs.spans.spans()
+            if span.name == CLIENT_EMIT
+        }
+        assert outcomes == {"a": "executed", "b": "lock_denied"}
+        assert tb.find(FIELD).value == "holder"
+
+
+def test_a_duplicate_delivery_is_traced_as_a_duplicate(monkeypatch):
+    """Every EVENT_BROADCAST is delivered twice: the second remote.apply
+    span executes nothing and says why."""
+    sess, b, ta, tb = observed_pair()
+    with sess:
+        submit = sess.network.submit
+
+        def twice(message):
+            submit(message)
+            if message.kind == kinds.EVENT_BROADCAST:
+                submit(message)
+
+        monkeypatch.setattr(sess.network, "submit", twice)
+        ta.find(FIELD).commit("once")
+        sess.pump()
+        applies = [s.attrs for s in sess.obs.spans.spans() if s.name == REMOTE_APPLY]
+        assert applies == [{"executed": 1}, {"duplicate": True}]
+        assert b.stats["duplicate_events"] == 1
+        assert tb.find(FIELD).value == "once"
+        assert len(sess.server.locks) == 0
+
+
+def test_an_observed_journal_times_every_append_and_sync():
+    """Journaling, observed: each append under the default ``batch``
+    policy and the snapshot's fsync land in the fsync histogram."""
+    with Session(observability=True, persistence=True) as sess:
+        a = sess.create_instance("a", user="alice")
+        b = sess.create_instance("b", user="bob")
+        ta = a.add_root(make_demo_tree())
+        b.add_root(make_demo_tree())
+        a.couple(ta.find(FIELD), ("b", FIELD))
+        sess.pump()
+        ta.find(FIELD).commit("journaled")
+        sess.pump()
+        journal = sess.server.persistence
+        journal.snapshot(sess.server)
+        appends = journal.appends
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in sess.metrics_text().splitlines()
+            if line.startswith("repro_persist_")
+        )
+    assert appends > 0
+    assert samples["repro_persist_appends_total"] == str(appends)
+    assert samples["repro_persist_snapshots_total"] == "1"
+    assert samples["repro_persist_fsync_seconds_count"] == str(appends + 1)

@@ -7,6 +7,8 @@ and :class:`AioClientTransport` against that host.
 """
 
 import ast
+import asyncio
+import concurrent.futures
 import dataclasses
 import gc
 import logging
@@ -897,3 +899,44 @@ def test_failed_connect_stops_the_private_loop():
         AioClientTransport("refused", lambda message: None, "127.0.0.1", port)
     names = [thread.name for thread in threading.enumerate()]
     assert "aio-client-refused" not in names
+
+
+@pytest.mark.parametrize("side", ["host", "client"])
+def test_a_burst_read_as_the_transport_closes_is_not_dispatched(side):
+    """close() lands while the loop thread holds a burst it has read but
+    not dispatched yet (it waits for the guard the closing thread
+    holds): the burst is dropped, no handler runs after close."""
+    runner = EventLoopThread("late-burst")
+    delivered, closers = [], [runner.stop]
+
+    def loop_answers():
+        future = asyncio.run_coroutine_threadsafe(asyncio.sleep(0), runner.loop)
+        try:
+            future.result(0.05)
+        except concurrent.futures.TimeoutError:
+            return False
+        return True
+
+    try:
+        if side == "host":
+            transport = AioHostTransport(delivered.append, port=0, loop=runner.loop)
+            writer = socket.create_connection(transport.address)
+        else:
+            listener = socket.socket()
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            closers.append(listener.close)
+            transport = AioClientTransport(
+                "c1", delivered.append, *listener.getsockname(), loop=runner.loop
+            )
+            writer, _ = listener.accept()
+        closers.append(writer.close)
+        with transport.guard():
+            writer.sendall(encode(msg(sender="w", to="c1", late=True)))
+            assert wait_until(lambda: not loop_answers())
+            transport.close()
+        assert wait_until(loop_answers)
+        assert delivered == []
+    finally:
+        for close in reversed(closers):
+            close()

@@ -1,9 +1,13 @@
 """Unit tests for the binary wire codec (repro.net.binary)."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import CodecError
 from repro.net import binary
 from repro.net.binary import BINARY_CODEC, INTERN_TABLE, KIND_TABLE, BinaryCodec
@@ -238,6 +242,24 @@ class TestRegistryIntegration:
     def test_unknown_codec_lists_known(self):
         with pytest.raises(CodecError, match="unknown codec"):
             get_codec("carrier-pigeon")
+
+    def test_first_lookup_imports_the_module_in_a_fresh_interpreter(self):
+        """This process imported repro.net.binary at collection, so the
+        lazy import is checked where nothing has yet."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        check = (
+            "import sys\n"
+            "from repro.net.codec import get_codec\n"
+            "assert 'repro.net.binary' not in sys.modules\n"
+            "assert get_codec('binary').name == 'binary'\n"
+            "assert 'repro.net.binary' in sys.modules\n"
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-c", check],
+            env=dict(os.environ, PYTHONPATH=path),
+            check=True,
+        )
 
 
 class TestMixedStreams:

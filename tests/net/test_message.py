@@ -105,6 +105,21 @@ class TestWire:
         assert back.payload == {}
         assert back.reply_to is None
 
+    def test_the_endpoint_id_memo_starts_over_at_its_cap(self, monkeypatch):
+        """Every trace id is new and goes through the same memo as the
+        endpoint ids, so the memo is bounded: a full one is cleared."""
+        memo = {}
+        monkeypatch.setattr(message_module, "_WIRE_IDS", memo)
+        cap = message_module._WIRE_IDS_MAX
+        for n in range(cap):
+            message = Message(
+                kind=kinds.EVENT, sender="a", to="b", trace=(f"t{n}", f"s{n}")
+            )
+            assert decode(JSON_CODEC.encode(message)) == message
+            assert len(memo) <= cap
+        assert {"a", "b", f"t{cap - 1}", f"s{cap - 1}"} <= set(memo)
+        assert "t0" not in memo
+
 
 @pytest.fixture
 def dumped(monkeypatch):

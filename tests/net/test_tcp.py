@@ -1,5 +1,8 @@
 """Tests for the TCP transport (real localhost sockets)."""
 
+import logging
+import socket
+import struct
 import threading
 import time
 
@@ -7,6 +10,7 @@ import pytest
 
 from repro.errors import DeliveryError, TransportClosedError
 from repro.net import kinds
+from repro.net.codec import JSON_CODEC
 from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport, TcpHostTransport
 
@@ -34,6 +38,23 @@ def host():
 
 
 class TestTcpTransport:
+    def test_a_reset_connection_is_logged_and_forgotten(self, host, caplog):
+        transport, inbox = host
+        caplog.set_level(logging.WARNING, logger="repro.net.tcp")
+        peer = socket.create_connection(transport.address)
+        peer.sendall(JSON_CODEC.encode(msg("c1")))
+        assert inbox.event.wait(5.0)
+        assert transport.connections() == ("c1",)
+        # Linger 0: the close is an RST, which fails the host's recv.
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        peer.close()
+        deadline = time.monotonic() + 5.0
+        while transport.connections() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert transport.connections() == ()
+        assert "event=connection_error" in caplog.text
+        assert "ConnectionResetError" in caplog.text
+
     def test_client_to_host(self, host):
         transport, inbox = host
         _, port = transport.address

@@ -28,6 +28,8 @@ from repro.server.registry import RegistrationRecord, Registry
 from repro.server.routing import ROSTER_RESYNCS
 from repro.session import Session
 
+from conftest import settle
+
 MAX_IDS = 6
 DELIVER, DROP, DUPLICATE, DELAY = "deliver", "drop", "duplicate", "delay"
 
@@ -87,20 +89,15 @@ def assert_converged(session, instances):
 
 
 def assert_journal_rebuilds_the_registry(session):
-    """Where the session journals (CI's ``REPRO_PERSISTENCE=1`` leg): what
-    a crash right now would leave behind recovers the same records and
-    continues the same version chain."""
+    """What a crash right now would leave behind recovers the same
+    records and continues the same version chain."""
     live = session.server
     if session.cluster is not None:
-        if live.persistence_config is None:
-            return
         recovered = recover_cluster(
             live.persistence_config, shards=len(live.shards)
         )
         journals = [shard.persistence for shard in recovered.shards.values()]
     else:
-        if live.persistence is None:
-            return
         journals = [live.persistence.config.build()]
         recovered = recover_server(journals[0])
     try:
@@ -113,8 +110,8 @@ def assert_journal_rebuilds_the_registry(session):
             journal.close()
 
 
-def run_script(shards, script, fates):
-    with Session(backend="memory", shards=shards) as session:
+def run_script(shards, script, fates, journaled=False):
+    with Session(backend="memory", shards=shards, persistence=journaled) as session:
         links = FaultyRosterLinks(session.network, fates)
         instances = [
             session.create_instance(f"i{index}", user="u", register=False)
@@ -136,20 +133,25 @@ def run_script(shards, script, fates):
         session.create_instance("last", user="u")
         session.pump()
         assert_converged(session, instances)
-        assert_journal_rebuilds_the_registry(session)
+        if journaled:
+            assert_journal_rebuilds_the_registry(session)
         return instances
 
 
-@pytest.mark.parametrize("shards", [0, 2], ids=["server", "cluster-2"])
+@pytest.mark.parametrize(
+    "shards, journaled",
+    [(0, False), (2, False), (0, True), (2, True)],
+    ids=["server", "cluster-2", "server-journaled", "cluster-2-journaled"],
+)
 @settings(max_examples=200, deadline=None)
 @given(
     script=st.lists(operations, min_size=1, max_size=14),
     fates=st.lists(fates, max_size=40),
 )
 def test_rosters_converge_whatever_happens_to_roster_messages(
-    shards, script, fates
+    shards, journaled, script, fates
 ):
-    run_script(shards, script, fates)
+    run_script(shards, script, fates, journaled)
 
 
 def test_faults_reach_the_resync_path():
@@ -347,3 +349,21 @@ class TestWhoAnswers:
             # Refused, and still not a continuity loss of state sync.
             processed = session.server.processed
             assert processed[kinds.RESYNC_REQUEST] == processed[ROSTER_RESYNCS] == 1
+
+
+def test_a_gap_on_a_socket_transport_asks_once_on_the_wall_clock():
+    """The same rule where the transport's clock is monotonic time."""
+    with Session(backend="tcp") as session:
+        a = session.create_instance("a", user="alice")
+        assert settle(session, lambda: a.roster_version == 1)
+        _lost, gap, later = joins(authority(), "b", "c", "d")
+        for delta in (gap, later):
+            forged = Message(
+                kind=kinds.INSTANCE_LIST, sender=SERVER_ID, to="a", payload=delta
+            )
+            with a.transport.guard():
+                a.handle_message(forged)
+        assert a.stats["roster_resyncs"] == 1
+        # The answer is the real registry's: a alone, at the same version.
+        assert settle(session, lambda: a.stats["rx_instance_list"] == 3)
+        assert set(a.roster) == {"a"} and a.roster_version == 1

@@ -72,6 +72,18 @@ class TestServerMalformed:
         assert any(m.kind == kinds.REGISTER_ACK for m in transport.sent)
         assert len(srv.registry) == 2
 
+    def test_client_error_for_no_pending_request_is_dropped(self, server):
+        """An ERROR from a client answers a forwarded request; one that
+        answers nothing pending (late, duplicated) goes nowhere."""
+        srv, transport = server
+        srv.handle_message(
+            Message(
+                kind=kinds.ERROR, sender="a", payload={"reason": "x"}, reply_to=999
+            )
+        )
+        assert transport.sent == []
+        assert srv.processed[kinds.ERROR] == 1
+
 
 class TestMalformedEventInLockRequest:
     """A LOCK_REQUEST that carries an event is granted and broadcast in

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import BuilderError
+from repro.errors import AttributeValidationError, BuilderError
 from repro.toolkit.events import (
     ACTIVATE,
     KEY_PRESS,
@@ -213,6 +213,12 @@ class TestListBox:
         with pytest.raises(Exception):
             ListBox("l", items=[1, 2])
 
+    def test_selected_validator_names_the_first_non_int(self):
+        box = ListBox("l", items=["a", "b"])
+        for bad, found in (("1", "str"), (True, "bool")):
+            with pytest.raises(AttributeValidationError, match=f"found {found}"):
+                box.set("selected", [0, bad])
+
 
 class TestScale:
     def test_set_value_clamped(self):
@@ -288,6 +294,13 @@ class TestCanvas:
         assert canvas.stroke_count == 1
         undo.rollback()  # rolling back twice removes at most once more
         assert canvas.stroke_count == 0
+
+    def test_strokes_validator(self):
+        canvas = Canvas("c")
+        with pytest.raises(AttributeValidationError, match="must be a dict"):
+            canvas.set("strokes", [[0, 0]])
+        with pytest.raises(AttributeValidationError, match="needs a 'points' key"):
+            canvas.set("strokes", [{"color": "red"}])
 
 
 class TestLabel:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import PathError
 from repro.session import Session
 from repro.tools.replay import SessionRecorder, loads, replay, replay_locally
 from repro.toolkit.builder import build
@@ -110,4 +111,17 @@ class TestReplay:
         fresh = make_demo_tree()
         applied = replay_locally(log, fresh)
         assert applied == 2
+        assert subtree_state(fresh) == subtree_state(ta)
+
+    def test_replay_locally_skips_a_missing_path_and_applies_the_rest(self, pair):
+        session, a, _, ta, _ = pair
+        recorder = SessionRecorder(a)
+        ta.find(FIELD).commit("offline")
+        ta.find(FLAG).toggle()
+        field_event, flag_event = recorder.cut()
+        log = [field_event, dict(field_event, source_path="/app/form/gone"), flag_event]
+        fresh = make_demo_tree()
+        with pytest.raises(PathError):
+            replay_locally(log, make_demo_tree())
+        assert replay_locally(log, fresh, strict=False) == 2
         assert subtree_state(fresh) == subtree_state(ta)
