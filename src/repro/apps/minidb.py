@@ -104,13 +104,6 @@ class Table:
         row = {column: values.get(column) for column in self.columns}
         self._rows.append(row)
 
-    def insert_rows(self, rows: Iterable[Mapping[str, Any]]) -> int:
-        count = 0
-        for row in rows:
-            self.insert(**dict(row))
-            count += 1
-        return count
-
     def __len__(self) -> int:
         return len(self._rows)
 

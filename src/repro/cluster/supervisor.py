@@ -564,6 +564,7 @@ class ShardSupervisor:
                 )
             if self._clock() > deadline:
                 process.kill()
+                process.wait()  # reaped: a failed start leaves no zombie
                 raise ReproError(
                     f"shard worker {handle.shard_id!r} did not bind "
                     f"within {self.start_timeout:.0f}s"

@@ -60,10 +60,6 @@ class CouplingGroup:
     # ------------------------------------------------------------------
 
     @property
-    def members(self) -> Tuple[str, ...]:
-        return tuple(self._members)
-
-    @property
     def anchor(self) -> Optional[str]:
         """The member every other member is star-coupled to."""
         return self._anchor

@@ -20,19 +20,17 @@ purely local otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 from collections import Counter
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core import action_sync, coupling, state_sync
 from repro.core.action_sync import ExecutionResult, FloorGrant
 from repro.core.commands import CommandRegistry
-from repro.core.compat import (
-    ComponentMapping,
-    CorrespondenceRegistry,
-    translate_state,
-)
+from repro.core.compat import ComponentMapping, CorrespondenceRegistry
+from repro.core.continuity import Continuity, Sent
 from repro.core.semantic import SemanticHookRegistry
 from repro.core.state_sync import ApplyReport, STRICT
 from repro.errors import (
@@ -53,11 +51,7 @@ from repro.server.permissions import PermissionRule
 from repro.server.registry import RegistrationRecord, record_from_delta
 from repro.toolkit.builder import shape
 from repro.toolkit.events import Event, EventTrace
-from repro.toolkit.tree import (
-    apply_subtree_state,
-    subtree_state,
-    subtree_state_since,
-)
+from repro.toolkit.tree import apply_subtree_state, subtree_state
 from repro.toolkit.widget import PATH_SEPARATOR, UIObject, state_clock
 
 WidgetRef = Union[UIObject, str]
@@ -166,23 +160,8 @@ class ApplicationInstance:
         #: highest event seq executed per originating instance (dedup of
         #: at-least-once broadcast deliveries).
         self._last_event_seq: Dict[str, int] = {}
-        #: Delta sync sender cache: (local pathname, target gid) -> the last
-        #: transfer sent at that target — a push, once acknowledged, or the
-        #: reply to a fetch that named it (seq, state-clock baseline,
-        #: structure and semantic fingerprints).  Entries are dropped on
-        #: any failed or non-STRICT push so the next transfer falls back to
-        #: a full snapshot, and — like the receiver's — when the local
-        #: widget is destroyed or the remote instance leaves the roster.
-        self._delta_out: Dict[Tuple[str, GlobalId], Dict[str, Any]] = {}
-        #: Delta sync receiver cache: (source gid, local pathname) -> the
-        #: last applied transfer (seq, fingerprints, source spec, the
-        #: resolved component mapping for translating deltas, and the
-        #: state clock after the apply: what was written here since).
-        self._delta_in: Dict[Tuple[GlobalId, str], Dict[str, Any]] = {}
-        #: Sequence numbers of the transfers this instance sends under
-        #: the delta protocol: never reused, so an entry that survived a
-        #: lost full snapshot cannot match the chain started after it.
-        self._transfer_seqs = itertools.count(1)
+        #: Delta continuity; touched only under the transport guard.
+        self.continuity = Continuity()
         self._tokens = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -268,8 +247,8 @@ class ApplicationInstance:
         self.send(Message(kind=kinds.UNREGISTER, sender=self.instance_id))
         self.registered = False
         self.replica.clear()
-        self._delta_out.clear()
-        self._delta_in.clear()
+        with self._guard():
+            self.continuity.clear()
 
     def close(self) -> None:
         """Unregister and release the transport."""
@@ -296,10 +275,6 @@ class ApplicationInstance:
         self._roots[widget.name] = widget
         widget.attach_runtime(self)
         return widget
-
-    def remove_root(self, widget: UIObject) -> None:
-        if self._roots.get(widget.name) is widget:
-            del self._roots[widget.name]
 
     def roots(self) -> Tuple[UIObject, ...]:
         return tuple(self._roots.values())
@@ -438,11 +413,8 @@ class ApplicationInstance:
         in_protocol = (
             mode == STRICT and predefined is None and strategy == state_sync.AUTO
         )
-        # (seq, fp) of the last transfer applied here; (0, None): none.
-        known: Tuple[int, Optional[str]] = (0, None)
-        entry = self._delta_in.get((source, widget.pathname))
-        if entry is not None and entry["local_fp"] == shape(widget).fingerprint:
-            known = (entry["seq"], entry["fp"])
+        with self._guard():
+            known = self.continuity.known((widget.pathname, source), widget)
         for _attempt in range(2):
             request: Dict[str, Any] = {"object": gid_to_wire(source)}
             if in_protocol:
@@ -458,14 +430,15 @@ class ApplicationInstance:
             )
             if reply is None:
                 raise ServerError("copy_from timed out")
-            report = self._apply_transfer(
-                widget,
-                reply.payload,
-                "copy_from",
-                mode=mode,
-                strategy=strategy,
-                predefined=predefined,
-            )
+            with self._guard():
+                report = self._apply_transfer(
+                    widget,
+                    reply.payload,
+                    "copy_from",
+                    mode=mode,
+                    strategy=strategy,
+                    predefined=predefined,
+                )
             if report is not None:
                 return report
             known = (0, None)  # continuity lost: once more, for a full snapshot
@@ -492,30 +465,28 @@ class ApplicationInstance:
         """
         widget = self._resolve_local(local)
         key = (widget.pathname, target)
-        base = self._delta_out.get(key)
-        payload, commit = self._build_push_payload(
-            widget, target, mode, predefined, base
-        )
+        with self._guard():
+            base = self.continuity.entry_for(key)
+            payload, commit = self._build_push_payload(
+                widget, target, mode, predefined, base
+            )
+        reply = None
         try:
             reply = self.request(
                 Message(
                     kind=kinds.PUSH_STATE, sender=self.instance_id, payload=payload
                 )
             )
-        except ServerError:
-            self._delta_out.pop(key, None)
-            raise
+        finally:
+            # Unacknowledged, refused or outside the protocol: no record,
+            # the next push is full.  A resync the loop thread answered
+            # meanwhile (the target rejected this push) stays.
+            with self._guard():
+                self.continuity.commit_if_current(
+                    key, base, commit if reply is not None else None
+                )
         if reply is None:
-            # Unacknowledged: the delta baseline would be a guess, so drop
-            # it — the next push sends a full snapshot.
-            self._delta_out.pop(key, None)
             raise ServerError("copy_to timed out")
-        if commit is not None:
-            with self._transport.guard():
-                # The target may have rejected this push, and the loop
-                # thread already answered its resync: keep that entry.
-                if self._delta_out.get(key) is base:
-                    self._delta_out[key] = commit
 
     def _build_push_payload(
         self,
@@ -523,20 +494,19 @@ class ApplicationInstance:
         target: GlobalId,
         mode: str,
         predefined: Optional[ComponentMapping],
-        entry: Optional[Dict[str, Any]],
+        entry: Optional[Sent],
         *,
         counted_as: str = "pushes",
-    ) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    ) -> Tuple[Dict[str, Any], Optional[Sent]]:
         """Build the payload of a transfer at *target*, delta-encoded when
         safe: a PUSH_STATE, or the STATE_REPLY to a fetch that named it.
-        *entry* is the sender-cache entry to continue from (``None``: a
-        full snapshot).
+        *entry* is the record to continue from (``None``: a full
+        snapshot).
 
-        Returns ``(payload, commit)`` where *commit* is the sender-cache
-        entry to install once the transfer is acknowledged (``None`` when
-        the transfer is outside the delta protocol entirely).
+        Returns ``(payload, commit)`` where *commit* is the record to
+        keep once the transfer is sent or acknowledged (``None`` when the
+        transfer is outside the delta protocol entirely).
         """
-        key = (widget.pathname, target)
         addressing = {
             "target": gid_to_wire(target),
             "mode": mode,
@@ -544,9 +514,7 @@ class ApplicationInstance:
         }
         if mode != STRICT or predefined is not None:
             # MERGE/FLEXIBLE rewrite structure, predefined mappings bypass
-            # the cached-mapping path: full snapshot, and invalidate any
-            # delta continuity with this target.
-            self._delta_out.pop(key, None)
+            # the cached-mapping path: a full snapshot, and no record.
             payload = state_sync.build_state_payload(widget, self.semantics)
             payload.update(addressing)
             if predefined is not None:
@@ -557,32 +525,31 @@ class ApplicationInstance:
         # delta — at-least-once per attribute, never lost.
         baseline = state_clock()
         fp = shape(widget).fingerprint
-        delta = entry is not None and entry["fp"] == fp
+        delta = entry is not None and entry.fp == fp
         payload = state_sync.build_state_payload(
             widget,
             self.semantics,
             include_structure=not delta,
-            since=entry["baseline"] if delta else None,
+            since=entry.baseline if delta else None,
         )
         payload.update(addressing)
         stored = payload.get("semantic")
         sem_fp = _blob_fingerprint(stored) if stored else None
-        seq = next(self._transfer_seqs)
+        seq = self.continuity.next_seq()
         if delta:
             payload["sync"] = {
                 "delta": True,
                 "seq": seq,
-                "base": entry["seq"],
+                "base": entry.seq,
                 "fp": fp,
             }
-            if stored and sem_fp == entry.get("sem_fp"):
+            if stored and sem_fp == entry.sem_fp:
                 del payload["semantic"]
             self.stats[f"delta_{counted_as}"] += 1
         else:
             payload["sync"] = {"delta": False, "seq": seq, "fp": fp}
             self.stats[f"full_{counted_as}"] += 1
-        commit = {"seq": seq, "baseline": baseline, "fp": fp, "sem_fp": sem_fp}
-        return payload, commit
+        return payload, Sent(seq, baseline, fp, sem_fp)
 
     def remote_copy(
         self, source: GlobalId, target: GlobalId, *, mode: str = STRICT
@@ -757,11 +724,8 @@ class ApplicationInstance:
 
     def process_local_event(self, widget: UIObject, event: Event) -> ExecutionResult:
         """Entry point for every local ``widget.fire(...)``."""
-        guard = self._transport.guard() if self._transport else None
-        if guard is not None:
-            with guard:
-                return self._process_local_event(widget, event)
-        return self._process_local_event(widget, event)
+        with self._guard():
+            return self._process_local_event(widget, event)
 
     def _process_local_event(self, widget: UIObject, event: Event) -> ExecutionResult:
         self.trace.record(event)
@@ -850,7 +814,8 @@ class ApplicationInstance:
         here too; every destroyed descendant gets its own call.
         """
         gid = self.gid(widget)
-        self._drop_delta_entries(lambda local, _remote: local == gid[1])
+        with self._guard():
+            self.continuity.forget(lambda local, _remote: local == gid[1])
         if not self.registered or self._transport is None:
             return
         if not coupling.subtree_is_coupled(self.replica, *gid):
@@ -944,21 +909,15 @@ class ApplicationInstance:
         else:
             target = gid_from_wire(sync["target"])
             key = (widget.pathname, target)
-            entry = self._delta_out.get(key)
-            if (
-                "seq" in sync
-                and entry is not None
-                and (entry["seq"], entry["fp"]) != (sync["seq"], sync.get("fp"))
-            ):
-                self._delta_out.pop(key, None)
-                entry = None
+            requester = (sync["seq"], sync.get("fp")) if "seq" in sync else None
+            entry = self.continuity.entry_for(key, requester)
             payload, commit = self._build_push_payload(
                 widget, target, STRICT, None, entry, counted_as="fetches"
             )
             # Optimistic, as in _on_resync_request: a lost reply leaves
-            # the requester behind this entry, which its next fetch says
+            # the requester behind this record, which its next fetch says
             # (``seq``) or its continuity check finds.
-            self._delta_out[key] = commit
+            self.continuity.commit_if_current(key, entry, commit)
         payload["object"] = gid_to_wire(obj)
         self.send(
             Message(
@@ -1012,9 +971,26 @@ class ApplicationInstance:
         """
         sync = payload.get("sync")
         if sync and sync.get("delta"):
-            report = self._apply_push_delta(widget, payload, sync)
-            if report is None:
+            key = (widget.pathname, gid_from_wire(payload["source"]))
+            state = self.continuity.accept(
+                key, widget, sync, payload.get("state", {}), self.correspondences
+            )
+            if state is None:
+                self.stats["delta_resyncs"] += 1
                 return None
+            delta = {"state": state}
+            if "semantic" in payload:
+                delta["semantic"] = payload["semantic"]
+            # Structure-less: applied by identical relative paths.
+            report = state_sync.apply_state_payload(
+                widget, delta, semantics=self.semantics
+            )
+            mapping = self.continuity.received[key].mapping
+            if mapping is not None:
+                report.mapping = dict(mapping)
+                report.mapping_size = len(mapping)
+            self.continuity.advance(key, int(sync["seq"]))
+            self.stats["deltas_applied"] += 1
         else:
             report = state_sync.apply_state_payload(
                 widget,
@@ -1028,75 +1004,16 @@ class ApplicationInstance:
             if sync is not None and "source" in payload:
                 # Full snapshot under the delta protocol: (re)establish
                 # the continuity baseline for this sender/target pair.
-                source = gid_from_wire(payload["source"])
-                self._delta_in[(source, widget.pathname)] = {
-                    "seq": int(sync["seq"]),
-                    "fp": sync.get("fp"),
-                    "local_fp": shape(widget).fingerprint,
-                    "spec": payload.get("structure"),
-                    "mapping": report.mapping,
-                    "clock": state_clock(),
-                }
+                self.continuity.advance(
+                    (widget.pathname, gid_from_wire(payload["source"])),
+                    int(sync["seq"]),
+                    fp=sync.get("fp"),
+                    local_fp=shape(widget).fingerprint,
+                    spec=payload.get("structure"),
+                    mapping=report.mapping,
+                )
         self._push_history(widget, report.old_state, reason=reason)
         self.stats["states_applied"] += 1
-        return report
-
-    def _apply_push_delta(
-        self,
-        widget: UIObject,
-        payload: Mapping[str, Any],
-        sync: Mapping[str, Any],
-    ) -> Optional[ApplyReport]:
-        """Apply a delta transfer, or return ``None`` on continuity loss.
-
-        Continuity holds when the delta's base sequence matches the last
-        applied transfer, neither side's structure changed (sender
-        fingerprint carried in the payload, ours recomputed locally),
-        and the delta overwrites everything written *here* since that
-        transfer (``clock``) — the sender ships what it wrote, so an
-        edit of ours it does not return would otherwise stand, where a
-        full transfer makes the two ends equal.  A broken chain —
-        dropped transfer, structural change, restarted receiver, local
-        edit — drops the entry; the caller gets a full snapshot instead.
-        """
-        key = (gid_from_wire(payload["source"]), widget.pathname)
-        entry = self._delta_in.get(key)
-        local = shape(widget)
-        intact = (
-            entry is not None
-            and entry["seq"] == sync.get("base")
-            and entry["fp"] == sync.get("fp")
-            and entry["local_fp"] == local.fingerprint
-        )
-        if intact:
-            state: Mapping[str, Mapping[str, Any]] = payload.get("state", {})
-            mapping = entry.get("mapping")
-            if mapping is not None and entry.get("spec") is not None:
-                state = translate_state(
-                    state, entry["spec"], local.types, mapping, self.correspondences
-                )
-            intact = all(
-                name in state.get(rel, ())
-                for rel, written in subtree_state_since(widget, entry["clock"]).items()
-                for name in written
-            )
-        if not intact:
-            self._delta_in.pop(key, None)
-            self.stats["delta_resyncs"] += 1
-            return None
-        translated = {"state": state}
-        if "semantic" in payload:
-            translated["semantic"] = payload["semantic"]
-        # Structure-less: applied by identical relative paths.
-        report = state_sync.apply_state_payload(
-            widget, translated, semantics=self.semantics
-        )
-        if mapping is not None:
-            report.mapping = dict(mapping)
-            report.mapping_size = len(mapping)
-        entry["seq"] = int(sync["seq"])
-        entry["clock"] = state_clock()
-        self.stats["deltas_applied"] += 1
         return report
 
     def _request_resync(self, source: GlobalId, target: GlobalId) -> None:
@@ -1129,7 +1046,8 @@ class ApplicationInstance:
         if widget is None or widget.destroyed:
             self.stats["resync_misses"] += 1
             return
-        self._delta_out.pop((widget.pathname, target), None)
+        key = (widget.pathname, target)
+        base = self.continuity.entry_for(key)
         push_payload, commit = self._build_push_payload(
             widget, target, STRICT, None, None
         )
@@ -1138,10 +1056,9 @@ class ApplicationInstance:
         )
         self._abandoned[push.msg_id] = None
         self.send(push)
-        if commit is not None:
-            # Optimistic: if this push is also lost, the receiver's next
-            # continuity check fails and it asks again.
-            self._delta_out[(widget.pathname, target)] = commit
+        # Optimistic: if this push is also lost, the receiver's next
+        # continuity check fails and it asks again.
+        self.continuity.commit_if_current(key, base, commit)
         self.stats["resync_pushes"] += 1
 
     def _on_command(self, message: Message) -> None:
@@ -1200,7 +1117,7 @@ class ApplicationInstance:
             else:
                 left = str(payload["left"])
                 self.roster.pop(left, None)
-                self._drop_delta_entries(lambda _local, remote: remote[0] == left)
+                self.continuity.forget(lambda _local, remote: remote[0] == left)
             self.roster_version = version
 
     def _adopt_roster(self, payload: Mapping[str, Any]) -> None:
@@ -1210,22 +1127,7 @@ class ApplicationInstance:
         self.roster_version = int(payload["version"])
         self._roster_resync_until = None
         roster = self.roster
-        self._drop_delta_entries(lambda _local, remote: remote[0] not in roster)
-
-    def _drop_delta_entries(self, gone: Callable[[str, GlobalId], bool]) -> None:
-        """Forget delta continuity for every pair ``gone(local pathname,
-        remote gid)`` holds for: the widget was destroyed or the peer left.
-
-        Nothing on the other end needs telling — a later transfer under
-        the same names starts with a full snapshot (sender) or asks for
-        one (receiver).
-        """
-        # Keys are (local, remote) on the sender side, (remote, local) on
-        # the receiver's.  list(): the other thread may insert meanwhile.
-        for cache, local_at in ((self._delta_out, 0), (self._delta_in, 1)):
-            for key in list(cache):
-                if gone(key[local_at], key[1 - local_at]):
-                    cache.pop(key, None)
+        self.continuity.forget(lambda _local, remote: remote[0] not in roster)
 
     def _request_roster_resync(self) -> None:
         """Ask whoever owns the registry for the full roster, once.
@@ -1250,6 +1152,11 @@ class ApplicationInstance:
                 payload={"roster": self.roster_version},
             )
         )
+
+    def _guard(self):
+        """The transport's guard against its message handlers, if bound."""
+        transport = self._transport
+        return transport.guard() if transport is not None else contextlib.nullcontext()
 
     def _resolve_local(self, ref: WidgetRef) -> UIObject:
         if isinstance(ref, UIObject):

@@ -142,11 +142,6 @@ class ShardSampleCache:
             self.samples_received += applied
             return applied
 
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
-            self.epoch = None
-
     def collect(self) -> List[Sample]:
         """Cached worker samples, re-labeled with ``shard=<id>``.
 

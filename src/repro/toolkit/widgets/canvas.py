@@ -28,16 +28,11 @@ class _StrokeUndo:
     correct inverse of "append stroke S" is "remove one occurrence of S".
     """
 
-    __slots__ = ("widget", "stroke", "written")
+    __slots__ = ("widget", "stroke")
 
     def __init__(self, widget: "Canvas", stroke: Dict[str, Any]):
         self.widget = widget
         self.stroke = stroke
-        self.written: Dict[str, Any] = {}
-
-    @property
-    def saved(self) -> Dict[str, Any]:  # UndoRecord-compatible surface
-        return {"strokes": None}
 
     def rollback(self) -> None:
         strokes = list(self.widget._state["strokes"])

@@ -132,14 +132,6 @@ class _RadioUndo:
         self.inner = inner
         self.group = group
 
-    @property
-    def saved(self):
-        return self.inner.saved
-
-    @property
-    def written(self):
-        return self.inner.written
-
     def rollback(self) -> None:
         self.inner.rollback()
         self.group._sync_children(str(self.group._state.get("selection", "")))

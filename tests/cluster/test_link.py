@@ -4,12 +4,16 @@
 implementation, so it gets one test), a scripted link that fails shows
 how the router leaves its tables, and the two expiry paths of the
 subprocess link — ``call_timeout`` and ``liveness_timeout`` — run
-against stubs, without workers and without sleeping.
+against stubs, without workers and without sleeping; ``start_timeout``
+against a real child that never binds, on a fake clock.
 """
 
+import itertools
 import json
 import os
+import signal
 import subprocess
+import sys
 
 import pytest
 
@@ -288,5 +292,35 @@ class TestLivenessTimeout:
             supervisor.tick()
             assert supervisor.handles == {}
             assert handle.restarts == 0
+        finally:
+            supervisor.close()
+
+
+class TestStartTimeout:
+    def test_a_worker_that_never_binds_is_killed_and_reaped(
+        self, tmp_path, monkeypatch
+    ):
+        """``start()`` gives the worker ``start_timeout`` to write its
+        portfile.  Past it the start fails, and no process is left."""
+        ticks = itertools.count()  # one second per reading
+        supervisor = ShardSupervisor(
+            str(tmp_path), start_timeout=3.0, clock=lambda: float(next(ticks))
+        )
+        spawned = []
+        popen = subprocess.Popen
+
+        def never_binds(cmd, **kwargs):
+            spawned.append(
+                popen([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs)
+            )
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", never_binds)
+        try:
+            with pytest.raises(ReproError, match="did not bind within 3s"):
+                supervisor.start("shard-0")
+            (process,) = spawned
+            assert process.returncode == -signal.SIGKILL  # killed, and reaped
+            assert not os.path.exists(tmp_path / "shard-0" / "port")
         finally:
             supervisor.close()

@@ -214,7 +214,7 @@ class TestDeltaProtocol:
         # Simulate a receiver that lost its continuity baseline (e.g. a
         # restart): the next delta cannot be applied and must trigger a
         # full resync from the sender.
-        b._delta_in.clear()
+        b.continuity.received.clear()
         tree_a.find("field").set("value", "v2")
         a.copy_to(PATH, ("b", PATH))
         session.pump()
@@ -300,7 +300,7 @@ class TestDeltaProtocol:
         session.pump()
         assert a.stats["full_pushes"] == 0
         assert a.stats["delta_pushes"] == 0
-        assert "a" not in {k[0] for k in b._delta_in}
+        assert "a" not in {remote[0] for _local, remote in b.continuity.received}
 
     def test_history_still_pushed_for_deltas(self, duo):
         """Delta application still records the overwritten state, so the
@@ -321,11 +321,11 @@ class TestDeltaProtocol:
         session, a, b, tree_a, tree_b = duo
         a.copy_to(PATH, ("b", PATH))
         session.pump()
-        assert a._delta_out
+        assert a.continuity.sent
         a.unregister()
         session.pump()
-        assert not a._delta_out
-        assert not a._delta_in
+        assert not a.continuity.sent
+        assert not a.continuity.received
 
     def test_destroyed_widget_drops_its_entries_on_both_sides(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -334,14 +334,14 @@ class TestDeltaProtocol:
         a.copy_to("/app/form", ("b", "/app/form"))
         a.copy_to(PATH, ("b", PATH))
         session.pump()
-        assert set(a._delta_out) == {
+        assert set(a.continuity.sent) == {
             ("/app/form", ("b", "/app/form")),
             (PATH, ("b", PATH)),
         }
         tree_a.find("form").destroy()
-        assert set(a._delta_out) == {(PATH, ("b", PATH))}
+        assert set(a.continuity.sent) == {(PATH, ("b", PATH))}
         tree_b.find("form").destroy()
-        assert set(b._delta_in) == {(("a", PATH), PATH)}
+        assert set(b.continuity.received) == {(PATH, ("a", PATH))}
 
     def test_destroy_drops_entries_of_an_unregistered_instance_too(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -349,7 +349,7 @@ class TestDeltaProtocol:
         session.pump()
         b.registered = False  # the hook's not-coupled early return
         tree_b.destroy()
-        assert not b._delta_in
+        assert not b.continuity.received
 
     def test_recreated_widget_starts_with_a_full_push(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -373,17 +373,17 @@ class TestDeltaProtocol:
         a.copy_to(PATH, ("c", PATH))
         b.copy_to(PATH, ("a", PATH))
         session.pump()
-        assert (("a", PATH), PATH) in b._delta_in
+        assert (PATH, ("a", PATH)) in b.continuity.received
         a.unregister()
         session.pump()
         assert "a" not in b.roster
         # b held an entry per direction; c's stays with b's untouched.
-        assert not b._delta_in and not b._delta_out
-        assert not c._delta_in
+        assert not b.continuity.received and not b.continuity.sent
+        assert not c.continuity.received
         c.copy_to(PATH, ("b", PATH))
         session.pump()
-        assert set(c._delta_out) == {(PATH, ("b", PATH))}
-        assert set(b._delta_in) == {(("c", PATH), PATH)}
+        assert set(c.continuity.sent) == {(PATH, ("b", PATH))}
+        assert set(b.continuity.received) == {(PATH, ("c", PATH))}
 
     def test_adopted_roster_drops_entries_of_the_missing(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -396,8 +396,8 @@ class TestDeltaProtocol:
             record for record in without_a["roster"] if record["instance_id"] != "a"
         ]
         b._adopt_roster(without_a)
-        assert not b._delta_in and not b._delta_out
-        assert a._delta_in and a._delta_out  # a's roster still has b
+        assert not b.continuity.received and not b.continuity.sent
+        assert a.continuity.received and a.continuity.sent  # a's roster still has b
 
 
 class TestDeltaPayloadShape:
@@ -425,9 +425,8 @@ class TestDeltaPayloadShape:
             tree_a.find("field").set("value", value)
             a.copy_to(PATH, ("b", PATH))
         session.pump()
-        entry = a._delta_out[(tree_a.pathname, ("b", PATH))]
-        assert entry["seq"] == 3
-        assert b._delta_in[(("a", PATH), PATH)]["seq"] == 3
+        assert a.continuity.sent[(tree_a.pathname, ("b", PATH))].seq == 3
+        assert b.continuity.received[(PATH, ("a", PATH))].seq == 3
 
 
 @pytest.fixture(params=["memory", "aio"])
@@ -487,14 +486,14 @@ class TestDeltaFetch:
         with deployment(backend) as (session, a, b, tree_a, tree_b):
             a.copy_from(PATH, ("b", PATH))
             if lost == "owner_entry":
-                b._delta_out.clear()
+                b.continuity.sent.clear()
             else:
                 gone = b if lost == "owner_rejoined" else a
                 gone.unregister()
                 session.pump()
                 gone.register()
                 session.pump()
-                assert not b._delta_out
+                assert not b.continuity.sent
             tree_b.find("field").set("value", "after")
             round_trips = a.stats["rx_state_reply"]
             a.copy_from(PATH, ("b", PATH))
@@ -597,7 +596,7 @@ class TestDeltaFetch:
             c.remote_copy(("a", PATH), ("b", PATH))
             assert settle(session, lambda: tree_b.find("field").value == "one")
             assert (a.stats["full_fetches"], b.stats["deltas_applied"]) == (1, 0)
-            assert (("a", PATH), PATH) in b._delta_in
+            assert (PATH, ("a", PATH)) in b.continuity.received
 
             tree_a.find("zoom").set("value", 5)
             c.remote_copy(("a", PATH), ("b", PATH))
@@ -629,7 +628,7 @@ class TestDeltaFetch:
                 c.remote_copy(("a", PATH), ("b", PATH))
                 assert settle(session, lambda: tree_b.find("field").value == value)
             assert a.stats["full_fetches"] + a.stats["delta_fetches"] == 0
-            assert not a._delta_out and not b._delta_in
+            assert not a.continuity.sent and not b.continuity.received
 
     def test_a_fetch_without_the_block_gets_the_full_payload(self, backend):
         """Mixed fleet, old requester: ``fetch_state()`` is one."""
@@ -640,7 +639,7 @@ class TestDeltaFetch:
             expected = build_state_payload(tree_b, b.semantics)
             expected["object"] = gid_to_wire(("b", PATH))
             assert payload == json.loads(json.dumps(expected))
-            assert list(b._delta_out) == [(PATH, ("a", PATH))]
+            assert list(b.continuity.sent) == [(PATH, ("a", PATH))]
             assert b.stats["full_fetches"] == 1
 
     def test_a_reply_without_the_block_is_applied_as_before(self, backend):
@@ -656,7 +655,7 @@ class TestDeltaFetch:
                 report = a.copy_from(PATH, ("b", PATH))
                 assert "field" in report.applied_paths
                 assert_synced(tree_b, tree_a)
-            assert not a._delta_in and not b._delta_out
+            assert not a.continuity.received and not b.continuity.sent
             assert b.stats["full_fetches"] + b.stats["delta_fetches"] == 0
 
     def test_a_block_naming_someone_elses_object_is_refused(self, backend):
@@ -674,11 +673,11 @@ class TestDeltaFetch:
                         },
                     )
                 )
-            assert not b._delta_out
+            assert not b.continuity.sent
 
 
 class TestFetchCreatedEntries:
-    """Owner-side ``_delta_out`` entries are created by whoever fetches;
+    """Owner-side ``continuity.sent`` records are created by whoever fetches;
     they end with what they describe, like the ones pushes create."""
 
     def test_a_hundred_fetches_leave_one_entry(self, duo):
@@ -686,8 +685,8 @@ class TestFetchCreatedEntries:
         for index in range(100):
             tree_b.find("zoom").set("value", index % 100)
             a.copy_from(PATH, ("b", PATH))
-        assert list(b._delta_out) == [(PATH, ("a", PATH))]
-        assert list(a._delta_in) == [(("b", PATH), PATH)]
+        assert list(b.continuity.sent) == [(PATH, ("a", PATH))]
+        assert list(a.continuity.received) == [(PATH, ("b", PATH))]
         assert (b.stats["full_fetches"], b.stats["delta_fetches"]) == (1, 99)
 
     def test_destroyed_widget_drops_its_fetch_created_entries(self, duo):
@@ -696,14 +695,14 @@ class TestFetchCreatedEntries:
             TextField("text", parent=Form("form", parent=tree))
         a.copy_from("/app/form", ("b", "/app/form"))
         a.copy_from(PATH, ("b", PATH))
-        assert set(b._delta_out) == {
+        assert set(b.continuity.sent) == {
             ("/app/form", ("a", "/app/form")),
             (PATH, ("a", PATH)),
         }
         tree_b.find("form").destroy()
-        assert set(b._delta_out) == {(PATH, ("a", PATH))}
+        assert set(b.continuity.sent) == {(PATH, ("a", PATH))}
         tree_a.find("form").destroy()
-        assert set(a._delta_in) == {(("b", PATH), PATH)}
+        assert set(a.continuity.received) == {(PATH, ("b", PATH))}
 
     def test_departed_requester_drops_the_entries_it_created(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -711,10 +710,10 @@ class TestFetchCreatedEntries:
         c.add_root(make_tree())
         a.copy_from(PATH, ("b", PATH))
         c.copy_from(PATH, ("b", PATH))
-        assert set(b._delta_out) == {(PATH, ("a", PATH)), (PATH, ("c", PATH))}
+        assert set(b.continuity.sent) == {(PATH, ("a", PATH)), (PATH, ("c", PATH))}
         a.unregister()
         session.pump()
-        assert set(b._delta_out) == {(PATH, ("c", PATH))}
+        assert set(b.continuity.sent) == {(PATH, ("c", PATH))}
 
     def test_adopted_roster_drops_fetch_created_entries_of_the_missing(self, duo):
         session, a, b, tree_a, tree_b = duo
@@ -724,4 +723,4 @@ class TestFetchCreatedEntries:
             record for record in without_a["roster"] if record["instance_id"] != "a"
         ]
         b._adopt_roster(without_a)
-        assert not b._delta_out
+        assert not b.continuity.sent

@@ -279,9 +279,9 @@ class TestStructureDerivedOncePerChange:
             assert payload["structure"] == to_spec(form_a)
             a.copy_to(form_a, b.gid("/other/inner"))
             session.pump()
-            entry = b._delta_in[(("a", "/form"), "/other/inner")]
-            assert entry["fp"] == spec_fingerprint(to_spec(form_a))
-            assert entry["local_fp"] == spec_fingerprint(
+            entry = b.continuity.received[("/other/inner", ("a", "/form"))]
+            assert entry.fp == spec_fingerprint(to_spec(form_a))
+            assert entry.local_fp == spec_fingerprint(
                 to_spec(form_b.find("inner"))
             )
         finally:

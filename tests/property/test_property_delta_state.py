@@ -6,11 +6,19 @@ state a single full snapshot would.  These tests drive a random write
 workload through the dirty-attribute clock and check replica equality at
 every segment boundary — first on bare trees, then through the whole
 protocol (CopyTo, CopyFrom, RemoteCopy, edits on either side, structural
-changes, dropped messages) against a full-transfer oracle.
+changes, dropped messages) against a full-transfer oracle: as a script,
+and as a state machine that also duplicates messages, destroys objects
+and lets peers leave.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.state_sync import apply_state_payload, build_state_payload
@@ -22,7 +30,7 @@ from repro.toolkit.tree import (
     subtree_state_since,
 )
 from repro.toolkit.widget import state_clock
-from repro.toolkit.widgets import Label, Scale, Shell, TextField, ToggleButton
+from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField, ToggleButton
 
 #: (relative path, attribute, value strategy) — coupling-relevant
 #: attributes of the fixture tree below.
@@ -33,12 +41,17 @@ WRITABLE = [
 ]
 
 
+def fill(parent, kind="homogeneous"):
+    """The fixture's three children; a heterogeneous target has a label
+    where the source has a textfield (value <-> text, declared)."""
+    (TextField if kind == "homogeneous" else Label)("field", parent=parent)
+    Scale("zoom", parent=parent, maximum=100)
+    ToggleButton("flag", parent=parent)
+    return parent
+
+
 def make_tree(name="app"):
-    root = Shell(name, title="delta")
-    TextField("field", parent=root)
-    Scale("zoom", parent=root, maximum=100)
-    ToggleButton("flag", parent=root)
-    return root
+    return fill(Shell(name, title="delta"))
 
 
 @st.composite
@@ -178,13 +191,7 @@ TARGET_FIELD = {"homogeneous": "value", "heterogeneous": "text"}
 
 
 def make_target(kind, name="app"):
-    if kind == "homogeneous":
-        return make_tree(name)
-    root = Shell(name, title="delta")
-    Label("field", parent=root)  # textfield.value <-> label.text, declared
-    Scale("zoom", parent=root, maximum=100)
-    ToggleButton("flag", parent=root)
-    return root
+    return fill(Shell(name, title="delta"), kind)
 
 
 def child(tree, rel):
@@ -225,17 +232,27 @@ def protocol_scripts(draw):
 
 
 class _Cutter:
-    """Drops the next message the server sends on the armed leg."""
+    """Drops the next message the server sends on the armed leg — or the
+    next ``times``; with ``copies`` set, sends each that many times."""
 
     def __init__(self, server):
         self.armed = None
+        self.times = 1
+        self.copies = 0
+        self.fired = 0
         send = server._send
 
         def cutting(message):
-            if self.armed == (message.kind, message.to):
-                self.armed = None
+            if self.armed != (message.kind, message.to):
+                send(message)
                 return
-            send(message)
+            self.fired += 1
+            if self.times > 1:
+                self.times -= 1
+            else:
+                self.armed = None
+            for _ in range(self.copies):
+                send(message)
 
         server._send = cutting
 
@@ -295,3 +312,197 @@ class TestProtocolEqualsFullTransfer:
                 ), step
         finally:
             session.close()
+
+
+# ----------------------------------------------------------------------
+# The same oracle as a state machine
+# ----------------------------------------------------------------------
+#
+# The stream runs between S's and T's ``/app/form``, so the object can be
+# destroyed and re-created under its path.  An armed leg cuts or
+# duplicates the next one or two messages on it, whichever transfers send
+# them.  Besides T's equality with its twin, every step checks what the
+# records say: none names a widget that is gone or an instance off the
+# roster, T's seq is never ahead of S's, and after a transfer no fault
+# touched, both ends of the stream are at one seq.
+
+FORM = "/app/form"
+SIDES = st.sampled_from("st")
+PUSH, REPLY, ACK, FETCH, RESYNC = LEGS
+#: Writes; all but ``flag=False`` change the fixture's initial values.
+EDITS = st.one_of(
+    st.tuples(st.just("field"), st.just("value"), st.text(min_size=1, max_size=4)),
+    st.tuples(st.just("zoom"), st.just("value"), st.integers(1, 100)),
+    st.tuples(st.just("flag"), st.just("set"), st.booleans()),
+)
+
+
+def faults(*legs):
+    """None, or (copies, leg, times) armed at a transfer: the next *times*
+    messages on one of the legs it uses are cut (0 copies) or duplicated
+    (2) — this transfer's, and with 2 the next one's too."""
+    return st.none() | st.tuples(
+        st.sampled_from((0, 2)), st.sampled_from(legs), st.sampled_from((1, 2))
+    )
+
+
+class DeltaContinuityMachine(RuleBasedStateMachine):
+    pair = "homogeneous"
+
+    def __init__(self):
+        super().__init__()
+        self.registry = correspondences()
+        self.session = Session(backend="memory", correspondences=self.registry)
+        self.at = {
+            name: self.session.create_instance(name, user=name, request_timeout=0.05)
+            for name in "stc"
+        }
+        self.kinds = {"s": "homogeneous", "t": self.pair}
+        self.real = {side: self.app(side) for side in "st"}
+        self.twin = {side: self.app(side) for side in "st"}
+        for side in "st":
+            self.at[side].add_root(self.real[side])
+        self.faults = _Cutter(self.session.server)
+        self.session.pump()
+        self.renames = 0
+        #: The last step was a transfer no fault touched.
+        self.clean = False
+
+    def app(self, side):
+        root = Shell("app", title="delta")
+        fill(Form("form", parent=root), self.kinds[side])
+        return root
+
+    def teardown(self):
+        self.session.close()
+
+    def transfer(self, fault, run):
+        landed = self.at["t"].stats["states_applied"]
+        if fault is not None:
+            self.faults.copies, self.faults.armed, self.faults.times = fault
+        fired = self.faults.fired
+        try:
+            run()
+        except ReproError:
+            pass  # a cut leg: timed out
+        self.session.pump()
+        self.clean = self.faults.fired == fired
+        if self.at["t"].stats["states_applied"] > landed:
+            apply_state_payload(
+                self.twin["t"].child("form"),
+                build_state_payload(self.twin["s"].child("form")),
+                correspondences=self.registry,
+            )
+
+    @rule(edit=EDITS)
+    def edit_source(self, edit):
+        self.edit("s", *edit)
+
+    @rule(edit=EDITS)
+    def edit_target(self, edit):
+        rel, attr, value = edit
+        if rel == "field":
+            attr = TARGET_FIELD[self.pair]
+        self.edit("t", rel, attr, value)
+
+    def edit(self, side, rel, attr, value):
+        for trees in (self.real, self.twin):
+            child(trees[side].child("form"), rel).set(attr, value)
+
+    @rule(fault=faults(PUSH, ACK, RESYNC), drained=st.booleans())
+    def copy_to(self, fault, drained):
+        """*drained*: the resync round trip a rejected push provokes lands
+        before ``copy_to`` records that push, as the loop thread can make
+        it on sockets."""
+        s = self.at["s"]
+        if drained:
+            request = s.request
+
+            def request_then_drain(message, *args, **kwargs):
+                reply = request(message, *args, **kwargs)
+                self.session.pump()
+                return reply
+
+            s.request = request_then_drain
+        try:
+            self.transfer(fault, lambda: s.copy_to(FORM, ("t", FORM)))
+        finally:
+            s.__dict__.pop("request", None)
+
+    @rule(fault=faults(REPLY, FETCH))
+    def copy_from(self, fault):
+        self.transfer(fault, lambda: self.at["t"].copy_from(FORM, ("s", FORM)))
+
+    @rule(fault=faults(PUSH, FETCH, RESYNC))
+    def remote_copy(self, fault):
+        c = self.at["c"]
+        self.transfer(fault, lambda: c.remote_copy(("s", FORM), ("t", FORM)))
+
+    @rule(side=SIDES)
+    def restructure(self, side):
+        self.renames += 1
+        for trees in (self.real, self.twin):
+            form = trees[side].child("form")
+            child(form, "zoom").destroy()
+            Scale(f"zoom{self.renames}", parent=form, maximum=100)
+
+    @rule(side=SIDES)
+    def destroy_and_recreate(self, side):
+        for tree in (self.real[side], self.twin[side]):
+            tree.child("form").destroy()
+        self.records_name_live_widgets_and_roster_members()
+        for tree in (self.real[side], self.twin[side]):
+            fill(Form("form", parent=tree), self.kinds[side])
+        self.clean = False
+
+    @rule(side=SIDES)
+    def leave_and_rejoin(self, side):
+        self.at[side].unregister()
+        self.session.pump()
+        self.records_name_live_widgets_and_roster_members()
+        self.at[side].register()
+        self.session.pump()
+        self.clean = False
+
+    @invariant()
+    def target_equals_its_full_transfer_twin(self):
+        real, twin = (trees["t"].child("form") for trees in (self.real, self.twin))
+        assert subtree_state(real, relevant_only=True) == subtree_state(
+            twin, relevant_only=True
+        )
+
+    @invariant()
+    def records_name_live_widgets_and_roster_members(self):
+        for instance in self.at.values():
+            continuity = instance.continuity
+            for local, remote in [*continuity.sent, *continuity.received]:
+                assert instance.find_widget(local) is not None, (local, remote)
+                assert remote[0] in instance.roster, (local, remote)
+
+    @invariant()
+    def both_ends_of_the_stream_agree_on_its_seq(self):
+        """T's seq is one S sent, and S's seqs are never reused, so T is
+        never ahead of S's record; after a transfer no fault touched, the
+        two are at the same transfer."""
+        sent = self.at["s"].continuity.sent.get((FORM, ("t", FORM)))
+        received = self.at["t"].continuity.received.get((FORM, ("s", FORM)))
+        if self.clean:
+            assert sent is not None and received is not None
+            assert sent.seq == received.seq
+        elif sent is not None and received is not None:
+            assert received.seq <= sent.seq
+
+
+@pytest.mark.parametrize("pair", ["homogeneous", "heterogeneous"])
+def test_the_continuity_machine_matches_full_transfers(pair):
+    machine = type(f"{pair}Continuity", (DeltaContinuityMachine,), {"pair": pair})
+    run_state_machine_as_test(
+        machine,
+        settings=settings(
+            max_examples=100,
+            stateful_step_count=50,
+            derandomize=True,
+            database=None,
+            deadline=None,
+        ),
+    )
