@@ -59,7 +59,6 @@ class ProcCluster(ShardedCosoftCluster):
         directory: str,
         snapshot_every: int = 500,
         vnodes: int = 64,
-        placement: str = "hash",
         default_allow: bool = True,
         admin_users: Tuple[str, ...] = (),
         ack_release: bool = True,
@@ -95,7 +94,6 @@ class ProcCluster(ShardedCosoftCluster):
             codec=self.supervisor.link_codec,
             link_factory=self.supervisor.start,
             vnodes=vnodes,
-            placement=placement,
             default_allow=default_allow,
             admin_users=admin_users,
             ack_release=ack_release,

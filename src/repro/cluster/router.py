@@ -109,14 +109,11 @@ class ShardedCosoftCluster:
         history_depth: int = 100,
         floor_lease: float = 30.0,
         persistence: Optional[Any] = None,
-        codec: object = "json",
-        placement: str = "hash",
+        codec: str = "json",
         link_factory: Optional[Callable[[str], ShardLink]] = None,
     ):
         if shards <= 0:
             raise ValueError("a cluster needs at least one shard")
-        if placement not in ("hash", "load"):
-            raise ValueError(f"unknown placement policy {placement!r}")
         self.clock: Clock = clock if clock is not None else SimClock()
         #: The codec the router accounts inter-shard bytes with (the
         #: router↔shard hop is in-process, so the codec only prices it).
@@ -126,10 +123,6 @@ class ShardedCosoftCluster:
         self.shard_ids: Tuple[str, ...] = tuple(
             f"shard-{i}" for i in range(shards)
         )
-        #: Placement policy for resharding targets and merge winners:
-        #: ``"hash"`` follows the ring, ``"load"`` prefers the shard with
-        #: the lower observed message load (docs/CLUSTER.md).
-        self.placement = placement
         self.vnodes = vnodes
         self.default_allow = default_allow
         self.admin_users = tuple(admin_users)
@@ -238,7 +231,7 @@ class ShardedCosoftCluster:
         cluster broken down by shard.
         """
         self.obs = obs
-        if obs.enabled and obs.registry.enabled:
+        if obs.enabled:
             self.routing.register_into(obs.registry, endpoint="router")
         for shard_id in self._links:
             self._observe_shard(shard_id)
@@ -246,7 +239,7 @@ class ShardedCosoftCluster:
     def _observe_shard(self, shard_id: str) -> None:
         obs = self.obs
         link = self._links[shard_id]
-        if obs.enabled and obs.registry.enabled:
+        if obs.enabled:
             link.traffic.register_into(obs.registry, shard=shard_id)
         link.configure_observability(obs, shard=shard_id)
 
@@ -434,21 +427,11 @@ class ShardedCosoftCluster:
         home_target = self._home_of(target)
         if home_source != home_target:
             # The link merges two groups homed on different shards: move
-            # one group to the other's home, then apply the couple there.
-            # Hash placement moves the smaller group (fewer rows to
-            # transfer); load placement keeps the busier shard from
-            # accreting more groups by moving *toward* the less loaded
-            # home, breaking ties on group size.
+            # the smaller group (fewer rows to transfer) to the other's
+            # home, then apply the couple there.
             group_source = self.mirror.group_of(source)
             group_target = self.mirror.group_of(target)
-            source_wins = len(group_source) >= len(group_target)
-            if self.placement == "load":
-                loads = self.shard_loads()
-                load_source = loads.get(home_source, 0)
-                load_target = loads.get(home_target, 0)
-                if load_source != load_target:
-                    source_wins = load_source < load_target
-            if source_wins:
+            if len(group_source) >= len(group_target):
                 winner, moving, loser = home_source, group_target, home_target
             else:
                 winner, moving, loser = home_target, group_source, home_source
@@ -780,20 +763,15 @@ class ShardedCosoftCluster:
         )
 
     def shard_loads(self) -> Dict[str, int]:
-        """Messages handled per shard — the obs layer's load signal.
+        """Messages handled per shard (``cluster_status``'s ``loads``).
 
         The same counter the per-shard ``TrafficStats`` export to the
-        metrics registry; ``placement="load"`` drives its decisions off
-        this instead of pure hashing.
+        metrics registry.
         """
         return {
             shard_id: stats.messages
             for shard_id, stats in self._shard_stats.items()
         }
-
-    def _least_loaded(self, candidates: Iterable[str]) -> str:
-        loads = self.shard_loads()
-        return min(candidates, key=lambda sid: (loads.get(sid, 0), sid))
 
     def _next_shard_id(self) -> str:
         n = len(self.shards)
@@ -841,9 +819,8 @@ class ShardedCosoftCluster:
     def remove_shard(self, shard_id: str) -> List[List[GlobalId]]:
         """Drain a shard and retire it, live.
 
-        Every stateful group on the leaving shard is handed off — to its
-        new ring home, or with ``placement="load"`` to the least-loaded
-        survivor — then the shard is retired.  Traffic arriving during
+        Every stateful group on the leaving shard is handed off to its
+        new ring home, then the shard is retired.  Traffic arriving during
         the handoff queues behind it (the router is single-threaded per
         message) and replays against the new homes.  Returns the moved
         groups.
@@ -855,13 +832,10 @@ class ShardedCosoftCluster:
         survivors = tuple(s for s in self.shard_ids if s != shard_id)
         new_ring = HashRing(survivors, vnodes=self.vnodes)
         inventory = self._shard_inventory(shard_id)
-        moves: List[Tuple[List[GlobalId], str]] = []
-        for group in inventory:
-            if self.placement == "load":
-                target = self._least_loaded(survivors)
-            else:
-                target = new_ring.node_for(self._group_key(group))
-            moves.append((group, target))
+        moves: List[Tuple[List[GlobalId], str]] = [
+            (group, new_ring.node_for(self._group_key(group)))
+            for group in inventory
+        ]
         for group, target in moves:
             self._migrate(group, shard_id, target)
         self.shard_ids = survivors
@@ -897,7 +871,6 @@ class ShardedCosoftCluster:
         """The CLUSTER_STATUS_REPLY payload (also handy for tests)."""
         status: Dict[str, Any] = {
             "shards": list(self.shard_ids),
-            "placement": self.placement,
             "loads": self.shard_loads(),
             "migrations": self.migrations,
             "registered": len(self.registry),

@@ -86,7 +86,7 @@ class ProcShardHandle(ShardLink):
         shard_id: str,
         directory: str,
         *,
-        codec: object = "binary",
+        codec: str = "json",
         call_timeout: float = 60.0,
         lock: Optional[Any] = None,
     ):
@@ -309,7 +309,7 @@ class ProcShardHandle(ShardLink):
         collectors; pulled spans merge into *obs*'s recorder.
         """
         self.obs = obs
-        if not (obs.enabled and obs.registry.enabled):
+        if not obs.enabled:
             return
         from repro.obs.metrics import Sample
 
@@ -412,7 +412,7 @@ class ShardSupervisor:
         directory: str,
         *,
         worker_args: Sequence[str] = (),
-        link_codec: str = "binary",
+        link_codec: str = "json",
         heartbeat_interval: float = 0.5,
         liveness_timeout: float = 5.0,
         start_timeout: float = 30.0,

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.link import LocalShardLink
 from repro.net import kinds
+from repro.net.codec import CODEC_NAMES
 from repro.net.message import Message
 from repro.net.transport import ROUTER_ID
 from repro.obs import NULL_OBS, Observability
@@ -170,7 +171,7 @@ class ShardEndpoint:
         """
         obs = self.obs
         since = message.payload.get("since")
-        if not (obs.enabled and obs.registry.enabled):
+        if not obs.enabled:
             self._send_control(
                 kinds.SHARD_OBS_REPLY,
                 epoch=self._obs_differ.epoch,
@@ -230,9 +231,6 @@ class ShardEndpoint:
     def _send_uplink(self, did: int, outs: List[Dict[str, Any]]) -> None:
         self._send_control(kinds.SHARD_UPLINK, did=did, outs=outs)
 
-    def stats(self) -> Dict[str, Any]:
-        return self.server.stats()
-
 
 def build_worker(
     *,
@@ -291,7 +289,7 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
                         help="per-shard journal directory")
     parser.add_argument("--portfile", required=True,
                         help="file to write the bound port into once ready")
-    parser.add_argument("--codec", default="binary")
+    parser.add_argument("--codec", required=True, choices=CODEC_NAMES)
     parser.add_argument("--no-default-allow", action="store_true")
     parser.add_argument("--admin-users", default="")
     parser.add_argument("--no-ack-release", action="store_true")

@@ -174,7 +174,7 @@ class ApplicationInstance:
         return self
 
     def connect_tcp(
-        self, host: str, port: int, *, codec: object = "json"
+        self, host: str, port: int, *, codec: str = "json"
     ) -> "ApplicationInstance":
         """Connect to a TCP server; returns self for chaining.
 
@@ -189,7 +189,7 @@ class ApplicationInstance:
         return self
 
     def connect_aio(
-        self, host: str, port: int, *, loop=None, codec: object = "json"
+        self, host: str, port: int, *, loop=None, codec: str = "json"
     ) -> "ApplicationInstance":
         """Connect through a shared event loop; returns self for chaining.
 

@@ -83,38 +83,14 @@ class CodecError(NetworkError, ValueError):
 
 
 class UnknownCommunicatorError(NetworkError, ValueError):
-    """No communicator backend is registered under the requested name."""
+    """``Session(backend=...)`` names none of the backends that exist."""
 
     def __init__(self, name: str, known=()):
         known = tuple(known)
-        hint = f"; registered communicators: {list(known)}" if known else ""
+        hint = f"; backends: {list(known)}" if known else ""
         super().__init__(f"unknown backend {name!r}{hint}")
         self.name = name
         self.known = known
-
-
-class CommunicatorDependencyError(NetworkError, ImportError):
-    """A registered communicator backend failed to import.
-
-    Raised when a backend name resolves but its module (typically an
-    optional dependency shipped as a pip extra) is not installed.  The
-    message names the extra to install, so the failure is actionable.
-    """
-
-    def __init__(self, name: str, target: str, reason: str, extra=None):
-        remedy = (
-            f'install it with: pip install "repro[{extra}]"'
-            if extra
-            else "is its package installed?"
-        )
-        super().__init__(
-            f"communicator backend {name!r} is registered but could not be "
-            f"loaded ({target}: {reason}) — {remedy}"
-        )
-        self.name = name
-        self.target = target
-        self.reason = reason
-        self.extra = extra
 
 
 class TransportClosedError(NetworkError):

@@ -1,4 +1,4 @@
-"""Asyncio server transport: end-of-burst flush, backpressure, per-hop retry.
+"""Asyncio server transport: end-of-burst flush, bounded queues, per-hop retry.
 
 This module replaces the blocking thread-per-connection TCP loop on the
 *server* side with a single-threaded :mod:`asyncio` protocol speaking the
@@ -29,12 +29,11 @@ produced for one destination goes out in one ``write()`` (at most
 :data:`_MAX_FRAMES_PER_WRITE` frames each), adding no latency.  Nothing
 waits for a timer (docs/PERF.md §12).
 
-**Backpressure.**  Every destination has a bounded send queue
-(``max_queue`` messages).  A slow consumer overflows it; the
-``backpressure`` policy decides what happens: ``"drop"`` discards the
-overflowing message (attributed in ``TrafficStats.drops_by_reason``),
-``"block"`` pauses inbound reading until the queue drains (classic
-end-to-end backpressure), ``"disconnect"`` evicts the slow consumer.
+**Bounded queues.**  Every destination has a bounded send queue
+(``max_queue`` messages).  A slow consumer overflows it, and the
+overflowing message is dropped, counted under
+``TrafficStats.drops_by_reason["backpressure"]``: one more source of
+loss, with the consequences docs/RUNTIME.md's fault table lists.
 
 **Per-hop retry.**  A flush that finds no live connection for its
 destination (or a failed write) is retried with exponential backoff
@@ -59,7 +58,6 @@ import threading
 import time as _time
 from dataclasses import dataclass
 from typing import (
-    Awaitable,
     Callable,
     Dict,
     Iterator,
@@ -67,7 +65,6 @@ from typing import (
     Optional,
     Set,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -78,19 +75,13 @@ from repro.obs.log import get_logger, log_event
 from repro.net.tcp import TcpTransportBase
 from repro.net.transport import (
     DROP_BACKPRESSURE,
-    DROP_DISCONNECTED,
     DROP_UNDELIVERABLE,
     MessageHandler,
     TrafficStats,
     Transport,
 )
 
-#: Valid overflow policies for a bounded send queue.
-BACKPRESSURE_POLICIES = ("drop", "block", "disconnect")
-
 _log = get_logger("net.aio")
-
-T = TypeVar("T")
 
 #: Transport write-buffer size (``get_write_buffer_size()``: bytes the
 #: kernel has not taken yet) past which the inline end-of-burst flush
@@ -113,9 +104,8 @@ class BatchConfig:
     Attributes
     ----------
     max_queue:
-        Bound of the per-destination send queue, in messages.
-    backpressure:
-        Overflow policy: ``"drop"``, ``"block"`` or ``"disconnect"``.
+        Bound of the per-destination send queue, in messages; a message
+        past it is dropped.
     retry_initial:
         First per-hop retry delay, seconds.
     retry_backoff:
@@ -127,7 +117,6 @@ class BatchConfig:
     """
 
     max_queue: int = 1024
-    backpressure: str = "drop"
     retry_initial: float = 0.05
     retry_backoff: float = 2.0
     retry_limit: int = 5
@@ -136,11 +125,6 @@ class BatchConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"backpressure must be one of {BACKPRESSURE_POLICIES}, "
-                f"got {self.backpressure!r}"
-            )
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
         if self.retry_backoff < 1.0:
@@ -191,7 +175,7 @@ class SendQueue:
 
     #: push() outcomes.
     QUEUED = "queued"
-    OVERFLOW = "overflow"  # queue is full: apply the backpressure policy
+    OVERFLOW = "overflow"  # queue is full: the message is dropped
 
     def __init__(self, destination: str, config: BatchConfig):
         self.destination = destination
@@ -209,11 +193,6 @@ class SendQueue:
             return self.OVERFLOW
         self._items.append(message)
         return self.QUEUED
-
-    def force_push(self, message: Message) -> None:
-        """Append past the bound (the ``block`` policy keeps the message
-        and throttles intake instead of discarding)."""
-        self._items.append(message)
 
     def pop_batch(self, max_messages: int = _MAX_FRAMES_PER_WRITE) -> List[Message]:
         """Remove and return up to *max_messages* messages from the head;
@@ -234,20 +213,16 @@ class SendQueue:
         self.attempts = 0
         return out
 
-    def below_resume_level(self) -> bool:
-        """True once a blocked queue has drained enough to resume intake."""
-        return len(self._items) <= self.config.max_queue // 2
-
 
 class EventLoopThread:
     """A dedicated thread running one asyncio event loop forever.
 
     The loop is the single point of serialization of whatever is put on
     it: connection handling, message dispatch and batched writes are all
-    callbacks on it.  Application threads talk to it through :meth:`run`
-    / :meth:`call_soon`.  Whoever creates one owns it: :meth:`stop`
-    ends the thread, which closes the loop and with it every socket
-    closed on the way out.
+    callbacks on it.  Application threads reach it through
+    ``loop.call_soon_threadsafe`` or ``asyncio.run_coroutine_threadsafe``.
+    Whoever creates one owns it: :meth:`stop` ends the thread, which
+    closes the loop and with it every socket closed on the way out.
     """
 
     def __init__(self, name: str = "repro-aio-runtime"):
@@ -271,13 +246,6 @@ class EventLoopThread:
             )
         self.loop.run_until_complete(asyncio.sleep(0))
         self.loop.close()
-
-    def run(self, coro: Awaitable[T], timeout: float = 10.0) -> T:
-        """Run *coro* on the loop and block for its result."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout)
-
-    def call_soon(self, callback, *args) -> None:
-        self.loop.call_soon_threadsafe(callback, *args)
 
     def stop(self, timeout: float = 5.0) -> None:
         if self.loop.is_running():
@@ -410,7 +378,7 @@ class AioHostTransport(Transport):
     host / port:
         Listen address; port 0 picks a free port (see :attr:`address`).
     config:
-        The :class:`BatchConfig` governing backpressure and retry.
+        The :class:`BatchConfig` governing queue bounds and retry.
     loop:
         A running event loop to join (the
         :class:`~repro.server.runtime.AsyncServerRuntime` passes its
@@ -427,7 +395,7 @@ class AioHostTransport(Transport):
         local_id: str = "server",
         config: Optional[BatchConfig] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
-        codec: object = "json",
+        codec: str = "json",
     ):
         self._local_id = local_id
         self._handler = handler
@@ -442,14 +410,11 @@ class AioHostTransport(Transport):
         self._closed = False
 
         #: Every accepted socket, identified or not (loop-thread only):
-        #: what ``close()`` closes and policy ``block`` pauses.
+        #: what ``close()`` closes.
         self._accepted: Set[_SocketConnection] = set()
         #: The accepted connections that have sent a first message, by
         #: its sender id — the ones the endpoint can address.
         self._conns: Dict[str, _SocketConnection] = {}
-        #: Policy ``block``: reading is paused on every accepted
-        #: connection while some destination queue is past its bound.
-        self._reads_paused = False
         #: Connections that ended with an error rather than EOF: socket
         #: errors, undecodable frames, a raising endpoint handler.
         self.connection_errors = 0
@@ -574,16 +539,6 @@ class AioHostTransport(Transport):
         self._accepted.add(conn)
         if self._closed:
             conn.transport.close()
-        elif self._reads_paused:
-            # Accepted while gated: start paused.  Scheduled rather than
-            # done here: the transport adds its reader right after this
-            # callback, and not every supported Python lets a pause made
-            # inside it win.
-            self._loop.call_soon(self._pause_if_gated, conn)
-
-    def _pause_if_gated(self, conn: _SocketConnection) -> None:
-        if self._reads_paused:
-            conn.transport.pause_reading()
 
     def _dispatch(self, conn: _SocketConnection, messages: List[Message]) -> None:
         """Hand one read's worth of decoded messages to the endpoint.
@@ -625,16 +580,6 @@ class AioHostTransport(Transport):
             self._peer_codecs.pop(conn.peer_id, None)
             log_event(_log, logging.DEBUG, "connection_closed", peer=conn.peer_id)
 
-    def _set_reads_paused(self, paused: bool) -> None:
-        """Policy ``block``: stop (or resume) reading on every accepted
-        connection — intake throttling without ever blocking a handler."""
-        self._reads_paused = paused
-        for conn in self._accepted:
-            if paused:
-                conn.transport.pause_reading()
-            else:
-                conn.transport.resume_reading()
-
     def _enqueue(self, message: Message) -> None:
         """Loop-thread only: queue one message and poke the writer."""
         if self._closed:
@@ -645,7 +590,16 @@ class AioHostTransport(Transport):
             queue = SendQueue(dest, self.config)
             self._queues[dest] = queue
         if queue.push(message) == SendQueue.OVERFLOW:
-            self._on_overflow(queue, message)
+            self._stats.record_drop(
+                message, self._drop_size(dest, message), reason=DROP_BACKPRESSURE
+            )
+            log_event(
+                _log,
+                logging.WARNING,
+                "send_queue_overflow",
+                destination=dest,
+                kind=message.kind,
+            )
             return
         self._dirty.add(dest)
         if not self._flush_scheduled:
@@ -724,65 +678,7 @@ class AioHostTransport(Transport):
             for message, frame in zip(items, frames):
                 self._stats.record(message, len(frame), dest)
             self._stats.record_batch(len(items))
-        if self._reads_paused:
-            self._reopen_reads_if_drained()
         return written
-
-    def _reopen_reads_if_drained(self) -> None:
-        """Policy ``block``, gate closed: resume intake once *no*
-        destination's queue is above its resume level — a healthy peer's
-        flush must not reopen the gate a stuck one closed."""
-        if all(queue.below_resume_level() for queue in self._queues.values()):
-            self._set_reads_paused(False)
-
-    def _on_overflow(self, queue: SendQueue, message: Message) -> None:
-        policy = self.config.backpressure
-        dest = queue.destination
-        if policy == "drop":
-            self._stats.record_drop(
-                message, self._drop_size(dest, message), reason=DROP_BACKPRESSURE
-            )
-            log_event(
-                _log,
-                logging.WARNING,
-                "send_queue_overflow",
-                destination=queue.destination,
-                policy=policy,
-                kind=message.kind,
-            )
-        elif policy == "block":
-            # Keep the message, throttle intake until the queue drains.
-            queue.force_push(message)
-            if not self._reads_paused:
-                self._set_reads_paused(True)
-            self._kick_writer(queue.destination)
-            log_event(
-                _log,
-                logging.INFO,
-                "read_gate_closed",
-                destination=queue.destination,
-                queued=len(queue),
-            )
-        else:  # disconnect: evict the slow consumer
-            self._stats.record_drop(
-                message, self._drop_size(dest, message), reason=DROP_DISCONNECTED
-            )
-            dropped_count = 1
-            for dropped in queue.drain_all():
-                self._stats.record_drop(
-                    dropped, self._drop_size(dest, dropped), reason=DROP_DISCONNECTED
-                )
-                dropped_count += 1
-            conn = self._conns.pop(queue.destination, None)
-            if conn is not None:
-                conn.transport.close()
-            log_event(
-                _log,
-                logging.WARNING,
-                "slow_consumer_evicted",
-                destination=queue.destination,
-                dropped=dropped_count,
-            )
 
     def _kick_writer(self, dest: str) -> None:
         """Ensure a writer task is draining *dest*'s queue."""
@@ -842,8 +738,6 @@ class AioHostTransport(Transport):
                     reason=DROP_UNDELIVERABLE,
                 )
                 dropped += 1
-            if self._reads_paused:
-                self._reopen_reads_if_drained()
             log_event(
                 _log,
                 logging.WARNING,
@@ -910,7 +804,7 @@ class AioClientTransport(TcpTransportBase):
         *,
         loop: Optional[asyncio.AbstractEventLoop] = None,
         connect_timeout: float = 5.0,
-        codec: object = "json",
+        codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
         #: The loop thread this transport started and therefore stops

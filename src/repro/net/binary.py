@@ -619,10 +619,3 @@ class BinaryCodec:
 
 
 BINARY_CODEC = BinaryCodec()
-
-# Self-register so ``get_codec("binary")`` and body auto-detection find
-# this codec once the module is imported (codec.py imports it lazily).
-from repro.net import codec as _codec  # noqa: E402  (import cycle: lazy)
-
-if "binary" not in _codec._CODECS:
-    _codec.register_codec(BINARY_CODEC)

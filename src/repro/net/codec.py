@@ -1,5 +1,5 @@
 """Wire codecs for protocol messages: framing, the :class:`Codec`
-contract, and the codec registry.
+contract, and the two codecs.
 
 Every frame on every transport is a 4-byte big-endian length header
 followed by one message *body*.  Two body encodings ship with the
@@ -35,22 +35,19 @@ one message on every measured workload, docs/PERF.md §10);
 format's reference producer for the decoder and interop tests
 (docs/PROTOCOL.md).
 
-Third-party codecs implement the :class:`Codec` protocol and register
-with :func:`register_codec`; transports resolve names through
-:func:`get_codec`.
+Transports resolve a codec name through :func:`get_codec`; there are
+exactly two.
 
 The module-level :func:`encode` / :func:`wire_size` helpers remain the
 plain-JSON entry points (the byte-accounting baseline of the committed
-benchmarks); :func:`decode` accepts frames from any registered codec.
+benchmarks); :func:`decode` accepts frames from either codec.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import struct
 from typing import (
-    Dict,
     Iterator,
     List,
     Optional,
@@ -128,7 +125,7 @@ class Codec(Protocol):
     :func:`decode_body` for the dispatch rule.
     """
 
-    #: Registry name (``SessionConfig(codec=<name>)``).
+    #: The name :func:`get_codec` resolves (``SessionConfig(codec=<name>)``).
     name: str
 
     def encode(self, message: Message) -> bytes:
@@ -250,53 +247,25 @@ class JsonCodec:
         return len(self.encode(message))
 
 
-#: The process-wide codec registry.  Built-ins register here at import;
-#: third-party codecs add themselves with :func:`register_codec`.
-_CODECS: Dict[str, Codec] = {}
-
-#: Lazily-imported modules that self-register a codec on import, keyed by
-#: the codec name they provide (the binary codec stays un-imported until
-#: a binary frame or an explicit ``codec="binary"`` asks for it).
-_LAZY_CODECS: Dict[str, str] = {"binary": "repro.net.binary"}
-
-
-def register_codec(codec: Codec, *, replace: bool = False) -> None:
-    """Register *codec* under ``codec.name``.
-
-    Registering an already-known name raises unless *replace* — guarding
-    against two packages silently fighting over one name.
-    """
-    name = codec.name
-    if not replace and name in _CODECS and _CODECS[name] is not codec:
-        raise ValueError(f"codec {name!r} is already registered")
-    _CODECS[name] = codec
-
-
-def get_codec(name) -> Codec:
-    """Resolve a codec by registry name (or pass a ready codec through)."""
-    if not isinstance(name, str):
-        return name  # already a Codec instance
-    codec = _CODECS.get(name)
-    if codec is None:
-        lazy = _LAZY_CODECS.get(name)
-        if lazy is not None:
-            importlib.import_module(lazy)
-            codec = _CODECS.get(name)
-    if codec is None:
-        known = sorted(set(_CODECS) | set(_LAZY_CODECS))
-        raise CodecError(
-            f"unknown codec {name!r}; registered codecs: {known}"
-        )
-    return codec
-
-
-def codec_names() -> tuple:
-    """Every resolvable codec name (registered plus lazy built-ins)."""
-    return tuple(sorted(set(_CODECS) | set(_LAZY_CODECS)))
-
-
 JSON_CODEC = JsonCodec()
-register_codec(JSON_CODEC)
+
+#: Every codec name :func:`get_codec` resolves.
+CODEC_NAMES = ("binary", "json")
+
+
+def get_codec(name: str) -> Codec:
+    """The codec called *name*: ``"json"`` or ``"binary"``.
+
+    The binary codec's module is imported on first use.  Anything else —
+    another name, or no name at all — raises :class:`CodecError`.
+    """
+    if name == "json":
+        return JSON_CODEC
+    if name == "binary":
+        from repro.net.binary import BINARY_CODEC
+
+        return BINARY_CODEC
+    raise CodecError(f"unknown codec {name!r}; codecs: {list(CODEC_NAMES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +284,10 @@ def _codec_for_body(body) -> Codec:
     first = body[0]
     if first in _JSON_OPENERS:
         return JSON_CODEC
-    from repro.net import binary  # self-registers on first import
+    from repro.net import binary
 
     if first == binary.MAGIC:
-        return _CODECS["binary"]
+        return binary.BINARY_CODEC
     if first == ENVELOPE_MAGIC:
         raise CodecError(
             "frame body is a batch envelope, not a single message; "
@@ -326,7 +295,7 @@ def _codec_for_body(body) -> Codec:
         )
     raise CodecError(
         f"unrecognized frame body (first byte 0x{first:02x}); "
-        f"known codecs: {codec_names()}"
+        f"codecs: {list(CODEC_NAMES)}"
     )
 
 
@@ -383,7 +352,7 @@ def encode(message: Message) -> bytes:
 def decode(frame: bytes) -> Message:
     """Inverse of :meth:`Codec.encode` for exactly one complete frame.
 
-    Accepts a frame from **any** registered codec — the body's first
+    Accepts a frame from **either** codec — the body's first
     byte picks the decoder.
     """
     if len(frame) < HEADER_SIZE:

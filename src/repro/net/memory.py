@@ -80,7 +80,7 @@ class MemoryNetwork:
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         seed: int = 0,
-        codec: object = "json",
+        codec: str = "json",
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")

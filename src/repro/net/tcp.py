@@ -43,7 +43,7 @@ class TcpTransportBase(Transport):
         local_id: str,
         handler: MessageHandler,
         *,
-        codec: object = "json",
+        codec: str = "json",
     ):
         self._local_id = local_id
         self._handler = handler
@@ -122,7 +122,7 @@ class TcpHostTransport(TcpTransportBase):
         *,
         local_id: str = "server",
         backlog: int = 32,
-        codec: object = "json",
+        codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
         #: Per-peer codec negotiation: each peer is answered in the codec
@@ -251,7 +251,7 @@ class TcpClientTransport(TcpTransportBase):
         port: int,
         *,
         connect_timeout: float = 5.0,
-        codec: object = "json",
+        codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)

@@ -25,10 +25,6 @@ The :class:`Transport` ABC is the explicit contract all of them implement:
 ``stats``
     the :class:`TrafficStats` the transport accounts its traffic in.
 
-Third-party transports need not subclass the ABC: anything matching the
-:class:`TransportLike` structural protocol can be bound to a server or an
-instance (``isinstance(obj, TransportLike)`` works at runtime).
-
 Blocking request/reply interactions (CopyFrom, lock acquisition, …) are
 expressed through :meth:`Transport.drive`: "make progress until *predicate*
 becomes true or *timeout* elapses".  On the memory network this pumps the
@@ -44,7 +40,7 @@ import abc
 import contextlib
 import time
 from collections import Counter
-from typing import Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, Optional
 
 from repro.net.message import Message
 
@@ -63,8 +59,7 @@ ROUTER_ID = "router"
 DROP_LOSS = "loss"                  # simulated wire loss
 DROP_PARTITION = "partition"        # simulated network partition
 DROP_DETACHED = "detached"          # receiver endpoint gone / closed socket
-DROP_BACKPRESSURE = "backpressure"  # bounded send queue overflowed (policy=drop)
-DROP_DISCONNECTED = "disconnected"  # slow consumer evicted (policy=disconnect)
+DROP_BACKPRESSURE = "backpressure"  # bounded send queue overflowed
 DROP_UNDELIVERABLE = "undeliverable"  # per-hop retry budget exhausted
 
 
@@ -304,36 +299,6 @@ class Transport(abc.ABC):
     @abc.abstractmethod
     def stats(self) -> TrafficStats:
         """The traffic accounting this transport records into."""
-
-
-@runtime_checkable
-class TransportLike(Protocol):
-    """Structural protocol for third-party transports.
-
-    Anything with this shape can be bound to a :class:`CosoftServer`, a
-    :class:`ShardedCosoftCluster` or an :class:`ApplicationInstance`
-    without subclassing :class:`Transport` — the endpoints only ever call
-    these members.
-    """
-
-    @property
-    def local_id(self) -> str: ...
-
-    def send(self, message: Message) -> None: ...
-
-    def recv(self, message: Message) -> None: ...
-
-    def drive(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool: ...
-
-    def now(self) -> float: ...
-
-    def close(self) -> None: ...
-
-    @property
-    def closed(self) -> bool: ...
-
-    @property
-    def stats(self) -> TrafficStats: ...
 
 
 def resolve_destination(message: Message) -> str:

@@ -12,14 +12,13 @@ deployment:
 
 Disabled is the default and costs nothing on the hot path: every
 instrumented site holds :data:`NULL_OBS` (``enabled=False`` plus a
-no-op registry), so the check is one attribute load.  Enable via
-``SessionConfig(observability=True)`` or an :class:`ObservabilityConfig`.
+no-op registry), so the check is one attribute load.  Enable with
+``SessionConfig(observability=True)``: metrics and tracing both on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Union
 
 from repro.obs.export import (
     render_json,
@@ -40,7 +39,6 @@ from repro.obs.tracing import Span, SpanRecorder, observe_latencies
 
 __all__ = [
     "Observability",
-    "ObservabilityConfig",
     "NULL_OBS",
     "build_observability",
     "MetricsRegistry",
@@ -62,34 +60,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservabilityConfig:
-    """Knobs for an enabled observability layer."""
-
-    #: Record metrics into a live registry.
-    metrics: bool = True
-    #: Stamp trace context into messages and record spans.
-    tracing: bool = True
-    #: Ring-buffer capacity of the span recorder.
-    span_maxlen: int = 4096
+#: Ring-buffer capacity of a deployment's span recorder.
+SPAN_MAXLEN = 4096
 
 
 class Observability:
     """A deployment's registry + span recorder (or the disabled stand-in)."""
 
-    def __init__(
-        self, config: Optional[ObservabilityConfig] = None, *, enabled: bool = True
-    ):
-        self.config = config if config is not None else ObservabilityConfig()
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        if enabled and self.config.metrics:
-            self.registry: Union[MetricsRegistry, NullRegistry] = (
-                MetricsRegistry()
-            )
-        else:
-            self.registry = NULL_REGISTRY
-        self.tracing = enabled and self.config.tracing
-        self.spans = SpanRecorder(maxlen=self.config.span_maxlen)
+        self.registry: Union[MetricsRegistry, NullRegistry] = (
+            MetricsRegistry() if enabled else NULL_REGISTRY
+        )
+        #: Stamp trace context into messages and record spans: the same
+        #: fact as ``enabled``, under the name the traced sites read.
+        self.tracing = enabled
+        self.spans = SpanRecorder(maxlen=SPAN_MAXLEN)
         self._refreshers: List[Callable[[], None]] = []
         self._latency_seen: set = set()
 
@@ -115,7 +101,7 @@ class Observability:
         it raises propagates."""
         for refresher in self._refreshers:
             refresher()
-        if self.tracing and self.registry.enabled:
+        if self.enabled:
             self.observe_span_latencies()
 
     # ------------------------------------------------------------------
@@ -144,7 +130,7 @@ class Observability:
         Incremental: every span folds exactly once, however often this
         (or any exporting call, which refreshes first) runs.
         """
-        if len(self._latency_seen) > 8 * self.config.span_maxlen:
+        if len(self._latency_seen) > 8 * SPAN_MAXLEN:
             # Evicted spans can never be re-observed; drop their ids.
             buffered = {span.span_id for span in self.spans}
             self._latency_seen &= buffered
@@ -163,25 +149,20 @@ class Observability:
 NULL_OBS = Observability(enabled=False)
 
 
-def build_observability(
-    value: Union[None, bool, ObservabilityConfig, Observability],
-) -> Observability:
+def build_observability(value: Union[None, bool, Observability]) -> Observability:
     """Resolve a ``SessionConfig.observability`` value to an instance.
 
     ``None``/``False`` → :data:`NULL_OBS`; ``True`` → a fresh enabled
-    instance with defaults; a config → an enabled instance with those
-    knobs; an :class:`Observability` passes through (letting several
+    instance; an :class:`Observability` passes through (letting several
     Sessions share one registry).
     """
     if value is None or value is False:
         return NULL_OBS
     if value is True:
         return Observability()
-    if isinstance(value, ObservabilityConfig):
-        return Observability(value)
     if isinstance(value, Observability):
         return value
     raise TypeError(
-        "observability must be None, a bool, an ObservabilityConfig "
-        f"or an Observability, not {type(value).__name__}"
+        "observability must be None, a bool or an Observability, "
+        f"not {type(value).__name__}"
     )

@@ -354,9 +354,6 @@ class CoupleTable:
     def __len__(self) -> int:
         return len(self._links)
 
-    def __contains__(self, link: object) -> bool:
-        return link in self._links
-
     def has_link(self, source: GlobalId, target: GlobalId) -> bool:
         return any(
             l.endpoints == (source, target)

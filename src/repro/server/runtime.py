@@ -67,7 +67,7 @@ class AsyncServerRuntime:
         port: int = 0,
         *,
         config: Optional[BatchConfig] = None,
-        codec: object = "json",
+        codec: str = "json",
     ):
         self.endpoint = endpoint
         self.config = config if config is not None else BatchConfig()
@@ -90,7 +90,6 @@ class AsyncServerRuntime:
             host=addr[0],
             port=addr[1],
             endpoint=type(endpoint).__name__,
-            backpressure=self.config.backpressure,
         )
 
     # ------------------------------------------------------------------
@@ -116,7 +115,6 @@ class AsyncServerRuntime:
             "traffic": transport.stats.snapshot(),
             "connections": len(transport.connections()),
             "connection_errors": transport.connection_errors,
-            "backpressure": self.config.backpressure,
         }
         endpoint_stats = getattr(self.endpoint, "stats", None)
         if callable(endpoint_stats):

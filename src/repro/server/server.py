@@ -173,7 +173,7 @@ class CosoftServer:
         :meth:`handle_message`.
         """
         self.obs = obs
-        if obs.enabled and obs.registry.enabled:
+        if obs.enabled:
             self.routing.register_into(obs.registry, **labels)
             self.locks.stats.register_into(obs.registry, **labels)
             if self.persistence is not None:

@@ -21,7 +21,8 @@ Backends
 ``"aio"``
     The asyncio server runtime (:mod:`repro.server.runtime`): one event
     loop, one write per destination per loop burst, bounded send queues
-    with backpressure, and per-hop retry — see docs/RUNTIME.md.
+    with a drop-on-overflow bound, and per-hop retry — see
+    docs/RUNTIME.md.
     Session-created instances join the runtime's loop through
     :class:`~repro.net.aio.AioClientTransport`
     (no reader thread per instance); the wire protocol is identical and
@@ -36,7 +37,7 @@ the same endpoint.
 All knobs live on :class:`SessionConfig`; keyword arguments to
 :class:`Session` are conveniences that build one::
 
-    session = Session(backend="aio", max_queue=256, backpressure="block")
+    session = Session(backend="aio", max_queue=256, retry_limit=3)
     session = Session(config=SessionConfig(backend="memory", loss_rate=0.01))
 
 Who hears a couple or decouple is not among them: every deployment
@@ -61,19 +62,14 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.cluster import ShardedCosoftCluster
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
-from repro.errors import NetworkError
+from repro.errors import NetworkError, UnknownCommunicatorError
 from repro.net.aio import BatchConfig
 from repro.net.clock import SimClock
 from repro.net.codec import get_codec
 from repro.net.memory import MemoryNetwork
-from repro.net.registry import BACKENDS, get_communicator
 from repro.net.tcp import TcpHostTransport
 from repro.net.transport import TrafficStats
-from repro.obs import (
-    Observability,
-    ObservabilityConfig,
-    build_observability,
-)
+from repro.obs import Observability, build_observability
 from repro.persist import PersistenceConfig
 from repro.server.permissions import AccessControl
 from repro.server.runtime import AsyncServerRuntime
@@ -83,11 +79,6 @@ from repro.server.server import SERVER_ID, CosoftServer
 ServerLike = Union[CosoftServer, ShardedCosoftCluster]
 
 _log = logging.getLogger(__name__)
-
-# ``BACKENDS`` (re-exported from :mod:`repro.net.registry`) is a *live*
-# view of the communicator registry: the built-in trio plus anything
-# registered via ``register_communicator`` or the ``repro.communicators``
-# entry-point group (docs/COMMUNICATORS.md).
 
 #: BatchConfig field names accepted as Session(...) keyword conveniences.
 _BATCH_FIELDS = tuple(f.name for f in fields(BatchConfig))
@@ -127,12 +118,11 @@ class SessionConfig:
     #: named, else in an ephemeral directory removed at close.
     processes: bool = False
     #: Wire codec for every transport of the deployment: ``"json"`` (the
-    #: debugging-friendly historical format), ``"binary"`` (struct-packed
-    #: envelope, interned names, varint lengths — docs/PROTOCOL.md), any
-    #: registered codec name, or a ready :class:`~repro.net.codec.Codec`.
+    #: debugging-friendly historical format) or ``"binary"`` (struct-packed
+    #: envelope, interned names, varint lengths — docs/PROTOCOL.md).
     #: Codecs negotiate per connection, so sessions with different codecs
     #: interoperate.
-    codec: object = "json"
+    codec: str = "json"
 
     # Central endpoint ------------------------------------------------
     default_allow: bool = True
@@ -141,9 +131,9 @@ class SessionConfig:
     correspondences: Optional[CorrespondenceRegistry] = None
     vnodes: int = 64
     #: Observability: ``None``/``False`` (disabled, the default), ``True``
-    #: (enabled with defaults), an :class:`ObservabilityConfig`, or a
-    #: ready :class:`Observability` instance to share across sessions.
-    observability: Union[None, bool, ObservabilityConfig, Observability] = None
+    #: (metrics and tracing on), or a ready :class:`Observability`
+    #: instance to share across sessions.
+    observability: Union[None, bool, Observability] = None
     #: Serve this deployment's metrics over HTTP (docs/OBSERVABILITY.md):
     #: ``None`` (off, the default) or a port for a stdlib ``/metrics``
     #: endpoint (``0`` binds an ephemeral port — read it back from
@@ -177,9 +167,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
-            from repro.errors import UnknownCommunicatorError
-
-            raise UnknownCommunicatorError(self.backend, tuple(BACKENDS))
+            raise UnknownCommunicatorError(self.backend, BACKENDS)
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
         if self.processes:
@@ -190,12 +178,10 @@ class SessionConfig:
                 )
             if self.shards < 1:
                 raise ValueError("processes=True requires shards >= 1")
-        get_codec(self.codec)  # fail fast on an unknown codec name
+        get_codec(self.codec)  # fail fast on anything but a codec name
 
 
-def _observability_enabled(
-    value: Union[None, bool, ObservabilityConfig, Observability],
-) -> bool:
+def _observability_enabled(value: Union[None, bool, Observability]) -> bool:
     """Whether a ``SessionConfig.observability`` value enables the layer.
 
     Decided *without* building anything — the multi-process cluster needs
@@ -235,7 +221,7 @@ def _build_server(
             ProcCluster(
                 config.shards,
                 directory=directory,
-                link_codec=get_codec(config.codec).name,
+                link_codec=config.codec,
                 snapshot_every=snapshot_every,
                 vnodes=config.vnodes,
                 default_allow=config.default_allow,
@@ -297,18 +283,14 @@ class _BackendBase:
         self.obs = build_observability(self.config.observability)
         if self.obs.enabled:
             self.server.configure_observability(self.obs)
-            if self.obs.registry.enabled:
-                if transport_stats is not None:
-                    transport_stats.register_into(
-                        self.obs.registry, transport=self.config.backend
-                    )
-                from repro.core.compat import (
-                    DEFAULT_MAPPING_CACHE,
-                    GLOBAL_MATCH_STATS,
+            if transport_stats is not None:
+                transport_stats.register_into(
+                    self.obs.registry, transport=self.config.backend
                 )
+            from repro.core.compat import DEFAULT_MAPPING_CACHE, GLOBAL_MATCH_STATS
 
-                GLOBAL_MATCH_STATS.register_into(self.obs.registry)
-                DEFAULT_MAPPING_CACHE.register_into(self.obs.registry)
+            GLOBAL_MATCH_STATS.register_into(self.obs.registry)
+            DEFAULT_MAPPING_CACHE.register_into(self.obs.registry)
         if self.config.metrics_port is not None:
             from repro.obs.http import MetricsHTTPServer
 
@@ -565,7 +547,7 @@ class _TcpBackend(_SocketBackendBase):
 
 class _AioBackend(_SocketBackendBase):
     """A deployment under the asyncio server runtime (end-of-burst
-    flush, backpressure, per-hop retry — docs/RUNTIME.md)."""
+    flush, bounded send queues, per-hop retry — docs/RUNTIME.md)."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -606,6 +588,11 @@ class _AioBackend(_SocketBackendBase):
         self._close_persistence()
 
 
+#: The backends ``Session(backend=...)`` builds, by name.
+_BACKEND_TYPES = {"memory": _MemoryBackend, "tcp": _TcpBackend, "aio": _AioBackend}
+BACKENDS = tuple(_BACKEND_TYPES)
+
+
 class Session:
     """A complete COSOFT deployment behind one constructor.
 
@@ -628,7 +615,7 @@ class Session:
     **knobs:
         Any :class:`SessionConfig` field (``shards``, ``loss_rate``,
         ``ack_release``, …) or :class:`~repro.net.aio.BatchConfig` field
-        (``max_queue``, ``backpressure``, …).
+        (``max_queue``, ``retry_limit``, …).
     """
 
     def __init__(
@@ -655,9 +642,7 @@ class Session:
                 knobs["backend"] = backend
             config = SessionConfig(**knobs)  # type: ignore[arg-type]
         self.config = config
-        # Resolve through the communicator registry: third-party backends
-        # registered under this name build here without any core edits.
-        self._impl: _BackendBase = get_communicator(config.backend)(config)
+        self._impl: _BackendBase = _BACKEND_TYPES[config.backend](config)
 
     # ------------------------------------------------------------------
     # The common facade

@@ -117,7 +117,6 @@ class ClusterAdmin:
 def _format_status(status: Dict[str, Any]) -> str:
     lines = [
         f"shards:     {', '.join(status.get('shards', ()))}",
-        f"placement:  {status.get('placement')}",
         f"registered: {status.get('registered')}",
         f"groups:     {status.get('couple_groups')}"
         f"  (pinned homes: {status.get('homes')})",

@@ -182,8 +182,7 @@ class TestShardEndpointProtocol:
 
 class TestProcCluster:
     def test_spawns_ready_workers_with_journals(self, tmp_path):
-        cluster = ProcCluster(2, directory=str(tmp_path))
-        try:
+        with ProcCluster(2, directory=str(tmp_path)) as cluster:
             assert set(cluster.shard_ids) == {"shard-0", "shard-1"}
             for shard_id, handle in cluster.shards.items():
                 assert handle.state == "ready"
@@ -194,11 +193,14 @@ class TestProcCluster:
                 args = handle.process.args
                 assert args[1:3] == ["-m", "repro.cluster.worker"]
                 assert not [a for a in args if "scope" in a]
+                # Links speak JSON unless told otherwise, as sessions do.
+                assert args[args.index("--codec") + 1] == "json"
             status = cluster.cluster_status()
             assert set(status["processes"]) == {"shard-0", "shard-1"}
             assert status["processes"]["shard-0"]["send_failures"] == 0
-        finally:
-            cluster.close()
+        # Leaving the block closed the cluster and its workers.
+        for handle in cluster.shards.values():
+            assert handle.process.wait(timeout=10) is not None
 
     def test_close_terminates_workers(self, tmp_path):
         cluster = ProcCluster(1, directory=str(tmp_path))

@@ -179,31 +179,6 @@ class TestRemoveShard:
             session.close()
 
 
-class TestLoadPlacement:
-    def test_remove_prefers_least_loaded_survivor(self):
-        session = make_cluster_session(shards=3, )
-        try:
-            cluster = session.cluster
-            cluster.placement = "load"
-            seed_groups(session)
-            victim = cluster.shard_ids[0]
-            survivors = [s for s in cluster.shard_ids if s != victim]
-            loads = cluster.shard_loads()
-            coldest = min(survivors, key=lambda s: (loads.get(s, 0), s))
-            moved = cluster.remove_shard(victim)
-            for group in moved:
-                for gid in group:
-                    assert cluster.shard_of(tuple(gid)) == coldest
-        finally:
-            session.close()
-
-    def test_placement_knob_validated(self):
-        from repro.cluster import ShardedCosoftCluster
-
-        with pytest.raises(ValueError):
-            ShardedCosoftCluster(2, placement="weird")
-
-
 class TestAdminKinds:
     def test_cluster_status_reply(self):
         session = make_cluster_session(shards=2)
@@ -225,7 +200,6 @@ class TestAdminKinds:
                 if m.kind == kinds.CLUSTER_STATUS_REPLY
             ]
             assert reply.payload["shards"] == list(cluster.shard_ids)
-            assert reply.payload["placement"] == "hash"
         finally:
             session.close()
 

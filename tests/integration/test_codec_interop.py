@@ -90,6 +90,25 @@ def test_tcp_binary_sharded_cluster(shards):
         assert wait_until(lambda: tree_b.find(FIELD).value == "hello")
 
 
+def test_aio_binary_process_cluster_links_speak_binary():
+    """A session's codec is its shard links' codec: with ``"binary"``
+    the router and every worker process speak binary to each other."""
+    with Session(backend="aio", shards=2, processes=True, codec="binary") as session:
+        for handle in session.cluster.shards.values():
+            args = handle.process.args
+            assert args[args.index("--codec") + 1] == "binary"
+            assert handle.codec.name == "binary"
+        a = session.create_instance("a", user="u1")
+        b = session.create_instance("b", user="u2")
+        tree_a = a.add_root(make_demo_tree())
+        tree_b = b.add_root(make_demo_tree())
+        assert wait_until(lambda: "b" in a.roster and "a" in b.roster, 30.0)
+        a.couple(tree_a.find(FIELD), ("b", FIELD))
+        assert wait_until(lambda: b.is_coupled(FIELD), 30.0)
+        tree_a.find(FIELD).commit("hello")
+        assert wait_until(lambda: tree_b.find(FIELD).value == "hello", 30.0)
+
+
 def test_server_answers_each_peer_in_its_own_codec():
     """Inspect the host transport: after a mixed fleet registers, the
     negotiated per-peer codec map holds one entry per foreign peer."""

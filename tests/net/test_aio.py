@@ -47,7 +47,6 @@ from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import (
     DROP_BACKPRESSURE,
-    DROP_DISCONNECTED,
     DROP_UNDELIVERABLE,
 )
 from repro.server.runtime import AsyncServerRuntime, EventLoopThread
@@ -117,17 +116,15 @@ class TestBatchConfig:
     def test_defaults_are_valid(self):
         config = BatchConfig()
         assert config.max_queue >= 1
-        assert config.backpressure == "drop"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_queue": 0},
-            {"backpressure": "explode"},
             {"retry_limit": 0},
             {"retry_backoff": 0.5},
         ],
-        ids=["max_queue", "backpressure", "retry_limit", "retry_backoff"],
+        ids=["max_queue", "retry_limit", "retry_backoff"],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -237,20 +234,6 @@ class TestSendQueue:
         assert len(queue) == 0
         assert queue.attempts == 0
 
-    def test_force_push_exceeds_bound(self):
-        queue = self.make(max_queue=1)
-        queue.push(msg())
-        assert queue.push(msg()) == SendQueue.OVERFLOW
-        queue.force_push(msg())
-        assert len(queue) == 2
-
-    def test_below_resume_level(self):
-        queue = self.make(max_queue=4)
-        for _ in range(4):
-            queue.push(msg())
-        assert not queue.below_resume_level()
-        queue.pop_batch(max_messages=2)
-        assert queue.below_resume_level()
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +304,6 @@ class TestAioHostTransport:
         [
             BatchConfig(
                 max_queue=3,
-                backpressure="drop",
                 retry_initial=30.0,  # park the writer in backoff
                 retry_limit=5,
             )
@@ -338,127 +320,46 @@ class TestAioHostTransport:
         )
         assert transport.pending("ghost") <= 3
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [
-            BatchConfig(
-                max_queue=3,
-                backpressure="disconnect",
-                retry_initial=30.0,
-                retry_limit=5,
-            )
-        ],
-        indirect=True,
-    )
-    def test_backpressure_disconnect_policy_evicts(self, aio_host):
-        """A slow consumer is evicted and its whole queue dropped."""
-        transport, inbox = aio_host
-        _, port = transport.address
-        client_inbox = Collector()
-        client = TcpClientTransport("slow", client_inbox, "127.0.0.1", port)
+    def test_a_peer_that_stops_reading_pauses_the_writer_and_loses_nothing(
+        self, monkeypatch
+    ):
+        """A connected peer that stops reading fills the kernel buffers,
+        then the transport's: ``pause_writing`` fires, the inline flush
+        stops at the write-buffer limit and the writer task waits in
+        ``drain()`` with the rest queued.  Nothing is dropped, and once
+        the peer reads, every frame arrives once, in send order."""
+        paused = []
+        original = _SocketConnection.pause_writing
+
+        def spy(conn):
+            paused.append(conn.peer_id)
+            original(conn)
+
+        monkeypatch.setattr(_SocketConnection, "pause_writing", spy)
+        count = 3000  # 12 MB: past a 4 MB send buffer and the peer's window
+        transport = AioHostTransport(
+            Collector(), port=0, config=BatchConfig(max_queue=2 * count)
+        )
+        peer = socket.socket()
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         try:
-            client.send(msg(sender="slow", to="", hello=True))
-            assert inbox.event.wait(5.0)
+            peer.connect(transport.address)
+            peer.sendall(encode(msg(sender="slow", to="", hello=True)))
             assert wait_until(lambda: "slow" in transport.connections())
-            # Stall the writer by making every flush fail: close the
-            # kernel-level socket from the client side first.
-            client.close()
-            assert wait_until(lambda: "slow" not in transport.connections())
-            for i in range(8):
-                transport.send(msg(to="slow", seq=i))
-            # Messages 4 and 8 overflow the bound of 3, each evicting
-            # itself and the three queued before it.
-            assert wait_until(
-                lambda: transport.stats.drops_by_reason[DROP_DISCONNECTED] == 8
-            )
-            assert transport.pending("slow") == 0  # queue drained on evict
+            for i in range(count):
+                transport.send(msg(to="slow", seq=i, pad="x" * 4000))
+            assert wait_until(lambda: paused == ["slow"])
+            assert wait_until(lambda: transport.pending("slow") > 0)
+            assert transport.stats.dropped == 0
+
+            received = [read_frame(peer) for _ in range(count)]
+            assert seqs(received) == list(range(count))
+            assert wait_until(lambda: transport.pending("slow") == 0)
+            assert transport.stats.dropped == 0
+            assert transport.stats.messages == count
         finally:
-            client.close()
-
-    @pytest.mark.parametrize(
-        "aio_host",
-        [
-            BatchConfig(
-                max_queue=2,
-                backpressure="block",
-                retry_initial=0.5,  # 0.5 s + 1 s of backoff: the gated window
-                retry_backoff=2.0,
-                retry_limit=3,
-            )
-        ],
-        indirect=True,
-    )
-    def test_backpressure_block_policy_gates_reads_then_recovers(
-        self, aio_host, caplog
-    ):
-        """``block`` keeps the overflowing messages and stops intake — on
-        the live connection and on one accepted meanwhile — until the
-        stuck batch is dropped as undeliverable; then everything that
-        waited in the kernel is dispatched, in order."""
-        transport, inbox = aio_host
-        caplog.set_level(logging.INFO, logger="repro.net.aio")
-        live = socket.create_connection(transport.address)
-        late = None
-        try:
-            live.sendall(encode(msg(sender="live", to="", seq=-1)))
-            assert wait_until(lambda: len(inbox.received) == 1)
-            for i in range(5):
-                transport.send(msg(to="ghost", seq=i))
-            assert wait_until(lambda: "event=read_gate_closed" in caplog.text)
-            assert "destination=ghost" in caplog.text
-            # Past the bound, and kept.
-            assert wait_until(lambda: transport.pending("ghost") == 5)
-
-            for i in range(10):
-                live.sendall(encode(msg(sender="live", to="", seq=i)))
-            late = socket.create_connection(transport.address)
-            late.sendall(encode(msg(sender="late", to="", seq=0)))
-            time.sleep(0.2)
-            assert len(inbox.received) == 1  # nothing was read
-            assert not transport.stats.drops_by_reason[DROP_UNDELIVERABLE]
-
-            assert wait_until(
-                lambda: transport.stats.drops_by_reason[DROP_UNDELIVERABLE] == 5
-            )
-            assert wait_until(lambda: len(inbox.received) == 12)
-            assert inbox.payloads("live") == [{"seq": i} for i in range(-1, 10)]
-            assert inbox.payloads("late") == [{"seq": 0}]
-        finally:
-            live.close()
-            if late is not None:
-                late.close()
-
-    @pytest.mark.parametrize(
-        "aio_host",
-        [BatchConfig(max_queue=2, backpressure="block", retry_initial=5.0)],
-        indirect=True,
-    )
-    def test_backpressure_block_gate_stays_closed_for_healthy_peers_flush(
-        self, aio_host
-    ):
-        """The gate a stuck destination closed is not reopened by a flush
-        to a healthy one: in a fan-out the healthy destinations of the
-        same burst would otherwise undo ``block`` every time."""
-        transport, inbox = aio_host
-        live = socket.create_connection(transport.address)
-        try:
-            live.sendall(encode(msg(sender="live", to="", seq=-1)))
-            assert wait_until(lambda: len(inbox.received) == 1)
-            for i in range(5):
-                transport.send(msg(to="ghost", seq=i))
-            assert wait_until(lambda: transport._reads_paused)
-            assert wait_until(lambda: transport.pending("ghost") == 5)
-            for i in range(3):
-                live.sendall(encode(msg(sender="live", to="", seq=i)))
-
-            transport.send(msg(to="live", pong=True))
-            assert read_frame(live).payload == {"pong": True}
-            time.sleep(0.2)
-            assert transport._reads_paused
-            assert len(inbox.received) == 1  # the 3 frames wait in the kernel
-            assert transport.pending("ghost") == 5
-        finally:
-            live.close()
+            peer.close()
+            transport.close()
 
     @pytest.mark.parametrize("sent", [0, 10], ids=["silent", "mid-frame"])
     def test_close_reaches_connections_that_never_identified(self, sent):

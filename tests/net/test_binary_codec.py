@@ -15,7 +15,6 @@ from repro.net.codec import (
     JSON_CODEC,
     MAX_FRAME_SIZE,
     StreamDecoder,
-    codec_names,
     decode,
     get_codec,
 )
@@ -233,15 +232,11 @@ class TestErrors:
 class TestRegistryIntegration:
     def test_get_codec_by_name(self):
         assert get_codec("binary") is BINARY_CODEC
-        assert get_codec(BINARY_CODEC) is BINARY_CODEC
-
-    def test_codec_names(self):
-        names = codec_names()
-        assert "json" in names and "binary" in names
 
     def test_unknown_codec_lists_known(self):
-        with pytest.raises(CodecError, match="unknown codec"):
+        with pytest.raises(CodecError, match="unknown codec") as excinfo:
             get_codec("carrier-pigeon")
+        assert "'binary', 'json'" in str(excinfo.value)
 
     def test_first_lookup_imports_the_module_in_a_fresh_interpreter(self):
         """This process imported repro.net.binary at collection, so the

@@ -2,6 +2,7 @@
 
 import io
 import logging
+import time
 
 from repro.obs.log import format_event, get_logger, log_event, setup_logging
 
@@ -43,26 +44,28 @@ def test_silent_by_default():
 
 
 def test_overflow_drop_is_logged():
-    """The aio transport's backpressure drop emits a structured record."""
-    from repro.net.aio import AioHostTransport, BatchConfig, SendQueue
+    """The aio transport's overflow drop emits a structured record."""
+    from repro.net.aio import AioHostTransport, BatchConfig
     from repro.net.message import Message
 
     stream = io.StringIO()
     handler = setup_logging(level=logging.WARNING, stream=stream)
     transport = AioHostTransport(
         lambda message: None,
-        config=BatchConfig(max_queue=1, backpressure="drop"),
+        # Nobody connects as "slow": the first message parks in backoff.
+        config=BatchConfig(max_queue=1, retry_initial=30.0),
     )
     try:
-        msg = Message(kind="event", sender="x", to="slow", payload={})
-        queue = SendQueue("slow", transport.config)
-        # The "drop" overflow path only records stats and logs, so it is
-        # safe to exercise directly without going through the loop.
-        transport._on_overflow(queue, msg)
+        for _ in range(2):
+            transport.send(Message(kind="event", sender="x", to="slow", payload={}))
+        deadline = time.monotonic() + 5.0
+        while "send_queue_overflow" not in stream.getvalue():
+            assert time.monotonic() < deadline, stream.getvalue()
+            time.sleep(0.01)
     finally:
         transport.close()
         logging.getLogger("repro").removeHandler(handler)
     output = stream.getvalue()
     assert "event=send_queue_overflow" in output
     assert "destination=slow" in output
-    assert "policy=drop" in output
+    assert "kind=event" in output

@@ -56,9 +56,9 @@ class TestSessionConstruction:
             Session(config=SessionConfig(), seed=3)
 
     def test_batch_knobs_fold_into_batch_config(self):
-        with Session(max_queue=7, backpressure="block") as session:
+        with Session(max_queue=7, retry_limit=3) as session:
             assert session.config.batch.max_queue == 7
-            assert session.config.batch.backpressure == "block"
+            assert session.config.batch.retry_limit == 3
 
     def test_unknown_knob_raises(self):
         with pytest.raises(TypeError):
