@@ -58,6 +58,7 @@ from repro.cluster.link import LocalShardLink, ShardLink
 from repro.obs import NULL_OBS
 from repro.obs import tracing as obs_tracing
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
+from repro.server.locks import Floor
 from repro.server.permissions import AccessControl
 from repro.server.registry import Registry
 from repro.server.routing import (
@@ -309,8 +310,6 @@ class ShardedCosoftCluster:
             self._on_couple(message)
         elif kind in (kinds.DECOUPLE, kinds.REMOTE_DECOUPLE):
             self._on_decouple(message)
-        elif kind == kinds.CATCHUP_REQUEST:
-            self._on_catchup(message)
         elif kind == kinds.CLUSTER_STATUS:
             self._on_cluster_status(message)
         elif kind == kinds.CLUSTER_RESHARD:
@@ -403,17 +402,6 @@ class ShardedCosoftCluster:
                 self.acl_mirror.add(rule)
         except self._MALFORMED:
             return
-
-    def _on_catchup(self, message: Message) -> None:
-        """Route a late joiner's catch-up to the shard whose log it wants.
-
-        Shards journal independently, so a catch-up position is
-        per-shard; the payload names the shard (default: the first).
-        """
-        shard_id = str(message.payload.get("shard", "")) or self.shard_ids[0]
-        if shard_id not in self.shards:
-            raise ValueError(f"unknown shard {shard_id!r}")
-        self._forward(shard_id, message)
 
     # ------------------------------------------------------------------
     # Couple links: the only operations that can move a group
@@ -638,9 +626,8 @@ class ShardedCosoftCluster:
             self._shard_request(to_shard, install, kinds.MIGRATE_ACK)
             for gid in moving:
                 self._home[gid] = to_shard
-            for floor in state.payload.get("floors", ()):
-                owner = floor["owner"]
-                key = (str(owner[0]), int(owner[1]))
+            for floor in map(Floor.from_wire, state.payload.get("floors", ())):
+                key = floor.key
                 if key in self._lock_routes:
                     self._lock_routes[key] = to_shard
                 if key in self._floor_routes:

@@ -117,7 +117,7 @@ class ShardEndpoint:
 
     def _scan_journal(self, persistence: Any) -> None:
         """Recover the delivery high-water mark and its stored outputs."""
-        for entry in persistence.entries_after(0):
+        for entry in persistence.log.read():
             did = entry.get("did")
             if did is None:
                 continue

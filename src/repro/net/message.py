@@ -99,21 +99,16 @@ CLUSTER_STATUS_REPLY = "cluster_status_reply"
 CLUSTER_RESHARD = "cluster_reshard"          # add/remove a shard live
 CLUSTER_RESHARD_REPLY = "cluster_reshard_reply"
 
-# Late-join catch-up (event-sourced persistence; docs/PERSISTENCE.md).
-# A joiner that already holds state at log position N asks for the op-log
-# suffix after N instead of a full PUSH_STATE; the reply carries the
-# server's current state fingerprint, the suffix entries, and — when
-# compaction dropped the requested range — the newest snapshot.
-CATCHUP_REQUEST = "catchup_request"  # client/standby -> server
-CATCHUP_REPLY = "catchup_reply"      # server -> requester
-
 # Errors
 ERROR = "error"                    # server -> client: request failed
 
 ALL_KINDS = frozenset(
     {
-        CATCHUP_REQUEST,
-        CATCHUP_REPLY,
+        # Retired log-shipping pair, still decodable: an older peer's
+        # request gets the ERROR any unhandled kind gets, and the binary
+        # codec's ids for them stay reserved.
+        "catchup_request",
+        "catchup_reply",
         MIGRATE_EXPORT,
         MIGRATE_STATE,
         MIGRATE_IMPORT,

@@ -6,14 +6,14 @@ locks) lives purely in memory; this package makes it durable as an
 ("Commutative Event Sourcing vs. Triple Graph Grammars", PAPERS.md):
 
 * :mod:`repro.persist.oplog` — length-prefixed, CRC-checked entries in
-  rotating segment files (or an in-memory ring for tests and shipping);
+  rotating segment files (or an in-memory list for tests);
 * :mod:`repro.persist.snapshot` — canonical serialization of the server's
   DB categories (plus couple table, floors and routing epoch) with a
   stable state fingerprint;
 * :mod:`repro.persist.journal` — the :class:`Persistence` coordinator a
   server journals through (fsync policy, snapshot cadence, metrics);
 * :mod:`repro.persist.recovery` — crash recovery (latest snapshot + log
-  suffix replay) and late-join catch-up (snapshot fingerprint + suffix).
+  suffix replay), also as of a past sequence number (time travel).
 
 Everything is off by default and costs one attribute check on the hot
 path; see docs/PERSISTENCE.md.
@@ -23,7 +23,6 @@ from repro.persist.journal import Persistence, PersistenceConfig
 from repro.persist.oplog import MemoryOpLog, OpLog
 from repro.persist.recovery import (
     DiscardTransport,
-    apply_catchup,
     recover_cluster,
     recover_server,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Persistence",
     "PersistenceConfig",
     "SnapshotStore",
-    "apply_catchup",
     "capture_state",
     "recover_cluster",
     "recover_server",

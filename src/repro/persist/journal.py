@@ -12,7 +12,7 @@ behind the two calls the server makes on its hot path:
 :class:`PersistenceConfig` is the declarative knob surface exposed on
 ``SessionConfig(persistence=...)``.  ``directory=None`` selects the
 in-memory backends — durable for the lifetime of the process, which is
-exactly what property tests and standby catch-up need.
+exactly what property tests need.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.persist.oplog import MemoryOpLog, OpLog, frame_entry
 from repro.persist.snapshot import (
     MemorySnapshotStore,
     SnapshotStore,
     build_snapshot,
-    server_fingerprint,
 )
 
 
@@ -37,23 +36,22 @@ class PersistenceConfig:
 
     directory:
         Root for op-log segments and snapshot files; ``None`` keeps
-        everything in memory (tests, standbys, log shipping).
+        everything in memory (tests, ephemeral sessions).
     fsync:
-        Op-log durability policy: ``"always"`` | ``"batch"`` | ``"never"``.
+        Op-log durability policy: ``"always"`` | ``"batch"``.
     segment_bytes:
         Op-log segment rotation threshold.
     snapshot_every:
         Take a snapshot after this many journaled operations
         (``0`` disables automatic snapshots).
-    keep_snapshots:
-        How many snapshot generations to retain.
+
+    The two newest snapshot generations are kept.
     """
 
     directory: Optional[str] = None
     fsync: str = "batch"
     segment_bytes: int = 1 << 20
     snapshot_every: int = 500
-    keep_snapshots: int = 2
 
     def for_shard(self, shard_id: str) -> "PersistenceConfig":
         """The same settings homed in a per-shard subdirectory."""
@@ -72,7 +70,7 @@ class Persistence:
         self.config = config
         if config.directory is None:
             self.log: Any = MemoryOpLog()
-            self.snapshots: Any = MemorySnapshotStore(keep=config.keep_snapshots)
+            self.snapshots: Any = MemorySnapshotStore()
         else:
             self.log = OpLog(
                 os.path.join(config.directory, "oplog"),
@@ -80,8 +78,7 @@ class Persistence:
                 fsync=config.fsync,
             )
             self.snapshots = SnapshotStore(
-                os.path.join(config.directory, "snapshots"),
-                keep=config.keep_snapshots,
+                os.path.join(config.directory, "snapshots")
             )
         #: Routing epoch stamped into snapshots (set by the cluster).
         self.epoch = 0
@@ -90,9 +87,6 @@ class Persistence:
         self.snapshots_taken = 0
         self.snapshot_bytes = 0
         self.replayed_ops = 0
-        self.catchup_requests = 0
-        self.catchup_entries_served = 0
-        self.last_suffix_length = 0
         self._since_snapshot = 0
         self._fsync_hist: Any = None    # histogram child once obs is wired
 
@@ -117,10 +111,7 @@ class Persistence:
         # policy's durability latency (buffered appends plus the periodic
         # sync() folds into the same histogram) would otherwise be
         # invisible to the obs layer.
-        timed = (
-            self.config.fsync in ("always", "batch")
-            and self._fsync_hist is not None
-        )
+        timed = self._fsync_hist is not None
         started = time.perf_counter() if timed else 0.0
         seq = self.log.append(entry)
         if timed:
@@ -158,38 +149,6 @@ class Persistence:
             self.log.sync()
 
     # ------------------------------------------------------------------
-    # Reads (recovery, catch-up, time travel)
-    # ------------------------------------------------------------------
-
-    def entries_after(self, after_seq: int = 0) -> List[Dict[str, Any]]:
-        return self.log.entries_after(after_seq)
-
-    def catchup_payload(self, server: Any, after_seq: int) -> Dict[str, Any]:
-        """What a late joiner at *after_seq* needs to reach the present.
-
-        Normally just the log suffix plus the current state fingerprint.
-        If compaction already dropped the requested range, the newest
-        snapshot rides along and the suffix restarts from its seq.
-        """
-        payload: Dict[str, Any] = {
-            "last_seq": self.log.last_seq,
-            "fingerprint": server_fingerprint(server),
-        }
-        first = self.log.first_seq
-        if first and after_seq + 1 < first:
-            snap = self.snapshots.load_latest()
-            if snap is None:
-                snap = self.snapshot(server)
-            payload["snapshot"] = snap
-            after_seq = int(snap["seq"])
-        entries = self.entries_after(after_seq)
-        payload["entries"] = entries
-        self.catchup_requests += 1
-        self.catchup_entries_served += len(entries)
-        self.last_suffix_length = len(entries)
-        return payload
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -202,9 +161,6 @@ class Persistence:
             "snapshots": self.snapshots_taken,
             "snapshot_bytes": self.snapshot_bytes,
             "replayed_ops": self.replayed_ops,
-            "catchup_requests": self.catchup_requests,
-            "catchup_entries_served": self.catchup_entries_served,
-            "last_suffix_length": self.last_suffix_length,
         }
 
     def register_into(self, registry: Any, **labels: str) -> None:
@@ -235,9 +191,6 @@ class Persistence:
                                "Bytes written as snapshots"),
             "replayed_ops": ("repro_persist_replayed_ops_total",
                              "Operations replayed during recovery"),
-            "catchup_entries_served": (
-                "repro_persist_catchup_entries_total",
-                "Log entries served to late joiners"),
         }
 
         def collect():
@@ -247,11 +200,6 @@ class Persistence:
             yield Sample(
                 "repro_persist_last_seq", "gauge",
                 "Newest journaled sequence number", base, stats["last_seq"],
-            )
-            yield Sample(
-                "repro_persist_last_suffix_length", "gauge",
-                "Length of the most recent late-join catch-up suffix",
-                base, stats["last_suffix_length"],
             )
 
         registry.register_collector(collect)

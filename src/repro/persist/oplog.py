@@ -18,8 +18,7 @@ corruption anywhere else raises :class:`~repro.errors.PersistenceError`
 locate it.
 
 :class:`MemoryOpLog` offers the same interface without a filesystem —
-used by tests, by ephemeral sessions, and as the vehicle for shipping a
-log suffix between shards.
+used by tests and by ephemeral sessions.
 """
 
 from __future__ import annotations
@@ -116,8 +115,7 @@ class OpLog:
     fsync:
         ``"always"`` fsyncs after every append, ``"batch"`` only on
         :meth:`sync` / :meth:`close` (the default — the journal
-        coordinator syncs at snapshot boundaries), ``"never"`` leaves
-        durability to the OS page cache.
+        coordinator syncs at snapshot boundaries).
     """
 
     def __init__(
@@ -127,7 +125,7 @@ class OpLog:
         segment_bytes: int = 1 << 20,
         fsync: str = "batch",
     ):
-        if fsync not in ("always", "batch", "never"):
+        if fsync not in ("always", "batch"):
             raise ValueError(f"unknown fsync policy {fsync!r}")
         self.directory = directory
         self.segment_bytes = segment_bytes
@@ -212,7 +210,7 @@ class OpLog:
         return seq
 
     def append_entry(self, entry: Dict[str, Any]) -> None:
-        """Append a fully-formed entry (log shipping / catch-up installs)."""
+        """Append a fully-formed entry; its seq must follow the last one."""
         seq = int(entry["seq"])
         if seq <= self._last_seq:
             raise PersistenceError(
@@ -230,7 +228,7 @@ class OpLog:
             self._first_seq = seq
         if self.fsync == "always":
             self.sync()
-        elif self.fsync == "batch":
+        else:
             self._active.flush()
 
     def _rotate(self, first_seq: int) -> None:
@@ -244,7 +242,7 @@ class OpLog:
 
     def sync(self) -> None:
         """Flush and fsync the active segment."""
-        if self._active is None or self.fsync == "never":
+        if self._active is None:
             return
         self._active.flush()
         os.fsync(self._active.fileno())
@@ -265,9 +263,6 @@ class OpLog:
             for entry in entries:
                 if int(entry["seq"]) > after_seq:
                     yield entry
-
-    def entries_after(self, after_seq: int = 0) -> List[Dict[str, Any]]:
-        return list(self.read(after_seq))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -337,46 +332,23 @@ class OpLog:
 class MemoryOpLog:
     """The op-log interface over a plain list — no filesystem.
 
-    Backs ephemeral persistence (property tests, in-process standbys)
-    and serves as the container a log suffix ships in.
+    Backs ephemeral persistence (property tests, in-memory sessions).
     """
 
-    def __init__(self, **_ignored: Any):
+    def __init__(self) -> None:
         self._entries: List[Dict[str, Any]] = []
-        # Tracked explicitly so compaction keeps the log's position: a
-        # fully-compacted log still knows what it has seen and dropped.
-        self._last_seq = 0
-        self._first_seq = 0
         self.fsyncs = 0
 
     @property
     def last_seq(self) -> int:
-        return self._last_seq
-
-    @property
-    def first_seq(self) -> int:
-        return self._first_seq
+        return len(self._entries)
 
     def append(self, payload: Dict[str, Any]) -> int:
-        seq = self._last_seq + 1
+        seq = len(self._entries) + 1
         entry = dict(payload)
         entry["seq"] = seq
         self._entries.append(entry)
-        self._last_seq = seq
-        if self._first_seq == 0:
-            self._first_seq = seq
         return seq
-
-    def append_entry(self, entry: Dict[str, Any]) -> None:
-        seq = int(entry["seq"])
-        if seq <= self._last_seq:
-            raise PersistenceError(
-                f"out-of-order append: seq {seq} after {self._last_seq}"
-            )
-        self._entries.append(dict(entry))
-        self._last_seq = seq
-        if self._first_seq == 0:
-            self._first_seq = seq
 
     def sync(self) -> None:
         pass
@@ -388,27 +360,12 @@ class MemoryOpLog:
                 # not be able to mutate the journal through them.
                 yield json.loads(_dumps(entry))
 
-    def entries_after(self, after_seq: int = 0) -> List[Dict[str, Any]]:
-        return list(self.read(after_seq))
-
-    def compact(self, upto_seq: int) -> int:
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if int(e["seq"]) > upto_seq]
-        if self._first_seq:
-            if self._entries:
-                self._first_seq = int(self._entries[0]["seq"])
-            else:
-                # Everything below the compaction point is gone; the
-                # next retained seq (if any ever lands) starts here.
-                self._first_seq = min(upto_seq, self._last_seq) + 1
-        return before - len(self._entries)
-
     def verify(self) -> Dict[str, Any]:
         return {
             "segments": [],
             "entries": len(self._entries),
             "corrupt": 0,
-            "first_seq": self.first_seq or None,
+            "first_seq": 1 if self._entries else None,
             "last_seq": self.last_seq or None,
         }
 

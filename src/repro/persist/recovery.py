@@ -1,4 +1,4 @@
-"""Crash recovery and late-join catch-up for event-sourced servers.
+"""Crash recovery for event-sourced servers.
 
 Recovery is "latest snapshot + log-suffix replay": the suffix messages
 re-enter :meth:`~repro.server.server.CosoftServer.handle_message`
@@ -15,24 +15,19 @@ already happened in the previous life, so replay binds a
 :class:`DiscardTransport` that swallows them.  The journal is detached
 for the duration — replay must read the log, never grow it.
 
-The same machinery serves three callers:
-
-* :func:`recover_server` / :func:`recover_cluster` — restart after a
-  crash (or, with ``at_seq``, time-travel to any historical point);
-* :func:`apply_catchup` — a late joiner or warm standby applies a
-  CATCHUP_REPLY (log suffix, optionally preceded by a snapshot) instead
-  of a full PUSH_STATE, then checks its fingerprint against the
-  server's.
+:func:`recover_server` / :func:`recover_cluster` restart a server or a
+sharded cluster after a crash, or, with ``at_seq``, time-travel to any
+historical point.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from repro.net.clock import SimClock
 from repro.net.message import Message
 from repro.net.transport import SERVER_ID, TrafficStats, Transport
-from repro.persist.snapshot import restore_state, server_fingerprint
+from repro.persist.snapshot import restore_state
 
 
 class DiscardTransport(Transport):
@@ -81,15 +76,12 @@ def _replay_into(
     entries: Any,
     *,
     at_seq: Optional[int] = None,
-    install_log: Any = None,
 ) -> int:
     """Feed journal *entries* through *server*'s handlers, in order.
 
     The clock advances to each entry's recorded execution time first, so
     clock-derived state (``registered_at``, floor grant times, history
-    timestamps) reproduces exactly.  With *install_log* each applied
-    entry is also appended to that op log (catch-up: the joiner's own
-    journal must track the position it has reached).
+    timestamps) reproduces exactly.
     """
     replayed = 0
     for entry in entries:
@@ -100,8 +92,6 @@ def _replay_into(
         if t > clock.now():
             clock.advance_to(t)
         server.handle_message(Message.from_wire(entry["msg"]))
-        if install_log is not None:
-            install_log.append_entry(entry)
         replayed += 1
     return replayed
 
@@ -199,9 +189,11 @@ def rebuild_router_state(cluster: Any) -> None:
 
     One authoritative pass instead of trusting replay side effects: the
     mirror couple table and sticky home pins come from each shard's
-    couple/lock/floor/history holdings, the floor-ack routes from each
-    shard's pending-ack sets, and the roster with its version from the
-    shard replicas (every shard holds the full registry).
+    couple/lock/floor/history holdings, the roster with its version from
+    the shard replicas (every shard holds the full registry), and each
+    floor's route from its shape, as the live router books it: a floor
+    awaiting acks gets an EVENT_ACK route, a bare floor (awaiting its
+    EVENT or UNLOCK) an UNLOCK route.
     """
     from repro.server.couples import CoupleTable
 
@@ -218,16 +210,16 @@ def rebuild_router_state(cluster: Any) -> None:
                 cluster._home[gid] = shard_id
         for obj in shard.locks.locked_objects():
             cluster._home[obj] = shard_id
-        for key, objects in shard._floors.items():
-            cluster._lock_routes[key] = shard_id
-            for gid in objects:
+        for key, floor in shard.floors.items():
+            if floor.pending_acks:
+                cluster._floor_routes[key] = shard_id
+                cluster._floor_expected[key] = len(floor.pending_acks)
+            else:
+                cluster._lock_routes[key] = shard_id
+            for gid in floor.objects:
                 cluster._home[gid] = shard_id
         for obj in shard.history.objects():
             cluster._home[obj] = shard_id
-        for key, pending in shard._pending_acks.items():
-            if pending:
-                cluster._floor_routes[key] = shard_id
-                cluster._floor_expected[key] = len(pending)
     for shard in cluster.shards.values():
         # Every shard replicates the full roster and its version; one
         # suffices.
@@ -244,56 +236,3 @@ def rebuild_router_state(cluster: Any) -> None:
         ):
             del cluster._home[gid]
 
-
-def apply_catchup(
-    server: Any, payload: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """Apply a CATCHUP_REPLY payload to a (possibly fresh) server.
-
-    Installs the snapshot if one rides along and the server is behind
-    it, replays the suffix entries the server has not seen (sequence
-    high-water-mark dedup — entries at or below the local journal
-    position were applied in this server's own past), appends them to
-    the local journal, and compares fingerprints with the authority.
-    """
-    persist = server.persistence
-    known = persist.log.last_seq if persist is not None else 0
-    if server._transport is None:
-        server.bind(DiscardTransport())
-    clock = server.clock
-    applied = 0
-    snap = payload.get("snapshot")
-    if snap is not None and int(snap["seq"]) > known:
-        restore_state(server, snap["state"])
-        snap_clock = float(snap.get("clock", 0.0))
-        if isinstance(clock, SimClock) and snap_clock > clock.now():
-            clock.advance_to(snap_clock)
-        known = int(snap["seq"])
-    server.persistence = None       # replay must not re-journal
-    try:
-        fresh: List[Dict[str, Any]] = [
-            e for e in payload.get("entries", ()) if int(e["seq"]) > known
-        ]
-        if isinstance(clock, SimClock):
-            applied = _replay_into(
-                server, clock, fresh,
-                install_log=persist.log if persist is not None else None,
-            )
-        else:
-            for entry in fresh:
-                server.handle_message(Message.from_wire(entry["msg"]))
-                if persist is not None:
-                    persist.log.append_entry(entry)
-                applied += 1
-    finally:
-        server.persistence = persist
-    fingerprint = server_fingerprint(server)
-    expected = payload.get("fingerprint")
-    return {
-        "applied": applied,
-        "fingerprint": fingerprint,
-        "fingerprint_ok": (
-            fingerprint == expected if expected is not None else None
-        ),
-        "last_seq": persist.log.last_seq if persist is not None else known,
-    }

@@ -11,9 +11,9 @@ server (no cycles) and a shard restores exactly like a standalone
 server.
 
 :func:`state_fingerprint` hashes the canonical form, giving the
-identity late joiners negotiate with: two servers with equal
+identity recovery is checked against: two servers with equal
 fingerprints hold byte-identical databases, whatever path (live
-traffic, replay, catch-up) produced them.  Volatile operational data —
+traffic, replay, migration) produced them.  Volatile operational data —
 processed counters, routing stats, in-flight request routes — is
 deliberately *outside* the fingerprint: it does not survive a crash and
 must not block a recovered server from comparing equal to a live one.
@@ -51,16 +51,7 @@ def _canonical(data: Any) -> str:
 
 def capture_state(server: Any) -> Dict[str, Any]:
     """The server's durable database categories, canonically ordered."""
-    floors: List[Dict[str, Any]] = []
-    for key in sorted(server._floors):
-        floors.append(
-            {
-                "owner": [key[0], key[1]],
-                "objects": [[g[0], g[1]] for g in server._floors[key]],
-                "granted_at": server._floor_granted_at.get(key, 0.0),
-                "pending_acks": sorted(server._pending_acks.get(key, ())),
-            }
-        )
+    floors = [server.floors[key].to_wire() for key in sorted(server.floors)]
     locks = sorted(
         (
             [[obj[0], obj[1]], server.locks.holder(obj).to_wire()]
@@ -88,7 +79,7 @@ def capture_state(server: Any) -> Dict[str, Any]:
 def restore_state(server: Any, state: Dict[str, Any]) -> None:
     """Install a :func:`capture_state` dict into a (fresh) server."""
     from repro.server.couples import CoupleLink
-    from repro.server.locks import LockOwner
+    from repro.server.locks import Floor, LockOwner
     from repro.server.registry import RegistrationRecord
 
     # The version is restored, never re-counted from the records: clients
@@ -103,16 +94,8 @@ def restore_state(server: Any, state: Dict[str, Any]) -> None:
         ((str(obj[0]), str(obj[1])), LockOwner.from_wire(owner))
         for obj, owner in state.get("locks", ())
     )
-    for floor in state.get("floors", ()):
-        owner = floor["owner"]
-        key = (str(owner[0]), int(owner[1]))
-        server._floors[key] = tuple(
-            (str(g[0]), str(g[1])) for g in floor.get("objects", ())
-        )
-        server._floor_granted_at[key] = float(floor.get("granted_at", 0.0))
-        pending = {str(i) for i in floor.get("pending_acks", ())}
-        if pending:
-            server._pending_acks[key] = pending
+    floors = map(Floor.from_wire, state.get("floors", ()))
+    server.floors.update((floor.key, floor) for floor in floors)
     server.history.import_state(state.get("history", {}))
     server.access.import_state(state.get("access", {}))
 
@@ -215,11 +198,11 @@ class SnapshotStore:
 
 
 class MemorySnapshotStore:
-    """The snapshot-store interface over a dict — no filesystem."""
+    """The snapshot-store interface over a dict — no filesystem; keeps
+    two generations, like :class:`SnapshotStore` by default."""
 
-    def __init__(self, **_ignored: Any):
+    def __init__(self) -> None:
         self._snapshots: Dict[int, Dict[str, Any]] = {}
-        self.keep = _ignored.get("keep", 2)
 
     def seqs(self) -> List[int]:
         return sorted(self._snapshots)
@@ -227,7 +210,7 @@ class MemorySnapshotStore:
     def save(self, snapshot: Dict[str, Any]) -> int:
         seq = int(snapshot["seq"])
         self._snapshots[seq] = json.loads(_canonical(snapshot))
-        self.prune(self.keep)
+        self.prune(2)
         return len(_canonical(snapshot))
 
     def load(self, seq: int) -> Dict[str, Any]:

@@ -4,15 +4,17 @@
 coupled objects" (§2.2).  The multiple-execution algorithm (§3.2) acquires
 the lock of every object in ``CO(o)`` before an event is broadcast, with
 rollback of partial acquisitions on conflict — mirrored here by
-:meth:`LockTable.acquire_all`.
+:meth:`LockTable.acquire_all`.  A granted acquisition is a
+:class:`Floor`: it stays held until every receiver acknowledged the
+event broadcast under it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.server.couples import GlobalId
+from repro.server.couples import GlobalId, gid_from_wire
 
 
 @dataclass(frozen=True)
@@ -28,6 +30,45 @@ class LockOwner:
     @classmethod
     def from_wire(cls, data: Sequence[object]) -> "LockOwner":
         return cls(instance_id=str(data[0]), token=int(data[1]))
+
+
+@dataclass
+class Floor:
+    """One granted floor: what its owner locked, when, and who must still
+    acknowledge the event broadcast under it (§3.2).
+
+    A floor with no pending acks is *bare*: its owner has yet to send
+    the EVENT or UNLOCK.  :meth:`to_wire` is the one form a floor takes
+    outside the server — in snapshots and in ``migrate_state`` alike.
+    """
+
+    owner: LockOwner
+    objects: Tuple[GlobalId, ...]
+    granted_at: float
+    pending_acks: Set[str] = field(default_factory=set)
+    #: Open ``server.floor_held`` span (tracing only; never on the wire).
+    span: Any = None
+
+    @property
+    def key(self) -> Tuple[str, int]:
+        return (self.owner.instance_id, self.owner.token)
+
+    def to_wire(self) -> Dict[str, Any]:
+        return {
+            "owner": self.owner.to_wire(),
+            "objects": [[g[0], g[1]] for g in self.objects],
+            "granted_at": self.granted_at,
+            "pending_acks": sorted(self.pending_acks),
+        }
+
+    @classmethod
+    def from_wire(cls, data: Mapping[str, Any]) -> "Floor":
+        return cls(
+            owner=LockOwner.from_wire(data["owner"]),
+            objects=tuple(gid_from_wire(g) for g in data.get("objects", ())),
+            granted_at=float(data.get("granted_at", 0.0)),
+            pending_acks={str(i) for i in data.get("pending_acks", ())},
+        )
 
 
 @dataclass

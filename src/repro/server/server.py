@@ -47,7 +47,7 @@ from repro.server.couples import (
     gid_to_wire,
 )
 from repro.server.history import HistoricalState, HistoryStore
-from repro.server.locks import LockOwner, LockTable
+from repro.server.locks import Floor, LockOwner, LockTable
 from repro.server.permissions import (
     COUPLE,
     READ,
@@ -128,20 +128,9 @@ class CosoftServer:
         self.ack_release = ack_release
         #: Delivery decisions of the interest-aware routing layer.
         self.routing = RoutingStats()
-        #: token-keyed record of what each granted floor currently locks.
-        self._floors: Dict[Tuple[str, int], Tuple[GlobalId, ...]] = {}
-        #: when each floor was granted (for lease expiry).
-        self._floor_granted_at: Dict[Tuple[str, int], float] = {}
-        #: receivers whose EVENT_ACK the floor release still waits for.
-        self._pending_acks: Dict[Tuple[str, int], set] = {}
+        #: Granted floors, keyed ``(owner instance, token)``.
+        self.floors: Dict[Tuple[str, int], Floor] = {}
         self._pending: Dict[int, _PendingRoute] = {}
-        #: Last structure fingerprint seen per object (from the ``sync``
-        #: block of relayed PUSH_STATEs).  A warm-start cache for the
-        #: compat-mapping layer: migrated groups carry it along so the
-        #: receiving shard knows each object's last-announced spec shape
-        #: without waiting for fresh traffic.  Deliberately outside the
-        #: journal and the state fingerprint — it is advisory.
-        self.fingerprints: Dict[GlobalId, str] = {}
         self.processed: Counter = Counter()
         self._transport: Optional[Transport] = None
         #: Event-sourced journal (:class:`repro.persist.Persistence`), or
@@ -153,8 +142,6 @@ class CosoftServer:
         self.obs = NULL_OBS
         #: Span of the message currently being handled (tracing only).
         self._active_span = None
-        #: Open ``server.floor_held`` spans, keyed like ``_floors``.
-        self._floor_spans: Dict[Tuple[str, int], Any] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -196,7 +183,7 @@ class CosoftServer:
                 )
                 yield Sample(
                     "repro_server_floors_held", "gauge",
-                    "Floors currently granted", base, len(self._floors),
+                    "Floors currently granted", base, len(self.floors),
                 )
                 for kind, n in sorted(self.processed.items()):
                     yield Sample(
@@ -297,7 +284,6 @@ class CosoftServer:
         kinds.ERROR: "_on_client_error",
         kinds.MIGRATE_EXPORT: "_on_migrate_export",
         kinds.MIGRATE_IMPORT: "_on_migrate_import",
-        kinds.CATCHUP_REQUEST: "_on_catchup_request",
         kinds.SHARD_SYNC: "_on_shard_sync",
         kinds.SHARD_INVENTORY: "_on_shard_inventory",
     }
@@ -429,16 +415,15 @@ class CosoftServer:
         self.locks.release_instance(instance_id)
         self.history.forget_instance(instance_id)
         self.access.forget_instance(instance_id)
-        for gid in [g for g in self.fingerprints if g[0] == instance_id]:
-            del self.fingerprints[gid]
-        for key in [k for k in self._floors if k[0] == instance_id]:
+        for key in [k for k in self.floors if k[0] == instance_id]:
             self._release_floor(key)
         # A departing instance can no longer acknowledge broadcasts: drop
         # it from every pending-ack set and release floors that drain.
-        for key, pending in list(self._pending_acks.items()):
-            pending.discard(instance_id)
-            if not pending:
-                self._release_floor(key)
+        for key, floor in list(self.floors.items()):
+            if floor.pending_acks:
+                floor.pending_acks.discard(instance_id)
+                if not floor.pending_acks:
+                    self._release_floor(key)
         # Requests forwarded to the departing instance can never be
         # answered: fail them back to their requesters now instead of
         # leaking the route (and leaving the requester to time out).
@@ -571,22 +556,19 @@ class CosoftServer:
     # ------------------------------------------------------------------
 
     def _release_floor(self, key: Tuple[str, int]) -> None:
-        """Drop a floor: its locks, lease record and pending acks."""
-        objects = self._floors.pop(key, ())
-        self._floor_granted_at.pop(key, None)
-        self._pending_acks.pop(key, None)
-        self.locks.release_all(objects, LockOwner(key[0], key[1]))
-        floor_span = self._floor_spans.pop(key, None)
-        if floor_span is not None:
-            self.obs.spans.finish(floor_span)
+        """Drop a floor: its record and the locks it holds."""
+        floor = self.floors.pop(key)
+        self.locks.release_all(floor.objects, floor.owner)
+        if floor.span is not None:
+            self.obs.spans.finish(floor.span)
 
     def _expire_stale_floors(self) -> None:
         """Lease expiry: reclaim floors whose acks never arrived."""
         now = self.clock.now()
         expired = [
             key
-            for key, granted_at in self._floor_granted_at.items()
-            if now - granted_at > self.floor_lease
+            for key, floor in self.floors.items()
+            if now - floor.granted_at > self.floor_lease
         ]
         for key in expired:
             self._release_floor(key)
@@ -610,12 +592,17 @@ class CosoftServer:
         granted, conflicts = self.locks.acquire_all(group, owner)
         if granted:
             key = (owner.instance_id, owner.token)
-            self._floors[key] = tuple(group)
-            self._floor_granted_at[key] = self.clock.now()
+            floor = self.floors.get(key)
+            if floor is None:
+                floor = self.floors[key] = Floor(owner, tuple(group), self.clock.now())
+            else:
+                # A repeated grant of one token renews the floor; the acks
+                # it awaits still count.
+                floor.objects, floor.granted_at = tuple(group), self.clock.now()
             active = self._active_span
             if active is not None:
                 # Floor lifetime span: grant .. release (ack or lease).
-                self._floor_spans[key] = self.obs.spans.start(
+                floor.span = self.obs.spans.start(
                     obs_tracing.SERVER_FLOOR,
                     trace_id=active.trace_id,
                     parent_id=active.span_id,
@@ -640,7 +627,7 @@ class CosoftServer:
         token = int(payload.get("token", 0))
         owner = LockOwner(message.sender, token)
         key = (owner.instance_id, owner.token)
-        if key in self._floors:
+        if key in self.floors:
             self._release_floor(key)
         elif "objects" in payload:
             objects = tuple(gid_from_wire(g) for g in payload["objects"])
@@ -681,8 +668,8 @@ class CosoftServer:
         Under *owner*'s floor the targets are the locked group; with
         *release* the floor goes once every receiver acknowledged.
         """
-        key = (owner.instance_id, owner.token)
-        locked = self._floors.get(key)
+        floor = self.floors.get((owner.instance_id, owner.token))
+        locked = floor.objects if floor is not None else None
         # Group the coupled objects by owning instance and broadcast one
         # message per instance, listing the local target pathnames.
         targets_by_instance: Dict[str, List[str]] = {}
@@ -742,14 +729,14 @@ class CosoftServer:
         if bcast_span is not None:
             self.obs.spans.finish(bcast_span)
         self.routing.record_event(len(receivers))
-        if release and locked is not None:
+        if release and floor is not None:
             if receivers and self.ack_release:
                 # "They are unlocked when the processing of this event is
                 # completed" (§3.2): hold the floor until every receiving
                 # instance confirms it re-executed the event.
-                self._pending_acks[key] = set(receivers)
+                floor.pending_acks = set(receivers)
             else:
-                self._release_floor(key)
+                self._release_floor(floor.key)
 
     def _on_event_ack(self, message: Message) -> None:
         payload = message.payload
@@ -757,11 +744,11 @@ class CosoftServer:
         if not owner_wire:
             return
         key = (str(owner_wire[0]), int(owner_wire[1]))
-        pending = self._pending_acks.get(key)
-        if pending is None:
+        floor = self.floors.get(key)
+        if floor is None or not floor.pending_acks:
             return
-        pending.discard(message.sender)
-        if not pending:
+        floor.pending_acks.discard(message.sender)
+        if not floor.pending_acks:
             self._release_floor(key)
 
     # ------------------------------------------------------------------
@@ -880,9 +867,6 @@ class CosoftServer:
                 )
             )
             return
-        sync = payload.get("sync")
-        if isinstance(sync, Mapping) and sync.get("fp"):
-            self.fingerprints[target] = str(sync["fp"])
         self._send(
             Message(
                 kind=kinds.PUSH_STATE,
@@ -1110,34 +1094,19 @@ class CosoftServer:
         links = self.couples.extract_objects(objs)
         locks = self.locks.transfer_out(sorted(objs))
         floors: List[Dict[str, Any]] = []
-        for key, floor_objects in list(self._floors.items()):
-            if not objs.intersection(floor_objects):
+        for key, floor in list(self.floors.items()):
+            if not objs.intersection(floor.objects):
                 continue
-            floors.append(
-                {
-                    "owner": [key[0], key[1]],
-                    "objects": [gid_to_wire(g) for g in floor_objects],
-                    "granted_at": self._floor_granted_at.get(key, 0.0),
-                    "pending_acks": sorted(self._pending_acks.get(key, ())),
-                }
-            )
-            del self._floors[key]
-            self._floor_granted_at.pop(key, None)
-            self._pending_acks.pop(key, None)
-            floor_span = self._floor_spans.pop(key, None)
-            if floor_span is not None:
+            floors.append(floor.to_wire())
+            del self.floors[key]
+            if floor.span is not None:
                 # The floor migrates to another shard; close its span
                 # here rather than leak an open one.
-                self.obs.spans.finish(floor_span, migrated=True)
+                self.obs.spans.finish(floor.span, migrated=True)
         history = [
             [gid_to_wire(obj), self.history.export_object(obj)]
             for obj in sorted(objs)
             if self.history.depth(obj) != (0, 0)
-        ]
-        fingerprints = [
-            [gid_to_wire(obj), self.fingerprints.pop(obj)]
-            for obj in sorted(objs)
-            if obj in self.fingerprints
         ]
         return {
             "objects": [gid_to_wire(g) for g in sorted(objs)],
@@ -1147,31 +1116,24 @@ class CosoftServer:
             ],
             "floors": floors,
             "history": history,
-            "fingerprints": fingerprints,
         }
 
     def import_group(self, data: Mapping[str, Any]) -> None:
-        """Install a couple group exported by :meth:`export_group`."""
+        """Install a couple group exported by :meth:`export_group`.
+
+        Keys it does not know are ignored: an older shard's payload may
+        still carry ``fingerprints``.
+        """
         for link_wire in data.get("links", ()):
             self.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
         self.locks.install(
             (gid_from_wire(obj), LockOwner.from_wire(owner))
             for obj, owner in data.get("locks", ())
         )
-        for floor in data.get("floors", ()):
-            owner = floor["owner"]
-            key = (str(owner[0]), int(owner[1]))
-            self._floors[key] = tuple(
-                gid_from_wire(g) for g in floor.get("objects", ())
-            )
-            self._floor_granted_at[key] = float(floor.get("granted_at", 0.0))
-            pending = {str(i) for i in floor.get("pending_acks", ())}
-            if pending:
-                self._pending_acks[key] = pending
+        floors = map(Floor.from_wire, data.get("floors", ()))
+        self.floors.update((floor.key, floor) for floor in floors)
         for obj_wire, stacks in data.get("history", ()):
             self.history.import_object(gid_from_wire(obj_wire), dict(stacks))
-        for obj_wire, fp in data.get("fingerprints", ()):
-            self.fingerprints[gid_from_wire(obj_wire)] = str(fp)
 
     def _require_router(self, message: Message) -> None:
         if message.sender != ROUTER_ID:
@@ -1230,16 +1192,14 @@ class CosoftServer:
         """Stateful object groups, in wire form, for resharding surveys.
 
         Every couple group plus every singleton carrying server-side
-        state (a lock, a floor, history or a cached fingerprint).  The
-        router diffs this against hashring ownership to compute the
-        minimal set of groups a live ``add_shard``/``remove_shard`` must
-        migrate.
+        state (a lock, a floor or history).  The router diffs this
+        against hashring ownership to compute the minimal set of groups
+        a live ``add_shard``/``remove_shard`` must migrate.
         """
         stateful = set(self.locks.locked_objects())
         stateful.update(self.history.objects())
-        stateful.update(self.fingerprints)
-        for floor_objects in self._floors.values():
-            stateful.update(floor_objects)
+        for floor in self.floors.values():
+            stateful.update(floor.objects)
         groups: List[List[GlobalId]] = []
         for group in self.couples.groups():
             groups.append(sorted(group))
@@ -1257,28 +1217,6 @@ class CosoftServer:
                 groups=self.state_inventory(),
             )
         )
-
-    # ------------------------------------------------------------------
-    # Late-join catch-up (event-sourced persistence; docs/PERSISTENCE.md)
-    # ------------------------------------------------------------------
-
-    def _on_catchup_request(self, message: Message) -> None:
-        """Serve a joiner the log suffix past its known sequence number.
-
-        Works for unregistered endpoints too — a warm standby catches up
-        before it ever registers.  Requires persistence; without a
-        journal there is no log to serve and the joiner falls back to
-        the full PUSH_STATE path.
-        """
-        persist = self.persistence
-        if persist is None:
-            self._send(
-                message.error_reply(SERVER_ID, "persistence is not enabled")
-            )
-            return
-        after_seq = int(message.payload.get("after_seq", 0))
-        payload = persist.catchup_payload(self, after_seq)
-        self._send(message.reply(kinds.CATCHUP_REPLY, SERVER_ID, **payload))
 
     # ------------------------------------------------------------------
     # Misc

@@ -150,7 +150,7 @@ def state_at(
                 "registered": len(server.registry),
                 "couple_links": len(server.couples),
                 "locks_held": len(server.locks),
-                "floors_held": len(server._floors),
+                "floors_held": len(server.floors),
                 "history_entries": len(server.history),
             },
         }

@@ -102,7 +102,7 @@ class TestShardEndpointProtocol:
         register(endpoint, 7)
         entries = [
             e
-            for e in endpoint.server.persistence.entries_after(0)
+            for e in endpoint.server.persistence.log.read()
             if e.get("did") is not None
         ]
         assert entries and entries[-1]["did"] == 7

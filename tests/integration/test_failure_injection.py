@@ -61,7 +61,7 @@ class TestLossyNetwork:
             assert a.stats["late_replies"] == 1
             assert not a._abandoned
             assert len(session.server.locks) == 0  # acks released the floor
-            assert session.server._floors == {}
+            assert session.server.floors == {}
         finally:
             session.close()
 

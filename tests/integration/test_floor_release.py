@@ -133,7 +133,8 @@ class TestAckBasedRelease:
         session.pump()
         assert len(lost) == 1
         assert len(session.server.locks) > 0
-        (granted_at,) = session.server._floor_granted_at.values()
+        (floor,) = session.server.floors.values()
+        granted_at = floor.granted_at
         lease = session.server.floor_lease
         # b's LOCK_REQUEST reaches the server one link latency after it
         # leaves: send it so the server sees the floor at lease -/+ eps.
@@ -148,7 +149,7 @@ class TestAckBasedRelease:
         assert not b.last_execution.lock_denied
         session.pump()
         assert len(session.server.locks) == 0
-        assert session.server._pending_acks == {}
+        assert session.server.floors == {}
         assert ta.find(FIELD).value == "after the lease"
 
     def test_raising_receiver_callback_releases_the_floor(self, duo):
@@ -166,7 +167,7 @@ class TestAckBasedRelease:
         assert tb.find(FIELD).value == "x"  # feedback ran before the raise
         assert not tb.find(FIELD).floor_locked
         assert len(session.server.locks) == 0
-        assert session.server._pending_acks == {}
+        assert session.server.floors == {}
         # b takes the floor at once: no clock advance, no lease to wait out.
         tb.find(FIELD).remove_callback(VALUE_CHANGED, broken)
         tb.find(FIELD).commit("y")

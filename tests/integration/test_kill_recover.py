@@ -113,32 +113,6 @@ class TestCluster:
             session.close()
 
 
-class TestLateJoin:
-    def test_standby_catches_up_without_push_state(self, tmp_path):
-        from repro.net import kinds
-        from repro.persist import apply_catchup
-        from repro.server.server import CosoftServer
-
-        session = Session(persistence=str(tmp_path))
-        collaborate(session)
-        live = session.server
-        persist = live.persistence
-        pushes_before = live.processed[kinds.PUSH_STATE]
-        payload = persist.catchup_payload(live, 0)
-        standby = CosoftServer(
-            persistence=PersistenceConfig(directory=None).build()
-        )
-        report = apply_catchup(standby, payload)
-        assert report["fingerprint_ok"] is True
-        assert report["applied"] == len(payload["entries"]) > 0
-        # Catch-up is log shipping: the authority pushed no state.
-        assert live.processed[kinds.PUSH_STATE] == pushes_before
-        assert live.persistence.last_suffix_length == len(
-            payload["entries"]
-        )
-        session.close()
-
-
 class TestRosterVersion:
     """A recovered registry continues the version chain its clients hold:
     the first delta after recovery is theirs + 1, so it applies — not a

@@ -147,3 +147,37 @@ def drive_workload(srv):
     history_push(srv, "b", "/app/x", {"value": "older"}, user="bob")
     undo(srv, "b", "/app/x")
     unregister(srv, "c")
+
+
+def lock_with_event(srv, instance_id, path, token=1):
+    """The one-message action: a floor request that carries its event."""
+    srv.clock.advance(0.01)
+    srv.handle_message(
+        Message(
+            kind=kinds.LOCK_REQUEST,
+            sender=instance_id,
+            payload={
+                "source": gid_to_wire(global_id(instance_id, path)),
+                "token": token,
+                "event": {
+                    "type": "value_changed",
+                    "source_path": path,
+                    "params": {"value": "v"},
+                    "instance_id": instance_id,
+                },
+            },
+        )
+    )
+
+
+def drive_floor_workload(srv):
+    """A database holding both floor shapes: ``a``'s event floor waits on
+    ``b``'s ack and ``c``'s bare floor awaits its EVENT or UNLOCK, beside
+    links, the locks both floors hold and history."""
+    register(srv, "a", user="alice")
+    register(srv, "b", user="bob")
+    register(srv, "c", user="carol")
+    couple(srv, global_id("a", "/app/x"), global_id("b", "/app/x"))
+    history_push(srv, "b", "/app/x", {"value": "old"}, user="bob")
+    lock_with_event(srv, "a", "/app/x", token=1)
+    lock(srv, "c", "/app/z", token=2)

@@ -1,23 +1,20 @@
-"""Tests for crash recovery, time travel and late-join catch-up."""
+"""Tests for crash recovery and time travel."""
 
 from repro.net import kinds
 from repro.net.message import Message
 from repro.persist import (
     PersistenceConfig,
-    apply_catchup,
     recover_cluster,
     recover_server,
 )
 from repro.persist.snapshot import server_fingerprint
-from repro.session import Session
-from repro.toolkit.widgets import Shell
 
 from persist_helpers import (
     FakeTransport,
     couple,
     drive_workload,
-    history_push,
     lock,
+    lock_with_event,
     make_server,
     register,
     unregister,
@@ -214,6 +211,29 @@ class TestRecoverCluster:
             for shard in recovered.shards.values():
                 shard.persistence.close()
 
+    def test_router_floor_routes_match_the_live_router(self, tmp_path):
+        """A floor awaiting acks is routed by its EVENT_ACKs and a bare
+        floor by its UNLOCK, after recovery exactly as before it."""
+        from repro.cluster.router import ShardedCosoftCluster
+
+        config = PersistenceConfig(directory=str(tmp_path))
+        cluster = ShardedCosoftCluster(shards=2, persistence=config)
+        self._drive(cluster)
+        lock_with_event(cluster, "a", "/app/x", token=1)  # b's ack is due
+        lock(cluster, "c", "/app/z", token=2)  # awaits its EVENT or UNLOCK
+        assert list(cluster._lock_routes) == [("c", 2)]
+        assert list(cluster._floor_routes) == [("a", 1)]
+        assert cluster._floor_expected == {("a", 1): 1}
+        for persist in (s.persistence for s in cluster.shards.values()):
+            persist.close()
+        recovered = recover_cluster(config, shards=2)
+        try:
+            for table in ("_lock_routes", "_floor_routes", "_floor_expected"):
+                assert getattr(recovered, table) == getattr(cluster, table)
+        finally:
+            for shard in recovered.shards.values():
+                shard.persistence.close()
+
     def test_router_books_rebuilt(self, tmp_path):
         from repro.cluster.router import ShardedCosoftCluster
 
@@ -230,110 +250,3 @@ class TestRecoverCluster:
         )
         # The replay sink was unbound: the caller's bind comes first.
         assert recovered._transport is None
-
-
-class TestCatchup:
-    def test_late_joiner_catches_up_without_push_state(self):
-        persist = memory_config().build()
-        live, transport = make_server(persistence=persist)
-        drive_workload(live)
-        transport.take()
-        # The joiner asks for everything after its (empty) journal.
-        live.handle_message(
-            Message(
-                kind=kinds.CATCHUP_REQUEST,
-                sender="standby",
-                payload={"after_seq": 0},
-            )
-        )
-        replies = transport.take()
-        assert [m.kind for m in replies] == [kinds.CATCHUP_REPLY]
-        payload = replies[0].payload
-        standby_persist = memory_config().build()
-        standby, _ = make_server(persistence=standby_persist)
-        report = apply_catchup(standby, payload)
-        assert report["fingerprint_ok"] is True
-        assert report["applied"] == len(payload["entries"])
-        # The joiner's own journal tracked the position it reached.
-        assert standby_persist.log.last_seq == payload["last_seq"]
-        # No state transfer was involved, only the log suffix.
-        assert live.processed[kinds.PUSH_STATE] == 0
-        assert "snapshot" not in payload or payload["snapshot"] is None
-
-    def test_cluster_routes_a_catchup_to_the_shard_it_names(self):
-        with Session(shards=2, persistence=True) as session:
-            a = session.create_instance("a", user="alice")
-            session.create_instance("b", user="bob")
-            a.add_root(Shell("app"))
-            session.pump()
-            replies = []
-            standby = session.network.attach("standby", replies.append)
-            for payload in ({"after_seq": 0, "shard": "shard-1"}, {"shard": "nope"}):
-                standby.send(
-                    Message(
-                        kind=kinds.CATCHUP_REQUEST, sender="standby", payload=payload
-                    )
-                )
-            session.pump()
-            journal = session.persistence["shard-1"]
-            assert [m.kind for m in replies] == [kinds.CATCHUP_REPLY, kinds.ERROR]
-            assert replies[0].payload["last_seq"] == journal.log.last_seq > 0
-            assert "unknown shard 'nope'" in replies[1].payload["reason"]
-            # A fresh server replays the suffix into shard-1's exact state.
-            standby_server, _ = make_server(persistence=memory_config().build())
-            report = apply_catchup(standby_server, replies[0].payload)
-            assert report["fingerprint_ok"] is True
-
-    def test_catchup_is_incremental(self):
-        persist = memory_config().build()
-        live, transport = make_server(persistence=persist)
-        register(live, "a", user="alice")
-        standby_persist = memory_config().build()
-        standby, _ = make_server(persistence=standby_persist)
-        apply_catchup(standby, persist.catchup_payload(live, 0))
-        first = standby_persist.log.last_seq
-        register(live, "b", user="bob")
-        history_push(live, "b", "/app/x", {"value": "v"})
-        report = apply_catchup(
-            standby, persist.catchup_payload(live, first)
-        )
-        assert report["applied"] == 2
-        assert report["fingerprint_ok"] is True
-
-    def test_duplicate_entries_are_skipped_by_seq(self):
-        persist = memory_config().build()
-        live, _ = make_server(persistence=persist)
-        drive_workload(live)
-        standby_persist = memory_config().build()
-        standby, _ = make_server(persistence=standby_persist)
-        payload = persist.catchup_payload(live, 0)
-        apply_catchup(standby, payload)
-        again = apply_catchup(standby, payload)  # replayed delivery
-        assert again["applied"] == 0
-        assert again["fingerprint_ok"] is True
-
-    def test_catchup_below_compaction_ships_snapshot(self):
-        persist = memory_config().build()
-        live, _ = make_server(persistence=persist)
-        drive_workload(live)
-        persist.snapshot(live)
-        persist.log.compact(persist.log.last_seq)
-        payload = persist.catchup_payload(live, 0)
-        assert payload.get("snapshot") is not None
-        standby, _ = make_server(persistence=memory_config().build())
-        report = apply_catchup(standby, payload)
-        assert report["fingerprint_ok"] is True
-
-    def test_catchup_error_when_persistence_off(self):
-        live, transport = make_server()
-        register(live, "a", user="alice")
-        transport.take()
-        live.handle_message(
-            Message(
-                kind=kinds.CATCHUP_REQUEST,
-                sender="standby",
-                payload={"after_seq": 0},
-            )
-        )
-        replies = transport.take()
-        assert replies and replies[0].kind == kinds.ERROR

@@ -1,10 +1,14 @@
 """Tests for state capture/restore and the snapshot stores."""
 
+import json
 import os
 
 import pytest
 
 from repro.errors import PersistenceError
+from repro.net import kinds
+from repro.net.message import Message
+from repro.net.transport import ROUTER_ID
 from repro.persist import MemorySnapshotStore, SnapshotStore
 from repro.persist.snapshot import (
     build_snapshot,
@@ -14,7 +18,59 @@ from repro.persist.snapshot import (
     state_fingerprint,
 )
 
-from persist_helpers import drive_workload, make_server
+from persist_helpers import (
+    drive_floor_workload,
+    drive_workload,
+    make_server,
+    register,
+)
+
+#: Snapshot of :func:`drive_floor_workload`'s database, written by the
+#: code before a floor became one record (seq 7, the workload's last op).
+PARENT_SNAPSHOTS = os.path.join(os.path.dirname(__file__), "data")
+PARENT_FINGERPRINT = "92a901b0a139ed1f48270247fb198ce0446aa4cc"
+
+#: ``migrate_state`` for the a/b group of :func:`drive_floor_workload` as
+#: that code sent it, with a ``fingerprints`` entry, a key since dropped.
+PARENT_MIGRATE_STATE = {
+    "fingerprints": [[["a", "/app/x"], "deadbeef"]],
+    "floors": [
+        {
+            "granted_at": 0.060000000000000005,
+            "objects": [["a", "/app/x"], ["b", "/app/x"]],
+            "owner": ["a", 1],
+            "pending_acks": ["b"],
+        }
+    ],
+    "history": [
+        [
+            ["b", "/app/x"],
+            {
+                "redo": [],
+                "undo": [
+                    {
+                        "by_user": "bob",
+                        "obj": ["b", "/app/x"],
+                        "reason": "copy_to",
+                        "state": {"value": "old"},
+                        "timestamp": 0.05,
+                    }
+                ],
+            },
+        ]
+    ],
+    "links": [{"creator": "a", "source": ["a", "/app/x"], "target": ["b", "/app/x"]}],
+    "locks": [[["a", "/app/x"], ["a", 1]], [["b", "/app/x"], ["a", 1]]],
+    "objects": [["a", "/app/x"], ["b", "/app/x"]],
+}
+
+GROUP = [("a", "/app/x"), ("b", "/app/x")]
+
+
+def ack(srv, sender, owner):
+    srv.handle_message(
+        Message(kind=kinds.EVENT_ACK, sender=sender, payload={"owner": owner})
+    )
 
 
 class TestCaptureRestore:
@@ -146,3 +202,62 @@ class TestMemorySnapshotStore:
     def test_missing_seq_raises(self):
         with pytest.raises(PersistenceError):
             MemorySnapshotStore().load(42)
+
+
+class TestFloorWireForm:
+    """A floor has one wire form, shared by snapshots and ``migrate_state``,
+    and it is the form the code before the floor record wrote."""
+
+    def test_capture_is_byte_identical_to_the_parent_commits(self):
+        srv, _ = make_server()
+        drive_floor_workload(srv)
+        state = capture_state(srv)
+        parent = SnapshotStore(PARENT_SNAPSHOTS).load(7)
+        assert json.dumps(state, sort_keys=True) == json.dumps(
+            parent["state"], sort_keys=True
+        )
+        assert state_fingerprint(state) == PARENT_FINGERPRINT
+
+    def test_parent_snapshot_restores_to_its_fingerprint(self):
+        snap = SnapshotStore(PARENT_SNAPSHOTS).load(7)
+        srv, _ = make_server()
+        restore_state(srv, snap["state"])
+        assert server_fingerprint(srv) == PARENT_FINGERPRINT
+        assert {k: f.pending_acks for k, f in srv.floors.items()} == {
+            ("a", 1): {"b"},
+            ("c", 2): set(),
+        }
+        ack(srv, "b", ["a", 1])
+        assert list(srv.floors) == [("c", 2)]
+        assert srv.locks.locked_objects() == [("c", "/app/z")]
+
+    def test_mid_ack_floor_migrates_and_the_missing_ack_releases_it(self):
+        src, transport = make_server()
+        drive_floor_workload(src)
+        transport.take()
+        export = Message(
+            kind=kinds.MIGRATE_EXPORT,
+            sender=ROUTER_ID,
+            payload={"objects": [list(g) for g in GROUP]},
+        )
+        src.handle_message(export)
+        (reply,) = transport.take()
+        assert reply.kind == kinds.MIGRATE_STATE
+        assert "fingerprints" not in reply.payload
+        assert [f["pending_acks"] for f in reply.payload["floors"]] == [["b"]]
+        assert list(src.floors) == [("c", 2)]  # the bare floor stays
+        dst, _ = make_server()
+        for instance_id in ("a", "b"):
+            register(dst, instance_id)
+        dst.import_group(reply.payload)
+        assert sorted(dst.locks.locked_objects()) == GROUP
+        ack(dst, "b", ["a", 1])
+        assert dst.floors == {} and len(dst.locks) == 0
+
+    def test_parent_form_migrate_state_still_imports(self):
+        dst, _ = make_server()
+        dst.import_group(PARENT_MIGRATE_STATE)
+        assert dst.floors[("a", 1)].pending_acks == {"b"}
+        assert dst.history.depth(("b", "/app/x")) == (1, 0)
+        ack(dst, "b", ["a", 1])
+        assert dst.floors == {} and len(dst.locks) == 0

@@ -109,7 +109,7 @@ def run(backend, fire, scenario, *, race):
             if quiesce or not race:
                 assert settle(session, lambda: True)
         assert settle(session, lambda: True)
-        assert floor_free(session) and session.server._floors == {}
+        assert floor_free(session) and session.server.floors == {}
         order = [
             [
                 (e.instance_id, e.source_path, dict(e.params))

@@ -113,7 +113,7 @@ class TestMalformedEventInLockRequest:
         assert reply.kind == kinds.ERROR and reply.reply_to == request.msg_id
         assert srv.processed["__rejected__"] == 1
         assert len(srv.locks) == 0
-        assert srv._floors == {} and srv._pending_acks == {}
+        assert srv.floors == {}
         # The server still serves the next, well-formed request.
         transport.sent.clear()
         srv.handle_message(

@@ -412,7 +412,10 @@ class TestTwoMessageInterop:
         assert [m.kind for m in out if m.kind != kinds.EVENT_BROADCAST] == [
             kinds.LOCK_REPLY
         ]
-        assert len(srv.locks) == 3 and srv._pending_acks == {("a", 1): {"b", "c"}}
+        assert len(srv.locks) == 3
+        assert {k: f.pending_acks for k, f in srv.floors.items()} == {
+            ("a", 1): {"b", "c"}
+        }
         for receiver in ("b", "c"):
             srv.handle_message(
                 Message(
@@ -420,7 +423,7 @@ class TestTwoMessageInterop:
                     payload={"owner": ["a", 1]},
                 )
             )
-        assert len(srv.locks) == 0 and srv._floors == {}
+        assert len(srv.locks) == 0 and srv.floors == {}
         # msg_id is a process-wide counter; everything else is the frame.
         return [
             (m.to, encode(dataclasses.replace(m, msg_id=0)))
@@ -466,7 +469,7 @@ class TestTwoMessageInterop:
         (reply,) = transport.take()
         assert reply.kind == kinds.LOCK_REPLY and not reply.payload["granted"]
         assert srv.routing.events == 0
-        assert list(srv._floors) == [("b", 9)]
+        assert list(srv.floors) == [("b", 9)]
 
     @pytest.mark.parametrize("backend", ["memory", "tcp", "aio"])
     def test_mixed_fleet_in_one_couple_group(self, backend):
@@ -497,7 +500,7 @@ class TestTwoMessageInterop:
                     for e in instance.trace.events(VALUE_CHANGED)
                 ] == expected
             assert floor_free(session)
-            assert session.server._floors == {}
+            assert session.server.floors == {}
             assert session.server.processed[kinds.EVENT] == 3
             assert session.server.processed[kinds.LOCK_REQUEST] == 6
 
