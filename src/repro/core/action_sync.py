@@ -67,7 +67,12 @@ from repro.toolkit.widget import UIObject, UndoRecord
 
 @dataclass(frozen=True)
 class FloorGrant:
-    """A granted floor: the lock token and the locked group."""
+    """A granted floor: the lock token and the group the reply listed.
+
+    A bare floor request (``acquire_floor()``) is granted the whole
+    locked group, which :func:`release_floor` names back; a request that
+    carried an event is granted only the requester's own members of it.
+    """
 
     token: int
     group: Tuple[GlobalId, ...]
@@ -75,7 +80,11 @@ class FloorGrant:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one local event under multiple execution."""
+    """Outcome of one local event under multiple execution.
+
+    ``group`` is the group the grant listed: this instance's own members
+    of ``CO(o)``, the source included.
+    """
 
     executed: bool
     lock_denied: bool = False

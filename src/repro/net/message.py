@@ -226,11 +226,13 @@ class Message:
         handler to this).
     to:
         Addressee instance id; empty string means "to the server" for
-        client messages, and is never empty for server messages.
+        client messages, and is never empty for server messages.  The
+        empty string is never serialized.
     msg_id:
         Unique id for request/reply correlation.
     reply_to:
-        The ``msg_id`` this message answers, or ``None``.
+        The ``msg_id`` this message answers, or ``None``, which is never
+        serialized.
     trace:
         Optional causal-trace context ``(trace_id, parent_span_id)``
         stamped by an observability-enabled endpoint (see
@@ -353,17 +355,22 @@ class Message:
 
         Splices the payload serialization between cheaply-dumped scalar
         fields, preserving the codec's sorted-key, compact-separator
-        format byte for byte.
+        format byte for byte.  Like :meth:`to_wire`, it leaves out
+        ``reply_to``, ``to`` and ``trace`` at their defaults.
         """
         encoded = self._encoded
         payload_json = encoded.get("json")
         if payload_json is None:  # decoded; serialize on first use
             payload_json = encoded["json"] = _dumps(self.payload)
         reply_to = self.reply_to
+        to = self.to
         trace = self.trace
-        # "to" < "trace" in the sorted key order, so the optional trace
-        # context appends after "to" without disturbing byte-for-byte
-        # parity with ``_dumps(self.to_wire())``.
+        # Sorted key order: kind, msg_id, payload, reply_to, sender, to,
+        # trace — each optional part slots in between the fixed ones
+        # without disturbing byte-for-byte parity with
+        # ``_dumps(self.to_wire())``.
+        reply_part = "" if reply_to is None else f',"reply_to":{reply_to:d}'
+        to_part = f',"to":{_wire_id(to)}' if to else ""
         trace_part = (
             ""
             if trace is None
@@ -372,10 +379,8 @@ class Message:
         return (
             f'{{"kind":{_WIRE_KINDS[self.kind]}'
             f',"msg_id":{self.msg_id:d}'
-            f',"payload":{payload_json}'
-            f',"reply_to":{"null" if reply_to is None else f"{reply_to:d}"}'
-            f',"sender":{_wire_id(self.sender)}'
-            f',"to":{_wire_id(self.to)}{trace_part}}}'
+            f',"payload":{payload_json}{reply_part}'
+            f',"sender":{_wire_id(self.sender)}{to_part}{trace_part}}}'
         )
 
     def reply(self, kind: str, sender: str, **payload: Any) -> "Message":
@@ -401,14 +406,19 @@ class Message:
         )
 
     def to_wire(self) -> Dict[str, Any]:
+        """The envelope as a dict, without the fields at their defaults
+        (``to=""``, ``reply_to=None``, ``trace=None``): :meth:`from_wire`
+        fills them back in."""
         wire = {
             "kind": self.kind,
             "sender": self.sender,
-            "to": self.to,
             "payload": dict(self.payload),
             "msg_id": self.msg_id,
-            "reply_to": self.reply_to,
         }
+        if self.to:
+            wire["to"] = self.to
+        if self.reply_to is not None:
+            wire["reply_to"] = self.reply_to
         if self.trace is not None:
             wire["trace"] = list(self.trace)
         return wire

@@ -578,8 +578,10 @@ class CosoftServer:
 
         A request that carries an ``event`` is a whole action: on a grant
         the event is broadcast under the floor just taken, on a denial
-        nothing else happens.  The event is checked before any lock is
-        taken, so a malformed one cannot strand a floor.
+        nothing else happens.  Its reply lists only the requester's own
+        members of the group; ``conflicts`` rides on a denial only.  The
+        event is checked before any lock is taken, so a malformed one
+        cannot strand a floor.
         """
         payload = message.payload
         self._require_registered(message.sender)
@@ -610,15 +612,18 @@ class CosoftServer:
                     owner=owner.instance_id,
                     objects=len(group),
                 )
-        self._send(
-            message.reply(
-                kinds.LOCK_REPLY,
-                SERVER_ID,
-                granted=granted,
-                group=[gid_to_wire(g) for g in group],
-                conflicts=[gid_to_wire(c) for c in conflicts],
-            )
+        # The requester of an action reads only its own members of the
+        # group (to re-execute on them); a bare floor request gets the
+        # whole group, which its UNLOCK names back.
+        listed = (
+            group
+            if event_wire is None
+            else [g for g in group if g[0] == owner.instance_id]
         )
+        reply = {"granted": granted, "group": [gid_to_wire(g) for g in listed]}
+        if not granted:
+            reply["conflicts"] = [gid_to_wire(c) for c in conflicts]
+        self._send(message.reply(kinds.LOCK_REPLY, SERVER_ID, **reply))
         if granted and event_wire is not None:
             self._broadcast_event(owner, source, event_wire)
 

@@ -625,6 +625,11 @@ class Session:
         config: Optional[SessionConfig] = None,
         **knobs: object,
     ):
+        if backend is not None and not isinstance(backend, str):
+            raise TypeError(
+                f"Session backend must be a name, not "
+                f"{type(backend).__name__}; pass a SessionConfig as config="
+            )
         if config is not None:
             if knobs:
                 raise TypeError(

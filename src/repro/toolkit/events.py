@@ -92,15 +92,18 @@ class Event:
 
     def to_wire(self) -> Dict[str, Any]:
         """Serialize for transmission ("this event packed with some
-        parameters is sent to the server", §3.2)."""
-        return {
+        parameters is sent to the server", §3.2).  An empty ``user`` is
+        left out: :meth:`from_wire` reads its absence as ``""``."""
+        wire = {
             "type": self.type,
             "source_path": self.source_path,
             "params": dict(self.params),
-            "user": self.user,
             "instance_id": self.instance_id,
             "seq": self.seq,
         }
+        if self.user:
+            wire["user"] = self.user
+        return wire
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "Event":

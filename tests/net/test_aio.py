@@ -813,7 +813,9 @@ class TestReadPath:
         elif fault == "wrong-typed envelope":
             # Stops at the decoder: a handler never sees ``reply_to == [1]``.
             frame = read_side.frame(0, ok=1)
-            body = frame[HEADER_SIZE:].replace(b'"reply_to":null', b'"reply_to":[1]')
+            assert frame[HEADER_SIZE : HEADER_SIZE + 1] == b"{"
+            body = b'{"reply_to":[1],' + frame[HEADER_SIZE + 1 :]
+            assert b'"reply_to":[1]' in body and b'"reply_to"' not in frame
             bad.sendall(struct.pack(">I", len(body)) + body)
         else:
             bad.sendall(read_side.frame(0, boom=True))

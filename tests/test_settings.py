@@ -14,7 +14,7 @@ from repro.net.aio import BatchConfig
 from repro.net.message import Message
 from repro.persist import OpLog, PersistenceConfig
 from repro.server.server import CosoftServer
-from repro.session import BACKENDS, Session
+from repro.session import BACKENDS, Session, SessionConfig
 
 
 class TestRemovedSettingsFailAtConstruction:
@@ -100,3 +100,14 @@ def test_a_codec_that_is_not_a_name_is_refused_at_construction(backend, codec):
         with Session(backend=backend, codec=codec) as session:
             session.create_instance("a", user="u")
     assert "['binary', 'json']" in str(excinfo.value)
+
+
+def test_a_config_passed_as_backend_is_refused_naming_config():
+    """``Session(SessionConfig(...))`` puts the config where the backend
+    name goes.  It used to fail as an unknown backend whose message
+    printed the whole config; it now says where a config belongs."""
+    with pytest.raises(TypeError, match="config=") as excinfo:
+        Session(SessionConfig(backend="memory"))
+    assert "SessionConfig(" not in str(excinfo.value)
+    with Session(config=SessionConfig(backend="memory")) as session:
+        assert session.backend == "memory"
