@@ -17,7 +17,6 @@ from repro.net.codec import Codec
 from repro.net.message import Message
 from repro.net.transport import (
     ROUTER_ID,
-    SERVER_ID,
     TrafficStats,
     Transport,
     resolve_destination,
@@ -84,10 +83,6 @@ class _CollectingTransport(Transport):
         self.suppress: Optional[FrozenSet[str]] = None
 
     @property
-    def local_id(self) -> str:
-        return SERVER_ID
-
-    @property
     def stats(self) -> TrafficStats:
         return self._stats
 
@@ -107,13 +102,6 @@ class _CollectingTransport(Transport):
         suppress = self.suppress
         if message.to == ROUTER_ID or not suppress or message.kind not in suppress:
             outs.append(message)
-
-    def recv(self, message: Message) -> None:
-        self._server.handle_message(message)
-
-    def drive(self, predicate, timeout: float = 5.0) -> bool:
-        # Shards are passive state machines; they never block on replies.
-        return bool(predicate())
 
     def close(self) -> None:
         self._closed = True

@@ -9,6 +9,8 @@ Public surface:
 * :mod:`~repro.core.state_sync` — synchronization by UI state (§3.1);
 * :mod:`~repro.core.action_sync` — synchronization by multiple execution
   (§3.2, the floor-control algorithm);
+* :mod:`~repro.core.receiver` — the receive side of §3.2: which numbered
+  delivery (roster change, event) applies, is a duplicate or shows a gap;
 * :class:`~repro.core.semantic.SemanticHookRegistry` — semantic store/load;
 * :class:`~repro.core.commands.CommandRegistry` — CoSendCommand dispatch.
 """

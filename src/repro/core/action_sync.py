@@ -274,11 +274,13 @@ def apply_remote_event(
         )
         trace = (trace[0], span.span_id)
     executed = 0
+    fresh = False
+    error = None
     try:
         event = Event.from_wire(payload["event"])
         # A duplicate delivery (at-least-once transport) was already
         # executed here: it is only acknowledged.
-        fresh = instance.accept_remote_event(event)
+        fresh = instance.receiver.fresh_event(event.instance_id, event.seq)
         if fresh:
             for path in payload.get("targets", ()):
                 widget = instance.find_widget(path)
@@ -287,7 +289,12 @@ def apply_remote_event(
                 _reexecute_locked(instance, widget, path, event)
                 executed += 1
             instance.stats["events_remote"] += executed
-            instance.trace_remote_event(event)
+            instance.trace.record(event)
+        else:
+            instance.stats["duplicate_events"] += 1
+    except Exception as exc:
+        error = type(exc).__name__
+        raise
     finally:
         # The group stays locked "until the processing of this event is
         # completed": confirm completion however it ended — executed, a
@@ -296,11 +303,13 @@ def apply_remote_event(
         owner = payload.get("owner")
         if owner is not None:
             instance.send(Message.event_ack(instance.instance_id, owner, trace=trace))
-    if span is not None:
-        if fresh:
-            obs.spans.finish(span, executed=executed)
-        else:
-            obs.spans.finish(span, duplicate=True)
+        if span is not None:
+            if error is not None:
+                obs.spans.finish(span, executed=executed, error=error)
+            elif fresh:
+                obs.spans.finish(span, executed=executed)
+            else:
+                obs.spans.finish(span, duplicate=True)
     return executed
 
 

@@ -31,6 +31,7 @@ from repro.core.action_sync import ExecutionResult, FloorGrant
 from repro.core.commands import CommandRegistry
 from repro.core.compat import ComponentMapping, CorrespondenceRegistry
 from repro.core.continuity import Continuity, Sent
+from repro.core.receiver import DUPLICATE, GAP, Receiver
 from repro.core.semantic import SemanticHookRegistry
 from repro.core.state_sync import ApplyReport, STRICT
 from repro.errors import (
@@ -46,6 +47,7 @@ from repro.net.message import Message
 from repro.net.tcp import TcpClientTransport
 from repro.net.transport import Transport
 from repro.obs import NULL_OBS
+from repro.obs.log import get_logger
 from repro.server.couples import CoupleTable, GlobalId, gid_from_wire, gid_to_wire
 from repro.server.permissions import PermissionRule
 from repro.server.registry import RegistrationRecord, record_from_delta
@@ -55,6 +57,8 @@ from repro.toolkit.tree import apply_subtree_state, subtree_state
 from repro.toolkit.widget import PATH_SEPARATOR, UIObject, state_clock
 
 WidgetRef = Union[UIObject, str]
+
+_log = get_logger("core.instance")
 
 
 def _blob_fingerprint(blob: Any) -> str:
@@ -126,15 +130,12 @@ class ApplicationInstance:
         self.replica = CoupleTable()
         #: Replica of the server's registration records: the full roster
         #: from REGISTER_ACK, then one delta per join or leave, applied
-        #: in version order (:meth:`_on_instance_list`) to this dict in
-        #: place — on a socket transport by the receive thread, so a
-        #: reader on another thread copies it first (``dict(roster)``).
+        #: in the order :attr:`receiver` rules (:meth:`_on_roster`) to
+        #: this dict in place — on a socket transport by the receive
+        #: thread, so a reader on another thread copies it first.
         self.roster: Dict[str, RegistrationRecord] = {}
-        #: The registry version :attr:`roster` reflects.
-        self.roster_version = 0
-        #: When the roster resync in flight stops counting as in flight
-        #: (transport time), or None: at most one is outstanding.
-        self._roster_resync_until: Optional[float] = None
+        #: Which numbered deliveries (roster changes, events) apply.
+        self.receiver = Receiver()
         self.semantics = SemanticHookRegistry()
         self.commands = CommandRegistry()
         self.trace = (
@@ -157,9 +158,6 @@ class ApplicationInstance:
         #: granted and broadcast it after all
         #: (:func:`action_sync.apply_late_reply`); anything else to None.
         self._abandoned: Dict[int, Optional[Event]] = {}
-        #: highest event seq executed per originating instance (dedup of
-        #: at-least-once broadcast deliveries).
-        self._last_event_seq: Dict[str, int] = {}
         #: Delta continuity; touched only under the transport guard.
         self.continuity = Continuity()
         self._tokens = itertools.count(1)
@@ -216,6 +214,11 @@ class ApplicationInstance:
     @property
     def transport(self) -> Optional[Transport]:
         return self._transport
+
+    @property
+    def roster_version(self) -> int:
+        """The registry version :attr:`roster` reflects."""
+        return self.receiver.roster.known
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -786,26 +789,6 @@ class ApplicationInstance:
             )
         return reply
 
-    def trace_remote_event(self, event: Event) -> None:
-        self.trace.record(event)
-
-    def accept_remote_event(self, event: Event) -> bool:
-        """Deduplicate broadcast events (at-least-once tolerance).
-
-        Event sequence numbers are strictly increasing per originating
-        instance, so a seq at or below the last one seen from that origin
-        is a duplicate delivery and must not be re-executed.
-        """
-        origin = event.instance_id
-        if not origin:
-            return True
-        last = self._last_event_seq.get(origin, -1)
-        if event.seq <= last:
-            self.stats["duplicate_events"] += 1
-            return False
-        self._last_event_seq[origin] = event.seq
-        return True
-
     def on_widget_destroyed(self, widget: UIObject) -> None:
         """Runtime hook from the toolkit: auto-decouple destroyed objects.
 
@@ -832,18 +815,14 @@ class ApplicationInstance:
     # Inbound message handling
     # ------------------------------------------------------------------
 
-    #: Exceptions a malformed inbound payload can trigger; they are
-    #: counted, never allowed to kill the client's receive path.
-    _MALFORMED = (ReproError, KeyError, ValueError, TypeError, AttributeError,
-                  IndexError)
-
     def handle_message(self, message: Message) -> None:
         """Sans-I/O inbound dispatch (invoked by the bound transport).
 
         Replies are stashed for :meth:`request` before dispatch, so even a
-        malformed reply unblocks its waiter; handler failures on garbage
-        payloads are counted in ``stats['malformed_messages']`` and
-        swallowed — one bad message must not wedge the event loop.
+        malformed reply unblocks its waiter.  A handler that raises — on a
+        garbage payload, or in an application callback re-executing an
+        event — is counted in ``stats['malformed_messages']``: one bad
+        message must not kill the receive path.
         """
         self.stats[f"rx_{message.kind}"] += 1
         late = None
@@ -857,8 +836,9 @@ class ApplicationInstance:
             if late is not None:
                 action_sync.apply_late_reply(self, late, message)
             self._dispatch_message(message)
-        except self._MALFORMED:
+        except Exception:
             self.stats["malformed_messages"] += 1
+            _log.warning("%s: %s failed", self.instance_id, message.kind, exc_info=True)
 
     def _dispatch_message(self, message: Message) -> None:
         if message.kind == kinds.COUPLE_UPDATE:
@@ -866,7 +846,7 @@ class ApplicationInstance:
                 self.replica, message.payload, self.instance_id
             )
         elif message.kind == kinds.INSTANCE_LIST:
-            self._on_instance_list(message.payload)
+            self._on_roster(message.payload)
         elif message.kind == kinds.EVENT_BROADCAST:
             action_sync.apply_remote_event(
                 self, message.payload, trace=message.trace
@@ -882,7 +862,7 @@ class ApplicationInstance:
         elif message.kind == kinds.REGISTER_ACK:
             # Adopted here, not in register(): in order with the deltas
             # that follow the ack on the connection.
-            self._adopt_roster(message.payload)
+            self._on_roster(message.payload, opens=True)
 
     def _on_fetch_state(self, message: Message) -> None:
         """Owner side of CopyFrom/RemoteCopy: serialize the asked object.
@@ -1090,26 +1070,36 @@ class ApplicationInstance:
     # Internals
     # ------------------------------------------------------------------
 
-    def _on_instance_list(self, payload: Mapping[str, Any]) -> None:
-        """Apply one roster message by its version.
-
-        A delta is the next change (``known + 1``: apply), one already
-        reflected (``<= known``: a duplicate delivery, counted), or
-        proof that changes were missed (anything later: ask for the full
-        roster).  A full roster — the answer — is adopted unless older
-        than what is held.
-        """
+    def _on_roster(self, payload: Mapping[str, Any], *, opens: bool = False) -> None:
+        """Apply one roster message as :attr:`receiver` rules by its
+        version: a full roster (*opens*: a REGISTER_ACK's) or a delta."""
+        stream = self.receiver.roster
         version = int(payload["version"])
-        known = self.roster_version
         if "roster" in payload:
-            if version < known:
+            records = [RegistrationRecord.from_wire(r) for r in payload["roster"]]
+            if not stream.adopt(version, always=opens):
                 self.stats["roster_duplicates"] += 1
-            else:
-                self._adopt_roster(payload)
-        elif version <= known:
+                return
+            held, self.roster = self.roster, {r.instance_id: r for r in records}
+            self.receiver.registrations(held, self.roster)
+            self.continuity.forget(lambda _local, remote: remote[0] not in self.roster)
+            return
+        verdict = stream.classify(version)
+        if verdict == DUPLICATE:
             self.stats["roster_duplicates"] += 1
-        elif version > known + 1:
-            self._request_roster_resync()
+        elif verdict == GAP:
+            transport = self._transport
+            if transport is None or transport.closed or not self.registered:
+                return
+            if stream.ask(version, transport.now(), self.request_timeout):
+                self.stats["roster_resyncs"] += 1
+                self.send(
+                    Message(
+                        kind=kinds.RESYNC_REQUEST,
+                        sender=self.instance_id,
+                        payload={"roster": stream.known},
+                    )
+                )
         else:
             if "joined" in payload:
                 record = record_from_delta(payload)
@@ -1117,41 +1107,9 @@ class ApplicationInstance:
             else:
                 left = str(payload["left"])
                 self.roster.pop(left, None)
+                self.receiver.left(left)
                 self.continuity.forget(lambda _local, remote: remote[0] == left)
-            self.roster_version = version
-
-    def _adopt_roster(self, payload: Mapping[str, Any]) -> None:
-        """Replace the replica with a full roster and its version."""
-        records = map(RegistrationRecord.from_wire, payload["roster"])
-        self.roster = {record.instance_id: record for record in records}
-        self.roster_version = int(payload["version"])
-        self._roster_resync_until = None
-        roster = self.roster
-        self.continuity.forget(lambda _local, remote: remote[0] not in roster)
-
-    def _request_roster_resync(self) -> None:
-        """Ask whoever owns the registry for the full roster, once.
-
-        However many deltas arrive past the gap, one request is
-        outstanding; like any request it is given ``request_timeout``
-        (it or its answer may be lost), after which the next delta that
-        still shows a gap asks again.
-        """
-        transport = self._transport
-        if transport is None or transport.closed or not self.registered:
-            return
-        now = transport.now()
-        if self._roster_resync_until is not None and now < self._roster_resync_until:
-            return
-        self._roster_resync_until = now + self.request_timeout
-        self.stats["roster_resyncs"] += 1
-        self.send(
-            Message(
-                kind=kinds.RESYNC_REQUEST,
-                sender=self.instance_id,
-                payload={"roster": self.roster_version},
-            )
-        )
+            stream.advance(version)
 
     def _guard(self):
         """The transport's guard against its message handlers, if bound."""

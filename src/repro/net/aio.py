@@ -42,7 +42,7 @@ destination (or a failed write) is retried with exponential backoff
 ``undeliverable``.  Retries can duplicate delivery; that is safe because
 every message carries an idempotent ``msg_id`` and event broadcasts carry
 per-origin sequence numbers the instances deduplicate on
-(:meth:`ApplicationInstance.accept_remote_event`).
+(:meth:`repro.core.receiver.Receiver.fresh_event`).
 
 The queue and retry cores (:class:`SendQueue`, :class:`RetryPolicy`)
 are **sans-I/O** and read no clock, so unit tests drive them without
@@ -55,10 +55,8 @@ import asyncio
 import contextlib
 import logging
 import threading
-import time as _time
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -392,12 +390,10 @@ class AioHostTransport(Transport):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        local_id: str = "server",
         config: Optional[BatchConfig] = None,
         loop: Optional[asyncio.AbstractEventLoop] = None,
         codec: str = "json",
     ):
-        self._local_id = local_id
         self._handler = handler
         self._codec: Codec = get_codec(codec)
         #: Per-peer codec negotiation: each peer is answered in the codec
@@ -457,10 +453,6 @@ class AioHostTransport(Transport):
     # ------------------------------------------------------------------
 
     @property
-    def local_id(self) -> str:
-        return self._local_id
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -473,14 +465,6 @@ class AioHostTransport(Transport):
         """Serialize application threads with event-loop dispatch."""
         with self._cond:
             yield
-
-    def recv(self, message: Message) -> None:
-        """Dispatch one inbound message into the endpoint handler."""
-        with self._cond:
-            if self._closed:
-                return
-            self._handler(message)
-            self._cond.notify_all()
 
     def send(self, message: Message) -> None:
         """Queue *message* for its destination's next flush.
@@ -497,18 +481,6 @@ class AioHostTransport(Transport):
             self._enqueue(message)
         else:
             self._loop.call_soon_threadsafe(self._enqueue, message)
-
-    def drive(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool:
-        """Wait (wall clock) until *predicate* is true; the condition is
-        notified after every inbound dispatch."""
-        end = _time.monotonic() + timeout
-        with self._cond:
-            while not predicate():
-                remaining = end - _time.monotonic()
-                if remaining <= 0:
-                    return bool(predicate())
-                self._cond.wait(remaining)
-            return True
 
     def close(self) -> None:
         with self._cond:

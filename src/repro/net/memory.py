@@ -322,10 +322,6 @@ class MemoryTransport(Transport):
         return self._endpoint_id
 
     @property
-    def network(self) -> MemoryNetwork:
-        return self._network
-
-    @property
     def stats(self) -> TrafficStats:
         """The network-wide accounting (shared by all memory endpoints)."""
         return self._network.stats

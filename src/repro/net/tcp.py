@@ -53,10 +53,6 @@ class TcpTransportBase(Transport):
         self._stats = TrafficStats()
 
     @property
-    def local_id(self) -> str:
-        return self._local_id
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -87,11 +83,6 @@ class TcpTransportBase(Transport):
                     return bool(predicate())
                 self._cond.wait(remaining)
             return True
-
-    @property
-    def codec(self) -> Codec:
-        """This endpoint's outbound codec (inbound is auto-detected)."""
-        return self._codec
 
     def _send_on(
         self,

@@ -232,10 +232,11 @@ class TrafficStats:
 class Transport(abc.ABC):
     """One endpoint's handle onto a network.
 
-    The four-method contract — :meth:`send`, :meth:`recv`, :meth:`close`,
-    :attr:`stats` — is what every transport implements; :meth:`drive`,
-    :meth:`guard` and :meth:`now` have sensible defaults for
-    single-threaded and real-time transports.
+    The contract is what its callers use — :meth:`send`, :meth:`drive`,
+    :meth:`close`, :attr:`closed`, :attr:`stats` — and every transport
+    implements it; :meth:`guard` and :meth:`now` have sensible defaults
+    for single-threaded and real-time transports.  How an inbound
+    message reaches the endpoint's handler is each transport's own.
     """
 
     def guard(self):
@@ -243,11 +244,6 @@ class Transport(abc.ABC):
         invocations.  A no-op on single-threaded transports; the TCP
         transport overrides it with its condition lock."""
         return contextlib.nullcontext()
-
-    @property
-    @abc.abstractmethod
-    def local_id(self) -> str:
-        """The endpoint id this handle sends as."""
 
     @abc.abstractmethod
     def send(self, message: Message) -> None:
@@ -257,16 +253,6 @@ class Transport(abc.ABC):
         :class:`~repro.errors.TransportClosedError` after :meth:`close`.
         """
 
-    @abc.abstractmethod
-    def recv(self, message: Message) -> None:
-        """Deliver one inbound *message* into the endpoint's handler.
-
-        Transports call this from their reader thread / task / pump loop;
-        implementations serialize the call with :meth:`guard` so the
-        sans-I/O cores never see concurrent handler invocations.
-        """
-
-    @abc.abstractmethod
     def drive(
         self, predicate: Callable[[], bool], timeout: float = 5.0
     ) -> bool:
@@ -274,8 +260,10 @@ class Transport(abc.ABC):
 
         Returns True if the predicate became true, False on timeout.  On a
         simulated network "timeout" is simulated time; no real waiting
-        happens.
+        happens.  A passive endpoint (a server's, which never waits for a
+        reply) only tests *predicate*.
         """
+        return bool(predicate())
 
     def now(self) -> float:
         """The time :meth:`drive` measures its *timeout* on, in seconds.

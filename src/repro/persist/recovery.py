@@ -22,11 +22,11 @@ historical point.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from repro.net.clock import SimClock
 from repro.net.message import Message
-from repro.net.transport import SERVER_ID, TrafficStats, Transport
+from repro.net.transport import TrafficStats, Transport
 from repro.persist.snapshot import restore_state
 
 
@@ -37,15 +37,10 @@ class DiscardTransport(Transport):
     delivered in the server's previous life.
     """
 
-    def __init__(self, local_id: str = SERVER_ID):
-        self._local_id = local_id
+    def __init__(self) -> None:
         self._stats = TrafficStats()
         self._closed = False
         self.discarded = 0
-
-    @property
-    def local_id(self) -> str:
-        return self._local_id
 
     @property
     def stats(self) -> TrafficStats:
@@ -53,14 +48,6 @@ class DiscardTransport(Transport):
 
     def send(self, message: Message) -> None:
         self.discarded += 1
-
-    def recv(self, message: Message) -> None:
-        self.discarded += 1
-
-    def drive(
-        self, predicate: Callable[[], bool], timeout: float = 5.0
-    ) -> bool:
-        return bool(predicate())
 
     def close(self) -> None:
         self._closed = True

@@ -58,7 +58,7 @@ class Registry:
     then one :meth:`joined_delta` / :meth:`left_delta` per change.
     :attr:`version` numbers the changes so a replica can tell a
     duplicate (``<=`` what it holds) from the next change (``+ 1``) from
-    a gap (anything later).
+    a gap (anything later) — the rule of :mod:`repro.core.receiver`.
     """
 
     def __init__(self) -> None:

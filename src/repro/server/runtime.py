@@ -104,10 +104,6 @@ class AsyncServerRuntime:
     def loop(self) -> asyncio.AbstractEventLoop:
         return self._loop_thread.loop
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def stats(self) -> Dict[str, Any]:
         """Runtime-level counters: traffic, connections, endpoint."""
         transport = self.transport

@@ -505,9 +505,6 @@ class UIObject:
     def remove_callback(self, event_type: str, callback: Callback) -> bool:
         return self._callbacks.remove(event_type, callback)
 
-    def callbacks(self, event_type: str) -> Tuple[Callback, ...]:
-        return self._callbacks.get(event_type)
-
     def fire(self, event_type: str, user: str = "", **params: Any) -> Event:
         """Emit a user-level event on this widget.
 

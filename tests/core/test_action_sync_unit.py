@@ -6,6 +6,7 @@ from typing import Optional
 
 from repro.core import action_sync
 from repro.core.action_sync import FloorGrant
+from repro.core.receiver import Receiver
 from repro.net import kinds
 from repro.net.message import Message
 from repro.toolkit.events import ACTIVATE, VALUE_CHANGED, Event, EventTrace
@@ -22,6 +23,7 @@ class StubInstance:
         self.sent = []
         self._grant = grant
         self._token = 0
+        self.receiver = Receiver()
         self.root = Shell("app")
         TextField("field", parent=self.root)
         ToggleButton("flag", parent=self.root)
@@ -49,12 +51,6 @@ class StubInstance:
             return self.root.find(pathname)
         except Exception:
             return None
-
-    def trace_remote_event(self, event: Event) -> None:
-        self.trace.record(event)
-
-    def accept_remote_event(self, event: Event) -> bool:
-        return True
 
     def process_local_event(self, widget, event):
         # Stub: behave like an uncoupled instance (no network round).

@@ -15,6 +15,8 @@ from conftest import settle
 from repro.core.state_sync import build_state_payload
 from repro.errors import ServerError
 from repro.net import kinds
+from repro.net.message import Message
+from repro.net.transport import SERVER_ID
 from repro.server.couples import gid_to_wire
 from repro.session import Session
 from repro.toolkit.tree import subtree_state
@@ -395,7 +397,7 @@ class TestDeltaProtocol:
         without_a["roster"] = [
             record for record in without_a["roster"] if record["instance_id"] != "a"
         ]
-        b._adopt_roster(without_a)
+        b.handle_message(Message(kinds.INSTANCE_LIST, SERVER_ID, payload=without_a))
         assert not b.continuity.received and not b.continuity.sent
         assert a.continuity.received and a.continuity.sent  # a's roster still has b
 
@@ -722,5 +724,5 @@ class TestFetchCreatedEntries:
         without_a["roster"] = [
             record for record in without_a["roster"] if record["instance_id"] != "a"
         ]
-        b._adopt_roster(without_a)
+        b.handle_message(Message(kinds.INSTANCE_LIST, SERVER_ID, payload=without_a))
         assert not b.continuity.sent

@@ -10,11 +10,12 @@ instances are refused until the acks drain.
 import pytest
 
 from repro.net import kinds
+from repro.obs.tracing import REMOTE_APPLY
 from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField, ToggleButton
 
-from conftest import make_demo_tree
+from conftest import floor_free, make_demo_tree, settle
 
 FIELD = "/app/form/name"
 FLAG = "/app/form/flag"
@@ -152,29 +153,66 @@ class TestAckBasedRelease:
         assert session.server.floors == {}
         assert ta.find(FIELD).value == "after the lease"
 
-    def test_raising_receiver_callback_releases_the_floor(self, duo):
-        """A receiver whose callback raises still acknowledges: the floor
-        goes as soon as processing ended, not after ``floor_lease``."""
-        session, a, b, ta, tb = duo
+    @pytest.mark.parametrize("backend", ["memory", "tcp", "aio"])
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_raising_receiver_callback_releases_the_floor(self, error, backend):
+        """A receiver whose callback raises, whatever it raises, counts it
+        and still acknowledges: the floor goes as soon as processing
+        ended, not after ``floor_lease``, the ``remote.apply`` span ends
+        with the exception's type, and the receiver keeps serving."""
+        with Session(backend=backend, observability=True) as session:
+            a = session.create_instance("a", user="u1")
+            b = session.create_instance("b", user="u2")
+            ta = a.add_root(make_demo_tree())
+            tb = b.add_root(make_demo_tree())
+            a.couple(ta.find(FIELD), ("b", FIELD))
+            assert settle(session, lambda: b.is_coupled(tb.find(FIELD)))
 
-        def broken(widget, event):
-            raise ValueError("application bug in a callback")
+            def broken(widget, event):
+                raise error("application bug in a callback")
 
-        tb.find(FIELD).add_callback(VALUE_CHANGED, broken)
-        ta.find(FIELD).commit("x")
-        session.pump()
-        assert b.stats["malformed_messages"] == 1
-        assert tb.find(FIELD).value == "x"  # feedback ran before the raise
-        assert not tb.find(FIELD).floor_locked
-        assert len(session.server.locks) == 0
-        assert session.server.floors == {}
-        # b takes the floor at once: no clock advance, no lease to wait out.
-        tb.find(FIELD).remove_callback(VALUE_CHANGED, broken)
-        tb.find(FIELD).commit("y")
-        assert not b.last_execution.lock_denied
-        session.pump()
-        assert ta.find(FIELD).value == "y"
-        assert len(session.server.locks) == 0
+            tb.find(FIELD).add_callback(VALUE_CHANGED, broken)
+            ta.find(FIELD).commit("x")
+            assert settle(session, lambda: b.stats["malformed_messages"] == 1)
+            assert tb.find(FIELD).value == "x"  # feedback ran before the raise
+            assert not tb.find(FIELD).floor_locked
+            assert floor_free(session) and session.server.floors == {}
+            # b takes the floor at once: no clock advance, no lease to wait out.
+            tb.find(FIELD).remove_callback(VALUE_CHANGED, broken)
+            tb.find(FIELD).commit("y")
+            assert not b.last_execution.lock_denied
+            assert settle(session, lambda: ta.find(FIELD).value == "y")
+            ta.find(FIELD).commit("z")  # and b still applies what comes
+            assert settle(session, lambda: tb.find(FIELD).value == "z")
+            spans = session.obs.spans.spans
+            # On sockets a span may end just after the ack that freed the floor.
+            assert settle(session, lambda: all(s.finished for s in spans()))
+            failed = [s.attrs.get("error") for s in spans() if s.name == REMOTE_APPLY]
+            assert failed == [error.__name__, None, None]
+
+    def test_raising_callback_on_a_late_grant_is_contained(self):
+        """The source re-executes a grant that missed ``lock_timeout``;
+        a callback raising there is counted too, not raised out of the
+        network pump."""
+        with Session(backend="memory", base_latency=0.04) as session:
+            a = session.create_instance("a", user="u1", lock_timeout=0.05)
+            b = session.create_instance("b", user="u2")
+            ta = a.add_root(make_demo_tree())
+            b.add_root(make_demo_tree())
+            a.couple(ta.find(FIELD), ("b", FIELD))
+            session.pump()
+
+            def broken(widget, event):
+                raise RuntimeError("application bug in a callback")
+
+            ta.find(FIELD).add_callback(VALUE_CHANGED, broken)
+            ta.find(FIELD).commit("late")
+            assert a.last_execution.lock_denied  # rolled back at the timeout
+            session.pump()
+            assert a.stats["late_grants"] == 0  # the re-execution raised
+            assert a.stats["malformed_messages"] == 1
+            assert ta.find(FIELD).value == "late"  # feedback ran before the raise
+            assert session.server.floors == {}
 
 
 class TestSameInstanceExecution:

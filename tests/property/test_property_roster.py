@@ -306,7 +306,7 @@ class TestWhoAnswers:
         session.pump()
         by_kind = session.network.stats.by_kind
         before = by_kind[kinds.INSTANCE_LIST]
-        session.instances["a"].roster_version = 1  # as if b and c were lost
+        session.instances["a"].receiver.roster.known = 1  # as if b and c were lost
         session.server.handle_message(
             Message(kind=kinds.RESYNC_REQUEST, sender="a", payload={"roster": 1})
         )
