@@ -176,45 +176,79 @@ class TestLocalVsCoupledEvents:
         assert other.find("/mirror/copy").value == "twice"
 
 
+WELL_FORMED_EVENT = {
+    "type": VALUE_CHANGED,
+    "source_path": "/app/form/name",
+    "params": {"value": "x"},
+    "instance_id": "a",
+    "seq": 10_000,
+}
+
+
+def _broadcast(event_wire, targets):
+    return Message(
+        kind=kinds.EVENT_BROADCAST,
+        sender="server",
+        to="b",
+        payload={"event": event_wire, "targets": targets, "owner": ["a", 1]},
+    )
+
+
 class TestMalformedBroadcast:
-    """The receiver validates a broadcast event once, in
-    ``Event.from_wire``; what fails there is counted, never raised."""
+    """The receiver validates a broadcast once, in ``Event.from_wire`` and
+    beside it for the targets; what fails there is counted, never raised,
+    and uses up nothing: the origin's event stream does not move and the
+    trace does not record the event."""
 
     @pytest.mark.parametrize(
-        "event_wire",
+        ("event_wire", "targets"),
         [
-            {
-                "type": VALUE_CHANGED,
-                "source_path": "/app/form/name",
-                "params": {1: "non-string key"},
-                "instance_id": "a",
-                "seq": 10_000,
-            },
-            {"source_path": "/app/form/name", "params": {"value": "x"}},
-        ],
-        ids=["non-string-param-key", "missing-type"],
-    )
-    def test_counted_and_receiver_stays_alive(self, coupled_pair, event_wire):
-        session, a, b, tree_a, tree_b = coupled_pair
-        b.handle_message(
-            Message(
-                kind=kinds.EVENT_BROADCAST,
-                sender="server",
-                to="b",
-                payload={
-                    "event": event_wire,
-                    "targets": ["/app/form/name"],
-                    "owner": ["a", 1],
+            (
+                {
+                    "type": VALUE_CHANGED,
+                    "source_path": "/app/form/name",
+                    "params": {1: "non-string key"},
+                    "instance_id": "a",
+                    "seq": 10_000,
                 },
-            )
-        )
+                ["/app/form/name"],
+            ),
+            (
+                {"source_path": "/app/form/name", "params": {"value": "x"}},
+                ["/app/form/name"],
+            ),
+            (WELL_FORMED_EVENT, "/app/form/name"),
+            (WELL_FORMED_EVENT, [5]),
+        ],
+        ids=["non-string-param-key", "missing-type", "targets-string", "targets-int"],
+    )
+    def test_counted_and_receiver_stays_alive(self, coupled_pair, event_wire, targets):
+        session, a, b, tree_a, tree_b = coupled_pair
+        b.handle_message(_broadcast(event_wire, targets))
         assert b.stats["malformed_messages"] == 1
         assert b.stats["events_remote"] == 0
+        assert b.trace.events() == []
         assert tree_b.find("/app/form/name").value == ""
         tree_a.find("/app/form/name").commit("still alive")
         session.pump()
         assert tree_b.find("/app/form/name").value == "still alive"
         assert b.stats["malformed_messages"] == 1
+
+    @pytest.mark.parametrize(
+        "targets", ["/app/form/name", [5]], ids=["targets-string", "targets-int"]
+    )
+    def test_a_well_formed_redelivery_then_executes(self, coupled_pair, targets):
+        session, a, b, tree_a, tree_b = coupled_pair
+        b.handle_message(_broadcast(WELL_FORMED_EVENT, targets))
+        b.handle_message(_broadcast(WELL_FORMED_EVENT, ["/app/form/name"]))
+        assert b.stats["malformed_messages"] == 1
+        assert b.stats["duplicate_events"] == 0
+        assert b.stats["events_remote"] == 1
+        assert tree_b.find("/app/form/name").value == "x"
+        assert [event.seq for event in b.trace.events()] == [10_000]
+        # Both deliveries were acknowledged, the malformed one included.
+        acks = session.network.stats.by_kind[kinds.EVENT_ACK]
+        assert acks == 2
 
 
 class TestCoupleApi:

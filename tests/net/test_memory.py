@@ -7,6 +7,7 @@ from repro.net import kinds
 from repro.net.clock import SimClock
 from repro.net.memory import MemoryNetwork
 from repro.net.message import Message
+from repro.net.transport import DROP_PARTITION
 
 
 def msg(sender, to, **payload):
@@ -168,6 +169,19 @@ class TestLossAndPartition:
         net.pump()
         assert len(b_inbox.received) == 1
 
+    def test_a_message_in_flight_when_the_partition_starts_is_dropped(self):
+        net = MemoryNetwork()
+        b_inbox = Collector()
+        a = net.attach("a", lambda m: None)
+        net.attach("b", b_inbox)
+        message = msg("a", "b")
+        a.send(message)
+        net.partition("b")
+        assert net.pump() == 0
+        assert b_inbox.received == []
+        assert dict(net.stats.drops_by_reason) == {DROP_PARTITION: 1}
+        assert net.stats.dropped_bytes == len(net.codec.encode(message))
+
 
 class TestOccupy:
     def test_busy_endpoint_defers_delivery(self):
@@ -257,6 +271,50 @@ class TestPumpVariants:
         handle["a"].send(msg("a", "b"))
         with pytest.raises(DeliveryError):
             net.pump(max_steps=100)
+
+    @staticmethod
+    def _queued(count):
+        net = MemoryNetwork(base_latency=0.0)
+        inbox = Collector()
+        net.attach("b", inbox)
+        a = net.attach("a", lambda m: None)
+        for i in range(count):
+            a.send(msg("a", "b", i=i))
+        return net, inbox
+
+    @pytest.mark.parametrize(
+        "pump",
+        [
+            lambda net, inbox: net.pump(max_steps=3),
+            lambda net, inbox: net.pump_until_time(1.0, max_steps=3),
+            lambda net, inbox: net.pump_until(
+                lambda: len(inbox.received) == 3, max_steps=3
+            ),
+        ],
+        ids=["pump", "pump_until_time", "pump_until"],
+    )
+    def test_exactly_max_steps_deliveries_is_enough(self, pump):
+        net, inbox = self._queued(3)
+        assert pump(net, inbox) in (3, True)
+        assert len(inbox.received) == 3
+        assert net.pending() == 0
+
+    @pytest.mark.parametrize(
+        "pump",
+        [
+            lambda net, inbox: net.pump(max_steps=3),
+            lambda net, inbox: net.pump_until_time(1.0, max_steps=3),
+            lambda net, inbox: net.pump_until(
+                lambda: len(inbox.received) == 4, max_steps=3
+            ),
+        ],
+        ids=["pump", "pump_until_time", "pump_until"],
+    )
+    def test_one_delivery_past_max_steps_still_raises(self, pump):
+        net, inbox = self._queued(4)
+        with pytest.raises(DeliveryError):
+            pump(net, inbox)
+        assert len(inbox.received) == 3
 
     def test_drive_on_transport(self):
         net = MemoryNetwork()
