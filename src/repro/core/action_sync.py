@@ -300,7 +300,6 @@ def apply_remote_event(
                 _reexecute_locked(instance, widget, path, event)
                 executed += 1
             instance.stats["events_remote"] += executed
-            instance.trace.record(event)
         else:
             instance.stats["duplicate_events"] += 1
     except Exception as exc:

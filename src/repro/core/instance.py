@@ -141,11 +141,9 @@ class ApplicationInstance:
         self.receiver = Receiver()
         self.semantics = SemanticHookRegistry()
         self.commands = CommandRegistry()
-        self.trace = (
-            EventTrace(maxlen=trace_maxlen)
-            if trace_maxlen is not None
-            else EventTrace()
-        )
+        #: The user's own events, granted or denied: the input log that
+        #: :class:`~repro.tools.replay.SessionRecorder` cuts.
+        self.trace = EventTrace(capacity=trace_maxlen)
         #: Observability hooks shared with the deployment (the disabled
         #: stand-in unless the Session wires a live one in).
         self.obs = observability if observability is not None else NULL_OBS

@@ -145,8 +145,9 @@ class SessionConfig:
     #: ``True`` (journal into an ephemeral directory removed at close), a
     #: directory path, or a ready :class:`~repro.persist.PersistenceConfig`.
     persistence: Union[None, bool, str, PersistenceConfig] = None
-    #: Ring-buffer capacity of each instance's :class:`EventTrace`
-    #: (``None`` keeps the class default of 100 000 events).
+    #: Ring-buffer capacity of each instance's :class:`EventTrace`, the
+    #: log of its own user's events (``None`` keeps the class default of
+    #: 100 000 events); remote re-executions are not recorded.
     trace_maxlen: Optional[int] = None
 
     # Simulated network model (memory backend) ------------------------

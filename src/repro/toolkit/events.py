@@ -213,23 +213,21 @@ class CallbackRegistry:
 
 
 class EventTrace:
-    """A bounded in-memory log of events, used by tests and experiments.
+    """An application instance's input log: the events its own user fired.
 
-    Application instances keep a trace of executed events so experiments can
-    assert ordering and measure replay cost (E6).  The ring buffer holds
-    the most recent *capacity* events (``maxlen`` is an accepted alias,
-    matching :class:`collections.deque`); older entries are evicted and
-    counted in :attr:`dropped`, so long-running instances never grow the
-    trace without bound.
+    :meth:`ApplicationInstance.process_local_event` records every local
+    event, granted or denied; a remote re-execution (§3.2) is a
+    consequence of another member's input and is not recorded, so
+    nothing a delivery allocates outlives it.  This is the log
+    :class:`~repro.tools.replay.SessionRecorder` cuts and E6 replays.
+    The ring buffer holds the most recent *capacity* events; older
+    entries are evicted and counted in :attr:`dropped`, so a
+    long-running instance never grows the trace without bound.
     """
 
-    def __init__(
-        self, capacity: Optional[int] = None, *, maxlen: Optional[int] = None
-    ):
-        if capacity is not None and maxlen is not None:
-            raise ValueError("pass capacity or maxlen, not both")
+    def __init__(self, capacity: Optional[int] = None):
         if capacity is None:
-            capacity = maxlen if maxlen is not None else 100_000
+            capacity = 100_000
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
@@ -252,8 +250,14 @@ class EventTrace:
 
     @property
     def dropped(self) -> int:
-        """Number of events discarded due to the capacity bound."""
+        """Number of events discarded: evicted by the capacity bound or
+        removed by :meth:`clear`."""
         return self._dropped
+
+    @property
+    def recorded(self) -> int:
+        """Number of events ever recorded, held or discarded."""
+        return len(self._events) + self._dropped
 
     def stats(self) -> Dict[str, int]:
         """Occupancy summary for ``Session.trace_stats()``."""
@@ -264,6 +268,7 @@ class EventTrace:
         }
 
     def clear(self) -> None:
+        self._dropped += len(self._events)
         self._events.clear()
 
     def __len__(self) -> int:

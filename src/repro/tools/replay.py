@@ -1,8 +1,8 @@
 """Session recording and replay, plus journal time travel.
 
-Deterministic reproduction of an interactive run: record every executed
-event from an instance's trace into a JSON-safe log, then replay the log
-against a fresh instance (or a whole fresh session).  Used for
+Deterministic reproduction of an interactive run: cut the events an
+instance's user fired from its trace into a JSON-safe log, then replay
+the log against a fresh instance (or a whole fresh session).  Used for
 
 * debugging ("what sequence led to this state?"),
 * the E6 experiment's action-replay arm,
@@ -28,26 +28,36 @@ from repro.toolkit.widget import UIObject
 
 
 class SessionRecorder:
-    """Tap an instance's local events into a serializable log.
+    """Cut an instance's input log into a serializable log.
 
-    Only *locally initiated* events are recorded (remote re-executions are
-    a consequence, not an input); replaying the log through the coupling
-    layer regenerates the remote effects.
+    The instance's trace holds only *locally initiated* events (remote
+    re-executions are a consequence, not an input); replaying the log
+    through the coupling layer regenerates the remote effects.
     """
 
     def __init__(self, instance: ApplicationInstance):
         self.instance = instance
-        self._mark = len(instance.trace)
+        self._mark = instance.trace.recorded
 
     def cut(self) -> List[Dict[str, Any]]:
-        """Return the log of events since construction (or the last cut)."""
-        events = self.instance.trace.events()[self._mark:]
-        self._mark = len(self.instance.trace)
-        return [
-            event.to_wire()
-            for event in events
-            if event.instance_id == self.instance.instance_id
-        ]
+        """Return the log of events since construction (or the last cut).
+
+        Raises :class:`LookupError` if the trace discarded events that
+        were never cut (its ring wrapped between two cuts): a log with a
+        gap would not replay to the same state.  The next cut starts
+        after the gap.
+        """
+        trace = self.instance.trace
+        recorded = trace.recorded
+        new = recorded - self._mark
+        held = len(trace)
+        self._mark = recorded
+        if new > held:
+            raise LookupError(
+                f"{new - held} events left {self.instance.instance_id}'s trace"
+                " before being cut; cut more often or raise trace_maxlen"
+            )
+        return [event.to_wire() for event in trace.events()[held - new :]]
 
     def dumps(self) -> str:
         return json.dumps(self.cut(), separators=(",", ":"))

@@ -14,7 +14,7 @@ from repro.net import kinds
 from repro.net.memory import MemoryTransport
 from repro.net.message import Message
 from repro.session import Session
-from repro.toolkit.events import Event
+from repro.toolkit.events import VALUE_CHANGED, Event
 from repro.toolkit import (
     Canvas,
     Form,
@@ -184,6 +184,25 @@ def settle(session, predicate, timeout=30.0):
             return True
         time.sleep(0.01)
     return predicate() and floor_free(session)
+
+
+def record_executions(*widgets):
+    """What *widgets* execute, as their application sees it.
+
+    A VALUE_CHANGED callback on each widget appends ``(user, seq,
+    params)`` to the returned list, in execution order: the user's own
+    granted events and every re-execution of another member's (§3.2).
+    A denied event is rolled back before any callback runs, so it is not
+    in the list; the instance's ``trace`` keeps it as the user's input.
+    """
+    executed = []
+
+    def on_value(widget, event):
+        executed.append((event.user, event.seq, dict(event.params)))
+
+    for widget in widgets:
+        widget.add_callback(VALUE_CHANGED, on_value)
+    return executed
 
 
 def two_message_fire(instance, widget, event_type, user="", **params):

@@ -12,6 +12,8 @@ from repro.net.message import Message
 from repro.toolkit.events import ACTIVATE, VALUE_CHANGED, Event, EventTrace
 from repro.toolkit.widgets import Shell, TextField, ToggleButton
 
+from conftest import record_executions
+
 
 class StubInstance:
     """Just enough of ApplicationInstance for the action-sync functions."""
@@ -183,15 +185,23 @@ class TestApplyRemoteEvent:
         # possible; the floor must not stay wedged).
         assert any(m.kind == kinds.EVENT_ACK for m in inst.sent)
 
-    def test_remote_event_traced(self):
+    def test_remote_event_executed_not_traced(self):
+        """A re-execution runs the receiver's callbacks; the trace, the
+        receiver's own input log, does not record it."""
         inst = StubInstance()
+        executed = record_executions(inst.root.find("/app/field"))
+        event = Event(
+            type=VALUE_CHANGED,
+            source_path="/x",
+            params={"value": "v"},
+            user="alice",
+            instance_id="origin",
+        )
         payload = {
-            "event": Event(
-                type=VALUE_CHANGED, source_path="/x", params={"value": "v"},
-                instance_id="origin",
-            ).to_wire(),
+            "event": event.to_wire(),
             "targets": ["/app/field"],
             "owner": ["origin", 1],
         }
         action_sync.apply_remote_event(inst, payload)
-        assert len(inst.trace.events(VALUE_CHANGED)) == 1
+        assert executed == [("alice", event.seq, {"value": "v"})]
+        assert len(inst.trace) == 0

@@ -9,7 +9,7 @@ from repro.server.permissions import PermissionRule
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Form, Shell, TextField
 
-from conftest import make_demo_tree, settle
+from conftest import make_demo_tree, record_executions, settle
 
 
 class TestLifecycle:
@@ -155,12 +155,18 @@ class TestLocalVsCoupledEvents:
         session.pump()
         assert ("a", "x") in calls and ("b", "x") in calls
 
-    def test_event_trace_records_both_ends(self, coupled_pair):
-        session, a, b, tree_a, _ = coupled_pair
+    def test_both_ends_execute_only_the_source_traces(self, coupled_pair):
+        """The trace is the user's input log: the receiver re-executes
+        the event (its callbacks run) but does not record it."""
+        session, a, b, tree_a, tree_b = coupled_pair
+        executed = [
+            record_executions(tree.find("/app/form/name")) for tree in (tree_a, tree_b)
+        ]
         tree_a.find("/app/form/name").commit("x")
         session.pump()
-        assert len(a.trace.events(VALUE_CHANGED)) == 1
-        assert len(b.trace.events(VALUE_CHANGED)) == 1
+        (event,) = a.trace.events(VALUE_CHANGED)
+        assert executed[0] == executed[1] == [("", event.seq, {"value": "x"})]
+        assert b.trace.events() == []
 
     def test_same_instance_coupling(self, pair):
         """Two objects coupled within the same application instance (§3.3)."""
@@ -198,7 +204,7 @@ class TestMalformedBroadcast:
     """The receiver validates a broadcast once, in ``Event.from_wire`` and
     beside it for the targets; what fails there is counted, never raised,
     and uses up nothing: the origin's event stream does not move and the
-    trace does not record the event."""
+    receiver executes nothing."""
 
     @pytest.mark.parametrize(
         ("event_wire", "targets"),
@@ -224,14 +230,16 @@ class TestMalformedBroadcast:
     )
     def test_counted_and_receiver_stays_alive(self, coupled_pair, event_wire, targets):
         session, a, b, tree_a, tree_b = coupled_pair
+        executed = record_executions(tree_b.find("/app/form/name"))
         b.handle_message(_broadcast(event_wire, targets))
         assert b.stats["malformed_messages"] == 1
         assert b.stats["events_remote"] == 0
-        assert b.trace.events() == []
+        assert executed == []
         assert tree_b.find("/app/form/name").value == ""
         tree_a.find("/app/form/name").commit("still alive")
         session.pump()
         assert tree_b.find("/app/form/name").value == "still alive"
+        assert [params for _, _, params in executed] == [{"value": "still alive"}]
         assert b.stats["malformed_messages"] == 1
 
     @pytest.mark.parametrize(
@@ -239,13 +247,14 @@ class TestMalformedBroadcast:
     )
     def test_a_well_formed_redelivery_then_executes(self, coupled_pair, targets):
         session, a, b, tree_a, tree_b = coupled_pair
+        executed = record_executions(tree_b.find("/app/form/name"))
         b.handle_message(_broadcast(WELL_FORMED_EVENT, targets))
         b.handle_message(_broadcast(WELL_FORMED_EVENT, ["/app/form/name"]))
         assert b.stats["malformed_messages"] == 1
         assert b.stats["duplicate_events"] == 0
         assert b.stats["events_remote"] == 1
         assert tree_b.find("/app/form/name").value == "x"
-        assert [event.seq for event in b.trace.events()] == [10_000]
+        assert executed == [("", 10_000, {"value": "x"})]
         # Both deliveries were acknowledged, the malformed one included.
         acks = session.network.stats.by_kind[kinds.EVENT_ACK]
         assert acks == 2

@@ -45,10 +45,15 @@ replicas should see.
 import time
 
 from repro.session import Session
-from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Canvas, Shell, TextField
 
-from conftest import floor_free, guarded_payloads, make_demo_tree, settle
+from conftest import (
+    floor_free,
+    guarded_payloads,
+    make_demo_tree,
+    record_executions,
+    settle,
+)
 
 FIELD = "/app/form/name"
 ZOOM = "/app/board/zoom"
@@ -93,37 +98,36 @@ def ui_snapshot(trees):
     }
 
 
-def field_event_order(instance):
-    """The (user, value) sequence of FIELD events this replica executed."""
-    return [
-        (event.user, event.params.get("value"))
-        for event in instance.trace.events(VALUE_CHANGED)
-        if event.source_path == FIELD
-    ]
+def field_event_order(executed):
+    """The (user, value) sequence of FIELD events a replica executed,
+    from its :func:`conftest.record_executions` list."""
+    return [(user, params.get("value")) for user, _, params in executed]
 
 
 def _demo_instances(session, n):
-    """*n* registered instances ``i0..`` holding a demo tree each."""
-    instances, trees = {}, {}
+    """*n* registered instances ``i0..`` holding a demo tree each, and
+    what each one's FIELD executes (:func:`conftest.record_executions`)."""
+    instances, trees, executed = {}, {}, {}
     for i in range(n):
         instance_id = f"i{i}"
         instances[instance_id] = session.create_instance(instance_id, user=f"u{i}")
         trees[instance_id] = instances[instance_id].add_root(make_demo_tree())
+        executed[instance_id] = record_executions(trees[instance_id].find(FIELD))
     assert settle(
         session, lambda: all(len(inst.roster) == n for inst in instances.values())
     )
-    return instances, trees
+    return instances, trees, executed
 
 
-def _result(instances, trees):
-    return ui_snapshot(trees), {i: field_event_order(instances[i]) for i in instances}
+def _result(trees, executed):
+    return ui_snapshot(trees), {i: field_event_order(executed[i]) for i in trees}
 
 
 def group(session, mid_workload=None):
     """Four writers take turns on one FIELD group; a ZOOM pair and a FLAG
     pair change alongside.  ``mid_workload`` runs once the groups stand,
     before the first edit."""
-    instances, trees = _demo_instances(session, 4)
+    instances, trees, executed = _demo_instances(session, 4)
     for other in ("i1", "i2", "i3"):
         instances["i0"].couple(trees["i0"].find(FIELD), (other, FIELD))
     instances["i1"].couple(trees["i1"].find(ZOOM), ("i0", ZOOM))
@@ -156,7 +160,7 @@ def group(session, mid_workload=None):
     assert settle(session, lambda: trees["i1"].find(ZOOM).value == 7)
     trees["i2"].find(FLAG).set_value(True)
     assert settle(session, lambda: trees["i3"].find(FLAG).value is True)
-    return _result(instances, trees)
+    return _result(trees, executed)
 
 
 def partition_then_heal(session):
@@ -174,7 +178,7 @@ def partition_then_heal(session):
 def churn(session):
     """Sparse coupling, multi-writer edits, one member leaves the FIELD
     group, then two CopyTo transfers (full, then delta)."""
-    instances, trees = _demo_instances(session, 4)
+    instances, trees, executed = _demo_instances(session, 4)
     # FIELD couples i0-i1-i2 (i3 stays out), ZOOM couples only i2-i3.
     instances["i0"].couple(trees["i0"].find(FIELD), ("i1", FIELD))
     instances["i0"].couple(trees["i0"].find(FIELD), ("i2", FIELD))
@@ -213,7 +217,7 @@ def churn(session):
         lambda: trees["i3"].find(FLAG).get("set") is True
         and trees["i3"].find(ZOOM).value == 9,
     )
-    return _result(instances, trees)
+    return _result(trees, executed)
 
 
 def board_tree():

@@ -3,7 +3,7 @@ at 1, 2 and 4 shards, and under duplicated deliveries and a partition."""
 
 import pytest
 
-from harness import REFERENCES, conform, partition_then_heal
+from harness import FIELD, REFERENCES, conform, partition_then_heal
 
 
 @pytest.mark.parametrize("shards", [0, 2, 4], ids=["1-shard", "2-shard", "4-shard"])
@@ -32,13 +32,19 @@ class TestInjectionParity:
 
     def test_loss_recovery_converges_to_reference(self):
         """Edits lost to a partition are rolled back; once the network
-        heals, the session converges to the reference.  The source's
-        trace keeps its rolled-back attempt."""
-        snapshot, order = REFERENCES["group"]
-        order = {**order, "i0": [("", "lost-edit")] + order["i0"]}
-        conform(
-            "group",
-            "memory-0",
-            mid_workload=partition_then_heal,
-            expected=(snapshot, order),
-        )
+        heals, the session converges to the reference.  No replica
+        executed the lost edit; the source's trace keeps its rolled-back
+        attempt as the user's input."""
+        source = {}
+
+        def fault(session):
+            partition_then_heal(session)
+            source["i0"] = session.instances["i0"]
+
+        conform("group", "memory-0", mid_workload=fault)
+        inputs = [
+            event.params["value"]
+            for event in source["i0"].trace.events()
+            if event.source_path == FIELD
+        ]
+        assert inputs == ["lost-edit", "alpha"]

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.session import Session
-from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField
 
-from conftest import make_demo_tree, settle
+from conftest import make_demo_tree, record_executions, settle
 
 
 @pytest.fixture
@@ -121,14 +120,16 @@ class TestOrderingGuarantees:
         session, (a, b, _), (ta, tb, _) = trio
         a.couple(ta.find(FIELD), ("b", FIELD))
         session.pump()
+        executed = record_executions(tb.find(FIELD))
         for i in range(10):
             ta.find(FIELD).commit(f"v{i}")
         session.pump()
         assert tb.find(FIELD).value == "v9"
-        values = [
-            e.params["value"] for e in b.trace.events(VALUE_CHANGED)
+        assert [params["value"] for _, _, params in executed] == [
+            f"v{i}" for i in range(10)
         ]
-        assert values == [f"v{i}" for i in range(10)]
+        seqs = [seq for _, seq, _ in executed]
+        assert seqs == sorted(seqs)
 
     def test_alternating_writers_converge(self, trio):
         session, (a, b, _), (ta, tb, _) = trio

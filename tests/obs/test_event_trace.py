@@ -1,7 +1,5 @@
 """Bounded EventTrace (toolkit.events) and Session.trace_stats()."""
 
-import pytest
-
 from repro.session import Session
 from repro.toolkit.events import Event, EventTrace
 
@@ -19,7 +17,7 @@ def test_default_capacity():
 
 
 def test_maxlen_bounds_memory():
-    trace = EventTrace(maxlen=3)
+    trace = EventTrace(capacity=3)
     for n in range(5):
         trace.record(make_event(n))
     assert len(trace) == 3
@@ -31,13 +29,8 @@ def test_maxlen_bounds_memory():
     ]
 
 
-def test_capacity_and_maxlen_mutually_exclusive():
-    with pytest.raises(ValueError):
-        EventTrace(10, maxlen=10)
-
-
 def test_stats_shape():
-    trace = EventTrace(maxlen=2)
+    trace = EventTrace(capacity=2)
     trace.record(make_event(0))
     assert trace.stats() == {"events": 1, "capacity": 2, "dropped": 0}
 
@@ -61,6 +54,8 @@ def test_session_trace_stats():
         assert stats["instances"]["a"]["capacity"] == 4
         assert stats["instances"]["a"]["events"] <= 4
         assert stats["instances"]["a"]["dropped"] > 0
+        # b re-executed every keystroke; its trace holds only its own input.
+        assert stats["instances"]["b"] == {"events": 0, "capacity": 4, "dropped": 0}
         # Observability explicitly off: the span recorder stays empty.
         assert stats["spans"]["spans"] == 0
     finally:

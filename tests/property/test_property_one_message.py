@@ -19,7 +19,7 @@ from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Scale, Shell, TextField
 
-from conftest import floor_free, settle, two_message_fire
+from conftest import floor_free, record_executions, settle, two_message_fire
 
 PATHS = {"field": "/ui/field", "scale": "/ui/scale"}
 MAX_INSTANCES = 5
@@ -78,13 +78,14 @@ def run(backend, fire, scenario, *, race):
     """
     n, links, script = scenario
     with Session(backend=backend) as session:
-        instances, trees = [], []
+        instances, trees, executed = [], [], []
         for i in range(n):
             instances.append(session.create_instance(f"i{i}", user=f"u{i}"))
             root = Shell("ui")
-            TextField("field", parent=root)
-            Scale("scale", parent=root, maximum=100)
+            field = TextField("field", parent=root)
+            scale = Scale("scale", parent=root, maximum=100)
             trees.append(instances[i].add_root(root))
+            executed.append(record_executions(field, scale))
         for source, target, kind in links:
             path = PATHS[kind]
             instances[source].couple(trees[source].find(path), (f"i{target}", path))
@@ -110,12 +111,14 @@ def run(backend, fire, scenario, *, race):
                 assert settle(session, lambda: True)
         assert settle(session, lambda: True)
         assert floor_free(session) and session.server.floors == {}
+        # An event's seq comes from a process-wide counter; across two
+        # runs of one script, its rank among the executed events is what
+        # names the same event.
+        seqs = sorted({seq for log in executed for _, seq, _ in log})
+        rank = {seq: n for n, seq in enumerate(seqs)}
         order = [
-            [
-                (e.instance_id, e.source_path, dict(e.params))
-                for e in instance.trace.events(VALUE_CHANGED)
-            ]
-            for instance in instances
+            [(user, rank[seq], params) for user, seq, params in log]
+            for log in executed
         ]
         state = [
             {w.pathname: w.relevant_state() for w in tree.walk()} for tree in trees
@@ -132,7 +135,8 @@ class TestOneMessageEqualsTwoMessage:
         """Guard: unquiesced steps do put a writer against a held floor."""
         granted, order, _ = run("memory", one_message, RACE, race=True)
         assert granted == [True, False]
-        assert [value["value"] for _, _, value in order[1]] == ["b", "a"]
+        # i1's "b" was rolled back: both replicas executed only "a".
+        assert order[0] == order[1] == [("u0", 0, {"value": "a"})]
 
     @given(scenario=scenarios())
     @example(scenario=RACE)

@@ -22,7 +22,7 @@ from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import TextField
 
-from conftest import floor_free, settle, two_message_fire
+from conftest import floor_free, record_executions, settle, two_message_fire
 
 
 class FakeTransport:
@@ -481,6 +481,7 @@ class TestTwoMessageInterop:
             old = session.create_instance("old", user="o")
             f_new = new.add_root(TextField("f"))
             f_old = old.add_root(TextField("f"))
+            executed = [record_executions(f_new), record_executions(f_old)]
             new.couple(f_new, old.gid(f_old))
             assert settle(session, lambda: old.is_coupled(f_old))
             for i in range(3):
@@ -492,13 +493,13 @@ class TestTwoMessageInterop:
                 )
                 assert settle(session, lambda: f_new.value == f"old-{i}")
             expected = [
-                (who, f"{who}-{i}") for i in range(3) for who in ("new", "old")
+                (user, f"{who}-{i}")
+                for i in range(3)
+                for user, who in (("n", "new"), ("o", "old"))
             ]
-            for instance in (new, old):
-                assert [
-                    (e.instance_id, e.params["value"])
-                    for e in instance.trace.events(VALUE_CHANGED)
-                ] == expected
+            # Both replicas executed the same events (user, seq, params).
+            assert executed[0] == executed[1]
+            assert [(user, p["value"]) for user, _, p in executed[0]] == expected
             assert floor_free(session)
             assert session.server.floors == {}
             assert session.server.processed[kinds.EVENT] == 3

@@ -47,6 +47,39 @@ class TestRecorder:
         ta.find(FIELD).commit("two")
         assert len(recorder.cut()) == 1
 
+    def test_cut_after_the_ring_wraps(self):
+        """The mark counts every event recorded, not the ring's length:
+        once a full trace wraps, a cut still returns the new events."""
+        with Session("memory", trace_maxlen=4) as session:
+            a = session.create_instance("a", user="alice")
+            field = a.add_root(make_demo_tree()).find(FIELD)
+            recorder = SessionRecorder(a)
+            for n in range(4):
+                field.commit(f"v{n}")
+            assert len(recorder.cut()) == 4
+            for n in range(4, 7):
+                field.commit(f"v{n}")
+            log = recorder.cut()
+            assert [entry["params"]["value"] for entry in log] == ["v4", "v5", "v6"]
+            assert a.trace.dropped == 3
+
+    def test_cut_refuses_a_gap(self):
+        """Events evicted from the trace before being cut raise instead
+        of leaving a silent gap in the log; the next cut starts after."""
+        with Session("memory", trace_maxlen=4) as session:
+            a = session.create_instance("a", user="alice")
+            field = a.add_root(make_demo_tree()).find(FIELD)
+            recorder = SessionRecorder(a)
+            for n in range(5):
+                field.commit(f"v{n}")
+            with pytest.raises(LookupError, match="1 events left"):
+                recorder.cut()
+            field.commit("v5")
+            assert [entry["params"]["value"] for entry in recorder.cut()] == ["v5"]
+            a.trace.clear()
+            field.commit("v6")
+            assert [entry["params"]["value"] for entry in recorder.cut()] == ["v6"]
+
     def test_dumps_loads_roundtrip(self, pair):
         session, a, _, ta, _ = pair
         recorder = SessionRecorder(a)
