@@ -4,20 +4,26 @@
 Builds the workload exactly as a ledger repetition does
 (``benchmarks/ledger/workloads.py``, imported read-only), runs its set-up
 and its own untimed warm-up, then counts every ``call`` event
-``sys.setprofile`` reports on this thread across the timed actions and
-prints the count divided by the number of actions.  Calls into C
-(``c_call``) are not counted.
+``sys.setprofile`` reports across the timed actions and prints the count
+divided by the number of actions.  Calls into C (``c_call``) are not
+counted.
 
-Only the calling thread is profiled, so the count repeats exactly on a
-workload whose actions run on that thread alone (``fanout64_memory``);
-on a socket backend it counts the calling thread's share, which depends
-on scheduling.  A count compares two versions of one program on one
-interpreter; it says nothing about time.
+The calling thread is always profiled.  On an aio workload the event-loop
+thread is too: the profile function is installed on
+``session.runtime.loop`` through ``call_soon_threadsafe`` before the
+timed phase and removed after it, so the receive sides that run there
+(every instance's handler, the server's dispatch) are counted as well;
+the two threads' shares are printed beside the total.  The count repeats
+exactly on a workload whose actions run on the calling thread alone
+(``fanout64_memory``); on a socket backend the loop's share also counts
+its own wake-ups, which depend on scheduling.  A count compares two
+versions of one program on one interpreter; it says nothing about time.
 
 Standard library only.  Usage, from the repository root::
 
     python .github/scripts/calls.py                          # fanout64_memory
     python .github/scripts/calls.py --workload fanout64_memory --seed 990
+    python .github/scripts/calls.py --workload copy_form_aio   # + the loop thread
     python .github/scripts/calls.py --top 20                 # also the busiest callees
 """
 
@@ -28,7 +34,8 @@ import collections
 import os
 import sys
 import tempfile
-from typing import Counter, List, Optional
+import threading
+from typing import Any, Callable, Counter, List, Optional
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
@@ -48,17 +55,17 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
 
     spec = SPEC_BY_NAME[workload_name]
     actions = actions or spec.actions
-    calls = 0
-    callees: Counter = collections.Counter()
+    # One tally per thread, keyed by code object: no count is shared
+    # between the two threads that run profile functions.
+    driver: Counter = collections.Counter()
+    on_loop: Counter = collections.Counter()
 
-    def profile(frame, event, _arg) -> None:
-        nonlocal calls
-        if event == "call":
-            calls += 1
-            if top:
-                code = frame.f_code
-                where = os.path.relpath(code.co_filename, ROOT)
-                callees[f"{where}:{code.co_name}"] += 1
+    def profiler(tally: Counter) -> Callable[..., None]:
+        def profile(frame, event, _arg) -> None:
+            if event == "call":
+                tally[frame.f_code] += 1
+
+        return profile
 
     with tempfile.TemporaryDirectory() as workdir:
         workload = build(spec, seed, workdir, actions)
@@ -68,29 +75,63 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
                 workload.act(k)
                 workload.settle()
             workload.quiesce()
+            loop = None
+            if spec.shape.get("backend") == "aio":
+                loop = workload.session.runtime.loop
             failed = 0
-            sys.setprofile(profile)
+            if loop is not None:
+                _run_on(loop, sys.setprofile, profiler(on_loop))
+            sys.setprofile(profiler(driver))
             try:
                 for k in range(workload.warmup, workload.warmup + workload.actions):
                     if workload.act(k) is None or not workload.settle():
                         failed += 1
             finally:
                 sys.setprofile(None)
+                if loop is not None:
+                    _run_on(loop, sys.setprofile, None)
             problems = workload.check()
         finally:
             workload.close()
     timed = workload.actions
+    calling, looping = sum(driver.values()), sum(on_loop.values())
+    calls = calling + looping
+    share = ""
+    if loop is not None:
+        share = (
+            f"calling thread {calling / timed:.2f}, "
+            f"loop thread {looping / timed:.2f}; "
+        )
     print(
         f"{workload_name}: {calls / timed:.2f} Python calls per action "
-        f"({calls} over {timed} actions, seed {seed}, failed {failed}, "
+        f"({share}{calls} over {timed} actions, seed {seed}, failed {failed}, "
         f"python {sys.version.split()[0]})"
     )
+    callees: Counter = collections.Counter()
+    for code, n in (driver + on_loop).items():
+        where = os.path.relpath(code.co_filename, ROOT)
+        callees[f"{where}:{code.co_name}"] += n
     for name, n in callees.most_common(top):
         print(f"  {n / timed:9.2f}  {name}")
     if failed or problems:
         print(f"output check failed: {failed} failed actions, {problems[:3]}")
         return 1
     return 0
+
+
+def _run_on(loop: Any, function: Callable[..., Any], *args: Any) -> None:
+    """Run *function* on *loop*'s thread and wait until it has run."""
+    done = threading.Event()
+
+    def call() -> None:
+        try:
+            function(*args)
+        finally:
+            done.set()
+
+    loop.call_soon_threadsafe(call)
+    if not done.wait(timeout=10):
+        raise RuntimeError("the event loop did not run the call within 10 s")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -589,36 +589,34 @@ def _verify_predefined(
     stats: MatchStats,
 ) -> bool:
     """Check a user-supplied mapping: bijective and type-compatible."""
-    index_a = _index_by_path(spec_a)
-    index_b = _index_by_path(spec_b)
-    if set(predefined) != set(index_a):
+    types_a = spec_types(spec_a)
+    types_b = spec_types(spec_b)
+    if set(predefined) != set(types_a):
         return False
-    if sorted(predefined.values()) != sorted(index_b):
+    if sorted(predefined.values()) != sorted(types_b):
         return False
     for rel_a, rel_b in predefined.items():
         stats.bump()
-        if rel_b not in index_b:
+        if rel_b not in types_b:
             return False
-        if not directly_compatible(
-            index_a[rel_a]["type"], index_b[rel_b]["type"], correspondences
-        ):
+        if not directly_compatible(types_a[rel_a], types_b[rel_b], correspondences):
             return False
     return True
 
 
-def _index_by_path(
-    spec: Mapping[str, Any], prefix: str = ""
-) -> Dict[str, Mapping[str, Any]]:
-    """relative path -> node spec for a whole spec tree."""
-    index: Dict[str, Mapping[str, Any]] = {prefix: spec}
+def spec_types(spec: Mapping[str, Any], prefix: str = "") -> Dict[str, str]:
+    """relative path -> widget type name for a whole spec tree: all that
+    checking a predefined mapping, or translating a state along one,
+    reads of a spec."""
+    types = {prefix: spec["type"]}
     for child in _children(spec):
-        index.update(_index_by_path(child, _join(prefix, child["name"])))
-    return index
+        types.update(spec_types(child, _join(prefix, child["name"])))
+    return types
 
 
 def translate_state(
     source_state: Mapping[str, Mapping[str, Any]],
-    source_spec: Mapping[str, Any],
+    source_types: Mapping[str, str],
     target_types: Mapping[str, str],
     mapping: ComponentMapping,
     correspondences: Optional[CorrespondenceRegistry] = None,
@@ -627,18 +625,19 @@ def translate_state(
 
     *source_state* maps source relative paths to relevant-attribute dicts;
     the result maps *target* relative paths to attribute dicts with names
-    translated through the per-type attribute correspondences.  The
-    target side is given as its relative path -> type name index, which
-    the local object's shape record already holds (``shape(w).types``).
+    translated through the per-type attribute correspondences.  Each side
+    is given as its relative path -> type name index: the source's is
+    :func:`spec_types` of the structure it sent (derived once per full
+    transfer, kept for the deltas after it), the target's is what the
+    local object's shape record already holds (``shape(w).types``).
     """
-    index_a = _index_by_path(source_spec)
     translated: Dict[str, Dict[str, Any]] = {}
     for rel_a, values in source_state.items():
         rel_b = mapping.get(rel_a)
-        if rel_b is None or rel_a not in index_a or rel_b not in target_types:
+        if rel_b is None or rel_a not in source_types or rel_b not in target_types:
             continue
         attr_map = attribute_mapping(
-            index_a[rel_a]["type"], target_types[rel_b], correspondences
+            source_types[rel_a], target_types[rel_b], correspondences
         )
         if attr_map is None:
             continue

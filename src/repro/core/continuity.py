@@ -39,13 +39,15 @@ class Sent:
 @dataclass
 class Received:
     """The receiver's record: sequence number, the sender's and our own
-    structure fingerprints, the sender's structure and the mapping deltas
-    are translated along, and the state clock after the apply."""
+    structure fingerprints, the sender's relative path -> type table and
+    the mapping deltas are translated along (both derived once, from the
+    full snapshot that started the stream), and the state clock after
+    the apply."""
 
     seq: int
     fp: Optional[str]
     local_fp: str
-    spec: Optional[Mapping[str, Any]]
+    types: Optional[Mapping[str, str]]
     mapping: Optional[ComponentMapping]
     clock: int
 
@@ -116,9 +118,9 @@ class Continuity:
         ):
             self.received.pop(key, None)
             return None
-        if entry.mapping is not None and entry.spec is not None:
+        if entry.mapping is not None and entry.types is not None:
             state = translate_state(
-                state, entry.spec, local.types, entry.mapping, correspondences
+                state, entry.types, local.types, entry.mapping, correspondences
             )
         for rel, names in subtree_state_since(widget, entry.clock).items():
             if not all(name in state.get(rel, ()) for name in names):
@@ -128,7 +130,7 @@ class Continuity:
 
     def advance(self, key: Key, seq: int, **snapshot: Any) -> None:
         """Transfer *seq* was applied at *key*: a full snapshot's record
-        (*snapshot*: ``fp``, ``local_fp``, ``spec``, ``mapping``) replaces
+        (*snapshot*: ``fp``, ``local_fp``, ``types``, ``mapping``) replaces
         the held one, a delta moves that one on."""
         if snapshot:
             self.received[key] = Received(seq, clock=state_clock(), **snapshot)

@@ -990,7 +990,7 @@ class ApplicationInstance:
                     int(sync["seq"]),
                     fp=sync.get("fp"),
                     local_fp=shape(widget).fingerprint,
-                    spec=payload.get("structure"),
+                    types=report.source_types,
                     mapping=report.mapping,
                 )
         self._push_history(widget, report.old_state, reason=reason)

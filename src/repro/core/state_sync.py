@@ -87,10 +87,12 @@ class ApplyReport:
     mapping_size: int = 0
     semantic_loaded: List[str] = field(default_factory=list)
     old_state: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: The resolved component mapping (STRICT with structure only); the
-    #: delta sync protocol caches it for translating later delta payloads
-    #: without re-running the structural matcher.
+    #: The resolved component mapping and the sender's relative path ->
+    #: type table (STRICT with structure only); the delta sync protocol
+    #: keeps both for translating later delta payloads without re-running
+    #: the structural matcher or walking the sender's structure again.
     mapping: Optional[compat.ComponentMapping] = None
+    source_types: Optional[Dict[str, str]] = None
 
 
 def apply_state_payload(
@@ -128,9 +130,10 @@ def apply_state_payload(
             )
             report.mapping_size = len(mapping)
             report.mapping = dict(mapping)
+            report.source_types = compat.spec_types(source_spec)
             translated = compat.translate_state(
                 source_state,
-                source_spec,
+                report.source_types,
                 local.types,
                 mapping,
                 correspondences,

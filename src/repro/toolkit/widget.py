@@ -88,22 +88,27 @@ class _VersionedState(dict):
     """A widget's state dict, stamping a clock version on every write.
 
     All write paths funnel through ``__setitem__`` — :meth:`UIObject.set`,
-    bulk ``set_state``, widget types' built-in feedback assigning
-    ``self._state[...]`` directly, and :meth:`UndoRecord.rollback` — so
-    dirty tracking cannot miss a mutation.
+    bulk ``set_state`` / ``update`` / ``|=``, widget types' built-in
+    feedback assigning ``self._state[...]`` directly, and
+    :meth:`UndoRecord.rollback` — so dirty tracking cannot miss a
+    mutation, and every removal drops the removed key's version with it.
+    ``newest`` is the largest version ever stamped here: a widget whose
+    ``newest`` is not after a baseline wrote nothing since (a removal only
+    ever lowers the true maximum, so the bound stays safe).
     """
 
-    __slots__ = ("versions",)
+    __slots__ = ("versions", "newest")
 
     def __init__(self, *args: Any, **kwargs: Any):
         super().__init__(*args, **kwargs)
         stamp = _tick()
         #: attribute name -> clock value of its last write.
         self.versions: Dict[str, int] = {name: stamp for name in self}
+        self.newest = stamp
 
     def __setitem__(self, key: str, value: Any) -> None:
         super().__setitem__(key, value)
-        self.versions[key] = _tick()
+        self.versions[key] = self.newest = _tick()
 
     def __delitem__(self, key: str) -> None:
         super().__delitem__(key)
@@ -112,6 +117,10 @@ class _VersionedState(dict):
     def update(self, *args: Any, **kwargs: Any) -> None:  # type: ignore[override]
         for key, value in dict(*args, **kwargs).items():
             self[key] = value
+
+    def __ior__(self, other: Any) -> "_VersionedState":  # type: ignore[override]
+        self.update(other)
+        return self
 
     def setdefault(self, key: str, default: Any = None) -> Any:
         if key not in self:
@@ -122,9 +131,22 @@ class _VersionedState(dict):
         self.versions.pop(key, None)
         return super().pop(key, *default)
 
+    def popitem(self) -> Tuple[str, Any]:
+        key, value = super().popitem()
+        self.versions.pop(key, None)
+        return key, value
+
     def clear(self) -> None:
         super().clear()
         self.versions.clear()
+
+    def __copy__(self) -> "_VersionedState":
+        duplicate = _VersionedState.__new__(_VersionedState)
+        dict.update(duplicate, self)
+        duplicate.versions = dict(self.versions)
+        duplicate.newest = self.newest
+        return duplicate
+
 
 #: Attributes shared by every widget type.  Geometry and cosmetics are not
 #: relevant for coupling (§3.1: objects may differ in size and fonts yet
@@ -461,10 +483,12 @@ class UIObject:
         The delta sync protocol calls this with the clock value of the
         last acknowledged transfer; an unchanged widget returns ``{}``.
         """
-        versions = self._state.versions
+        state = self._state
+        if state.newest <= baseline:
+            return {}
         return {
-            name: self._state[name]
-            for name, version in versions.items()
+            name: state[name]
+            for name, version in state.versions.items()
             if version > baseline
         }
 

@@ -266,7 +266,7 @@ class TestTranslateState:
 
         translated = compat.translate_state(
             subtree_state(source_root),
-            source_spec,
+            compat.spec_types(source_spec),
             shape(target_root).types,
             mapping,
             corr,
@@ -276,6 +276,6 @@ class TestTranslateState:
     def test_missing_mapping_entries_skipped(self):
         a = spec("form", "f")
         out = compat.translate_state(
-            {"ghost": {"value": 1}}, a, {"": "form"}, {"": ""}
+            {"ghost": {"value": 1}}, compat.spec_types(a), {"": "form"}, {"": ""}
         )
         assert out == {}

@@ -8,10 +8,12 @@ recovery path.
 
 import contextlib
 import json
+from collections.abc import Mapping
 
 import pytest
 
 from conftest import settle
+from repro.core import compat
 from repro.core.state_sync import build_state_payload
 from repro.errors import ServerError
 from repro.net import kinds
@@ -19,6 +21,7 @@ from repro.net.message import Message
 from repro.net.transport import SERVER_ID
 from repro.server.couples import gid_to_wire
 from repro.session import Session
+from repro.toolkit.builder import shape
 from repro.toolkit.tree import subtree_state
 from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField, ToggleButton
 
@@ -726,3 +729,56 @@ class TestFetchCreatedEntries:
         ]
         b.handle_message(Message(kinds.INSTANCE_LIST, SERVER_ID, payload=without_a))
         assert not b.continuity.sent
+
+
+class TestDeltaCost:
+    """A delta pays for the widgets it carries: a repeat STRICT CopyTo and
+    CopyFrom between two 25-field forms walk no structure spec on either
+    end, because the receiver keeps the sender's path -> type table from
+    the full snapshot that started each stream."""
+
+    FIELDS = 25
+
+    def make_form(self):
+        form = Form("form")
+        for index in range(self.FIELDS):
+            TextField(f"f{index:02d}", parent=form)
+        return form
+
+    def test_a_repeat_transfer_walks_no_structure_spec(self, monkeypatch):
+        session = Session(backend="memory")
+        try:
+            a = session.create_instance("a", user="alice")
+            b = session.create_instance("b", user="bob")
+            form_a = a.add_root(self.make_form())
+            form_b = b.add_root(self.make_form())
+            session.pump()
+            a.copy_to(form_a, b.gid(form_b))
+            a.copy_from(form_a, b.gid(form_b))
+            types = dict(shape(form_a).types)
+            for receiver, sender in ((b, "a"), (a, "b")):
+                entry = receiver.continuity.received[("/form", (sender, "/form"))]
+                assert entry.types == types
+                assert not any(
+                    isinstance(value, Mapping) and "children" in value
+                    for value in vars(entry).values()
+                )
+
+            walks = []
+            spec_types = compat.spec_types
+
+            def counted(*args):
+                walks.append(args)
+                return spec_types(*args)
+
+            monkeypatch.setattr(compat, "spec_types", counted)
+            for value in ("one", "two", "three"):
+                form_a.find("f07").commit(value)
+                a.copy_to(form_a, b.gid(form_b))
+                a.copy_from(form_a, b.gid(form_b))
+                assert form_b.find("f07").value == value
+            assert walks == []
+            assert (a.stats["delta_pushes"], b.stats["delta_fetches"]) == (3, 3)
+            assert (a.stats["deltas_applied"], b.stats["deltas_applied"]) == (3, 3)
+        finally:
+            session.close()

@@ -78,10 +78,10 @@ class TestMatcherProperties:
     def test_mapping_type_compatible_per_node(self, spec, seed):
         shuffled = shuffle_children(spec, random.Random(seed))
         result = compat.structurally_compatible(spec, shuffled)
-        index_a = compat._index_by_path(spec)
-        index_b = compat._index_by_path(shuffled)
+        types_a = compat.spec_types(spec)
+        types_b = compat.spec_types(shuffled)
         for rel_a, rel_b in result.mapping.items():
-            assert index_a[rel_a]["type"] == index_b[rel_b]["type"]
+            assert types_a[rel_a] == types_b[rel_b]
 
     @given(spec=tree_specs())
     @settings(max_examples=60)

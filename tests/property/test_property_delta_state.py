@@ -29,7 +29,7 @@ from repro.toolkit.tree import (
     subtree_state,
     subtree_state_since,
 )
-from repro.toolkit.widget import state_clock
+from repro.toolkit.widget import UndoRecord, state_clock
 from repro.toolkit.widgets import Form, Label, Scale, Shell, TextField, ToggleButton
 
 #: (relative path, attribute, value strategy) — coupling-relevant
@@ -162,6 +162,101 @@ class TestAttributeClock:
         field.set("value", "y")
         third = field.attribute_version("value")
         assert first < second < third
+
+
+# ----------------------------------------------------------------------
+# The early return against each widget's versions map
+# ----------------------------------------------------------------------
+#
+# ``changed_since`` skips a widget whose newest stamp is not after the
+# baseline.  The reference below reads the versions map alone, so every
+# way of writing or removing an attribute must keep the two in step: a
+# write the stamp missed, or a removal that left a version behind, shows
+# as a difference at some baseline seen along the way.  Each operation
+# also checks the map itself: what it wrote is stamped after the clock
+# read before it, and the map names exactly the attributes the state
+# holds.
+
+#: (relative path, attribute, value strategy): the relevant attributes
+#: plus one that is not, so the relevance filter is exercised too.
+STATE_ATTRIBUTES = WRITABLE + [("field", "width", st.integers(0, 50))]
+
+#: Operations that always write *attr*, and those that remove one.
+WRITES = ("store", "ior", "rollback")
+REMOVALS = ("delete", "pop", "popitem", "clear")
+
+
+@st.composite
+def state_operations(draw):
+    rel, attr, values = draw(st.sampled_from(STATE_ATTRIBUTES))
+    kind = draw(st.sampled_from(("set", "store") + WRITES + REMOVALS))
+    overwrite = draw(st.none() | values) if kind == "rollback" else None
+    return kind, rel, attr, draw(values), overwrite
+
+
+def reference_since(root, baseline):
+    """What a delta from *baseline* holds, read from the versions maps."""
+    result = {}
+    prefix = len(root.pathname) + 1
+    for widget in root.walk():
+        relevant = type(widget).ATTRIBUTES.relevant_names()
+        state = widget._state
+        changed = {
+            name: state[name]
+            for name, version in state.versions.items()
+            if version > baseline and name in relevant
+        }
+        if changed:
+            result[widget.pathname[prefix:]] = changed
+    return result
+
+
+def operate(widget, kind, attr, value, overwrite):
+    state = widget._state
+    if kind == "set":
+        widget.set(attr, value)
+    elif kind == "store":
+        state[attr] = value
+    elif kind == "delete":
+        if attr in state:
+            del state[attr]
+    elif kind == "pop":
+        state.pop(attr, None)
+    elif kind == "popitem":
+        if state:
+            state.popitem()
+    elif kind == "clear":
+        state.clear()
+    elif kind == "ior":
+        state |= {attr: value}
+    else:
+        record = UndoRecord(widget, {attr: state.get(attr)})
+        state[attr] = value
+        record.capture_written()
+        if overwrite is not None:
+            state[attr] = overwrite
+        record.rollback()
+
+
+class TestEarlyReturnMatchesVersions:
+    @given(operations=st.lists(state_operations(), max_size=25))
+    @settings(max_examples=200)
+    def test_every_baseline_seen_reads_as_the_versions_say(self, operations):
+        tree = make_tree("s")
+        baselines = [0, state_clock()]
+        for kind, rel, attr, value, overwrite in operations:
+            widget = tree.find(rel)
+            before, old = state_clock(), widget._state.get(attr)
+            operate(widget, kind, attr, value, overwrite)
+            versions = widget._state.versions
+            assert set(versions) == set(widget._state), kind
+            if kind in WRITES or (kind == "set" and old != value):
+                assert versions[attr] > before, kind
+            baselines.append(state_clock())
+            for baseline in baselines:
+                assert subtree_state_since(tree, baseline) == reference_since(
+                    tree, baseline
+                ), (kind, attr, baseline)
 
 
 # ----------------------------------------------------------------------

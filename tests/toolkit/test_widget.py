@@ -1,5 +1,7 @@
 """Unit tests for the UIObject base class: tree, state, events, destroy."""
 
+import copy
+
 import pytest
 
 from repro.errors import (
@@ -195,6 +197,32 @@ class TestAttributes:
         assert "extra" not in state.versions and "width" not in state.versions
         state.clear()
         assert state.versions == {}
+
+    def test_an_in_place_union_is_stamped(self):
+        field = TextField("t")
+        state = field._state
+        baseline = field.attribute_version("value")
+        state |= {"value": "merged"}
+        assert field._state is state
+        assert field.changed_since(baseline) == {"value": "merged"}
+
+    def test_popitem_drops_the_popped_version(self):
+        field = TextField("t")
+        state = field._state
+        key, _value = state.popitem()
+        assert key not in state.versions
+        assert field.changed_since(0) == dict(state)
+
+    def test_a_copy_keeps_its_own_versions(self):
+        field = TextField("t")
+        field.set("value", "original")
+        baseline = field.attribute_version("value")
+        duplicate = copy.copy(field._state)
+        assert duplicate.versions == field._state.versions
+        duplicate["value"] = "copied"
+        assert field.changed_since(baseline) == {}
+        assert field.get("value") == "original"
+        assert duplicate.versions["value"] > baseline
 
 
 class TestInteractivityAndLocking:
