@@ -28,7 +28,9 @@ single server.  Internally it:
 The router keeps a mirror of the cluster-wide couple table, maintained
 from every COUPLE_UPDATE the shards emit (like a client replica, but of
 the whole relation), so it can compute transitive closures without asking
-a shard.
+a shard.  Floor control stays on the shards (``server/locks.py``): an
+UNLOCK goes to the home of each object it names, and the router books
+only where each floor's EVENT_ACKs go.
 """
 
 from __future__ import annotations
@@ -159,8 +161,6 @@ class ShardedCosoftCluster:
         self.mirror = CoupleTable()
         #: Sticky home assignment: coupled (or migrated) object -> shard.
         self._home: Dict[GlobalId, str] = {}
-        #: (instance, token) -> shard that granted the floor (UNLOCK routing).
-        self._lock_routes: Dict[Tuple[str, int], str] = {}
         #: floor owner -> shard that broadcast its event (EVENT_ACK routing).
         self._floor_routes: Dict[Tuple[str, int], str] = {}
         #: floor owner -> outstanding EVENT_ACKs (route-table cleanup).
@@ -259,7 +259,6 @@ class ShardedCosoftCluster:
     _ROUTED = frozenset(
         {
             kinds.LOCK_REQUEST,
-            kinds.UNLOCK,
             kinds.EVENT,
             kinds.EVENT_ACK,
             kinds.FETCH_STATE,
@@ -320,18 +319,16 @@ class ShardedCosoftCluster:
             answer_roster_resync(
                 self._emit, self.registry, message, self.processed
             )
+        elif kind == kinds.UNLOCK:
+            # To the home of each object the floor's grant named: one
+            # shard, unless a migration split the floor since.
+            homes = {self._home_of(gid) for gid in self._scoped_gids(message)}
+            for shard_id in sorted(homes):
+                self._forward(shard_id, message)
         elif kind in self._ROUTED:
             shard_id = self._route(message)
             if shard_id is not None:
-                try:
-                    self._forward(shard_id, message)
-                except ReproError:
-                    if kind == kinds.LOCK_REQUEST:
-                        # The requester gets an ERROR, so it will never
-                        # send the EVENT or UNLOCK this route waits for.
-                        token = int(message.payload.get("token", 0))
-                        self._lock_routes.pop((message.sender, token), None)
-                    raise
+                self._forward(shard_id, message)
         else:
             self._emit(message.error_reply(SERVER_ID, "unsupported message kind"))
 
@@ -361,7 +358,7 @@ class ShardedCosoftCluster:
         self._home = {
             gid: home for gid, home in self._home.items() if gid[0] != instance_id
         }
-        for table in (self._lock_routes, self._floor_routes, self._floor_expected):
+        for table in (self._floor_routes, self._floor_expected):
             for key in [k for k in table if k[0] == instance_id]:
                 del table[key]
         self._pending_routes = {
@@ -463,37 +460,13 @@ class ShardedCosoftCluster:
         kind = message.kind
         payload = message.payload
         if kind == kinds.LOCK_REQUEST:
-            source = gid_from_wire(payload["source"])
-            shard_id = self._home_of(source)
-            if "event" not in payload:
-                # A bare floor comes back as an EVENT or an UNLOCK.  A
-                # request that carries its event never does: the shard
-                # releases that floor itself, after the acks.
-                token = int(payload.get("token", 0))
-                self._lock_routes[(message.sender, token)] = shard_id
-            return shard_id
-        if kind == kinds.UNLOCK:
-            token = int(payload.get("token", 0))
-            shard_id = self._lock_routes.pop((message.sender, token), None)
-            if shard_id is not None:
-                return shard_id
-            objects = payload.get("objects") or ()
-            if objects:
-                return self._home_of(gid_from_wire(objects[0]))
-            return self._ring_home((message.sender, ""))
+            return self._home_of(gid_from_wire(payload["source"]))
         if kind == kinds.EVENT:
             event_wire = dict(payload.get("event", {}))
-            source = (
+            return self._home_of((
                 str(event_wire.get("instance_id", message.sender)),
                 str(event_wire.get("source_path", "")),
-            )
-            shard_id = self._home_of(source)
-            if payload.get("release", True):
-                # The shard releases the floor after this event's acks;
-                # the grant's UNLOCK route will never be used again.
-                token = int(payload.get("token", 0))
-                self._lock_routes.pop((message.sender, token), None)
-            return shard_id
+            ))
         if kind == kinds.EVENT_ACK:
             owner = payload.get("owner")
             if not owner:
@@ -627,11 +600,8 @@ class ShardedCosoftCluster:
             for gid in moving:
                 self._home[gid] = to_shard
             for floor in map(Floor.from_wire, state.payload.get("floors", ())):
-                key = floor.key
-                if key in self._lock_routes:
-                    self._lock_routes[key] = to_shard
-                if key in self._floor_routes:
-                    self._floor_routes[key] = to_shard
+                if floor.key in self._floor_routes:
+                    self._floor_routes[floor.key] = to_shard
             # Both journals observed the move (EXPORT on the source,
             # IMPORT on the target); stamp the new routing epoch so
             # their next snapshots record which era they belong to.
@@ -828,13 +798,12 @@ class ShardedCosoftCluster:
         self.shard_ids = survivors
         self.ring = new_ring
         # Migration rewired the routes of everything stateful; scrub the
-        # residue (denied-lock routes, in-flight fetch correlations) so
+        # residue (ack routes, in-flight fetch correlations) so
         # nothing still points at the retired shard.
         for gid in [g for g, h in self._home.items() if h == shard_id]:
             del self._home[gid]
-        for table in (self._lock_routes, self._floor_routes):
-            for key in [k for k, v in table.items() if v == shard_id]:
-                table[key] = self._ring_home((key[0], ""))
+        for key in [k for k, v in self._floor_routes.items() if v == shard_id]:
+            self._floor_routes[key] = self._ring_home((key[0], ""))
         self._pending_routes = {
             msg_id: route
             for msg_id, route in self._pending_routes.items()

@@ -133,7 +133,7 @@ def recover_cluster(
     suffix, its own replay clock (shards journal concurrently, so their
     time lines interleave; a private clock per shard reproduces each
     shard's exact clock readings without ever running time backwards).
-    Router state (couple-table mirror, home pins, floor/lock routes,
+    Router state (couple-table mirror, home pins, ack routes,
     registry) is then rebuilt from the recovered shards in one pass
     rather than inferred from replay side effects.
     """
@@ -177,16 +177,14 @@ def rebuild_router_state(cluster: Any) -> None:
     One authoritative pass instead of trusting replay side effects: the
     mirror couple table and sticky home pins come from each shard's
     couple/lock/floor/history holdings, the roster with its version from
-    the shard replicas (every shard holds the full registry), and each
-    floor's route from its shape, as the live router books it: a floor
-    awaiting acks gets an EVENT_ACK route, a bare floor (awaiting its
-    EVENT or UNLOCK) an UNLOCK route.
+    the shard replicas (every shard holds the full registry), and the
+    EVENT_ACK route of each floor awaiting acks, as the live router books
+    it.  An UNLOCK needs no route: it goes to its objects' homes.
     """
     from repro.server.couples import CoupleTable
 
     cluster.mirror = CoupleTable()
     cluster._home = {}
-    cluster._lock_routes = {}
     cluster._floor_routes = {}
     cluster._floor_expected = {}
     cluster._pending_routes = {}
@@ -197,12 +195,10 @@ def rebuild_router_state(cluster: Any) -> None:
                 cluster._home[gid] = shard_id
         for obj in shard.locks.locked_objects():
             cluster._home[obj] = shard_id
-        for key, floor in shard.floors.items():
+        for key, floor in shard.locks.floors.items():
             if floor.pending_acks:
                 cluster._floor_routes[key] = shard_id
                 cluster._floor_expected[key] = len(floor.pending_acks)
-            else:
-                cluster._lock_routes[key] = shard_id
             for gid in floor.objects:
                 cluster._home[gid] = shard_id
         for obj in shard.history.objects():

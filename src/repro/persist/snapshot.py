@@ -51,13 +51,7 @@ def _canonical(data: Any) -> str:
 
 def capture_state(server: Any) -> Dict[str, Any]:
     """The server's durable database categories, canonically ordered."""
-    floors = [server.floors[key].to_wire() for key in sorted(server.floors)]
-    locks = sorted(
-        (
-            [[obj[0], obj[1]], server.locks.holder(obj).to_wire()]
-            for obj in server.locks.locked_objects()
-        ),
-    )
+    floor_control = server.locks.to_wire()
     links = sorted(
         (link.to_wire() for link in server.couples.links()),
         key=_canonical,
@@ -69,8 +63,8 @@ def capture_state(server: Any) -> Dict[str, Any]:
         ),
         "registry_version": server.registry.version,
         "couples": links,
-        "locks": locks,
-        "floors": floors,
+        "locks": floor_control["locks"],
+        "floors": floor_control["floors"],
         "history": server.history.export_state(),
         "access": server.access.export_state(),
     }
@@ -79,7 +73,6 @@ def capture_state(server: Any) -> Dict[str, Any]:
 def restore_state(server: Any, state: Dict[str, Any]) -> None:
     """Install a :func:`capture_state` dict into a (fresh) server."""
     from repro.server.couples import CoupleLink
-    from repro.server.locks import Floor, LockOwner
     from repro.server.registry import RegistrationRecord
 
     # The version is restored, never re-counted from the records: clients
@@ -90,12 +83,7 @@ def restore_state(server: Any, state: Dict[str, Any]) -> None:
     )
     for link_wire in state.get("couples", ()):
         server.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
-    server.locks.install(
-        ((str(obj[0]), str(obj[1])), LockOwner.from_wire(owner))
-        for obj, owner in state.get("locks", ())
-    )
-    floors = map(Floor.from_wire, state.get("floors", ()))
-    server.floors.update((floor.key, floor) for floor in floors)
+    server.locks.install(state)
     server.history.import_state(state.get("history", {}))
     server.access.import_state(state.get("access", {}))
 

@@ -128,8 +128,6 @@ class CosoftServer:
         self.ack_release = ack_release
         #: Delivery decisions of the interest-aware routing layer.
         self.routing = RoutingStats()
-        #: Granted floors, keyed ``(owner instance, token)``.
-        self.floors: Dict[Tuple[str, int], Floor] = {}
         self._pending: Dict[int, _PendingRoute] = {}
         self.processed: Counter = Counter()
         self._transport: Optional[Transport] = None
@@ -179,11 +177,11 @@ class CosoftServer:
                 yield Sample(
                     "repro_server_locks_held", "gauge",
                     "Objects currently locked", base,
-                    len(self.locks.locked_objects()),
+                    len(self.locks),
                 )
                 yield Sample(
                     "repro_server_floors_held", "gauge",
-                    "Floors currently granted", base, len(self.floors),
+                    "Floors currently granted", base, len(self.locks.floors),
                 )
                 for kind, n in sorted(self.processed.items()):
                     yield Sample(
@@ -412,18 +410,10 @@ class CosoftServer:
         for coupled in self.couples.objects_of_instance(instance_id):
             unregister_audience.update(self.couples.group_instances(coupled))
         removed = self.couples.remove_instance(instance_id)
-        self.locks.release_instance(instance_id)
+        for floor in self.locks.release_instance(instance_id):
+            self._floor_released(floor)
         self.history.forget_instance(instance_id)
         self.access.forget_instance(instance_id)
-        for key in [k for k in self.floors if k[0] == instance_id]:
-            self._release_floor(key)
-        # A departing instance can no longer acknowledge broadcasts: drop
-        # it from every pending-ack set and release floors that drain.
-        for key, floor in list(self.floors.items()):
-            if floor.pending_acks:
-                floor.pending_acks.discard(instance_id)
-                if not floor.pending_acks:
-                    self._release_floor(key)
         # Requests forwarded to the departing instance can never be
         # answered: fail them back to their requesters now instead of
         # leaking the route (and leaving the requester to time out).
@@ -555,23 +545,15 @@ class CosoftServer:
     # Floor control
     # ------------------------------------------------------------------
 
-    def _release_floor(self, key: Tuple[str, int]) -> None:
-        """Drop a floor: its record and the locks it holds."""
-        floor = self.floors.pop(key)
-        self.locks.release_all(floor.objects, floor.owner)
-        if floor.span is not None:
-            self.obs.spans.finish(floor.span)
+    @property
+    def floors(self) -> Dict[Tuple[str, int], Floor]:
+        """The granted floors (read-only; :attr:`locks` owns them)."""
+        return self.locks.floors
 
-    def _expire_stale_floors(self) -> None:
-        """Lease expiry: reclaim floors whose acks never arrived."""
-        now = self.clock.now()
-        expired = [
-            key
-            for key, floor in self.floors.items()
-            if now - floor.granted_at > self.floor_lease
-        ]
-        for key in expired:
-            self._release_floor(key)
+    def _floor_released(self, floor: Optional[Floor]) -> None:
+        """Close the ``server.floor_held`` span of a released floor."""
+        if floor is not None and floor.span is not None:
+            self.obs.spans.finish(floor.span)
 
     def _on_lock_request(self, message: Message) -> None:
         """Grant or deny the floor on ``CO(source)``.
@@ -585,25 +567,21 @@ class CosoftServer:
         """
         payload = message.payload
         self._require_registered(message.sender)
-        self._expire_stale_floors()
+        now = self.clock.now()
+        for floor in self.locks.expire(now, self.floor_lease):
+            self._floor_released(floor)
         source = gid_from_wire(payload["source"])
         token = int(payload.get("token", 0))
         event_wire = _event_wire(payload["event"]) if "event" in payload else None
         owner = LockOwner(message.sender, token)
         group = sorted(self.couples.group_of(source))
-        granted, conflicts = self.locks.acquire_all(group, owner)
+        floor, conflicts = self.locks.acquire_all(group, owner, now)
+        granted = floor is not None
         if granted:
-            key = (owner.instance_id, owner.token)
-            floor = self.floors.get(key)
-            if floor is None:
-                floor = self.floors[key] = Floor(owner, tuple(group), self.clock.now())
-            else:
-                # A repeated grant of one token renews the floor; the acks
-                # it awaits still count.
-                floor.objects, floor.granted_at = tuple(group), self.clock.now()
             active = self._active_span
-            if active is not None:
-                # Floor lifetime span: grant .. release (ack or lease).
+            if active is not None and floor.span is None:
+                # Floor lifetime span: first grant .. release (ack, unlock,
+                # lease); a renewal keeps the floor, and so its span.
                 floor.span = self.obs.spans.start(
                     obs_tracing.SERVER_FLOOR,
                     trace_id=active.trace_id,
@@ -628,15 +606,8 @@ class CosoftServer:
             self._broadcast_event(owner, source, event_wire)
 
     def _on_unlock(self, message: Message) -> None:
-        payload = message.payload
-        token = int(payload.get("token", 0))
-        owner = LockOwner(message.sender, token)
-        key = (owner.instance_id, owner.token)
-        if key in self.floors:
-            self._release_floor(key)
-        elif "objects" in payload:
-            objects = tuple(gid_from_wire(g) for g in payload["objects"])
-            self.locks.release_all(objects, owner)
+        token = int(message.payload.get("token", 0))
+        self._floor_released(self.locks.unlock((message.sender, token)))
 
     # ------------------------------------------------------------------
     # Synchronization by multiple execution (§3.2)
@@ -673,7 +644,7 @@ class CosoftServer:
         Under *owner*'s floor the targets are the locked group; with
         *release* the floor goes once every receiver acknowledged.
         """
-        floor = self.floors.get((owner.instance_id, owner.token))
+        floor = self.locks.floors.get((owner.instance_id, owner.token))
         locked = floor.objects if floor is not None else None
         # Group the coupled objects by owning instance and broadcast one
         # message per instance, listing the local target pathnames.
@@ -735,26 +706,22 @@ class CosoftServer:
             self.obs.spans.finish(bcast_span)
         self.routing.record_event(len(receivers))
         if release and floor is not None:
-            if receivers and self.ack_release:
-                # "They are unlocked when the processing of this event is
-                # completed" (§3.2): hold the floor until every receiving
-                # instance confirms it re-executed the event.
-                floor.pending_acks = set(receivers)
-            else:
-                self._release_floor(floor.key)
+            # "They are unlocked when the processing of this event is
+            # completed" (§3.2): hold the floor until every receiving
+            # instance confirms it re-executed the event.
+            self._floor_released(
+                self.locks.broadcast(floor, receivers if self.ack_release else ())
+            )
 
     def _on_event_ack(self, message: Message) -> None:
-        payload = message.payload
-        owner_wire = payload.get("owner")
+        owner_wire = message.payload.get("owner")
         if not owner_wire:
             return
         key = (str(owner_wire[0]), int(owner_wire[1]))
-        floor = self.floors.get(key)
-        if floor is None or not floor.pending_acks:
-            return
-        floor.pending_acks.discard(message.sender)
-        if not floor.pending_acks:
-            self._release_floor(key)
+        floor = self.locks.ack(key, message.sender)
+        # _floor_released inlined: this runs once per receiver per action.
+        if floor is not None and floor.span is not None:
+            self.obs.spans.finish(floor.span)
 
     # ------------------------------------------------------------------
     # Synchronization by UI state (§3.1)
@@ -1092,18 +1059,14 @@ class CosoftServer:
         Removes and returns the couple links, lock entries, floors and
         historical states of the given couple group, in wire form, so a
         cluster router can re-install them on another shard.  The group
-        must be quiescent (the router freezes it) — in-flight floors are
-        carried across verbatim, including their pending-ack sets.
+        must be quiescent (the router freezes it).  In-flight floors go
+        with their pending-ack sets; one that also lists objects staying
+        here is split (:meth:`LockTable.transfer_out`).
         """
         objs = set(objects)
         links = self.couples.extract_objects(objs)
-        locks = self.locks.transfer_out(sorted(objs))
-        floors: List[Dict[str, Any]] = []
-        for key, floor in list(self.floors.items()):
-            if not objs.intersection(floor.objects):
-                continue
-            floors.append(floor.to_wire())
-            del self.floors[key]
+        tables, gone = self.locks.transfer_out(objs)
+        for floor in gone:
             if floor.span is not None:
                 # The floor migrates to another shard; close its span
                 # here rather than leak an open one.
@@ -1116,10 +1079,8 @@ class CosoftServer:
         return {
             "objects": [gid_to_wire(g) for g in sorted(objs)],
             "links": [link.to_wire() for link in links],
-            "locks": [
-                [gid_to_wire(obj), owner.to_wire()] for obj, owner in locks
-            ],
-            "floors": floors,
+            "locks": tables["locks"],
+            "floors": tables["floors"],
             "history": history,
         }
 
@@ -1131,12 +1092,7 @@ class CosoftServer:
         """
         for link_wire in data.get("links", ()):
             self.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
-        self.locks.install(
-            (gid_from_wire(obj), LockOwner.from_wire(owner))
-            for obj, owner in data.get("locks", ())
-        )
-        floors = map(Floor.from_wire, data.get("floors", ()))
-        self.floors.update((floor.key, floor) for floor in floors)
+        self.locks.install(data)
         for obj_wire, stacks in data.get("history", ()):
             self.history.import_object(gid_from_wire(obj_wire), dict(stacks))
 
@@ -1203,7 +1159,7 @@ class CosoftServer:
         """
         stateful = set(self.locks.locked_objects())
         stateful.update(self.history.objects())
-        for floor in self.floors.values():
+        for floor in self.locks.floors.values():
             stateful.update(floor.objects)
         groups: List[List[GlobalId]] = []
         for group in self.couples.groups():

@@ -48,17 +48,8 @@ def snapshot(server: CosoftServer) -> Dict[str, Any]:
     ]
     groups.sort()
     locks: List[Dict[str, Any]] = [
-        {
-            "object": f"{obj[0]}:{obj[1]}",
-            "holder": holder.instance_id,
-            "token": holder.token,
-        }
-        for obj, holder in sorted(
-            ((obj, server.locks.holder(obj))
-             for obj in server.locks.locked_objects()),
-            key=lambda item: item[0],
-        )
-        if holder is not None
+        {"object": f"{obj[0]}:{obj[1]}", "holder": owner[0], "token": owner[1]}
+        for obj, owner in server.locks.to_wire()["locks"]
     ]
     histories = {
         f"{obj[0]}:{obj[1]}": server.history.depth(obj)

@@ -160,7 +160,7 @@ def state_at(
                 "registered": len(server.registry),
                 "couple_links": len(server.couples),
                 "locks_held": len(server.locks),
-                "floors_held": len(server.floors),
+                "floors_held": len(server.locks.floors),
                 "history_entries": len(server.history),
             },
         }

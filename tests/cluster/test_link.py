@@ -128,7 +128,6 @@ class TestFailingLink:
         assert error.kind == kinds.ERROR
         assert (error.to, error.reply_to) == ("a", request.msg_id)
         assert "did not acknowledge" in error.payload["reason"]
-        assert cluster._lock_routes == {}
         assert cluster._floor_routes == {}
         assert cluster._pending_routes == {}
         assert cluster.processed["__rejected__"] == 1
@@ -140,7 +139,7 @@ class TestFailingLink:
         (reply,) = sent
         assert reply.kind == kinds.LOCK_REPLY
         assert reply.payload["granted"] is True
-        assert list(cluster._lock_routes) == [("a", 8)]
+        assert list(cluster.shards["shard-0"].locks.floors) == [("a", 8)]
 
 
 class TestCallTimeout:

@@ -1,6 +1,8 @@
 """Migration state transfer: export/import round-trips and live moves."""
 
+from repro.cluster.router import ShardedCosoftCluster
 from repro.net import kinds
+from repro.net.clock import SimClock
 from repro.net.message import Message
 from repro.net.transport import ROUTER_ID
 from repro.server.couples import CoupleLink
@@ -18,8 +20,7 @@ def seeded_server():
     right = ("b", "/ui/f")
     server.couples.add_link(CoupleLink(source=left, target=right, creator="a"))
     owner = LockOwner(instance_id="a", token=7)
-    server.locks.acquire(left, owner)
-    server.locks.acquire(right, owner)
+    server.locks.acquire_all([left, right], owner, 0.0)
     server.history.push(
         HistoricalState(obj=right, state={"value": "old"}, by_user="bob",
                         timestamp=1.0)
@@ -185,3 +186,45 @@ class TestLiveHistoryMigration:
         assert instances["inst-1"].undo(field("inst-1"))
         assert field("inst-1").value == "one"
         session.close()
+
+
+class TestSplitFloor:
+    """A floor whose group a migration splits keeps every lock under a
+    floor on the shard that holds it."""
+
+    def _send(self, cluster, kind, sender, **payload):
+        cluster.clock.advance(0.01)
+        cluster.handle_message(Message(kind=kind, sender=sender, payload=payload))
+
+    def _lock(self, cluster, sender, obj, token=1):
+        self._send(cluster, kinds.LOCK_REQUEST, sender, source=list(obj), token=token)
+
+    def test_unlock_after_a_split_frees_every_shard(self):
+        replies = []
+        cluster = ShardedCosoftCluster(2, clock=SimClock())
+        cluster.bind(type("Outbox", (), {"send": lambda _, m: replies.append(m)})())
+        for name in ("a", "b", "c", "d", "e"):
+            self._send(cluster, kinds.REGISTER, name, user=name)
+        a, b, c, d, e = ((name, "/x") for name in "abcde")
+        self._send(cluster, kinds.COUPLE, "a", source=list(a), target=list(b))
+        self._send(cluster, kinds.COUPLE, "c", source=list(c), target=list(d))
+        assert cluster.shard_of(a) != cluster.shard_of(c)
+        self._lock(cluster, "a", a)  # a bare floor on {a/x, b/x}
+        self._send(cluster, kinds.DECOUPLE, "a", source=list(a), target=list(b))
+        migrations = cluster.migrations
+        self._send(cluster, kinds.COUPLE, "b", source=list(b), target=list(c))
+        assert cluster.migrations == migrations + 1
+        assert cluster.shard_of(a) != cluster.shard_of(b)
+        for shard in cluster.shards.values():
+            for obj in shard.locks.locked_objects():
+                owner = shard.locks.holder(obj)
+                floor = shard.floors.get((owner.instance_id, owner.token))
+                assert floor is not None and obj in floor.objects, obj
+        self._send(cluster, kinds.UNLOCK, "a", token=1, objects=[list(a), list(b)])
+        for shard in cluster.shards.values():
+            assert len(shard.locks) == 0 and shard.floors == {}
+        self._send(cluster, kinds.COUPLE, "e", source=list(e), target=list(a))
+        del replies[:]
+        self._lock(cluster, "e", e)
+        (reply,) = [m for m in replies if m.kind == kinds.LOCK_REPLY]
+        assert reply.payload["granted"]

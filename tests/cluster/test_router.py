@@ -325,8 +325,8 @@ class TestRoutingAndMigration:
 
 class TestRouteTables:
     """The router's per-floor routing entries live exactly as long as the
-    floor: an action's LOCK_REQUEST carries its event, nothing ever comes
-    back for that token, so it must leave no ``_lock_routes`` entry."""
+    floor: an action's acks are routed while they are due, and an UNLOCK
+    needs no entry — it goes to the homes of the objects it names."""
 
     @pytest.mark.parametrize("processes", [False, True], ids=["memory", "proc"])
     def test_no_route_entry_outlives_its_action(self, processes, tmp_path):
@@ -361,7 +361,6 @@ class TestRouteTables:
                 fields[writer].commit(f"v{i}")
                 assert not session.instances[writer].last_execution.lock_denied
                 assert settled(lambda: fields[reader].value == f"v{i}"), i
-            assert cluster._lock_routes == {}
             assert cluster._floor_routes == {}
             assert cluster._floor_expected == {}
 
@@ -374,11 +373,12 @@ class TestRouteTables:
             TextField("f", parent=tree)
             grant = a.acquire_floor("/ui/f")
             assert grant is not None
-            assert list(session.cluster._lock_routes) == [("a", grant.token)]
+            home = session.cluster.shards[session.cluster.shard_of(("a", "/ui/f"))]
+            assert list(home.locks.floors) == [("a", grant.token)]
             a.release_floor(grant)
             session.pump()
-            assert session.cluster._lock_routes == {}
             assert all(len(s.locks) == 0 for s in session.cluster.shards.values())
+            assert all(not s.locks.floors for s in session.cluster.shards.values())
 
 
 class TestFreezeBuffer:

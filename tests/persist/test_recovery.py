@@ -3,6 +3,7 @@
 from repro.net import kinds
 from repro.net.message import Message
 from repro.persist import (
+    DiscardTransport,
     PersistenceConfig,
     recover_cluster,
     recover_server,
@@ -24,6 +25,17 @@ from repro.server.couples import global_id
 
 def memory_config(**overrides):
     return PersistenceConfig(directory=None, snapshot_every=1000, **overrides)
+
+
+class TestDiscardTransport:
+    def test_counts_and_drops_what_replay_sends(self):
+        transport = DiscardTransport()
+        transport.send(Message(kind=kinds.EVENT_ACK, sender="server"))
+        assert transport.discarded == 1
+        assert transport.stats.messages == 0  # nothing reached a wire
+        assert not transport.closed
+        transport.close()
+        assert transport.closed
 
 
 class TestRecoverServer:
@@ -212,8 +224,9 @@ class TestRecoverCluster:
                 shard.persistence.close()
 
     def test_router_floor_routes_match_the_live_router(self, tmp_path):
-        """A floor awaiting acks is routed by its EVENT_ACKs and a bare
-        floor by its UNLOCK, after recovery exactly as before it."""
+        """A floor awaiting acks is routed by its EVENT_ACKs after recovery
+        exactly as before it, and a bare floor's UNLOCK, which names its
+        objects, reaches the shard holding that floor."""
         from repro.cluster.router import ShardedCosoftCluster
 
         config = PersistenceConfig(directory=str(tmp_path))
@@ -221,15 +234,27 @@ class TestRecoverCluster:
         self._drive(cluster)
         lock_with_event(cluster, "a", "/app/x", token=1)  # b's ack is due
         lock(cluster, "c", "/app/z", token=2)  # awaits its EVENT or UNLOCK
-        assert list(cluster._lock_routes) == [("c", 2)]
         assert list(cluster._floor_routes) == [("a", 1)]
         assert cluster._floor_expected == {("a", 1): 1}
         for persist in (s.persistence for s in cluster.shards.values()):
             persist.close()
         recovered = recover_cluster(config, shards=2)
         try:
-            for table in ("_lock_routes", "_floor_routes", "_floor_expected"):
+            for table in ("_floor_routes", "_floor_expected"):
                 assert getattr(recovered, table) == getattr(cluster, table)
+            recovered.bind(FakeTransport())
+            holder = recovered.shards[recovered.shard_of(("c", "/app/z"))]
+            assert ("c", 2) in holder.locks.floors
+            recovered.clock.advance(0.01)
+            recovered.handle_message(
+                Message(
+                    kind=kinds.UNLOCK,
+                    sender="c",
+                    payload={"token": 2, "objects": [["c", "/app/z"]]},
+                )
+            )
+            assert ("c", 2) not in holder.locks.floors
+            assert holder.locks.holder(("c", "/app/z")) is None
         finally:
             for shard in recovered.shards.values():
                 shard.persistence.close()

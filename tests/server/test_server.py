@@ -296,6 +296,55 @@ class TestFloorControl:
         self._lock(srv, "b", B_OBJ)
         assert transport.take()[0].payload["granted"]
 
+    def test_renewal_after_a_shrunk_group_frees_what_it_lost(self, server):
+        """A duplicate LOCK_REQUEST after a decouple renews the floor on
+        the smaller group; the object that left is unlocked with it, so
+        the owner's UNLOCK frees everything."""
+        srv, transport = server
+        for inst in ("a", "b", "c"):
+            register(srv, transport, inst)
+        couple(srv, "a", A_OBJ, B_OBJ)
+        couple(srv, "a", A_OBJ, C_OBJ)
+        self._lock(srv, "a", A_OBJ, token=1)
+        srv.handle_message(
+            Message(
+                kind=kinds.DECOUPLE, sender="a",
+                payload={"source": gid_to_wire(A_OBJ), "target": gid_to_wire(C_OBJ)},
+            )
+        )
+        self._lock(srv, "a", A_OBJ, token=1)  # e.g. a network duplicate
+        srv.handle_message(
+            Message(kind=kinds.UNLOCK, sender="a", payload={"token": 1})
+        )
+        assert srv.floors == {} and len(srv.locks) == 0
+        transport.take()
+        self._lock(srv, "c", C_OBJ)
+        assert transport.take()[0].payload["granted"]
+
+    def test_unregister_counts_the_floors_it_frees(self, server):
+        srv, transport = server
+        register(srv, transport, "a")
+        self._lock(srv, "a", A_OBJ)
+        srv.handle_message(Message(kind=kinds.UNREGISTER, sender="a", payload={}))
+        assert srv.floors == {} and len(srv.locks) == 0
+        assert srv.stats()["lock_stats"]["releases"] == 1
+
+    def test_a_renewed_floor_keeps_one_span(self, server):
+        srv, transport = server
+        obs = Observability()
+        srv.configure_observability(obs)
+        register(srv, transport, "a")
+        for kind in (kinds.LOCK_REQUEST, kinds.LOCK_REQUEST, kinds.UNLOCK):
+            srv.handle_message(
+                Message(
+                    kind=kind, sender="a",
+                    payload={"source": gid_to_wire(A_OBJ), "token": 1},
+                    trace=(obs.spans.new_trace_id(), "client"),
+                )
+            )
+        (held,) = [s for s in obs.spans.spans() if s.name == "server.floor_held"]
+        assert held.end is not None
+
     def test_uncoupled_lock_is_singleton_group(self, server):
         srv, transport = server
         register(srv, transport, "a")
