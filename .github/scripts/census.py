@@ -9,9 +9,10 @@ Runs tier-1 (``python -m pytest -q``), ``benchmarks/ledger/run.py
 shard worker subprocesses are counted too.  Each process writes what it
 saw to its own file every half second, at exit and in ``os._exit``
 (where workers end, and ``atexit`` never runs); a process killed by a
-signal keeps only its last half-second dump.  A dump holds
-the ``src/`` lines executed and the code objects entered; the table of
-named functions nothing called is derived from the second.
+signal keeps only its last half-second dump.  A dump holds the
+``src/`` lines executed and the code objects entered, each by file,
+first line and qualified name; the table of named functions nothing
+called is derived from the second.
 
 With pytest arguments after ``--`` only ``python -m pytest ARGS`` runs
 (how one environment's test selection is measured on its own).
@@ -71,7 +72,10 @@ SITECUSTOMIZE = textwrap.dedent(
         code = frame.f_code
         if not code.co_filename.startswith(_src):
             return None
-        _codes.add(code)
+        # Keyed by where the code is, not by the code object: code
+        # equality ignores the file and the qualified name, so two
+        # same-bodied functions at one line number would merge.
+        _codes.add((code.co_filename, code.co_firstlineno, code.co_qualname))
         return _line
 
 
@@ -87,8 +91,7 @@ SITECUSTOMIZE = textwrap.dedent(
             for path, line in list(_lines):
                 lines.setdefault(_rel(path), []).append(line)
             codes = sorted(
-                (_rel(c.co_filename), c.co_firstlineno, c.co_qualname)
-                for c in list(_codes)
+                (_rel(path), line, name) for path, line, name in list(_codes)
             )
             path = os.path.join(_out, "%d.json" % os.getpid())
             with open(path + ".tmp", "w") as fh:

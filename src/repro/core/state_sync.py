@@ -29,7 +29,7 @@ from repro.core.semantic import SemanticHookRegistry
 from repro.errors import IncompatibleObjectsError
 from repro.toolkit.builder import Shape, shape, to_spec
 from repro.toolkit.tree import (
-    apply_subtree_state,
+    overwrite_subtree_state,
     subtree_state,
     subtree_state_since,
 )
@@ -107,23 +107,21 @@ def apply_state_payload(
 ) -> ApplyReport:
     """Apply a received state payload onto *widget* (the dominated object).
 
-    Returns an :class:`ApplyReport` whose ``old_state`` carries the
-    overwritten relevant attributes — the caller ships it to the server's
-    historical UI states (§2.2).
+    Returns an :class:`ApplyReport` whose ``old_state`` is the transfer's
+    pre-image — the caller ships it to the server's historical UI states
+    (§2.2).  STRICT writes a known set of attributes, so the pre-image
+    holds exactly those, as they were before the write.  MERGE and
+    FLEXIBLE may rewrite anything in the subtree, so theirs is the whole
+    relevant subtree state.
     """
     if mode not in MODES:
         raise ValueError(f"unknown synchronization mode {mode!r}")
     report = ApplyReport(mode=mode)
-    report.old_state = subtree_state(widget, relevant_only=True)
     source_state: Mapping[str, Mapping[str, Any]] = payload.get("state", {})
     source_spec = payload.get("structure")
 
     if mode == STRICT:
-        if source_spec is None:
-            # Structure-less payload: positional application by identical
-            # relative paths (homogeneous fast path).
-            report.applied_paths = apply_subtree_state(widget, source_state)
-        else:
+        if source_spec is not None:
             local = shape(widget)
             mapping = _resolve_mapping(
                 source_spec, local, strategy, correspondences, predefined
@@ -131,27 +129,27 @@ def apply_state_payload(
             report.mapping_size = len(mapping)
             report.mapping = dict(mapping)
             report.source_types = compat.spec_types(source_spec)
-            translated = compat.translate_state(
+            source_state = compat.translate_state(
                 source_state,
                 report.source_types,
                 local.types,
                 mapping,
                 correspondences,
             )
-            report.applied_paths = apply_subtree_state(widget, translated)
-    elif mode == MERGE:
+        # Applied by relative path: the sender's own for a structure-less
+        # payload (homogeneous fast path), else the mapped local ones.
+        report.old_state = overwrite_subtree_state(widget, source_state)
+        report.applied_paths = list(report.old_state)
+    else:
         if source_spec is None:
             raise IncompatibleObjectsError(
-                "<payload>", widget.pathname, "merge mode requires structure"
+                "<payload>", widget.pathname, f"{mode} mode requires structure"
             )
-        report.merge = destructive_merge(widget, source_spec, source_state)
-        report.applied_paths = list(report.merge.updated)
-    else:  # FLEXIBLE
-        if source_spec is None:
-            raise IncompatibleObjectsError(
-                "<payload>", widget.pathname, "flexible mode requires structure"
-            )
-        report.merge = flexible_match(widget, source_spec, source_state)
+        report.old_state = subtree_state(widget, relevant_only=True)
+        if mode == MERGE:
+            report.merge = destructive_merge(widget, source_spec, source_state)
+        else:  # FLEXIBLE
+            report.merge = flexible_match(widget, source_spec, source_state)
         report.applied_paths = list(report.merge.updated)
 
     if semantics is not None and "semantic" in payload:

@@ -5,9 +5,21 @@ when synchronizing by state was applied, and provide the possibility of
 undoing/redoing user's actions" (§2.2).
 
 Whenever a synchronization-by-state overwrites a UI object's state, the
-receiving instance pushes the *old* state here (HISTORY via the state
-messages).  :meth:`HistoryStore.undo` pops the most recent backup; the
-state current at undo time goes onto the redo stack.
+receiving instance pushes the transfer's *pre-image* here
+(``HISTORY_PUSH``): relative path -> the values of the attributes the
+transfer wrote, as they were before it.  A STRICT transfer, full or
+delta, writes a known set of attributes, so its record holds exactly
+those; destructive merging and flexible matching may rewrite anything in
+the subtree, so theirs is the whole relevant subtree state.  Undo writes
+the record back, so a write made since the transfer survives the undo
+unless the transfer wrote that attribute too.  A whole-form record is
+the pre-image of every attribute, so records of that form (older
+clients, journals, snapshots) stay valid.
+
+:meth:`HistoryStore.undo` pops the newest record; of the state current
+at undo time, only the paths and attributes that record restores go onto
+the redo stack — the pre-image of what the undo writes.
+:meth:`HistoryStore.redo` is its mirror image.
 """
 
 from __future__ import annotations
@@ -78,7 +90,8 @@ class HistoryStore:
     ) -> HistoricalState:
         """Pop the newest backup of *obj*.
 
-        If *current_state* is given it is pushed onto the redo stack so the
+        If *current_state* is given, its part at the paths and attributes
+        the popped backup restores is pushed onto the redo stack, so the
         undo itself can be undone.
         """
         stack = self._undo.get(obj)
@@ -92,7 +105,7 @@ class HistoryStore:
             redo_stack.append(
                 HistoricalState(
                     obj=obj,
-                    state=dict(current_state),
+                    state=_restored_part(current_state, entry.state),
                     timestamp=entry.timestamp,
                     reason="undo",
                 )
@@ -116,7 +129,7 @@ class HistoryStore:
             undo_stack.append(
                 HistoricalState(
                     obj=obj,
-                    state=dict(current_state),
+                    state=_restored_part(current_state, entry.state),
                     timestamp=entry.timestamp,
                     reason="redo",
                 )
@@ -232,3 +245,20 @@ class HistoryStore:
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._undo.values())
+
+
+def _restored_part(
+    current: Mapping[str, Any], restored: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """The entries of *current* that writing *restored* overwrites: its
+    paths and, where both sides hold attribute dicts, only the attributes
+    *restored* writes."""
+    part: Dict[str, Any] = {}
+    for rel, values in restored.items():
+        if rel not in current:
+            continue
+        now = current[rel]
+        if isinstance(values, Mapping) and isinstance(now, Mapping):
+            now = {name: now[name] for name in values if name in now}
+        part[rel] = now
+    return part

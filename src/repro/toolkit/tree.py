@@ -122,7 +122,23 @@ def apply_subtree_state(
     tree are skipped unless *strict*, in which case :class:`PathError` is
     raised — destructive merging handles structural differences instead.
     """
-    applied: List[str] = []
+    return list(overwrite_subtree_state(root, state, strict=strict))
+
+
+def overwrite_subtree_state(
+    root: UIObject,
+    state: Mapping[str, Mapping[str, Any]],
+    *,
+    strict: bool = False,
+) -> Dict[str, Dict[str, Any]]:
+    """:func:`apply_subtree_state`, returning what the write overwrote.
+
+    The result maps each applied relative path to its widget's values,
+    read just before the write, of exactly the attributes *state* wrote
+    there: the write's pre-image, which a history record keeps (§2.2).
+    Applying it back restores those attributes and touches no other.
+    """
+    overwritten: Dict[str, Dict[str, Any]] = {}
     for rel, values in state.items():
         try:
             widget = root.find(rel) if rel else root
@@ -130,9 +146,8 @@ def apply_subtree_state(
             if strict:
                 raise
             continue
-        widget.set_state(values)
-        applied.append(rel)
-    return applied
+        overwritten[rel] = widget.set_state(values)
+    return overwritten
 
 
 def structure_signature(root: UIObject) -> Tuple:

@@ -468,10 +468,19 @@ class UIObject:
         relevant = type(self).ATTRIBUTES.relevant_names()
         return {name: self._state[name] for name in relevant}
 
-    def set_state(self, values: Mapping[str, Any], *, quiet: bool = True) -> None:
-        """Bulk-apply attribute values (used by synchronization by state)."""
+    def set_state(
+        self, values: Mapping[str, Any], *, quiet: bool = True
+    ) -> Dict[str, Any]:
+        """Bulk-apply attribute values (used by synchronization by state).
+
+        Returns the values the write replaced: each attribute of *values*
+        as it was just before it was set.
+        """
+        old: Dict[str, Any] = {}
         for name, value in values.items():
+            old[name] = self._state.get(name)
             self.set(name, value, quiet=quiet)
+        return old
 
     def attribute_version(self, name: str) -> int:
         """The global clock value of *name*'s last write (0 if never)."""

@@ -466,7 +466,8 @@ class TestDeltaFetch:
             assert_synced(tree_b, tree_a)
             # The delta path fills the report like the full one.
             assert second.applied_paths == ["zoom"]
-            assert second.old_state == before
+            # The history record is the pre-image of what the delta wrote.
+            assert second.old_state == {"zoom": {"value": before["zoom"]["value"]}}
             assert second.mapping == first.mapping
             assert second.mapping_size == first.mapping_size == 4
             assert b.stats["full_pushes"] + b.stats["delta_pushes"] == 0

@@ -8,6 +8,7 @@ from repro.toolkit.tree import (
     format_tree,
     is_ancestor_path,
     join_path,
+    overwrite_subtree_state,
     relative_path,
     split_path,
     structure_signature,
@@ -101,6 +102,19 @@ class TestSubtreeState:
             apply_subtree_state(
                 shell, {"ghost": {"value": "x"}}, strict=True
             )
+
+    def test_overwrite_returns_the_pre_image_of_what_it_wrote(self):
+        shell, form = build_tree()
+        form.child("name").set("value", "before")
+        shell.set("title", "kept")
+        overwritten = overwrite_subtree_state(
+            shell, {"form/name": {"value": "after"}, "ghost": {"value": "x"}}
+        )
+        assert overwritten == {"form/name": {"value": "before"}}
+        assert form.child("name").get("value") == "after"
+        overwrite_subtree_state(shell, overwritten)
+        assert form.child("name").get("value") == "before"
+        assert shell.get("title") == "kept"
 
 
 class TestSignaturesAndMetrics:
