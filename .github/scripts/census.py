@@ -7,9 +7,10 @@ Runs tier-1 (``python -m pytest -q``), ``benchmarks/ledger/run.py
 ``PYTHONPATH`` that line-traces every frame of ``src/``
 (``sys.settrace`` plus ``threading.settrace``), so loop threads and
 shard worker subprocesses are counted too.  Each process writes what it
-saw to its own file every half second, at exit and in ``os._exit``
-(where workers end, and ``atexit`` never runs); a process killed by a
-signal keeps only its last half-second dump.  A dump holds the
+saw to its own file every half second (except while ``tracemalloc``
+traces, so no dump counts as a measured test's allocation), at exit and
+in ``os._exit`` (where workers end, and ``atexit`` never runs); a
+process killed by a signal keeps only its last periodic dump.  A dump holds the
 ``src/`` lines executed and the code objects entered, each by file,
 first line and qualified name; the table of named functions nothing
 called is derived from the second.
@@ -53,7 +54,7 @@ Lines = Dict[str, Set[int]]  # path under src/ -> executed line numbers
 
 SITECUSTOMIZE = textwrap.dedent(
     """
-    import atexit, json, os, sys, threading, time
+    import atexit, json, os, sys, threading, time, tracemalloc
 
     _src = os.environ["REPRO_CENSUS_SRC"]
     _out = os.environ["REPRO_CENSUS_DIR"]
@@ -103,7 +104,10 @@ SITECUSTOMIZE = textwrap.dedent(
         last = -1
         while True:
             time.sleep(0.5)
-            if len(_lines) != last:
+            # A dump allocates: inside a test's tracemalloc window it
+            # would count as the test's own memory.  The exit dumps
+            # still run.
+            if len(_lines) != last and not tracemalloc.is_tracing():
                 last = len(_lines)
                 _dump()
 

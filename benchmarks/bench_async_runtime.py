@@ -323,7 +323,7 @@ def run_lifecycle(backend, n_instances, events=EVENTS_PER_STUDENT):
     if backend == "aio":
         kwargs.update(max_queue=max(4096, expected))
     with Session(**kwargs) as session:
-        stats = session._impl._server_stats()
+        stats = session._stats
         server = session.server
         ids = ["teacher"] + [f"i{k}" for k in range(n_students)]
         socks = {}

@@ -64,9 +64,10 @@ class FullyReplicatedHarness(ArchitectureHarness):
         self.instances: List[ApplicationInstance] = []
         self.trees: Dict[int, UIObject] = {}
         for user in range(self.n_users):
-            instance = ApplicationInstance(
-                _instance_id(user), user=f"user-{user}"
-            ).connect(self.network)
+            instance = ApplicationInstance(_instance_id(user), user=f"user-{user}")
+            instance.bind(
+                self.network.attach(instance.instance_id, instance.handle_message)
+            )
             instance.register()
             tree = build(self.app_spec)
             instance.add_root(tree)

@@ -45,6 +45,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Set,
     Tuple,
 )
 
@@ -161,8 +162,10 @@ class ShardedCosoftCluster:
         self.mirror = CoupleTable()
         #: Sticky home assignment: coupled (or migrated) object -> shard.
         self._home: Dict[GlobalId, str] = {}
-        #: floor owner -> shard that broadcast its event (EVENT_ACK routing).
-        self._floor_routes: Dict[Tuple[str, int], str] = {}
+        #: floor owner -> shards holding a part of its floor (EVENT_ACK
+        #: routing): the one that broadcast the event, plus each shard a
+        #: migration since moved a part to.
+        self._floor_routes: Dict[Tuple[str, int], Set[str]] = {}
         #: floor owner -> outstanding EVENT_ACKs (route-table cleanup).
         self._floor_expected: Dict[Tuple[str, int], int] = {}
         #: forwarded FETCH_STATE msg_id -> (shard, owner instance).
@@ -260,7 +263,6 @@ class ShardedCosoftCluster:
         {
             kinds.LOCK_REQUEST,
             kinds.EVENT,
-            kinds.EVENT_ACK,
             kinds.FETCH_STATE,
             kinds.STATE_REPLY,
             kinds.PUSH_STATE,
@@ -324,6 +326,11 @@ class ShardedCosoftCluster:
             # shard, unless a migration split the floor since.
             homes = {self._home_of(gid) for gid in self._scoped_gids(message)}
             for shard_id in sorted(homes):
+                self._forward(shard_id, message)
+        elif kind == kinds.EVENT_ACK:
+            # To every shard holding a part of the floor; one without it
+            # ignores the ack.
+            for shard_id in sorted(self._ack_routes(message)):
                 self._forward(shard_id, message)
         elif kind in self._ROUTED:
             shard_id = self._route(message)
@@ -467,21 +474,6 @@ class ShardedCosoftCluster:
                 str(event_wire.get("instance_id", message.sender)),
                 str(event_wire.get("source_path", "")),
             ))
-        if kind == kinds.EVENT_ACK:
-            owner = payload.get("owner")
-            if not owner:
-                return None
-            key = (str(owner[0]), int(owner[1]))
-            shard_id = self._floor_routes.get(key)
-            if shard_id is None:
-                return None  # late ack for a floor already gone
-            remaining = self._floor_expected.get(key, 0) - 1
-            if remaining <= 0:
-                self._floor_routes.pop(key, None)
-                self._floor_expected.pop(key, None)
-            else:
-                self._floor_expected[key] = remaining
-            return shard_id
         if kind in (kinds.FETCH_STATE, kinds.REMOTE_COPY):
             return self._home_of(gid_from_wire(
                 payload["object"] if kind == kinds.FETCH_STATE else payload["source"]
@@ -500,6 +492,24 @@ class ShardedCosoftCluster:
             # registry); hash the sender to spread the load.
             return self.ring.node_for(message.sender)
         raise ReproError(f"unroutable message kind {kind!r}")
+
+    def _ack_routes(self, message: Message) -> Set[str]:
+        """The shards an EVENT_ACK goes to; the route is forgotten with
+        the floor's last expected ack."""
+        owner = message.payload.get("owner")
+        if not owner:
+            return set()
+        key = (str(owner[0]), int(owner[1]))
+        shard_ids = self._floor_routes.get(key)
+        if shard_ids is None:
+            return set()  # late ack for a floor already gone
+        remaining = self._floor_expected.get(key, 0) - 1
+        if remaining <= 0:
+            self._floor_routes.pop(key, None)
+            self._floor_expected.pop(key, None)
+        else:
+            self._floor_expected[key] = remaining
+        return shard_ids
 
     def _home_of(self, gid: GlobalId) -> str:
         home = self._home.get(gid)
@@ -545,7 +555,7 @@ class ShardedCosoftCluster:
             owner = message.payload.get("owner")
             if owner:
                 key = (str(owner[0]), int(owner[1]))
-                self._floor_routes[key] = shard_id
+                self._floor_routes.setdefault(key, set()).add(shard_id)
                 self._floor_expected[key] = self._floor_expected.get(key, 0) + 1
         self._emit(message)
 
@@ -599,9 +609,11 @@ class ShardedCosoftCluster:
             self._shard_request(to_shard, install, kinds.MIGRATE_ACK)
             for gid in moving:
                 self._home[gid] = to_shard
+            # The source may keep a part of a moved floor: its acks now
+            # go to both.
             for floor in map(Floor.from_wire, state.payload.get("floors", ())):
                 if floor.key in self._floor_routes:
-                    self._floor_routes[floor.key] = to_shard
+                    self._floor_routes[floor.key].add(to_shard)
             # Both journals observed the move (EXPORT on the source,
             # IMPORT on the target); stamp the new routing epoch so
             # their next snapshots record which era they belong to.
@@ -802,8 +814,8 @@ class ShardedCosoftCluster:
         # nothing still points at the retired shard.
         for gid in [g for g, h in self._home.items() if h == shard_id]:
             del self._home[gid]
-        for key in [k for k, v in self._floor_routes.items() if v == shard_id]:
-            self._floor_routes[key] = self._ring_home((key[0], ""))
+        for shard_ids in self._floor_routes.values():
+            shard_ids.discard(shard_id)
         self._pending_routes = {
             msg_id: route
             for msg_id, route in self._pending_routes.items()

@@ -9,9 +9,14 @@ Converting a single-user application into a multi-user one takes exactly
 the paper's promise — "no more programming than inserting a statement to
 register the application with the server":
 
-    inst = ApplicationInstance("editor-1", user="alice").connect(network)
+    inst = ApplicationInstance("editor-1", user="alice")
+    inst.bind(network.attach(inst.instance_id, inst.handle_message))
     inst.add_root(shell)        # the existing single-user widget tree
     inst.register()
+
+The instance never builds a transport: whoever deploys it binds one
+whose receive callback is :meth:`~ApplicationInstance.handle_message` —
+:meth:`repro.session.Session.create_instance` does so on every backend.
 
 From then on every ``widget.fire(...)`` is routed through the
 multiple-execution algorithm whenever the widget is coupled, and stays
@@ -41,10 +46,7 @@ from repro.errors import (
     ServerError,
 )
 from repro.net import kinds
-from repro.net.aio import AioClientTransport
-from repro.net.memory import MemoryNetwork
 from repro.net.message import Message
-from repro.net.tcp import TcpClientTransport
 from repro.net.transport import Transport
 from repro.obs import NULL_OBS
 from repro.obs.log import get_logger
@@ -167,49 +169,8 @@ class ApplicationInstance:
     # Wiring
     # ------------------------------------------------------------------
 
-    def connect(self, network: MemoryNetwork) -> "ApplicationInstance":
-        """Attach to a simulated network; returns self for chaining."""
-        self.bind(network.attach(self.instance_id, self.handle_message))
-        return self
-
-    def connect_tcp(
-        self, host: str, port: int, *, codec: str = "json"
-    ) -> "ApplicationInstance":
-        """Connect to a TCP server; returns self for chaining.
-
-        *codec* names the outbound wire codec (``"json"``/``"binary"``);
-        the server detects it per connection and answers in kind.
-        """
-        self.bind(
-            TcpClientTransport(
-                self.instance_id, self.handle_message, host, port, codec=codec
-            )
-        )
-        return self
-
-    def connect_aio(
-        self, host: str, port: int, *, loop=None, codec: str = "json"
-    ) -> "ApplicationInstance":
-        """Connect through a shared event loop; returns self for chaining.
-
-        With ``loop=None`` the transport starts a private loop thread;
-        passing a running loop (e.g. the aio runtime's) lets any number
-        of instances share one thread for all their connections.  *codec*
-        selects the outbound wire codec, as in :meth:`connect_tcp`.
-        """
-        self.bind(
-            AioClientTransport(
-                self.instance_id,
-                self.handle_message,
-                host,
-                port,
-                loop=loop,
-                codec=codec,
-            )
-        )
-        return self
-
     def bind(self, transport: Transport) -> None:
+        """Send through *transport* (simulated, tcp or aio alike)."""
         self._transport = transport
 
     @property

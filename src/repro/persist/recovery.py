@@ -179,15 +179,17 @@ def rebuild_router_state(cluster: Any) -> None:
     couple/lock/floor/history holdings, the roster with its version from
     the shard replicas (every shard holds the full registry), and the
     EVENT_ACK route of each floor awaiting acks, as the live router books
-    it.  An UNLOCK needs no route: it goes to its objects' homes.
+    it: every shard holding a part, expecting one ack per receiver any
+    part still awaits.  An UNLOCK needs no route: it goes to its objects'
+    homes.
     """
     from repro.server.couples import CoupleTable
 
     cluster.mirror = CoupleTable()
     cluster._home = {}
     cluster._floor_routes = {}
-    cluster._floor_expected = {}
     cluster._pending_routes = {}
+    awaited: dict = {}
     for shard_id, shard in cluster.shards.items():
         for link in shard.couples.links():
             cluster.mirror.add_link(link)
@@ -197,12 +199,13 @@ def rebuild_router_state(cluster: Any) -> None:
             cluster._home[obj] = shard_id
         for key, floor in shard.locks.floors.items():
             if floor.pending_acks:
-                cluster._floor_routes[key] = shard_id
-                cluster._floor_expected[key] = len(floor.pending_acks)
+                cluster._floor_routes.setdefault(key, set()).add(shard_id)
+                awaited.setdefault(key, set()).update(floor.pending_acks)
             for gid in floor.objects:
                 cluster._home[gid] = shard_id
         for obj in shard.history.objects():
             cluster._home[obj] = shard_id
+    cluster._floor_expected = {key: len(acks) for key, acks in awaited.items()}
     for shard in cluster.shards.values():
         # Every shard replicates the full roster and its version; one
         # suffices.

@@ -1,8 +1,9 @@
-"""The unified :class:`Session` facade: one-call wiring of a deployment.
+"""The :class:`Session`: one object that is a whole deployment.
 
 Tests, benchmarks and examples all need the same setup — a central
 endpoint (server or sharded cluster), a network, and N application
-instances — so this module packages it behind **one** class::
+instances — so this module builds it in **one** class, which owns every
+part and binds each instance's client transport::
 
     session = Session()                              # simulated network
     session = Session(backend="tcp")                 # real TCP sockets
@@ -57,18 +58,18 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cluster import ShardedCosoftCluster
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.errors import NetworkError, UnknownCommunicatorError
-from repro.net.aio import BatchConfig
+from repro.net.aio import AioClientTransport, BatchConfig
 from repro.net.clock import SimClock
 from repro.net.codec import get_codec
 from repro.net.memory import MemoryNetwork
-from repro.net.tcp import TcpHostTransport
-from repro.net.transport import TrafficStats
+from repro.net.tcp import TcpClientTransport, TcpHostTransport
+from repro.net.transport import TrafficStats, Transport
 from repro.obs import Observability, build_observability
 from repro.persist import PersistenceConfig
 from repro.server.permissions import AccessControl
@@ -260,338 +261,8 @@ def _build_server(
     return CosoftServer(**kwargs), ephemeral
 
 
-class _BackendBase:
-    """Shared machinery of the session backends."""
-
-    config: SessionConfig
-    server: ServerLike
-    instances: Dict[str, ApplicationInstance]
-    obs: Observability
-    #: Tempdir backing an ephemeral journal (``persistence=True``), if any.
-    _persist_ephemeral: Optional[str] = None
-    #: The HTTP /metrics endpoint (``metrics_port``), if any.
-    _metrics_http: Optional[Any] = None
-
-    def _init_observability(
-        self, transport_stats: Optional[TrafficStats] = None
-    ) -> None:
-        """Build the deployment's observability and wire the collectors.
-
-        Called by each backend once the central endpoint is bound.  With
-        observability disabled this installs the shared no-op instance
-        and registers nothing.
-        """
-        self.obs = build_observability(self.config.observability)
-        if self.obs.enabled:
-            self.server.configure_observability(self.obs)
-            if transport_stats is not None:
-                transport_stats.register_into(
-                    self.obs.registry, transport=self.config.backend
-                )
-            from repro.core.compat import DEFAULT_MAPPING_CACHE, GLOBAL_MATCH_STATS
-
-            GLOBAL_MATCH_STATS.register_into(self.obs.registry)
-            DEFAULT_MAPPING_CACHE.register_into(self.obs.registry)
-        if self.config.metrics_port is not None:
-            from repro.obs.http import MetricsHTTPServer
-
-            self._metrics_http = MetricsHTTPServer(
-                self.obs, self.config.host, self.config.metrics_port
-            )
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        """Bound ``(host, port)`` of the /metrics endpoint, if serving."""
-        server = self._metrics_http
-        return server.address if server is not None else None
-
-    @property
-    def cluster(self) -> Optional[ShardedCosoftCluster]:
-        """The sharded cluster, when this session runs one (else None)."""
-        server = self.server
-        return server if isinstance(server, ShardedCosoftCluster) else None
-
-    def _persistences(self) -> List[Any]:
-        """Every live journal of this deployment (one per shard)."""
-        server = self.server
-        if isinstance(server, ShardedCosoftCluster):
-            found = [shard.persistence for shard in server.shards.values()]
-        else:
-            found = [getattr(server, "persistence", None)]
-        return [p for p in found if p is not None]
-
-    def _close_persistence(self) -> None:
-        """Flush and close the journals; drop an ephemeral directory."""
-        for persist in self._persistences():
-            try:
-                persist.close()
-            except OSError:
-                _log.warning("closing a journal failed", exc_info=True)
-        if self._persist_ephemeral is not None:
-            shutil.rmtree(self._persist_ephemeral, ignore_errors=True)
-            self._persist_ephemeral = None
-
-    def drop_instance(self, instance_id: str) -> None:
-        """Close and forget one instance."""
-        instance = self.instances.pop(instance_id, None)
-        if instance is not None:
-            instance.close()
-            self.pump()
-
-    def close(self) -> None:
-        if self._metrics_http is not None:
-            try:
-                self._metrics_http.close()
-            except OSError:
-                _log.warning("closing the /metrics endpoint failed", exc_info=True)
-            self._metrics_http = None
-        for instance in list(self.instances.values()):
-            # A dead peer's UNREGISTER cannot be sent; the close goes on.
-            try:
-                instance.close()
-            except (NetworkError, OSError):
-                _log.warning(
-                    "closing instance %r failed", instance.instance_id, exc_info=True
-                )
-        self.instances.clear()
-
-    # Subclass responsibilities ---------------------------------------
-
-    def create_instance(self, instance_id, user, **kwargs) -> ApplicationInstance:
-        raise NotImplementedError
-
-    def pump(self) -> int:
-        raise NotImplementedError
-
-    def traffic(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    @property
-    def now(self) -> float:
-        raise NotImplementedError
-
-
-class _MemoryBackend(_BackendBase):
-    """A complete deployment on the simulated network."""
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.clock = SimClock()
-        self.network = MemoryNetwork(
-            self.clock,
-            base_latency=config.base_latency,
-            per_byte_latency=config.per_byte_latency,
-            jitter=config.jitter,
-            loss_rate=config.loss_rate,
-            duplicate_rate=config.duplicate_rate,
-            seed=config.seed,
-            codec=config.codec,
-        )
-        self.server, self._persist_ephemeral = _build_server(
-            config, clock=self.clock
-        )
-        self.server.bind(self.network.attach(SERVER_ID, self.server.handle_message))
-        self.correspondences = config.correspondences
-        self.instances: Dict[str, ApplicationInstance] = {}
-        self._init_observability(self.network.stats)
-
-    def create_instance(
-        self,
-        instance_id: str,
-        user: str,
-        *,
-        app_type: str = "",
-        register: bool = True,
-        lock_timeout: float = 5.0,
-        request_timeout: float = 5.0,
-        replica_fast_path: bool = True,
-    ) -> ApplicationInstance:
-        instance = ApplicationInstance(
-            instance_id,
-            user,
-            app_type=app_type,
-            correspondences=self.correspondences,
-            lock_timeout=lock_timeout,
-            request_timeout=request_timeout,
-            replica_fast_path=replica_fast_path,
-            observability=self.obs,
-            trace_maxlen=self.config.trace_maxlen,
-        ).connect(self.network)
-        self.instances[instance_id] = instance
-        if register:
-            instance.register()
-        return instance
-
-    def pump(self) -> int:
-        """Deliver all in-flight messages; returns the delivery count."""
-        return self.network.pump()
-
-    @property
-    def now(self) -> float:
-        return self.clock.now()
-
-    def traffic(self) -> Dict[str, object]:
-        """Network traffic counters (messages, bytes, per kind/link)."""
-        return self.network.stats.snapshot()
-
-    def close(self) -> None:
-        super().close()
-        self.network.pump()
-        self._close_persistence()
-
-
-class _SocketBackendBase(_BackendBase):
-    """Shared machinery of the real-socket backends (tcp, aio)."""
-
-    host: str
-    port: int
-
-    def create_instance(
-        self,
-        instance_id: str,
-        user: str,
-        *,
-        app_type: str = "",
-        register: bool = True,
-        lock_timeout: float = 5.0,
-        request_timeout: float = 5.0,
-        replica_fast_path: bool = True,
-    ) -> ApplicationInstance:
-        instance = self._connect(
-            ApplicationInstance(
-                instance_id,
-                user,
-                app_type=app_type,
-                correspondences=self.config.correspondences,
-                lock_timeout=lock_timeout,
-                request_timeout=request_timeout,
-                replica_fast_path=replica_fast_path,
-                observability=self.obs,
-                trace_maxlen=self.config.trace_maxlen,
-            )
-        )
-        self.instances[instance_id] = instance
-        if register:
-            instance.register()
-        return instance
-
-    def _connect(self, instance: ApplicationInstance) -> ApplicationInstance:
-        return instance.connect_tcp(
-            self.host, self.port, codec=self.config.codec
-        )
-
-    def _server_stats(self) -> TrafficStats:
-        raise NotImplementedError
-
-    def pump(self, idle: float = 0.02, timeout: float = 2.0) -> int:
-        """Settle the deployment: wait until traffic is quiescent.
-
-        Real-socket backends cannot enumerate in-flight messages the way
-        the simulator can, so "pump" polls the server transport's
-        counters until they have been stable for *idle* seconds (or
-        *timeout* elapses).  Returns the number of server-side messages
-        that moved while settling.
-        """
-        stats = self._server_stats()
-
-        def probe() -> Tuple[int, int]:
-            return stats.messages, stats.dropped
-
-        start = probe()
-        last_change = time.monotonic()
-        last = start
-        deadline = last_change + timeout
-        while time.monotonic() < deadline:
-            time.sleep(0.002)
-            current = probe()
-            if current != last:
-                last = current
-                last_change = time.monotonic()
-            elif time.monotonic() - last_change >= idle:
-                break
-        return last[0] - start[0]
-
-    @property
-    def now(self) -> float:
-        return time.monotonic()
-
-    def traffic(self) -> Dict[str, object]:
-        """Server-side traffic counters (same fields as the simulator)."""
-        return self._server_stats().snapshot()
-
-
-class _TcpBackend(_SocketBackendBase):
-    """A deployment over real localhost TCP sockets (thread per conn)."""
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.server, self._persist_ephemeral = _build_server(config)
-        self._host_transport = TcpHostTransport(
-            self.server.handle_message,
-            host=config.host,
-            port=config.port,
-            codec=config.codec,
-        )
-        self.server.bind(self._host_transport)
-        self.host, self.port = self._host_transport.address
-        self.instances: Dict[str, ApplicationInstance] = {}
-        self._init_observability(self._host_transport.stats)
-
-    def _server_stats(self) -> TrafficStats:
-        return self._host_transport.stats
-
-    def close(self) -> None:
-        super().close()
-        self._host_transport.close()
-        self._close_persistence()
-
-
-class _AioBackend(_SocketBackendBase):
-    """A deployment under the asyncio server runtime (end-of-burst
-    flush, bounded send queues, per-hop retry — docs/RUNTIME.md)."""
-
-    def __init__(self, config: SessionConfig):
-        self.config = config
-        self.server, self._persist_ephemeral = _build_server(config)
-        self.runtime = AsyncServerRuntime(
-            self.server,
-            config.host,
-            config.port,
-            config=config.batch,
-            codec=config.codec,
-        )
-        self.host, self.port = self.runtime.address
-        self.instances: Dict[str, ApplicationInstance] = {}
-        self._init_observability(self.runtime.transport.stats)
-
-    def _connect(self, instance: ApplicationInstance) -> ApplicationInstance:
-        # Instances join the runtime's own loop: the whole deployment —
-        # host plus every client connection — is serviced by one thread
-        # instead of a reader thread per endpoint.
-        return instance.connect_aio(
-            self.host,
-            self.port,
-            loop=self.runtime.loop,
-            codec=self.config.codec,
-        )
-
-    def _server_stats(self) -> TrafficStats:
-        return self.runtime.transport.stats
-
-    def close(self) -> None:
-        super().close()
-        self.runtime.close()
-        # A multi-process cluster owns worker subprocesses: shut the
-        # supervisor down before dropping any ephemeral journal dir.
-        shutdown = getattr(self.server, "close", None)
-        if shutdown is not None:
-            shutdown()
-        self._close_persistence()
-
-
-#: The backends ``Session(backend=...)`` builds, by name.
-_BACKEND_TYPES = {"memory": _MemoryBackend, "tcp": _TcpBackend, "aio": _AioBackend}
-BACKENDS = tuple(_BACKEND_TYPES)
+#: The backends ``Session(backend=...)`` builds.
+BACKENDS = ("memory", "tcp", "aio")
 
 
 class Session:
@@ -617,7 +288,19 @@ class Session:
         Any :class:`SessionConfig` field (``shards``, ``loss_rate``,
         ``ack_release``, …) or :class:`~repro.net.aio.BatchConfig` field
         (``max_queue``, ``retry_limit``, …).
+
+    What the backends differ in is built by the constructor and read
+    only by the connect step of :meth:`create_instance`, :meth:`pump`,
+    :attr:`now` and :meth:`close`; everything else is one code path.
     """
+
+    #: Each backend-only attribute, annotated with who has it; reading
+    #: one on another backend raises an AttributeError naming the backend.
+    network: MemoryNetwork  # memory: the simulated network
+    clock: SimClock  # memory: the simulated clock
+    host: str  # tcp, aio: the address the central endpoint listens on
+    port: int  # tcp, aio: its bound port
+    runtime: AsyncServerRuntime  # aio: the asyncio server runtime
 
     def __init__(
         self,
@@ -648,34 +331,91 @@ class Session:
                 knobs["backend"] = backend
             config = SessionConfig(**knobs)  # type: ignore[arg-type]
         self.config = config
-        self._impl: _BackendBase = _BACKEND_TYPES[config.backend](config)
+        self.instances: Dict[str, ApplicationInstance] = {}
+        clock = SimClock() if config.backend == "memory" else None
+        self.server, self._persist_ephemeral = _build_server(config, clock)
+        # self._stats is what traffic() reports: every link of the
+        # simulated network, the central endpoint's own on sockets.
+        if config.backend == "memory":
+            self.clock = clock
+            self.network = MemoryNetwork(
+                clock,
+                base_latency=config.base_latency,
+                per_byte_latency=config.per_byte_latency,
+                jitter=config.jitter,
+                loss_rate=config.loss_rate,
+                duplicate_rate=config.duplicate_rate,
+                seed=config.seed,
+                codec=config.codec,
+            )
+            self.server.bind(
+                self.network.attach(SERVER_ID, self.server.handle_message)
+            )
+            self._stats: TrafficStats = self.network.stats
+        elif config.backend == "tcp":
+            # One thread per connection: the paper's implementation shape.
+            self._host_transport = TcpHostTransport(
+                self.server.handle_message,
+                host=config.host,
+                port=config.port,
+                codec=config.codec,
+            )
+            self.server.bind(self._host_transport)
+            self.host, self.port = self._host_transport.address
+            self._stats = self._host_transport.stats
+        else:
+            # End-of-burst flush, bounded send queues, per-hop retry —
+            # docs/RUNTIME.md.
+            self.runtime = AsyncServerRuntime(
+                self.server,
+                config.host,
+                config.port,
+                config=config.batch,
+                codec=config.codec,
+            )
+            self.host, self.port = self.runtime.address
+            self._stats = self.runtime.transport.stats
 
-    # ------------------------------------------------------------------
-    # The common facade
-    # ------------------------------------------------------------------
+        # Observability: the shared no-op instance, registering nothing,
+        # unless enabled.
+        self.obs = build_observability(config.observability)
+        if self.obs.enabled:
+            self.server.configure_observability(self.obs)
+            self._stats.register_into(self.obs.registry, transport=config.backend)
+            from repro.core.compat import DEFAULT_MAPPING_CACHE, GLOBAL_MATCH_STATS
+
+            GLOBAL_MATCH_STATS.register_into(self.obs.registry)
+            DEFAULT_MAPPING_CACHE.register_into(self.obs.registry)
+        #: The HTTP /metrics endpoint (``metrics_port``), if any.
+        self._metrics_http: Optional[Any] = None
+        if config.metrics_port is not None:
+            from repro.obs.http import MetricsHTTPServer
+
+            self._metrics_http = MetricsHTTPServer(
+                self.obs, config.host, config.metrics_port
+            )
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails, e.g. for a backend-only
+        # attribute (``network``, ``runtime``, ...) this deployment lacks.
+        backend = getattr(self.__dict__.get("config"), "backend", None)
+        raise AttributeError(f"Session (backend={backend!r}) has no attribute {name!r}")
 
     @property
     def backend(self) -> str:
         return self.config.backend
 
     @property
-    def server(self) -> ServerLike:
-        return self._impl.server
-
-    @property
     def cluster(self) -> Optional[ShardedCosoftCluster]:
         """The sharded cluster, when this session runs one (else None)."""
-        return self._impl.cluster
-
-    @property
-    def instances(self) -> Dict[str, ApplicationInstance]:
-        return self._impl.instances
+        server = self.server
+        return server if isinstance(server, ShardedCosoftCluster) else None
 
     @property
     def persistence(self):
         """The journal: one object (single server), per-shard dict
         (cluster), or ``None``/empty when persistence is off."""
-        server = self._impl.server
+        server = self.server
         if isinstance(server, ShardedCosoftCluster):
             return {
                 shard_id: shard.persistence
@@ -685,91 +425,120 @@ class Session:
         return server.persistence
 
     @property
+    def metrics_address(self) -> Optional[Tuple[str, int]]:
+        """Bound ``(host, port)`` of the /metrics endpoint, if serving."""
+        server = self._metrics_http
+        return server.address if server is not None else None
+
+    @property
     def now(self) -> float:
         """Simulated seconds (memory) or wall-clock seconds (tcp/aio)."""
-        return self._impl.now
+        if self.config.backend == "memory":
+            return self.clock.now()
+        return time.monotonic()
 
     def create_instance(
-        self, instance_id: str, user: str, **kwargs: object
+        self,
+        instance_id: str,
+        user: str,
+        *,
+        app_type: str = "",
+        register: bool = True,
+        lock_timeout: float = 5.0,
+        request_timeout: float = 5.0,
+        replica_fast_path: bool = True,
     ) -> ApplicationInstance:
         """Create, connect and (by default) register an instance."""
-        return self._impl.create_instance(instance_id, user, **kwargs)
+        instance = ApplicationInstance(
+            instance_id,
+            user,
+            app_type=app_type,
+            correspondences=self.config.correspondences,
+            lock_timeout=lock_timeout,
+            request_timeout=request_timeout,
+            replica_fast_path=replica_fast_path,
+            observability=self.obs,
+            trace_maxlen=self.config.trace_maxlen,
+        )
+        handler, codec = instance.handle_message, self.config.codec
+        if self.config.backend == "memory":
+            transport: Transport = self.network.attach(instance_id, handler)
+        elif self.config.backend == "tcp":
+            transport = TcpClientTransport(
+                instance_id, handler, self.host, self.port, codec=codec
+            )
+        else:
+            # Instances join the runtime's own loop: the whole deployment
+            # — host plus every client connection — is serviced by one
+            # thread instead of a reader thread per endpoint.
+            loop = self.runtime.loop
+            transport = AioClientTransport(
+                instance_id, handler, self.host, self.port, loop=loop, codec=codec
+            )
+        instance.bind(transport)
+        self.instances[instance_id] = instance
+        if register:
+            instance.register()
+        return instance
 
     def drop_instance(self, instance_id: str) -> None:
         """Close and forget one instance."""
-        self._impl.drop_instance(instance_id)
+        instance = self.instances.pop(instance_id, None)
+        if instance is not None:
+            instance.close()
+            self.pump()
 
-    def pump(self, **kwargs: object) -> int:
-        """Drain in-flight messages (memory) / settle traffic (tcp, aio)."""
-        return self._impl.pump(**kwargs)
+    def pump(self, *, idle: float = 0.02, timeout: float = 2.0) -> int:
+        """Drain in-flight messages (memory) / settle traffic (tcp, aio).
+
+        The simulator delivers every in-flight message and returns the
+        delivery count.  Real sockets cannot enumerate in-flight
+        messages, so there "pump" polls the central endpoint's counters
+        until they have been stable for *idle* seconds (or *timeout*
+        elapses) and returns the number of server-side messages that
+        moved while settling.
+        """
+        if self.config.backend == "memory":
+            return self.network.pump()
+        stats = self._stats
+
+        def probe() -> Tuple[int, int]:
+            return stats.messages, stats.dropped
+
+        start = probe()
+        last_change = time.monotonic()
+        last = start
+        deadline = last_change + timeout
+        while time.monotonic() < deadline:
+            time.sleep(0.002)
+            current = probe()
+            if current != last:
+                last = current
+                last_change = time.monotonic()
+            elif time.monotonic() - last_change >= idle:
+                break
+        return last[0] - start[0]
 
     def traffic(self) -> Dict[str, object]:
-        """Traffic counters with the same fields on every backend."""
-        return self._impl.traffic()
-
-    # ------------------------------------------------------------------
-    # Backend-specific attributes: each raises AttributeError naming the
-    # backend on a deployment that has none.
-    # ------------------------------------------------------------------
-
-    def _backend_attribute(self, name: str) -> Any:
-        try:
-            return getattr(self._impl, name)
-        except AttributeError:
-            raise AttributeError(
-                f"Session (backend={self.backend!r}) has no attribute {name!r}"
-            ) from None
-
-    @property
-    def network(self) -> MemoryNetwork:
-        """The simulated network (memory backend)."""
-        return self._backend_attribute("network")
-
-    @property
-    def clock(self) -> SimClock:
-        """The simulated clock (memory backend)."""
-        return self._backend_attribute("clock")
-
-    @property
-    def host(self) -> str:
-        """The address the central endpoint listens on (tcp, aio)."""
-        return self._backend_attribute("host")
-
-    @property
-    def port(self) -> int:
-        """The bound port of the central endpoint (tcp, aio)."""
-        return self._backend_attribute("port")
-
-    @property
-    def runtime(self) -> AsyncServerRuntime:
-        """The asyncio server runtime (aio backend)."""
-        return self._backend_attribute("runtime")
-
-    @property
-    def metrics_address(self) -> Optional[Tuple[str, int]]:
-        """Bound ``(host, port)`` of the /metrics endpoint, if serving."""
-        return self._backend_attribute("metrics_address")
+        """Traffic counters with the same fields on every backend: the
+        whole simulated network (memory), the server side (tcp, aio)."""
+        return self._stats.snapshot()
 
     # ------------------------------------------------------------------
     # Observability (see docs/OBSERVABILITY.md)
     # ------------------------------------------------------------------
 
-    @property
-    def obs(self) -> Observability:
-        """This deployment's observability (the no-op one when disabled)."""
-        return self._impl.obs
-
     def metrics_text(self) -> str:
         """Prometheus text exposition of every registered metric."""
-        return self._impl.obs.metrics_text()
+        return self.obs.metrics_text()
 
     def metrics_json(self, *, include_spans: bool = False) -> str:
         """All metrics (and optionally spans) as one JSON document."""
-        return self._impl.obs.metrics_json(include_spans=include_spans)
+        return self.obs.metrics_json(include_spans=include_spans)
 
     def span_dump(self) -> str:
         """Human-readable dump of every buffered trace tree."""
-        return self._impl.obs.span_dump()
+        return self.obs.span_dump()
 
     def trace_stats(self) -> Dict[str, Any]:
         """Occupancy of the bounded trace buffers.
@@ -783,11 +552,55 @@ class Session:
                 instance_id: instance.trace.stats()
                 for instance_id, instance in self.instances.items()
             },
-            "spans": self._impl.obs.spans.stats(),
+            "spans": self.obs.spans.stats(),
         }
 
+    # ------------------------------------------------------------------
+    # Teardown
+    # ------------------------------------------------------------------
+
+    def _close_persistence(self) -> None:
+        """Flush and close the journals; drop an ephemeral directory."""
+        journals = self.persistence
+        if not isinstance(journals, dict):
+            journals = {} if journals is None else {"": journals}
+        for persist in journals.values():
+            try:
+                persist.close()
+            except OSError:
+                _log.warning("closing a journal failed", exc_info=True)
+        if self._persist_ephemeral is not None:
+            shutil.rmtree(self._persist_ephemeral, ignore_errors=True)
+            self._persist_ephemeral = None
+
     def close(self) -> None:
-        self._impl.close()
+        if self._metrics_http is not None:
+            try:
+                self._metrics_http.close()
+            except OSError:
+                _log.warning("closing the /metrics endpoint failed", exc_info=True)
+            self._metrics_http = None
+        for instance in list(self.instances.values()):
+            # A dead peer's UNREGISTER cannot be sent; the close goes on.
+            try:
+                instance.close()
+            except (NetworkError, OSError):
+                _log.warning(
+                    "closing instance %r failed", instance.instance_id, exc_info=True
+                )
+        self.instances.clear()
+        if self.config.backend == "memory":
+            self.network.pump()
+        elif self.config.backend == "tcp":
+            self._host_transport.close()
+        else:
+            self.runtime.close()
+        # A multi-process cluster owns worker subprocesses: shut the
+        # supervisor down before dropping any ephemeral journal dir.
+        shutdown = getattr(self.server, "close", None)
+        if shutdown is not None:
+            shutdown()
+        self._close_persistence()
 
     def __enter__(self) -> "Session":
         return self

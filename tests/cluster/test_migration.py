@@ -228,3 +228,28 @@ class TestSplitFloor:
         self._lock(cluster, "e", e)
         (reply,) = [m for m in replies if m.kind == kinds.LOCK_REPLY]
         assert reply.payload["granted"]
+
+    def test_ack_after_a_split_frees_every_shard(self):
+        """An event floor split by a migration hears its ack on both
+        shards: the one that kept the owner's part drains it too."""
+        cluster = ShardedCosoftCluster(2, clock=SimClock())
+        cluster.bind(type("Outbox", (), {"send": lambda _, m: None})())
+        for name in ("a", "b", "c", "d"):
+            self._send(cluster, kinds.REGISTER, name, user=name)
+        a, b, c, d = ((name, "/x") for name in "abcd")
+        self._send(cluster, kinds.COUPLE, "a", source=list(a), target=list(b))
+        self._send(cluster, kinds.COUPLE, "c", source=list(c), target=list(d))
+        assert cluster.shard_of(a) != cluster.shard_of(c)
+        event = {"type": "activate", "source_path": "/x", "instance_id": "a"}
+        self._send(
+            cluster, kinds.LOCK_REQUEST, "a", source=list(a), token=1, event=event
+        )
+        (home,) = {s for s in cluster.shards.values() if s.locks.floors}
+        assert home.locks.floors[("a", 1)].pending_acks == {"b"}
+        self._send(cluster, kinds.DECOUPLE, "a", source=list(a), target=list(b))
+        self._send(cluster, kinds.COUPLE, "b", source=list(b), target=list(c))
+        assert cluster.shard_of(a) != cluster.shard_of(b)
+        self._send(cluster, kinds.EVENT_ACK, "b", owner=["a", 1])
+        for shard in cluster.shards.values():
+            assert len(shard.locks) == 0 and shard.floors == {}
+        assert cluster._floor_routes == {} and cluster._floor_expected == {}

@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.core.instance import ApplicationInstance
+from repro.net.aio import AioClientTransport
+from repro.net.tcp import TcpClientTransport
 from repro.session import Session
 
 from conftest import make_demo_tree
@@ -58,8 +60,14 @@ def test_tcp_mixed_fleet(server_codec):
     with Session(backend="tcp", codec=server_codec) as session:
         drive_mixed_fleet(
             session,
-            lambda inst, codec: inst.connect_tcp(
-                session.host, session.port, codec=codec
+            lambda inst, codec: inst.bind(
+                TcpClientTransport(
+                    inst.instance_id,
+                    inst.handle_message,
+                    session.host,
+                    session.port,
+                    codec=codec,
+                )
             ),
         )
 
@@ -70,8 +78,14 @@ def test_aio_mixed_fleet(server_codec):
         drive_mixed_fleet(
             session,
             # A private loop thread: a plain out-of-process-style client.
-            lambda inst, codec: inst.connect_aio(
-                session.host, session.port, codec=codec
+            lambda inst, codec: inst.bind(
+                AioClientTransport(
+                    inst.instance_id,
+                    inst.handle_message,
+                    session.host,
+                    session.port,
+                    codec=codec,
+                )
             ),
         )
 
@@ -115,13 +129,21 @@ def test_server_answers_each_peer_in_its_own_codec():
     with Session(backend="tcp", codec="binary") as session:
         session.create_instance("bin-client", user="u1")
         json_client = ApplicationInstance("json-client", "u2")
-        json_client.connect_tcp(session.host, session.port, codec="json")
+        json_client.bind(
+            TcpClientTransport(
+                "json-client",
+                json_client.handle_message,
+                session.host,
+                session.port,
+                codec="json",
+            )
+        )
         json_client.register()
         try:
             assert wait_until(
-                lambda: "json-client" in session._impl._host_transport.connections()
+                lambda: "json-client" in session._host_transport.connections()
             )
-            host = session._impl._host_transport
+            host = session._host_transport
             assert wait_until(
                 lambda: host._peer_codecs.get("json-client") is not None
             )

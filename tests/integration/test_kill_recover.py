@@ -149,7 +149,8 @@ class TestRosterVersion:
             network = session.network
             network.detach(SERVER_ID)
             recovered.bind(network.attach(SERVER_ID, recovered.handle_message))
-            d = ApplicationInstance("d", user="dora").connect(network)
+            d = ApplicationInstance("d", user="dora")
+            d.bind(network.attach("d", d.handle_message))
             d.register()
             network.pump()
             assert set(a.roster) == set(d.roster) == {"a", "c", "d"}

@@ -95,7 +95,7 @@ def test_envelope_peer_negotiates_codec():
         )
         b.register()
         try:
-            host = session._impl._host_transport
+            host = session._host_transport
             assert wait_until(
                 lambda: host._peer_codecs.get("b") is not None
             )

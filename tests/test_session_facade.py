@@ -1,4 +1,4 @@
-"""Tests for the unified Session facade."""
+"""Tests for the Session deployment object and its one public surface."""
 
 import time
 
@@ -66,11 +66,10 @@ class TestSessionConstruction:
 
     def test_getattr_falls_through_to_backend(self):
         with Session() as session:
-            assert session.network is session._impl.network
-            assert session.clock is session._impl.clock
+            assert session.network.clock is session.clock
             assert session.metrics_address is None
         with Session(backend="tcp") as session:
-            assert (session.host, session.port) == session._impl._host_transport.address
+            assert (session.host, session.port) == session._host_transport.address
 
     def test_getattr_error_names_backend(self):
         with Session() as session:
@@ -81,9 +80,9 @@ class TestSessionConstruction:
         with Session(backend="tcp") as session:
             with pytest.raises(AttributeError, match="tcp.*'network'"):
                 session.network
-            # Only the named attributes reach the backend.
-            with pytest.raises(AttributeError):
-                session._host_transport
+            # A name no backend has says which deployment was asked.
+            with pytest.raises(AttributeError, match="tcp.*'warp_drive'"):
+                session.warp_drive
 
     def test_persistence_names_every_journal(self):
         with Session(persistence=False) as session:
@@ -141,3 +140,48 @@ class TestTrafficShapeParity:
             aio_session.pump()
             aio_keys = set(aio_session.traffic())
         assert memory_keys == aio_keys
+
+
+#: Every public Session name, and the backends that have each
+#: backend-only one.
+PUBLIC_NAMES = (
+    "backend clock close cluster create_instance drop_instance host instances "
+    "metrics_address metrics_json metrics_text network now obs persistence port "
+    "pump runtime server span_dump trace_stats traffic"
+).split()
+BACKEND_ONLY = {
+    "network": {"memory"},
+    "clock": {"memory"},
+    "host": {"tcp", "aio"},
+    "port": {"tcp", "aio"},
+    "runtime": {"aio"},
+}
+
+
+@pytest.mark.parametrize("backend", ["memory", "tcp", "aio"])
+def test_every_backend_offers_one_surface(backend):
+    with Session() as reference:
+        reference.create_instance("a", user="u1")
+        reference.pump()
+        memory_keys = set(reference.traffic())
+    with Session(backend=backend) as session:
+        before = session.now
+        session.create_instance(
+            "a",
+            user="u1",
+            app_type="form",
+            register=True,
+            lock_timeout=1.0,
+            request_timeout=1.0,
+            replica_fast_path=False,
+        )
+        moved = session.pump()
+        assert isinstance(moved, int)
+        assert session.now > before
+        assert set(session.traffic()) == memory_keys
+        for name in PUBLIC_NAMES:
+            if backend in BACKEND_ONLY.get(name, {backend}):
+                getattr(session, name)
+            else:
+                with pytest.raises(AttributeError, match=f"{backend}.*'{name}'"):
+                    getattr(session, name)

@@ -19,10 +19,11 @@ from repro.session import BACKENDS, Session, SessionConfig
 
 class TestRemovedSettingsFailAtConstruction:
     def test_backpressure_is_not_a_session_knob(self, monkeypatch):
-        def refuse(config):
-            pytest.fail(f"a {config.backend} backend was built")
+        def refuse(config, clock=None):
+            pytest.fail(f"a {config.backend} deployment was built")
 
-        monkeypatch.setitem(session_module._BACKEND_TYPES, "aio", refuse)
+        # The central endpoint is the first thing a Session builds.
+        monkeypatch.setattr(session_module, "_build_server", refuse)
         with pytest.raises(TypeError, match="backpressure"):
             Session(backend="aio", backpressure="block")
 
