@@ -10,7 +10,9 @@ a variety of COSOFT applications."  This example drives that mechanism:
 3. selecting a student fetches a simplified representation of their
    environment (widget structure over the wire);
 4. couple/decouple buttons issue RemoteCouple/RemoteDecouple;
-5. the server-side dashboard shows the four database categories live.
+5. the ``top`` dashboard, rendered from the session's metrics scrape,
+   shows the four database categories of §2.2 live (registrations,
+   permission rules, historical UI states, floors and locks).
 """
 
 from repro import Session
@@ -19,12 +21,18 @@ from repro.apps.control_panel import (
     CouplingControlPanel,
     enable_panel_introspection,
 )
-from repro.tools.monitor import format_dashboard
-from repro.toolkit import render
+from repro.tools.top import parse_prometheus_text, render_frame
+
+
+def dashboard(session: Session) -> str:
+    """One ``python -m repro.tools.top`` frame of *session*'s scrape."""
+    return render_frame(
+        parse_prometheus_text(session.metrics_text()), source="control room"
+    )
 
 
 def main() -> None:
-    session = Session()
+    session = Session(observability=True)
     teacher_inst = session.create_instance(
         "liveboard", user="dr-hoppe", app_type="cosoft-teacher"
     )
@@ -76,12 +84,12 @@ def main() -> None:
           f"{teacher.ui.find('/teacher/notes').text!r}")
 
     print("\nStep 5: the server dashboard")
-    print(format_dashboard(session.server))
+    print(dashboard(session))
 
     panel.end_all_sessions()
     session.pump()
     print("\nAfter ending all sessions:")
-    print(format_dashboard(session.server))
+    print(dashboard(session))
     session.close()
 
 

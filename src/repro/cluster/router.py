@@ -232,11 +232,36 @@ class ShardedCosoftCluster:
 
         The router's own routing stats and each shard's stats register
         with per-shard labels, so one registry snapshot shows the whole
-        cluster broken down by shard.
+        cluster broken down by shard.  The router's migrations, pinned
+        homes and ``processed`` counts are families of their own; the
+        last is not ``repro_server_processed_total`` because most of
+        what the router processes a shard processes again (it answers
+        roster resyncs itself).
         """
         self.obs = obs
         if obs.enabled:
             self.routing.register_into(obs.registry, endpoint="router")
+
+            def collect():
+                from repro.obs.metrics import Sample
+
+                yield Sample(
+                    "repro_cluster_migrations_total", "counter",
+                    "Couple groups moved between shards", (),
+                    self.migrations,
+                )
+                yield Sample(
+                    "repro_cluster_pinned_homes", "gauge",
+                    "Objects pinned to a home shard", (), len(self._home),
+                )
+                for kind, n in sorted(dict(self.processed).items()):
+                    yield Sample(
+                        "repro_router_processed_total", "counter",
+                        "Messages the router processed, by kind",
+                        (("kind", kind),), n,
+                    )
+
+            obs.registry.register_collector(collect)
         for shard_id in self._links:
             self._observe_shard(shard_id)
 
@@ -465,23 +490,6 @@ class ShardedCosoftCluster:
     def _route(self, message: Message) -> Optional[str]:
         """The shard a routed-kind message belongs to (None = drop)."""
         kind = message.kind
-        payload = message.payload
-        if kind == kinds.LOCK_REQUEST:
-            return self._home_of(gid_from_wire(payload["source"]))
-        if kind == kinds.EVENT:
-            event_wire = dict(payload.get("event", {}))
-            return self._home_of((
-                str(event_wire.get("instance_id", message.sender)),
-                str(event_wire.get("source_path", "")),
-            ))
-        if kind in (kinds.FETCH_STATE, kinds.REMOTE_COPY):
-            return self._home_of(gid_from_wire(
-                payload["object"] if kind == kinds.FETCH_STATE else payload["source"]
-            ))
-        if kind == kinds.PUSH_STATE:
-            return self._home_of(gid_from_wire(payload["target"]))
-        if kind in (kinds.HISTORY_PUSH, kinds.UNDO_REQUEST, kinds.RESYNC_REQUEST):
-            return self._home_of(gid_from_wire(payload["object"]))
         if kind in (kinds.STATE_REPLY, kinds.ERROR):
             route = self._pending_routes.pop(message.reply_to or -1, None)
             if route is None:
@@ -491,7 +499,8 @@ class ShardedCosoftCluster:
             # Stateless relays: any shard can serve them (all hold the full
             # registry); hash the sender to spread the load.
             return self.ring.node_for(message.sender)
-        raise ReproError(f"unroutable message kind {kind!r}")
+        # The rest belong to the home of the first object they name.
+        return self._home_of(self._scoped_gids(message)[0])
 
     def _ack_routes(self, message: Message) -> Set[str]:
         """The shards an EVENT_ACK goes to; the route is forgotten with
@@ -638,48 +647,51 @@ class ShardedCosoftCluster:
 
     def _touches_frozen(self, message: Message) -> bool:
         """Whether *message* addresses an object that is mid-migration."""
-        for gid in self._scoped_gids(message):
-            if gid in self._frozen:
-                return True
-        return False
+        try:
+            gids = self._scoped_gids(message)
+        except (KeyError, ValueError, TypeError):
+            return False  # malformed payloads fail in the normal dispatch path
+        return any(gid in self._frozen for gid in gids)
 
     @staticmethod
     def _scoped_gids(message: Message) -> Tuple[GlobalId, ...]:
+        """The objects *message* names, the one it routes by first.
+
+        The one statement of which payload field scopes each kind;
+        raises on a payload missing it, ``()`` for a kind scoped by no
+        object.
+        """
         payload = message.payload
         kind = message.kind
-        try:
-            if kind in (kinds.COUPLE, kinds.REMOTE_COUPLE,
-                        kinds.DECOUPLE, kinds.REMOTE_DECOUPLE):
-                gids = []
-                if "object" in payload:
-                    gids.append(gid_from_wire(payload["object"]))
-                else:
-                    gids.append(gid_from_wire(payload["source"]))
-                    gids.append(gid_from_wire(payload["target"]))
-                return tuple(gids)
-            if kind == kinds.LOCK_REQUEST:
-                return (gid_from_wire(payload["source"]),)
-            if kind == kinds.UNLOCK:
-                objects = payload.get("objects") or ()
-                return tuple(gid_from_wire(g) for g in objects)
-            if kind == kinds.EVENT:
-                event_wire = dict(payload.get("event", {}))
-                return ((
-                    str(event_wire.get("instance_id", message.sender)),
-                    str(event_wire.get("source_path", "")),
-                ),)
-            if kind in (kinds.FETCH_STATE, kinds.HISTORY_PUSH,
-                        kinds.UNDO_REQUEST, kinds.RESYNC_REQUEST):
+        if kind in (kinds.COUPLE, kinds.REMOTE_COUPLE,
+                    kinds.DECOUPLE, kinds.REMOTE_DECOUPLE):
+            if "object" in payload:
                 return (gid_from_wire(payload["object"]),)
-            if kind == kinds.PUSH_STATE:
-                return (gid_from_wire(payload["target"]),)
-            if kind == kinds.REMOTE_COPY:
-                return (
-                    gid_from_wire(payload["source"]),
-                    gid_from_wire(payload["target"]),
-                )
-        except (KeyError, ValueError, TypeError):
-            return ()  # malformed payloads fail in the normal dispatch path
+            return (
+                gid_from_wire(payload["source"]),
+                gid_from_wire(payload["target"]),
+            )
+        if kind == kinds.LOCK_REQUEST:
+            return (gid_from_wire(payload["source"]),)
+        if kind == kinds.UNLOCK:
+            objects = payload.get("objects") or ()
+            return tuple(gid_from_wire(g) for g in objects)
+        if kind == kinds.EVENT:
+            event_wire = dict(payload.get("event", {}))
+            return ((
+                str(event_wire.get("instance_id", message.sender)),
+                str(event_wire.get("source_path", "")),
+            ),)
+        if kind in (kinds.FETCH_STATE, kinds.HISTORY_PUSH,
+                    kinds.UNDO_REQUEST, kinds.RESYNC_REQUEST):
+            return (gid_from_wire(payload["object"]),)
+        if kind == kinds.PUSH_STATE:
+            return (gid_from_wire(payload["target"]),)
+        if kind == kinds.REMOTE_COPY:
+            return (
+                gid_from_wire(payload["source"]),
+                gid_from_wire(payload["target"]),
+            )
         return ()
 
     def _drain_buffer(self) -> None:
@@ -730,17 +742,6 @@ class ShardedCosoftCluster:
                 },
             ),
         )
-
-    def shard_loads(self) -> Dict[str, int]:
-        """Messages handled per shard (``cluster_status``'s ``loads``).
-
-        The same counter the per-shard ``TrafficStats`` export to the
-        metrics registry.
-        """
-        return {
-            shard_id: stats.messages
-            for shard_id, stats in self._shard_stats.items()
-        }
 
     def _next_shard_id(self) -> str:
         n = len(self.shards)
@@ -837,14 +838,16 @@ class ShardedCosoftCluster:
 
     def cluster_status(self) -> Dict[str, Any]:
         """The CLUSTER_STATUS_REPLY payload (also handy for tests)."""
+        stats = self.stats()
         status: Dict[str, Any] = {
             "shards": list(self.shard_ids),
-            "loads": self.shard_loads(),
-            "migrations": self.migrations,
-            "registered": len(self.registry),
-            "couple_groups": len(self.mirror.groups()),
-            "homes": len(self._home),
+            "loads": {
+                shard_id: shard["messages"]
+                for shard_id, shard in stats["per_shard"].items()
+            },
         }
+        for key in ("migrations", "registered", "couple_groups", "homes"):
+            status[key] = stats[key]
         processes = {
             shard_id: facts
             for shard_id, link in self._links.items()
@@ -930,7 +933,7 @@ class ShardedCosoftCluster:
             "migrations": self.migrations,
             "registered": len(self.registry),
             "couple_links": len(self.mirror),
-            "couple_groups": len(self.mirror.groups()),
+            "couple_groups": self.mirror.group_count(),
             "homes": len(self._home),
             "processed": dict(self.processed),
             "routing": dict(routing),

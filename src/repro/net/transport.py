@@ -126,7 +126,7 @@ class TrafficStats:
         """Fold *other*'s counters into this one (returns self).
 
         Aggregates per-shard / per-transport stats into one system-wide
-        snapshot for benchmarks and the monitor tool.
+        snapshot (``cluster.shard_traffic()``) for benchmarks.
         """
         self.messages += other.messages
         self.bytes += other.bytes

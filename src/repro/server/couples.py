@@ -386,6 +386,12 @@ class CoupleTable:
         """All couple groups with at least two members."""
         return [self.group_of(root) for root in list(self._members)]
 
+    def group_count(self) -> int:
+        """``len(groups())`` without building them: one read, so a
+        metrics scrape on another thread neither races nor fills the
+        group cache."""
+        return len(self._members)
+
     def audience_of(self, obj: GlobalId) -> Dict[str, Tuple[str, ...]]:
         """The interest index entry for *obj*'s couple group.
 

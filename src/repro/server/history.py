@@ -244,7 +244,7 @@ class HistoryStore:
         return list(self._undo)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._undo.values())
+        return sum(map(len, self._undo.values()))
 
 
 def _restored_part(

@@ -34,8 +34,8 @@ payload: the first message is built around it, the rest are that message
 re-addressed, so it serializes once (docs/PERF.md §6) — and is counted
 by :meth:`RoutingStats.record_event`.
 
-:class:`RoutingStats` records all three so benchmarks and the monitor can
-show delivered-vs-suppressed message counts per event.
+:class:`RoutingStats` records all three so benchmarks and the metrics
+scrape can show delivered-vs-suppressed message counts per event.
 """
 
 from __future__ import annotations

@@ -69,6 +69,22 @@ from repro.server.routing import (
 # for the many existing importers.
 __all__ = ["SERVER_ID", "CosoftServer"]
 
+#: The :meth:`CosoftServer.stats` counts a scrape exports as gauges:
+#: ``(stats key, family, help)``.
+_DATABASE_GAUGES = (
+    ("registered", "repro_server_registered_instances",
+     "Instances currently registered"),
+    ("permission_rules", "repro_server_permission_rules",
+     "Access permission rules in force"),
+    ("couple_links", "repro_server_couple_links", "Couple links"),
+    ("couple_groups", "repro_server_couple_groups",
+     "Couple groups of two or more objects"),
+    ("locks_held", "repro_server_locks_held", "Objects currently locked"),
+    ("floors_held", "repro_server_floors_held", "Floors currently granted"),
+    ("history_entries", "repro_server_history_entries",
+     "Historical UI states kept for undo"),
+)
+
 
 @dataclass
 class _PendingRoute:
@@ -152,10 +168,10 @@ class CosoftServer:
     def configure_observability(self, obs, **labels: str) -> None:
         """Enable metrics/tracing for this server.
 
-        Registers the routing and lock-table stats as pull-time
-        collectors of *obs*'s registry (labelled, so a sharded cluster
-        can distinguish its shards) and arms span recording in
-        :meth:`handle_message`.
+        Registers the routing and lock-table stats and the §2.2 database
+        counts of :meth:`stats` as pull-time collectors of *obs*'s
+        registry (labelled, so a sharded cluster can distinguish its
+        shards) and arms span recording in :meth:`handle_message`.
         """
         self.obs = obs
         if obs.enabled:
@@ -163,34 +179,22 @@ class CosoftServer:
             self.locks.stats.register_into(obs.registry, **labels)
             if self.persistence is not None:
                 self.persistence.register_into(obs.registry, **labels)
-            registry = obs.registry
             base = tuple(sorted(labels.items()))
 
             def collect():
                 from repro.obs.metrics import Sample
 
-                yield Sample(
-                    "repro_server_registered_instances", "gauge",
-                    "Instances currently registered", base,
-                    len(self.registry),
-                )
-                yield Sample(
-                    "repro_server_locks_held", "gauge",
-                    "Objects currently locked", base,
-                    len(self.locks),
-                )
-                yield Sample(
-                    "repro_server_floors_held", "gauge",
-                    "Floors currently granted", base, len(self.locks.floors),
-                )
-                for kind, n in sorted(self.processed.items()):
+                stats = self.stats()
+                for key, name, help_text in _DATABASE_GAUGES:
+                    yield Sample(name, "gauge", help_text, base, stats[key])
+                for kind, n in sorted(stats["processed"].items()):
                     yield Sample(
                         "repro_server_processed_total", "counter",
                         "Messages processed, by kind",
                         base + (("kind", kind),), n,
                     )
 
-            registry.register_collector(collect)
+            obs.registry.register_collector(collect)
 
     def _send(self, message: Message) -> None:
         if self._transport is None:
@@ -1207,9 +1211,11 @@ class CosoftServer:
         """Operational counters for experiments and monitoring."""
         return {
             "registered": len(self.registry),
+            "permission_rules": len(self.access.rules()),
             "couple_links": len(self.couples),
-            "couple_groups": len(self.couples.groups()),
+            "couple_groups": self.couples.group_count(),
             "locks_held": len(self.locks),
+            "floors_held": len(self.locks.floors),
             "lock_stats": {
                 "acquisitions": self.locks.stats.acquisitions,
                 "denials": self.locks.stats.denials,

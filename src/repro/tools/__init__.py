@@ -1,20 +1,11 @@
-"""Operational tooling: server monitoring and session record/replay."""
+"""Operational tooling: session record/replay (``top``, the metrics and
+cluster CLIs are ``python -m repro.tools.<name>`` modules)."""
 
-from repro.tools.monitor import (
-    cluster_snapshot,
-    format_cluster_dashboard,
-    format_dashboard,
-    snapshot,
-)
 from repro.tools.replay import SessionRecorder, loads, replay, replay_locally
 
 __all__ = [
     "SessionRecorder",
-    "cluster_snapshot",
-    "format_cluster_dashboard",
-    "format_dashboard",
     "loads",
     "replay",
     "replay_locally",
-    "snapshot",
 ]

@@ -139,7 +139,8 @@ def state_at(
     Rebuilds a server from the journal in *directory* (snapshot + log
     suffix, exactly the crash-recovery path) stopping after *at_seq*
     (``None`` = the present), and returns a JSON-safe report:
-    ``{"seq", "clock", "fingerprint", "state", "stats"}``.
+    ``{"seq", "clock", "fingerprint", "state", "stats"}``, where
+    ``"stats"`` is the rebuilt server's ``stats()``.
     """
     from repro.persist import PersistenceConfig, recover_server
     from repro.persist.snapshot import capture_state, state_fingerprint
@@ -156,13 +157,7 @@ def state_at(
             "clock": server.clock.now(),
             "fingerprint": state_fingerprint(state),
             "state": state,
-            "stats": {
-                "registered": len(server.registry),
-                "couple_links": len(server.couples),
-                "locks_held": len(server.locks),
-                "floors_held": len(server.locks.floors),
-                "history_entries": len(server.history),
-            },
+            "stats": server.stats(),
         }
     finally:
         persistence.close()

@@ -11,9 +11,14 @@ the Prometheus ``/metrics`` endpoint (``SessionConfig(metrics_port=...)``
 
 Each frame shows per-shard liveness (up / restarts / heartbeat age),
 message throughput (msgs/s between frames), journal fsync
-latency and the p50/p99 sync-latency decomposition from the histogram
-buckets.  On a multi-process cluster every scrape transparently
-delta-pulls the workers, so the numbers cover the whole fleet.
+latency, the p50/p99 sync-latency decomposition from the histogram
+buckets and the central database (§2.2: registrations, permission
+rules, couple groups, floors and locks, historical UI states, plus
+state sync and migrations).  On a multi-process cluster every scrape
+transparently delta-pulls the workers, so the numbers cover the whole
+fleet.  Per-object detail (who holds which floor, each object's undo
+depth) is the server's serialized state:
+``repro.persist.snapshot.capture_state(server)``.
 
 The scrape parser is deliberately self-contained (stdlib only) and
 doubles as a conformance check of the text exposition.
@@ -27,6 +32,9 @@ import sys
 import time
 import urllib.request
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.net import kinds
+from repro.server.routing import ROSTER_RESYNCS
 
 __all__ = [
     "ParsedMetrics",
@@ -177,6 +185,53 @@ def _fmt_rate(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:,.0f}"
 
 
+def _database_lines(parsed: ParsedMetrics) -> List[str]:
+    """The §2.2 database block: empty when no server is scraped.
+
+    Every shard of a cluster holds the whole roster and ACL table, so
+    those are read once (the largest replica), not summed; couple
+    groups, locks, floors and histories live on one shard each and sum.
+    """
+    if "repro_server_registered_instances" not in parsed.series:
+        return []
+
+    def replicated(name: str) -> float:
+        return max((value for _, value in parsed.get(name)), default=0.0)
+
+    server = "repro_server_processed_total"
+    router = "repro_router_processed_total"
+    # A roster gap travels as RESYNC_REQUEST too; a cluster's router
+    # answers it without a shard ever seeing it.
+    roster = parsed.total(server, kind=ROSTER_RESYNCS) + parsed.total(
+        router, kind=ROSTER_RESYNCS
+    )
+    continuity = parsed.total(server, kind=kinds.RESYNC_REQUEST) - parsed.total(
+        server, kind=ROSTER_RESYNCS
+    )
+    lines = [
+        "",
+        "DATABASE",
+        f"registered {replicated('repro_server_registered_instances'):.0f}   "
+        f"rules {replicated('repro_server_permission_rules'):.0f}   "
+        f"groups {parsed.total('repro_server_couple_groups'):.0f}   "
+        f"links {parsed.total('repro_server_couple_links'):.0f}   "
+        f"floors {parsed.total('repro_server_floors_held'):.0f}   "
+        f"locks {parsed.total('repro_server_locks_held'):.0f}   "
+        f"history {parsed.total('repro_server_history_entries'):.0f}",
+    ]
+    sync = (
+        f"lock denials {parsed.total('repro_locks_denials_total'):.0f}   "
+        f"state pushes {parsed.total(server, kind=kinds.PUSH_STATE):.0f}   "
+        f"resyncs {continuity:.0f}   roster resyncs {roster:.0f}"
+    )
+    if "repro_cluster_migrations_total" in parsed.series:
+        sync += (
+            f"   migrations {parsed.total('repro_cluster_migrations_total'):.0f}"
+        )
+    lines.append(sync)
+    return lines
+
+
 def render_frame(
     parsed: ParsedMetrics,
     *,
@@ -257,6 +312,7 @@ def render_frame(
                 f"{_fmt_rate(shard_rate):>8} {_fmt_seconds(fsync_p99):>10} "
                 f"{instances:>10.0f}"
             )
+    lines.extend(_database_lines(parsed))
     segments = parsed.label_values("repro_sync_latency_seconds_bucket", "segment")
     if segments:
         lines.append("")

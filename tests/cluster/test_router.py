@@ -151,6 +151,29 @@ class TestUnsupportedKind:
         )
         assert len(outbox.of_kind(kinds.ERROR)) == 1
 
+    @pytest.mark.parametrize(
+        "kind, payload, missing",
+        [
+            (kinds.LOCK_REQUEST, {"token": 1}, "source"),
+            (kinds.PUSH_STATE, {"source": ["x", "/f"], "state": {}}, "target"),
+            (kinds.REMOTE_COPY, {"target": ["x", "/f"]}, "source"),
+        ],
+        ids=["lock_request", "push_state", "remote_copy"],
+    )
+    def test_routed_message_without_its_object_is_rejected(
+        self, kind, payload, missing
+    ):
+        cluster, outbox = make_cluster()
+        register(cluster, "x")
+        cluster.handle_message(Message(kind=kind, sender="x", payload=payload))
+        (error,) = outbox.of_kind(kinds.ERROR)
+        assert error.to == "x"
+        assert error.payload["reason"] == f"KeyError: '{missing}'"
+        assert cluster.processed["__rejected__"] == 1
+        # No shard saw it.
+        for shard in cluster.shards.values():
+            assert shard.processed[kind] == 0
+
 
 class TestPermissions:
     def test_rule_lands_on_every_shard_with_one_reply(self):

@@ -94,6 +94,7 @@ class TestClosureProperties:
     def test_groups_partition_coupled_objects(self, ops):
         table, _ = apply_script(ops)
         groups = table.groups()
+        assert table.group_count() == len(groups)
         seen = set()
         for group in groups:
             assert len(group) >= 2

@@ -1,9 +1,15 @@
 """Tests for the live cluster dashboard (repro.tools.top)."""
 
 import io
+import re
 import subprocess
 import sys
 
+import pytest
+
+from repro.net import kinds
+from repro.net.message import Message
+from repro.session import Session
 from repro.tools.top import (
     ParsedMetrics,
     main,
@@ -11,6 +17,10 @@ from repro.tools.top import (
     quantile_from_buckets,
     render_frame,
 )
+
+from conftest import make_demo_tree
+
+FIELD = "/app/form/name"
 
 #: A canned two-shard exposition in the shapes the repo's exporter emits.
 EXPOSITION = """\
@@ -128,6 +138,88 @@ class TestRenderFrame:
         frame = render_frame(parse_prometheus_text(""))
         assert frame.startswith("repro.tools.top")
         assert "shards 0/0 up" in frame
+
+
+def database(frame):
+    """The DATABASE block's counts, by label."""
+    block = frame.split("DATABASE\n", 1)[1]
+    return {
+        label: int(n)
+        for label, n in re.findall(r"([a-z][a-z ]*?) (\d+)", block)
+    }
+
+
+@pytest.fixture(params=[0, 2], ids=["server", "2-shard-cluster"])
+def busy_session(request):
+    """Two coupled instances, one CopyFrom, one held floor."""
+    session = Session(shards=request.param, observability=True)
+    a = session.create_instance("a", user="alice", app_type="editor")
+    b = session.create_instance("b", user="bob", app_type="editor")
+    ta = a.add_root(make_demo_tree())
+    b.add_root(make_demo_tree())
+    a.couple(ta.find(FIELD), ("b", FIELD))
+    session.pump()
+    a.copy_from(ta.find(FIELD), ("b", FIELD))
+    a.acquire_floor(ta.find(FIELD))
+    session.pump()
+    yield session
+    session.close()
+
+
+def live_frame(session):
+    return render_frame(parse_prometheus_text(session.metrics_text()))
+
+
+class TestLiveScrape:
+    def test_database_block_counts_the_four_categories(self, busy_session):
+        counts = database(live_frame(busy_session))
+        # Every shard replicates the roster: read once, not summed.
+        assert counts["registered"] == 2
+        assert counts["rules"] == 0
+        assert counts["groups"] == 1
+        assert counts["links"] == 1
+        assert counts["floors"] == 1
+        assert counts["locks"] == 2
+        assert counts["history"] == 1
+        assert counts["lock denials"] == 0
+
+    def test_lock_acquisitions_are_scraped(self, busy_session):
+        parsed = parse_prometheus_text(busy_session.metrics_text())
+        assert parsed.total("repro_locks_acquisitions_total") >= 1
+
+    def test_roster_resyncs_are_not_counted_as_continuity_losses(
+        self, busy_session
+    ):
+        for payload in (
+            {"roster": 0},
+            {"object": ["b", FIELD], "target": ["a", FIELD]},
+        ):
+            busy_session.server.handle_message(
+                Message(kind=kinds.RESYNC_REQUEST, sender="a", payload=payload)
+            )
+        busy_session.pump()
+        counts = database(live_frame(busy_session))
+        assert counts["resyncs"] == 1
+        assert counts["roster resyncs"] == 1
+
+    def test_a_cross_shard_couple_counts_one_migration(self, busy_session):
+        frame = live_frame(busy_session)
+        if busy_session.cluster is None:
+            assert "migrations" not in frame
+            return
+        ring = busy_session.cluster.ring
+        # The two fields hash to different shards: the couple moved one.
+        assert ring.node_for(f"a:{FIELD}") != ring.node_for(f"b:{FIELD}")
+        assert database(frame)["migrations"] == 1
+        parsed = parse_prometheus_text(busy_session.metrics_text())
+        assert parsed.value("repro_cluster_pinned_homes") == 2
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["server", "2-shard-cluster"])
+    def test_a_fresh_deployment_shows_an_empty_database(self, shards):
+        with Session(shards=shards, observability=True) as session:
+            counts = database(live_frame(session))
+        assert set(counts.values()) == {0}
+        assert ("migrations" in counts) == bool(shards)
 
 
 class TestCli:
