@@ -9,10 +9,11 @@ divided by the number of actions.  Calls into C (``c_call``) are not
 counted.
 
 The calling thread is always profiled.  On an aio workload the event-loop
-thread is too: the profile function is installed on
-``session.runtime.loop`` through ``call_soon_threadsafe`` before the
-timed phase and removed after it, so the receive sides that run there
-(every instance's handler, the server's dispatch) are counted as well;
+thread is too: the profile function is installed on the aio host's
+loop (``session._host_transport.loop``) through ``call_soon_threadsafe``
+before the timed phase and removed after it, so the receive sides that
+run there (every instance's handler, the server's dispatch) are counted
+as well;
 the two threads' shares are printed beside the total.  The count repeats
 exactly on a workload whose actions run on the calling thread alone
 (``fanout64_memory``); on a socket backend the loop's share also counts
@@ -77,7 +78,7 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
             workload.quiesce()
             loop = None
             if spec.shape.get("backend") == "aio":
-                loop = workload.session.runtime.loop
+                loop = workload.session._host_transport.loop
             failed = 0
             if loop is not None:
                 _run_on(loop, sys.setprofile, profiler(on_loop))

@@ -7,8 +7,9 @@ Runs tier-1 (``python -m pytest -q``), ``benchmarks/ledger/run.py
 ``PYTHONPATH`` that line-traces every frame of ``src/``
 (``sys.settrace`` plus ``threading.settrace``), so loop threads and
 shard worker subprocesses are counted too.  Each process writes what it
-saw to its own file every half second (except while ``tracemalloc``
-traces, so no dump counts as a measured test's allocation), at exit and
+saw to its own file every half second (never while ``tracemalloc``
+traces, and ``tracemalloc.start`` waits for a dump in progress, so no
+dump counts as a measured test's allocation), at exit and
 in ``os._exit`` (where workers end, and ``atexit`` never runs); a
 process killed by a signal keeps only its last periodic dump.  A dump holds the
 ``src/`` lines executed and the code objects entered, each by file,
@@ -105,16 +106,27 @@ SITECUSTOMIZE = textwrap.dedent(
         while True:
             time.sleep(0.5)
             # A dump allocates: inside a test's tracemalloc window it
-            # would count as the test's own memory.  The exit dumps
-            # still run.
-            if len(_lines) != last and not tracemalloc.is_tracing():
-                last = len(_lines)
-                _dump()
+            # would count as the test's own memory.  The check and the
+            # dump hold the lock tracemalloc.start() waits for, so a
+            # window never opens on a dump in progress either.  The exit
+            # dumps still run.
+            with _writing:
+                if len(_lines) != last and not tracemalloc.is_tracing():
+                    last = len(_lines)
+                    _dump()
+
+
+    _tracemalloc_start = tracemalloc.start
+
+
+    def _start_tracemalloc(*args):
+        with _writing:
+            _tracemalloc_start(*args)
 
 
     def _start():
         global _writing
-        _writing = threading.Lock()  # a forked child may inherit it held
+        _writing = threading.RLock()  # a forked child may inherit it held
         threading.Thread(
             target=_dump_while_alive, name="census-dump", daemon=True
         ).start()
@@ -132,6 +144,7 @@ SITECUSTOMIZE = textwrap.dedent(
     threading.settrace(_call)
     atexit.register(_dump)
     os._exit = _dump_then_exit
+    tracemalloc.start = _start_tracemalloc
     os.register_at_fork(after_in_child=_start)
     _start()
     """

@@ -3,9 +3,8 @@
 :class:`ProcCluster` is a :class:`~repro.cluster.router.ShardedCosoftCluster`
 whose links come from a :class:`~repro.cluster.supervisor.ShardSupervisor`:
 each shard runs ``python -m repro.cluster.worker`` in its own process,
-hosting the server behind an
-:class:`~repro.server.runtime.AsyncServerRuntime` with its own journal,
-and the router reaches it through a
+hosting the server on an :class:`~repro.net.aio.AioHostTransport` with
+its own journal, and the router reaches it through a
 :class:`~repro.cluster.supervisor.ProcShardHandle` over an ordinary aio
 link.  What this module adds to the router is only about threads: a
 shard call blocks, so dispatch runs on one router thread fed by a queue

@@ -832,6 +832,57 @@ class ShardedCosoftCluster:
         }
         return [sorted(group) for group, _ in moves]
 
+    def rebuild_from_shards(self) -> None:
+        """Derive the router's books from its shards' databases (crash
+        recovery, :func:`repro.persist.recover_cluster`).
+
+        One authoritative pass instead of trusting replay side effects:
+        the mirror couple table and sticky home pins come from each
+        shard's couple/lock/floor/history holdings, the roster with its
+        version from the shard replicas (every shard holds the full
+        registry), and the EVENT_ACK route of each floor awaiting acks,
+        as the live router books it: every shard holding a part,
+        expecting one ack per receiver any part still awaits.  An UNLOCK
+        needs no route: it goes to its objects' homes.
+        """
+        self.mirror = CoupleTable()
+        self._home = {}
+        self._floor_routes = {}
+        self._pending_routes = {}
+        awaited: Dict[Tuple[str, int], Set[str]] = {}
+        for shard_id, shard in self.shards.items():
+            for link in shard.couples.links():
+                self.mirror.add_link(link)
+                for gid in (link.source, link.target):
+                    self._home[gid] = shard_id
+            for obj in shard.locks.locked_objects():
+                self._home[obj] = shard_id
+            for key, floor in shard.locks.floors.items():
+                if floor.pending_acks:
+                    self._floor_routes.setdefault(key, set()).add(shard_id)
+                    awaited.setdefault(key, set()).update(floor.pending_acks)
+                for gid in floor.objects:
+                    self._home[gid] = shard_id
+            for obj in shard.history.objects():
+                self._home[obj] = shard_id
+        self._floor_expected = {key: len(acks) for key, acks in awaited.items()}
+        for shard in self.shards.values():
+            # Every shard replicates the full roster and its version; one
+            # suffices.
+            self.registry.restore(shard.registry.records(), shard.registry.version)
+            break
+        # Drop pins that merely restate the ring assignment — the live
+        # router only pins what moved away from (or beyond) its ring home.
+        for gid, home in list(self._home.items()):
+            shard = self.shards[home]
+            if (
+                len(self.mirror.group_of(gid)) <= 1
+                and home == self._ring_home(gid)
+                and shard.history.depth(gid) == (0, 0)
+                and shard.locks.holder(gid) is None
+            ):
+                del self._home[gid]
+
     # ------------------------------------------------------------------
     # Cluster administration (operator CLI; docs/CLUSTER.md)
     # ------------------------------------------------------------------

@@ -3,7 +3,9 @@
 ``python -m repro.cluster.worker`` is what the multi-process supervisor
 (:mod:`repro.cluster.proc`) spawns per shard.  The worker hosts a plain
 :class:`~repro.server.server.CosoftServer` behind a
-:class:`ShardEndpoint` adapter on the asyncio runtime, journals every
+:class:`ShardEndpoint` adapter on an
+:class:`~repro.net.aio.AioHostTransport` (built as a session builds its
+aio host; it runs its own loop thread), journals every
 mutating operation to its own op log, and speaks the private shard plane
 (SHARD_* kinds, docs/CLUSTER.md) with the router over the ordinary aio
 transport.
@@ -84,10 +86,11 @@ class _JournalWithDelivery:
 class ShardEndpoint:
     """Adapter between the shard plane and a plain ``CosoftServer``.
 
-    Runs under :class:`~repro.server.runtime.AsyncServerRuntime` (same
-    ``handle_message``/``bind`` contract); unwraps SHARD_FORWARD
-    envelopes, dispatches the inner message, and answers each delivery
-    id with one SHARD_UPLINK carrying the collected outputs.
+    Hosted on an :class:`~repro.net.aio.AioHostTransport` (same
+    ``handle_message``/``bind`` contract as a server); unwraps
+    SHARD_FORWARD envelopes, dispatches the inner message, and answers
+    each delivery id with one SHARD_UPLINK carrying the collected
+    outputs.
     """
 
     def __init__(
@@ -326,9 +329,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         snapshot_every=args.snapshot_every,
         observability=args.observability,
     )
-    from repro.server.runtime import AsyncServerRuntime
+    from repro.net.aio import AioHostTransport
 
-    runtime = AsyncServerRuntime(endpoint, port=0, codec=args.codec)
+    host = AioHostTransport(endpoint.handle_message, port=0, codec=args.codec)
+    endpoint.bind(host)
     done = threading.Event()
 
     def _shutdown(*_sig: object) -> None:
@@ -354,12 +358,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     # never observe a half-written port number.
     tmp = args.portfile + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(str(runtime.address[1]))
+        fh.write(str(host.address[1]))
     os.replace(tmp, args.portfile)
 
     done.wait()
     try:
-        runtime.close()
+        host.close()
         persist = endpoint.server.persistence
         if persist is not None:
             persist.sync()

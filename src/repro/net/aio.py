@@ -6,13 +6,16 @@ same length-prefixed codec (:mod:`repro.net.codec`).  A flush is
 everything queued for one destination when the loop burst ends, written
 as concatenated per-message frames in one ``write()`` — which any
 client's :class:`~repro.net.codec.StreamDecoder` already handles, so the
-runtime is wire-compatible and protocol-transparent:
-:class:`CosoftServer` and :class:`ShardedCosoftCluster` run under it
-unchanged, and the plain :class:`~repro.net.tcp.TcpClientTransport`
-interoperates freely.
+host is wire-compatible and protocol-transparent: any endpoint with the
+``handle_message`` / ``bind`` contract (:class:`CosoftServer`,
+:class:`ShardedCosoftCluster`, a shard worker's ``ShardEndpoint``) runs
+behind it unchanged, and the plain
+:class:`~repro.net.tcp.TcpClientTransport` interoperates freely.
+:class:`AioHostTransport` is built like the thread-per-connection host —
+handler, address, options — and starts and stops its own loop thread.
 :class:`AioClientTransport` is the loop-serviced client counterpart: any
-number of instances share one event loop instead of running a reader
-thread each.
+number of instances share one event loop (in a session, the host's
+:attr:`~AioHostTransport.loop`) instead of running a reader thread each.
 
 Both sides put every socket on the loop as one
 :class:`_SocketConnection`, an :class:`asyncio.BufferedProtocol`: the
@@ -378,10 +381,14 @@ class AioHostTransport(Transport):
     config:
         The :class:`BatchConfig` governing queue bounds and retry.
     loop:
-        A running event loop to join (the
-        :class:`~repro.server.runtime.AsyncServerRuntime` passes its
-        own); ``None`` starts a private :class:`EventLoopThread`, which
-        :meth:`close` stops.
+        A running event loop to join; ``None`` (what a session and a
+        shard worker pass) starts a private :class:`EventLoopThread`,
+        which :meth:`close` stops.  Either way :attr:`loop` is the loop
+        the connections run on, for clients to join.
+
+    The host logs ``runtime_started`` (``host``, ``port`` and the
+    ``endpoint`` type the handler belongs to) once it listens, and
+    ``runtime_stopped`` (the ``connections`` it dropped) at close.
     """
 
     def __init__(
@@ -447,6 +454,14 @@ class AioHostTransport(Transport):
                 self._own_loop.stop()
             raise
         self.address = self._server.sockets[0].getsockname()
+        log_event(
+            _log,
+            logging.INFO,
+            "runtime_started",
+            host=self.address[0],
+            port=self.address[1],
+            endpoint=type(getattr(handler, "__self__", handler)).__name__,
+        )
 
     # ------------------------------------------------------------------
     # Transport contract
@@ -459,6 +474,11 @@ class AioHostTransport(Transport):
     @property
     def stats(self) -> TrafficStats:
         return self._stats
+
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        """The event loop this host runs on (clients may join it)."""
+        return self._loop
 
     @contextlib.contextmanager
     def guard(self) -> Iterator[None]:
@@ -487,6 +507,7 @@ class AioHostTransport(Transport):
             if self._closed:
                 return
             self._closed = True
+            connections = len(self._conns)
 
         def _shutdown() -> None:
             for task in list(self._writer_tasks.values()):
@@ -499,6 +520,7 @@ class AioHostTransport(Transport):
             self._loop.call_soon_threadsafe(_shutdown)
         if self._own_loop is not None:
             self._own_loop.stop()
+        log_event(_log, logging.INFO, "runtime_stopped", connections=connections)
 
     # ------------------------------------------------------------------
     # Event-loop internals
@@ -751,9 +773,9 @@ class AioClientTransport(TcpTransportBase):
     The thread-per-connection client (:class:`~repro.net.tcp.TcpClientTransport`)
     costs one reader thread per instance; a 64-instance in-process
     deployment therefore runs 64 reader threads beside the host's.  This
-    client instead parks its connection on an event loop — normally the
-    :class:`~repro.server.runtime.AsyncServerRuntime`'s own, so one
-    thread services every connection of the whole deployment.
+    client instead parks its connection on an event loop — in a session,
+    the :class:`AioHostTransport`'s own (:attr:`AioHostTransport.loop`),
+    so one thread services every connection of the whole deployment.
 
     The serialization contract is unchanged: the endpoint handler runs
     under the transport condition (:meth:`TcpTransportBase.recv` shape),

@@ -1,7 +1,7 @@
 """Structured logging for the runtime subsystems.
 
 Every subsystem logs under the ``repro.`` namespace (``repro.net.aio``,
-``repro.net.tcp``, ``repro.server.runtime`` …) through stdlib
+``repro.net.tcp``, ``repro.cluster.proc`` …) through stdlib
 :mod:`logging`, with a :class:`~logging.NullHandler` on the root so a
 library user who never configures logging sees nothing — exactly the old
 silent behaviour — while an operator who calls :func:`setup_logging` (or

@@ -83,6 +83,26 @@ def _replay_into(
     return replayed
 
 
+def _recover_into(server: Any, persistence: Any, at_seq: Optional[int]) -> None:
+    """One server's recovery: install the newest snapshot at or below
+    *at_seq* and replay the log suffix on ``server.clock`` (a
+    :class:`SimClock`), with the journal detached.  Without *at_seq* the
+    journal is re-attached afterwards."""
+    server.persistence = None  # replay reads the log, never grows it
+    clock = server.clock
+    after = 0
+    snap = persistence.snapshots.load_latest(max_seq=at_seq)
+    if snap is not None:
+        restore_state(server, snap["state"])
+        clock.advance_to(float(snap.get("clock", 0.0)))
+        after = int(snap["seq"])
+    persistence.replayed_ops += _replay_into(
+        server, clock, persistence.log.read(after), at_seq=at_seq
+    )
+    if at_seq is None:
+        server.persistence = persistence
+
+
 def recover_server(
     persistence: Any,
     *,
@@ -103,21 +123,9 @@ def recover_server(
     """
     from repro.server.server import CosoftServer
 
-    clock = SimClock()
-    server = CosoftServer(clock=clock, **server_kwargs)
+    server = CosoftServer(clock=SimClock(), **server_kwargs)
     server.bind(DiscardTransport())
-    after = 0
-    snap = persistence.snapshots.load_latest(max_seq=at_seq)
-    if snap is not None:
-        restore_state(server, snap["state"])
-        clock.advance_to(float(snap.get("clock", 0.0)))
-        after = int(snap["seq"])
-    replayed = _replay_into(
-        server, clock, persistence.log.read(after), at_seq=at_seq
-    )
-    persistence.replayed_ops += replayed
-    if at_seq is None:
-        server.persistence = persistence
+    _recover_into(server, persistence, at_seq)
     return server
 
 
@@ -135,90 +143,24 @@ def recover_cluster(
     shard's exact clock readings without ever running time backwards).
     Router state (couple-table mirror, home pins, ack routes,
     registry) is then rebuilt from the recovered shards in one pass
-    rather than inferred from replay side effects.
+    (:meth:`~repro.cluster.router.ShardedCosoftCluster.rebuild_from_shards`)
+    rather than inferred from replay side effects.  The cluster is
+    returned unbound; replay emits nothing through it (a shard's sends
+    outside a routed call go nowhere).
     """
     from repro.cluster.router import ShardedCosoftCluster
 
     cluster = ShardedCosoftCluster(persistence=config, **cluster_kwargs)
-    cluster.bind(DiscardTransport())
     latest = 0.0
-    for shard_id, shard in cluster.shards.items():
+    for shard in cluster.shards.values():
         persist = shard.persistence
         if persist is None:
             continue
-        shard.persistence = None    # replay reads the log, never grows it
-        shard_clock = SimClock()
-        shard.clock = shard_clock
-        after = 0
-        snap = persist.snapshots.load_latest(max_seq=at_seq)
-        if snap is not None:
-            restore_state(shard, snap["state"])
-            shard_clock.advance_to(float(snap.get("clock", 0.0)))
-            after = int(snap["seq"])
-        persist.replayed_ops += _replay_into(
-            shard, shard_clock, persist.log.read(after), at_seq=at_seq
-        )
-        latest = max(latest, shard_clock.now())
+        shard.clock = SimClock()
+        _recover_into(shard, persist, at_seq)
+        latest = max(latest, shard.clock.now())
         shard.clock = cluster.clock
-        if at_seq is None:
-            shard.persistence = persist
     if latest > cluster.clock.now():
         cluster.clock.advance_to(latest)
-    rebuild_router_state(cluster)
-    # Unbind so the caller's bind() is the first real transport; the
-    # replay sink must not swallow live traffic by accident.
-    cluster._transport = None
+    cluster.rebuild_from_shards()
     return cluster
-
-
-def rebuild_router_state(cluster: Any) -> None:
-    """Derive the router's books from its shards' recovered databases.
-
-    One authoritative pass instead of trusting replay side effects: the
-    mirror couple table and sticky home pins come from each shard's
-    couple/lock/floor/history holdings, the roster with its version from
-    the shard replicas (every shard holds the full registry), and the
-    EVENT_ACK route of each floor awaiting acks, as the live router books
-    it: every shard holding a part, expecting one ack per receiver any
-    part still awaits.  An UNLOCK needs no route: it goes to its objects'
-    homes.
-    """
-    from repro.server.couples import CoupleTable
-
-    cluster.mirror = CoupleTable()
-    cluster._home = {}
-    cluster._floor_routes = {}
-    cluster._pending_routes = {}
-    awaited: dict = {}
-    for shard_id, shard in cluster.shards.items():
-        for link in shard.couples.links():
-            cluster.mirror.add_link(link)
-            for gid in (link.source, link.target):
-                cluster._home[gid] = shard_id
-        for obj in shard.locks.locked_objects():
-            cluster._home[obj] = shard_id
-        for key, floor in shard.locks.floors.items():
-            if floor.pending_acks:
-                cluster._floor_routes.setdefault(key, set()).add(shard_id)
-                awaited.setdefault(key, set()).update(floor.pending_acks)
-            for gid in floor.objects:
-                cluster._home[gid] = shard_id
-        for obj in shard.history.objects():
-            cluster._home[obj] = shard_id
-    cluster._floor_expected = {key: len(acks) for key, acks in awaited.items()}
-    for shard in cluster.shards.values():
-        # Every shard replicates the full roster and its version; one
-        # suffices.
-        cluster.registry.restore(shard.registry.records(), shard.registry.version)
-        break
-    # Drop pins that merely restate the ring assignment — the live
-    # router only pins what moved away from (or beyond) its ring home.
-    for gid in [g for g, home in cluster._home.items()]:
-        if (
-            len(cluster.mirror.group_of(gid)) <= 1
-            and cluster._home[gid] == cluster._ring_home(gid)
-            and cluster.shards[cluster._home[gid]].history.depth(gid) == (0, 0)
-            and cluster.shards[cluster._home[gid]].locks.holder(gid) is None
-        ):
-            del cluster._home[gid]
-

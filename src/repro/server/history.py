@@ -25,7 +25,7 @@ the redo stack — the pre-image of what the undo writes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import HistoryError
 from repro.server.couples import GlobalId
@@ -62,6 +62,10 @@ class HistoricalState:
         )
 
 
+#: What an empty stack says, by the move that found it empty.
+_NOTHING_TO = {"undo": "no historical state for", "redo": "nothing to redo for"}
+
+
 class HistoryStore:
     """Bounded per-object undo and redo stacks."""
 
@@ -79,10 +83,7 @@ class HistoryStore:
 
     def push(self, entry: HistoricalState) -> None:
         """Record an overwritten state; clears the object's redo stack."""
-        stack = self._undo.setdefault(entry.obj, [])
-        stack.append(entry)
-        if len(stack) > self._max_depth:
-            del stack[0]
+        self._append(self._undo, entry)
         self._redo.pop(entry.obj, None)
 
     def undo(
@@ -94,49 +95,52 @@ class HistoryStore:
         the popped backup restores is pushed onto the redo stack, so the
         undo itself can be undone.
         """
-        stack = self._undo.get(obj)
-        if not stack:
-            raise HistoryError(f"no historical state for {obj}")
-        entry = stack.pop()
-        if not stack:
-            del self._undo[obj]
-        if current_state is not None:
-            redo_stack = self._redo.setdefault(obj, [])
-            redo_stack.append(
-                HistoricalState(
-                    obj=obj,
-                    state=_restored_part(current_state, entry.state),
-                    timestamp=entry.timestamp,
-                    reason="undo",
-                )
-            )
-            if len(redo_stack) > self._max_depth:
-                del redo_stack[0]
-        return entry
+        return self._move(obj, current_state, self._undo, self._redo, "undo")
 
     def redo(
         self, obj: GlobalId, current_state: Optional[Mapping[str, Any]] = None
     ) -> HistoricalState:
         """Pop the newest redo entry of *obj* (inverse of :meth:`undo`)."""
-        stack = self._redo.get(obj)
+        return self._move(obj, current_state, self._redo, self._undo, "redo")
+
+    def _move(
+        self,
+        obj: GlobalId,
+        current_state: Optional[Mapping[str, Any]],
+        source: Dict[GlobalId, List[HistoricalState]],
+        target: Dict[GlobalId, List[HistoricalState]],
+        reason: str,
+    ) -> HistoricalState:
+        """Pop *obj*'s newest entry of *source*; push the part of
+        *current_state* it restores onto *target* (undo and redo are
+        this one move in opposite directions)."""
+        stack = source.get(obj)
         if not stack:
-            raise HistoryError(f"nothing to redo for {obj}")
+            raise HistoryError(f"{_NOTHING_TO[reason]} {obj}")
         entry = stack.pop()
         if not stack:
-            del self._redo[obj]
+            del source[obj]
         if current_state is not None:
-            undo_stack = self._undo.setdefault(obj, [])
-            undo_stack.append(
+            self._append(
+                target,
                 HistoricalState(
                     obj=obj,
                     state=_restored_part(current_state, entry.state),
                     timestamp=entry.timestamp,
-                    reason="redo",
-                )
+                    reason=reason,
+                ),
             )
-            if len(undo_stack) > self._max_depth:
-                del undo_stack[0]
         return entry
+
+    def _append(
+        self, table: Dict[GlobalId, List[HistoricalState]], entry: HistoricalState
+    ) -> None:
+        """Push *entry* onto its object's stack in *table*, dropping the
+        oldest entry past the depth bound."""
+        stack = table.setdefault(entry.obj, [])
+        stack.append(entry)
+        if len(stack) > self._max_depth:
+            del stack[0]
 
     def depth(self, obj: GlobalId) -> Tuple[int, int]:
         """(undo depth, redo depth) for *obj*."""
@@ -151,12 +155,7 @@ class HistoryStore:
 
     def export_object(self, obj: GlobalId) -> Dict[str, Any]:
         """Remove and return *obj*'s stacks in wire form (shard migration)."""
-        undo = self._undo.pop(obj, [])
-        redo = self._redo.pop(obj, [])
-        return {
-            "undo": [entry.to_wire() for entry in undo],
-            "redo": [entry.to_wire() for entry in redo],
-        }
+        return _stacks_to_wire(self._undo.pop(obj, ()), self._redo.pop(obj, ()))
 
     def import_object(self, obj: GlobalId, data: Mapping[str, Any]) -> None:
         """Install stacks previously produced by :meth:`export_object`.
@@ -166,16 +165,18 @@ class HistoryStore:
         instance's history is gone, and a migration or state import in
         flight across that moment must not resurrect it.
         """
-        if obj[0] in self._forgotten:
-            return
-        undo = [HistoricalState.from_wire(dict(e)) for e in data.get("undo", ())]
-        redo = [HistoricalState.from_wire(dict(e)) for e in data.get("redo", ())]
-        if undo:
-            self._undo.setdefault(obj, []).extend(undo)
-            del self._undo[obj][:-self._max_depth]
-        if redo:
-            self._redo.setdefault(obj, []).extend(redo)
-            del self._redo[obj][:-self._max_depth]
+        if obj[0] not in self._forgotten:
+            self._install(obj, data)
+
+    def _install(self, obj: GlobalId, data: Mapping[str, Any]) -> None:
+        """Append wire-form stacks to *obj*'s, keeping the newest
+        ``max_depth`` of each."""
+        for table, key in ((self._undo, "undo"), (self._redo, "redo")):
+            entries = [HistoricalState.from_wire(dict(e)) for e in data.get(key, ())]
+            if entries:
+                stack = table.setdefault(obj, [])
+                stack.extend(entries)
+                del stack[: -self._max_depth]
 
     def forget_instance(self, instance_id: str) -> int:
         """Drop all history of a terminated instance; returns entry count.
@@ -210,10 +211,7 @@ class HistoryStore:
             "objects": [
                 [
                     [obj[0], obj[1]],
-                    {
-                        "undo": [e.to_wire() for e in self._undo.get(obj, ())],
-                        "redo": [e.to_wire() for e in self._redo.get(obj, ())],
-                    },
+                    _stacks_to_wire(self._undo.get(obj, ()), self._redo.get(obj, ())),
                 ]
                 for obj in objects
             ],
@@ -226,25 +224,24 @@ class HistoryStore:
         self._redo.clear()
         self._forgotten = {str(i) for i in data.get("forgotten", ())}
         for obj_wire, stacks in data.get("objects", ()):
-            obj = (str(obj_wire[0]), str(obj_wire[1]))
-            undo = [
-                HistoricalState.from_wire(dict(e))
-                for e in stacks.get("undo", ())
-            ]
-            redo = [
-                HistoricalState.from_wire(dict(e))
-                for e in stacks.get("redo", ())
-            ]
-            if undo:
-                self._undo[obj] = undo[-self._max_depth:]
-            if redo:
-                self._redo[obj] = redo[-self._max_depth:]
+            self._install((str(obj_wire[0]), str(obj_wire[1])), stacks)
 
     def objects(self) -> List[GlobalId]:
         return list(self._undo)
 
     def __len__(self) -> int:
         return sum(map(len, self._undo.values()))
+
+
+def _stacks_to_wire(
+    undo: Iterable[HistoricalState], redo: Iterable[HistoricalState]
+) -> Dict[str, Any]:
+    """One object's undo and redo stacks in wire form (what
+    :meth:`HistoryStore._install` reads back)."""
+    return {
+        "undo": [entry.to_wire() for entry in undo],
+        "redo": [entry.to_wire() for entry in redo],
+    }
 
 
 def _restored_part(

@@ -20,14 +20,17 @@ Backends
     Real localhost TCP sockets, one thread per connection (the paper's
     implementation shape).
 ``"aio"``
-    The asyncio server runtime (:mod:`repro.server.runtime`): one event
-    loop, one write per destination per loop burst, bounded send queues
-    with a drop-on-overflow bound, and per-hop retry — see
-    docs/RUNTIME.md.
-    Session-created instances join the runtime's loop through
-    :class:`~repro.net.aio.AioClientTransport`
-    (no reader thread per instance); the wire protocol is identical and
-    plain TCP clients interoperate.
+    The asyncio host (:class:`~repro.net.aio.AioHostTransport`): one
+    event loop, one write per destination per loop burst, bounded send
+    queues with a drop-on-overflow bound, and per-hop retry — see
+    docs/RUNTIME.md.  Session-created instances join the host's loop
+    through :class:`~repro.net.aio.AioClientTransport` (no reader thread
+    per instance); the wire protocol is identical and plain TCP clients
+    interoperate.
+
+Both socket backends build their host the same way — handler, address,
+codec — and bind the endpoint to it; the host owns whatever threads it
+runs.
 
 Every backend accepts ``shards=N`` to swap the single
 :class:`~repro.server.server.CosoftServer` for a
@@ -47,8 +50,8 @@ delivers a COUPLE_UPDATE to the affected couple group only
 
 :class:`Session` is the only constructor.  What one backend has and
 another lacks is a named attribute — ``network`` and ``clock``
-(memory), ``host`` and ``port`` (tcp, aio), ``runtime`` (aio) — which
-raises :class:`AttributeError` naming the backend where it has none.
+(memory), ``host`` and ``port`` (tcp, aio) — which raises
+:class:`AttributeError` naming the backend where it has none.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from repro.cluster import ShardedCosoftCluster
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.errors import NetworkError, UnknownCommunicatorError
-from repro.net.aio import AioClientTransport, BatchConfig
+from repro.net.aio import AioClientTransport, AioHostTransport, BatchConfig
 from repro.net.clock import SimClock
 from repro.net.codec import get_codec
 from repro.net.memory import MemoryNetwork
@@ -73,7 +76,6 @@ from repro.net.transport import TrafficStats, Transport
 from repro.obs import Observability, build_observability
 from repro.persist import PersistenceConfig
 from repro.server.permissions import AccessControl
-from repro.server.runtime import AsyncServerRuntime
 from repro.server.server import SERVER_ID, CosoftServer
 
 #: Either kind of central endpoint a session can front.
@@ -300,7 +302,6 @@ class Session:
     clock: SimClock  # memory: the simulated clock
     host: str  # tcp, aio: the address the central endpoint listens on
     port: int  # tcp, aio: its bound port
-    runtime: AsyncServerRuntime  # aio: the asyncio server runtime
 
     def __init__(
         self,
@@ -352,29 +353,29 @@ class Session:
                 self.network.attach(SERVER_ID, self.server.handle_message)
             )
             self._stats: TrafficStats = self.network.stats
-        elif config.backend == "tcp":
-            # One thread per connection: the paper's implementation shape.
-            self._host_transport = TcpHostTransport(
-                self.server.handle_message,
-                host=config.host,
-                port=config.port,
-                codec=config.codec,
-            )
-            self.server.bind(self._host_transport)
-            self.host, self.port = self._host_transport.address
-            self._stats = self._host_transport.stats
         else:
-            # End-of-burst flush, bounded send queues, per-hop retry —
-            # docs/RUNTIME.md.
-            self.runtime = AsyncServerRuntime(
-                self.server,
-                config.host,
-                config.port,
-                config=config.batch,
-                codec=config.codec,
-            )
-            self.host, self.port = self.runtime.address
-            self._stats = self.runtime.transport.stats
+            self._host_transport: Union[TcpHostTransport, AioHostTransport]
+            if config.backend == "tcp":
+                # One thread per connection: the paper's implementation shape.
+                self._host_transport = TcpHostTransport(
+                    self.server.handle_message,
+                    config.host,
+                    config.port,
+                    codec=config.codec,
+                )
+            else:
+                # One loop thread; end-of-burst flush, bounded send
+                # queues, per-hop retry — docs/RUNTIME.md.
+                self._host_transport = AioHostTransport(
+                    self.server.handle_message,
+                    config.host,
+                    config.port,
+                    config=config.batch,
+                    codec=config.codec,
+                )
+            self.server.bind(self._host_transport)
+            self.host, self.port = self._host_transport.address[:2]
+            self._stats = self._host_transport.stats
 
         # Observability: the shared no-op instance, registering nothing,
         # unless enabled.
@@ -397,7 +398,7 @@ class Session:
 
     def __getattr__(self, name: str) -> Any:
         # Reached only when normal lookup fails, e.g. for a backend-only
-        # attribute (``network``, ``runtime``, ...) this deployment lacks.
+        # attribute (``network``, ``port``, ...) this deployment lacks.
         backend = getattr(self.__dict__.get("config"), "backend", None)
         raise AttributeError(f"Session (backend={backend!r}) has no attribute {name!r}")
 
@@ -468,10 +469,10 @@ class Session:
                 instance_id, handler, self.host, self.port, codec=codec
             )
         else:
-            # Instances join the runtime's own loop: the whole deployment
+            # Instances join the host's own loop: the whole deployment
             # — host plus every client connection — is serviced by one
             # thread instead of a reader thread per endpoint.
-            loop = self.runtime.loop
+            loop = self._host_transport.loop
             transport = AioClientTransport(
                 instance_id, handler, self.host, self.port, loop=loop, codec=codec
             )
@@ -591,10 +592,8 @@ class Session:
         self.instances.clear()
         if self.config.backend == "memory":
             self.network.pump()
-        elif self.config.backend == "tcp":
-            self._host_transport.close()
         else:
-            self.runtime.close()
+            self._host_transport.close()
         # A multi-process cluster owns worker subprocesses: shut the
         # supervisor down before dropping any ephemeral journal dir.
         shutdown = getattr(self.server, "close", None)

@@ -32,6 +32,7 @@ from repro.net.aio import (
     AioClientTransport,
     AioHostTransport,
     BatchConfig,
+    EventLoopThread,
     RetryPolicy,
     SendQueue,
     _SocketConnection,
@@ -49,7 +50,6 @@ from repro.net.transport import (
     DROP_BACKPRESSURE,
     DROP_UNDELIVERABLE,
 )
-from repro.server.runtime import AsyncServerRuntime, EventLoopThread
 from repro.session import Session
 from repro.toolkit import Shell, TextField
 
@@ -846,26 +846,22 @@ class TestReadPath:
 
 
 def test_runtime_stats_show_connection_errors():
-    class Endpoint:
-        def bind(self, transport):
-            pass
-
-        def handle_message(self, message):
-            pass
-
-    with AsyncServerRuntime(Endpoint()) as runtime:
-        assert runtime.stats()["connection_errors"] == 0
-        with socket.create_connection(runtime.address) as sock:
+    host = AioHostTransport(lambda message: None, port=0)
+    try:
+        assert host.connection_errors == 0
+        with socket.create_connection(host.address) as sock:
             sock.sendall(encode(msg(sender="c1", to="")))
-            assert wait_until(lambda: runtime.stats()["connections"] == 1)
+            assert wait_until(lambda: len(host.connections()) == 1)
             # Reset by the peer with unread bytes pending: a socket
             # error, not a protocol one — counted, and nothing for the
             # asyncio logger to report.
             sock.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
-        assert wait_until(lambda: runtime.stats()["connection_errors"] == 1)
-        assert runtime.stats()["connections"] == 0
+        assert wait_until(lambda: host.connection_errors == 1)
+        assert len(host.connections()) == 0
+    finally:
+        host.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the Session deployment object and its one public surface."""
 
+import threading
 import time
 
 import pytest
@@ -74,7 +75,7 @@ class TestSessionConstruction:
     def test_getattr_error_names_backend(self):
         with Session() as session:
             with pytest.raises(AttributeError, match="memory"):
-                session.runtime  # an aio-only attribute
+                session._host_transport  # a socket-backend attribute
             with pytest.raises(AttributeError, match="'port'"):
                 session.port
         with Session(backend="tcp") as session:
@@ -118,8 +119,24 @@ class TestAioBackend:
 
     def test_runtime_accessible(self):
         with Session(backend="aio") as session:
-            assert session.runtime.transport is not None
-            assert session.runtime.config.max_queue == session.config.batch.max_queue
+            assert session._host_transport is not None
+            assert (
+                session._host_transport.config.max_queue
+                == session.config.batch.max_queue
+            )
+
+    def test_one_thread_serves_the_host_and_every_client(self):
+        before = set(threading.enumerate())
+        with Session(backend="aio") as session:
+            names = ("a", "b", "c")
+            instances = [session.create_instance(name, user=name) for name in names]
+            assert wait_until(
+                lambda: all(set(names) <= set(i.roster) for i in instances)
+            )
+            started = set(threading.enumerate()) - before
+            assert len(started) == 1
+        assert [thread for thread in started if thread.is_alive()] == []
+        assert set(threading.enumerate()) - before == set()
 
     def test_sharded_aio(self):
         with Session(backend="aio", shards=2) as session:
@@ -147,14 +164,13 @@ class TestTrafficShapeParity:
 PUBLIC_NAMES = (
     "backend clock close cluster create_instance drop_instance host instances "
     "metrics_address metrics_json metrics_text network now obs persistence port "
-    "pump runtime server span_dump trace_stats traffic"
+    "pump server span_dump trace_stats traffic"
 ).split()
 BACKEND_ONLY = {
     "network": {"memory"},
     "clock": {"memory"},
     "host": {"tcp", "aio"},
     "port": {"tcp", "aio"},
-    "runtime": {"aio"},
 }
 
 
