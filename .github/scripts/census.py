@@ -18,6 +18,13 @@ called is derived from the second.
 
 With pytest arguments after ``--`` only ``python -m pytest ARGS`` runs
 (how one environment's test selection is measured on its own).
+
+``--check LIST`` turns the report into a gate: it fails when a command
+exited non-zero, when a named function nothing called is not in LIST,
+and when a function LIST names was called or is gone.  LIST holds one
+function a line, ``path<TAB>qualified name<TAB>reason``, keyed by path
+and qualified name (not by line, so an edit above a function does not
+move its entry); ``#`` starts a comment.
 ``--versus`` lists the lines the dumps executed that other dumps did
 not.  The two sets may come from different trees (a parent commit's
 checkout and a change's): each side's lines are carried over by a line
@@ -31,6 +38,7 @@ Standard library only.  Usage, from the repository root::
     python .github/scripts/census.py --dumps DIR -- tests/integration
     python .github/scripts/census.py --report-only --dumps A --dumps B \\
         --versus C                                   # union of A, B minus C
+    python .github/scripts/census.py --check .github/census-never-called.txt
 """
 
 from __future__ import annotations
@@ -218,10 +226,14 @@ def last_line(code: types.CodeType) -> int:
     )
 
 
-def census(src: str, codes: Set[Key]) -> Tuple[int, int, List[Tuple[Key, int]]]:
-    """(code objects, called, never-called named functions with sizes)."""
+def census(
+    src: str, codes: Set[Key]
+) -> Tuple[int, int, List[Tuple[Key, int]], Set[Tuple[str, str]]]:
+    """(code objects, called, never-called named functions with sizes,
+    every named function as ``(path under src/, qualified name)``)."""
     total = hit = 0
     missed: List[Tuple[Key, int]] = []
+    named: Set[Tuple[str, str]] = set()
     for path in sorted(glob.glob(os.path.join(src, "**", "*.py"), recursive=True)):
         rel = os.path.relpath(path, src)
         with open(path) as fh:
@@ -236,7 +248,41 @@ def census(src: str, codes: Set[Key]) -> Tuple[int, int, List[Tuple[Key, int]]]:
             elif not code.co_name.startswith("<"):
                 size = last_line(code) - code.co_firstlineno + 1
                 missed.append((key, size))
-    return total, hit, missed
+            if not code.co_name.startswith("<"):
+                named.add((rel, code.co_qualname))
+    return total, hit, missed, named
+
+
+def read_list(path: str) -> Dict[Tuple[str, str], str]:
+    """A ``--check`` list: ``(path under src/, qualified name) -> reason``."""
+    listed: Dict[Tuple[str, str], str] = {}
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 3 or not all(f.strip() for f in fields):
+                raise SystemExit(f"census: {path}:{number}: want path, name, reason")
+            rel, name, reason = fields
+            listed[(rel.removeprefix("src/"), name)] = reason
+    return listed
+
+
+def check(
+    listed: Dict[Tuple[str, str], str],
+    missed: List[Tuple[Key, int]],
+    named: Set[Tuple[str, str]],
+    status: Dict[str, int],
+) -> List[str]:
+    """What fails the gate, one line each (empty: it passes)."""
+    never = {(rel, name) for (rel, _, name), _ in missed}
+    problems = [f"{name}: exit {code}" for name, code in status.items() if code]
+    for rel, name in sorted(never - set(listed)):
+        problems.append(f"never called and not listed\tsrc/{rel}\t{name}")
+    for rel, name in sorted(set(listed) - never):
+        state = "called" if (rel, name) in named else "gone"
+        problems.append(f"listed but {state}\tsrc/{rel}\t{name}")
+    return problems
 
 
 def source(src: str, rel: str) -> List[str]:
@@ -291,19 +337,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="dumps of another run (repeatable): list the lines --dumps "
              "executed that these did not",
     )
+    parser.add_argument(
+        "--check", metavar="LIST",
+        help="fail unless the never-called functions are exactly LIST's",
+    )
     parser.add_argument("pytest_args", nargs="*", help="after --: pytest only")
     args = parser.parse_args(argv)
+    listed = read_list(args.check) if args.check else None
     if not args.dumps:
         args.dumps = [tempfile.mkdtemp(prefix="census-dumps-")]
+    status: Dict[str, int] = {}
     if not args.report_only:
         if len(args.dumps) != 1:
             parser.error("a run writes into one --dumps directory")
         (dumps,) = args.dumps
         os.makedirs(dumps, exist_ok=True)
-        for name, code in run(dumps, args.pytest_args).items():
+        status = run(dumps, args.pytest_args)
+        for name, code in status.items():
             print(f"{name}: exit {code}")
     src, lines, codes = load(args.dumps)
-    total, hit, missed = census(src, codes)
+    total, hit, missed, named = census(src, codes)
     print(f"{sum(map(len, lines.values()))} src/ lines executed")
     print(
         f"{total} code objects, {hit} called; {len(missed)} named functions "
@@ -319,6 +372,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             for rel, line in rows:
                 text = source(src, rel)[line - 1].strip()
                 print(f"{label}\tsrc/{rel}:{line}\t{text}")
+    if listed is not None:
+        problems = check(listed, missed, named, status)
+        print(f"census check against {args.check}: {len(problems)} problems")
+        for problem in problems:
+            print(problem)
+        return 1 if problems else 0
     return 0
 
 

@@ -57,12 +57,9 @@ class ProcCluster(ShardedCosoftCluster):
         *,
         directory: str,
         snapshot_every: int = 500,
-        vnodes: int = 64,
         default_allow: bool = True,
         admin_users: Tuple[str, ...] = (),
         ack_release: bool = True,
-        history_depth: int = 100,
-        floor_lease: float = 30.0,
         persistence: Optional[Any] = None,
         **supervision: Any,
     ):
@@ -73,8 +70,6 @@ class ProcCluster(ShardedCosoftCluster):
             )
         worker_args = [
             "--admin-users", ",".join(admin_users),
-            "--history-depth", str(history_depth),
-            "--floor-lease", str(floor_lease),
             "--snapshot-every", str(snapshot_every),
         ]
         if not default_allow:
@@ -92,12 +87,9 @@ class ProcCluster(ShardedCosoftCluster):
             shards,
             codec=self.supervisor.link_codec,
             link_factory=self.supervisor.start,
-            vnodes=vnodes,
             default_allow=default_allow,
             admin_users=admin_users,
             ack_release=ack_release,
-            history_depth=history_depth,
-            floor_lease=floor_lease,
         )
         self.supervisor.watch()
         self._router_thread = threading.Thread(

@@ -86,14 +86,12 @@ class ShardedCosoftCluster:
     ----------
     shards:
         Number of server shards.
-    vnodes:
-        Virtual nodes per shard on the consistent-hash ring.
     service_time:
         Optional modeled per-message processing cost (simulated seconds)
         each shard pays serially.  With it the cluster tracks per-shard
         busy periods so benchmarks can report the makespan a parallel
         deployment would achieve (see :meth:`modeled_makespan`).
-    default_allow / admin_users / ack_release / history_depth / floor_lease:
+    default_allow / admin_users / ack_release:
         Forwarded to every shard, mirroring ``CosoftServer``.
     link_factory:
         ``shard_id -> ShardLink``: where a shard lives.  Default: a
@@ -105,13 +103,10 @@ class ShardedCosoftCluster:
         shards: int = 2,
         *,
         clock: Optional[Clock] = None,
-        vnodes: int = 64,
         service_time: float = 0.0,
         default_allow: bool = True,
         admin_users: Tuple[str, ...] = (),
         ack_release: bool = True,
-        history_depth: int = 100,
-        floor_lease: float = 30.0,
         persistence: Optional[Any] = None,
         codec: str = "json",
         link_factory: Optional[Callable[[str], ShardLink]] = None,
@@ -127,13 +122,10 @@ class ShardedCosoftCluster:
         self.shard_ids: Tuple[str, ...] = tuple(
             f"shard-{i}" for i in range(shards)
         )
-        self.vnodes = vnodes
         self.default_allow = default_allow
         self.admin_users = tuple(admin_users)
         self.ack_release = ack_release
-        self.history_depth = history_depth
-        self.floor_lease = floor_lease
-        self.ring = HashRing(self.shard_ids, vnodes=vnodes)
+        self.ring = HashRing(self.shard_ids)
         self._link_factory = link_factory or self._local_link
         self._links: Dict[str, ShardLink] = {}
         #: ``link.shard`` per shard: the ``CosoftServer`` in-process.
@@ -152,6 +144,8 @@ class ShardedCosoftCluster:
         #: PERMISSION_SETs it forwards; ships to freshly added shards
         #: (:meth:`add_shard`) so they enforce the same rules.
         self.acl_mirror = AccessControl(default_allow=default_allow)
+        #: The shards' history tombstones, shipped like the ACL mirror.
+        self._forgotten: Set[str] = set()
         for shard_id in self.shard_ids:
             self._create_shard(shard_id)
 
@@ -166,8 +160,9 @@ class ShardedCosoftCluster:
         #: routing): the one that broadcast the event, plus each shard a
         #: migration since moved a part to.
         self._floor_routes: Dict[Tuple[str, int], Set[str]] = {}
-        #: floor owner -> outstanding EVENT_ACKs (route-table cleanup).
-        self._floor_expected: Dict[Tuple[str, int], int] = {}
+        #: floor owner -> receivers whose EVENT_ACK is still due (route
+        #: cleanup); a set, so a duplicated or stray ack frees no route.
+        self._floor_awaited: Dict[Tuple[str, int], Set[str]] = {}
         #: forwarded FETCH_STATE msg_id -> (shard, owner instance).
         self._pending_routes: Dict[int, Tuple[str, str]] = {}
         #: Objects mid-migration; messages touching them are buffered.
@@ -199,9 +194,7 @@ class ShardedCosoftCluster:
             CosoftServer(
                 clock=self.clock,
                 access=AccessControl(default_allow=self.default_allow),
-                history_depth=self.history_depth,
                 admin_users=self.admin_users,
-                floor_lease=self.floor_lease,
                 ack_release=self.ack_release,
                 persistence=(
                     self.persistence_config.for_shard(shard_id).build()
@@ -369,7 +362,8 @@ class ShardedCosoftCluster:
     # ------------------------------------------------------------------
 
     def _on_register(self, message: Message) -> None:
-        def fan_out(_record) -> None:
+        def fan_out(record) -> None:
+            self._forgotten.discard(record.instance_id)
             for shard_id in self.shard_ids:
                 self._forward(shard_id, message, suppress=_REGISTER_SUPPRESS)
 
@@ -387,12 +381,16 @@ class ShardedCosoftCluster:
             # so the COUPLE_UPDATEs pass through without duplication.
             self._forward(shard_id, message, suppress=_UNREGISTER_SUPPRESS)
         self.mirror.remove_instance(instance_id)
+        self.acl_mirror.forget_instance(instance_id)
+        self._forgotten.add(instance_id)
         self._home = {
             gid: home for gid, home in self._home.items() if gid[0] != instance_id
         }
-        for table in (self._floor_routes, self._floor_expected):
-            for key in [k for k in table if k[0] == instance_id]:
-                del table[key]
+        for key, awaited in list(self._floor_awaited.items()):
+            awaited.discard(instance_id)  # the shards stop awaiting it too
+            if key[0] == instance_id or not awaited:
+                del self._floor_awaited[key]
+                self._floor_routes.pop(key, None)
         self._pending_routes = {
             msg_id: route
             for msg_id, route in self._pending_routes.items()
@@ -512,13 +510,16 @@ class ShardedCosoftCluster:
         shard_ids = self._floor_routes.get(key)
         if shard_ids is None:
             return set()  # late ack for a floor already gone
-        remaining = self._floor_expected.get(key, 0) - 1
-        if remaining <= 0:
-            self._floor_routes.pop(key, None)
-            self._floor_expected.pop(key, None)
-        else:
-            self._floor_expected[key] = remaining
+        awaited = self._floor_awaited[key]
+        awaited.discard(message.sender)
+        if not awaited:
+            del self._floor_routes[key], self._floor_awaited[key]
         return shard_ids
+
+    @property
+    def _floor_expected(self) -> Dict[Tuple[str, int], int]:
+        """Outstanding EVENT_ACKs per floor."""
+        return {key: len(awaited) for key, awaited in self._floor_awaited.items()}
 
     def _home_of(self, gid: GlobalId) -> str:
         home = self._home.get(gid)
@@ -565,7 +566,7 @@ class ShardedCosoftCluster:
             if owner:
                 key = (str(owner[0]), int(owner[1]))
                 self._floor_routes.setdefault(key, set()).add(shard_id)
-                self._floor_expected[key] = self._floor_expected.get(key, 0) + 1
+                self._floor_awaited.setdefault(key, set()).add(message.to)
         self._emit(message)
 
     def _absorb_couple_update(self, shard_id: str, payload: Mapping[str, Any]) -> None:
@@ -729,16 +730,18 @@ class ShardedCosoftCluster:
         ]
 
     def _bootstrap_shard(self, shard_id: str) -> None:
-        """Ship the roster and ACL table to a freshly added shard."""
+        """Ship the roster, ACL table and history tombstones to a freshly
+        added shard, in the snapshot's keys."""
         self._forward(
             shard_id,
             Message(
                 kind=kinds.SHARD_SYNC,
                 sender=ROUTER_ID,
                 payload={
-                    "records": self.registry.roster(),
-                    "version": self.registry.version,
+                    "registry": self.registry.roster(),
+                    "registry_version": self.registry.version,
                     "access": self.acl_mirror.export_state(),
+                    "history": {"objects": [], "forgotten": sorted(self._forgotten)},
                 },
             ),
         )
@@ -765,7 +768,7 @@ class ShardedCosoftCluster:
         self._create_shard(shard_id)
         self._observe_shard(shard_id)
         self._bootstrap_shard(shard_id)
-        new_ring = HashRing(self.shard_ids + (shard_id,), vnodes=self.vnodes)
+        new_ring = HashRing(self.shard_ids + (shard_id,))
         moves: List[Tuple[List[GlobalId], str, str]] = []
         for sid in self.shard_ids:
             for group in self._shard_inventory(sid):
@@ -800,7 +803,7 @@ class ShardedCosoftCluster:
         if len(self.shards) <= 1:
             raise ReproError("cannot remove the last shard")
         survivors = tuple(s for s in self.shard_ids if s != shard_id)
-        new_ring = HashRing(survivors, vnodes=self.vnodes)
+        new_ring = HashRing(survivors)
         inventory = self._shard_inventory(shard_id)
         moves: List[Tuple[List[GlobalId], str]] = [
             (group, new_ring.node_for(self._group_key(group)))
@@ -839,11 +842,12 @@ class ShardedCosoftCluster:
         One authoritative pass instead of trusting replay side effects:
         the mirror couple table and sticky home pins come from each
         shard's couple/lock/floor/history holdings, the roster with its
-        version from the shard replicas (every shard holds the full
-        registry), and the EVENT_ACK route of each floor awaiting acks,
-        as the live router books it: every shard holding a part,
-        expecting one ack per receiver any part still awaits.  An UNLOCK
-        needs no route: it goes to its objects' homes.
+        version, the ACL mirror and the history tombstones from the
+        shard replicas (every shard holds them in full), and the
+        EVENT_ACK route of each floor awaiting acks, as the live router
+        books it: every shard holding a part, expecting one ack per
+        receiver any part still awaits.  An UNLOCK needs no route: it
+        goes to its objects' homes.
         """
         self.mirror = CoupleTable()
         self._home = {}
@@ -865,11 +869,13 @@ class ShardedCosoftCluster:
                     self._home[gid] = shard_id
             for obj in shard.history.objects():
                 self._home[obj] = shard_id
-        self._floor_expected = {key: len(acks) for key, acks in awaited.items()}
+        self._floor_awaited = awaited
         for shard in self.shards.values():
-            # Every shard replicates the full roster and its version; one
-            # suffices.
+            # Every shard replicates the full roster with its version, the
+            # ACL table and the history tombstones; one suffices.
             self.registry.restore(shard.registry.records(), shard.registry.version)
+            self.acl_mirror.import_state(shard.access.export_state())
+            self._forgotten = set(shard.history.forgotten_instances())
             break
         # Drop pins that merely restate the ring assignment — the live
         # router only pins what moved away from (or beyond) its ring home.

@@ -9,6 +9,10 @@ argument list — so nothing here imports the server, the coupling core
 or the router (``tests/cluster/test_layering.py``).  Threading model
 and crash protocol: docs/CLUSTER.md ("Shard links", "Exactly-once
 delivery").
+
+A handle's ``state`` is derived, never written: ``retired`` once
+closed, ``down`` while it has no process or the process has exited,
+``starting`` until that spawn's SHARD_HELLO, else ``ready``.
 """
 
 from __future__ import annotations
@@ -101,8 +105,7 @@ class ProcShardHandle(ShardLink):
         self.process: Optional[subprocess.Popen] = None
         self.link: Optional[AioClientTransport] = None
         self.port: Optional[int] = None
-        #: ``starting`` -> ``ready`` -> (``down`` | ``retired``).
-        self.state = "starting"
+        self._closed = False
         self.restarts = 0
         self.spawned_at = 0.0
         self.last_seen = 0.0
@@ -114,6 +117,7 @@ class ProcShardHandle(ShardLink):
         self.remote_stats: Dict[str, Any] = {}
         #: The worker's journaled delivery high-water mark (from HELLO).
         self.remote_max_did = 0
+        #: Set by the current link's SHARD_HELLO, cleared with the link.
         self.hello_event = threading.Event()
         self._did = 0
         self._cond = threading.Condition()
@@ -133,6 +137,16 @@ class ProcShardHandle(ShardLink):
         self.obs: Any = NULL_OBS
         self._obs_replies = 0
         self._obs_cond = threading.Condition()
+
+    @property
+    def state(self) -> str:
+        """See the module docstring: a dead process never reads ready."""
+        if self._closed:
+            return "retired"
+        process = self.process
+        if process is None or process.poll() is not None:
+            return "down"
+        return "ready" if self.hello_event.is_set() else "starting"
 
     # -- the link contract (router thread) -------------------------------
 
@@ -177,7 +191,7 @@ class ProcShardHandle(ShardLink):
         """Retire the worker; its journal directory stays — an operator
         can archive or inspect a retired shard's op log."""
         with self.lock:
-            self.state = "retired"
+            self._closed = True
             self.abort()
             self.terminate()
 
@@ -277,6 +291,7 @@ class ProcShardHandle(ShardLink):
         self.close_link()
 
     def close_link(self) -> None:
+        self.hello_event.clear()  # a hello belongs to the link it came on
         if self.link is not None:
             try:
                 self.link.close()
@@ -548,7 +563,6 @@ class ShardSupervisor:
         finally:
             log.close()
         handle.process = process
-        handle.state = "starting"
         handle.spawned_at = self._clock()
         handle.flight.note(
             "spawn", pid=process.pid, spawn=self._spawn_count,
@@ -572,7 +586,6 @@ class ShardSupervisor:
             time.sleep(0.01)
         with open(portfile, "r", encoding="utf-8") as fh:
             handle.port = int(fh.read().strip())
-        handle.hello_event.clear()
         handle.link = AioClientTransport(
             ROUTER_ID,
             lambda message, _h=handle: self._on_link_message(_h, message),
@@ -587,7 +600,6 @@ class ShardSupervisor:
                 f"shard worker {handle.shard_id!r} never said hello"
             )
         handle.last_seen = self._clock()
-        handle.state = "ready"
         handle.flight.note(
             "ready", pid=process.pid, port=handle.port,
             remote_max_did=handle.remote_max_did,
@@ -603,7 +615,6 @@ class ShardSupervisor:
         try:
             self._spawn(handle)
         except ReproError:
-            handle.state = "down"  # next monitor tick tries again
             handle.flight.note("respawn_failed", restarts=handle.restarts)
 
     def _dump_flight(self, handle: ProcShardHandle, reason: str) -> str:

@@ -242,8 +242,6 @@ def build_worker(
     default_allow: bool = True,
     admin_users: tuple = (),
     ack_release: bool = True,
-    history_depth: int = 100,
-    floor_lease: float = 30.0,
     snapshot_every: int = 500,
     observability: bool = False,
 ) -> ShardEndpoint:
@@ -265,8 +263,6 @@ def build_worker(
         access=AccessControl(default_allow=default_allow),
         admin_users=tuple(admin_users),
         ack_release=ack_release,
-        history_depth=history_depth,
-        floor_lease=floor_lease,
     )
     if persistence.log.last_seq > 0:
         server = recover_server(persistence, **server_kwargs)
@@ -296,8 +292,6 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser.add_argument("--no-default-allow", action="store_true")
     parser.add_argument("--admin-users", default="")
     parser.add_argument("--no-ack-release", action="store_true")
-    parser.add_argument("--history-depth", type=int, default=100)
-    parser.add_argument("--floor-lease", type=float, default=30.0)
     parser.add_argument("--snapshot-every", type=int, default=500)
     parser.add_argument(
         "--observability", action="store_true",
@@ -324,8 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_allow=not args.no_default_allow,
         admin_users=tuple(u for u in args.admin_users.split(",") if u),
         ack_release=not args.no_ack_release,
-        history_depth=args.history_depth,
-        floor_lease=args.floor_lease,
         snapshot_every=args.snapshot_every,
         observability=args.observability,
     )

@@ -4,11 +4,11 @@
 database — the four categories (registration records, access
 permissions, historical UI states, lock table) plus the couple table,
 the held floors with their pending-ack sets, and the history tombstones
-— into one canonical JSON-safe dict.  :func:`restore_state` installs
-such a dict into a fresh server.  Both are duck-typed against the
-``CosoftServer`` attribute surface, so this module never imports the
-server (no cycles) and a shard restores exactly like a standalone
-server.
+— into one canonical JSON-safe dict, the one wire form of a shard's
+database (snapshots, ``migrate_state``, ``shard_sync``).
+:func:`restore_state` is its one installer.  Both are duck-typed
+against the ``CosoftServer`` attribute surface, so a shard restores
+exactly like a standalone server.
 
 :func:`state_fingerprint` hashes the canonical form, giving the
 identity recovery is checked against: two servers with equal
@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import zlib
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import PersistenceError
 
@@ -70,22 +70,38 @@ def capture_state(server: Any) -> Dict[str, Any]:
     }
 
 
-def restore_state(server: Any, state: Dict[str, Any]) -> None:
-    """Install a :func:`capture_state` dict into a (fresh) server."""
+def restore_state(server: Any, state: Mapping[str, Any]) -> None:
+    """Add a :func:`capture_state` dict, or the part of one a snapshot,
+    a ``migrate_state`` or a ``shard_sync`` carries, to *server*; only
+    the categories *state* carries are touched.
+
+    Older shards' journals still install: ``links`` and a list-form
+    ``history`` (``migrate_import``), ``records`` and ``version``
+    (``shard_sync``).  Other keys (``objects``, ``fingerprints``) are
+    ignored.
+    """
     from repro.server.couples import CoupleLink
     from repro.server.registry import RegistrationRecord
 
-    # The version is restored, never re-counted from the records: clients
-    # that outlive the crash hold it, and the next delta must be theirs + 1.
-    server.registry.restore(
-        map(RegistrationRecord.from_wire, state.get("registry", ())),
-        int(state.get("registry_version", 0)),
-    )
-    for link_wire in state.get("couples", ()):
+    records = state.get("registry", state.get("records"))
+    if records is not None:
+        # The version is restored, never re-counted from the records:
+        # clients that outlive a crash hold it, and the next delta must
+        # be theirs + 1.
+        server.registry.restore(
+            map(RegistrationRecord.from_wire, records),
+            int(state.get("registry_version", state.get("version"))),
+        )
+    for link_wire in state.get("couples", state.get("links", ())):
         server.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
     server.locks.install(state)
-    server.history.import_state(state.get("history", {}))
-    server.access.import_state(state.get("access", {}))
+    history = state.get("history")
+    if isinstance(history, list):
+        history = {"objects": history}
+    if history is not None:
+        server.history.import_state(history)
+    if "access" in state:
+        server.access.import_state(dict(state["access"]))
 
 
 def state_fingerprint(state: Dict[str, Any]) -> str:
@@ -96,6 +112,17 @@ def state_fingerprint(state: Dict[str, Any]) -> str:
 def server_fingerprint(server: Any) -> str:
     """Convenience: fingerprint a live server's current database."""
     return state_fingerprint(capture_state(server))
+
+
+def cluster_fingerprint(cluster: Any) -> str:
+    """Fingerprint a sharded cluster's database: every in-process
+    shard's capture installed into one fresh server."""
+    from repro.server.server import CosoftServer
+
+    merged = CosoftServer()
+    for shard in cluster.shards.values():
+        restore_state(merged, capture_state(shard))
+    return server_fingerprint(merged)
 
 
 def build_snapshot(server: Any, seq: int, epoch: int) -> Dict[str, Any]:

@@ -20,6 +20,12 @@ clients, journals, snapshots) stay valid.
 at undo time, only the paths and attributes that record restores go onto
 the redo stack — the pre-image of what the undo writes.
 :meth:`HistoryStore.redo` is its mirror image.
+
+The store has one wire form, ``{"objects", "forgotten"}``, written by
+:meth:`HistoryStore.export_state` and added by
+:meth:`HistoryStore.import_state`.  A terminated instance is tombstoned
+in ``forgotten`` until it registers again and keeps no history, pushed
+or imported.
 """
 
 from __future__ import annotations
@@ -77,12 +83,15 @@ class HistoryStore:
         self._redo: Dict[GlobalId, List[HistoricalState]] = {}
         #: Instances whose history was dropped by :meth:`forget_instance`.
         #: An export taken before the forget must not resurface through
-        #: :meth:`import_object` (e.g. a migration in flight while the
+        #: :meth:`import_state` (e.g. a migration in flight while the
         #: instance terminated); cleared when the instance re-registers.
         self._forgotten: Set[str] = set()
 
     def push(self, entry: HistoricalState) -> None:
-        """Record an overwritten state; clears the object's redo stack."""
+        """Record an overwritten state; clears the object's redo stack.
+        Dropped for an object of a tombstoned instance."""
+        if entry.obj[0] in self._forgotten:
+            return
         self._append(self._undo, entry)
         self._redo.pop(entry.obj, None)
 
@@ -153,36 +162,11 @@ class HistoryStore:
         stack = self._undo.get(obj)
         return stack[-1] if stack else None
 
-    def export_object(self, obj: GlobalId) -> Dict[str, Any]:
-        """Remove and return *obj*'s stacks in wire form (shard migration)."""
-        return _stacks_to_wire(self._undo.pop(obj, ()), self._redo.pop(obj, ()))
-
-    def import_object(self, obj: GlobalId, data: Mapping[str, Any]) -> None:
-        """Install stacks previously produced by :meth:`export_object`.
-
-        Stacks of an instance forgotten since the export was taken are
-        dropped: the decoupling-on-terminate contract (§3.2) says a dead
-        instance's history is gone, and a migration or state import in
-        flight across that moment must not resurrect it.
-        """
-        if obj[0] not in self._forgotten:
-            self._install(obj, data)
-
-    def _install(self, obj: GlobalId, data: Mapping[str, Any]) -> None:
-        """Append wire-form stacks to *obj*'s, keeping the newest
-        ``max_depth`` of each."""
-        for table, key in ((self._undo, "undo"), (self._redo, "redo")):
-            entries = [HistoricalState.from_wire(dict(e)) for e in data.get(key, ())]
-            if entries:
-                stack = table.setdefault(obj, [])
-                stack.extend(entries)
-                del stack[: -self._max_depth]
-
     def forget_instance(self, instance_id: str) -> int:
         """Drop all history of a terminated instance; returns entry count.
 
         The instance is also tombstoned so exports taken before the
-        forget cannot resurface through :meth:`import_object`.
+        forget cannot resurface through :meth:`import_state`.
         """
         dropped = 0
         for table in (self._undo, self._redo):
@@ -201,47 +185,55 @@ class HistoryStore:
         return sorted(self._forgotten)
 
     # ------------------------------------------------------------------
-    # Whole-store export (persistence snapshots; non-destructive)
+    # Wire form (snapshots, group migration, shard bootstrap)
     # ------------------------------------------------------------------
 
-    def export_state(self) -> Dict[str, Any]:
-        """All stacks plus tombstones in wire form, leaving the store as is."""
-        objects = sorted(set(self._undo) | set(self._redo))
-        return {
-            "objects": [
-                [
-                    [obj[0], obj[1]],
-                    _stacks_to_wire(self._undo.get(obj, ()), self._redo.get(obj, ())),
-                ]
-                for obj in objects
-            ],
-            "forgotten": self.forgotten_instances(),
-        }
+    def export_state(
+        self, objects: Optional[Iterable[GlobalId]] = None
+    ) -> Dict[str, Any]:
+        """The whole store in wire form, left as it is (a snapshot); or
+        the stacks of *objects*, which leave it, and no tombstones (a
+        group migration: every shard holds the tombstones)."""
+        exported = []
+        for obj in self.objects() if objects is None else sorted(set(objects)):
+            undo, redo = self._undo.get(obj, ()), self._redo.get(obj, ())
+            if objects is not None:
+                self._undo.pop(obj, None)
+                self._redo.pop(obj, None)
+            if undo or redo:
+                stacks = {
+                    "undo": [entry.to_wire() for entry in undo],
+                    "redo": [entry.to_wire() for entry in redo],
+                }
+                exported.append([[obj[0], obj[1]], stacks])
+        forgotten = self.forgotten_instances() if objects is None else []
+        return {"objects": exported, "forgotten": forgotten}
 
     def import_state(self, data: Mapping[str, Any]) -> None:
-        """Replace the store's contents with an :meth:`export_state` dump."""
-        self._undo.clear()
-        self._redo.clear()
-        self._forgotten = {str(i) for i in data.get("forgotten", ())}
+        """Add an :meth:`export_state` dump: its tombstones, then the
+        stacks (each kept to ``max_depth``) of every object whose
+        instance is not tombstoned.  The decoupling-on-terminate contract
+        (§3.2) says a dead instance's history is gone, and a migration in
+        flight across its UNREGISTER must not resurrect it.
+        """
+        self._forgotten.update(str(i) for i in data.get("forgotten", ()))
         for obj_wire, stacks in data.get("objects", ()):
-            self._install((str(obj_wire[0]), str(obj_wire[1])), stacks)
+            obj = (str(obj_wire[0]), str(obj_wire[1]))
+            if obj[0] in self._forgotten:
+                continue
+            for table, key in ((self._undo, "undo"), (self._redo, "redo")):
+                entries = [HistoricalState.from_wire(e) for e in stacks.get(key, ())]
+                if entries:
+                    stack = table.setdefault(obj, [])
+                    stack.extend(entries)
+                    del stack[: -self._max_depth]
 
     def objects(self) -> List[GlobalId]:
-        return list(self._undo)
+        """Objects holding an undo or a redo stack."""
+        return sorted(set(self._undo) | set(self._redo))
 
     def __len__(self) -> int:
         return sum(map(len, self._undo.values()))
-
-
-def _stacks_to_wire(
-    undo: Iterable[HistoricalState], redo: Iterable[HistoricalState]
-) -> Dict[str, Any]:
-    """One object's undo and redo stacks in wire form (what
-    :meth:`HistoryStore._install` reads back)."""
-    return {
-        "undo": [entry.to_wire() for entry in undo],
-        "redo": [entry.to_wire() for entry in redo],
-    }
 
 
 def _restored_part(

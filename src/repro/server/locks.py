@@ -234,20 +234,26 @@ class LockTable:
         return expired
 
     def release_instance(self, instance_id: str) -> List[Floor]:
-        """Forget a departing instance: release its floors, and, as it
-        can no longer acknowledge anything, drop it from every floor's
-        pending acks, releasing the floors that drain."""
+        """Forget a departing instance: release its floors; take its
+        objects, which are gone, and their locks out of every other
+        floor; and, as it can no longer acknowledge anything, drop it
+        from every floor's pending acks.  A floor left holding nothing,
+        or awaiting nothing more, is released."""
         released = [
             f for f in self.floors.values() if f.owner.instance_id == instance_id
         ]
         for floor in released:
             self._drop(floor)
         for floor in list(self.floors.values()):
+            gone = [g for g in floor.objects if g[0] == instance_id]
+            if gone:
+                self.release_all(gone, floor.owner)
+                floor.objects = tuple(g for g in floor.objects if g[0] != instance_id)
             pending = floor.pending_acks
-            if instance_id in pending:
-                pending.discard(instance_id)
-                if not pending:
-                    released.append(self._drop(floor))
+            drained = pending == {instance_id}
+            pending.discard(instance_id)
+            if drained or not floor.objects:
+                released.append(self._drop(floor))
         return released
 
     # -- migration and snapshots ----------------------------------------

@@ -39,6 +39,7 @@ from repro.net.message import Message
 from repro.net.transport import ROUTER_ID, SERVER_ID, Transport
 from repro.obs import NULL_OBS
 from repro.obs import tracing as obs_tracing
+from repro.persist.snapshot import restore_state
 from repro.server.couples import (
     CoupleLink,
     CoupleTable,
@@ -68,6 +69,10 @@ from repro.server.routing import (
 # ``repro.net.transport`` (the wire layer also needs it) and re-exported
 # for the many existing importers.
 __all__ = ["SERVER_ID", "CosoftServer"]
+
+#: Seconds a floor may be held before a competing lock request may
+#: reclaim it (:attr:`CosoftServer.floor_lease`).
+FLOOR_LEASE = 30.0
 
 #: The :meth:`CosoftServer.stats` counts a scrape exports as gauges:
 #: ``(stats key, family, help)``.
@@ -120,9 +125,7 @@ class CosoftServer:
         *,
         clock: Optional[Clock] = None,
         access: Optional[AccessControl] = None,
-        history_depth: int = 100,
         admin_users: Tuple[str, ...] = (),
-        floor_lease: float = 30.0,
         ack_release: bool = True,
         persistence: Optional[Any] = None,
     ):
@@ -130,13 +133,13 @@ class CosoftServer:
         self.registry = Registry()
         self.couples = CoupleTable()
         self.locks = LockTable()
-        self.history = HistoryStore(max_depth=history_depth)
+        self.history = HistoryStore()
         self.access = access if access is not None else AccessControl()
         self.admin_users = set(admin_users)
         #: Maximum age of a floor before a competing lock request may
         #: forcibly reclaim it (protects liveness against a receiver that
         #: never acknowledges, e.g. because it was partitioned away).
-        self.floor_lease = floor_lease
+        self.floor_lease = FLOOR_LEASE
         #: Hold floors until receivers acknowledge re-execution (the
         #: correct reading of §3.2).  ``False`` releases on broadcast —
         #: kept only for the ablation benchmark, which shows that mode
@@ -1061,10 +1064,10 @@ class CosoftServer:
         """Extract everything this server holds about *objects*.
 
         Removes and returns the couple links, lock entries, floors and
-        historical states of the given couple group, in wire form, so a
-        cluster router can re-install them on another shard.  The group
-        must be quiescent (the router freezes it).  In-flight floors go
-        with their pending-ack sets; one that also lists objects staying
+        historical states of the given couple group, in a snapshot's keys,
+        for another shard's ``restore_state``.  The group must be
+        quiescent (the router freezes it).  In-flight floors go with
+        their pending-ack sets; one that also lists objects staying
         here is split (:meth:`LockTable.transfer_out`).
         """
         objs = set(objects)
@@ -1075,30 +1078,12 @@ class CosoftServer:
                 # The floor migrates to another shard; close its span
                 # here rather than leak an open one.
                 self.obs.spans.finish(floor.span, migrated=True)
-        history = [
-            [gid_to_wire(obj), self.history.export_object(obj)]
-            for obj in sorted(objs)
-            if self.history.depth(obj) != (0, 0)
-        ]
         return {
-            "objects": [gid_to_wire(g) for g in sorted(objs)],
-            "links": [link.to_wire() for link in links],
+            "couples": [link.to_wire() for link in links],
             "locks": tables["locks"],
             "floors": tables["floors"],
-            "history": history,
+            "history": self.history.export_state(objs),
         }
-
-    def import_group(self, data: Mapping[str, Any]) -> None:
-        """Install a couple group exported by :meth:`export_group`.
-
-        Keys it does not know are ignored: an older shard's payload may
-        still carry ``fingerprints``.
-        """
-        for link_wire in data.get("links", ()):
-            self.couples.add_link(CoupleLink.from_wire(dict(link_wire)))
-        self.locks.install(data)
-        for obj_wire, stacks in data.get("history", ()):
-            self.history.import_object(gid_from_wire(obj_wire), dict(stacks))
 
     def _require_router(self, message: Message) -> None:
         if message.sender != ROUTER_ID:
@@ -1115,43 +1100,27 @@ class CosoftServer:
 
     def _on_migrate_import(self, message: Message) -> None:
         self._require_router(message)
-        self.import_group(message.payload)
-        self._send(
-            message.reply(
-                kinds.MIGRATE_ACK,
-                SERVER_ID,
-                objects=list(message.payload.get("objects", ())),
-            )
-        )
+        restore_state(self, message.payload)
+        self._send(message.reply(kinds.MIGRATE_ACK, SERVER_ID))
 
     # ------------------------------------------------------------------
     # Shard-worker plane (multi-process clusters; docs/CLUSTER.md)
     # ------------------------------------------------------------------
 
     def _on_shard_sync(self, message: Message) -> None:
-        """Bootstrap a freshly spawned shard with roster and ACL tables.
+        """Bootstrap a freshly spawned shard with the replicated tables.
 
         A shard added to a live ring has seen none of the session's
-        REGISTER/PERMISSION_SET traffic; the router ships it the current
-        registration records (original timestamps intact) and the full
-        access-control table before any group migrates there.  Journaled,
+        REGISTER/UNREGISTER/PERMISSION_SET traffic; the router ships it
+        the registration records (original timestamps intact) with the
+        router's registry version, the access-control table and the
+        history tombstones before any group migrates there.  Journaled,
         so a recovering worker replays its bootstrap before the ops that
         assumed it; idempotent, so a replayed SHARD_SYNC coexists with
         later journaled REGISTERs.
         """
         self._require_router(message)
-        payload = message.payload
-        records = map(RegistrationRecord.from_wire, payload.get("records", ()))
-        fresh = [r for r in records if r.instance_id not in self.registry]
-        # The router's version, not one counted from here: every shard
-        # replicates the registry, version included, so that the router
-        # can be rebuilt from any of them (persist/recovery.py).
-        self.registry.restore(fresh, int(payload["version"]))
-        for record in fresh:
-            self.history.revive_instance(record.instance_id)
-        access = payload.get("access")
-        if access:
-            self.access.import_state(dict(access))
+        restore_state(self, message.payload)
 
     def state_inventory(self) -> List[List[List[str]]]:
         """Stateful object groups, in wire form, for resharding surveys.

@@ -132,7 +132,6 @@ class SessionConfig:
     admin_users: Tuple[str, ...] = ()
     ack_release: bool = True
     correspondences: Optional[CorrespondenceRegistry] = None
-    vnodes: int = 64
     #: Observability: ``None``/``False`` (disabled, the default), ``True``
     #: (metrics and tracing on), or a ready :class:`Observability`
     #: instance to share across sessions.
@@ -227,7 +226,6 @@ def _build_server(
                 directory=directory,
                 link_codec=config.codec,
                 snapshot_every=snapshot_every,
-                vnodes=config.vnodes,
                 default_allow=config.default_allow,
                 admin_users=config.admin_users,
                 ack_release=config.ack_release,
@@ -239,7 +237,6 @@ def _build_server(
         )
     if config.shards:
         kwargs = dict(
-            vnodes=config.vnodes,
             default_allow=config.default_allow,
             admin_users=config.admin_users,
             ack_release=config.ack_release,

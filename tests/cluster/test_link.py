@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import ShardedCosoftCluster
 from repro.cluster.link import LocalShardLink
+from repro.cluster import supervisor as supervisor_module
 from repro.cluster.supervisor import ProcShardHandle, ShardSupervisor
 from repro.errors import ReproError
 from repro.net import kinds
@@ -241,7 +242,7 @@ class TestLivenessTimeout:
         def respawn(handle):
             spawned.append(handle.shard_id)
             handle.process = _SilentProcess()
-            handle.state = "ready"
+            handle.hello_event.set()
             handle.last_seen = supervisor._clock()
 
         supervisor._spawn = respawn
@@ -251,7 +252,7 @@ class TestLivenessTimeout:
             )
             os.makedirs(handle.directory)
             stuck = handle.process = _SilentProcess()
-            handle.state = "ready"
+            handle.hello_event.set()
             handle.last_seen = now[0]
             supervisor.handles["shard-0"] = handle
 
@@ -291,6 +292,71 @@ class TestLivenessTimeout:
             supervisor.tick()
             assert supervisor.handles == {}
             assert handle.restarts == 0
+        finally:
+            supervisor.close()
+
+
+class _HelloLink:
+    """A link to a worker that says hello as soon as it is attached."""
+
+    def __init__(self, local_id, on_message, host, port, **kwargs):
+        self.on_message = on_message
+
+    def send(self, message):
+        if message.kind == kinds.SHARD_ATTACH:
+            self.on_message(hello())
+
+    def close(self):
+        pass
+
+
+def hello():
+    return Message(kind=kinds.SHARD_HELLO, sender="shard-0", payload={"max_did": 0})
+
+
+class TestRestartNeverReadsReadyOnADeadProcess:
+    def test_a_killed_worker_reads_ready_only_once_its_replacement_said_hello(
+        self, tmp_path, monkeypatch
+    ):
+        """The predicate a caller polls to see a restart finish,
+        ``restarts >= 1 and state == "ready"``, holds only of a live,
+        new process: not between the kill and the tick, not while the
+        restart respawns, not before the new worker's hello."""
+        first = _SilentProcess()
+
+        def popen(cmd, **kwargs):
+            with open(cmd[cmd.index("--portfile") + 1], "w") as fh:
+                fh.write("1")
+            return first
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        monkeypatch.setattr(supervisor_module, "AioClientTransport", _HelloLink)
+        supervisor = ShardSupervisor(str(tmp_path))  # never watch()ed
+        try:
+            handle = supervisor.start("shard-0")
+
+            def check():
+                if handle.restarts >= 1 and handle.state == "ready":
+                    assert handle.process is not first
+                    assert handle.process.poll() is None
+
+            assert (handle.state, handle.restarts) == ("ready", 0)
+            first.kill()
+            assert handle.state == "down"
+            check()
+
+            def respawn(handle):
+                check()  # the old process is dead and already counted
+                handle.process = _SilentProcess()
+                check()
+
+            supervisor._spawn = respawn
+            supervisor.tick()
+            assert (handle.state, handle.restarts) == ("starting", 1)
+            check()
+            supervisor._on_link_message(handle, hello())
+            assert handle.state == "ready"
+            check()
         finally:
             supervisor.close()
 

@@ -5,6 +5,8 @@ from repro.net import kinds
 from repro.net.clock import SimClock
 from repro.net.message import Message
 from repro.net.transport import ROUTER_ID
+from repro.persist import PersistenceConfig, recover_cluster
+from repro.persist.snapshot import capture_state, restore_state
 from repro.server.couples import CoupleLink
 from repro.server.history import HistoricalState
 from repro.server.locks import LockOwner
@@ -35,15 +37,15 @@ class TestExportImportRoundTrip:
         assert len(server.couples) == 0
         assert len(server.locks) == 0
         assert len(server.history) == 0
-        assert len(data["links"]) == 1
+        assert len(data["couples"]) == 1
         assert len(data["locks"]) == 2
-        assert len(data["history"]) == 1
+        assert len(data["history"]["objects"]) == 1
 
     def test_import_restores_everything_on_the_target(self):
         server, left, right, owner = seeded_server()
         data = server.export_group([left, right])
         target = CosoftServer()
-        target.import_group(data)
+        restore_state(target, data)
         assert target.couples.has_link(left, right)
         assert target.locks.holder(left) == owner
         assert target.locks.holder(right) == owner
@@ -87,7 +89,7 @@ class TestMigrateMessages:
             )
         )
         assert replies[-1].kind == kinds.MIGRATE_STATE
-        assert len(replies[-1].payload["links"]) == 1
+        assert len(replies[-1].payload["couples"]) == 1
 
         importer = CosoftServer()
         importer.bind(Capture())
@@ -253,3 +255,54 @@ class TestSplitFloor:
         for shard in cluster.shards.values():
             assert len(shard.locks) == 0 and shard.floors == {}
         assert cluster._floor_routes == {} and cluster._floor_expected == {}
+
+
+class TestShardBootstrap:
+    """A shard added to a live ring starts with the replicated part of
+    the database every other shard holds: roster, ACL and history
+    tombstones."""
+
+    def _cluster(self, **kwargs):
+        cluster = ShardedCosoftCluster(2, clock=SimClock(), **kwargs)
+        cluster.bind(type("Outbox", (), {"send": lambda _, m: None})())
+        return cluster
+
+    def _send(self, cluster, kind, sender, **payload):
+        cluster.clock.advance(0.01)
+        cluster.handle_message(Message(kind=kind, sender=sender, payload=payload))
+
+    def _replicated(self, shard):
+        state = capture_state(shard)
+        return [state[key] for key in ("registry", "registry_version", "access")] + [
+            state["history"]["forgotten"]
+        ]
+
+    def _drive(self, cluster):
+        for name in ("a", "b"):
+            self._send(cluster, kinds.REGISTER, name, user=name)
+        for name in ("a", "b"):
+            rule = {"instance_id": name, "path_prefix": "/x", "allow": False}
+            self._send(cluster, kinds.PERMISSION_SET, name, rule=rule)
+        self._send(cluster, kinds.UNREGISTER, "b")
+
+    def test_a_shard_added_after_an_unregister_holds_what_the_others_hold(self):
+        cluster = self._cluster()
+        self._drive(cluster)
+        new = cluster.shards[cluster.add_shard()]
+        old = cluster.shards["shard-0"]
+        assert self._replicated(new) == self._replicated(old)
+        assert new.history.forgotten_instances() == ["b"]
+        assert [r.instance_id for r in new.access.rules()] == ["a"]
+
+    def test_a_shard_added_after_recovery_holds_what_the_others_hold(self, tmp_path):
+        config = PersistenceConfig(directory=str(tmp_path), snapshot_every=0)
+        live = self._cluster(persistence=config)
+        self._drive(live)
+        for shard in live.shards.values():
+            shard.persistence.close()
+        cluster = recover_cluster(config, shards=2)
+        cluster.bind(type("Outbox", (), {"send": lambda _, m: None})())
+        new = cluster.shards[cluster.add_shard()]
+        assert self._replicated(new) == self._replicated(cluster.shards["shard-0"])
+        for shard in cluster.shards.values():
+            shard.persistence.close()

@@ -48,7 +48,7 @@ class TestAddShard:
         try:
             cluster = session.cluster
             seed_groups(session)
-            old_ring = HashRing(cluster.shard_ids, vnodes=cluster.vnodes)
+            old_ring = HashRing(cluster.shard_ids)
             new_id = cluster.add_shard()
             session.pump()
             new_ring = cluster.ring

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -9,7 +10,12 @@ from repro.errors import PersistenceError
 from repro.net import kinds
 from repro.net.message import Message
 from repro.net.transport import ROUTER_ID
-from repro.persist import MemorySnapshotStore, SnapshotStore
+from repro.persist import (
+    MemorySnapshotStore,
+    PersistenceConfig,
+    SnapshotStore,
+    recover_cluster,
+)
 from repro.persist.snapshot import (
     build_snapshot,
     capture_state,
@@ -249,15 +255,119 @@ class TestFloorWireForm:
         dst, _ = make_server()
         for instance_id in ("a", "b"):
             register(dst, instance_id)
-        dst.import_group(reply.payload)
+        restore_state(dst, reply.payload)
         assert sorted(dst.locks.locked_objects()) == GROUP
         ack(dst, "b", ["a", 1])
         assert dst.floors == {} and len(dst.locks) == 0
 
     def test_parent_form_migrate_state_still_imports(self):
         dst, _ = make_server()
-        dst.import_group(PARENT_MIGRATE_STATE)
+        restore_state(dst, PARENT_MIGRATE_STATE)
         assert dst.floors[("a", 1)].pending_acks == {"b"}
         assert dst.history.depth(("b", "/app/x")) == (1, 0)
         ack(dst, "b", ["a", 1])
         assert dst.floors == {} and len(dst.locks) == 0
+
+
+#: Per-shard journals written by the code before ``migrate_state`` and
+#: ``shard_sync`` took the snapshot's keys: a 2-shard cluster whose
+#: couple migrated a group with history and an ack-awaiting floor, an
+#: unregister, six history pushes, two couples, then ``add_shard`` (three
+#: groups moved to the new shard).  The fingerprints are that code's,
+#: live and recovered.
+PARENT_CLUSTER = os.path.join(PARENT_SNAPSHOTS, "parent-cluster")
+PARENT_CLUSTER_FINGERPRINTS = {
+    "shard-0": "b98b119abbee1c93b1dd05c448af7d21f8f9ed86",
+    "shard-1": "9a9ddbbcf2ea9e64808694676e06d046ec6a8784",
+    "shard-2": "ad1871f3c663f0483b929f65c7e0ba83a6dd1a83",
+}
+
+#: ``shard_sync`` as the code before the snapshot's keys sent it.
+PARENT_SHARD_SYNC = {
+    "access": {
+        "default_allow": True,
+        "rules": [
+            {
+                "allow": False,
+                "instance_id": "a",
+                "path_prefix": "/app",
+                "right": "*",
+                "user": "*",
+            }
+        ],
+    },
+    "records": [
+        {
+            "app_type": "",
+            "host": "localhost",
+            "instance_id": "a",
+            "registered_at": 0.01,
+            "user": "alice",
+        },
+        {
+            "app_type": "",
+            "host": "localhost",
+            "instance_id": "b",
+            "registered_at": 0.02,
+            "user": "bob",
+        },
+    ],
+    "version": 5,
+}
+
+
+class TestOneInstaller:
+    """``restore_state`` installs a snapshot, a ``migrate_state`` and a
+    ``shard_sync``, and only the categories each carries."""
+
+    def test_a_group_install_leaves_the_registry_and_acl_untouched(self):
+        src, _ = make_server()
+        drive_floor_workload(src)
+        group = src.export_group(GROUP)
+        dst, _ = make_server()
+        for instance_id in ("a", "b", "d"):
+            register(dst, instance_id)
+        dst.handle_message(
+            Message(
+                kind=kinds.PERMISSION_SET,
+                sender="d",
+                payload={"rule": {"instance_id": "d", "allow": False}},
+            )
+        )
+        before = capture_state(dst)
+        restore_state(dst, group)
+        after = capture_state(dst)
+        for key in ("registry", "registry_version", "access"):
+            assert after[key] == before[key], key
+        assert after["registry_version"] == 3
+        assert len(after["access"]["rules"]) == 1
+        assert sorted(dst.locks.locked_objects()) == GROUP
+        assert dst.history.depth(("b", "/app/x")) == (1, 0)
+
+    def test_parent_form_shard_sync_installs(self):
+        dst, _ = make_server()
+        dst.handle_message(
+            Message(kind=kinds.SHARD_SYNC, sender=ROUTER_ID, payload=PARENT_SHARD_SYNC)
+        )
+        assert sorted(r.instance_id for r in dst.registry.records()) == ["a", "b"]
+        assert dst.registry.get("a").registered_at == 0.01
+        assert dst.registry.version == 5
+        assert [r.to_wire() for r in dst.access.rules()] == (
+            PARENT_SHARD_SYNC["access"]["rules"]
+        )
+
+    def test_parent_cluster_journals_recover_to_their_fingerprints(self, tmp_path):
+        directory = str(tmp_path / "journal")
+        shutil.copytree(PARENT_CLUSTER, directory)
+        config = PersistenceConfig(directory=directory, snapshot_every=0)
+        cluster = recover_cluster(config, shards=3)
+        try:
+            assert {
+                shard_id: server_fingerprint(shard)
+                for shard_id, shard in cluster.shards.items()
+            } == PARENT_CLUSTER_FINGERPRINTS
+            (home,) = [s for s in cluster.shards.values() if s.floors]
+            assert home.floors[("a", 1)].pending_acks == {"b"}
+        finally:
+            for shard in cluster.shards.values():
+                shard.persistence.close()

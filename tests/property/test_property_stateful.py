@@ -29,9 +29,9 @@ class LockTableMachine(RuleBasedStateMachine):
 
     Checked after every step: each lock belongs to a floor of its owner
     that lists the object; a floor goes exactly at its last ack, its
-    unlock, its lease or its owner's unregister, and leaves no lock
-    behind; a denial changes no lock and no floor; no object has two
-    owners.
+    unlock, its lease or its owner's unregister (or when an unregister
+    took its last object), and leaves no lock behind; a denial changes
+    no lock and no floor; no object has two owners.
     """
 
     def __init__(self):
@@ -159,12 +159,18 @@ class LockTableMachine(RuleBasedStateMachine):
     @rule(instance=st.sampled_from(INSTANCES))
     def unregister(self, instance):
         expected = [key for key in self.floors if key[0] == instance]
-        expected += [
-            key
-            for key, (_, pending, _) in self.floors.items()
-            if key[0] != instance and pending == {instance}
-        ]
-        for _, pending, _ in self.floors.values():
+        for key, entry in self.floors.items():
+            if key[0] == instance:
+                continue
+            objects, pending, _ = entry
+            # The departed instance's objects leave the floor, and so
+            # their locks.
+            for obj in objects:
+                if obj[0] == instance and self.locks.get(obj) == LockOwner(*key):
+                    del self.locks[obj]
+            entry[0] = tuple(o for o in objects if o[0] != instance)
+            if pending == {instance} or not entry[0]:
+                expected.append(key)
             pending.discard(instance)
         self._released(expected, self.table.release_instance(instance))
 

@@ -117,17 +117,25 @@ class TestIsolationAndCleanup:
         assert wire["reason"] == "copy_from"
 
 
+def export_of(*entries):
+    """The export of a store holding *entries* and no tombstones."""
+    store = HistoryStore()
+    for pushed in entries:
+        store.push(pushed)
+    return store.export_state()
+
+
 class TestForgetImportAsymmetry:
     """Regression: an export taken before ``forget_instance`` must not
-    resurrect the dead instance's history through ``import_object``
+    resurrect the dead instance's history through ``import_state``
     (e.g. a shard migration in flight while the instance terminated)."""
 
     def test_stale_import_after_forget_is_dropped(self):
         store = HistoryStore()
         store.push(entry({"v": 1}))
-        exported = store.export_object(OBJ)   # migration takes the stacks
-        store.forget_instance("a")            # ... instance dies meanwhile
-        store.import_object(OBJ, exported)    # ... migration lands late
+        exported = store.export_state([OBJ])  # migration takes the stacks
+        store.forget_instance("a")  # ... instance dies meanwhile
+        store.import_state(exported)  # ... migration lands late
         assert store.depth(OBJ) == (0, 0)
         assert store.objects() == []
 
@@ -135,25 +143,46 @@ class TestForgetImportAsymmetry:
         store = HistoryStore()
         store.forget_instance("a")
         assert store.forgotten_instances() == ["a"]
-        store.import_object(OBJ, {"undo": [entry({"v": 1}).to_wire()]})
+        store.import_state(export_of(entry({"v": 1})))
         assert store.depth(OBJ) == (0, 0)
 
     def test_revive_lifts_the_tombstone(self):
         store = HistoryStore()
         store.push(entry({"v": 1}))
-        exported = store.export_object(OBJ)
+        exported = store.export_state([OBJ])
         store.forget_instance("a")
-        store.revive_instance("a")            # the instance re-registered
-        store.import_object(OBJ, exported)
+        store.revive_instance("a")  # the instance re-registered
+        store.import_state(exported)
         assert store.depth(OBJ) == (1, 0)
 
     def test_other_instances_unaffected(self):
         store = HistoryStore()
         store.push(HistoricalState(obj=OTHER, state={"w": 1}))
-        exported = store.export_object(OTHER)
+        exported = store.export_state([OTHER])
         store.forget_instance("a")
-        store.import_object(OTHER, exported)
+        store.import_state(exported)
         assert store.depth(OTHER) == (1, 0)
+
+    def test_a_push_for_a_forgotten_instance_is_dropped(self):
+        store = HistoryStore()
+        store.forget_instance("a")
+        store.push(entry({"v": 1}))
+        assert store.depth(OBJ) == (0, 0)
+        store.revive_instance("a")
+        store.push(entry({"v": 1}))
+        assert store.depth(OBJ) == (1, 0)
+
+    def test_a_redo_only_object_is_listed_and_exported(self):
+        """What a reshard surveys (``objects()``) includes an object
+        whose undo stack an undo emptied: its redo stack must move."""
+        store = HistoryStore()
+        store.push(entry({"v": 1}))
+        store.undo(OBJ, {"v": 2})
+        assert store.depth(OBJ) == (0, 1)
+        assert store.objects() == [OBJ]
+        twin = HistoryStore()
+        twin.import_state(store.export_state([OBJ]))
+        assert (store.depth(OBJ), twin.depth(OBJ)) == ((0, 0), (0, 1))
 
     def test_tombstones_round_trip_through_export_state(self):
         store = HistoryStore()
@@ -162,5 +191,5 @@ class TestForgetImportAsymmetry:
         twin = HistoryStore()
         twin.import_state(store.export_state())
         assert twin.forgotten_instances() == ["a"]
-        twin.import_object(OBJ, {"undo": [entry({"v": 1}).to_wire()]})
+        twin.import_state(export_of(entry({"v": 1})))
         assert twin.depth(OBJ) == (0, 0)

@@ -8,6 +8,8 @@ import pytest
 import repro.session as session_module
 from repro.cluster import ShardedCosoftCluster
 from repro.cluster.proc import ProcCluster
+from repro.cluster.worker import _parse_args as worker_args
+from repro.cluster.worker import build_worker
 from repro.errors import CodecError
 from repro.net import kinds
 from repro.net.aio import BatchConfig
@@ -47,6 +49,42 @@ class TestRemovedSettingsFailAtConstruction:
     def test_keep_snapshots_is_not_a_persistence_field(self):
         with pytest.raises(TypeError, match="keep_snapshots"):
             PersistenceConfig(keep_snapshots=3)
+
+    @pytest.mark.parametrize("name", ["history_depth", "floor_lease"])
+    def test_history_depth_and_floor_lease_are_not_server_parameters(self, name):
+        with pytest.raises(TypeError, match=name):
+            CosoftServer(**{name: 5})
+
+    @pytest.mark.parametrize("name", ["vnodes", "history_depth", "floor_lease"])
+    def test_ring_and_shard_settings_are_not_cluster_parameters(self, name):
+        with pytest.raises(TypeError, match=name):
+            ShardedCosoftCluster(2, **{name: 5})
+
+    @pytest.mark.parametrize("name", ["vnodes", "history_depth", "floor_lease"])
+    def test_ring_and_shard_settings_are_not_proc_cluster_parameters(
+        self, tmp_path, name
+    ):
+        with pytest.raises(TypeError, match=name):
+            ProcCluster(2, directory=str(tmp_path), **{name: 5})
+        assert list(tmp_path.iterdir()) == []  # no worker was spawned
+
+    @pytest.mark.parametrize("name", ["history_depth", "floor_lease"])
+    def test_history_depth_and_floor_lease_are_not_worker_settings(self, name):
+        with pytest.raises(TypeError, match=name):
+            build_worker(shard_id="shard-0", directory="unused", **{name: 5})
+        required = ["--shard-id", "s", "--dir", "d", "--portfile", "p"]
+        required += ["--codec", "json"]
+        worker_args(required)
+        with pytest.raises(SystemExit):
+            worker_args(required + ["--" + name.replace("_", "-"), "5"])
+
+    def test_vnodes_is_not_a_session_knob(self, monkeypatch):
+        def refuse(config, clock=None):
+            pytest.fail(f"a {config.backend} deployment was built")
+
+        monkeypatch.setattr(session_module, "_build_server", refuse)
+        with pytest.raises(TypeError, match="vnodes"):
+            Session(shards=2, vnodes=8)
 
 
 class TestCatchupIsGone:
