@@ -3,28 +3,32 @@
 
 Builds the workload exactly as a ledger repetition does
 (``benchmarks/ledger/workloads.py``, imported read-only), runs its set-up
-and its own untimed warm-up, then counts every ``call`` event
-``sys.setprofile`` reports across the timed actions and prints the count
-divided by the number of actions.  Calls into C (``c_call``) are not
-counted.
+and its own untimed warm-up, then counts every ``call`` event the
+profiler reports across the timed actions and prints the count divided
+by the number of actions.  Calls into C (``c_call``) are not counted.
 
-The calling thread is always profiled.  On an aio workload the event-loop
-thread is too: the profile function is installed on the aio host's
-loop (``session._host_transport.loop``) through ``call_soon_threadsafe``
-before the timed phase and removed after it, so the receive sides that
-run there (every instance's handler, the server's dispatch) are counted
-as well;
-the two threads' shares are printed beside the total.  The count repeats
-exactly on a workload whose actions run on the calling thread alone
-(``fanout64_memory``); on a socket backend the loop's share also counts
-its own wake-ups, which depend on scheduling.  A count compares two
-versions of one program on one interpreter; it says nothing about time.
+Every thread is profiled: the counter is installed with
+``threading.setprofile`` (and ``sys.setprofile`` on the calling thread)
+before the workload's set-up builds its deployment, so the aio loop
+thread, the tcp host's accept and reader threads and the tcp clients'
+reader threads all run it from their first instruction.  It counts only
+while a flag is on, which it is over the timed actions alone.  Each
+thread keeps its own tally, and the tallies are summed by role — the
+thread's name with every run of digits replaced by ``N`` (``MainThread``
+is the calling thread, ``aio-host-loop`` the aio loop) — and each role's
+share is printed beside the total.  The count repeats exactly on a
+workload whose actions run on the calling thread alone
+(``fanout64_memory``); on a socket backend the other threads' shares
+also count their own wake-ups, which depend on scheduling.  A count
+compares two versions of one program on one interpreter; it says nothing
+about time.
 
 Standard library only.  Usage, from the repository root::
 
     python .github/scripts/calls.py                          # fanout64_memory
     python .github/scripts/calls.py --workload fanout64_memory --seed 990
-    python .github/scripts/calls.py --workload copy_form_aio   # + the loop thread
+    python .github/scripts/calls.py --workload fanout64_aio  # + the loop thread
+    python .github/scripts/calls.py --workload pair_tcp      # + the reader threads
     python .github/scripts/calls.py --top 20                 # also the busiest callees
 """
 
@@ -33,13 +37,42 @@ from __future__ import annotations
 import argparse
 import collections
 import os
+import re
 import sys
 import tempfile
 import threading
-from typing import Any, Callable, Counter, List, Optional
+from typing import Callable, Counter, List, Optional, Tuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
+
+
+def thread_role(name: str) -> str:
+    """A thread's role: its name with every run of digits replaced by N
+    (``Thread-7 (_reader_loop)`` and ``Thread-9 (_reader_loop)`` are one
+    role, the tcp host's readers)."""
+    return re.sub(r"\d+", "N", name)
+
+
+def counting_profiler(
+    counting: List[bool], tallies: List[Tuple[str, Counter]]
+) -> Callable[..., None]:
+    """A profile function for every thread: while ``counting[0]`` holds,
+    count each ``call`` event by code object in the running thread's own
+    tally (appended to *tallies* with the thread's role on its first
+    counted call), so no count is shared between threads."""
+    local = threading.local()
+
+    def profile(frame, event, _arg) -> None:
+        if event != "call" or not counting[0]:
+            return
+        tally = getattr(local, "tally", None)
+        if tally is None:
+            tally = local.tally = collections.Counter()
+            tallies.append((thread_role(threading.current_thread().name), tally))
+        tally[frame.f_code] += 1
+
+    return profile
 
 
 def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
@@ -56,83 +89,54 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
 
     spec = SPEC_BY_NAME[workload_name]
     actions = actions or spec.actions
-    # One tally per thread, keyed by code object: no count is shared
-    # between the two threads that run profile functions.
-    driver: Counter = collections.Counter()
-    on_loop: Counter = collections.Counter()
-
-    def profiler(tally: Counter) -> Callable[..., None]:
-        def profile(frame, event, _arg) -> None:
-            if event == "call":
-                tally[frame.f_code] += 1
-
-        return profile
+    counting = [False]
+    tallies: List[Tuple[str, Counter]] = []
+    profile = counting_profiler(counting, tallies)
 
     with tempfile.TemporaryDirectory() as workdir:
         workload = build(spec, seed, workdir, actions)
+        threading.setprofile(profile)
+        sys.setprofile(profile)
         try:
             workload.setup()
             for k in range(workload.warmup):
                 workload.act(k)
                 workload.settle()
             workload.quiesce()
-            loop = None
-            if spec.shape.get("backend") == "aio":
-                loop = workload.session._host_transport.loop
             failed = 0
-            if loop is not None:
-                _run_on(loop, sys.setprofile, profiler(on_loop))
-            sys.setprofile(profiler(driver))
+            counting[0] = True
             try:
                 for k in range(workload.warmup, workload.warmup + workload.actions):
                     if workload.act(k) is None or not workload.settle():
                         failed += 1
             finally:
-                sys.setprofile(None)
-                if loop is not None:
-                    _run_on(loop, sys.setprofile, None)
+                counting[0] = False
             problems = workload.check()
         finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
             workload.close()
     timed = workload.actions
-    calling, looping = sum(driver.values()), sum(on_loop.values())
-    calls = calling + looping
-    share = ""
-    if loop is not None:
-        share = (
-            f"calling thread {calling / timed:.2f}, "
-            f"loop thread {looping / timed:.2f}; "
-        )
+    by_role: Counter = collections.Counter()
+    callees: Counter = collections.Counter()
+    for role, tally in tallies:
+        by_role[role] += sum(tally.values())
+        for code, n in tally.items():
+            where = os.path.relpath(code.co_filename, ROOT)
+            callees[f"{where}:{code.co_name}"] += n
+    calls = sum(by_role.values())
+    share = "; ".join(f"{role} {n / timed:.2f}" for role, n in by_role.most_common())
     print(
         f"{workload_name}: {calls / timed:.2f} Python calls per action "
-        f"({share}{calls} over {timed} actions, seed {seed}, failed {failed}, "
+        f"({share}; {calls} over {timed} actions, seed {seed}, failed {failed}, "
         f"python {sys.version.split()[0]})"
     )
-    callees: Counter = collections.Counter()
-    for code, n in (driver + on_loop).items():
-        where = os.path.relpath(code.co_filename, ROOT)
-        callees[f"{where}:{code.co_name}"] += n
     for name, n in callees.most_common(top):
         print(f"  {n / timed:9.2f}  {name}")
     if failed or problems:
         print(f"output check failed: {failed} failed actions, {problems[:3]}")
         return 1
     return 0
-
-
-def _run_on(loop: Any, function: Callable[..., Any], *args: Any) -> None:
-    """Run *function* on *loop*'s thread and wait until it has run."""
-    done = threading.Event()
-
-    def call() -> None:
-        try:
-            function(*args)
-        finally:
-            done.set()
-
-    loop.call_soon_threadsafe(call)
-    if not done.wait(timeout=10):
-        raise RuntimeError("the event loop did not run the call within 10 s")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -22,23 +22,33 @@ Both sides put every socket on the loop as one
 transport ``recv_into``s a receive buffer shared by the whole loop
 thread, and the read callback decodes and dispatches inline — no
 ``bytes`` per read (a stream reader's transport allocates 256 KiB for
-each), no reader task, no second trip through the ready queue.
+each), no reader task, no second trip through the ready queue.  Dispatch
+takes the transport's lock once per read and wakes only threads that
+wait: the client notifies its condition only while a thread is in
+``drive``, and the host, which has no ``drive``, never does.
 
 Three disciplines are layered on the outbound path (docs/RUNTIME.md):
 
-**One flush rule.**  Outbound messages queue *per destination* and leave
-when the current event-loop burst ends: everything a handler burst
-produced for one destination goes out in one ``write()`` (at most
-:data:`_MAX_FRAMES_PER_WRITE` frames each), adding no latency.  Nothing
-waits for a timer (docs/PERF.md §12).
+**One flush rule, on both sides.**  Outbound messages queue *per
+destination* and leave when the current event-loop burst ends:
+everything a handler burst produced for one destination goes out in one
+``write()``, adding no latency.  On the host the queue is the
+destination's :class:`SendQueue` (at most :data:`_MAX_FRAMES_PER_WRITE`
+frames per write).  On a client it is the outbox: a loop-thread send
+(an ack) joins the loop's list of clients with pending frames, written
+by one scheduled callback per burst, after every apply of the burst; an
+application thread's send schedules one write of the same outbox, so
+frames leave in sending order.  :meth:`AioClientTransport.close` writes
+the outbox before the socket closes.  Nothing waits for a timer
+(docs/PERF.md §12).
 
-**Bounded queues.**  Every destination has a bounded send queue
+**Bounded queues** (host).  Every destination has a bounded send queue
 (``max_queue`` messages).  A slow consumer overflows it, and the
 overflowing message is dropped, counted under
 ``TrafficStats.drops_by_reason["backpressure"]``: one more source of
 loss, with the consequences docs/RUNTIME.md's fault table lists.
 
-**Per-hop retry.**  A flush that finds no live connection for its
+**Per-hop retry** (host).  A flush that finds no live connection for its
 destination (or a failed write) is retried with exponential backoff
 (``retry_initial`` · ``retry_backoff``ᵃᵗᵗᵉᵐᵖᵗ, capped at
 ``retry_max_delay``) up to ``retry_limit`` attempts, then dropped as
@@ -181,36 +191,38 @@ class SendQueue:
     def __init__(self, destination: str, config: BatchConfig):
         self.destination = destination
         self.config = config
-        self._items: List[Message] = []
+        #: The queued messages, oldest first.  Read-only outside this
+        #: class: the host's flush path tests it for emptiness directly.
+        self.items: List[Message] = []
         #: Failed delivery attempts for the batch currently at the head.
         self.attempts = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def push(self, message: Message) -> str:
         """Append one message unless the queue is at its bound."""
-        if len(self._items) >= self.config.max_queue:
+        if len(self.items) >= self.config.max_queue:
             return self.OVERFLOW
-        self._items.append(message)
+        self.items.append(message)
         return self.QUEUED
 
     def pop_batch(self, max_messages: int = _MAX_FRAMES_PER_WRITE) -> List[Message]:
         """Remove and return up to *max_messages* messages from the head;
         the caller encodes them (:meth:`requeue_front` restores them
         verbatim on a failed write)."""
-        taken = self._items[:max_messages]
-        del self._items[:max_messages]
+        taken = self.items[:max_messages]
+        del self.items[:max_messages]
         return taken
 
     def requeue_front(self, items: List[Message]) -> None:
         """Put a failed batch back at the head, preserving FIFO order."""
-        self._items[:0] = items
+        self.items[:0] = items
 
     def drain_all(self) -> List[Message]:
         """Empty the queue, returning the abandoned messages."""
-        out = list(self._items)
-        self._items.clear()
+        out = list(self.items)
+        self.items.clear()
         self.attempts = 0
         return out
 
@@ -276,6 +288,30 @@ def _receive_view() -> memoryview:
     if view is None:
         view = _loop_local.view = memoryview(bytearray(_RECV_BUFFER_SIZE))
     return view
+
+
+def _burst_clients() -> List[AioClientTransport]:
+    """The calling loop thread's clients with frames to write when the
+    current burst ends (created on first use).
+
+    One list serves every client on a loop: the client that finds it
+    empty schedules the one :func:`_write_burst` that empties it, so a
+    burst of N acks costs one scheduled callback, not N.
+    """
+    clients = getattr(_loop_local, "clients", None)
+    if clients is None:
+        clients = _loop_local.clients = []
+    return clients
+
+
+def _write_burst(clients: List[AioClientTransport]) -> None:
+    """End of a loop burst: write each listed client's outbox, one
+    ``transport.write`` per client."""
+    pending = clients[:]
+    clients.clear()
+    for client in pending:
+        client._in_burst = False
+        client._write_outbox()
 
 
 class _SocketConnection(asyncio.BufferedProtocol):
@@ -409,7 +445,10 @@ class AioHostTransport(Transport):
         self.config = config if config is not None else BatchConfig()
         self._retry = RetryPolicy(self.config)
         self._stats = TrafficStats()
-        self._cond = threading.Condition(threading.RLock())
+        #: Serializes application threads with dispatch.  A plain lock: no
+        #: thread waits on the host (it has no ``drive``), so dispatch
+        #: has nobody to notify.
+        self._lock = threading.RLock()
         self._closed = False
 
         #: Every accepted socket, identified or not (loop-thread only):
@@ -483,7 +522,7 @@ class AioHostTransport(Transport):
     @contextlib.contextmanager
     def guard(self) -> Iterator[None]:
         """Serialize application threads with event-loop dispatch."""
-        with self._cond:
+        with self._lock:
             yield
 
     def send(self, message: Message) -> None:
@@ -497,13 +536,13 @@ class AioHostTransport(Transport):
         """
         if self._closed:
             raise TransportClosedError("aio host transport is closed")
-        if self._on_loop():
+        if threading.get_ident() == self._loop_tid:
             self._enqueue(message)
         else:
             self._loop.call_soon_threadsafe(self._enqueue, message)
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -526,9 +565,6 @@ class AioHostTransport(Transport):
     # Event-loop internals
     # ------------------------------------------------------------------
 
-    def _on_loop(self) -> bool:
-        return threading.get_ident() == self._loop_tid
-
     def _connection_made(self, conn: _SocketConnection) -> None:
         self._accepted.add(conn)
         if self._closed:
@@ -541,7 +577,7 @@ class AioHostTransport(Transport):
         serialization as per-message recv(), without paying the lock
         round-trip per message.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             if conn.peer_id is None:
@@ -554,7 +590,6 @@ class AioHostTransport(Transport):
                 self._peer_codecs[conn.peer_id] = get_codec(conn.codec_name)
             for message in messages:
                 self._handler(message)
-            self._cond.notify_all()
 
     def _connection_lost(
         self, conn: _SocketConnection, exc: Optional[Exception]
@@ -600,14 +635,10 @@ class AioHostTransport(Transport):
             self._flush_scheduled = True
             self._loop.call_soon(self._flush_dirty)
 
-    def _codec_for(self, dest: str) -> Codec:
-        codec = self._peer_codecs.get(dest)
-        return codec if codec is not None else self._codec
-
     def _drop_size(self, dest: str, message: Message) -> int:
         """Byte accounting for a message dropped before any write (cold
         path; the per-codec frame memo makes repeats cheap)."""
-        return self._codec_for(dest).wire_size(message)
+        return self._peer_codecs.get(dest, self._codec).wire_size(message)
 
     def _flush_dirty(self) -> None:
         """End-of-burst inline flush (loop-thread only).
@@ -625,13 +656,13 @@ class AioHostTransport(Transport):
         self._flush_scheduled = False
         dirty, self._dirty = self._dirty, set()
         for dest in dirty:
-            queue = self._queues.get(dest)
-            if queue is None or not len(queue):
+            queue = self._queues[dest]
+            if not queue.items:
                 continue
             conn = self._conns.get(dest)
             if conn is not None and not queue.attempts:
                 self._write_queued(queue, conn)
-            if len(queue):
+            if queue.items:
                 self._kick_writer(dest)  # what is left has to wait
 
     def _write_queued(self, queue: SendQueue, conn: _SocketConnection) -> bool:
@@ -645,15 +676,20 @@ class AioHostTransport(Transport):
         """
         written = True
         dest = queue.destination
-        codec = self._codec_for(dest)
+        codec = self._peer_codecs.get(dest, self._codec)
+        transport = conn.transport
         while (
-            len(queue)
-            and conn.transport.get_write_buffer_size() <= _INLINE_BUFFER_LIMIT
+            queue.items and transport.get_write_buffer_size() <= _INLINE_BUFFER_LIMIT
         ):
             items = queue.pop_batch()
-            frames = [codec.encode(message) for message in items]
+            if len(items) == 1:
+                frames = (codec.encode(items[0]),)
+                data = frames[0]
+            else:
+                frames = [codec.encode(message) for message in items]
+                data = b"".join(frames)
             try:
-                conn.transport.write(b"".join(frames))
+                transport.write(data)
             except (ConnectionError, OSError) as exc:
                 # The write may have partially left: retrying can
                 # duplicate delivery, which idempotent msg ids make safe.
@@ -778,12 +814,15 @@ class AioClientTransport(TcpTransportBase):
     so one thread services every connection of the whole deployment.
 
     The serialization contract is unchanged: the endpoint handler runs
-    under the transport condition (:meth:`TcpTransportBase.recv` shape),
+    under the transport lock (:meth:`TcpTransportBase.recv` shape),
     application threads synchronize through ``guard``/``drive``, and the
     wire format is the shared length-prefixed codec.  :meth:`send` may be
     called from any thread, including the loop thread itself (a handler
-    answering a broadcast): frames are always queued on the loop and
-    written there in queueing order, never inline from the caller.
+    answering a broadcast): every frame is appended to one outbox, which
+    the loop writes in one ``write()`` — at the end of the burst for a
+    loop-thread send, from one scheduled callback for an application
+    thread's — so frames leave in sending order, never inline from the
+    caller.
 
     Must be constructed from outside the loop thread (the constructor
     blocks on the connection being established).
@@ -801,6 +840,13 @@ class AioClientTransport(TcpTransportBase):
         codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
+        #: Encoded frames not yet written, oldest first.  Any thread
+        #: appends; only the loop thread takes frames out, by a slice
+        #: and a ``del`` of that many, so an append racing a write is
+        #: kept for the next one.
+        self._outbox: List[bytes] = []
+        #: On the loop's end-of-burst list (loop-thread only).
+        self._in_burst = False
         #: The loop thread this transport started and therefore stops
         #: (None when it joined a caller's loop).
         self._own_loop = (
@@ -811,6 +857,7 @@ class AioClientTransport(TcpTransportBase):
         # asyncio sets TCP_NODELAY on every socket transport it creates.
         async def _bootstrap() -> _SocketConnection:
             self._loop_tid = threading.get_ident()
+            self._burst = _burst_clients()
             _, conn = await self._loop.create_connection(
                 lambda: _SocketConnection(self), host, port
             )
@@ -831,24 +878,26 @@ class AioClientTransport(TcpTransportBase):
                 f"client transport {self._local_id!r} is closed"
             )
         frame = self._codec.encode(message)
-        # A handler answering on the loop thread (EVENT_ACK, STATE_REPLY,
-        # COMMAND_REPLY) needs no self-pipe wake-up: the loop is awake, it
-        # is running us.  Both calls append to the same ready queue, so
-        # the frame keeps its place behind whatever an application thread
-        # queued earlier; writing inline would overtake those frames.
-        schedule = (
-            self._loop.call_soon
-            if threading.get_ident() == self._loop_tid
-            else self._loop.call_soon_threadsafe
-        )
-        try:
-            schedule(self._write_frame, frame)
-        except RuntimeError as exc:  # loop shut down underneath us
-            raise DeliveryError(f"send to server failed: {exc}") from exc
-        self.stats.record(message, len(frame), "server")
+        self._outbox.append(frame)
+        if threading.get_ident() == self._loop_tid:
+            # A handler answering on the loop thread (EVENT_ACK,
+            # STATE_REPLY, COMMAND_REPLY): the loop is awake, it is
+            # running us.  The frame leaves when the burst ends, after
+            # every apply of the burst, in this client's one write.
+            if not self._in_burst:
+                self._in_burst = True
+                if not self._burst:
+                    self._loop.call_soon(_write_burst, self._burst)
+                self._burst.append(self)
+        else:
+            try:
+                self._loop.call_soon_threadsafe(self._write_outbox)
+            except RuntimeError as exc:  # loop shut down underneath us
+                raise DeliveryError(f"send to server failed: {exc}") from exc
+        self._stats.record(message, len(frame), "server")
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -856,32 +905,47 @@ class AioClientTransport(TcpTransportBase):
 
         if self._loop.is_running():
             with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self._conn.transport.close)
+                self._loop.call_soon_threadsafe(self._close_on_loop)
         if self._own_loop is not None:
             self._own_loop.stop()
 
     # Loop internals ----------------------------------------------------
 
-    def _write_frame(self, frame: bytes) -> None:
-        if self._closed:
+    def _write_outbox(self) -> None:
+        """Write every frame sent so far in one ``transport.write``."""
+        frames = self._outbox[:]
+        if not frames:
             return
-        with contextlib.suppress(ConnectionError, OSError):
-            self._conn.transport.write(frame)
+        del self._outbox[: len(frames)]
+        try:
+            self._conn.transport.write(
+                frames[0] if len(frames) == 1 else b"".join(frames)
+            )
+        except (ConnectionError, OSError):
+            pass
+
+    def _close_on_loop(self) -> None:
+        """Close the socket after writing what was sent before
+        :meth:`close` (an ``UNREGISTER``, say): ``transport.close()``
+        flushes its buffer before the socket goes."""
+        self._write_outbox()
+        self._conn.transport.close()
 
     def _connection_made(self, conn: _SocketConnection) -> None:
         """Nothing to register: the constructor is handed the connection."""
 
     def _dispatch(self, conn: _SocketConnection, messages: List[Message]) -> None:
-        # One guard acquisition per chunk (same dispatch shape as the
-        # host side): the instance handler never sees concurrent calls,
-        # and application threads waiting in ``drive`` wake once per
-        # burst.
-        with self._cond:
+        # One lock acquisition per chunk (same dispatch shape as the host
+        # side): the instance handler never sees concurrent calls, and an
+        # application thread waiting in ``drive`` wakes once per burst —
+        # the condition is notified only while one waits.
+        with self._lock:
             if self._closed:
                 return
             for message in messages:
                 self._handler(message)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def _connection_lost(
         self, conn: _SocketConnection, exc: Optional[Exception]
@@ -894,5 +958,5 @@ class AioClientTransport(TcpTransportBase):
                 local_id=self._local_id,
                 error=type(exc).__name__,
             )
-        with self._cond:
+        with self._lock:
             self._cond.notify_all()

@@ -14,7 +14,9 @@ Threading model
   cores never see concurrent calls.  Application threads synchronize with
   the same lock through :meth:`TcpTransportBase.guard` and block in
   :meth:`drive`, which waits on the condition (released while waiting, so
-  the reader thread can make progress).
+  the reader thread can make progress).  ``drive`` counts its waiters
+  under the lock, and a handler run notifies the condition only while
+  that count is non-zero.
 """
 
 from __future__ import annotations
@@ -48,7 +50,12 @@ class TcpTransportBase(Transport):
         self._local_id = local_id
         self._handler = handler
         self._codec: Codec = get_codec(codec)
-        self._cond = threading.Condition(threading.RLock())
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
+        #: Threads parked in :meth:`drive` (read and written under
+        #: ``_lock``): a dispatch notifies the condition only while one
+        #: waits.
+        self._waiters = 0
         self._closed = False
         self._stats = TrafficStats()
 
@@ -63,25 +70,30 @@ class TcpTransportBase(Transport):
     @contextlib.contextmanager
     def guard(self) -> Iterator[None]:
         """Serialize application-thread access with the reader thread(s)."""
-        with self._cond:
+        with self._lock:
             yield
 
     def recv(self, message: Message) -> None:
         """Run the endpoint handler under the serialization lock."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._handler(message)
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
     def drive(self, predicate: Callable[[], bool], timeout: float = 5.0) -> bool:
         end = time.monotonic() + timeout
-        with self._cond:
+        with self._lock:
             while not predicate():
                 remaining = end - time.monotonic()
                 if remaining <= 0:
                     return bool(predicate())
-                self._cond.wait(remaining)
+                self._waiters += 1
+                try:
+                    self._cond.wait(remaining)
+                finally:
+                    self._waiters -= 1
             return True
 
     def _send_on(

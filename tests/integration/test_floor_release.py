@@ -16,6 +16,7 @@ from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Shell, TextField, ToggleButton
 
 from conftest import floor_free, make_demo_tree, settle
+from harness import DEPLOYMENTS
 
 FIELD = "/app/form/name"
 FLAG = "/app/form/flag"
@@ -87,6 +88,29 @@ class TestAckBasedRelease:
         b.close()
         session.pump()
         assert len(session.server.locks) == 0
+
+    @pytest.mark.parametrize("cell", ["memory-0", "tcp-0", "aio-0", "aio-2"])
+    def test_departed_receiver_leaves_on_every_backend(self, cell):
+        """The same departure on real sockets: the UNREGISTER that
+        ``close()`` sends reaches the server before the socket closes,
+        so the registry forgets b and a remaining member is granted the
+        floor instead of waiting out b's ack until the lease expires."""
+        with Session(**DEPLOYMENTS[cell]) as session:
+            a, b, c = (session.create_instance(n, user=f"u{n}") for n in "abc")
+            ta, tb, tc = (i.add_root(make_demo_tree()) for i in (a, b, c))
+            a.couple(ta.find(FIELD), ("b", FIELD))
+            a.couple(ta.find(FIELD), ("c", FIELD))
+            assert settle(session, lambda: all(i.is_coupled(FIELD) for i in (a, b, c)))
+            ta.find(FIELD).commit("x")
+            b.close()
+            assert settle(session, lambda: "b" not in session.server.registry)
+            assert tc.find(FIELD).value == "x"
+            ta.find(FIELD).commit("again")
+            assert not a.last_execution.lock_denied
+            assert settle(session, lambda: tc.find(FIELD).value == "again")
+            tc.find(FIELD).commit("y")
+            assert not c.last_execution.lock_denied
+            assert settle(session, lambda: ta.find(FIELD).value == "y")
 
     def test_lease_expiry_reclaims_stuck_floor(self):
         session = Session()

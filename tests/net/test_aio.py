@@ -41,6 +41,7 @@ from repro.net.codec import (
     HEADER_SIZE,
     JSON_CODEC,
     MAX_FRAME_SIZE,
+    StreamDecoder,
     decode_body,
     encode,
 )
@@ -644,6 +645,91 @@ def read_side(request):
     side.close()
 
 
+class TestClientWriteRule:
+    """Every client frame leaves through its outbox: a loop-thread send
+    when the burst ends, an application thread's from one scheduled
+    callback — in sending order either way (``TestAioClientTransport``
+    interleaves the two).  Two clients on one loop, each read by a raw
+    socket (:class:`ReadSide`)."""
+
+    @pytest.fixture
+    def clients(self):
+        side = ReadSide("client")
+        yield side
+        side.close()
+
+    def test_a_burst_of_broadcasts_acks_once_per_client_after_every_apply(
+        self, clients
+    ):
+        """Broadcasts dispatched in one loop burst: every apply runs
+        first, then each client writes its two replies in one write."""
+        log = []
+
+        def replier(i, client):
+            def apply(message):
+                log.append(("apply", i))
+                client.send(msg(sender=f"c{i}", to="", ack=1))
+                client.send(msg(sender=f"c{i}", to="", ack=2))
+
+            return apply
+
+        def recorder(i, write):
+            def recording(data):
+                log.append(("write", i, bytes(data)))
+                write(data)
+
+            return recording
+
+        for i, client in enumerate(clients.transports):
+            client._handler = replier(i, client)
+            transport = client._conn.transport
+            transport.write = recorder(i, transport.write)
+        broadcast = encode(msg(to="", event=1))
+
+        def one_burst():
+            # As the selector does when both sockets are readable at
+            # once: one read callback per connection, back to back.
+            for client in clients.transports:
+                conn = client._conn
+                conn.get_buffer(len(broadcast))[: len(broadcast)] = broadcast
+                conn.buffer_updated(len(broadcast))
+
+        clients.on_loop(one_burst)
+        assert wait_until(lambda: len(log) == 4)
+        assert log[:2] == [("apply", 0), ("apply", 1)]
+        assert sorted(entry[1] for entry in log[2:]) == [0, 1]
+        for _, _, data in log[2:]:
+            frames = StreamDecoder().feed(data)
+            assert [m.payload for m in frames] == [{"ack": 1}, {"ack": 2}]
+        for writer in clients.writers:
+            assert [read_frame(writer).payload for _ in range(2)] == [
+                {"ack": 1},
+                {"ack": 2},
+            ]
+
+    def test_drive_wakes_on_a_reply_and_returns_at_its_timeout(self, clients):
+        """Two threads parked in ``drive`` are both counted and both woken
+        by one reply; a predicate that never holds still returns False
+        at its timeout, and the count is back to zero after each."""
+        client = clients.transports[0]
+        results = []
+
+        def wait_for_reply():
+            results.append(client.drive(lambda: bool(clients.inbox.received)))
+
+        waiters = [threading.Thread(target=wait_for_reply) for _ in range(2)]
+        for waiter in waiters:
+            waiter.start()
+        assert wait_until(lambda: client._waiters == 2)
+        clients.writers[0].sendall(clients.frame(0, reply=1))
+        for waiter in waiters:
+            waiter.join(timeout=10.0)
+        assert results == [True, True]
+        assert client._waiters == 0
+        assert client.drive(lambda: False, timeout=0.05) is False
+        assert client._waiters == 0
+
+
 class TestReadPath:
     def test_frame_larger_than_the_receive_buffer(self, read_side):
         blob = "x" * (3 * _RECV_BUFFER_SIZE + 17)
@@ -668,20 +754,54 @@ class TestReadPath:
         self, read_side, monkeypatch
     ):
         """20 frames, one write, well under one buffer: one read, so one
-        guard acquisition and one wake-up of the threads in ``drive``."""
+        lock acquisition and — on the client, with a thread parked in
+        ``drive`` — one wake-up of that thread.  The host has no
+        ``drive``, so no thread can wait on it and it notifies nobody."""
         read_side.identify()
-        cond = read_side.transports[0]._cond
+        transport = read_side.transports[0]
+        acquisitions = []
+
+        class CountingLock:
+            def __init__(self, lock):
+                self._inner = lock
+
+            def __enter__(self):
+                acquisitions.append(1)
+                return self._inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self._inner.__exit__(*exc)
+
+        def arrived():
+            return len(read_side.inbox.payloads("w0")) == 21
+
         wakeups = []
-        notify_all = cond.notify_all
-        monkeypatch.setattr(
-            cond, "notify_all", lambda: (wakeups.append(1), notify_all())
-        )
+        driven = []
+        if read_side.side == "host":
+            assert not hasattr(transport, "_cond")
+        else:
+            cond = transport._cond
+            notify_all = cond.notify_all
+            monkeypatch.setattr(
+                cond, "notify_all", lambda: (wakeups.append(1), notify_all())
+            )
+            waiter = threading.Thread(
+                target=lambda: driven.append(transport.drive(arrived, timeout=10.0))
+            )
+            waiter.start()
+            assert wait_until(lambda: transport._waiters == 1)
+        monkeypatch.setattr(transport, "_lock", CountingLock(transport._lock))
         burst = b"".join(read_side.frame(0, seq=i) for i in range(20))
         assert len(burst) < _RECV_BUFFER_SIZE // 8
         read_side.writers[0].sendall(burst)
-        assert wait_until(lambda: len(read_side.inbox.payloads("w0")) == 21)
+        assert wait_until(arrived)
         assert read_side.inbox.payloads("w0")[1:] == [{"seq": i} for i in range(20)]
-        assert len(wakeups) == 1
+        assert len(acquisitions) == 1
+        if read_side.side == "client":
+            waiter.join(timeout=10.0)
+            assert driven == [True]
+            assert len(wakeups) == 1
+            assert transport._waiters == 0
 
     def test_interleaved_partial_frames_decode_independently(self, read_side):
         """Both connections read through the loop thread's one receive
