@@ -16,7 +16,11 @@ while a flag is on, which it is over the timed actions alone.  Each
 thread keeps its own tally, and the tallies are summed by role — the
 thread's name with every run of digits replaced by ``N`` (``MainThread``
 is the calling thread, ``aio-host-loop`` the aio loop) — and each role's
-share is printed beside the total.  The count repeats exactly on a
+share is printed beside the total.  Each role's line also counts its
+loop passes (``BaseEventLoop._run_once``) and self-pipe writes
+(``_write_to_self``, one per ``call_soon_threadsafe``) per action: the
+thread hand-offs, which a call count alone does not separate from
+work.  The count repeats exactly on a
 workload whose actions run on the calling thread alone
 (``fanout64_memory``); on a socket backend the other threads' shares
 also count their own wake-ups, which depend on scheduling.  A count
@@ -35,6 +39,7 @@ Standard library only.  Usage, from the repository root::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import collections
 import os
 import re
@@ -45,6 +50,13 @@ from typing import Callable, Counter, List, Optional, Tuple
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
+
+#: asyncio functions whose calls count a hand-off between threads, with
+#: the name printed for them: one pass of an event loop (a wake-up when
+#: the loop was asleep in ``select``), and one byte written to a loop's
+#: self-pipe by ``call_soon_threadsafe`` (a thread waking the loop).
+HAND_OFFS = {"_run_once": "loop passes", "_write_to_self": "self-pipe writes"}
+ASYNCIO_DIR = os.path.dirname(asyncio.__file__)
 
 
 def thread_role(name: str) -> str:
@@ -118,12 +130,15 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
             workload.close()
     timed = workload.actions
     by_role: Counter = collections.Counter()
+    hand_offs = {name: collections.Counter() for name in HAND_OFFS}
     callees: Counter = collections.Counter()
     for role, tally in tallies:
         by_role[role] += sum(tally.values())
         for code, n in tally.items():
             where = os.path.relpath(code.co_filename, ROOT)
             callees[f"{where}:{code.co_name}"] += n
+            if code.co_name in HAND_OFFS and ASYNCIO_DIR in code.co_filename:
+                hand_offs[code.co_name][role] += n
     calls = sum(by_role.values())
     share = "; ".join(f"{role} {n / timed:.2f}" for role, n in by_role.most_common())
     print(
@@ -131,6 +146,12 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
         f"({share}; {calls} over {timed} actions, seed {seed}, failed {failed}, "
         f"python {sys.version.split()[0]})"
     )
+    for role, n in by_role.most_common():
+        counts = ", ".join(
+            f"{hand_offs[name][role] / timed:.2f} {label}"
+            for name, label in HAND_OFFS.items()
+        )
+        print(f"  {role}: {n / timed:.2f} calls, {counts} per action")
     for name, n in callees.most_common(top):
         print(f"  {n / timed:9.2f}  {name}")
     if failed or problems:

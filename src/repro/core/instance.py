@@ -44,6 +44,7 @@ from repro.errors import (
     PathError,
     ReproError,
     ServerError,
+    TransportClosedError,
 )
 from repro.net import kinds
 from repro.net.message import Message
@@ -715,9 +716,15 @@ class ApplicationInstance:
         return next(self._tokens)
 
     def send(self, message: Message) -> None:
-        self._require_connected()
-        assert self._transport is not None
-        self._transport.send(message)
+        # A closed transport refuses the send itself: no ``closed`` read
+        # per message.
+        transport = self._transport
+        if transport is None:
+            raise NotRegisteredError(self.instance_id)
+        try:
+            transport.send(message)
+        except TransportClosedError as exc:
+            raise NotRegisteredError(self.instance_id) from exc
 
     def request(
         self,

@@ -34,12 +34,17 @@ destination* and leave when the current event-loop burst ends:
 everything a handler burst produced for one destination goes out in one
 ``write()``, adding no latency.  On the host the queue is the
 destination's :class:`SendQueue` (at most :data:`_MAX_FRAMES_PER_WRITE`
-frames per write).  On a client it is the outbox: a loop-thread send
+frames per write); a read callback that is the last ready callback of
+its loop pass writes what its handlers produced before it returns,
+otherwise one flush is scheduled after the pass's other callbacks (other
+reads may add to it).  On a client it is the outbox: a loop-thread send
 (an ack) joins the loop's list of clients with pending frames, written
-by one scheduled callback per burst, after every apply of the burst; an
-application thread's send schedules one write of the same outbox, so
-frames leave in sending order.  :meth:`AioClientTransport.close` writes
-the outbox before the socket closes.  Nothing waits for a timer
+by one scheduled callback per burst, after every apply of the burst.
+An application thread writes its own frame to the socket, under the
+client's write lock, when nothing is queued ahead of it; otherwise it
+queues the frame behind the outbox and schedules one write, so frames
+leave in sending order.  :meth:`AioClientTransport.close` writes the
+outbox before the socket closes.  Nothing waits for a timer
 (docs/PERF.md §12).
 
 **Bounded queues** (host).  Every destination has a bounded send queue
@@ -67,6 +72,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import socket
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -314,6 +320,38 @@ def _write_burst(clients: List[AioClientTransport]) -> None:
         client._write_outbox()
 
 
+def _connect(host: str, port: int, timeout: float) -> socket.socket:
+    """A non-blocking TCP socket connected to *host*:*port*, Nagle off.
+
+    Set up as :class:`~repro.net.tcp.TcpClientTransport` sets up its
+    socket, with ``TCP_NODELAY`` set here: asyncio sets it only on a
+    socket whose ``proto`` reads ``IPPROTO_TCP``, and with Nagle on a
+    small frame written behind one still unacknowledged waits for the
+    ack (a ``copy_to`` took 42-49 ms instead of 0.42 ms).  A numeric
+    address connects without ``getaddrinfo``, as asyncio's own
+    ``create_connection`` does: the resolver's first call, and the idna
+    codec it imports for a ``str`` host, add 0.5 MB of RSS.
+    """
+    for family in (socket.AF_INET, socket.AF_INET6):
+        try:
+            socket.inet_pton(family, host)
+        except OSError:
+            continue
+        sock = socket.socket(family, socket.SOCK_STREAM, socket.IPPROTO_TCP)
+        try:
+            sock.settimeout(timeout)
+            sock.connect((host, port))
+        except BaseException:
+            sock.close()
+            raise
+        break
+    else:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.setblocking(False)
+    return sock
+
+
 class _SocketConnection(asyncio.BufferedProtocol):
     """One socket on the loop, host or client side.
 
@@ -462,12 +500,15 @@ class AioHostTransport(Transport):
         self.connection_errors = 0
         self._queues: Dict[str, SendQueue] = {}
         self._writer_tasks: Dict[str, asyncio.Task] = {}
-        #: Destinations touched since the last inline flush, drained by
-        #: one scheduled ``_flush_dirty`` per loop burst (loop-thread
-        #: only).  Writer tasks are the fallback for the slow paths:
+        #: Destinations touched since the last inline flush (loop-thread
+        #: only), drained by ``_flush_dirty``: called by a read's
+        #: dispatch that ends its loop pass, else scheduled once per
+        #: pass.  Writer tasks are the fallback for the slow paths:
         #: missing connection, retry backoff, or a kernel write buffer
         #: past :data:`_INLINE_BUFFER_LIMIT`.
         self._dirty: set = set()
+        #: A ``_flush_dirty`` is scheduled, or a dispatch will decide
+        #: when to flush: ``_enqueue`` schedules none.
         self._flush_scheduled = False
         #: Identity of the loop thread, for a cheap "am I on the loop?"
         #: check on the send hot path (set from the loop at bootstrap).
@@ -477,6 +518,11 @@ class AioHostTransport(Transport):
         #: (None when it joined a caller's loop).
         self._own_loop = EventLoopThread("aio-host-loop") if loop is None else None
         self._loop = loop if loop is not None else self._own_loop.loop
+
+        #: The loop's ready queue (``BaseEventLoop._ready``: what runs
+        #: before it next waits in ``select``), read to tell whether a
+        #: read callback is the last of its loop pass.
+        self._ready = self._loop._ready
 
         async def _bootstrap() -> asyncio.AbstractServer:
             self._loop_tid = threading.get_ident()
@@ -571,25 +617,45 @@ class AioHostTransport(Transport):
             conn.transport.close()
 
     def _dispatch(self, conn: _SocketConnection, messages: List[Message]) -> None:
-        """Hand one read's worth of decoded messages to the endpoint.
+        """Hand one read's worth of decoded messages to the endpoint, then
+        flush what they produced.
 
         The whole chunk is dispatched under one guard acquisition: same
         serialization as per-message recv(), without paying the lock
-        round-trip per message.
+        round-trip per message.  A read that is the last ready callback
+        of its loop pass writes its sends before it returns; otherwise
+        one flush is scheduled after the pass's other callbacks.
         """
-        with self._lock:
-            if self._closed:
-                return
-            if conn.peer_id is None:
-                conn.peer_id = messages[0].sender
-                self._conns[conn.peer_id] = conn
-                self._kick_writer(conn.peer_id)
-            if conn.decoder.last_codec != conn.codec_name:
-                # Negotiation: answer the peer in its own codec.
-                conn.codec_name = conn.decoder.last_codec
-                self._peer_codecs[conn.peer_id] = get_codec(conn.codec_name)
-            for message in messages:
-                self._handler(message)
+        # The handlers' sends are flushed below, not by a flush each
+        # ``_enqueue`` would schedule.
+        scheduled, self._flush_scheduled = self._flush_scheduled, True
+        try:
+            with self._lock:
+                if self._closed:
+                    return
+                if conn.peer_id is None:
+                    conn.peer_id = messages[0].sender
+                    self._conns[conn.peer_id] = conn
+                    self._kick_writer(conn.peer_id)
+                if conn.decoder.last_codec != conn.codec_name:
+                    # Negotiation: answer the peer in its own codec.
+                    conn.codec_name = conn.decoder.last_codec
+                    self._peer_codecs[conn.peer_id] = get_codec(conn.codec_name)
+                for message in messages:
+                    self._handler(message)
+        finally:
+            self._flush_scheduled = scheduled
+            if self._dirty and not scheduled:
+                if self._ready:
+                    # Other callbacks of this loop pass (reads of other
+                    # sockets among them) may send to the same peers:
+                    # their sends join these in one flush after them.
+                    self._flush_scheduled = True
+                    self._loop.call_soon(self._flush_dirty)
+                else:
+                    # The pass ends with this read: write now, not after
+                    # a pass of its own.
+                    self._flush_dirty()
 
     def _connection_lost(
         self, conn: _SocketConnection, exc: Optional[Exception]
@@ -641,17 +707,19 @@ class AioHostTransport(Transport):
         return self._peer_codecs.get(dest, self._codec).wire_size(message)
 
     def _flush_dirty(self) -> None:
-        """End-of-burst inline flush (loop-thread only).
+        """Write every touched destination's queue (loop-thread only).
 
-        ``_enqueue`` collects touched destinations and schedules one run
-        of this per loop burst: every send the current handler burst
-        produced is already queued by the time the callback fires, so
-        each destination's accumulation is written with a plain
-        non-blocking ``write()`` — no per-destination task spawn, no
-        extra scheduler hops.  Destinations that need to wait (no
-        connection yet, retry backoff in progress, a failed write or a
-        swollen kernel write buffer) are handed to a writer task
-        instead, which is where all sleeping happens.
+        Runs when the burst ends: called by a read's dispatch when that
+        read is the last ready callback of its loop pass, else scheduled
+        once per pass (by ``_enqueue`` for a send made outside a
+        dispatch, an application thread's or a timer's).  Either way
+        every send of the burst is already queued, so each destination's
+        accumulation is written with a plain non-blocking ``write()`` —
+        no per-destination task spawn, no extra scheduler hops.
+        Destinations that need to wait (no connection yet, retry backoff
+        in progress, a failed write or a swollen kernel write buffer)
+        are handed to a writer task instead, which is where all sleeping
+        happens.
         """
         self._flush_scheduled = False
         dirty, self._dirty = self._dirty, set()
@@ -818,11 +886,12 @@ class AioClientTransport(TcpTransportBase):
     application threads synchronize through ``guard``/``drive``, and the
     wire format is the shared length-prefixed codec.  :meth:`send` may be
     called from any thread, including the loop thread itself (a handler
-    answering a broadcast): every frame is appended to one outbox, which
-    the loop writes in one ``write()`` — at the end of the burst for a
-    loop-thread send, from one scheduled callback for an application
-    thread's — so frames leave in sending order, never inline from the
-    caller.
+    answering a broadcast).  A loop-thread send appends to the outbox,
+    written in one ``write()`` when the burst ends.  An application
+    thread's send writes the socket itself when the outbox is empty and
+    the transport holds no unsent bytes, and otherwise queues behind
+    them; either way frames leave in sending order, and the loop is not
+    woken to write a frame the sender could write.
 
     Must be constructed from outside the loop thread (the constructor
     blocks on the connection being established).
@@ -840,13 +909,20 @@ class AioClientTransport(TcpTransportBase):
         codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
-        #: Encoded frames not yet written, oldest first.  Any thread
-        #: appends; only the loop thread takes frames out, by a slice
-        #: and a ``del`` of that many, so an append racing a write is
-        #: kept for the next one.
+        #: Encoded frames not yet written, oldest first.  The loop thread
+        #: appends and empties it; an application thread appends, or puts
+        #: a partly sent frame's rest at its head, under ``_write_lock``.
         self._outbox: List[bytes] = []
         #: On the loop's end-of-burst list (loop-thread only).
         self._in_burst = False
+        #: Serializes every write to the socket: an application thread's
+        #: own ``send``, :meth:`_write_outbox` and :meth:`_close_on_loop`
+        #: (and ``_connection_lost``'s release of ``_sock``).
+        self._write_lock = threading.Lock()
+        sock = _connect(host, port, connect_timeout)
+        #: The socket an application thread writes to itself (None once
+        #: the connection is closing; written under ``_write_lock``).
+        self._sock: Optional[socket.socket] = sock
         #: The loop thread this transport started and therefore stops
         #: (None when it joined a caller's loop).
         self._own_loop = (
@@ -854,12 +930,11 @@ class AioClientTransport(TcpTransportBase):
         )
         self._loop = loop if loop is not None else self._own_loop.loop
 
-        # asyncio sets TCP_NODELAY on every socket transport it creates.
         async def _bootstrap() -> _SocketConnection:
             self._loop_tid = threading.get_ident()
             self._burst = _burst_clients()
             _, conn = await self._loop.create_connection(
-                lambda: _SocketConnection(self), host, port
+                lambda: _SocketConnection(self), sock=sock
             )
             return conn
 
@@ -868,6 +943,7 @@ class AioClientTransport(TcpTransportBase):
                 _bootstrap(), self._loop
             ).result(connect_timeout)
         except BaseException:
+            sock.close()
             if self._own_loop is not None:
                 self._own_loop.stop()
             raise
@@ -878,23 +954,51 @@ class AioClientTransport(TcpTransportBase):
                 f"client transport {self._local_id!r} is closed"
             )
         frame = self._codec.encode(message)
-        self._outbox.append(frame)
         if threading.get_ident() == self._loop_tid:
             # A handler answering on the loop thread (EVENT_ACK,
             # STATE_REPLY, COMMAND_REPLY): the loop is awake, it is
             # running us.  The frame leaves when the burst ends, after
             # every apply of the burst, in this client's one write.
+            self._outbox.append(frame)
             if not self._in_burst:
                 self._in_burst = True
                 if not self._burst:
                     self._loop.call_soon(_write_burst, self._burst)
                 self._burst.append(self)
         else:
-            try:
-                self._loop.call_soon_threadsafe(self._write_outbox)
-            except RuntimeError as exc:  # loop shut down underneath us
-                raise DeliveryError(f"send to server failed: {exc}") from exc
+            self._send_now(frame)
         self._stats.record(message, len(frame), "server")
+
+    def _send_now(self, frame: bytes) -> None:
+        """Application thread: write *frame* to the socket from this
+        thread when nothing is queued ahead of it, else queue it behind
+        what is and have the loop write the outbox."""
+        with self._write_lock:
+            sock = self._sock
+            if (
+                self._outbox
+                or sock is None
+                or self._conn.transport.get_write_buffer_size()
+            ):
+                self._outbox.append(frame)
+            else:
+                try:
+                    sent = sock.send(frame)
+                except (BlockingIOError, InterruptedError):
+                    sent = 0
+                except OSError:
+                    # A dead connection drops the frame, as
+                    # ``transport.write`` does; the read side reports it.
+                    return
+                if sent == len(frame):
+                    return
+                # The rest leaves ahead of any loop-thread reply queued
+                # meanwhile.
+                self._outbox.insert(0, frame[sent:])
+        try:
+            self._loop.call_soon_threadsafe(self._write_outbox)
+        except RuntimeError as exc:  # loop shut down underneath us
+            raise DeliveryError(f"send to server failed: {exc}") from exc
 
     def close(self) -> None:
         with self._lock:
@@ -912,24 +1016,27 @@ class AioClientTransport(TcpTransportBase):
     # Loop internals ----------------------------------------------------
 
     def _write_outbox(self) -> None:
-        """Write every frame sent so far in one ``transport.write``."""
-        frames = self._outbox[:]
-        if not frames:
-            return
-        del self._outbox[: len(frames)]
-        try:
-            self._conn.transport.write(
-                frames[0] if len(frames) == 1 else b"".join(frames)
-            )
-        except (ConnectionError, OSError):
-            pass
+        """Write every frame queued so far in one ``transport.write``."""
+        with self._write_lock:
+            frames = self._outbox
+            if not frames:
+                return
+            self._outbox = []
+            try:
+                self._conn.transport.write(
+                    frames[0] if len(frames) == 1 else b"".join(frames)
+                )
+            except (ConnectionError, OSError):
+                pass
 
     def _close_on_loop(self) -> None:
         """Close the socket after writing what was sent before
         :meth:`close` (an ``UNREGISTER``, say): ``transport.close()``
         flushes its buffer before the socket goes."""
         self._write_outbox()
-        self._conn.transport.close()
+        with self._write_lock:
+            self._sock = None
+            self._conn.transport.close()
 
     def _connection_made(self, conn: _SocketConnection) -> None:
         """Nothing to register: the constructor is handed the connection."""
@@ -950,6 +1057,10 @@ class AioClientTransport(TcpTransportBase):
     def _connection_lost(
         self, conn: _SocketConnection, exc: Optional[Exception]
     ) -> None:
+        # asyncio closes the socket right after this returns: from here
+        # on a send goes through the outbox, which the transport drops.
+        with self._write_lock:
+            self._sock = None
         if exc is not None and not self._closed:
             log_event(
                 _log,

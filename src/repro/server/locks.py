@@ -156,10 +156,13 @@ class LockTable:
         """
         group = tuple(objects)
         locks = self._locks
+        instance_id, token = key = (owner.instance_id, owner.token)
         taken: List[Tuple[GlobalId, Optional[LockOwner]]] = []
+        # Owners compare by their fields here, not by ``LockOwner.__eq__``
+        # (a Python call per object): the same test, made in C.
         for obj in group:
             current = locks.get(obj)
-            if current is not None and current.instance_id != owner.instance_id:
+            if current is not None and current.instance_id != instance_id:
                 # Lock failed: undo the partial acquisition (restoring any
                 # transferred locks to their previous owner).
                 for locked, previous in taken:
@@ -169,17 +172,21 @@ class LockTable:
                         locks[locked] = previous
                 self.stats.denials += 1
                 return None, [obj]
-            if current != owner:
+            if current is None or current.token != token:
                 locks[obj] = owner
                 taken.append((obj, current))
         self.stats.acquisitions += 1
-        key = (owner.instance_id, owner.token)
         floor = self.floors.get(key)
         if floor is None:
             floor = self.floors[key] = Floor(owner, group, now)
         else:
             for obj in floor.objects:
-                if obj not in group and locks.get(obj) == owner:
+                holder = locks.get(obj)
+                if (
+                    obj not in group
+                    and holder is not None
+                    and (holder.instance_id, holder.token) == key
+                ):
                     del locks[obj]
             floor.objects, floor.granted_at = group, now
         return floor, []
@@ -187,9 +194,11 @@ class LockTable:
     def release_all(self, objects: Iterable[GlobalId], owner: LockOwner) -> int:
         """Release every listed object held by *owner* (for :meth:`_drop`)."""
         locks = self._locks
+        key = (owner.instance_id, owner.token)
         released = 0
         for obj in objects:
-            if locks.get(obj) == owner:
+            holder = locks.get(obj)
+            if holder is not None and (holder.instance_id, holder.token) == key:
                 del locks[obj]
                 released += 1
         if released:

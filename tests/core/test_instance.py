@@ -6,6 +6,7 @@ from repro.errors import NotRegisteredError, PathError, ServerError
 from repro.net import kinds
 from repro.net.message import Message
 from repro.server.permissions import PermissionRule
+from repro.session import Session
 from repro.toolkit.events import VALUE_CHANGED
 from repro.toolkit.widgets import Form, Shell, TextField
 
@@ -84,6 +85,17 @@ class TestLifecycle:
         inst = ApplicationInstance("x", user="u")
         with pytest.raises(NotRegisteredError):
             inst.register()
+
+    @pytest.mark.parametrize("backend", ["memory", "tcp", "aio"])
+    def test_a_send_on_a_closed_transport_is_not_registered(self, backend):
+        """The transport refuses the send; the instance says why."""
+        with Session(backend=backend) as session:
+            a = session.create_instance("a", user="alice")
+            a.transport.close()
+            with pytest.raises(NotRegisteredError):
+                a.send(Message(kind=kinds.COMMAND, sender="a", payload={}))
+            with pytest.raises(NotRegisteredError):
+                a.send_command("ping")
 
     def test_close_is_idempotent(self, pair):
         _, a, _ = pair

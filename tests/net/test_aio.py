@@ -16,6 +16,7 @@ import os
 import queue
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -300,6 +301,101 @@ class TestAioHostTransport:
             client.close()
             transport.close()
 
+    def test_a_read_writes_its_replies_before_its_callback_returns(
+        self, monkeypatch
+    ):
+        """A read whose handler sends to N peers: every reply is written,
+        one write per peer, before ``buffer_updated`` returns, and no
+        flush is scheduled for a later loop pass."""
+        peers = 4
+
+        def handler(message):
+            for i in range(message.payload.get("fanout", 0)):
+                transport.send(msg(to=f"p{i}", seq=i))
+
+        transport = AioHostTransport(handler, port=0)
+        sockets = []
+        try:
+            for i in range(peers + 1):
+                sock = socket.create_connection(transport.address)
+                sockets.append(sock)
+                sock.sendall(encode(msg(sender=f"p{i}", to="", hello=True)))
+            assert wait_until(lambda: len(transport.connections()) == peers + 1)
+            log, scheduled = [], []
+            original = _SocketConnection.buffer_updated
+
+            def updated(conn, nbytes):
+                original(conn, nbytes)
+                log.append(("returned", conn.peer_id))
+
+            def recorder(peer, write):
+                def recording(data):
+                    log.append(("write", peer))
+                    write(data)
+
+                return recording
+
+            call_soon = transport.loop.call_soon
+
+            def spy(callback, *args, **kwargs):
+                scheduled.append(getattr(callback, "__name__", callback))
+                return call_soon(callback, *args, **kwargs)
+
+            for peer, conn in transport._conns.items():
+                conn.transport.write = recorder(peer, conn.transport.write)
+            monkeypatch.setattr(_SocketConnection, "buffer_updated", updated)
+            monkeypatch.setattr(transport.loop, "call_soon", spy)
+            sockets[peers].sendall(encode(msg(sender=f"p{peers}", to="", fanout=peers)))
+            received = [read_frame(sockets[i]) for i in range(peers)]
+            assert [m.payload["seq"] for m in received] == list(range(peers))
+            assert wait_until(lambda: ("returned", f"p{peers}") in log)
+            assert log[-1] == ("returned", f"p{peers}")
+            assert sorted(log[:-1]) == [("write", f"p{i}") for i in range(peers)]
+            assert "_flush_dirty" not in scheduled
+            assert transport.stats.batches == peers
+        finally:
+            for sock in sockets:
+                sock.close()
+            transport.close()
+
+    def test_reads_of_one_loop_pass_share_a_flush(self):
+        """Two read callbacks ready in one loop pass (two peers' requests
+        landing together) answer the same peer: both replies leave in
+        one write, after the second read."""
+
+        def handler(message):
+            if "n" in message.payload:
+                transport.send(msg(to="p0", seq=message.payload["n"]))
+
+        transport = AioHostTransport(handler, port=0)
+        sockets = []
+        try:
+            for i in range(3):
+                sock = socket.create_connection(transport.address)
+                sockets.append(sock)
+                sock.sendall(encode(msg(sender=f"p{i}", to="", hello=True)))
+            assert wait_until(lambda: len(transport.connections()) == 3)
+
+            def read(conn, frame):
+                conn.get_buffer(len(frame))[: len(frame)] = frame
+                conn.buffer_updated(len(frame))
+
+            def two_reads():
+                # As the loop queues the read callbacks of one select().
+                for i in (1, 2):
+                    frame = encode(msg(sender=f"p{i}", to="", n=i))
+                    transport.loop.call_soon(read, transport._conns[f"p{i}"], frame)
+
+            transport.loop.call_soon_threadsafe(two_reads)
+            assert seqs([read_frame(sockets[0]) for _ in range(2)]) == [1, 2]
+            stats = transport.stats
+            assert wait_until(lambda: stats.batched_messages == 2)
+            assert stats.batches == 1
+        finally:
+            for sock in sockets:
+                sock.close()
+            transport.close()
+
     @pytest.mark.parametrize(
         "aio_host",
         [
@@ -512,7 +608,9 @@ class TestAioClientTransport:
         assert [m.payload["tag"] for m in inbox.received] == expected
 
     def test_handler_sends_skip_the_self_pipe(self, wired, monkeypatch):
-        """Only a send from another thread has a sleeping loop to wake."""
+        """A handler's send has the loop awake already, and an application
+        thread's send into an empty outbox writes the socket itself: the
+        loop is woken by neither."""
         host, inbox, client, handlers = wired
         wakeups = []
         write_to_self = client._loop._write_to_self
@@ -528,7 +626,120 @@ class TestAioClientTransport:
         assert wait_until(lambda: len(inbox.received) == 1 + self.ROUNDS)
         assert wakeups == []
         client.send(msg(sender="c1", to="", tag="app"))
-        assert wakeups == [threading.get_ident()]
+        assert wait_until(lambda: len(inbox.received) == 2 + self.ROUNDS)
+        assert wakeups == []
+
+    @pytest.mark.parametrize(
+        "outcome, expected",
+        [
+            (5, ["a1", "a2", "h"]),  # a partial write: the rest follows
+            (BlockingIOError(), ["a1", "a2", "h"]),
+            (ConnectionResetError(), ["a2", "h"]),  # dropped, not raised
+        ],
+        ids=["partial", "would-block", "reset"],
+    )
+    def test_a_direct_send_that_falls_short_keeps_fifo(
+        self, wired, monkeypatch, outcome, expected
+    ):
+        """An application thread's send writes the socket itself.  When
+        that write falls short, the rest leaves from the loop ahead of a
+        later application send and a handler reply; a failed write drops
+        the frame and the later ones still arrive, in order."""
+        host, inbox, client, handlers = wired
+        real = client._sock
+        calls = []
+
+        class FirstSendFalls:
+            def send(self, data):
+                calls.append(len(data))
+                if len(calls) > 1:
+                    return real.send(data)
+                if isinstance(outcome, int):
+                    return real.send(data[:outcome])
+                raise outcome
+
+        monkeypatch.setattr(client, "_sock", FirstSendFalls())
+        handlers[0] = lambda message: client.send(msg(sender="c1", to="", tag="h"))
+        # Hold the loop so the queued rest, the later send and the
+        # broadcast that triggers the reply are all pending at once.
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            release.wait(5.0)
+
+        client._loop.call_soon_threadsafe(hold)
+        assert entered.wait(5.0)
+        try:
+            client.send(msg(sender="c1", to="", tag="a1"))
+            client.send(msg(sender="c1", to="", tag="a2"))
+            host.send(msg(to="c1", go=True))
+            # The broadcast is in the client's socket before the loop reads.
+            time.sleep(0.05)
+        finally:
+            release.set()
+        tags = ["hello"] + expected
+        assert wait_until(lambda: len(inbox.received) == len(tags))
+        time.sleep(0.05)  # nothing more arrives
+        assert [m.payload["tag"] for m in inbox.received] == tags
+        assert calls[0] > 5
+
+    def test_concurrent_senders_lose_and_reorder_nothing(self, wired):
+        """Four application threads (more than the cores) write 2 KB
+        frames through a 4 KB socket send buffer, so writes fall short
+        and frames queue, while the loop thread answers broadcasts and
+        threads switch every 10 µs: every frame arrives once, each
+        thread's in its order."""
+        host, inbox, client, handlers = wired
+        senders, count = 4, 200
+        client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        pad = "x" * 2000
+
+        def reply(message):
+            client.send(msg(sender="c1", to="", tag="h", n=message.payload["n"]))
+
+        def run(t):
+            for n in range(count):
+                client.send(msg(sender="c1", to="", tag=f"t{t}", n=n, pad=pad))
+
+        handlers[0] = reply
+        workers = [threading.Thread(target=run, args=(t,)) for t in range(senders)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for n in range(count):
+                host.send(msg(to="c1", n=n))
+            for worker in workers:
+                worker.join(timeout=30.0)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = 1 + (senders + 1) * count
+        assert wait_until(lambda: len(inbox.received) == total, timeout=30.0)
+        by_tag = {}
+        for message in inbox.received[1:]:
+            by_tag.setdefault(message.payload["tag"], []).append(message.payload["n"])
+        assert by_tag == {
+            tag: list(range(count)) for tag in ["h"] + [f"t{t}" for t in range(senders)]
+        }
+
+    @pytest.mark.parametrize("name", ["127.0.0.1", "localhost"])
+    def test_client_sockets_disable_nagle(self, aio_host, name):
+        """Both clients set TCP_NODELAY themselves, whether they connect
+        to an address or resolve a host name: a small frame written
+        behind an unacknowledged one leaves at once."""
+        host, _ = aio_host
+        port = host.address[1]
+        aio = AioClientTransport("c1", lambda message: None, name, port)
+        tcp = TcpClientTransport("c2", lambda message: None, name, port)
+        try:
+            for sock in (aio._conn.transport.get_extra_info("socket"), tcp._sock):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            aio.close()
+            tcp.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Unit tests for the floor-control lock table (§3.2)."""
 
+import dataclasses
+
+import pytest
+
 from repro.server.couples import global_id
 from repro.server.locks import LockOwner, LockTable
 
@@ -148,6 +152,36 @@ class TestCleanup:
 
     def test_owner_wire_roundtrip(self):
         assert LockOwner.from_wire(ALICE.to_wire()) == ALICE
+
+
+class TestOwnerEquality:
+    """``LockTable`` compares owners by ``(instance_id, token)`` without
+    calling ``LockOwner.__eq__``; these pin that it means what ``==``
+    means."""
+
+    def test_owners_compare_and_hash_by_instance_and_token(self):
+        twin = LockOwner("inst-a", 1)
+        assert twin == ALICE and twin is not ALICE
+        assert hash(twin) == hash(ALICE)
+        assert ALICE != ALICE2 and ALICE != BOB
+        assert ALICE != ("inst-a", 1)
+        assert LockOwner("inst-a") == LockOwner("inst-a", 0)
+        assert {ALICE: 1}[twin] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            twin.token = 2
+
+    def test_an_equal_owner_holds_what_the_first_one_took(self):
+        twin = LockOwner("inst-a", 1)
+        table = LockTable()
+        table.acquire_all([X, Y, Z], ALICE, 0.0)
+        # An equal owner renews the floor: nothing is taken over, and the
+        # objects the smaller group lacks are released.
+        floor, conflicts = table.acquire_all([X, Y], twin, 1.0)
+        assert conflicts == [] and floor is table.floors[key(ALICE)]
+        assert table.holder(X) is ALICE and table.holder(Z) is None
+        assert table.release_all([X, Y], ALICE2) == 0
+        assert table.release_all([X, Y], twin) == 2
+        assert len(table) == 0
 
 
 class TestFloorLifetime:
