@@ -17,8 +17,9 @@ thread keeps its own tally, and the tallies are summed by role — the
 thread's name with every run of digits replaced by ``N`` (``MainThread``
 is the calling thread, ``aio-host-loop`` the aio loop) — and each role's
 share is printed beside the total.  Each role's line also counts its
-loop passes (``BaseEventLoop._run_once``) and self-pipe writes
-(``_write_to_self``, one per ``call_soon_threadsafe``) per action: the
+loop passes (``EventLoop._run_once`` in ``repro.net.aio``) and self-pipe
+writes (``EventLoop._write_to_self``, one per ``call_soon_threadsafe``
+from another thread) per action: the
 thread hand-offs, which a call count alone does not separate from
 work.  The count repeats exactly on a
 workload whose actions run on the calling thread alone
@@ -39,7 +40,6 @@ Standard library only.  Usage, from the repository root::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import collections
 import os
 import re
@@ -51,12 +51,13 @@ from typing import Callable, Counter, List, Optional, Tuple
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
 
-#: asyncio functions whose calls count a hand-off between threads, with
-#: the name printed for them: one pass of an event loop (a wake-up when
-#: the loop was asleep in ``select``), and one byte written to a loop's
-#: self-pipe by ``call_soon_threadsafe`` (a thread waking the loop).
+#: ``repro.net.aio.EventLoop`` methods whose calls count a hand-off
+#: between threads, with the name printed for them: one pass of the loop
+#: (a wake-up when the loop was asleep in ``select``), and one byte
+#: written to the loop's self-pipe by ``call_soon_threadsafe`` (a thread
+#: waking the loop).  No other function of that file has these names.
 HAND_OFFS = {"_run_once": "loop passes", "_write_to_self": "self-pipe writes"}
-ASYNCIO_DIR = os.path.dirname(asyncio.__file__)
+LOOP_FILE = os.path.join(ROOT, "src", "repro", "net", "aio.py")
 
 
 def thread_role(name: str) -> str:
@@ -137,7 +138,7 @@ def count_calls(workload_name: str, seed: int, actions: int, top: int) -> int:
         for code, n in tally.items():
             where = os.path.relpath(code.co_filename, ROOT)
             callees[f"{where}:{code.co_name}"] += n
-            if code.co_name in HAND_OFFS and ASYNCIO_DIR in code.co_filename:
+            if code.co_name in HAND_OFFS and code.co_filename == LOOP_FILE:
                 hand_offs[code.co_name][role] += n
     calls = sum(by_role.values())
     share = "; ".join(f"{role} {n / timed:.2f}" for role, n in by_role.most_common())

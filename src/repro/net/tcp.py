@@ -243,6 +243,37 @@ class TcpHostTransport(TcpTransportBase):
                 sock.close()
 
 
+def connect(host: str, port: int, timeout: float) -> socket.socket:
+    """A TCP socket connected to *host*:*port*, Nagle off, still in
+    *timeout* mode (the caller sets the mode it reads in).
+
+    Both clients build their socket here.  ``TCP_NODELAY`` is set
+    explicitly: with Nagle on, a small frame written behind one still
+    unacknowledged waits for the ack (a ``copy_to`` took 42-49 ms
+    instead of 0.42 ms).  A numeric address connects without
+    ``getaddrinfo``: ``socket.create_connection`` calls it even for one,
+    and the resolver's first call, and the idna codec it imports for a
+    ``str`` host, add 0.5 MB of RSS.  A host name still resolves.
+    """
+    for family in (socket.AF_INET, socket.AF_INET6):
+        try:
+            socket.inet_pton(family, host)
+        except OSError:
+            continue
+        sock = socket.socket(family, socket.SOCK_STREAM, socket.IPPROTO_TCP)
+        try:
+            sock.settimeout(timeout)
+            sock.connect((host, port))
+        except BaseException:
+            sock.close()
+            raise
+        break
+    else:
+        sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 class TcpClientTransport(TcpTransportBase):
     """An application instance's connection to the central server."""
 
@@ -257,9 +288,8 @@ class TcpClientTransport(TcpTransportBase):
         codec: str = "json",
     ):
         super().__init__(local_id, handler, codec=codec)
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        self._sock = connect(host, port, connect_timeout)
         self._sock.settimeout(None)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = threading.Thread(
             target=self._reader_loop, name=f"tcp-client-{local_id}", daemon=True
         )

@@ -1,4 +1,4 @@
-"""Transport abstraction shared by the simulated, TCP and asyncio networks.
+"""Transport abstraction shared by the simulated, TCP and aio networks.
 
 The server and the application instances are **sans-I/O state machines**:
 they expose ``handle_message(Message)`` and emit messages through a
@@ -8,9 +8,9 @@ they expose ``handle_message(Message)`` and emit messages through a
   simulation with a latency model (the default for tests and benchmarks);
 * :class:`~repro.net.tcp.TcpTransport` — real sockets, one thread per
   connection;
-* :class:`~repro.net.aio.AioHostTransport` — real sockets on an asyncio
-  event loop, with outbound batching, bounded per-client send queues and
-  per-hop retry (see docs/RUNTIME.md).
+* :class:`~repro.net.aio.AioHostTransport` — real sockets on one event
+  loop the module owns, with outbound batching, bounded per-client send
+  queues and per-hop retry (see docs/RUNTIME.md).
 
 The :class:`Transport` ABC is the explicit contract all of them implement:
 
@@ -70,7 +70,7 @@ class TrafficStats:
     directed (sender, receiver) link; drops are attributed by kind *and*
     by reason (one of the ``DROP_*`` constants), and the batching runtime
     additionally accounts flushed batches and per-hop retries.  Every
-    transport — memory, TCP, asyncio, cluster shard — owns one of these,
+    transport — memory, TCP, aio, cluster shard — owns one of these,
     so a single-server run reports exactly the same fields a sharded or
     batched deployment does; :meth:`merge` folds several into one
     cluster-wide snapshot.

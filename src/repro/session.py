@@ -7,7 +7,7 @@ part and binds each instance's client transport::
 
     session = Session()                              # simulated network
     session = Session(backend="tcp")                 # real TCP sockets
-    session = Session(backend="aio", shards=4)       # asyncio runtime,
+    session = Session(backend="aio", shards=4)       # aio runtime,
                                                      # 4-shard cluster
 
 Backends
@@ -20,8 +20,8 @@ Backends
     Real localhost TCP sockets, one thread per connection (the paper's
     implementation shape).
 ``"aio"``
-    The asyncio host (:class:`~repro.net.aio.AioHostTransport`): one
-    event loop, one write per destination per loop burst, bounded send
+    The aio host (:class:`~repro.net.aio.AioHostTransport`): one event
+    loop it owns, one write per destination per loop pass, bounded send
     queues with a drop-on-overflow bound, and per-hop retry — see
     docs/RUNTIME.md.  Session-created instances join the host's loop
     through :class:`~repro.net.aio.AioClientTransport` (no reader thread
@@ -177,7 +177,7 @@ class SessionConfig:
             if self.backend != "aio":
                 raise ValueError(
                     'processes=True requires backend="aio" '
-                    "(shard workers attach over the asyncio transport)"
+                    "(shard workers attach over the aio transport)"
                 )
             if self.shards < 1:
                 raise ValueError("processes=True requires shards >= 1")

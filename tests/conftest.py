@@ -38,24 +38,25 @@ class _RecordList(logging.Handler):
 
 @pytest.fixture(autouse=True)
 def loop_errors(request):
-    """Fail a test during which the ``asyncio`` logger recorded an ERROR.
+    """Fail a test during which the aio event loop recorded an ERROR.
 
-    The aio transports decode and dispatch inside protocol callbacks; a
-    bug there does not kill a task or raise into the test, the loop logs
-    it ("Fatal error: protocol.buffer_updated() call failed.") and
+    The aio transports decode and dispatch inside a socket's selector
+    handler; a bug there does not raise into the test, the loop logs it
+    (``read_failed``, or ``callback_failed`` for a queued callback, an
+    ERROR with its traceback on the ``repro.net.aio`` logger) and
     silently drops that connection.  A test that provokes such an error
     on purpose carries ``@pytest.mark.expects_loop_error`` and gets the
     records as this fixture's value.
     """
     handler = _RecordList(logging.ERROR)
-    logger = logging.getLogger("asyncio")
+    logger = logging.getLogger("repro.net.aio")
     logger.addHandler(handler)
     yield handler.records
     logger.removeHandler(handler)
     expected = request.node.get_closest_marker("expects_loop_error")
     if handler.records and expected is None:
         pytest.fail(
-            "the asyncio logger recorded an error during this test:\n"
+            "the aio event loop recorded an error during this test:\n"
             + "\n".join(record.getMessage() for record in handler.records)
         )
 

@@ -1,10 +1,14 @@
 """Tests for the TCP transport (real localhost sockets)."""
 
 import logging
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +254,34 @@ class TestTcpTransport:
             assert client.stats.bytes > 0
         finally:
             client.close()
+
+
+#: Run in a fresh interpreter: connects a tcp client to a numeric
+#: address and prints whether the idna codec was imported on the way.
+_CONNECT_SCRIPT = """
+import sys
+from repro.net.tcp import TcpClientTransport, TcpHostTransport
+
+host = TcpHostTransport(lambda message: None, port=0)
+client = TcpClientTransport("c1", lambda message: None, "127.0.0.1", host.address[1])
+client.close()
+host.close()
+print("encodings.idna" in sys.modules)
+"""
+
+
+def test_a_numeric_address_connects_without_the_resolver():
+    """``TcpClientTransport`` connects to 127.0.0.1 without
+    ``getaddrinfo``, so the idna codec (``encodings.idna``,
+    ``stringprep``, ``unicodedata``: 0.5 MB of RSS) is never imported."""
+    src = Path(__file__).parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", _CONNECT_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
