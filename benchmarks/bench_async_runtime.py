@@ -41,7 +41,7 @@ import time
 
 from _common import emit_table
 from repro.net import kinds
-from repro.net.aio import AioHostTransport, BatchConfig
+from repro.net.aio import AioHostTransport
 from repro.net.codec import encode
 from repro.net.message import Message
 from repro.net.tcp import TcpHostTransport
@@ -272,9 +272,7 @@ def run_delivery(backend, schedule, ids, rounds=DELIVERY_ROUNDS):
         # Queue bound sized to the workload: the replay enqueues the full
         # schedule in one burst, which is the shape a join/couple storm
         # produces; drops would void the delivery verification below.
-        transport = AioHostTransport(
-            handler, config=BatchConfig(max_queue=len(schedule) * rounds)
-        )
+        transport = AioHostTransport(handler, max_queue=len(schedule) * rounds)
     host, port = transport.address
     pool = ReceiverPool(host, port, ids)
     try:

@@ -1,5 +1,5 @@
 """Socket transports on one owned event loop: end-of-pass flush, bounded
-queues, per-hop retry.
+queues.
 
 This module replaces the blocking thread-per-connection TCP loop on the
 *server* side with one thread that services every socket of the
@@ -29,15 +29,15 @@ notifies its condition only while a thread is in ``drive``, and the
 host, which has no ``drive``, never does.
 
 One **pass** of the loop polls the selector, runs the handler of every
-ready socket, runs the callbacks queued so far and the timers that are
-due, and then writes: every host destination queued in the pass and
-every client outbox, one ``send`` each, after every handler of the pass.
-Three disciplines are layered on the outbound path (docs/RUNTIME.md):
+ready socket, runs the callbacks queued so far, and then writes: every
+host destination queued in the pass and every client outbox, one
+``send`` each, after every handler of the pass.  Two disciplines are
+layered on the outbound path (docs/RUNTIME.md):
 
 **One flush rule, on both sides.**  Outbound messages queue *per
 destination* and leave when the pass ends: everything the handlers of a
 pass produced for one destination goes out in one ``send``, adding no
-latency.  On the host the queue is the destination's :class:`SendQueue`
+latency.  On the host the queue is the destination's list of messages
 (at most :data:`_MAX_FRAMES_PER_WRITE` frames per write); on a client
 it is the outbox, which a loop-thread send (an ack) joins.  An
 application thread writes its own frame to the socket, under the
@@ -55,32 +55,22 @@ overflowing message is dropped, counted under
 ``TrafficStats.drops_by_reason["backpressure"]``: one more source of
 loss, with the consequences docs/RUNTIME.md's fault table lists.
 
-**Per-hop retry** (host).  A flush that finds no live connection for its
-destination (or a failed write) is retried with exponential backoff
-(``retry_initial`` · ``retry_backoff``ᵃᵗᵗᵉᵐᵖᵗ, capped at
-``retry_max_delay``) up to ``retry_limit`` attempts, then dropped as
-``undeliverable``.  Retries can duplicate delivery; that is safe because
-every message carries an idempotent ``msg_id`` and event broadcasts carry
-per-origin sequence numbers the instances deduplicate on
-(:meth:`repro.core.receiver.Receiver.fresh_event`).
-
-The queue and retry cores (:class:`SendQueue`, :class:`RetryPolicy`)
-are **sans-I/O** and read no clock, so unit tests drive them without
-opening a socket.
+A host message can only travel on its destination's one connection, and
+TCP already retransmits on a live one.  So a message for a destination
+with no live connection is dropped when the pass ends, counted under
+``drops_by_reason["undeliverable"]``; a write that fails closes that
+connection like a failed read, and a connection lost while the host is
+open drops what was queued for it the same way.
 """
 
 from __future__ import annotations
 
 import collections
 import contextlib
-import heapq
-import itertools
 import logging
 import selectors
 import socket
 import threading
-import time
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -122,125 +112,6 @@ _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    """Tuning knobs of the aio runtime (see docs/RUNTIME.md).
-
-    Attributes
-    ----------
-    max_queue:
-        Bound of the per-destination send queue, in messages; a message
-        past it is dropped.
-    retry_initial:
-        First per-hop retry delay, seconds.
-    retry_backoff:
-        Multiplier applied to the delay after every failed attempt.
-    retry_limit:
-        Delivery attempts before the batch is dropped as undeliverable.
-    retry_max_delay:
-        Upper bound on one backoff delay, seconds.
-    """
-
-    max_queue: int = 1024
-    retry_initial: float = 0.05
-    retry_backoff: float = 2.0
-    retry_limit: int = 5
-    retry_max_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError("max_queue must be >= 1")
-        if self.retry_limit < 1:
-            raise ValueError("retry_limit must be >= 1")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-
-
-class RetryPolicy:
-    """Exponential backoff schedule for per-hop delivery retries.
-
-    Pure arithmetic over an attempt counter — no clocks, no sockets —
-    so tests can table the whole schedule.
-    """
-
-    def __init__(self, config: BatchConfig):
-        self._initial = config.retry_initial
-        self._backoff = config.retry_backoff
-        self._limit = config.retry_limit
-        self._max_delay = config.retry_max_delay
-
-    def delay(self, attempt: int) -> Optional[float]:
-        """Backoff before retry number *attempt* (1-based).
-
-        Returns ``None`` once the attempt budget is exhausted — the
-        caller must drop the batch as undeliverable.
-        """
-        if attempt >= self._limit:
-            return None
-        return min(
-            self._initial * self._backoff ** (attempt - 1), self._max_delay
-        )
-
-    def schedule(self) -> List[float]:
-        """The full backoff schedule (for documentation and tests)."""
-        out = []
-        for attempt in range(1, self._limit):
-            delay = self.delay(attempt)
-            assert delay is not None
-            out.append(delay)
-        return out
-
-
-class SendQueue:
-    """One destination's bounded outbound queue (sans-I/O).
-
-    Holds :class:`Message` objects — encoding happens at flush time, in
-    the codec the peer spoke last.
-    """
-
-    #: push() outcomes.
-    QUEUED = "queued"
-    OVERFLOW = "overflow"  # queue is full: the message is dropped
-
-    def __init__(self, destination: str, config: BatchConfig):
-        self.destination = destination
-        self.config = config
-        #: The queued messages, oldest first.  Read-only outside this
-        #: class: the host's flush path tests it for emptiness directly.
-        self.items: List[Message] = []
-        #: Failed delivery attempts for the batch currently at the head.
-        self.attempts = 0
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def push(self, message: Message) -> str:
-        """Append one message unless the queue is at its bound."""
-        if len(self.items) >= self.config.max_queue:
-            return self.OVERFLOW
-        self.items.append(message)
-        return self.QUEUED
-
-    def pop_batch(self, max_messages: int = _MAX_FRAMES_PER_WRITE) -> List[Message]:
-        """Remove and return up to *max_messages* messages from the head;
-        the caller encodes them (:meth:`requeue_front` restores them
-        verbatim on a failed write)."""
-        taken = self.items[:max_messages]
-        del self.items[:max_messages]
-        return taken
-
-    def requeue_front(self, items: List[Message]) -> None:
-        """Put a failed batch back at the head, preserving FIFO order."""
-        self.items[:0] = items
-
-    def drain_all(self) -> List[Message]:
-        """Empty the queue, returning the abandoned messages."""
-        out = list(self.items)
-        self.items.clear()
-        self.attempts = 0
-        return out
-
-
 class EventLoop:
     """One thread and one selector: every socket of a deployment.
 
@@ -272,9 +143,6 @@ class EventLoop:
         self._callbacks: Deque[Tuple[Callable[..., Any], tuple]] = (
             collections.deque()
         )
-        #: ``(when, seq, callback, args)``, earliest first (loop thread).
-        self._timers: List[tuple] = []
-        self._timer_seq = itertools.count()
         #: Writers that run when the current pass ends (loop thread).
         self._writers: List[Callable[[], None]] = []
         self._stopping = False
@@ -300,26 +168,18 @@ class EventLoop:
 
     def stop(self, timeout: float = 5.0) -> None:
         """End the loop after every callback queued so far and wait for
-        its thread (which closes what is left on the selector)."""
+        its thread (which closes what is left on the selector); on the
+        loop thread itself, only queue the end."""
         with contextlib.suppress(RuntimeError):
             self.call_soon_threadsafe(self._stop)
-        self.thread.join(timeout=timeout)
+        if threading.get_ident() != self.thread_id:
+            self.thread.join(timeout=timeout)
 
     # Loop thread -----------------------------------------------------------
 
-    def call_later(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> None:
-        """Run ``callback(*args)`` in the first pass *delay* seconds from
-        now."""
-        heapq.heappush(
-            self._timers,
-            (time.monotonic() + delay, next(self._timer_seq), callback, args),
-        )
-
     def at_end_of_pass(self, writer: Callable[[], None]) -> None:
-        """Run *writer* when the current pass ends, after every handler,
-        callback and timer of the pass."""
+        """Run *writer* when the current pass ends, after every handler
+        and callback of the pass."""
         self._writers.append(writer)
 
     def _write_to_self(self) -> None:
@@ -346,27 +206,17 @@ class EventLoop:
             self._wake_writer.close()
 
     def _run_once(self) -> None:
-        """One pass: poll; run every ready socket's handler; run the
-        callbacks queued so far and the timers that are due; run the
-        end-of-pass writers.  A failing handler or callback is logged
-        (``callback_failed``, ERROR, with its traceback) and the loop
-        goes on."""
-        callbacks, timers = self._callbacks, self._timers
-        if callbacks:
-            timeout: Optional[float] = 0
-        elif timers:
-            timeout = max(0.0, timers[0][0] - time.monotonic())
-        else:
-            timeout = None
-        for key, mask in self.selector.select(timeout):
+        """One pass: poll (without waiting when callbacks are queued);
+        run every ready socket's handler; run the callbacks queued so
+        far; run the end-of-pass writers.  A failing handler or callback
+        is logged (``callback_failed``, ERROR, with its traceback) and
+        the loop goes on."""
+        callbacks = self._callbacks
+        for key, mask in self.selector.select(0 if callbacks else None):
             try:
                 key.data(mask)
             except Exception:
                 self._report(key.data)
-        if timers:
-            now = time.monotonic()
-            while timers and timers[0][0] <= now:
-                callbacks.append(heapq.heappop(timers)[2:])
         for _ in range(len(callbacks)):
             callback, args = callbacks.popleft()
             try:
@@ -529,8 +379,9 @@ class AioHostTransport(Transport):
         application threads through :meth:`guard`.
     host / port:
         Listen address; port 0 picks a free port (see :attr:`address`).
-    config:
-        The :class:`BatchConfig` governing queue bounds and retry.
+    max_queue:
+        Bound of each destination's send queue, in messages; a message
+        past it is dropped (``backpressure``).
     loop:
         A running :class:`EventLoop` to join; ``None`` (what a session
         and a shard worker pass) starts a private one, which
@@ -548,17 +399,18 @@ class AioHostTransport(Transport):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        config: Optional[BatchConfig] = None,
+        max_queue: int = 1024,
         loop: Optional[EventLoop] = None,
         codec: str = "json",
     ):
+        if max_queue < 1:
+            raise ValueError("max_queue must be >= 1")
+        self.max_queue = max_queue
         self._handler = handler
         self._codec: Codec = get_codec(codec)
         #: Per-peer codec negotiation: each peer is answered in the codec
         #: of its own frames (detected by its connection's StreamDecoder).
         self._peer_codecs: Dict[str, Codec] = {}
-        self.config = config if config is not None else BatchConfig()
-        self._retry = RetryPolicy(self.config)
         self._stats = TrafficStats()
         #: Serializes application threads with dispatch.  A plain lock: no
         #: thread waits on the host (it has no ``drive``), so dispatch
@@ -575,7 +427,9 @@ class AioHostTransport(Transport):
         #: Connections that ended with an error rather than EOF: socket
         #: errors, undecodable frames, a raising endpoint handler.
         self.connection_errors = 0
-        self._queues: Dict[str, SendQueue] = {}
+        #: Each destination's queued messages, oldest first (loop-thread
+        #: only).
+        self._queues: Dict[str, List[Message]] = {}
         #: Destinations queued to since the last flush (loop-thread
         #: only), written by ``_flush_dirty`` when the pass ends.
         self._dirty: Set[str] = set()
@@ -632,9 +486,9 @@ class AioHostTransport(Transport):
     def send(self, message: Message) -> None:
         """Queue *message* for its destination's next flush.
 
-        Never blocks and never raises for an unreachable destination —
-        delivery is attempted with per-hop retry and accounted in
-        :attr:`stats` either way.  Encoding happens at flush time, where
+        Never blocks and never raises for an unreachable destination: a
+        message that cannot be written is dropped and counted in
+        :attr:`stats`.  Encoding happens at flush time, where
         the whole batch is in hand (and the peer's answer codec is
         freshest).
         """
@@ -724,6 +578,7 @@ class AioHostTransport(Transport):
             )
         if conn.peer_id is not None and self._conns.get(conn.peer_id) is conn:
             del self._conns[conn.peer_id]
+            self._drop_queue(conn.peer_id)
             self._peer_codecs.pop(conn.peer_id, None)
             log_event(_log, logging.DEBUG, "connection_closed", peer=conn.peer_id)
 
@@ -734,9 +589,8 @@ class AioHostTransport(Transport):
         dest = message.to
         queue = self._queues.get(dest)
         if queue is None:
-            queue = SendQueue(dest, self.config)
-            self._queues[dest] = queue
-        if queue.push(message) == SendQueue.OVERFLOW:
+            queue = self._queues[dest] = []
+        if len(queue) >= self.max_queue:
             self._stats.record_drop(
                 message, self._drop_size(dest, message), reason=DROP_BACKPRESSURE
             )
@@ -748,6 +602,7 @@ class AioHostTransport(Transport):
                 kind=message.kind,
             )
             return
+        queue.append(message)
         self._dirty.add(dest)
         if not self._flush_scheduled:
             self._flush_scheduled = True
@@ -763,37 +618,29 @@ class AioHostTransport(Transport):
         (loop-thread only).
 
         Every send of the pass is queued by now, so each destination's
-        accumulation leaves in one write.  A destination in retry
-        backoff waits for its timer; one whose connection still holds
-        unsent bytes waits for ``_drained``.
+        accumulation leaves in one write.  A destination with no live
+        connection has its queue dropped; one whose connection still
+        holds unsent bytes waits for ``_drained``.
         """
         self._flush_scheduled = False
         dirty, self._dirty = self._dirty, set()
         for dest in dirty:
-            queue = self._queues[dest]
-            if queue.items and not queue.attempts:
-                self._deliver(queue)
+            conn = self._conns.get(dest)
+            if conn is None:
+                self._drop_queue(dest)
+            else:
+                self._write_queued(dest, conn)
 
-    def _deliver(self, queue: SendQueue) -> None:
-        """Write *queue* to its destination's connection, or back off
-        when there is none or the write failed."""
-        conn = self._conns.get(queue.destination)
-        if conn is None or not self._write_queued(queue, conn):
-            self._backoff_or_drop(queue)
-
-    def _write_queued(self, queue: SendQueue, conn: _Connection) -> bool:
-        """The one host write routine (loop-thread only): move *queue* to
-        *conn*, at most :data:`_MAX_FRAMES_PER_WRITE` frames per
+    def _write_queued(self, dest: str, conn: _Connection) -> None:
+        """The one host write routine (loop-thread only): move *dest*'s
+        queue to *conn*, at most :data:`_MAX_FRAMES_PER_WRITE` frames per
         ``send``, until it is empty or the kernel leaves bytes unsent
-        (the rest waits for ``_drained``).
-
-        Never waits.  Returns False when a write failed — the batch is
-        back at the head of the queue and the caller owes a backoff.
-        """
-        dest = queue.destination
+        (the rest waits for ``_drained``).  Never waits.  A write that
+        fails closes *conn*, which drops what is still queued."""
+        queue = self._queues.get(dest)
         codec = self._peer_codecs.get(dest, self._codec)
-        while queue.items and not conn.unsent:
-            items = queue.pop_batch()
+        while queue and not conn.unsent:
+            items = queue[:_MAX_FRAMES_PER_WRITE]
             if len(items) == 1:
                 frames = (codec.encode(items[0]),)
                 data = frames[0]
@@ -803,68 +650,35 @@ class AioHostTransport(Transport):
             try:
                 conn.write(data)
             except OSError as exc:
-                # The write may have partially left: retrying can
-                # duplicate delivery, which idempotent msg ids make safe.
-                queue.requeue_front(items)
-                log_event(
-                    _log,
-                    logging.INFO,
-                    "write_failed",
-                    destination=dest,
-                    batch=len(items),
-                    error=type(exc).__name__,
-                )
-                return False
-            queue.attempts = 0
+                conn.close(exc)
+                return
+            del queue[: len(items)]
             for message, frame in zip(items, frames):
                 self._stats.record(message, len(frame), dest)
             self._stats.record_batch(len(items))
-        return True
 
     def _drained(self, conn: _Connection) -> None:
         """*conn* sent everything the kernel had refused: write on."""
-        queue = self._queues.get(conn.peer_id)
-        if queue is not None and queue.items and not queue.attempts:
-            self._deliver(queue)
+        self._write_queued(conn.peer_id, conn)
 
-    def _backoff_or_drop(self, queue: SendQueue) -> None:
-        """Handle one failed delivery attempt for *queue*'s head batch:
-        retry after the next backoff, or drop the whole queue once the
-        attempt budget is exhausted."""
-        queue.attempts += 1
-        delay = self._retry.delay(queue.attempts)
-        if delay is None:
-            dropped = 0
-            for message in queue.drain_all():
-                self._stats.record_drop(
-                    message,
-                    self._drop_size(queue.destination, message),
-                    reason=DROP_UNDELIVERABLE,
-                )
-                dropped += 1
-            log_event(
-                _log,
-                logging.WARNING,
-                "batch_undeliverable",
-                destination=queue.destination,
-                dropped=dropped,
-                attempts=queue.attempts,
-            )
+    def _drop_queue(self, dest: str) -> None:
+        """Drop everything queued for *dest*, which has no live
+        connection, as ``undeliverable``: one ``batch_undeliverable``
+        record.  A closed host's queues go with it, uncounted."""
+        queue = self._queues.pop(dest, None)
+        if not queue or self._closed:
             return
-        self._stats.record_retry()
+        for message in queue:
+            self._stats.record_drop(
+                message, self._drop_size(dest, message), reason=DROP_UNDELIVERABLE
+            )
         log_event(
             _log,
-            logging.DEBUG,
-            "delivery_retry",
-            destination=queue.destination,
-            attempt=queue.attempts,
-            delay=delay,
+            logging.WARNING,
+            "batch_undeliverable",
+            destination=dest,
+            dropped=len(queue),
         )
-        self._loop.call_later(delay, self._retry_queue, queue)
-
-    def _retry_queue(self, queue: SendQueue) -> None:
-        if not self._closed and queue.items:
-            self._deliver(queue)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -876,8 +690,7 @@ class AioHostTransport(Transport):
 
     def pending(self, destination: str) -> int:
         """Messages queued but not yet written for *destination*."""
-        queue = self._queues.get(destination)
-        return len(queue) if queue is not None else 0
+        return len(self._queues.get(destination, ()))
 
 
 class AioClientTransport(TcpTransportBase):
@@ -931,6 +744,10 @@ class AioClientTransport(TcpTransportBase):
         #: only sends while bytes are unsent, and then no application
         #: thread writes.
         self._write_lock = threading.Lock()
+        #: How long :meth:`close` waits for a private loop's last bytes.
+        self._close_timeout = connect_timeout
+        #: Set once the connection is closed (``_connection_lost``).
+        self._conn_lost = threading.Event()
         sock = connect(host, port, connect_timeout)
         sock.setblocking(False)
         #: The socket an application thread writes to itself (None once
@@ -1002,8 +819,15 @@ class AioClientTransport(TcpTransportBase):
                 return
             self._closed = True
             self._cond.notify_all()
-        with contextlib.suppress(RuntimeError):  # the loop is gone already
+        try:
             self._loop.call_soon_threadsafe(self._close_on_loop)
+        except RuntimeError:  # the loop is gone already
+            pass
+        else:
+            if self._own_loop is not None and threading.get_ident() != self._loop_tid:
+                # A private loop closes every socket when it stops: let
+                # what the kernel had not taken leave first (bounded).
+                self._conn_lost.wait(self._close_timeout)
         if self._own_loop is not None:
             self._own_loop.stop()
 
@@ -1056,6 +880,7 @@ class AioClientTransport(TcpTransportBase):
         # send goes through the outbox, which is dropped.
         with self._write_lock:
             self._sock = None
+        self._conn_lost.set()
         if exc is not None and not self._closed:
             log_event(
                 _log,

@@ -9,8 +9,8 @@ they expose ``handle_message(Message)`` and emit messages through a
 * :class:`~repro.net.tcp.TcpTransport` — real sockets, one thread per
   connection;
 * :class:`~repro.net.aio.AioHostTransport` — real sockets on one event
-  loop the module owns, with outbound batching, bounded per-client send
-  queues and per-hop retry (see docs/RUNTIME.md).
+  loop the module owns, with outbound batching and bounded per-client
+  send queues (see docs/RUNTIME.md).
 
 The :class:`Transport` ABC is the explicit contract all of them implement:
 
@@ -60,7 +60,7 @@ DROP_LOSS = "loss"                  # simulated wire loss
 DROP_PARTITION = "partition"        # simulated network partition
 DROP_DETACHED = "detached"          # receiver endpoint gone / closed socket
 DROP_BACKPRESSURE = "backpressure"  # bounded send queue overflowed
-DROP_UNDELIVERABLE = "undeliverable"  # per-hop retry budget exhausted
+DROP_UNDELIVERABLE = "undeliverable"  # no live connection to the destination
 
 
 class TrafficStats:
@@ -69,7 +69,7 @@ class TrafficStats:
     Tracks message and byte counts globally, per message kind and per
     directed (sender, receiver) link; drops are attributed by kind *and*
     by reason (one of the ``DROP_*`` constants), and the batching runtime
-    additionally accounts flushed batches and per-hop retries.  Every
+    additionally accounts flushed batches.  Every
     transport — memory, TCP, aio, cluster shard — owns one of these,
     so a single-server run reports exactly the same fields a sharded or
     batched deployment does; :meth:`merge` folds several into one
@@ -90,7 +90,8 @@ class TrafficStats:
         self.batches = 0
         #: Messages that left inside those batches.
         self.batched_messages = 0
-        #: Per-hop delivery retries (see docs/RUNTIME.md).
+        #: Always 0 (no transport retries); kept because the ledger's
+        #: ``net.transport.retries`` (benchmarks/ledger/rep.py) reads it.
         self.retries = 0
 
     def record(self, message: Message, size: int, receiver: str) -> None:
@@ -119,9 +120,6 @@ class TrafficStats:
         self.batches += 1
         self.batched_messages += n_messages
 
-    def record_retry(self, attempts: int = 1) -> None:
-        self.retries += attempts
-
     def merge(self, other: "TrafficStats") -> "TrafficStats":
         """Fold *other*'s counters into this one (returns self).
 
@@ -139,7 +137,6 @@ class TrafficStats:
         self.drops_by_reason.update(other.drops_by_reason)
         self.batches += other.batches
         self.batched_messages += other.batched_messages
-        self.retries += other.retries
         return self
 
     def snapshot(self) -> Dict[str, object]:
@@ -189,10 +186,6 @@ class TrafficStats:
                 "repro_traffic_batches_total", "counter",
                 "Outbound batch flushes", base, self.batches,
             )
-            yield Sample(
-                "repro_traffic_retries_total", "counter",
-                "Per-hop delivery retries", base, self.retries,
-            )
             for kind, n in sorted(self.by_kind.items()):
                 yield Sample(
                     "repro_traffic_messages_by_kind_total", "counter",
@@ -220,7 +213,6 @@ class TrafficStats:
         self.drops_by_reason.clear()
         self.batches = 0
         self.batched_messages = 0
-        self.retries = 0
 
     def __repr__(self) -> str:
         return (

@@ -6,7 +6,7 @@ Every subsystem logs under the ``repro.`` namespace (``repro.net.aio``,
 library user who never configures logging sees nothing — exactly the old
 silent behaviour — while an operator who calls :func:`setup_logging` (or
 attaches their own handlers) gets key=value structured records for every
-previously-silent drop, retry and reconnect.
+previously-silent drop and lost connection.
 
 Use :func:`get_logger` for the logger and :func:`log_event` to emit::
 

@@ -21,11 +21,11 @@ Backends
     implementation shape).
 ``"aio"``
     The aio host (:class:`~repro.net.aio.AioHostTransport`): one event
-    loop it owns, one write per destination per loop pass, bounded send
-    queues with a drop-on-overflow bound, and per-hop retry — see
-    docs/RUNTIME.md.  Session-created instances join the host's loop
-    through :class:`~repro.net.aio.AioClientTransport` (no reader thread
-    per instance); the wire protocol is identical and plain TCP clients
+    loop it owns, one write per destination per loop pass, and bounded
+    send queues with a drop-on-overflow bound — see docs/RUNTIME.md.
+    Session-created instances join the host's loop through
+    :class:`~repro.net.aio.AioClientTransport` (no reader thread per
+    instance); the wire protocol is identical and plain TCP clients
     interoperate.
 
 Both socket backends build their host the same way — handler, address,
@@ -41,7 +41,7 @@ the same endpoint.
 All knobs live on :class:`SessionConfig`; keyword arguments to
 :class:`Session` are conveniences that build one::
 
-    session = Session(backend="aio", max_queue=256, retry_limit=3)
+    session = Session(backend="aio", max_queue=256)
     session = Session(config=SessionConfig(backend="memory", loss_rate=0.01))
 
 Who hears a couple or decouple is not among them: every deployment
@@ -60,14 +60,14 @@ import logging
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cluster import ShardedCosoftCluster
 from repro.core.compat import CorrespondenceRegistry
 from repro.core.instance import ApplicationInstance
 from repro.errors import NetworkError, UnknownCommunicatorError
-from repro.net.aio import AioClientTransport, AioHostTransport, BatchConfig
+from repro.net.aio import AioClientTransport, AioHostTransport
 from repro.net.clock import SimClock
 from repro.net.codec import get_codec
 from repro.net.memory import MemoryNetwork
@@ -82,9 +82,6 @@ from repro.server.server import SERVER_ID, CosoftServer
 ServerLike = Union[CosoftServer, ShardedCosoftCluster]
 
 _log = logging.getLogger(__name__)
-
-#: BatchConfig field names accepted as Session(...) keyword conveniences.
-_BATCH_FIELDS = tuple(f.name for f in fields(BatchConfig))
 
 
 def _resolve_persistence(
@@ -165,8 +162,10 @@ class SessionConfig:
     host: str = "127.0.0.1"
     port: int = 0
 
-    # Asyncio runtime (aio backend) -----------------------------------
-    batch: BatchConfig = field(default_factory=BatchConfig)
+    # aio backend ------------------------------------------------------
+    #: Bound of each destination's send queue on the aio host, in
+    #: messages; a message past it is dropped (docs/RUNTIME.md).
+    max_queue: int = 1024
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -285,8 +284,7 @@ class Session:
         keyword conveniences below.
     **knobs:
         Any :class:`SessionConfig` field (``shards``, ``loss_rate``,
-        ``ack_release``, …) or :class:`~repro.net.aio.BatchConfig` field
-        (``max_queue``, ``retry_limit``, …).
+        ``ack_release``, ``max_queue``, …).
 
     What the backends differ in is built by the constructor and read
     only by the connect step of :meth:`create_instance`, :meth:`pump`,
@@ -320,11 +318,6 @@ class Session:
             if backend is not None and backend != config.backend:
                 config = replace(config, backend=backend)
         else:
-            batch_knobs = {
-                key: knobs.pop(key) for key in _BATCH_FIELDS if key in knobs
-            }
-            if batch_knobs:
-                knobs["batch"] = BatchConfig(**batch_knobs)  # type: ignore[arg-type]
             if backend is not None:
                 knobs["backend"] = backend
             config = SessionConfig(**knobs)  # type: ignore[arg-type]
@@ -361,13 +354,13 @@ class Session:
                     codec=config.codec,
                 )
             else:
-                # One loop thread; end-of-burst flush, bounded send
-                # queues, per-hop retry — docs/RUNTIME.md.
+                # One loop thread; end-of-pass flush, bounded send
+                # queues — docs/RUNTIME.md.
                 self._host_transport = AioHostTransport(
                     self.server.handle_message,
                     config.host,
                     config.port,
-                    config=config.batch,
+                    max_queue=config.max_queue,
                     codec=config.codec,
                 )
             self.server.bind(self._host_transport)

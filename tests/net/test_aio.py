@@ -1,15 +1,15 @@
-"""Tests for the aio transports: the owned loop, flush, backpressure, retry.
+"""Tests for the aio transports: the owned loop, flush, backpressure, and
+what the host drops when a destination has no live connection.
 
-The sans-I/O cores (:class:`SendQueue`, :class:`RetryPolicy`) are driven
-directly; the socket-level tests run a real
-:class:`AioHostTransport` against the plain :class:`TcpClientTransport`,
-and :class:`AioClientTransport` against that host.
+The socket-level tests run a real :class:`AioHostTransport` against the
+plain :class:`TcpClientTransport`, and :class:`AioClientTransport`
+against that host.
 """
 
 import ast
 import concurrent.futures
-import dataclasses
 import gc
+import inspect
 import logging
 import os
 import queue
@@ -28,14 +28,10 @@ import pytest
 from repro.errors import CodecError, TransportClosedError
 from repro.net import binary, kinds
 from repro.net.aio import (
-    _MAX_FRAMES_PER_WRITE,
     _RECV_BUFFER_SIZE,
     AioClientTransport,
     AioHostTransport,
-    BatchConfig,
     EventLoop,
-    RetryPolicy,
-    SendQueue,
     _Connection,
 )
 from repro.net.codec import (
@@ -52,7 +48,7 @@ from repro.net.transport import (
     DROP_BACKPRESSURE,
     DROP_UNDELIVERABLE,
 )
-from repro.session import Session
+from repro.session import Session, SessionConfig
 from repro.toolkit import Shell, TextField
 
 from conftest import settle
@@ -152,133 +148,33 @@ def hold_loop(loop):
     return release
 
 
-# ---------------------------------------------------------------------------
-# BatchConfig validation
-# ---------------------------------------------------------------------------
-
-
-class TestBatchConfig:
-    def test_defaults_are_valid(self):
-        config = BatchConfig()
-        assert config.max_queue >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_queue": 0},
-            {"retry_limit": 0},
-            {"retry_backoff": 0.5},
-        ],
-        ids=["max_queue", "retry_limit", "retry_backoff"],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchConfig(**kwargs)
-
-    def test_runtime_doc_table_lists_every_field_with_its_default(self):
-        """docs/RUNTIME.md's Configuration table is the fields of
-        ``BatchConfig``, in order, with their defaults."""
-        doc = Path(__file__).parents[2] / "docs" / "RUNTIME.md"
-        section = doc.read_text().split("\n## Configuration\n")[1]
-        table = section[section.index("\n|") :].split("\n\n")[0]
-        rows = [
-            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
-            for line in table.strip().splitlines()[2:]  # header, rule
-        ]
-        assert [(name, ast.literal_eval(default)) for name, default, _ in rows] == [
-            (field.name, field.default) for field in dataclasses.fields(BatchConfig)
-        ]
-
-
-# ---------------------------------------------------------------------------
-# RetryPolicy (pure arithmetic, fake attempts)
-# ---------------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_exponential_schedule(self):
-        policy = RetryPolicy(
-            BatchConfig(
-                retry_initial=0.1,
-                retry_backoff=2.0,
-                retry_limit=5,
-                retry_max_delay=10.0,
-            )
-        )
-        assert policy.schedule() == [0.1, 0.2, 0.4, 0.8]
-
-    def test_delay_capped_at_max(self):
-        policy = RetryPolicy(
-            BatchConfig(
-                retry_initial=0.1,
-                retry_backoff=10.0,
-                retry_limit=6,
-                retry_max_delay=0.5,
-            )
-        )
-        assert policy.delay(1) == 0.1
-        assert policy.delay(2) == 0.5  # 1.0 capped
-        assert policy.delay(5) == 0.5
-
-    def test_budget_exhaustion_returns_none(self):
-        policy = RetryPolicy(BatchConfig(retry_limit=3))
-        assert policy.delay(2) is not None
-        assert policy.delay(3) is None
-        assert policy.delay(7) is None
-
-
-# ---------------------------------------------------------------------------
-# SendQueue (sans-I/O)
-# ---------------------------------------------------------------------------
+def after_this_pass(loop):
+    """Wait until *loop* has ended the pass that runs the callbacks
+    queued so far, its end-of-pass writers included."""
+    done = threading.Event()
+    loop.call_soon_threadsafe(loop.at_end_of_pass, done.set)
+    assert done.wait(5.0)
 
 
 def seqs(messages):
     return [m.payload["seq"] for m in messages]
 
 
-class TestSendQueue:
-    def make(self, **kwargs):
-        return SendQueue("c1", BatchConfig(**kwargs))
-
-    def test_push_outcomes(self):
-        queue = self.make(max_queue=4)
-        for _ in range(4):
-            assert queue.push(msg()) == SendQueue.QUEUED
-        assert queue.push(msg()) == SendQueue.OVERFLOW
-        assert len(queue) == 4  # the overflowing message was not kept
-
-    def test_pop_batch_respects_max_batch(self):
-        """A pop takes the requested number from the head — by default
-        one write's worth of frames — and leaves the rest queued."""
-        queue = self.make()
-        for i in range(_MAX_FRAMES_PER_WRITE + 6):
-            queue.push(msg(seq=i))
-        assert seqs(queue.pop_batch()) == list(range(_MAX_FRAMES_PER_WRITE))
-        assert len(queue.pop_batch(max_messages=2)) == 2
-        assert len(queue.pop_batch()) == 4
-        assert queue.pop_batch() == []
-
-    def test_requeue_front_preserves_fifo(self):
-        queue = self.make(max_queue=10)
-        for i in range(4):
-            queue.push(msg(seq=i))
-        items = queue.pop_batch(max_messages=2)
-        assert all(isinstance(m, Message) for m in items)
-        queue.requeue_front(items)
-        assert seqs(queue.pop_batch(max_messages=2)) == [0, 1]
-        assert seqs(queue.pop_batch(max_messages=2)) == [2, 3]
-
-    def test_drain_all_resets(self):
-        queue = self.make(max_queue=10)
-        for _ in range(3):
-            queue.push(msg())
-        queue.attempts = 2
-        drained = queue.drain_all()
-        assert len(drained) == 3
-        assert all(isinstance(m, Message) for m in drained)
-        assert len(queue) == 0
-        assert queue.attempts == 0
-
+def test_runtime_doc_table_lists_max_queue_with_its_default():
+    """docs/RUNTIME.md's Configuration table is the aio backend's one
+    setting, with the default the host and ``SessionConfig`` share."""
+    doc = Path(__file__).parents[2] / "docs" / "RUNTIME.md"
+    section = doc.read_text().split("\n## Configuration\n")[1]
+    table = section[section.index("\n|") :].split("\n\n")[0]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        for line in table.strip().splitlines()[2:]  # header, rule
+    ]
+    default = inspect.signature(AioHostTransport).parameters["max_queue"].default
+    assert [(name, ast.literal_eval(value)) for name, value, _ in rows] == [
+        ("max_queue", default)
+    ]
+    assert SessionConfig().max_queue == default
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +184,18 @@ class TestSendQueue:
 
 @pytest.fixture
 def aio_host(request):
-    config = getattr(request, "param", None) or BatchConfig()
+    """A host built with the keyword arguments the parameter holds, if
+    one is given.  Its handler collects every message and answers one
+    carrying ``burst=n`` with *n* sends to its sender, all queued in the
+    pass that read it."""
+
+    def handler(message):
+        inbox(message)
+        for i in range(message.payload.get("burst", 0)):
+            transport.send(msg(to=message.sender, seq=i))
+
     inbox = Collector()
-    transport = AioHostTransport(inbox, port=0, config=config)
+    transport = AioHostTransport(handler, port=0, **getattr(request, "param", {}))
     yield transport, inbox
     transport.close()
 
@@ -316,6 +221,10 @@ class TestAioHostTransport:
         transport.close()
         with pytest.raises(TransportClosedError):
             transport.send(msg())
+
+    def test_rejects_a_max_queue_below_one(self):
+        with pytest.raises(ValueError, match="max_queue"):
+            AioHostTransport(lambda m: None, port=0, max_queue=0)
 
     @pytest.mark.parametrize("count, writes", [(5, 1), (150, 3)])
     def test_handler_burst_leaves_in_writes_of_64_frames(self, count, writes):
@@ -423,26 +332,24 @@ class TestAioHostTransport:
                 sock.close()
             transport.close()
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [
-            BatchConfig(
-                max_queue=3,
-                retry_initial=30.0,  # park the writer in backoff
-                retry_limit=5,
-            )
-        ],
-        indirect=True,
-    )
+    @pytest.mark.parametrize("aio_host", [{"max_queue": 3}], indirect=True)
     def test_backpressure_drop_policy(self, aio_host):
-        """Overflowing a ghost destination's queue drops with attribution."""
+        """A handler burst of 8 sends to a connected peer, with a bound
+        of 3: the first 3 are queued and written, the other 5 dropped
+        with attribution."""
         transport, _ = aio_host
-        for i in range(8):
-            transport.send(msg(to="ghost", seq=i))
-        assert wait_until(
-            lambda: transport.stats.drops_by_reason[DROP_BACKPRESSURE] >= 4
-        )
-        assert transport.pending("ghost") <= 3
+        client_inbox = Collector()
+        client = TcpClientTransport("c1", client_inbox, *transport.address)
+        try:
+            client.send(msg(sender="c1", to="", burst=8))
+            assert wait_until(lambda: len(client_inbox.received) == 3)
+            stats = transport.stats
+            assert wait_until(lambda: stats.batched_messages == 3)
+            assert seqs(client_inbox.received) == [0, 1, 2]
+            assert dict(stats.drops_by_reason) == {DROP_BACKPRESSURE: 5}
+            assert transport.pending("c1") == 0
+        finally:
+            client.close()
 
     def test_a_peer_that_stops_reading_pauses_the_writer_and_loses_nothing(
         self, monkeypatch
@@ -461,9 +368,7 @@ class TestAioHostTransport:
 
         monkeypatch.setattr(_Connection, "write_unsent", spy)
         count = 3000  # 12 MB: past a 4 MB send buffer and the peer's window
-        transport = AioHostTransport(
-            Collector(), port=0, config=BatchConfig(max_queue=2 * count)
-        )
+        transport = AioHostTransport(Collector(), port=0, max_queue=2 * count)
         peer = socket.socket()
         peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         try:
@@ -507,85 +412,114 @@ class TestAioHostTransport:
             sock.close()
             transport.close()
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [
-            BatchConfig(
-                retry_initial=0.01,
-                retry_backoff=2.0,
-                retry_limit=3,
-                retry_max_delay=0.05,
-            )
-        ],
-        indirect=True,
-    )
-    def test_retry_budget_then_undeliverable(self, aio_host):
-        """No connection: per-hop retry backs off, then drops the batch."""
+    def test_a_message_for_a_ghost_destination_is_dropped_at_once(
+        self, aio_host, caplog
+    ):
+        """No live connection: the message is dropped in the pass that
+        queued it, counted as undeliverable and logged once, and nothing
+        is retried."""
+        caplog.set_level(logging.WARNING, logger="repro.net.aio")
         transport, _ = aio_host
         transport.send(msg(to="ghost", data="x"))
-        assert wait_until(
-            lambda: transport.stats.drops_by_reason[DROP_UNDELIVERABLE] >= 1
-        )
-        assert transport.stats.retries >= 2  # retry_limit - 1 backoffs
+        after_this_pass(transport.loop)
+        stats = transport.stats
+        assert dict(stats.drops_by_reason) == {DROP_UNDELIVERABLE: 1}
+        assert (stats.dropped, stats.messages, stats.retries) == (1, 0, 0)
         assert transport.pending("ghost") == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "event=batch_undeliverable destination=ghost dropped=1"
+        ]
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [BatchConfig(retry_initial=0.05, retry_limit=4)],
-        indirect=True,
-    )
-    def test_retry_delivers_to_late_connection(self, aio_host):
-        """A message queued before its client connects arrives after."""
+    def test_a_late_client_gets_only_what_was_sent_after_it_connected(self, aio_host):
+        """A message sent before its destination connects is dropped; it
+        does not wait for the connection.  What is sent once the client
+        has identified arrives."""
         transport, inbox = aio_host
-        _, port = transport.address
-        transport.send(msg(to="late", data="early-bird"))
-        time.sleep(0.08)  # let at least one delivery attempt fail
+        transport.send(msg(to="late", data="early"))
+        after_this_pass(transport.loop)
         client_inbox = Collector()
-        client = TcpClientTransport("late", client_inbox, "127.0.0.1", port)
+        client = TcpClientTransport("late", client_inbox, *transport.address)
         try:
             client.send(msg(sender="late", to="", hello=True))
             assert inbox.event.wait(5.0)
+            transport.send(msg(to="late", data="after"))
             assert client_inbox.event.wait(5.0)
-            assert client_inbox.received[0].payload == {"data": "early-bird"}
-            assert transport.stats.retries >= 1
+            time.sleep(0.05)  # nothing more arrives
+            assert [m.payload for m in client_inbox.received] == [{"data": "after"}]
+            assert dict(transport.stats.drops_by_reason) == {DROP_UNDELIVERABLE: 1}
+            assert transport.stats.retries == 0
         finally:
             client.close()
 
-    @pytest.mark.parametrize(
-        "aio_host",
-        [
-            BatchConfig(
-                retry_initial=30.0,
-                retry_backoff=3.0,
-                retry_limit=5,
-                retry_max_delay=200.0,
-            )
-        ],
-        indirect=True,
-    )
-    def test_retry_schedule_runs_to_its_expiry(self, aio_host, monkeypatch):
-        """A destination that never connects: the retries are timed
-        exactly by the policy's schedule, ``retry_limit - 1`` are
-        counted, then the queue is dropped as undeliverable.  The delays
-        are recorded, not waited out (the schedule adds up to 520 s)."""
+    def test_a_write_that_raises_closes_that_connection_only(
+        self, aio_host, monkeypatch, caplog
+    ):
+        """A write that raises closes its connection like a failed read:
+        counted in ``connection_errors``, its queue dropped and counted.
+        The other peer's connection is unaffected."""
+        caplog.set_level(logging.WARNING, logger="repro.net.aio")
         transport, _ = aio_host
-        slept = []
-        loop = transport.loop
+        write = _Connection.write
 
-        def recorded_call_later(delay, callback, *args):
-            slept.append(delay)
-            loop.call_soon_threadsafe(callback, *args)
+        def failing_write(conn, data):
+            if conn.peer_id == "p0":
+                raise ConnectionResetError("write failed")
+            write(conn, data)
 
-        monkeypatch.setattr(loop, "call_later", recorded_call_later)
-        transport.send(msg(to="ghost", data="x"))
-        assert wait_until(
-            lambda: transport.stats.drops_by_reason[DROP_UNDELIVERABLE] == 1
-        )
-        assert slept == RetryPolicy(transport.config).schedule()
-        assert slept == [30.0, 90.0, 200.0, 200.0]
-        assert transport.stats.retries == transport.config.retry_limit - 1
-        assert dict(transport.stats.drops_by_reason) == {DROP_UNDELIVERABLE: 1}
-        assert transport.pending("ghost") == 0
+        monkeypatch.setattr(_Connection, "write", failing_write)
+        peers = [socket.create_connection(transport.address) for _ in range(2)]
+        try:
+            for i, peer in enumerate(peers):
+                peer.sendall(encode(msg(sender=f"p{i}", to="", hello=True)))
+            assert wait_until(lambda: len(transport.connections()) == 2)
+            peers[0].sendall(encode(msg(sender="p0", to="", burst=3)))
+            assert reads_eof(peers[0])
+            assert wait_until(lambda: transport.connections() == ("p1",))
+            stats = transport.stats
+            assert transport.connection_errors == 1
+            assert dict(stats.drops_by_reason) == {DROP_UNDELIVERABLE: 3}
+            assert (stats.messages, stats.retries) == (0, 0)
+            assert transport.pending("p0") == 0
+            assert [r.getMessage() for r in caplog.records] == [
+                "event=connection_error peer=p0 error=ConnectionResetError",
+                "event=batch_undeliverable destination=p0 dropped=3",
+            ]
+            transport.send(msg(to="p1", seq=0))
+            assert seqs([read_frame(peers[1])]) == [0]
+        finally:
+            for peer in peers:
+                peer.close()
+
+    def test_a_slow_consumer_that_disconnects_has_its_queue_dropped(self):
+        """A peer that stops reading leaves bytes unsent and frames
+        queued behind them; when it disconnects, the queued frames are
+        dropped and counted, and none is left pending."""
+        count = 200  # 800 KB through 4 KB socket buffers
+        transport = AioHostTransport(Collector(), port=0, max_queue=count)
+        peer = socket.socket()
+        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            peer.connect(transport.address)
+            peer.sendall(encode(msg(sender="slow", to="", hello=True)))
+            assert wait_until(lambda: "slow" in transport.connections())
+            conn, stats = transport._conns["slow"], transport.stats
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            for i in range(count):
+                transport.send(msg(to="slow", seq=i, pad="x" * 4000))
+            assert wait_until(
+                lambda: conn.unsent
+                and stats.messages + transport.pending("slow") == count
+            )
+            queued = transport.pending("slow")
+            assert queued > 0 and stats.dropped == 0
+            peer.close()
+            assert wait_until(lambda: transport.connections() == ())
+            assert dict(stats.drops_by_reason) == {DROP_UNDELIVERABLE: queued}
+            assert stats.messages + queued == count
+            assert transport.pending("slow") == 0
+        finally:
+            peer.close()
+            transport.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1434,12 +1368,15 @@ def test_a_raising_callback_is_logged_and_the_loop_goes_on(loop_errors):
     assert not loop.thread.is_alive()
 
 
-def test_close_sends_what_the_kernel_had_not_taken_then_closes():
-    """A client on a shared loop closed while its peer is not reading:
-    what it sent before ``close()`` waits in the connection until the
-    kernel takes it, and only then is the socket closed — the peer reads
-    every frame, in order, then EOF."""
-    loop = EventLoop("closing-client")
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-loop", "private-loop"])
+def test_close_sends_what_the_kernel_had_not_taken_then_closes(shared):
+    """A client closed while its peer is not reading: what it sent
+    before ``close()`` waits in the connection until the kernel takes
+    it, and only then is the socket closed — the peer reads every frame,
+    in order, then EOF.  A client on a private loop (a ``ProcCluster``
+    shard link, the ``tools/cluster.py`` admin client) waits for that in
+    ``close()`` before it stops the loop, whose exit closes the socket."""
+    loop = EventLoop("closing-client") if shared else None
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen()
@@ -1449,22 +1386,28 @@ def test_close_sends_what_the_kernel_had_not_taken_then_closes():
     )
     peer, _ = listener.accept()
     try:
-        peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        # A small send buffer leaves most of 400 KB unsent; the peer's
+        # default receive window then takes it at once when it reads.
         client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
         count, pad = 100, "x" * 4000
         for n in range(count):
             client.send(msg(sender="c1", to="", n=n, pad=pad))
         assert wait_until(lambda: client._conn.unsent)
-        client.close()
+        closer = threading.Thread(target=client.close)
+        closer.start()
         assert [read_frame(peer).payload["n"] for _ in range(count)] == list(
             range(count)
         )
         assert reads_eof(peer)
+        closer.join(5.0)
+        assert not closer.is_alive()
+        assert not client._loop.thread.is_alive() or shared
     finally:
         client.close()
         peer.close()
         listener.close()
-        loop.stop()
+        if loop is not None:
+            loop.stop()
 
 
 def test_failed_connect_stops_the_private_loop():
@@ -1478,6 +1421,34 @@ def test_failed_connect_stops_the_private_loop():
         AioClientTransport("refused", lambda message: None, "127.0.0.1", port)
     names = [thread.name for thread in threading.enumerate()]
     assert "aio-client-refused" not in names
+
+
+def test_a_private_loop_client_closes_from_its_own_handler():
+    """``close()`` called on a private-loop client's own loop thread (its
+    handler) queues the loop's end: it neither waits for its own
+    connection nor joins the thread it runs on, and the loop ends."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(5.0)
+    closed = threading.Event()
+
+    def close_on_first_message(message):
+        client.close()
+        closed.set()
+
+    client = AioClientTransport("c1", close_on_first_message, *listener.getsockname())
+    peer, _ = listener.accept()
+    try:
+        peer.sendall(encode(msg(to="c1", bye=True)))
+        assert closed.wait(5.0)
+        client._loop.thread.join(5.0)
+        assert not client._loop.thread.is_alive()
+        assert reads_eof(peer)
+    finally:
+        client.close()
+        peer.close()
+        listener.close()
 
 
 @pytest.mark.parametrize("side", ["host", "client"])

@@ -1,9 +1,16 @@
 """Unit tests for structured logging (repro.obs.log)."""
 
+import ast
 import io
 import logging
+import re
+import socket
 import time
+from pathlib import Path
 
+import pytest
+
+from repro.net import aio, tcp
 from repro.obs.log import format_event, get_logger, log_event, setup_logging
 
 
@@ -44,28 +51,63 @@ def test_silent_by_default():
 
 
 def test_overflow_drop_is_logged():
-    """The aio transport's overflow drop emits a structured record."""
-    from repro.net.aio import AioHostTransport, BatchConfig
+    """The aio transport's overflow drop emits a structured record: a
+    handler burst of 8 sends to a connected peer, with a bound of 3,
+    logs 5."""
+    from repro.net.aio import AioHostTransport
+    from repro.net.codec import encode
     from repro.net.message import Message
+
+    def burst(message):
+        for _ in range(8):
+            transport.send(
+                Message(kind="event", sender="x", to=message.sender, payload={})
+            )
 
     stream = io.StringIO()
     handler = setup_logging(level=logging.WARNING, stream=stream)
-    transport = AioHostTransport(
-        lambda message: None,
-        # Nobody connects as "slow": the first message parks in backoff.
-        config=BatchConfig(max_queue=1, retry_initial=30.0),
-    )
+    transport = AioHostTransport(burst, max_queue=3)
     try:
-        for _ in range(2):
-            transport.send(Message(kind="event", sender="x", to="slow", payload={}))
-        deadline = time.monotonic() + 5.0
-        while "send_queue_overflow" not in stream.getvalue():
-            assert time.monotonic() < deadline, stream.getvalue()
-            time.sleep(0.01)
+        with socket.create_connection(transport.address) as peer:
+            peer.sendall(encode(Message(kind="event", sender="slow", payload={})))
+            deadline = time.monotonic() + 5.0
+            while stream.getvalue().count("send_queue_overflow") < 5:
+                assert time.monotonic() < deadline, stream.getvalue()
+                time.sleep(0.01)
     finally:
         transport.close()
         logging.getLogger("repro").removeHandler(handler)
-    output = stream.getvalue()
-    assert "event=send_queue_overflow" in output
-    assert "destination=slow" in output
-    assert "kind=event" in output
+    overflows = [
+        line for line in stream.getvalue().splitlines() if "send_queue_overflow" in line
+    ]
+    assert len(overflows) == 5
+    for line in overflows:
+        assert "event=send_queue_overflow destination=slow kind=event" in line
+
+
+def _logged_events(module):
+    """The event names *module* passes to ``log_event`` (third argument)
+    and ``format_event`` (first), read from its source."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            index = {"log_event": 2, "format_event": 0}.get(node.func.id)
+            if index is not None:
+                arg = node.args[index]
+                assert isinstance(arg, ast.Constant), ast.dump(arg)
+                names.add(arg.value)
+    return names
+
+
+@pytest.mark.parametrize("module", [aio, tcp], ids=["aio", "tcp"])
+def test_observability_doc_lists_exactly_the_events_a_socket_module_logs(module):
+    """docs/OBSERVABILITY.md's structured-logging row for the module
+    names every event it logs, and no other."""
+    doc = Path(__file__).parents[2] / "docs" / "OBSERVABILITY.md"
+    (row,) = [
+        line
+        for line in doc.read_text().splitlines()
+        if line.startswith(f"| `{module.__name__}` |")
+    ]
+    listed = re.findall(r"`(\w+)`", row.split("|")[2])
+    assert sorted(listed) == sorted(_logged_events(module))

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.net.aio import BatchConfig
 from repro.session import Session, SessionConfig
 
 
@@ -23,7 +22,7 @@ class TestSessionConfig:
         config = SessionConfig()
         assert config.backend == "memory"
         assert config.shards == 0
-        assert isinstance(config.batch, BatchConfig)
+        assert config.max_queue == 1024
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
@@ -56,10 +55,10 @@ class TestSessionConstruction:
         with pytest.raises(TypeError):
             Session(config=SessionConfig(), seed=3)
 
-    def test_batch_knobs_fold_into_batch_config(self):
-        with Session(max_queue=7, retry_limit=3) as session:
-            assert session.config.batch.max_queue == 7
-            assert session.config.batch.retry_limit == 3
+    def test_max_queue_is_a_session_knob_the_aio_host_takes(self):
+        with Session(backend="aio", max_queue=7) as session:
+            assert session.config.max_queue == 7
+            assert session._host_transport.max_queue == 7
 
     def test_unknown_knob_raises(self):
         with pytest.raises(TypeError):
@@ -120,10 +119,7 @@ class TestAioBackend:
     def test_runtime_accessible(self):
         with Session(backend="aio") as session:
             assert session._host_transport is not None
-            assert (
-                session._host_transport.config.max_queue
-                == session.config.batch.max_queue
-            )
+            assert session._host_transport.max_queue == session.config.max_queue
 
     def test_one_thread_serves_the_host_and_every_client(self):
         before = set(threading.enumerate())

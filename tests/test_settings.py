@@ -3,6 +3,8 @@ construction: before a backend is built, a socket opens or an instance
 exists.  Protocol paths no deployment sends are gone too, and reaching
 for one is refused."""
 
+import threading
+
 import pytest
 
 import repro.session as session_module
@@ -12,7 +14,7 @@ from repro.cluster.worker import _parse_args as worker_args
 from repro.cluster.worker import build_worker
 from repro.errors import CodecError
 from repro.net import kinds
-from repro.net.aio import BatchConfig
+from repro.net.aio import AioHostTransport
 from repro.net.message import Message
 from repro.persist import OpLog, PersistenceConfig
 from repro.server.server import CosoftServer
@@ -29,9 +31,33 @@ class TestRemovedSettingsFailAtConstruction:
         with pytest.raises(TypeError, match="backpressure"):
             Session(backend="aio", backpressure="block")
 
-    def test_backpressure_is_not_a_batch_config_field(self):
-        with pytest.raises(TypeError, match="backpressure"):
-            BatchConfig(backpressure="drop")
+    @pytest.mark.parametrize("name", ["backpressure", "config"])
+    def test_removed_settings_are_not_host_parameters(self, name):
+        """Neither a backpressure policy nor a config object: the aio
+        host's one setting is ``max_queue``."""
+        before = threading.active_count()
+        with pytest.raises(TypeError, match=name):
+            AioHostTransport(lambda message: None, **{name: object()})
+        assert threading.active_count() == before  # no loop was started
+
+    @pytest.mark.parametrize(
+        "name", ["retry_limit", "retry_initial", "retry_backoff", "retry_max_delay"]
+    )
+    def test_per_hop_retry_settings_are_not_session_knobs(self, monkeypatch, name):
+        """The aio host retries nothing: a message it cannot write is
+        dropped, so no retry setting exists to name."""
+
+        def refuse(config, clock=None):
+            pytest.fail(f"a {config.backend} deployment was built")
+
+        monkeypatch.setattr(session_module, "_build_server", refuse)
+        with pytest.raises(TypeError, match=name):
+            Session(backend="aio", **{name: 3})
+
+    def test_batch_is_not_a_session_config_field(self):
+        """The one aio setting is the flat ``SessionConfig.max_queue``."""
+        with pytest.raises(TypeError, match="batch"):
+            SessionConfig(backend="aio", batch=object())
 
     def test_placement_is_not_a_cluster_parameter(self):
         with pytest.raises(TypeError, match="placement"):
