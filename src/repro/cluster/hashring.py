@@ -14,14 +14,15 @@ set — any router replica computes the same placement.
 from __future__ import annotations
 
 import bisect
-import hashlib
+# Not hashlib: importing it maps OpenSSL's libcrypto into the process.
+from _blake2 import blake2b
 from collections import Counter
 from typing import Dict, Iterable, List, Tuple
 
 
 def _position(key: str) -> int:
     """A stable 64-bit ring position for *key*."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

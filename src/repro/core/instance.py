@@ -26,8 +26,9 @@ purely local otherwise.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
+# Not hashlib: importing it maps OpenSSL's libcrypto into the process.
+from _sha1 import sha1
 from collections import Counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -74,7 +75,7 @@ def _blob_fingerprint(blob: Any) -> str:
     both sides of a comparison are produced by the same process, so repr
     stability within one run is all that is required.
     """
-    return hashlib.sha1(repr(blob).encode("utf-8")).hexdigest()
+    return sha1(repr(blob).encode("utf-8")).hexdigest()
 
 
 class ApplicationInstance:

@@ -47,7 +47,8 @@ leave in sending order.  :meth:`AioClientTransport.close` writes the
 outbox before the socket closes.  Nothing waits for a timer
 (docs/PERF.md §12).  What the kernel does not take waits in the
 connection's own buffer until the socket is writable again; a host
-destination writes no further frame until that buffer is empty.
+destination writes no further frame until that buffer is empty, and a
+frame counts as sent only once the kernel has taken all of it.
 
 **Bounded queues** (host).  Every destination has a bounded send queue
 (``max_queue`` messages).  A slow consumer overflows it, and the
@@ -430,6 +431,12 @@ class AioHostTransport(Transport):
         #: Each destination's queued messages, oldest first (loop-thread
         #: only).
         self._queues: Dict[str, List[Message]] = {}
+        #: Per connection, the ``(message, frame size)`` of each frame its
+        #: last write left in :attr:`_Connection.unsent` (loop-thread
+        #: only): counted as sent once the kernel takes it all
+        #: (``_drained``), as ``undeliverable`` if the connection is lost
+        #: first.
+        self._unsent: Dict[_Connection, List[Tuple[Message, int]]] = {}
         #: Destinations queued to since the last flush (loop-thread
         #: only), written by ``_flush_dirty`` when the pass ends.
         self._dirty: Set[str] = set()
@@ -576,6 +583,17 @@ class AioHostTransport(Transport):
                 peer=conn.peer_id,
                 error=type(exc).__name__,
             )
+        unsent = self._unsent.pop(conn, None)
+        if unsent and not self._closed:
+            for message, size in unsent:
+                self._stats.record_drop(message, size, reason=DROP_UNDELIVERABLE)
+            log_event(
+                _log,
+                logging.WARNING,
+                "batch_undeliverable",
+                destination=conn.peer_id,
+                dropped=len(unsent),
+            )
         if conn.peer_id is not None and self._conns.get(conn.peer_id) is conn:
             del self._conns[conn.peer_id]
             self._drop_queue(conn.peer_id)
@@ -636,9 +654,13 @@ class AioHostTransport(Transport):
         queue to *conn*, at most :data:`_MAX_FRAMES_PER_WRITE` frames per
         ``send``, until it is empty or the kernel leaves bytes unsent
         (the rest waits for ``_drained``).  Never waits.  A write that
-        fails closes *conn*, which drops what is still queued."""
+        fails closes *conn*, which drops what is still queued.
+
+        A frame counts as sent once the kernel has taken all of it; the
+        ones a write leaves in ``conn.unsent`` wait in :attr:`_unsent`."""
         queue = self._queues.get(dest)
         codec = self._peer_codecs.get(dest, self._codec)
+        stats = self._stats
         while queue and not conn.unsent:
             items = queue[:_MAX_FRAMES_PER_WRITE]
             if len(items) == 1:
@@ -653,13 +675,29 @@ class AioHostTransport(Transport):
                 conn.close(exc)
                 return
             del queue[: len(items)]
+            stats.record_batch(len(items))
+            if not conn.unsent:
+                for message, frame in zip(items, frames):
+                    stats.record(message, len(frame), dest)
+                continue
+            # The loop writes only into an empty ``unsent``, so it now
+            # holds the tail of *data* the kernel refused.
+            taken = len(data) - len(conn.unsent)
+            unsent = self._unsent[conn] = []
             for message, frame in zip(items, frames):
-                self._stats.record(message, len(frame), dest)
-            self._stats.record_batch(len(items))
+                taken -= len(frame)
+                if taken >= 0:
+                    stats.record(message, len(frame), dest)
+                else:
+                    unsent.append((message, len(frame)))
 
     def _drained(self, conn: _Connection) -> None:
-        """*conn* sent everything the kernel had refused: write on."""
-        self._write_queued(conn.peer_id, conn)
+        """*conn* sent everything the kernel had refused: count those
+        frames, then write on."""
+        dest = conn.peer_id
+        for message, size in self._unsent.pop(conn, ()):
+            self._stats.record(message, size, dest)
+        self._write_queued(dest, conn)
 
     def _drop_queue(self, dest: str) -> None:
         """Drop everything queued for *dest*, which has no live

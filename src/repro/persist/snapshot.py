@@ -25,10 +25,11 @@ keeps them in RAM for ephemeral persistence.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import zlib
+# Not hashlib: importing it maps OpenSSL's libcrypto into the process.
+from _sha1 import sha1
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import PersistenceError
@@ -106,7 +107,7 @@ def restore_state(server: Any, state: Mapping[str, Any]) -> None:
 
 def state_fingerprint(state: Dict[str, Any]) -> str:
     """SHA-1 over the canonical JSON of a :func:`capture_state` dict."""
-    return hashlib.sha1(_canonical(state).encode("utf-8")).hexdigest()
+    return sha1(_canonical(state).encode("utf-8")).hexdigest()
 
 
 def server_fingerprint(server: Any) -> str:

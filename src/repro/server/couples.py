@@ -25,11 +25,21 @@ removals rebuild only the affected component instead of clearing every
 cached group.  The table also keeps a per-group *audience* index
 (instance id -> coupled pathnames) that the server's interest-aware
 routing reads on every event.
+
+A deployment holds a group's links once on the server and once in each
+member's replica, so what this table spends per link is paid once per
+member.  It keeps no container per link it does not need: the pair index
+is keyed by the two endpoint ids in sorted order (a 2-tuple; either
+direction finds the same key) and holds a list of the pair's arcs, an
+object's neighbours and an instance's objects are lists, and the ids a
+replica decodes into a link are interned (:meth:`CoupleLink.from_wire`),
+so 64 replicas of a group share one copy of each name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.errors import NoSuchCoupleError
@@ -54,8 +64,19 @@ def gid_from_wire(data: Iterable[str]) -> GlobalId:
     return (str(items[0]), str(items[1]))
 
 
-def _pair(a: GlobalId, b: GlobalId) -> FrozenSet[GlobalId]:
-    return frozenset((a, b))
+def _kept_gid_from_wire(data: Iterable[str]) -> GlobalId:
+    """:func:`gid_from_wire` for an id a table keeps: both strings are
+    interned, so every replica of a group shares one copy of each name
+    instead of holding its own decoded one.  Not for the ids a message
+    names and drops: interning a string that is soon freed costs an
+    insert and a delete in the interpreter's table of interned strings."""
+    instance_id, pathname = gid_from_wire(data)
+    return (intern(instance_id), intern(pathname))
+
+
+def _pair(a: GlobalId, b: GlobalId) -> Tuple[GlobalId, GlobalId]:
+    """The pair index's key for the unordered endpoints *a* and *b*."""
+    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -76,9 +97,9 @@ class CoupleLink:
     @classmethod
     def from_wire(cls, data: Dict[str, object]) -> "CoupleLink":
         return cls(
-            source=gid_from_wire(data["source"]),  # type: ignore[arg-type]
-            target=gid_from_wire(data["target"]),  # type: ignore[arg-type]
-            creator=str(data.get("creator", "")),
+            source=_kept_gid_from_wire(data["source"]),  # type: ignore[arg-type]
+            target=_kept_gid_from_wire(data["target"]),  # type: ignore[arg-type]
+            creator=intern(str(data.get("creator", ""))),
         )
 
     @property
@@ -94,20 +115,29 @@ class CoupleTable:
     removed arcs belonged to.  Per-group caches (the frozen member set and
     the instance -> pathnames audience index) are invalidated per
     component, never globally.
+
+    Links are held twice: in one set of every link, and in the pair index,
+    which maps the sorted endpoint pair ``(min(a, b), max(a, b))`` to the
+    list of arcs between the two objects (one per direction and creator,
+    so usually one).  The index is what :meth:`remove_link`,
+    :meth:`has_link` and every walk over an object's links read.
     """
 
     def __init__(self) -> None:
         self._links: Set[CoupleLink] = set()
-        #: Unordered endpoint pair -> the arcs between the two objects.
-        self._links_by_pair: Dict[FrozenSet[GlobalId], Set[CoupleLink]] = {}
-        #: Undirected multigraph: object -> neighbour -> arc count.
-        self._adjacency: Dict[GlobalId, Dict[GlobalId, int]] = {}
-        #: Coupled objects per instance (mirror of the adjacency key set).
-        self._by_instance: Dict[str, Set[GlobalId]] = {}
+        #: Ordered endpoint pair (:func:`_pair`) -> the arcs between the
+        #: two objects, one per direction and creator: usually one.
+        self._links_by_pair: Dict[Tuple[GlobalId, GlobalId], List[CoupleLink]] = {}
+        #: Undirected graph: object -> the objects it shares a pair-index
+        #: entry with, each once (the entry holds the arcs).
+        self._adjacency: Dict[GlobalId, List[GlobalId]] = {}
+        #: Coupled objects per instance (mirror of the adjacency key set),
+        #: in a list: an instance holds one or a few objects of a group.
+        self._by_instance: Dict[str, List[GlobalId]] = {}
         # Union–find forest over the coupled objects.
         self._parent: Dict[GlobalId, GlobalId] = {}
-        self._size: Dict[GlobalId, int] = {}
-        #: root -> live member set (merged small-into-large on union).
+        #: root -> live member set (merged small-into-large on union, so
+        #: its length is the component's size).
         self._members: Dict[GlobalId, Set[GlobalId]] = {}
         #: root -> frozen group snapshot handed out by :meth:`group_of`.
         self._group_cache: Dict[GlobalId, FrozenSet[GlobalId]] = {}
@@ -137,19 +167,22 @@ class CoupleTable:
         if obj in self._parent:
             return
         self._parent[obj] = obj
-        self._size[obj] = 1
         self._members[obj] = {obj}
-        self._by_instance.setdefault(obj[0], set()).add(obj)
+        held = self._by_instance.get(obj[0])
+        if held is None:
+            self._by_instance[obj[0]] = [obj]
+        else:
+            held.append(obj)
 
     def _union(self, a: GlobalId, b: GlobalId) -> None:
         ra, rb = self._find(a), self._find(b)
         if ra == rb:
             return
-        if self._size[ra] < self._size[rb]:
+        members = self._members
+        if len(members[ra]) < len(members[rb]):
             ra, rb = rb, ra
         self._parent[rb] = ra
-        self._size[ra] += self._size.pop(rb)
-        self._members[ra].update(self._members.pop(rb))
+        members[ra].update(members.pop(rb))
         self._group_cache.pop(ra, None)
         self._group_cache.pop(rb, None)
         self._audience_cache.pop(ra, None)
@@ -158,11 +191,10 @@ class CoupleTable:
 
     def _drop_node(self, obj: GlobalId) -> None:
         """Remove an object that lost its last arc from the forest."""
-        instance_objects = self._by_instance.get(obj[0])
-        if instance_objects is not None:
-            instance_objects.discard(obj)
-            if not instance_objects:
-                del self._by_instance[obj[0]]
+        instance_objects = self._by_instance[obj[0]]
+        instance_objects.remove(obj)
+        if not instance_objects:
+            del self._by_instance[obj[0]]
 
     def _rebuild_component(self, members: Set[GlobalId]) -> None:
         """Recompute the union–find structure of one (former) component.
@@ -176,14 +208,12 @@ class CoupleTable:
             root = self._parent.pop(member, None)
             if root is None:
                 continue
-            self._size.pop(member, None)
             self._members.pop(member, None)
             self._group_cache.pop(member, None)
             self._audience_cache.pop(member, None)
         for member in members:
             if member in self._adjacency:
                 self._parent[member] = member
-                self._size[member] = 1
                 self._members[member] = {member}
             else:
                 self._drop_node(member)
@@ -212,13 +242,21 @@ class CoupleTable:
             return False
         self._links.add(link)
         pair = _pair(link.source, link.target)
-        self._links_by_pair.setdefault(pair, set()).add(link)
-        for here, there in (
-            (link.source, link.target),
-            (link.target, link.source),
-        ):
-            neighbours = self._adjacency.setdefault(here, {})
-            neighbours[there] = neighbours.get(there, 0) + 1
+        arcs = self._links_by_pair.get(pair)
+        if arcs is not None:
+            arcs.append(link)
+        else:
+            self._links_by_pair[pair] = [link]
+            adjacency = self._adjacency
+            for here, there in (
+                (link.source, link.target),
+                (link.target, link.source),
+            ):
+                neighbours = adjacency.get(here)
+                if neighbours is None:
+                    adjacency[here] = [there]
+                else:
+                    neighbours.append(there)
         self._ensure_node(link.source)
         self._ensure_node(link.target)
         self._union(link.source, link.target)
@@ -251,23 +289,17 @@ class CoupleTable:
         for link in unique:
             self._links.discard(link)
             pair = _pair(link.source, link.target)
-            bucket = self._links_by_pair.get(pair)
-            if bucket is not None:
-                bucket.discard(link)
-                if not bucket:
-                    del self._links_by_pair[pair]
+            arcs = self._links_by_pair[pair]
+            arcs.remove(link)
+            if arcs:
+                continue
+            del self._links_by_pair[pair]
             for here, there in (
                 (link.source, link.target),
                 (link.target, link.source),
             ):
-                neighbours = self._adjacency.get(here)
-                if neighbours is None:
-                    continue
-                count = neighbours.get(there, 0) - 1
-                if count > 0:
-                    neighbours[there] = count
-                else:
-                    neighbours.pop(there, None)
+                neighbours = self._adjacency[here]
+                neighbours.remove(there)
                 if not neighbours:
                     del self._adjacency[here]
         for members in affected.values():
@@ -339,7 +371,6 @@ class CoupleTable:
         self._adjacency.clear()
         self._by_instance.clear()
         self._parent.clear()
-        self._size.clear()
         self._members.clear()
         self._group_cache.clear()
         self._audience_cache.clear()

@@ -8,6 +8,7 @@ name, etc." (§2.2, COSOFT architecture).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import AlreadyRegisteredError, NotRegisteredError
@@ -34,11 +35,12 @@ class RegistrationRecord:
 
     @classmethod
     def from_wire(cls, data: Dict[str, object]) -> "RegistrationRecord":
+        # Interned: every replica of the roster holds the same few names.
         return cls(
-            instance_id=str(data["instance_id"]),
-            user=str(data.get("user", "")),
-            host=str(data.get("host", "localhost")),
-            app_type=str(data.get("app_type", "")),
+            instance_id=intern(str(data["instance_id"])),
+            user=intern(str(data.get("user", ""))),
+            host=intern(str(data.get("host", "localhost"))),
+            app_type=intern(str(data.get("app_type", ""))),
             registered_at=float(data.get("registered_at", 0.0)),
         )
 

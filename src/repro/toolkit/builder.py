@@ -25,7 +25,8 @@ is also kept per widget as a cached value: :func:`shape` returns the
 
 from __future__ import annotations
 
-import hashlib
+# Not hashlib: importing it maps OpenSSL's libcrypto into the process.
+from _sha1 import sha1
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -133,7 +134,7 @@ def spec_fingerprint(spec: Mapping[str, Any]) -> str:
             tuple(canon(child) for child in node.get("children", ())),
         )
 
-    return hashlib.sha1(repr(canon(spec)).encode("utf-8")).hexdigest()
+    return sha1(repr(canon(spec)).encode("utf-8")).hexdigest()
 
 
 class Shape(NamedTuple):

@@ -378,11 +378,14 @@ class TestAioHostTransport:
             for i in range(count):
                 transport.send(msg(to="slow", seq=i, pad="x" * 4000))
             conn, stats = transport._conns["slow"], transport.stats
-            # Every message is written or queued, the kernel is full.
-            assert wait_until(
-                lambda: conn.unsent
-                and stats.messages + transport.pending("slow") == count
-            )
+
+            def accounted():
+                unsent = len(transport._unsent.get(conn, ()))
+                return stats.messages + unsent + transport.pending("slow")
+
+            # Every message is sent, waits unsent or is queued; the kernel
+            # is full.
+            assert wait_until(lambda: conn.unsent and accounted() == count)
             assert transport.pending("slow") > 0
             assert stats.dropped == 0
 
@@ -492,8 +495,9 @@ class TestAioHostTransport:
 
     def test_a_slow_consumer_that_disconnects_has_its_queue_dropped(self):
         """A peer that stops reading leaves bytes unsent and frames
-        queued behind them; when it disconnects, the queued frames are
-        dropped and counted, and none is left pending."""
+        queued behind them; when it disconnects, the frames still unsent
+        and the queued ones are dropped and counted, none counts as sent,
+        and none is left pending."""
         count = 200  # 800 KB through 4 KB socket buffers
         transport = AioHostTransport(Collector(), port=0, max_queue=count)
         peer = socket.socket()
@@ -506,16 +510,20 @@ class TestAioHostTransport:
             conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
             for i in range(count):
                 transport.send(msg(to="slow", seq=i, pad="x" * 4000))
-            assert wait_until(
-                lambda: conn.unsent
-                and stats.messages + transport.pending("slow") == count
-            )
-            queued = transport.pending("slow")
-            assert queued > 0 and stats.dropped == 0
+
+            def unsent():
+                return len(transport._unsent.get(conn, ()))
+
+            def accounted():
+                return stats.messages + unsent() + transport.pending("slow")
+
+            assert wait_until(lambda: conn.unsent and accounted() == count)
+            queued, lost = transport.pending("slow"), unsent()
+            assert queued > 0 and lost > 0 and stats.dropped == 0
             peer.close()
             assert wait_until(lambda: transport.connections() == ())
-            assert dict(stats.drops_by_reason) == {DROP_UNDELIVERABLE: queued}
-            assert stats.messages + queued == count
+            assert dict(stats.drops_by_reason) == {DROP_UNDELIVERABLE: queued + lost}
+            assert stats.messages + stats.dropped == count
             assert transport.pending("slow") == 0
         finally:
             peer.close()
